@@ -488,20 +488,17 @@ class FleetConfig:
     #: not all align on the shared link.
     stagger_s: float = 30.0
     keep_last: int = 2
-    #: Deprecated: the legacy fixed cap on simultaneous checkpoint
-    #: writes. A non-None value maps onto the admission controller's
-    #: *static* mode (and emits a :class:`DeprecationWarning`), so
-    #: existing configs and recorded baselines stay reproducible.
-    #: Prefer ``admission_mode="static"`` + this cap, or "dynamic".
+    #: The cap on simultaneous checkpoint writes that
+    #: ``admission_mode="static"`` enforces (required by that mode,
+    #: rejected with any other).
     max_concurrent_writes: int | None = None
     #: Admission-control mode for checkpoint triggers on the shared
-    #: store: ``None`` (auto: "static" when ``max_concurrent_writes``
-    #: is set, else "none"), ``"none"`` (admit everything),
-    #: ``"static"`` (fixed concurrent-write cap), or ``"dynamic"``
-    #: (backlog-driven: defer an experimental job's trigger when the
-    #: link's projected queue delay exceeds ``admission_backlog_factor``
-    #: x the job's checkpoint interval; prod jobs are always admitted).
-    admission_mode: str | None = None
+    #: store: ``"none"`` (admit everything), ``"static"`` (fixed
+    #: concurrent-write cap), or ``"dynamic"`` (backlog-driven: defer
+    #: an experimental job's trigger when the link's projected queue
+    #: delay exceeds ``admission_backlog_factor`` x the job's
+    #: checkpoint interval; prod jobs are always admitted).
+    admission_mode: str = "none"
     #: Dynamic admission threshold, in checkpoint intervals of backlog.
     admission_backlog_factor: float = 1.0
     #: Read-side admission mode for restores on the shared store:
@@ -640,31 +637,22 @@ class FleetConfig:
         )
         _require(self.stagger_s >= 0, "stagger_s must be >= 0")
         _require(self.keep_last >= 1, "keep_last must be >= 1")
-        if self.max_concurrent_writes is not None:
-            _require(
-                self.max_concurrent_writes >= 1,
-                "max_concurrent_writes must be >= 1",
-            )
-            if self.admission_mode is None:
-                import warnings
-
-                warnings.warn(
-                    "FleetConfig.max_concurrent_writes is deprecated; "
-                    "it now maps to the transfer engine's static "
-                    "admission mode (admission_mode='static'). Prefer "
-                    "setting admission_mode explicitly.",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
         _require(
-            self.admission_mode in (None, "none", "static", "dynamic"),
+            self.admission_mode in ("none", "static", "dynamic"),
             f"unknown admission_mode {self.admission_mode!r}; valid: "
-            "None, 'none', 'static', 'dynamic'",
+            "'none', 'static', 'dynamic'",
         )
         if self.admission_mode == "static":
             _require(
-                self.max_concurrent_writes is not None,
-                "static admission mode needs max_concurrent_writes",
+                self.max_concurrent_writes is not None
+                and self.max_concurrent_writes >= 1,
+                "static admission mode needs max_concurrent_writes >= 1",
+            )
+        else:
+            _require(
+                self.max_concurrent_writes is None,
+                "max_concurrent_writes is the static admission mode's "
+                "cap; set admission_mode='static' to use it",
             )
         _require(
             self.admission_backlog_factor > 0,
@@ -749,18 +737,6 @@ class FleetConfig:
             0.0 <= self.bitrot_prob <= 1.0,
             "bitrot_prob must be in [0, 1]",
         )
-
-    @property
-    def resolved_admission_mode(self) -> str:
-        """The effective admission mode after the deprecation mapping:
-        an explicit ``admission_mode`` wins; otherwise a legacy
-        ``max_concurrent_writes`` implies ``"static"``; else ``"none"``.
-        """
-        if self.admission_mode is not None:
-            return self.admission_mode
-        if self.max_concurrent_writes is not None:
-            return "static"
-        return "none"
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,17 @@ from ..errors import CheckpointError, CheckpointNotFoundError
 from ..metrics.latency import LatencyModel
 from ..quant.base import Quantizer
 from ..quant.registry import make_quantizer
+from ..storage.engine import StagedHandle, drain
 from ..storage.object_store import ObjectStore
 from .bitwidth import BitWidthController
 from .coordination import ReaderCoordinator
 from .manifest import KIND_FULL, CheckpointManifest
 from .policies import PolicyState, make_policy
-from .restore import CheckpointRestorer, ReadStep, RestoreReport
+from .restore import CheckpointRestorer, RestoreReport
 from .retention import RetentionManager
 from .snapshot import ModelSnapshot, SnapshotManager
 from .tracker import TrackerSet
-from .writer import CheckpointWriter, WriteReport, WriteStep
+from .writer import CheckpointWriter, WriteReport
 
 #: What to do when a checkpoint triggers while the previous one is
 #: still being written (the paper forbids overlap, section 4.3).
@@ -55,72 +56,46 @@ class CheckpointEvent:
 
 
 @dataclass
-class PendingCheckpoint:
+class PendingCheckpoint(StagedHandle):
     """A staged checkpoint write whose PUTs have not all been submitted.
 
-    Produced by :meth:`CheckNRun.begin_checkpoint`. The fleet scheduler
-    interleaves :meth:`advance` calls from many jobs so their chunk
-    transfers share the storage link fairly; the single-job
-    :meth:`CheckNRun.checkpoint` drains it immediately. ``next_step``
-    announces the upcoming PUT (and its earliest start time) before it
-    is submitted.
+    Produced by :meth:`CheckNRun.begin_checkpoint`: the
+    :class:`~repro.storage.engine.StagedHandle` over
+    ``write_checkpoint_steps``, whose ``next_step`` is the upcoming
+    :class:`~repro.core.writer.WriteStep` and whose ``result`` is the
+    landed ``(manifest, report)``. The fleet scheduler interleaves
+    ``advance`` calls from many jobs so their chunk transfers share the
+    storage link fairly; the single-job :meth:`CheckNRun.checkpoint`
+    drains it immediately.
     """
 
     checkpoint_id: str
     kind: str
     interval_index: int
     snapshot: ModelSnapshot
-    steps: object  # generator of WriteStep
-    next_step: WriteStep | None = None
-    manifest: CheckpointManifest | None = None
-    report: WriteReport | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.manifest is not None
-
-    def advance(self) -> WriteStep | None:
-        """Submit the announced PUT and announce the next one.
-
-        Returns the new pending step, or ``None`` once the manifest has
-        landed and the write is complete.
-        """
-        if self.done:
-            return None
-        try:
-            self.next_step = next(self.steps)  # type: ignore[call-overload]
-        except StopIteration as stop:
-            self.manifest, self.report = stop.value
-            self.next_step = None
-        return self.next_step
 
 
 @dataclass
-class PendingRestore:
+class PendingRestore(StagedHandle):
     """A staged restore whose GETs have not all been submitted.
 
-    Produced by :meth:`CheckNRun.begin_restore` — the read-side mirror
-    of :class:`PendingCheckpoint`. ``next_step`` announces the upcoming
-    GET part (and its earliest start time) before it is submitted; the
-    fleet scheduler interleaves :meth:`advance` calls from every job
-    recovering in the same restore storm, so the shared link drains the
-    storm part by part in arbiter order. The single-job
-    :meth:`CheckNRun.restore_latest` drains it immediately.
+    Produced by :meth:`CheckNRun.begin_restore`: the
+    :class:`~repro.storage.engine.StagedHandle` over
+    ``restore_with_fallback_steps``, whose ``next_step`` is the
+    upcoming :class:`~repro.storage.engine.ReadStep` and whose
+    ``result`` is the :class:`RestoreReport`. The fleet scheduler
+    interleaves ``advance`` calls from every job recovering in the same
+    restore storm, so the shared link drains the storm part by part in
+    arbiter order; the single-job :meth:`CheckNRun.restore_latest`
+    drains it immediately.
     """
 
     checkpoint_id: str
     target: CheckpointManifest
-    steps: object  # generator of ReadStep
-    next_step: ReadStep | None = None
-    report: RestoreReport | None = None
     #: Resume-plan candidates, newest first; ``target`` is the head.
     #: The fallback generator may land on a deeper candidate — see
     #: :attr:`restored_target`.
     plan: tuple[CheckpointManifest, ...] = ()
-
-    @property
-    def done(self) -> bool:
-        return self.report is not None
 
     @property
     def restored_target(self) -> CheckpointManifest:
@@ -129,26 +104,11 @@ class PendingRestore:
         Equal to :attr:`target` unless digest verification failed the
         newer candidates and the planner fell back down the plan.
         """
-        assert self.report is not None
+        assert self.result is not None
         for manifest in self.plan:
-            if manifest.checkpoint_id == self.report.checkpoint_id:
+            if manifest.checkpoint_id == self.result.checkpoint_id:
                 return manifest
         return self.target
-
-    def advance(self) -> ReadStep | None:
-        """Submit the announced GET part and announce the next one.
-
-        Returns the new pending step, or ``None`` once the last read
-        landed and the restore report is available.
-        """
-        if self.done:
-            return None
-        try:
-            self.next_step = next(self.steps)  # type: ignore[call-overload]
-        except StopIteration as stop:
-            self.report = stop.value
-            self.next_step = None
-        return self.next_step
 
 
 @dataclass
@@ -383,8 +343,7 @@ class CheckNRun:
         started = self.begin_checkpoint()
         if isinstance(started, CheckpointEvent):
             return started
-        while started.advance() is not None:
-            pass
+        drain(started)
         return self.finish_checkpoint(started)
 
     def record_skip(
@@ -419,7 +378,7 @@ class CheckNRun:
         Returns a skip :class:`CheckpointEvent` if the previous write is
         still in flight, else a primed :class:`PendingCheckpoint` whose
         first chunk is quantized and awaiting submission. Callers must
-        drain it with :meth:`PendingCheckpoint.advance` and then call
+        drain it with ``advance`` and then call
         :meth:`finish_checkpoint` (or :meth:`abort_pending` on a crash).
 
         ``restage=True`` re-stages a write whose predecessor was aborted
@@ -499,14 +458,14 @@ class CheckNRun:
             adaptive_num_bins=self.config.num_bins,
             adaptive_ratio=self.config.ratio,
         )
+        # Priming the handle quantizes chunk 1 and announces its PUT.
         pending = PendingCheckpoint(
+            steps=steps,
             checkpoint_id=checkpoint_id,
             kind=decision,
             interval_index=interval,
             snapshot=snapshot,
-            steps=steps,
         )
-        pending.advance()  # prime: quantize chunk 1, announce its PUT
         if not restage:
             self.interval_index += 1
         return pending
@@ -520,8 +479,7 @@ class CheckNRun:
                 f"checkpoint {pending.checkpoint_id!r} still has "
                 "unsubmitted writes"
             )
-        manifest, report = pending.manifest, pending.report
-        assert manifest is not None and report is not None
+        manifest, report = pending.result
         pending.snapshot.release(self.trainer)
         self.manifests[pending.checkpoint_id] = manifest
         self._pending = (manifest, report)
@@ -648,7 +606,7 @@ class CheckNRun:
 
         Returns a primed :class:`PendingRestore` whose first GET part
         is announced and awaiting submission. Callers drain it with
-        :meth:`PendingRestore.advance` and then call
+        ``advance`` and then call
         :meth:`finish_restore` — the fleet scheduler interleaves
         advances from every job recovering in the same storm. The
         staged reads restore *through* corruption: when digest/CRC
@@ -674,14 +632,13 @@ class CheckNRun:
             order=order,
             hot_rows=hot_rows,
         )
-        pending = PendingRestore(
+        # Priming the handle resolves the chain and announces part 1.
+        return PendingRestore(
+            steps=steps,
             checkpoint_id=plan[0].checkpoint_id,
             target=plan[0],
-            steps=steps,
             plan=tuple(plan),
         )
-        pending.advance()  # prime: resolve the chain, announce part 1
-        return pending
 
     def finish_restore(self, pending: PendingRestore) -> RestoreReport:
         """Book-keep a drained staged restore: trackers, interval, stats.
@@ -696,8 +653,7 @@ class CheckNRun:
                 f"restore of {pending.checkpoint_id!r} still has "
                 "unsubmitted reads"
             )
-        report = pending.report
-        assert report is not None
+        report = pending.result
         # The fallback path may have restored a deeper plan candidate
         # than the announced target; trackers and the interval counter
         # must follow what actually loaded.
@@ -726,8 +682,7 @@ class CheckNRun:
         staging the same restore without interleaved traffic.
         """
         pending = self.begin_restore(at_time_s)
-        while pending.advance() is not None:
-            pass
+        drain(pending)
         return self.finish_restore(pending)
 
     # ------------------------------------------------------------------

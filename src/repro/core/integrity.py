@@ -86,10 +86,7 @@ class IntegrityReport:
 
 def _probe(store: ObjectStore, op: str, call):
     """Run an untimed backend call through the engine's retry loop."""
-    engine = getattr(store, "engine", None)
-    if engine is None:
-        return call()
-    return engine.retry_probe(op, call)
+    return store.engine.retry_probe(op, call)
 
 
 def verify_checkpoint(

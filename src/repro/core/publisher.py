@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from ..distributed.clock import SimClock
 from ..errors import CheckpointError
 from ..model.dlrm import DLRM
+from ..storage.engine import drain
 from ..storage.object_store import ObjectStore
 from .manifest import CheckpointManifest
-from .restore import CheckpointRestorer, _drain
+from .restore import CheckpointRestorer
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class OnlinePublisher:
         """Generator: apply every newly publishable checkpoint.
 
         The staged form of :meth:`poll` — yields a
-        :class:`~repro.core.restore.ReadStep` before every GET part of
+        :class:`~repro.storage.engine.ReadStep` before every GET part of
         the applies, so a driver co-simulating other link traffic can
         interleave publish reads at part granularity instead of letting
         one poll hold the link for a whole chain. Returns the list of
@@ -143,7 +144,7 @@ class OnlinePublisher:
         Drains :meth:`poll_steps` immediately — timing-identical to
         uninterrupted whole-chain reads on the shared timeline.
         """
-        return _drain(self.poll_steps())
+        return drain(self.poll_steps())
 
     # -- subclass hooks (the serving plane extends these) --------------
 

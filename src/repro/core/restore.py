@@ -6,13 +6,14 @@ baseline first; a consecutive increment needs the entire chain back to
 the last full checkpoint, applied oldest-first so later increments
 overwrite earlier rows.
 
-Reads are *staged*, mirroring the write side: the restore walks its
-chain as a generator (:meth:`CheckpointRestorer.restore_steps`) that
-announces a :class:`ReadStep` before every GET part — against a
-backend with ranged GETs, one step per ranged *part* — and submits it
-when resumed. The single-caller :meth:`CheckpointRestorer.restore`
-drains the generator immediately (timing-identical to the old
-whole-chunk reads); the fleet scheduler instead interleaves steps from
+Reads are *staged*, like the write side: the restore walks its chain
+as a generator (:meth:`CheckpointRestorer.restore_steps`) that
+announces a :class:`~repro.storage.engine.ReadStep` before every GET
+part — against a backend with ranged GETs, one step per ranged *part* —
+and submits it when resumed. The single-caller
+:meth:`CheckpointRestorer.restore` drains the generator immediately
+(timing-identical to the old whole-chunk reads); the fleet scheduler
+instead interleaves steps from
 every job recovering in a restore storm, so the shared link drains the
 storm at part granularity in bandwidth-arbiter order.
 
@@ -43,6 +44,7 @@ from ..quant.base import QuantizedTensor
 from ..quant.registry import dequantize_tensor
 from ..serialize.codec import decode_array, decode_payload
 from ..serialize.format import decode_frames
+from ..storage.engine import ReadStep, drain, read_steps
 from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_HEAD
 from .manifest import (
@@ -53,15 +55,6 @@ from .manifest import (
 from .policies import CheckpointPolicy, FullPolicy
 
 
-def _drain(steps):
-    """Run a staged-read generator to completion, returning its value."""
-    while True:
-        try:
-            next(steps)
-        except StopIteration as stop:
-            return stop.value
-
-
 #: Default chunk-read order: exactly the manifest's stored layout.
 ORDER_MANIFEST = "manifest"
 #: CPR-style priority restore: within each chain link, chunks holding
@@ -70,28 +63,6 @@ ORDER_MANIFEST = "manifest"
 ORDER_HOT_FIRST = "hot_first"
 
 RESTORE_ORDERS = (ORDER_MANIFEST, ORDER_HOT_FIRST)
-
-
-@dataclass(frozen=True)
-class ReadStep:
-    """One pending GET submission of a staged restore.
-
-    The staged restorer (see :meth:`CheckpointRestorer.restore_steps`)
-    yields a ``ReadStep`` *before* each GET request. Against a backend
-    with ranged GETs one chunk yields one step per ranged *part*
-    (``part_index`` of ``num_parts``); elsewhere a step is a whole
-    object. ``ready_s`` is the earliest simulated time the read could
-    start (the recovering job's clock at restore begin); the fleet
-    scheduler uses it to interleave restore parts from every job
-    crashed in the same storm. Resuming the generator performs the
-    submission — the read-side mirror of
-    :class:`~repro.core.writer.WriteStep`.
-    """
-
-    key: str
-    ready_s: float
-    part_index: int = 1
-    num_parts: int = 1
 
 
 @dataclass
@@ -193,10 +164,9 @@ class CheckpointRestorer:
         overwrite probe and :meth:`ObjectStore.object_size`.
         """
         backend = self.store.backend
-        engine = getattr(self.store, "engine", None)
-        if engine is None:
-            return backend.exists(key)
-        return engine.retry_probe(OP_HEAD, lambda: backend.exists(key))
+        return self.store.engine.retry_probe(
+            OP_HEAD, lambda: backend.exists(key)
+        )
 
     def _objects_present(self, manifest: CheckpointManifest) -> bool:
         """Whether every chunk/dense object of one link still exists."""
@@ -281,27 +251,6 @@ class CheckpointRestorer:
         if isinstance(obj, QuantizedTensor):
             return dequantize_tensor(obj).reshape(-1)
         return obj.reshape(-1)
-
-    def _staged_read(self, key: str):
-        """Generator: announce each GET part of ``key``, then submit it.
-
-        Yields a :class:`ReadStep` *before* every part request —
-        resuming performs the submission, the same protocol the staged
-        writer uses — and returns ``(bytes, completed_s)`` where
-        ``completed_s`` is the read's receipt completion time.
-        """
-        staged = self.store.stage_get(key)
-        while not staged.done:
-            yield ReadStep(
-                key=key,
-                ready_s=staged.next_ready_s,
-                part_index=staged.next_part_number,
-                num_parts=staged.num_parts,
-            )
-            staged.submit_next()
-        receipt = staged.receipt
-        assert receipt is not None
-        return staged.data(), receipt.completed_s
 
     def _decode_chunk(
         self,
@@ -421,7 +370,9 @@ class CheckpointRestorer:
         for shard_record, chunk, is_hot in self._chunk_plan(
             manifest, order, hot_rows
         ):
-            blob, completed = yield from self._staged_read(chunk.key)
+            blob, completed = yield from read_steps(
+                self.store.stage_get(chunk.key)
+            )
             bytes_read += len(blob)
             last_completed = max(last_completed, completed)
             if is_hot:
@@ -455,7 +406,7 @@ class CheckpointRestorer:
 
         Returns (bytes_read, chunks_read, rows_restored, rows_by_table).
         """
-        b, c, r, rows_by_table, _, _ = _drain(
+        b, c, r, rows_by_table, _, _ = drain(
             self._apply_manifest_steps(model, manifest, on_chunk=on_chunk)
         )
         return b, c, r, rows_by_table
@@ -469,7 +420,9 @@ class CheckpointRestorer:
             raise CheckpointCorruptError(
                 f"checkpoint {manifest.checkpoint_id} has no dense state"
             )
-        blob, completed = yield from self._staged_read(manifest.dense_key)
+        blob, completed = yield from read_steps(
+            self.store.stage_get(manifest.dense_key)
+        )
         if manifest.dense_digest is not None:
             actual = hashlib.sha256(blob).hexdigest()
             if actual != manifest.dense_digest:
@@ -494,7 +447,7 @@ class CheckpointRestorer:
         return len(blob), completed
 
     def _apply_dense(self, model: DLRM, manifest: CheckpointManifest):
-        blob_len, _ = _drain(self._apply_dense_steps(model, manifest))
+        blob_len, _ = drain(self._apply_dense_steps(model, manifest))
         return blob_len
 
     def restore_steps(
@@ -671,7 +624,7 @@ class CheckpointRestorer:
         generator immediately — timing-identical to uninterrupted
         whole-chain reads.
         """
-        return _drain(
+        return drain(
             self.restore_steps(
                 model,
                 target,
@@ -719,7 +672,7 @@ class CheckpointRestorer:
         no chain walk, the increment lands on whatever the replica
         already holds. Returns bytes read.
         """
-        bytes_read, _ = _drain(
+        bytes_read, _ = drain(
             self.apply_single_steps(model, manifest, on_chunk=on_chunk)
         )
         return bytes_read

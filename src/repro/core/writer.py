@@ -38,6 +38,7 @@ from ..quant.base import Quantizer
 from ..quant.uniform import AsymmetricQuantizer
 from ..serialize.codec import encode_array, encode_payload
 from ..serialize.format import encode_frames
+from ..storage.engine import drain
 from ..storage.object_store import ObjectStore
 from .manifest import (
     KIND_FULL,
@@ -141,16 +142,6 @@ def _encode_chunk_payloads(
     return weights_payload, accum_payload, time.perf_counter() - start
 
 
-class _InlineTask:
-    """Worker-pool stand-in for stores without a transfer engine."""
-
-    def __init__(self, value: object) -> None:
-        self._value = value
-
-    def result(self) -> object:
-        return self._value
-
-
 class CheckpointWriter:
     """Builds and stores checkpoints from snapshots, in the background."""
 
@@ -248,24 +239,21 @@ class CheckpointWriter:
         single-job path, with submission order (and therefore timing)
         identical to the pre-staged writer.
         """
-        steps = self.write_checkpoint_steps(
-            snapshot,
-            kind,
-            checkpoint_id,
-            job_id,
-            base_id,
-            policy_name,
-            quantizer,
-            chunk_rows,
-            quantize_optimizer_state,
-            adaptive_num_bins,
-            adaptive_ratio,
+        return drain(
+            self.write_checkpoint_steps(
+                snapshot,
+                kind,
+                checkpoint_id,
+                job_id,
+                base_id,
+                policy_name,
+                quantizer,
+                chunk_rows,
+                quantize_optimizer_state,
+                adaptive_num_bins,
+                adaptive_ratio,
+            )
         )
-        while True:
-            try:
-                next(steps)
-            except StopIteration as stop:
-                return stop.value
 
     def write_checkpoint_steps(
         self,
@@ -300,7 +288,6 @@ class CheckpointWriter:
         if chunk_rows < 1:
             raise CheckpointError("chunk_rows must be >= 1")
         started_at = self.clock.now
-        engine = getattr(self.store, "engine", None)
         quantize_sim_total = 0.0
         measured_quantize = 0.0
         measured_wait = 0.0
@@ -310,20 +297,6 @@ class CheckpointWriter:
         chunks_total = 0
         last_end = started_at
         shard_records: list[ShardRecord] = []
-
-        def submit_quantize(
-            weights: np.ndarray, accumulator: np.ndarray
-        ) -> object:
-            args = (
-                quantizer,
-                weights,
-                accumulator,
-                quantize_optimizer_state,
-                quantizer.bits,
-            )
-            if engine is None:
-                return _InlineTask(_encode_chunk_payloads(*args))
-            return engine.submit_task(_encode_chunk_payloads, *args)
 
         # Chunk plan across *all* shards, so the quantization lookahead
         # pipelines over shard boundaries too (fleet-scale jobs often
@@ -357,9 +330,13 @@ class CheckpointWriter:
             ):
                 if tasks[ahead] is None:
                     ahead_shard, _, rows = plans[ahead]
-                    tasks[ahead] = submit_quantize(
+                    tasks[ahead] = self.store.engine.submit_task(
+                        _encode_chunk_payloads,
+                        quantizer,
                         ahead_shard.weight[rows],
                         ahead_shard.accumulator[rows],
+                        quantize_optimizer_state,
+                        quantizer.bits,
                     )
             task = tasks[plan_index]
             tasks[plan_index] = None
@@ -438,7 +415,7 @@ class CheckpointWriter:
             physical_total += receipt.physical_bytes
             rows_total += int(table_rows.shape[0])
             chunks_total += 1
-            last_end = max(last_end, receipt.end_s)
+            last_end = max(last_end, receipt.completed_s)
 
         for shard in snapshot.shards.values():
             shard_records.append(
@@ -473,7 +450,7 @@ class CheckpointWriter:
         )
         logical_total += dense_receipt.logical_bytes
         physical_total += dense_receipt.physical_bytes
-        last_end = max(last_end, dense_receipt.end_s)
+        last_end = max(last_end, dense_receipt.completed_s)
 
         def build_manifest(valid_at: float) -> CheckpointManifest:
             return CheckpointManifest(

@@ -161,7 +161,7 @@ def plan_point(
     return PlanPoint(
         quota_bytes=config.per_job_quota_bytes,
         keep_last=config.keep_last,
-        admission=config.resolved_admission_mode,
+        admission=config.admission_mode,
         peak_physical_bytes=report.peak_physical_bytes,
         peak_logical_bytes=report.peak_logical_bytes,
         peak_put_bandwidth=peak_bandwidth(report.bandwidth_series),
@@ -190,9 +190,11 @@ def run_plan(
     """Sweep quota x retention x admission over one seeded fleet.
 
     ``base`` fixes everything the sweep does not vary (jobs, seed,
-    storm arming, backend...). Points run in deterministic grid order
-    (quota outermost, admission innermost); ``progress`` is invoked
-    with each finished :class:`PlanPoint` so the CLI can stream rows.
+    storm arming, backend...), including the ``max_concurrent_writes``
+    cap the ``"static"`` points run with. Points run in deterministic
+    grid order (quota outermost, admission innermost); ``progress`` is
+    invoked with each finished :class:`PlanPoint` so the CLI can stream
+    rows.
     """
     for admission in admissions:
         if admission not in PLAN_ADMISSION_MODES:
@@ -222,6 +224,11 @@ def run_plan(
                     per_job_quota_bytes=quota,
                     keep_last=keep_last,
                     admission_mode=admission,
+                    max_concurrent_writes=(
+                        base.max_concurrent_writes
+                        if admission == "static"
+                        else None
+                    ),
                 )
                 point = plan_point(config, dispatch=dispatch)
                 points.append(point)

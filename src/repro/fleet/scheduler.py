@@ -28,8 +28,8 @@ multipart chunks alternate part by part instead of chunk by chunk.
 
 Checkpoint *triggers* pass through the transfer engine's
 :class:`~repro.storage.engine.AdmissionController` before any snapshot
-is taken. The legacy ``FleetConfig.max_concurrent_writes`` cap maps to
-its static mode; in dynamic mode the controller watches the engine's
+is taken. ``FleetConfig.max_concurrent_writes`` is the cap of its
+static mode; in dynamic mode the controller watches the engine's
 backlog signal (link busy time plus queued part bytes) and defers an
 experimental job's trigger when the projected queue delay exceeds the
 job's own checkpoint interval — prod triggers are always admitted.
@@ -81,7 +81,7 @@ from ..failures.models import WeibullFailures
 from ..failures.traces import FailureTrace
 from ..replication import PeerReplicator, restore_from_peer
 from ..storage.bandwidth import TIER_EXPERIMENTAL, TIER_PROD, TIER_RANK
-from ..storage.engine import AdmissionController
+from ..storage.engine import AdmissionController, drain
 from ..storage.object_store import ObjectStore
 from .eventqueue import FleetEventQueue, tie_threshold
 from .jobs import (
@@ -142,7 +142,7 @@ class FleetScheduler:
         self.dispatch = dispatch
         self.admission = AdmissionController(
             store.engine,
-            mode=config.resolved_admission_mode,
+            mode=config.admission_mode,
             max_concurrent=config.max_concurrent_writes,
             backlog_factor=config.admission_backlog_factor,
             read_mode=config.restore_admission,
@@ -1289,8 +1289,7 @@ class FleetScheduler:
         pending = self._begin_restore_paced(job)
         if pending is not None:
             try:
-                while pending.advance() is not None:
-                    pass
+                drain(pending)
             except CheckpointNotFoundError:
                 # Every resume-plan candidate failed verification
                 # mid-read: recover from scratch instead.

@@ -42,6 +42,7 @@ from ..storage.bandwidth import (
     TIER_PROD,
     TIER_SERVING,
 )
+from ..storage.engine import StagedHandle
 from ..storage.factory import make_backend
 from ..storage.object_store import ObjectStore
 from .publisher import ServingPublisher
@@ -143,28 +144,6 @@ class _PublisherStore(ScopedStore):
         self.job_id = stream
 
 
-class _Drive:
-    """One staged generator in flight (a flip, a lookup or a publish)."""
-
-    def __init__(
-        self, kind: str, server: InferenceServer | None, gen
-    ) -> None:
-        self.kind = kind  # "flip", "lookup" or "publish"
-        self.server = server
-        self.gen = gen
-        self.step = None
-        self.result = None
-        self.done = False
-
-    def advance(self) -> None:
-        try:
-            self.step = next(self.gen)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
-            self.step = None
-
-
 class _GoldenPublisher(ServingPublisher):
     """A serving publisher that snapshots the replica per version.
 
@@ -199,8 +178,8 @@ class _ServerSlot:
     )
     next_query: int = 0
     free_s: float = 0.0
-    flip: _Drive | None = None
-    lookup: _Drive | None = None
+    flip: StagedHandle | None = None
+    lookup: StagedHandle | None = None
 
 
 class ServingFleet:
@@ -280,7 +259,7 @@ class ServingFleet:
         self._request_counter = 0
         self._train_pending = None
         self._batches_left = exp_config.checkpoint.interval_batches
-        self._publish: _Drive | None = None
+        self._publish: StagedHandle | None = None
         self._publish_again = False
 
     # ------------------------------------------------------------------
@@ -383,14 +362,13 @@ class ServingFleet:
         self._start_publish()
 
     def _start_publish(self) -> None:
-        drive = _Drive("publish", None, self.publisher.poll_steps())
-        drive.advance()
+        drive = StagedHandle(self.publisher.poll_steps())
         if drive.done:
             self._finish_publish(drive)
         else:
             self._publish = drive
 
-    def _finish_publish(self, drive: _Drive) -> None:
+    def _finish_publish(self, drive: StagedHandle) -> None:
         self._publish = None
         events = drive.result or []
         if events:
@@ -414,16 +392,15 @@ class ServingFleet:
             return
         if slot.server.version_index >= latest.version_index:
             return
-        drive = _Drive(
-            "flip", slot.server, slot.server.flip_steps(latest, notify_s)
-        )
-        drive.advance()
+        drive = StagedHandle(slot.server.flip_steps(latest, notify_s))
         if drive.done:
             self._finish_flip(slot, drive)
         else:
             slot.flip = drive
 
-    def _finish_flip(self, slot: _ServerSlot, drive: _Drive) -> None:
+    def _finish_flip(
+        self, slot: _ServerSlot, drive: StagedHandle
+    ) -> None:
         slot.flip = None
         done_s = float(drive.result)
         if self._query_base is None and all(
@@ -444,18 +421,17 @@ class ServingFleet:
             rows=rows,
         )
         self._request_counter += 1
-        drive = _Drive(
-            "lookup",
-            slot.server,
-            slot.server.lookup_steps(request, start_s=at_s),
+        drive = StagedHandle(
+            slot.server.lookup_steps(request, start_s=at_s)
         )
-        drive.advance()
         if drive.done:
             self._finish_lookup(slot, drive)
         else:
             slot.lookup = drive
 
-    def _finish_lookup(self, slot: _ServerSlot, drive: _Drive) -> None:
+    def _finish_lookup(
+        self, slot: _ServerSlot, drive: StagedHandle
+    ) -> None:
         slot.lookup = None
         result: LookupResult = drive.result
         slot.free_s = result.completed_s
@@ -498,11 +474,14 @@ class ServingFleet:
                 else self.train_clock.now
             )
             link_ops.append((when, "write", None, self.TRAIN_JOB))
-        if self._publish is not None and self._publish.step is not None:
+        if (
+            self._publish is not None
+            and self._publish.next_step is not None
+        ):
             link_ops.append(
                 (
-                    max(self._publish.step.ready_s, link_free),
-                    "drive",
+                    max(self._publish.next_step.ready_s, link_free),
+                    "publish",
                     (None, self._publish),
                     PUBLISH_STREAM,
                 )
@@ -510,12 +489,15 @@ class ServingFleet:
         if not self._training_done():
             other.append((self.train_clock.now, "train", None))
         for slot in self.slots:
-            for drive in (slot.flip, slot.lookup):
-                if drive is not None and drive.step is not None:
+            for kind, drive in (
+                ("flip", slot.flip),
+                ("lookup", slot.lookup),
+            ):
+                if drive is not None and drive.next_step is not None:
                     link_ops.append(
                         (
-                            max(drive.step.ready_s, link_free),
-                            "drive",
+                            max(drive.next_step.ready_s, link_free),
+                            kind,
                             (slot, drive),
                             slot.server.stream,
                         )
@@ -550,13 +532,7 @@ class ServingFleet:
                 # them — prefetch must never add to the lookup tail.
                 # With the link idle there is no tie and a ready warm
                 # part runs immediately.
-                foreground = [
-                    e
-                    for e in tied
-                    if not (
-                        e[1] == "drive" and e[2][1].kind == "flip"
-                    )
-                ]
+                foreground = [e for e in tied if e[1] != "flip"]
                 if foreground:
                     tied = foreground
             if len(tied) > 1:
@@ -587,9 +563,9 @@ class ServingFleet:
                 slot, drive = payload
                 drive.advance()
                 if drive.done:
-                    if drive.kind == "publish":
+                    if kind == "publish":
                         self._finish_publish(drive)
-                    elif drive.kind == "flip":
+                    elif kind == "flip":
                         self._finish_flip(slot, drive)
                     else:
                         self._finish_lookup(slot, drive)

@@ -6,7 +6,7 @@ from the version's checkpoint chunks through the shared object store
 (its GETs ride the same bandwidth arbiter as training-side checkpoint
 writes). Both the version flip and the lookup are *staged generators*
 in the style of the core writer/restorer: they yield a
-:class:`~repro.core.restore.ReadStep` before every GET part and resume
+:class:`~repro.storage.engine.ReadStep` before every GET part and resume
 to submit it, so the serving fleet driver can interleave many servers'
 reads with training traffic on one simulated clock.
 
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.restore import ReadStep
 from ..errors import CheckpointCorruptError, ServingError
+from ..storage.engine import read_steps
 from ..storage.object_store import ObjectStore
 from .chunks import decode_chunk_rows
 from .publisher import ServingPublisher
@@ -116,38 +116,22 @@ class InferenceServer:
     # Reads
     # ------------------------------------------------------------------
 
-    def _staged_read(self, key: str, earliest: float):
-        """Yield a :class:`ReadStep` per GET part; resume submits it.
-
-        Returns ``(bytes, completed_s)``. ``earliest`` is server-local
-        sequencing: a server handles one read at a time, so each read
-        starts no earlier than the previous one finished.
-        """
-        staged = self.store.stage_get(
-            key, earliest=earliest, stream=self.stream
-        )
-        while not staged.done:
-            yield ReadStep(
-                key=key,
-                ready_s=staged.next_ready_s,
-                part_index=staged.next_part_number,
-                num_parts=staged.num_parts,
-            )
-            staged.submit_next()
-        receipt = staged.receipt
-        assert receipt is not None
-        return staged.data(), receipt.completed_s
-
     def _fetch_chunk(self, ref: RowRef, earliest: float):
         """Read + verify + decode one chunk; admit its resident rows.
 
         Only rows the *served version's* locator still maps to this very
         chunk are admitted: a full checkpoint's chunk carries stale
         copies of rows that later increments re-wrote, and admitting
-        those would serve old values for them. Returns
-        ``(rows, weights, completed_s)``.
+        those would serve old values for them. ``earliest`` is
+        server-local sequencing: a server handles one read at a time,
+        so each read starts no earlier than the previous one finished.
+        Returns ``(rows, weights, completed_s)``.
         """
-        blob, completed = yield from self._staged_read(ref.key, earliest)
+        blob, completed = yield from read_steps(
+            self.store.stage_get(
+                ref.key, earliest=earliest, stream=self.stream
+            )
+        )
         rows, weights = decode_chunk_rows(ref.key, blob, ref.digest)
         return rows, weights, completed
 

@@ -44,7 +44,6 @@ from .engine import (
     ADMISSION_MODES,
     AdmissionController,
     AdmissionDecision,
-    PartPlan,
     StagedPut,
     TransferEngine,
 )
@@ -53,7 +52,6 @@ from .object_store import (
     CapacityPoint,
     ObjectStore,
     PrefixDeleteReceipt,
-    PutReceipt,
     StoreStats,
 )
 from .remote import RemoteObjectBackend, s3like_costs
@@ -107,9 +105,7 @@ __all__ = [
     "OpCostSuite",
     "OpLog",
     "OpReceipt",
-    "PartPlan",
     "PrefixDeleteReceipt",
-    "PutReceipt",
     "RemoteObjectBackend",
     "StagedPut",
     "StorageRequest",

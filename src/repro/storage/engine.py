@@ -1,21 +1,19 @@
 """The part-granular transfer engine behind the object store.
 
-Historically the write path was scattered across three layers: the
-checkpoint writer quantized on the caller's thread and announced whole
-chunk PUTs, the fleet scheduler interleaved those whole-chunk
-submissions under a fixed ``max_concurrent_writes`` cap, and the object
-store fanned multipart parts out over request lanes *inside* one
-``put()`` call — so parts of a single chunk always hit the link
-back-to-back, retry plumbing stayed dead, and admission control could
-not see the backlog it was supposed to govern. The
-:class:`TransferEngine` owns all of that in one place:
+The :class:`TransferEngine` owns, for one
+:class:`~repro.storage.object_store.ObjectStore`:
 
-* **staged, part-granular PUTs** — :meth:`TransferEngine.stage_put`
-  decomposes a payload into multipart *parts* (one part for single-shot
-  uploads) and returns a :class:`StagedPut` whose parts are submitted
-  one at a time; a fleet scheduler can interleave part submissions from
-  many jobs, so cross-job fairness holds at part granularity while the
-  drain-immediately path stays timing-identical to the old ``put()``;
+* **staged, part-granular transfers** — one protocol for both
+  directions: a :class:`StagedPut` / :class:`StagedGet` (what the
+  store's ``stage_put`` / ``stage_get`` return) *announces* a transfer
+  as parts (multipart parts of a PUT, ranged sub-GETs of a GET; one
+  part when the object fits a single request); each ``submit_next()``
+  issues exactly one part request and the last one returns the
+  :class:`OpReceipt`. Between submissions another stream's parts may
+  claim the link, so a fleet scheduler interleaves checkpoint writes
+  and a restore storm at *part* granularity, while draining a staged
+  transfer uninterrupted (the store's ``put`` / ``get``) is
+  timing-identical to one whole-object request sequence;
 * **a retry/backoff loop** — transient request failures (the seeded
   per-op-class injection on
   :class:`~repro.storage.remote.RemoteObjectBackend`) are re-issued
@@ -28,24 +26,20 @@ not see the backlog it was supposed to govern. The
   the caller's own progress) is reportable, mirroring what the
   simulated quantization lane models;
 * **backlog-driven admission control** — :class:`AdmissionController`
-  replaces the fixed concurrent-write cap: using the
-  ``preempt_wait_s``-style backlog signal
+  uses the ``preempt_wait_s``-style backlog signal
   (:func:`~repro.storage.bandwidth.projected_queue_delay_s`, fed with
-  the engine's queued-but-unsubmitted part bytes), it defers a new
+  the engine's announced-but-unsubmitted part bytes): it defers a new
   checkpoint trigger when the projected queue delay exceeds one
-  checkpoint interval — admitting prod, deferring experimental. The
-  legacy cap survives as the controller's *static* mode.
+  checkpoint interval — admitting prod, deferring experimental — and
+  paces experimental restores (:meth:`AdmissionController.decide_get`)
+  on the combined read+write backlog while prod restores always admit.
 
-The read path is symmetric: :meth:`TransferEngine.stage_get` returns a
-:class:`StagedGet` — a GET decomposed into ranged parts submitted one
-at a time (one part when the object fits a single request), with the
-same retry/backoff loop populating
-:attr:`~repro.storage.requests.OpReceipt.retries` — so a fleet restore
-storm drains at *part* granularity through the same arbiter instead of
-head-of-line whole-chunk reads, and the admission controller's read
-side (:meth:`AdmissionController.decide_get`) can pace experimental
-restores on the combined read+write backlog while prod restores always
-admit.
+Everything staged speaks one driving protocol: ``next()`` submits the
+announced step and announces the following one, and the end is a
+``StopIteration`` carrying the result. Staged generators
+(``write_checkpoint_steps``, ``restore_steps``, :func:`read_steps`),
+the staged transfers themselves and a primed :class:`StagedHandle` all
+follow it, so :func:`drain` finishes any of them.
 """
 
 from __future__ import annotations
@@ -53,8 +47,9 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 from ..errors import (
     CapacityExceededError,
@@ -64,7 +59,14 @@ from ..errors import (
     TransientStorageError,
 )
 from .bandwidth import TIER_PROD, Transfer, projected_queue_delay_s
-from .requests import OP_GET, OP_HEAD, OP_PUT, OpReceipt, StorageRequest
+from .requests import (
+    OP_GET,
+    OP_HEAD,
+    OP_PUT,
+    OpCostModel,
+    OpReceipt,
+    StorageRequest,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .object_store import ObjectStore
@@ -77,6 +79,10 @@ ADMISSION_MODES = ("none", "static", "dynamic")
 #: Valid read-side (restore) admission modes: reads have no static cap
 #: — a restore is never optional, only *paceable*.
 READ_ADMISSION_MODES = ("none", "dynamic")
+
+#: The price of an untimed probe: no latency, no bytes — and, having no
+#: jitter or tail, no draw from the backend's latency RNG.
+_FREE = OpCostModel()
 
 # ----------------------------------------------------------------------
 # Worker pool (real threads; shared across engines)
@@ -122,28 +128,283 @@ class PoolTask:
                 self._engine.pool_wait_s += waited
 
 
-@dataclass(frozen=True)
-class PartPlan:
-    """One planned multipart part of a staged PUT."""
-
-    number: int  # 1-based, S3 style
-    offset: int
-    nbytes: int  # logical bytes in this part
+# ----------------------------------------------------------------------
+# Staged transfers: announce -> submit -> receipt
+# ----------------------------------------------------------------------
 
 
-class StagedPut:
-    """A PUT decomposed into announced parts, submitted one at a time.
+class _StagedTransfer:
+    """One transfer announced as parts, submitted one part at a time.
 
-    Produced by :meth:`TransferEngine.stage_put`. Quota is charged and
-    capacity checked at stage time (before any link time is spent);
-    each :meth:`submit_next` call issues exactly one part request —
-    retrying transient failures — and the final call issues the
-    multipart completion and returns the :class:`OpReceipt`. Between
-    submissions the staged parts count toward the engine's queued-byte
-    backlog (the admission controller's signal). :meth:`abort` cancels
-    an in-flight upload: no visible object, no orphaned parts, quota
-    credited back.
+    The direction-independent half of :class:`StagedPut` and
+    :class:`StagedGet`: part planning, the submission guard, how a
+    request is timed on the link (single-shot, or fanned over the
+    backend's request lanes), the transfer log, the arbiter's served
+    bytes and the final :class:`OpReceipt`. A direction supplies the
+    class constants below and the ``_request`` / ``_landed`` hooks, and
+    overrides ``_physical`` / ``_close_parts`` / ``_rollback`` where it
+    differs.
+
+    Between submissions the unsubmitted parts count toward the engine's
+    queued-byte backlog (the admission controller's signal), and
+    another stream's parts may claim the link; this stream's lanes
+    simply queue behind them.
     """
+
+    #: Request op class and the transfer log's name for it.
+    op: str
+    kind: str
+    #: How a part is named in log keys and labels: ``#part3`` is
+    #: 1-based (S3 style), ``#range2`` 0-based.
+    part_word: str
+    part_base: int
+    #: Physical bytes a concurrent stager must count against hard
+    #: capacity until this transfer commits or aborts — reads hold none.
+    reserved_bytes = 0
+
+    def __init__(
+        self,
+        engine: "TransferEngine",
+        key: str,
+        earliest: float | None,
+        stream: str,
+    ) -> None:
+        if not key:
+            raise StorageError("object key must be non-empty")
+        self.engine = engine
+        self.store = engine.store
+        self.key = key
+        self.stream = stream
+        #: Earliest simulated time the next part could be submitted.
+        self.next_ready_s = max(self.store.clock.now, earliest or 0.0)
+        self.receipt: OpReceipt | None = None
+        self.aborted = False
+        self._next = 0
+        self._started: float | None = None
+        self._first_byte: float | None = None
+        self._lane_free: list[float] = []
+        self._retries = 0
+
+    def _announce(self, size: int, window: int | None) -> None:
+        """Plan ``size`` logical bytes as parts of at most ``window``
+        bytes (one part when there is no window or the bytes fit it)
+        and join the engine's backlog."""
+        self.size = size
+        if window is None or size <= window:
+            self.parts: tuple[tuple[int, int], ...] = ((0, size),)
+        else:
+            self.parts = tuple(
+                (start, min(start + window, size))
+                for start in range(0, size, window)
+            )
+        self.engine._staged.append(self)
+
+    # -- introspection -------------------------------------------------
+
+    @property
+    def num_parts(self) -> int:
+        return len(self.parts)
+
+    @property
+    def next_part_number(self) -> int:
+        return min(self._next + 1, self.num_parts)
+
+    @property
+    def done(self) -> bool:
+        return self.receipt is not None
+
+    @property
+    def remaining_bytes(self) -> int:
+        """Physical bytes announced but not yet on the link."""
+        if self.done or self.aborted:
+            return 0
+        return self._physical(
+            sum(stop - start for start, stop in self.parts[self._next :])
+        )
+
+    # -- direction hooks -----------------------------------------------
+
+    def _physical(self, logical: int) -> int:
+        """Link bytes ``logical`` payload bytes occupy."""
+        return logical
+
+    def _request(
+        self, index: int, cost: OpCostModel
+    ) -> tuple[int, int, float, float]:
+        """Issue part ``index``'s backend request through the retry
+        loop; returns ``(logical bytes moved, retries, penalty_s,
+        latency_s)``."""
+        raise NotImplementedError
+
+    def _close_parts(self, cost: OpCostModel, lanes_done_s: float) -> float:
+        """After the last of several parts: the completion time, given
+        when the last lane finished."""
+        return lanes_done_s
+
+    def _landed(self, receipt: OpReceipt) -> None:
+        """Book the finished transfer in the store."""
+        raise NotImplementedError
+
+    def _rollback(self) -> None:
+        """Undo what staging and the submitted parts left behind."""
+
+    # -- submission ----------------------------------------------------
+
+    def _submit(self) -> OpReceipt | None:
+        """Issue the next announced part request.
+
+        Returns ``None`` while parts remain and the final receipt with
+        the last part. Any failure (transient retries exhausted, a
+        crashing backend) aborts the transfer first.
+        """
+        if self.receipt is not None:
+            return self.receipt
+        if self.aborted:
+            raise StorageError(
+                f"staged {self.op} {self.key!r} was already aborted"
+            )
+        try:
+            if len(self.parts) > 1:
+                receipt = self._submit_part()
+            else:
+                receipt = self._submit_single()
+            if receipt is not None:
+                self.receipt = receipt
+                self._landed(receipt)
+                self.engine._staged.remove(self)
+        except Exception:
+            self.abort()
+            raise
+        return receipt
+
+    def __iter__(self) -> "_StagedTransfer":
+        return self
+
+    def __next__(self) -> "_StagedTransfer":
+        """The staged driving protocol: submit the announced part; the
+        last one ends the iteration with the receipt."""
+        receipt = self.submit_next()
+        if receipt is not None:
+            raise StopIteration(receipt)
+        return self
+
+    def _record(self, key: str, physical: int, span) -> None:
+        store = self.store
+        store.log.record(
+            Transfer(
+                key, physical, span.start, span.end, self.kind, self.stream
+            )
+        )
+        if store.arbiter is not None and self.stream:
+            store.arbiter.on_transfer(self.stream, physical, self.kind)
+
+    def _final_receipt(self, moved: int, **times: object) -> OpReceipt:
+        return OpReceipt(
+            op=self.op,
+            key=self.key,
+            logical_bytes=moved,
+            physical_bytes=self._physical(moved),
+            issued_s=self.next_ready_s,
+            stream=self.stream,
+            **times,
+        )
+
+    def _submit_single(self) -> OpReceipt:
+        """One request: latency + bytes, serialised on the link."""
+        store = self.store
+        cost = store.cost_for(self.op, self.key, self.size)
+        moved, retries, penalty, latency = self._request(0, cost)
+        physical = self._physical(moved)
+        span = store.timeline.submit(
+            penalty + latency + cost.transfer_s(physical),
+            label=f"{self.kind}:{self.key}",
+            earliest=self.next_ready_s,
+        )
+        self._record(self.key, physical, span)
+        self._next = 1
+        return self._final_receipt(
+            moved,
+            start_s=span.start,
+            first_byte_s=min(span.start + penalty + latency, span.end),
+            completed_s=span.end,
+            retries=retries,
+        )
+
+    def _submit_part(self) -> OpReceipt | None:
+        """One part request of several; the last one also completes.
+
+        Parts round-robin over ``backend.fanout`` request lanes: a
+        lane's next part cannot issue before its previous part's bytes
+        finished, but *different* lanes' request latencies overlap the
+        link's byte time — with fanout > 1 only the first part's
+        latency is exposed, the amortisation multipart uploads and
+        ranged reads exist for.
+        """
+        store = self.store
+        cost = store.cost_for(self.op, self.key, self.size)
+        fanout = max(1, store.backend.fanout)
+        index = self._next
+        if index == 0:
+            # Occupancy starts when the link could serve this op
+            # (queueing behind earlier transfers is queue_s, not
+            # duration_s — the same semantics single-shot receipts
+            # carry).
+            self._started = max(self.next_ready_s, store.timeline.free_at)
+            self._lane_free = [self._started] * fanout
+        moved, retries, penalty, latency = self._request(index, cost)
+        self._retries += retries
+        physical = self._physical(moved)
+        lane = index % fanout
+        number = index + self.part_base
+        span = store.timeline.submit(
+            cost.transfer_s(physical),
+            label=f"{self.kind}-{self.part_word}:{self.key}:{number}",
+            earliest=self._lane_free[lane] + penalty + latency,
+        )
+        self._lane_free[lane] = span.end
+        if self._first_byte is None:
+            self._first_byte = span.start
+        self._record(
+            f"{self.key}#{self.part_word}{number}", physical, span
+        )
+        self._next += 1
+        if self._next < len(self.parts):
+            return None
+        return self._final_receipt(
+            self.size,
+            start_s=self._started,
+            first_byte_s=self._first_byte,
+            completed_s=self._close_parts(cost, max(self._lane_free)),
+            parts=len(self.parts),
+            retries=self._retries,
+        )
+
+    def abort(self) -> None:
+        """Abandon the transfer: roll back what it left behind and
+        release its queued bytes from the backlog signal."""
+        if self.receipt is not None or self.aborted:
+            return
+        self.aborted = True
+        self._rollback()
+        self.engine._staged.remove(self)
+
+
+class StagedPut(_StagedTransfer):
+    """A PUT announced as multipart parts, submitted one at a time.
+
+    Returned by ``ObjectStore.stage_put``. Quota is charged and
+    capacity checked at stage time (before any link time is spent);
+    against a backend advertising ``part_size_bytes`` a larger payload
+    uploads through the multipart protocol, and the last
+    :meth:`submit_next` also issues the completion request and commits
+    the store's accounting. :meth:`abort` cancels an in-flight upload:
+    no visible object, no orphaned parts, quota credited back.
+    """
+
+    op = OP_PUT
+    kind = "put"
+    part_word = "part"
+    part_base = 1
 
     def __init__(
         self,
@@ -155,38 +416,26 @@ class StagedPut:
         earliest: float | None = None,
         stream: str = "",
     ) -> None:
-        store = engine.store
-        if not key:
-            raise StorageError("object key must be non-empty")
+        super().__init__(engine, key, earliest, stream)
+        store = self.store
         exists = engine.retry_probe(
             OP_HEAD, lambda: store.backend.exists(key)
         )
         if exists and not overwrite:
             raise ObjectExistsError(f"object {key!r} already exists")
-        self.engine = engine
-        self.store = store
-        self.key = key
         self.data = data
-        self.stream = stream
-        self.earliest = earliest
-        replication = store.config.replication_factor
-        logical = len(data)
-        self.logical_bytes = logical
-        self.physical_bytes = logical * replication
-        previous = store._sizes.get(key, 0)
+        self.reserved_bytes = self._physical(len(data))
+        previous = self._physical(store._sizes.get(key, 0))
         if store.config.capacity_bytes is not None:
             # Committed bytes plus every *other* staged write's
             # uncommitted bytes: two writes staged in the same
             # scheduler window must not jointly oversubscribe the hard
             # capacity limit just because neither has committed yet.
-            in_flight = sum(
-                s.uncommitted_physical_bytes for s in engine._staged
-            )
             projected = (
                 store.live_physical_bytes
-                + in_flight
-                - previous * replication
-                + self.physical_bytes
+                + sum(s.reserved_bytes for s in engine._staged)
+                - previous
+                + self.reserved_bytes
             )
             if projected > store.config.capacity_bytes:
                 raise CapacityExceededError(
@@ -195,270 +444,86 @@ class StagedPut:
                     f"over the {store.config.capacity_bytes}-byte "
                     "capacity"
                 )
-        self.charged = self.physical_bytes - previous * replication
+        self.charged = self.reserved_bytes - previous
         if store.arbiter is not None and stream:
             store.arbiter.admit_put(stream, self.charged)
-        part_size = store.backend.part_size_bytes
-        self.multipart = part_size is not None and logical > part_size
-        if self.multipart:
-            assert part_size is not None
-            self.parts = tuple(
-                PartPlan(i + 1, offset, min(part_size, logical - offset))
-                for i, offset in enumerate(range(0, logical, part_size))
-            )
-        else:
-            self.parts = (PartPlan(1, 0, logical),)
-        self._next = 0
-        self._issued = max(store.clock.now, earliest or 0.0)
-        self._started: float | None = None
-        self._first_byte: float | None = None
         self._upload_id: str | None = None
-        self._lane_free: list[float] | None = None
-        self._retries = 0
-        self._receipt: OpReceipt | None = None
-        self._aborted = False
-        engine._register(self)
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-    @property
-    def next_part_number(self) -> int:
-        return min(self._next + 1, self.num_parts)
-
-    @property
-    def next_ready_s(self) -> float:
-        """Earliest simulated time the next part's data is available."""
-        return self._issued
-
-    @property
-    def done(self) -> bool:
-        return self._receipt is not None
-
-    @property
-    def aborted(self) -> bool:
-        return self._aborted
-
-    @property
-    def receipt(self) -> OpReceipt | None:
-        return self._receipt
-
-    @property
-    def remaining_physical_bytes(self) -> int:
-        """Physical bytes announced but not yet on the link."""
-        if self.done or self._aborted:
-            return 0
-        replication = self.store.config.replication_factor
-        return sum(
-            p.nbytes for p in self.parts[self._next :]
-        ) * replication
-
-    @property
-    def uncommitted_physical_bytes(self) -> int:
-        """The write's full physical size until it commits or aborts —
-        what a concurrent stager must count against hard capacity."""
-        if self.done or self._aborted:
-            return 0
-        return self.physical_bytes
-
-    # -- submission ----------------------------------------------------
+        self._announce(len(data), store.backend.part_size_bytes)
 
     def submit_next(self) -> OpReceipt | None:
-        """Issue the next announced part request.
+        """Issue the next announced part request; ``None`` while parts
+        remain, the final receipt once the object is visible. Any
+        failure aborts the upload first — no partial object ever
+        becomes visible."""
+        return self._submit()
 
-        Returns ``None`` while parts remain; on the last part the
-        multipart completion request is issued, the store's accounting
-        is committed, and the final receipt is returned. Any failure
-        (transient retries exhausted, a crashing backend) aborts the
-        upload first — no partial object ever becomes visible.
-        """
-        if self._receipt is not None:
-            return self._receipt
-        if self._aborted:
-            raise StorageError(
-                f"staged PUT {self.key!r} was already aborted"
+    def _physical(self, logical: int) -> int:
+        return logical * self.store.config.replication_factor
+
+    def _request(
+        self, index: int, cost: OpCostModel
+    ) -> tuple[int, int, float, float]:
+        backend = self.store.backend
+        start, stop = self.parts[index]
+        if len(self.parts) == 1:
+            request = StorageRequest(
+                OP_PUT, self.key, self.size, stream=self.stream
             )
-        try:
-            return self._submit_next()
-        except Exception:
-            self.abort()
-            raise
-
-    def _submit_next(self) -> OpReceipt | None:
-        if not self.multipart:
-            receipt = self._submit_single()
+            call = partial(backend.put_object, request, self.data)
         else:
-            receipt = self._submit_part()
-        if receipt is not None:
-            self._receipt = receipt
-            self.store._commit_put(self.key, self.logical_bytes, receipt)
-            self.engine._deregister(self)
-        return receipt
-
-    def _submit_single(self) -> OpReceipt:
-        """One PUT request: latency + bytes, serialised on the link."""
-        store = self.store
-        cost = store.cost_for(OP_PUT, self.key, self.logical_bytes)
-        request = StorageRequest(
-            OP_PUT, self.key, self.logical_bytes, stream=self.stream
-        )
+            if self._upload_id is None:
+                self._upload_id = backend.create_multipart(self.key)
+            call = partial(
+                backend.upload_part,
+                self._upload_id,
+                index + 1,
+                self.data[start:stop],
+            )
         _, retries, penalty, latency = self.engine.attempt_request(
-            OP_PUT,
-            lambda: store.backend.put_object(request, self.data),
-            cost=cost,
+            OP_PUT, call, cost=cost
         )
-        duration = penalty + latency + cost.transfer_s(self.physical_bytes)
-        span = store.timeline.submit(
-            duration, label=f"put:{self.key}", earliest=self.earliest
-        )
-        store.log.record(
-            Transfer(
-                self.key,
-                self.physical_bytes,
-                span.start,
-                span.end,
-                "put",
-                self.stream,
-            )
-        )
-        if store.arbiter is not None and self.stream:
-            store.arbiter.on_transfer(
-                self.stream, self.physical_bytes, "put"
-            )
-        self._next = 1
-        return OpReceipt(
-            op=OP_PUT,
-            key=self.key,
-            logical_bytes=self.logical_bytes,
-            physical_bytes=self.physical_bytes,
-            issued_s=self._issued,
-            start_s=span.start,
-            first_byte_s=min(span.start + penalty + latency, span.end),
-            completed_s=span.end,
-            retries=retries,
-            stream=self.stream,
-        )
+        return stop - start, retries, penalty, latency
 
-    def _submit_part(self) -> OpReceipt | None:
-        """One multipart part PUT; the last part also completes.
-
-        Parts round-robin over ``backend.fanout`` upload lanes: a
-        lane's next part cannot issue before its previous part's bytes
-        finished, but *different* lanes' request latencies overlap the
-        link's byte time — with fanout > 1 only the first part's
-        latency is exposed, the amortisation multipart exists for.
-        Between two submissions another stream's parts may claim the
-        link; this stream's lanes simply queue behind them, which is
-        exactly the part-granular sharing the engine exists for.
-        """
-        store = self.store
-        backend = store.backend
-        cost = store.cost_for(OP_PUT, self.key, self.logical_bytes)
-        replication = store.config.replication_factor
-        fanout = max(1, backend.fanout)
-        if self._next == 0:
-            # Occupancy starts when the link could serve this op
-            # (queueing behind earlier transfers is queue_s, not
-            # duration_s — the same semantics single-shot receipts
-            # carry).
-            self._started = max(self._issued, store.timeline.free_at)
-            self._upload_id = backend.create_multipart(self.key)
-            self._lane_free = [self._started] * fanout
-        assert self._upload_id is not None and self._lane_free is not None
-        part = self.parts[self._next]
-        chunk = self.data[part.offset : part.offset + part.nbytes]
-        lane = self._next % fanout
-        upload_id, number = self._upload_id, part.number
-        _, retries, penalty, latency = self.engine.attempt_request(
-            OP_PUT,
-            lambda: backend.upload_part(upload_id, number, chunk),
-            cost=cost,
-        )
-        self._retries += retries
-        physical = part.nbytes * replication
-        span = store.timeline.submit(
-            cost.transfer_s(physical),
-            label=f"put-part:{self.key}:{part.number}",
-            earliest=self._lane_free[lane] + penalty + latency,
-        )
-        self._lane_free[lane] = span.end
-        if self._first_byte is None:
-            self._first_byte = span.start
-        store.log.record(
-            Transfer(
-                f"{self.key}#part{part.number}",
-                physical,
-                span.start,
-                span.end,
-                "put",
-                self.stream,
-            )
-        )
-        if store.arbiter is not None and self.stream:
-            store.arbiter.on_transfer(self.stream, physical, "put")
-        self._next += 1
-        if self._next < len(self.parts):
-            return None
+    def _close_parts(self, cost: OpCostModel, lanes_done_s: float) -> float:
         # The completion request publishes the object: one more
         # PUT-class latency, control-plane only (no link bytes).
         _, retries, penalty, latency = self.engine.attempt_request(
-            OP_PUT, lambda: backend.complete_multipart(upload_id), cost=cost
+            OP_PUT,
+            partial(self.store.backend.complete_multipart, self._upload_id),
+            cost=cost,
         )
         self._retries += retries
         self._upload_id = None
-        completed = max(self._lane_free) + penalty + latency
-        assert self._started is not None and self._first_byte is not None
-        return OpReceipt(
-            op=OP_PUT,
-            key=self.key,
-            logical_bytes=self.logical_bytes,
-            physical_bytes=self.physical_bytes,
-            issued_s=self._issued,
-            start_s=self._started,
-            first_byte_s=self._first_byte,
-            completed_s=completed,
-            parts=len(self.parts),
-            retries=self._retries,
-            stream=self.stream,
-        )
+        return lanes_done_s + penalty + latency
 
-    def abort(self) -> None:
-        """Cancel the staged write: abort the multipart upload (parts
-        already staged become unreachable, the object never becomes
-        visible) and credit the quota charge back to the stream."""
-        if self._receipt is not None or self._aborted:
-            return
-        self._aborted = True
+    def _landed(self, receipt: OpReceipt) -> None:
+        self.store._commit_put(self.key, self.size, receipt)
+
+    def _rollback(self) -> None:
+        # Parts already uploaded become unreachable, the object never
+        # becomes visible, and the quota charge goes back to the stream.
         if self._upload_id is not None:
             self.store.backend.abort_multipart(self._upload_id)
             self._upload_id = None
         if self.store.arbiter is not None and self.stream:
             self.store.arbiter.credit_delete(self.stream, self.charged)
-        self.engine._deregister(self)
 
 
-class StagedGet:
-    """A GET decomposed into announced ranged parts, submitted one at a
-    time — the read-side mirror of :class:`StagedPut`.
+class StagedGet(_StagedTransfer):
+    """A GET announced as ranged parts, submitted one at a time.
 
-    Produced by :meth:`TransferEngine.stage_get`. Against a backend
-    advertising ``range_get_bytes``, a whole-object read larger than
-    that window splits into ranged sub-GETs fanned over the backend's
-    request lanes; anything else is a single part. Each
-    :meth:`submit_next` call issues exactly one request — retrying
-    transient failures through the engine's backoff loop — and the
-    final call records the :class:`OpReceipt` (``retries`` populated)
-    in the store's op log. Between submissions the announced parts
-    count toward the engine's queued *read* backlog, the signal the
-    read-side admission controller paces experimental restores on, and
-    another stream's parts may claim the link — so a restore storm
-    drains at part granularity instead of head-of-line whole-chunk
-    reads. Draining a staged GET uninterrupted is timing-identical to
-    :meth:`TransferEngine.get`.
+    Returned by ``ObjectStore.stage_get``. Against a backend
+    advertising ``range_get_bytes``, a whole-object read of a larger
+    object of known size splits into ranged sub-GETs; anything else is
+    a single part. The last :meth:`submit_next` records the receipt in
+    the store's op log, after which :meth:`data` holds the bytes.
+    Aborting rolls nothing back server-side — GETs mutate no state.
     """
+
+    op = OP_GET
+    kind = "get"
+    part_word = "range"
+    part_base = 0
 
     def __init__(
         self,
@@ -469,228 +534,162 @@ class StagedGet:
         stream: str = "",
         byte_range: tuple[int, int] | None = None,
     ) -> None:
-        store = engine.store
-        if not key:
-            raise StorageError("object key must be non-empty")
-        self.engine = engine
-        self.store = store
-        self.key = key
-        self.stream = stream
-        self.earliest = earliest
-        self.byte_range = byte_range
-        window = store.backend.range_get_bytes
+        super().__init__(engine, key, earliest, stream)
+        store = self.store
         known = store._sizes.get(key)
-        self.ranged = (
-            byte_range is None
-            and window is not None
-            and known is not None
-            and known > window
-        )
-        self._issued = max(store.clock.now, earliest or 0.0)
-        if self.ranged:
-            assert window is not None and known is not None
-            self.size = known
-            self.parts: tuple[tuple[int, int], ...] = tuple(
-                (start, min(start + window, known))
-                for start in range(0, known, window)
-            )
+        window = None
+        # The announced byte count feeds the queued-read backlog
+        # signal, so a ranged probe of a huge object announces only its
+        # window — and an object of unknown size announces 0 until its
+        # bytes arrive.
+        if byte_range is not None:
+            start, stop = byte_range
+            expected = max(0, stop - start)
+            if known is not None:
+                expected = min(expected, max(0, known - start))
+        elif known is not None:
+            expected, window = known, store.backend.range_get_bytes
         else:
-            # Single-shot: the whole object, or just the explicit
-            # range, in one request. The expected byte count feeds the
-            # queued-read backlog signal, so a ranged probe of a huge
-            # object must announce only its window — and an object of
-            # unknown size announces 0 until its bytes arrive.
-            if byte_range is not None:
-                start, stop = byte_range
-                expected = max(0, stop - start)
-                if known is not None:
-                    expected = min(expected, max(0, known - start))
-            else:
-                expected = known if known is not None else 0
-            self.size = expected
-            self.parts = ((0, expected),)
-        self._next = 0
+            expected = 0
+        self._announce(expected, window)
+        #: The byte range each part's request asks for.
+        self._ranges: tuple[tuple[int, int] | None, ...] = (
+            self.parts if len(self.parts) > 1 else (byte_range,)
+        )
         self._pieces: list[bytes] = []
-        self._lane_free: list[float] | None = None
-        self._started: float | None = None
-        self._first_byte: float | None = None
-        self._retries = 0
-        self._receipt: OpReceipt | None = None
-        self._aborted = False
-        engine._register_get(self)
 
-    # -- introspection -------------------------------------------------
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-    @property
-    def next_part_number(self) -> int:
-        return min(self._next + 1, self.num_parts)
-
-    @property
-    def next_ready_s(self) -> float:
-        """Earliest simulated time the next part could be requested."""
-        return self._issued
-
-    @property
-    def done(self) -> bool:
-        return self._receipt is not None
-
-    @property
-    def aborted(self) -> bool:
-        return self._aborted
-
-    @property
-    def receipt(self) -> OpReceipt | None:
-        return self._receipt
-
-    @property
-    def remaining_bytes(self) -> int:
-        """Bytes announced but not yet requested on the link."""
-        if self.done or self._aborted:
-            return 0
-        return sum(stop - start for start, stop in self.parts[self._next :])
+    def submit_next(self) -> OpReceipt | None:
+        """Issue the next announced ranged (or whole-object) request;
+        ``None`` while parts remain, the final receipt with the last."""
+        return self._submit()
 
     def data(self) -> bytes:
         """The assembled object bytes (only once ``done``)."""
-        if self._receipt is None:
+        if self.receipt is None:
             raise StorageError(
                 f"staged GET {self.key!r} has unsubmitted parts"
             )
         return b"".join(self._pieces)
 
-    # -- submission ----------------------------------------------------
-
-    def submit_next(self) -> OpReceipt | None:
-        """Issue the next announced ranged (or whole-object) request.
-
-        Returns ``None`` while parts remain; the last part records and
-        returns the final :class:`OpReceipt`.
-        """
-        if self._receipt is not None:
-            return self._receipt
-        if self._aborted:
-            raise StorageError(
-                f"staged GET {self.key!r} was already aborted"
-            )
-        try:
-            receipt = (
-                self._submit_part() if self.ranged else self._submit_single()
-            )
-        except Exception:
-            self.abort()
-            raise
-        if receipt is not None:
-            self._receipt = receipt
-            self.store.ops.record(receipt)
-            self.engine._deregister_get(self)
-        return receipt
-
-    def _submit_single(self) -> OpReceipt:
-        """One GET request: latency + bytes, serialised on the link."""
-        store = self.store
-        cost = store.cost_for(OP_GET, self.key)
+    def _request(
+        self, index: int, cost: OpCostModel
+    ) -> tuple[int, int, float, float]:
         request = StorageRequest(
-            OP_GET, self.key, stream=self.stream, byte_range=self.byte_range
+            OP_GET,
+            self.key,
+            stream=self.stream,
+            byte_range=self._ranges[index],
         )
         data, retries, penalty, latency = self.engine.attempt_request(
-            OP_GET, lambda: store.backend.get_object(request), cost=cost
+            OP_GET, partial(self.store.backend.get_object, request), cost=cost
         )
-        duration = penalty + latency + cost.transfer_s(len(data))
-        span = store.timeline.submit(
-            duration, label=f"get:{self.key}", earliest=self.earliest
-        )
-        store.log.record(
-            Transfer(
-                self.key, len(data), span.start, span.end, "get", self.stream
-            )
-        )
-        if store.arbiter is not None and self.stream:
-            store.arbiter.on_transfer(self.stream, len(data), "get")
         self._pieces.append(data)
-        self._next = 1
-        return OpReceipt(
-            op=OP_GET,
-            key=self.key,
-            logical_bytes=len(data),
-            physical_bytes=len(data),
-            issued_s=self._issued,
-            start_s=span.start,
-            first_byte_s=min(span.start + penalty + latency, span.end),
-            completed_s=span.end,
-            retries=retries,
-            stream=self.stream,
-        )
+        return len(data), retries, penalty, latency
 
-    def _submit_part(self) -> OpReceipt | None:
-        """One ranged sub-GET; lanes overlap request latencies exactly
-        as :class:`StagedPut` parts do on the write side."""
-        store = self.store
-        cost = store.cost_for(OP_GET, self.key)
-        fanout = max(1, store.backend.fanout)
-        if self._next == 0:
-            self._started = max(self._issued, store.timeline.free_at)
-            self._lane_free = [self._started] * fanout
-        assert self._lane_free is not None
-        index = self._next
-        start, stop = self.parts[index]
-        request = StorageRequest(
-            OP_GET, self.key, stream=self.stream, byte_range=(start, stop)
-        )
-        chunk, retries, penalty, latency = self.engine.attempt_request(
-            OP_GET, lambda: store.backend.get_object(request), cost=cost
-        )
-        self._retries += retries
-        lane = index % fanout
-        span = store.timeline.submit(
-            cost.transfer_s(len(chunk)),
-            label=f"get-range:{self.key}:{index}",
-            earliest=self._lane_free[lane] + penalty + latency,
-        )
-        self._lane_free[lane] = span.end
-        if self._first_byte is None:
-            self._first_byte = span.start
-        self._pieces.append(chunk)
-        store.log.record(
-            Transfer(
-                f"{self.key}#range{index}",
-                len(chunk),
-                span.start,
-                span.end,
-                "get",
-                self.stream,
-            )
-        )
-        if store.arbiter is not None and self.stream:
-            store.arbiter.on_transfer(self.stream, len(chunk), "get")
-        self._next += 1
-        if self._next < len(self.parts):
-            return None
-        assert self._started is not None and self._first_byte is not None
-        return OpReceipt(
-            op=OP_GET,
-            key=self.key,
-            logical_bytes=self.size,
-            physical_bytes=self.size,
-            issued_s=self._issued,
-            start_s=self._started,
-            first_byte_s=self._first_byte,
-            completed_s=max(self._lane_free),
-            parts=len(self.parts),
-            retries=self._retries,
-            stream=self.stream,
-        )
+    def _landed(self, receipt: OpReceipt) -> None:
+        self.store.ops.record(receipt)
 
-    def abort(self) -> None:
-        """Abandon the staged read (nothing to roll back server-side —
-        GETs mutate no state — but the queued-byte backlog is released
-        so the admission signal does not count a dead restore)."""
-        if self._receipt is not None or self._aborted:
-            return
-        self._aborted = True
-        self.engine._deregister_get(self)
+
+# ----------------------------------------------------------------------
+# Driving staged work: steps, handles, drain
+# ----------------------------------------------------------------------
+
+
+def drain(staged: Iterator) -> object:
+    """Advance anything staged until it finishes; returns its result.
+
+    Submissions go back to back, so the timing is that of the same
+    work with no other stream's traffic in between.
+    """
+    while True:
+        try:
+            next(staged)
+        except StopIteration as stop:
+            return stop.value
+
+
+@dataclass(frozen=True)
+class ReadStep:
+    """One pending GET submission of a staged read.
+
+    Staged readers (:func:`read_steps`, and through it
+    ``CheckpointRestorer.restore_steps`` and the inference server's
+    lookup and flip) yield a ``ReadStep`` *before* each GET request.
+    Against a backend with ranged GETs one object yields one step per
+    ranged *part* (``part_index`` of ``num_parts``); elsewhere a step
+    is a whole object. ``ready_s`` is the earliest simulated time the
+    read could start; event loops use it to interleave the read parts
+    of every reader sharing the link. Resuming the generator performs
+    the submission — the read-side counterpart of
+    :class:`~repro.core.writer.WriteStep`.
+    """
+
+    key: str
+    ready_s: float
+    part_index: int = 1
+    num_parts: int = 1
+
+
+def read_steps(staged: StagedGet):
+    """Generator: announce each part of ``staged``, then submit it.
+
+    Yields a :class:`ReadStep` *before* every part request — resuming
+    performs the submission — and returns ``(bytes, completed_s)``
+    where ``completed_s`` is the read's receipt completion time.
+    """
+    while not staged.done:
+        yield ReadStep(
+            key=staged.key,
+            ready_s=staged.next_ready_s,
+            part_index=staged.next_part_number,
+            num_parts=staged.num_parts,
+        )
+        staged.submit_next()
+    return staged.data(), staged.receipt.completed_s
+
+
+@dataclass
+class StagedHandle:
+    """A staged generator in flight, primed on construction.
+
+    ``next_step`` announces the upcoming submission (and its earliest
+    start time) before it happens; :meth:`advance` performs it and
+    announces the one after. Event loops interleave ``advance`` calls
+    of many handles in ``next_step.ready_s`` order; :func:`drain`
+    finishes one immediately. ``result`` is the generator's return
+    value once ``done``.
+    """
+
+    steps: Iterator
+    next_step: object | None = field(default=None, init=False)
+    result: object | None = field(default=None, init=False)
+    done: bool = field(default=False, init=False)
+
+    def __post_init__(self) -> None:
+        self.advance()  # prime: run up to the first announcement
+
+    def __iter__(self) -> "StagedHandle":
+        return self
+
+    def __next__(self) -> object:
+        if self.done:
+            raise StopIteration(self.result)
+        try:
+            self.next_step = next(self.steps)
+        except StopIteration as stop:
+            self.next_step = None
+            self.result = stop.value
+            self.done = True
+            raise
+        return self.next_step
+
+    def advance(self) -> object | None:
+        """Submit the announced step and announce the next one.
+
+        Returns the new pending step, or ``None`` once the generator
+        has finished and ``result`` is available.
+        """
+        return next(self, None)
 
 
 class TransferEngine:
@@ -701,8 +700,9 @@ class TransferEngine:
         self.store = store
         self.max_retries = store.config.max_retries
         self.retry_backoff_s = store.config.retry_backoff_s
-        self._staged: list[StagedPut] = []
-        self._staged_gets: list[StagedGet] = []
+        #: Every staged transfer with parts still awaiting submission,
+        #: both directions, in announcement order.
+        self._staged: list[_StagedTransfer] = []
         #: Successful-request retry ledger per op class (probe retries
         #: included; receipts carry the per-request counts).
         self.retries_by_op: dict[str, int] = {}
@@ -711,24 +711,16 @@ class TransferEngine:
         self.pool_busy_s = 0.0
         self.pool_wait_s = 0.0
 
-    # -- staged-put registry -------------------------------------------
+    # -- backlog signals -----------------------------------------------
 
-    def _register(self, staged: StagedPut) -> None:
-        self._staged.append(staged)
-
-    def _deregister(self, staged: StagedPut) -> None:
-        try:
-            self._staged.remove(staged)
-        except ValueError:  # pragma: no cover - defensive
-            pass
-
-    def staged_puts(self) -> list[StagedPut]:
-        """Staged writes with parts still awaiting submission."""
+    def staged(self) -> list[_StagedTransfer]:
+        """Staged transfers with parts still awaiting submission."""
         return list(self._staged)
 
-    def queued_put_bytes(self) -> int:
-        """Physical bytes announced (staged) but not yet on the link."""
-        return sum(s.remaining_physical_bytes for s in self._staged)
+    def queued_bytes(self, op: str) -> int:
+        """Physical bytes of ``op`` transfers announced (staged) but
+        not yet on the link."""
+        return sum(s.remaining_bytes for s in self._staged if s.op == op)
 
     def projected_queue_delay_s(self, now: float) -> float:
         """The backlog signal: link busy time past ``now`` plus the
@@ -736,28 +728,9 @@ class TransferEngine:
         return projected_queue_delay_s(
             self.store.timeline.free_at,
             now,
-            self.queued_put_bytes(),
+            self.queued_bytes(OP_PUT),
             self.store.costs.for_op(OP_PUT).seconds_per_byte,
         )
-
-    # -- staged-get registry -------------------------------------------
-
-    def _register_get(self, staged: StagedGet) -> None:
-        self._staged_gets.append(staged)
-
-    def _deregister_get(self, staged: StagedGet) -> None:
-        try:
-            self._staged_gets.remove(staged)
-        except ValueError:  # pragma: no cover - defensive
-            pass
-
-    def staged_gets(self) -> list[StagedGet]:
-        """Staged reads with parts still awaiting submission."""
-        return list(self._staged_gets)
-
-    def queued_get_bytes(self) -> int:
-        """Bytes announced for reading (staged) but not yet requested."""
-        return sum(s.remaining_bytes for s in self._staged_gets)
 
     def projected_restore_delay_s(self, now: float) -> float:
         """The read-side backlog signal: link busy time past ``now``
@@ -766,7 +739,7 @@ class TransferEngine:
         read parts at the GET byte rate. A restore queues behind both,
         so the read-side admission controller paces on their sum."""
         write_backlog = self.projected_queue_delay_s(now)
-        return write_backlog + self.queued_get_bytes() * (
+        return write_backlog + self.queued_bytes(OP_GET) * (
             self.store.costs.for_op(OP_GET).seconds_per_byte
         )
 
@@ -817,108 +790,9 @@ class TransferEngine:
             return result, retries, penalty, latency
 
     def retry_probe(self, op: str, call: Callable[[], T]) -> T:
-        """Retry loop for free (untimed) probes, e.g. the overwrite
-        check inside ``put`` — same budget, no simulated cost."""
-        retries = 0
-        while True:
-            try:
-                result = call()
-            except TransientStorageError as exc:
-                if retries >= self.max_retries:
-                    raise RetriesExhaustedError(
-                        f"{op} probe failed transiently "
-                        f"{retries + 1} times (retry budget "
-                        f"{self.max_retries}): {exc}"
-                    ) from exc
-                retries += 1
-                continue
-            if retries:
-                self.retries_by_op[op] = (
-                    self.retries_by_op.get(op, 0) + retries
-                )
-            return result
-
-    # -- PUT path ------------------------------------------------------
-
-    def stage_put(
-        self,
-        key: str,
-        data: bytes,
-        *,
-        overwrite: bool = False,
-        earliest: float | None = None,
-        stream: str = "",
-    ) -> StagedPut:
-        """Announce a PUT as individually submittable parts."""
-        return StagedPut(
-            self,
-            key,
-            data,
-            overwrite=overwrite,
-            earliest=earliest,
-            stream=stream,
-        )
-
-    def put(
-        self,
-        key: str,
-        data: bytes,
-        *,
-        overwrite: bool = False,
-        earliest: float | None = None,
-        stream: str = "",
-    ) -> OpReceipt:
-        """Stage a PUT and drain it immediately (parts back-to-back).
-
-        The single-caller path: timing is identical to staging the same
-        write and submitting every part without interleaved traffic.
-        """
-        staged = self.stage_put(
-            key, data, overwrite=overwrite, earliest=earliest, stream=stream
-        )
-        receipt = None
-        while receipt is None:
-            receipt = staged.submit_next()
-        return receipt
-
-    # -- GET path ------------------------------------------------------
-
-    def stage_get(
-        self,
-        key: str,
-        *,
-        earliest: float | None = None,
-        stream: str = "",
-        byte_range: tuple[int, int] | None = None,
-    ) -> StagedGet:
-        """Announce a GET as individually submittable ranged parts."""
-        return StagedGet(
-            self,
-            key,
-            earliest=earliest,
-            stream=stream,
-            byte_range=byte_range,
-        )
-
-    def get(
-        self,
-        key: str,
-        earliest: float | None = None,
-        stream: str = "",
-        byte_range: tuple[int, int] | None = None,
-    ) -> bytes:
-        """Stage a GET and drain it immediately (parts back-to-back).
-
-        The single-caller path: timing is identical to staging the same
-        read and submitting every ranged part without interleaved
-        traffic.
-        """
-        staged = self.stage_get(
-            key, earliest=earliest, stream=stream, byte_range=byte_range
-        )
-        while not staged.done:
-            staged.submit_next()
-        return staged.data()
+        """The retry loop for untimed probes, e.g. the overwrite check
+        inside ``put`` — same budget, no simulated cost."""
+        return self.attempt_request(op, call, cost=_FREE)[0]
 
     # -- worker pool ---------------------------------------------------
 
@@ -973,9 +847,9 @@ class AdmissionController:
     Three modes:
 
     * ``"none"`` — every trigger is admitted (no control);
-    * ``"static"`` — the legacy fixed cap: defer whenever
-      ``active_writes >= max_concurrent`` (the deprecation target of
-      ``FleetConfig.max_concurrent_writes``), tier-blind;
+    * ``"static"`` — a fixed cap: defer whenever
+      ``active_writes >= max_concurrent``
+      (``FleetConfig.max_concurrent_writes``), tier-blind;
     * ``"dynamic"`` — backlog-driven: prod triggers are always
       admitted; an experimental trigger is deferred when the engine's
       projected queue delay (link busy time plus queued part bytes)

@@ -35,7 +35,7 @@ from ..distributed.clock import SimClock, Timeline
 from ..errors import StorageError
 from .backends import Backend
 from .bandwidth import BandwidthArbiter, TransferLog
-from .engine import StagedGet, StagedPut, TransferEngine
+from .engine import StagedGet, StagedPut, TransferEngine, drain
 from .requests import (
     OP_DELETE,
     OP_GET,
@@ -47,12 +47,6 @@ from .requests import (
     OpReceipt,
     StorageRequest,
 )
-
-#: Legacy alias: PUT completions used to be ``PutReceipt``; every field
-#: the old type exposed (key, logical/physical bytes, start_s, end_s,
-#: duration_s) is still available on :class:`OpReceipt`.
-PutReceipt = OpReceipt
-
 
 @dataclass(frozen=True)
 class CapacityPoint:
@@ -229,6 +223,41 @@ class ObjectStore:
         self.ops.record(receipt)
         return receipt
 
+    def _control(
+        self,
+        op: str,
+        key: str,
+        call,
+        issued: float,
+        stream: str,
+        physical: int = 0,
+        cost=None,
+    ):
+        """Issue one control-plane request and book it as it lands.
+
+        ``call(request)`` goes through the engine's retry loop; the
+        receipt is booked at ``issued`` for the retry penalty plus the
+        request latency — a LIST also pays its per-key time and counts
+        the keys as its logical size. Returns ``(result, receipt)``;
+        nothing is booked when the retries run out.
+        """
+        request = StorageRequest(op, key, stream=stream)
+        result, retries, penalty, latency = self.engine.attempt_request(
+            op, lambda: call(request), cost=cost
+        )
+        listed = len(result) if op == OP_LIST else 0
+        receipt = self._record_op(
+            op,
+            key,
+            listed,
+            physical,
+            issued,
+            penalty + latency + self.costs.for_op(op).transfer_s(listed),
+            stream,
+            retries=retries,
+        )
+        return result, receipt
+
     def _commit_put(
         self, key: str, logical: int, receipt: OpReceipt
     ) -> None:
@@ -270,12 +299,15 @@ class ObjectStore:
         ``retries`` counts them), and a failure mid-upload aborts the
         multipart — no partial object ever becomes visible.
         """
-        return self.engine.put(
-            key,
-            data,
-            overwrite=overwrite,
-            earliest=earliest,
-            stream=stream,
+        return drain(
+            StagedPut(
+                self.engine,
+                key,
+                data,
+                overwrite=overwrite,
+                earliest=earliest,
+                stream=stream,
+            )
         )
 
     def stage_put(
@@ -295,7 +327,8 @@ class ObjectStore:
         from many jobs through the bandwidth arbiter, so the shared
         link interleaves *parts*, not whole chunks.
         """
-        return self.engine.stage_put(
+        return StagedPut(
+            self.engine,
             key,
             data,
             overwrite=overwrite,
@@ -324,12 +357,15 @@ class ObjectStore:
         backend's request lanes, and transient failures are retried
         with backoff.
         """
-        return self.engine.get(
+        staged = StagedGet(
+            self.engine,
             key,
             earliest=earliest,
             stream=stream,
             byte_range=byte_range,
         )
+        drain(staged)
+        return staged.data()
 
     def stage_get(
         self,
@@ -347,12 +383,33 @@ class ObjectStore:
         reads head-of-line. Draining a staged GET uninterrupted is
         timing-identical to :meth:`get`.
         """
-        return self.engine.stage_get(
+        return StagedGet(
+            self.engine,
             key,
             earliest=earliest,
             stream=stream,
             byte_range=byte_range,
         )
+
+    def _delete_one(
+        self, key: str, size: int, stream: str, issued: float
+    ) -> OpReceipt:
+        """One DELETE of a ``size``-byte object, booked as it lands:
+        receipt, size map, quota credit. Sampling capacity is left to
+        the caller (a batch samples once)."""
+        physical = size * self.config.replication_factor
+        _, receipt = self._control(
+            OP_DELETE,
+            key,
+            self.backend.delete_object,
+            issued,
+            stream,
+            physical=physical,
+        )
+        self._sizes.pop(key, None)
+        if self.arbiter is not None and stream:
+            self.arbiter.credit_delete(stream, physical)
+        return receipt
 
     def delete(
         self, key: str, stream: str = "", at_s: float | None = None
@@ -363,26 +420,12 @@ class ObjectStore:
         clock (shared stores lag behind per-job clocks); ``stream``
         credits the freed physical bytes back to the job's quota.
         """
-        physical = self._sizes.get(key, 0) * self.config.replication_factor
-        request = StorageRequest(OP_DELETE, key, stream=stream)
-        _, retries, penalty, latency = self.engine.attempt_request(
-            OP_DELETE, lambda: self.backend.delete_object(request)
-        )
-        self._sizes.pop(key, None)
-        if self.arbiter is not None and stream:
-            self.arbiter.credit_delete(stream, physical)
         when = self.clock.now if at_s is None else max(at_s, self.clock.now)
-        self._record_capacity(when)
-        return self._record_op(
-            OP_DELETE,
-            key,
-            0,
-            physical,
-            when,
-            penalty + latency,
-            stream,
-            retries=retries,
+        receipt = self._delete_one(
+            key, self._sizes.get(key, 0), stream, when
         )
+        self._record_capacity(when)
+        return receipt
 
     def delete_prefix(
         self, prefix: str, stream: str = "", at_s: float | None = None
@@ -391,8 +434,11 @@ class ObjectStore:
 
         Costed as a *single* LIST followed by N DELETE requests — the
         shape retention sweeps take against a real object store —
-        rather than N client-side list+delete round trips. Capacity is
-        re-sampled once, after the whole batch.
+        rather than N client-side list+delete round trips. Every DELETE
+        is booked as it lands, so a request that exhausts its retries
+        mid-batch leaves the accounting of the keys already gone (size
+        map, quota, op log) agreeing with the backend. Capacity is
+        re-sampled once, after the batch.
         """
         issued = (
             self.clock.now
@@ -401,27 +447,18 @@ class ObjectStore:
         )
         # One enumeration serves both the size bookkeeping and the
         # deletes (the backend's own delete_prefix would LIST again).
+        # Hand-timed rather than through _control: the batch clock runs
+        # on from ``issued`` and the receipt spans it, which rounds
+        # differently from ``issued + duration``.
         list_request = StorageRequest(OP_LIST, prefix, stream=stream)
-        keys, list_retries, list_penalty, list_latency = (
-            self.engine.attempt_request(
-                OP_LIST, lambda: self.backend.list_objects(list_request)
-            )
+        keys, retries, penalty, latency = self.engine.attempt_request(
+            OP_LIST, lambda: self.backend.list_objects(list_request)
         )
-        freed_logical = 0
-        for key in keys:
-            freed_logical += self.object_size(key)
-        freed_physical = freed_logical * self.config.replication_factor
-        deletions: list[tuple[str, int, float]] = []
-        for key in keys:
-            request = StorageRequest(OP_DELETE, key, stream=stream)
-            _, retries, penalty, latency = self.engine.attempt_request(
-                OP_DELETE, lambda: self.backend.delete_object(request)
-            )
-            deletions.append((key, retries, penalty + latency))
+        sizes = [self.object_size(key) for key in keys]
         completed = (
             issued
-            + list_penalty
-            + list_latency
+            + penalty
+            + latency
             + self.costs.for_op(OP_LIST).transfer_s(len(keys))
         )
         self._record_op(
@@ -432,73 +469,46 @@ class ObjectStore:
             issued,
             completed - issued,
             stream,
-            retries=list_retries,
+            retries=retries,
         )
-        for key, retries, duration in deletions:
-            physical = (
-                self._sizes.pop(key, 0) * self.config.replication_factor
-            )
-            self._record_op(
-                OP_DELETE,
-                key,
-                0,
-                physical,
-                completed,
-                duration,
-                stream,
-                retries=retries,
-            )
-            completed += duration
-        if self.arbiter is not None and stream:
-            self.arbiter.credit_delete(stream, freed_physical)
-        if keys:
-            self._record_capacity(max(completed, issued))
+        landed = 0
+        try:
+            for key, size in zip(keys, sizes):
+                completed = self._delete_one(
+                    key, size, stream, completed
+                ).completed_s
+                landed += 1
+        finally:
+            if landed:
+                self._record_capacity(max(completed, issued))
+        freed_logical = sum(sizes)
         return PrefixDeleteReceipt(
             prefix=prefix,
             keys=tuple(keys),
             freed_logical_bytes=freed_logical,
-            freed_physical_bytes=freed_physical,
+            freed_physical_bytes=(
+                freed_logical * self.config.replication_factor
+            ),
             issued_s=issued,
             completed_s=completed,
         )
 
     def exists(self, key: str, stream: str = "") -> bool:
         """HEAD probe: is the key present?"""
-        request = StorageRequest(OP_HEAD, key, stream=stream)
-        present, retries, penalty, latency = self.engine.attempt_request(
-            OP_HEAD,
-            lambda: self.backend.head_object(request),
-            cost=self.cost_for(OP_HEAD, key),
-        )
-        self._record_op(
+        present, _ = self._control(
             OP_HEAD,
             key,
-            0,
-            0,
+            self.backend.head_object,
             self.clock.now,
-            penalty + latency,
             stream,
-            retries=retries,
+            cost=self.cost_for(OP_HEAD, key),
         )
         return present
 
     def list_keys(self, prefix: str = "", stream: str = "") -> list[str]:
         """LIST request: all keys under a prefix, sorted."""
-        request = StorageRequest(OP_LIST, prefix, stream=stream)
-        keys, retries, penalty, latency = self.engine.attempt_request(
-            OP_LIST, lambda: self.backend.list_objects(request)
-        )
-        self._record_op(
-            OP_LIST,
-            prefix,
-            len(keys),
-            0,
-            self.clock.now,
-            penalty
-            + latency
-            + self.costs.for_op(OP_LIST).transfer_s(len(keys)),
-            stream,
-            retries=retries,
+        keys, _ = self._control(
+            OP_LIST, prefix, self.backend.list_objects, self.clock.now, stream
         )
         return keys
 

@@ -228,11 +228,6 @@ class OpReceipt:
     stream: str = ""
 
     @property
-    def end_s(self) -> float:
-        """Legacy alias for :attr:`completed_s`."""
-        return self.completed_s
-
-    @property
     def duration_s(self) -> float:
         """Occupancy time: start (incl. request latency) to completion."""
         return self.completed_s - self.start_s

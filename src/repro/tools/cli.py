@@ -305,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--seed", type=int, default=0xF1EE7)
     fleet.add_argument(
         "--max-concurrent-writes", type=int, default=None,
-        help="deprecated: fixed cap on simultaneous checkpoint writes "
-        "(maps to --admission static); prefer --admission dynamic",
+        help="cap on simultaneous checkpoint writes under "
+        "--admission static",
     )
     fleet.add_argument(
         "--admission", choices=["none", "static", "dynamic"],
-        default=None,
+        default="none",
         help="admission-control mode for checkpoint triggers: 'static' "
         "caps concurrent writes (needs --max-concurrent-writes), "
         "'dynamic' defers experimental triggers when the link's "
@@ -482,12 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the bit-rot injector's RNG",
     )
     fleet.add_argument(
-        "--dispatch", choices=["heap", "lockstep"], default="heap",
-        help="event-dispatch engine: 'heap' (indexed event heap, "
-        "O(log n) per event) or 'lockstep' (the original O(n) "
-        "min-scan baseline); runs are bit-identical either way",
-    )
-    fleet.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="write fleet counters as a Prometheus textfile (.prom)",
     )
@@ -541,10 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--no-failures", action="store_true",
         help="disable independent failure injection",
-    )
-    plan.add_argument(
-        "--dispatch", choices=["heap", "lockstep"], default="heap",
-        help="event-dispatch engine for the sweep's fleet runs",
     )
     plan.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -645,13 +635,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         run_fleet,
     )
 
-    if args.max_concurrent_writes is not None and args.admission is None:
-        print(
-            "warning: --max-concurrent-writes is deprecated; it now "
-            "maps to the transfer engine's static admission mode "
-            "(--admission static). Consider --admission dynamic.",
-            file=sys.stderr,
-        )
     if args.failure_prob > 0.0 and args.backend != "s3like":
         print(
             "warning: --failure-prob only injects on --backend s3like; "
@@ -705,7 +688,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         bitrot_seed=args.bitrot_seed,
         storage=storage,
     )
-    _, report = run_fleet(config, dispatch=args.dispatch)
+    _, report = run_fleet(config)
     reduction = fleet_reduction_experiment(config)
     # The aggregate header names every knob that shaped the run, so
     # the artifact stays reproducible from its own first line.
@@ -718,8 +701,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         variant += f", backend {args.backend}"
         if args.part_size is not None:
             variant += f" (part {args.part_size} B x{args.part_fanout})"
-    if config.resolved_admission_mode != "none":
-        variant += f", admission {config.resolved_admission_mode}"
+    if config.admission_mode != "none":
+        variant += f", admission {config.admission_mode}"
     if args.restore_admission != "none":
         variant += f", restore admission {args.restore_admission}"
     if args.retention != "chain_depth":
@@ -835,7 +818,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
         num_jobs=args.jobs,
         intervals_per_job=args.intervals,
         seed=args.seed,
+        # The base only carries the cap for the sweep's static points.
         max_concurrent_writes=args.max_concurrent_writes,
+        admission_mode=(
+            "none" if args.max_concurrent_writes is None else "static"
+        ),
         inject_failures=not args.no_failures,
         priority_mix=args.priority_mix,
         storm_domain=args.storm,
@@ -852,7 +839,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         quotas=quotas,
         keep_lasts=keep_lasts,
         admissions=admissions,
-        dispatch=args.dispatch,
     )
     body = curve.format() + "\n"
     print(body)

@@ -77,14 +77,14 @@ class TestStagedGet:
     def test_announced_parts_feed_the_read_backlog(self):
         store = ranged_store()
         store.put("job0/a", b"x" * 4096)
-        assert store.engine.queued_get_bytes() == 0
+        assert store.engine.queued_bytes(OP_GET) == 0
         staged = store.stage_get("job0/a")
-        assert store.engine.queued_get_bytes() == 4096
+        assert store.engine.queued_bytes(OP_GET) == 4096
         staged.submit_next()
-        assert store.engine.queued_get_bytes() == 4096 - 1024
+        assert store.engine.queued_bytes(OP_GET) == 4096 - 1024
         while not staged.done:
             staged.submit_next()
-        assert store.engine.queued_get_bytes() == 0
+        assert store.engine.queued_bytes(OP_GET) == 0
 
     def test_projected_restore_delay_includes_read_backlog(self):
         store = ranged_store()
@@ -106,7 +106,7 @@ class TestStagedGet:
         store = ranged_store()
         store.put("job0/a", b"x" * 65536)
         staged = store.stage_get("job0/a", byte_range=(0, 512))
-        assert store.engine.queued_get_bytes() == 512
+        assert store.engine.queued_bytes(OP_GET) == 512
         while not staged.done:
             staged.submit_next()
         assert staged.data() == b"x" * 512

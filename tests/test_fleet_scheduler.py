@@ -217,6 +217,7 @@ class TestAdmissionControl:
     def test_concurrent_write_cap_defers_triggers(self):
         config = contended_fleet_config(
             inject_failures=False,
+            admission_mode="static",
             max_concurrent_writes=1,
             stagger_s=0.0,
         )

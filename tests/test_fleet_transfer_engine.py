@@ -9,9 +9,8 @@ The engine's fleet-facing guarantees:
   upload: the upload is aborted, no visible object and no orphaned
   parts survive, and the restaged write completes;
 * dynamic admission control defers experimental triggers under
-  backlog while prod triggers pass, and the legacy
-  ``max_concurrent_writes`` cap keeps working through the deprecation
-  shim (static mode);
+  backlog while prod triggers pass, and static mode defers on its
+  ``max_concurrent_writes`` cap;
 * transient-failure injection + retries stay deterministic at fleet
   scale, and the retry/deferral counters surface in the run report.
 """
@@ -438,50 +437,39 @@ class TestDynamicAdmission:
         assert again == report  # measured pool fields excluded from eq
 
 
-class TestDeprecationShim:
-    def test_max_concurrent_writes_warns_and_maps_to_static(self):
-        with pytest.warns(DeprecationWarning, match="max_concurrent"):
-            config = FleetConfig(max_concurrent_writes=1)
-        assert config.resolved_admission_mode == "static"
-
-    def test_explicit_admission_mode_suppresses_the_warning(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = FleetConfig(
-                max_concurrent_writes=2, admission_mode="static"
-            )
-        assert config.resolved_admission_mode == "static"
-
-    def test_legacy_cap_still_defers(self):
-        with pytest.warns(DeprecationWarning):
-            config = FleetConfig(
-                num_jobs=6,
-                intervals_per_job=3,
-                seed=1234,
-                rows_per_table_choices=(1024, 2048, 4096),
-                storage=StorageConfig(
-                    write_bandwidth=1.5 * MiB,
-                    read_bandwidth=3.0 * MiB,
-                    replication_factor=2,
-                    latency_s=0.002,
-                ),
-                inject_failures=False,
-                stagger_s=0.0,
-                max_concurrent_writes=1,
-            )
+class TestStaticAdmissionConfig:
+    def test_static_cap_defers(self):
+        config = FleetConfig(
+            num_jobs=6,
+            intervals_per_job=3,
+            seed=1234,
+            rows_per_table_choices=(1024, 2048, 4096),
+            storage=StorageConfig(
+                write_bandwidth=1.5 * MiB,
+                read_bandwidth=3.0 * MiB,
+                replication_factor=2,
+                latency_s=0.002,
+            ),
+            inject_failures=False,
+            stagger_s=0.0,
+            admission_mode="static",
+            max_concurrent_writes=1,
+        )
         scheduler, report = run_fleet(config)
         assert report.admission_deferrals >= 1
         for event in scheduler.events:
             if event.kind == "deferred":
                 assert event.payload["reason"] == "static_cap"
 
-    def test_static_mode_requires_a_cap(self):
+    def test_cap_and_static_mode_need_each_other(self):
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError, match="static"):
             FleetConfig(admission_mode="static")
+        with pytest.raises(ConfigError, match="static"):
+            FleetConfig(max_concurrent_writes=2)
+        with pytest.raises(ConfigError, match="static"):
+            FleetConfig(max_concurrent_writes=2, admission_mode="dynamic")
 
 
 class TestWriterPoolAtFleetScale:

@@ -144,7 +144,7 @@ class TestObjectStore:
     def test_puts_serialise_on_the_link(self, store):
         r1 = store.put("a", b"x" * 1000)
         r2 = store.put("b", b"x" * 1000)
-        assert r2.start_s == pytest.approx(r1.end_s)
+        assert r2.start_s == pytest.approx(r1.completed_s)
 
     def test_no_accidental_overwrite(self, store):
         store.put("k", b"v1")

@@ -18,8 +18,11 @@ write path migrated onto:
 
 from __future__ import annotations
 
+import itertools
+import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +58,9 @@ def remote_store(
     arbiter=None,
     max_retries=5,
     replication=1,
+    range_get=None,
+    jitter_s=0.0,
+    tail_prob=0.0,
 ):
     """1000 B/s writes, 2000 B/s reads, 0.1 s PUT / 0.05 s GET latency."""
     config = StorageConfig(
@@ -74,9 +80,12 @@ def remote_store(
             list_latency_s=0.02,
             delete_latency_s=0.01,
             head_latency_s=0.005,
+            jitter_s=jitter_s,
+            tail_prob=tail_prob,
         ),
         part_size_bytes=part_size,
         fanout=fanout,
+        range_get_bytes=range_get,
         failure_probs=failure_probs,
         failure_seed=failure_seed,
     )
@@ -120,14 +129,14 @@ class TestStagedPut:
         store = remote_store(replication=2)
         staged = store.stage_put("k", bytes(3000))
         engine = store.engine
-        assert engine.queued_put_bytes() == 6000
+        assert engine.queued_bytes(OP_PUT) == 6000
         staged.submit_next()
-        assert engine.queued_put_bytes() == 4000
+        assert engine.queued_bytes(OP_PUT) == 4000
         staged.submit_next()
-        assert engine.queued_put_bytes() == 2000
+        assert engine.queued_bytes(OP_PUT) == 2000
         assert staged.submit_next() is not None
-        assert engine.queued_put_bytes() == 0
-        assert engine.staged_puts() == []
+        assert engine.queued_bytes(OP_PUT) == 0
+        assert engine.staged() == []
 
     def test_overwrite_rules_checked_at_stage_time(self):
         store = remote_store()
@@ -155,7 +164,7 @@ class TestStagedPut:
         assert store.backend.pending_uploads() == []
         assert store.backend.multipart_aborted == 1
         assert arbiter.stream("job").charged_bytes == 0
-        assert store.engine.queued_put_bytes() == 0
+        assert store.engine.queued_bytes(OP_PUT) == 0
         with pytest.raises(StorageError):
             store.object_size("job/k")
         # Submitting after abort is an error; aborting twice is not.
@@ -210,6 +219,103 @@ class TestStagedPut:
         # The link never served two transfers at once.
         for first, second in zip(puts, puts[1:]):
             assert second.start_s >= first.end_s - 1e-9
+
+
+#: Receipts and transfer-log rows of :func:`staged_timing_case`,
+#: recorded at the commit before StagedPut/StagedGet shared a base.
+#: Regenerate (only for a deliberate timing change) with
+#: ``json.dump({case_id(*c): staged_timing_case(*c) for c in CASES}, f)``.
+GOLDEN_TIMING = Path(__file__).with_name("golden_staged_timing.json")
+
+CASES = list(
+    itertools.product((False, True), (1, 4), (False, True), (False, True))
+)
+
+
+def case_id(multipart, fanout, failures, interleaved):
+    return "-".join(
+        (
+            "multipart" if multipart else "single",
+            f"fanout{fanout}",
+            "failures" if failures else "clean",
+            "interleaved" if interleaved else "alone",
+        )
+    )
+
+
+def staged_timing_case(multipart, fanout, failures, interleaved):
+    """One PUT and one GET of 4500 B on a shared link, as JSON rows.
+
+    ``multipart`` splits both into five 1000 B parts (one more than the
+    widest fanout, so a lane is reused); ``failures`` adds seeded
+    transient PUT/GET failures plus latency jitter and tail draws;
+    ``interleaved`` alternates the two streams part by part instead of
+    draining the PUT, then the GET.
+    """
+    arbiter = BandwidthArbiter()
+    arbiter.register("w")
+    arbiter.register("r")
+    store = remote_store(
+        part_size=1000 if multipart else None,
+        range_get=1000 if multipart else None,
+        fanout=fanout,
+        failure_probs={OP_PUT: 0.3, OP_GET: 0.3} if failures else None,
+        failure_seed=31,
+        jitter_s=0.004 if failures else 0.0,
+        tail_prob=0.2 if failures else 0.0,
+        arbiter=arbiter,
+    )
+    payload = bytes(range(250)) * 18
+    store.put("src", payload, stream="w")
+    put = store.stage_put("dst", payload, earliest=6.0, stream="w")
+    get = store.stage_get("src", earliest=6.5, stream="r")
+    if interleaved:
+        while not (put.done and get.done):
+            for staged in (put, get):
+                if not staged.done:
+                    staged.submit_next()
+    else:
+        for staged in (put, get):
+            while not staged.done:
+                staged.submit_next()
+    assert get.data() == payload and store.get("dst") == payload
+
+    def receipt_row(r):
+        return [
+            r.issued_s, r.start_s, r.first_byte_s, r.completed_s,
+            r.parts, r.retries,
+        ]
+
+    return {
+        "put": receipt_row(put.receipt),
+        "get": receipt_row(get.receipt),
+        "log": [
+            [t.key, t.nbytes, t.start_s, t.end_s, t.kind, t.stream]
+            for t in store.log.transfers()
+        ],
+    }
+
+
+class TestGoldenStagedTiming:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_TIMING.read_text())
+
+    @pytest.mark.parametrize(
+        "case", CASES, ids=[case_id(*case) for case in CASES]
+    )
+    def test_receipts_and_log_rows_match_recorded_values(
+        self, case, golden
+    ):
+        """Both directions, alone and sharing one link part by part,
+        reproduce the recorded simulated times bit for bit."""
+        assert staged_timing_case(*case) == golden[case_id(*case)]
+
+    def test_matrix_exercises_retries_and_lane_reuse(self, golden):
+        failing = [v for k, v in golden.items() if "failures" in k]
+        assert all(v["put"][5] + v["get"][5] > 0 for v in failing)
+        assert any(v["put"][5] and v["get"][5] for v in failing)
+        assert golden["multipart-fanout4-clean-alone"]["put"][4] == 5
 
 
 class TestRetryLoop:

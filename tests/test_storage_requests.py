@@ -452,6 +452,41 @@ class TestStoreReceiptsAndOpLog:
         )
         assert store.list_keys("j/") == []
 
+    def test_delete_prefix_books_each_delete_as_it_lands(self):
+        """A DELETE that exhausts its retries mid-batch leaves store
+        accounting, arbiter quota and the backend listing agreeing."""
+        from repro.errors import RetriesExhaustedError
+
+        arbiter = BandwidthArbiter()
+        arbiter.register("j", quota_bytes=10_000)
+        # failure_seed=0 draws 0.64, 0.27, ...: with p=0.5 the first
+        # DELETE succeeds and the second fails; max_retries=0 makes
+        # that failure permanent.
+        config = StorageConfig(
+            write_bandwidth=1000.0,
+            read_bandwidth=2000.0,
+            replication_factor=2,
+            latency_s=0.0,
+            max_retries=0,
+            backend=BackendConfig(
+                kind="s3like", delete_failure_prob=0.5, failure_seed=0
+            ),
+        )
+        store = ObjectStore(config, SimClock(), arbiter=arbiter)
+        for i in range(3):
+            store.put(f"j/c0/{i}", bytes(100 * (i + 1)), stream="j")
+        assert arbiter.stream("j").charged_bytes == 1200
+        with pytest.raises(RetriesExhaustedError):
+            store.delete_prefix("j/c0/", stream="j")
+        assert store.backend.list_keys("j/") == ["j/c0/1", "j/c0/2"]
+        assert store.live_logical_bytes == 500
+        assert store.stats().num_objects == 2
+        assert arbiter.stream("j").charged_bytes == 1000
+        with pytest.raises(StorageError):
+            store.object_size("j/c0/0")
+        assert [r.key for r in store.ops.receipts(OP_DELETE)] == ["j/c0/0"]
+        assert store.capacity_series()[-1].physical_bytes == 1000
+
     def test_legacy_backends_keep_config_derived_timing(self):
         """In-process backends defer to the store's config-derived cost
         suite — single-shot PUT timing is the legacy latency+bandwidth
