@@ -45,14 +45,18 @@ def test_a01_kmeans_cost(benchmark, report, bench_tensor):
         "kmeans": model.kmeans_s(REFERENCE_ELEMENTS, 4),  # paper's k=16
     }
 
+    # Host wall-clock is asserted on below but only printed: the
+    # committed table keeps the columns that repeat run to run.
     report.table(
-        "method       local_seconds   mean_l2      paper_scale",
+        "method       mean_l2      paper_scale",
         [
-            f"{name:12s} {results[name][0]:13.3f}   "
-            f"{results[name][1]:.6f}   {paper_scale[name]:10.0f}s"
+            f"{name:12s} {results[name][1]:.6f}   "
+            f"{paper_scale[name]:10.0f}s"
             for name in ("asymmetric", "adaptive", "kmeans")
         ],
     )
+    for name, (seconds, _) in results.items():
+        print(f"{name:12s} local_seconds {seconds:.3f}")
 
     kmeans_time, kmeans_err = results["kmeans"]
     adaptive_time, adaptive_err = results["adaptive"]
@@ -65,8 +69,8 @@ def test_a01_kmeans_cost(benchmark, report, bench_tensor):
     assert kmeans_time > 2 * adaptive_time
     # Paper-scale projection: ~48 hours vs minutes.
     assert paper_scale["kmeans"] > 40 * 3600
+    print(f"measured slowdown vs uniform: {kmeans_time / asym_time:.0f}x")
     report.row(
-        f"measured slowdown vs uniform: {kmeans_time / asym_time:.0f}x; "
         f"projected paper-scale k-means: "
         f"{paper_scale['kmeans'] / 3600:.0f} hours (paper: > 48 h)"
     )

@@ -39,14 +39,17 @@ def test_a02_profiler_sampling(benchmark, report, bench_tensor):
         _run, args=(bench_tensor,), rounds=1, iterations=1
     )
 
+    # Host wall-clock is asserted on below but only printed: the
+    # committed table keeps the columns that repeat run to run.
     report.table(
-        "sample_fraction   rows_profiled   chosen_bins   seconds",
+        "sample_fraction   rows_profiled   chosen_bins",
         [
-            f"{fraction:15.2f}   {rows:13d}   {chosen:11.0f}   "
-            f"{seconds:7.3f}"
-            for fraction, (chosen, rows, seconds) in results.items()
+            f"{fraction:15.2f}   {rows:13d}   {chosen:11.0f}"
+            for fraction, (chosen, rows, _) in results.items()
         ],
     )
+    for fraction, (_, _, seconds) in results.items():
+        print(f"sample_fraction {fraction:.2f}: {seconds:.3f} s")
 
     full_choice = results[1.0][0]
     for fraction in SAMPLE_FRACTIONS[1:]:
@@ -56,10 +59,8 @@ def test_a02_profiler_sampling(benchmark, report, bench_tensor):
     # Sampling must actually be cheaper than full profiling.
     assert results[0.01][2] < results[1.0][2]
     speedup = results[1.0][2] / max(results[0.01][2], 1e-9)
-    report.row(
-        f"identical selection at every fraction; 1% sampling is "
-        f"{speedup:.0f}x faster than full profiling"
-    )
+    print(f"1% sampling is {speedup:.0f}x faster than full profiling")
+    report.row("identical selection at every fraction")
 
     # The ratio selector works off the sampled choice too.
     ratio = select_ratio(

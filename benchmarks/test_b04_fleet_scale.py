@@ -17,10 +17,11 @@ under test, and measures:
   least ``DISPATCH_SPEEDUP_FLOOR`` x faster.
 
 ``B04_MAX_JOBS`` caps the swept scale (default 1000, which keeps the
-default pytest run quick); the committed artifact was generated with
-``B04_MAX_JOBS=10000``. The lockstep engine is never swept past 1k —
-at 10k its rescan alone would dominate the suite's runtime, which is
-the point of the heap.
+default pytest run quick and is what the committed artifact holds).
+The lockstep engine is never swept past 1k — at 10k its rescan alone
+would dominate the suite's runtime, which is the point of the heap.
+The artifact keeps only the columns that repeat run to run (jobs,
+events, the gates); the measured wall numbers are printed.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def run_instrumented(jobs: int, dispatch: str):
     """Run one fleet, timing the dispatch call separately.
 
     Wraps the engine's pick-next-event method with a perf_counter
-    accumulator (``run()`` resolves it per iteration, so an instance
+    accumulator (``next_event()`` resolves it per call, so an instance
     attribute shadows the bound method). Returns the scheduler, total
     wall seconds, dispatch-only seconds and the event count.
     """
@@ -129,22 +130,22 @@ def test_fleet_scale_dispatch(report):
                 event_logs[dispatch] = [
                     (e.kind, e.job_id, e.time_s) for e in sched.events
                 ]
-            rows.append(
-                f"{dispatch:>9s} {jobs:>6d} {events:>8d} "
-                f"{wall:>8.2f} {events / wall:>9.0f} "
-                f"{dispatch_s * 1e3:>11.1f} "
-                f"{1e6 * dispatch_s / events:>12.2f}"
+            rows.append(f"{dispatch:>9s} {jobs:>6d} {events:>8d}")
+            # Host wall-clock is gated below but only printed: the
+            # committed table keeps the columns that repeat run to
+            # run (`python3 benchmarks/perf/run.py` owns wall numbers).
+            print(
+                f"{dispatch:>9s} {jobs:>6d} jobs: wall {wall:.2f} s, "
+                f"{events / wall:.0f} events/s, dispatch "
+                f"{dispatch_s * 1e3:.1f} ms "
+                f"({1e6 * dispatch_s / events:.2f} us/dispatch)"
             )
 
     report.row(
         "minimal jobs (1 interval, 1 tiny table each); dispatch "
         "timed separately from the handlers' common-mode work"
     )
-    report.table(
-        " dispatch   jobs   events   wall_s  events/s  dispatch_ms"
-        "  us/dispatch",
-        rows,
-    )
+    report.table(" dispatch   jobs   events", rows)
 
     # The engines agree event-for-event at the smallest scale (the
     # full payload-level matrix lives in tests/test_fleet_eventqueue).
@@ -160,9 +161,10 @@ def test_fleet_scale_dispatch(report):
     )
     report.row("")
     report.row(
-        f"dispatch-only speedup at {compare} jobs: {speedup:.1f}x "
-        f"(gate: >= {DISPATCH_SPEEDUP_FLOOR:.0f}x)"
+        f"gate: dispatch-only heap speedup at {compare} jobs "
+        f">= {DISPATCH_SPEEDUP_FLOOR:.0f}x"
     )
+    print(f"dispatch-only speedup at {compare} jobs: {speedup:.1f}x")
     assert speedup >= DISPATCH_SPEEDUP_FLOOR, (
         f"heap dispatch only {speedup:.1f}x lockstep at {compare} "
         f"jobs (floor {DISPATCH_SPEEDUP_FLOOR}x)"
@@ -171,9 +173,10 @@ def test_fleet_scale_dispatch(report):
     # Heap throughput stays roughly flat as the fleet grows.
     flatness = evps["heap", scales[-1]] / evps["heap", scales[0]]
     report.row(
-        f"heap events/sec ratio {scales[-1]} vs {scales[0]} jobs: "
-        f"{flatness:.2f} (gate: >= {FLATNESS_FLOOR})"
+        f"gate: heap events/sec ratio {scales[-1]} vs {scales[0]} jobs "
+        f">= {FLATNESS_FLOOR}"
     )
+    print(f"heap events/sec ratio: {flatness:.2f}")
     assert flatness >= FLATNESS_FLOOR, (
         f"heap events/sec decayed {scales[0]}->{scales[-1]} jobs: "
         f"{flatness:.2f}"

@@ -43,14 +43,14 @@ def test_fig12_latency_bins(benchmark, report, bench_tensor):
         for bins in BINS
     }
 
+    # Host wall-clock is asserted on below but only printed: the
+    # committed table keeps the columns that repeat run to run.
     report.table(
-        "bins   paper_scale_seconds   measured_local_seconds",
-        [
-            f"{bins:4d}   {projected[bins]:19.0f}   "
-            f"{measured[bins]:22.3f}"
-            for bins in BINS
-        ],
+        "bins   paper_scale_seconds",
+        [f"{bins:4d}   {projected[bins]:19.0f}" for bins in BINS],
     )
+    for bins in BINS:
+        print(f"bins {bins:3d}: measured {measured[bins]:.3f} s")
 
     # Paper anchors: ~126 s floor, <= 600 s at 50 bins.
     assert projected[50] <= 605.0

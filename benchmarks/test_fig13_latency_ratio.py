@@ -40,15 +40,19 @@ def test_fig13_latency_ratio(benchmark, report, bench_tensor):
         for ratio in RATIOS
     }
 
+    # Host wall-clock is asserted on below but only printed: the
+    # committed table keeps the columns that repeat run to run.
     report.table(
-        "ratio   25bins_paper_s   45bins_paper_s   25bins_local_s",
+        "ratio   25bins_paper_s   45bins_paper_s",
         [
             f"{ratio:5.1f}   {projected[(25, ratio)]:14.0f}   "
-            f"{projected[(45, ratio)]:14.0f}   "
-            f"{measured[(25, ratio)]:14.3f}"
+            f"{projected[(45, ratio)]:14.0f}"
             for ratio in RATIOS
         ],
     )
+    for ratio in RATIOS:
+        print(f"ratio {ratio:.1f}: 25 bins measured "
+              f"{measured[(25, ratio)]:.3f} s")
 
     for bins in BINS:
         series = [projected[(bins, r)] for r in RATIOS]

@@ -23,7 +23,6 @@ Every chunk is CRC-verified by the frame reader; corruption surfaces as
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +46,7 @@ from ..serialize.format import decode_frames
 from ..storage.engine import ReadStep, drain, read_steps
 from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_HEAD
+from .integrity import sha256_hex
 from .manifest import (
     KIND_INCREMENTAL,
     CheckpointManifest,
@@ -261,7 +261,7 @@ class CheckpointRestorer:
     ) -> np.ndarray:
         """Digest/CRC-verify and load one chunk payload; returns row ids."""
         if chunk.digest is not None:
-            actual = hashlib.sha256(blob).hexdigest()
+            actual = sha256_hex(blob)
             if actual != chunk.digest:
                 raise CheckpointCorruptError(
                     f"chunk {chunk.key} digest mismatch: stored bytes "
@@ -396,21 +396,6 @@ class CheckpointRestorer:
             hot_completed,
         )
 
-    def _apply_manifest(
-        self,
-        model: DLRM,
-        manifest: CheckpointManifest,
-        on_chunk=None,
-    ) -> tuple[int, int, int, dict[int, list[np.ndarray]]]:
-        """Load one manifest's chunks into the model (immediate drain).
-
-        Returns (bytes_read, chunks_read, rows_restored, rows_by_table).
-        """
-        b, c, r, rows_by_table, _, _ = drain(
-            self._apply_manifest_steps(model, manifest, on_chunk=on_chunk)
-        )
-        return b, c, r, rows_by_table
-
     def _apply_dense_steps(self, model: DLRM, manifest: CheckpointManifest):
         """Generator: load the dense state through a staged read.
 
@@ -424,7 +409,7 @@ class CheckpointRestorer:
             self.store.stage_get(manifest.dense_key)
         )
         if manifest.dense_digest is not None:
-            actual = hashlib.sha256(blob).hexdigest()
+            actual = sha256_hex(blob)
             if actual != manifest.dense_digest:
                 raise CheckpointCorruptError(
                     f"dense state {manifest.dense_key} of "
@@ -445,10 +430,6 @@ class CheckpointRestorer:
             ) from exc
         model.load_dense_state(state)
         return len(blob), completed
-
-    def _apply_dense(self, model: DLRM, manifest: CheckpointManifest):
-        blob_len, _ = drain(self._apply_dense_steps(model, manifest))
-        return blob_len
 
     def restore_steps(
         self,
@@ -698,8 +679,3 @@ class CheckpointRestorer:
         model.batches_trained = 0
         model.samples_trained = 0
         return report
-
-    @staticmethod
-    def chain_includes_increment(chain: list[CheckpointManifest]) -> bool:
-        """Whether any link in the chain is incremental (for tests)."""
-        return any(m.kind == KIND_INCREMENTAL for m in chain)

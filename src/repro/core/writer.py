@@ -24,7 +24,6 @@ ids, quantized (or raw fp32) weights, and the optimizer accumulator.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Callable, Generator
@@ -40,6 +39,7 @@ from ..serialize.codec import encode_array, encode_payload
 from ..serialize.format import encode_frames
 from ..storage.engine import drain
 from ..storage.object_store import ObjectStore
+from .integrity import sha256_hex
 from .manifest import (
     KIND_FULL,
     KIND_INCREMENTAL,
@@ -408,7 +408,7 @@ class CheckpointWriter:
                     key=key,
                     row_count=int(table_rows.shape[0]),
                     logical_bytes=receipt.logical_bytes,
-                    digest=hashlib.sha256(blob).hexdigest(),
+                    digest=sha256_hex(blob),
                 )
             )
             logical_total += receipt.logical_bytes
@@ -451,6 +451,7 @@ class CheckpointWriter:
         logical_total += dense_receipt.logical_bytes
         physical_total += dense_receipt.physical_bytes
         last_end = max(last_end, dense_receipt.completed_s)
+        dense_digest = sha256_hex(dense_blob)
 
         def build_manifest(valid_at: float) -> CheckpointManifest:
             return CheckpointManifest(
@@ -469,7 +470,7 @@ class CheckpointWriter:
                 shards=tuple(shard_records),
                 dense_key=dense_key(job_id, checkpoint_id),
                 dense_bytes=dense_receipt.logical_bytes,
-                dense_digest=hashlib.sha256(dense_blob).hexdigest(),
+                dense_digest=dense_digest,
             )
 
         mkey = manifest_key(job_id, checkpoint_id)

@@ -54,10 +54,6 @@ class SimDevice:
             )
         self.allocated_bytes -= nbytes
 
-    @property
-    def free_bytes(self) -> int:
-        return self.hbm_bytes - self.allocated_bytes
-
 
 class SimNode:
     """A host: several devices plus CPU DRAM and a GPU->host copy path."""
@@ -94,10 +90,6 @@ class SimNode:
         """Seconds to copy ``nbytes`` from this node's GPUs to host DRAM."""
         return nbytes / self.gpu_to_host_bandwidth
 
-    @property
-    def device_allocated_bytes(self) -> int:
-        return sum(d.allocated_bytes for d in self.devices)
-
 
 class SimCluster:
     """The training cluster: nodes x devices built from a config."""
@@ -122,10 +114,6 @@ class SimCluster:
     @property
     def world_size(self) -> int:
         return self.config.world_size
-
-    @property
-    def total_hbm_bytes(self) -> int:
-        return sum(d.hbm_bytes for d in self.all_devices())
 
     @property
     def total_allocated_bytes(self) -> int:

@@ -75,15 +75,6 @@ class StepTiming:
     alltoall_s: float
     tracking_exposed_s: float
 
-    @property
-    def total_s(self) -> float:
-        return (
-            self.compute_s
-            + self.allreduce_s
-            + self.alltoall_s
-            + self.tracking_exposed_s
-        )
-
 
 class SimTrainer:
     """Drives the DLRM on the simulated cluster, batch by batch."""

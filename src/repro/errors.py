@@ -28,11 +28,6 @@ class CheckpointCorruptError(CheckpointError):
     """A stored checkpoint failed CRC or structural validation."""
 
 
-class CheckpointInProgressError(CheckpointError):
-    """A new checkpoint was requested while the previous one is still
-    being written (the paper forbids overlapping checkpoints, section 4.3)."""
-
-
 class RestoreChainBrokenError(CheckpointError):
     """An incremental checkpoint's base (or a link in its chain) is missing."""
 

@@ -80,10 +80,6 @@ class FailureTrace:
             raise SimulationError(f"p must be in [0, 1], got {p}")
         return float(np.quantile(self.times_s, p))
 
-    def fraction_failing_before(self, t_s: float) -> float:
-        """CDF evaluated at ``t_s``."""
-        return float(np.searchsorted(self.times_s, t_s) / self.times_s.size)
-
     @property
     def count(self) -> int:
         return int(self.times_s.size)

@@ -30,8 +30,10 @@ stays valid.
 
 Tie handling reproduces the lockstep semantics: candidates within
 :data:`TIME_EPS` (applied *relatively* — see :func:`tie_threshold`) of
-the best time form the tie set, which the scheduler resolves with the
-arbiter (writes) or the lowest job id (train).
+the best time form the tie set. For link operations the whole decision
+— tie set, background yield, arbiter — is :func:`pick_link_op`, shared
+by both dispatch engines, the recovery drain and the serving loop;
+tied trains go to the lowest job id.
 """
 
 from __future__ import annotations
@@ -50,6 +52,38 @@ TIME_EPS = 1e-12
 def tie_threshold(best: float) -> float:
     """Inclusive upper bound on times that tie ``best``."""
     return best + TIME_EPS * max(1.0, abs(best))
+
+
+def pick_link_op(ops, arbiter):
+    """Of all announced transfers, the one that takes the link next.
+
+    ``ops`` is a non-empty sequence of ``(time_s, stream, background,
+    item)``: the time the operation could start (callers floor a part's
+    ``ready_s`` at the link's ``free_at``), the stream it is booked to,
+    whether it is background prefetch, and the caller's handle for it.
+    The rule, stated once for every event loop:
+
+    1. the earliest time wins;
+    2. everything within :func:`tie_threshold` of it ties;
+    3. a background operation (a serving flip's warm read) yields to
+       any foreground operation it ties with — a tie means the link is
+       contended, and prefetch must never add to the lookup tail;
+    4. between streams still tied, ``arbiter.pick`` decides (strict
+       tier priority, fair-queueing tags within a tier); within the
+       chosen stream the first listed operation goes.
+
+    Returns ``(earliest_time_s, item)``.
+    """
+    best = min(op[0] for op in ops)
+    bound = tie_threshold(best)
+    tied = [op for op in ops if op[0] <= bound]
+    if not all(op[2] for op in tied):
+        tied = [op for op in tied if not op[2]]
+    streams = {op[1] for op in tied}
+    if len(streams) > 1:
+        chosen = arbiter.pick(sorted(streams))
+        tied = [op for op in tied if op[1] == chosen]
+    return best, tied[0][3]
 
 
 class LaneHeap:

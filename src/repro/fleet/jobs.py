@@ -34,7 +34,7 @@ from ..core.controller import CheckNRun, PendingCheckpoint
 from ..data.reader import ReaderMaster
 from ..distributed.clock import SimClock
 from ..distributed.trainer import SimTrainer
-from ..experiments.common import build_experiment
+from ..experiments.common import Experiment, build_experiment
 from ..model.dlrm import DLRM
 from ..storage.bandwidth import TIER_EXPERIMENTAL, TIER_PROD
 from ..storage.object_store import ObjectStore
@@ -371,15 +371,35 @@ def build_fleet_job(
 
     The job gets its own :class:`SimClock` (clusters run independently;
     only storage is shared), advanced to its staggered start offset so
-    fleet checkpoint triggers de-align. Its stream is registered with
-    the store's arbiter if one is attached. The stack itself comes from
+    fleet checkpoint triggers de-align. The stack itself comes from
     :func:`repro.experiments.common.build_experiment`, with the job's
     namespaced view of the shared store injected.
     """
-    config = spec_experiment_config(spec, fleet)
     clock = SimClock()
     clock.advance(spec.start_offset_s, "fleet-stagger")
-    scoped = ScopedStore(shared_store, spec.job_id, clock)
+    exp = build_experiment(
+        spec_experiment_config(spec, fleet),
+        job_id=spec.job_id,
+        overlap_action="skip_new",
+        # duck-typed ObjectStore scoped to the namespace
+        store=ScopedStore(shared_store, spec.job_id, clock),
+        clock=clock,
+    )
+    return enrol_experiment(spec, fleet, exp, shared_store)
+
+
+def enrol_experiment(
+    spec: FleetJobSpec,
+    fleet: FleetConfig,
+    exp: Experiment,
+    shared_store: ObjectStore,
+) -> FleetJob:
+    """A wired experiment as a fleet job on ``shared_store``.
+
+    ``exp`` must already write through its :class:`ScopedStore` view of
+    the shared store, on its own clock. Registers the job's stream
+    (weight, quota, tier) with the store's arbiter if one is attached.
+    """
     if shared_store.arbiter is not None:
         shared_store.arbiter.register(
             spec.job_id,
@@ -387,21 +407,14 @@ def build_fleet_job(
             quota_bytes=fleet.per_job_quota_bytes,
             tier=spec.tier,
         )
-    exp = build_experiment(
-        config,
-        job_id=spec.job_id,
-        overlap_action="skip_new",
-        store=scoped,  # duck-typed ObjectStore scoped to the namespace
-        clock=clock,
-    )
     return FleetJob(
         spec=spec,
-        config=config,
-        clock=clock,
+        config=exp.config,
+        clock=exp.clock,
         model=exp.model,
         reader=exp.reader,
         trainer=exp.trainer,
-        store=scoped,
+        store=exp.store,
         controller=exp.controller,
         target_intervals=fleet.intervals_per_job,
         batches_left=spec.interval_batches,

@@ -35,7 +35,11 @@ class ScopedStore:
     """A job's window onto the shared store: one namespace, one stream."""
 
     def __init__(
-        self, store: ObjectStore, job_id: str, clock: SimClock
+        self,
+        store: ObjectStore,
+        job_id: str,
+        clock: SimClock,
+        stream: str | None = None,
     ) -> None:
         if not job_id or "/" in job_id:
             raise NamespaceViolationError(
@@ -45,6 +49,10 @@ class ScopedStore:
         self.job_id = job_id
         self.clock = clock
         self.namespace = f"{job_id}/"
+        #: Who the window's transfers are attributed to — the job
+        #: itself unless a reader of the job's namespace (the serving
+        #: publisher) is accounted and prioritised on its own stream.
+        self.stream = stream if stream is not None else job_id
 
     # ------------------------------------------------------------------
 
@@ -100,7 +108,7 @@ class ScopedStore:
             data,
             overwrite=overwrite,
             earliest=floor,
-            stream=self.job_id,
+            stream=self.stream,
         )
 
     def stage_put(
@@ -123,7 +131,7 @@ class ScopedStore:
             data,
             overwrite=overwrite,
             earliest=floor,
-            stream=self.job_id,
+            stream=self.stream,
         )
 
     def get(
@@ -133,7 +141,7 @@ class ScopedStore:
         return self.base.get(
             key,
             earliest=self.clock.now,
-            stream=self.job_id,
+            stream=self.stream,
             byte_range=byte_range,
         )
 
@@ -148,14 +156,14 @@ class ScopedStore:
         return self.base.stage_get(
             key,
             earliest=self.clock.now,
-            stream=self.job_id,
+            stream=self.stream,
             byte_range=byte_range,
         )
 
     def delete(self, key: str) -> OpReceipt:
         self._check(key)
         return self.base.delete(
-            key, stream=self.job_id, at_s=self.clock.now
+            key, stream=self.stream, at_s=self.clock.now
         )
 
     def delete_prefix(self, prefix: str) -> PrefixDeleteReceipt:
@@ -168,7 +176,7 @@ class ScopedStore:
                 f"outside its {self.namespace!r} namespace"
             )
         return self.base.delete_prefix(
-            prefix, stream=self.job_id, at_s=self.clock.now
+            prefix, stream=self.stream, at_s=self.clock.now
         )
 
     def predict_put_duration(self, logical_bytes: int) -> float:
@@ -176,7 +184,7 @@ class ScopedStore:
 
     def exists(self, key: str) -> bool:
         self._check(key)
-        return self.base.exists(key, stream=self.job_id)
+        return self.base.exists(key, stream=self.stream)
 
     def object_size(self, key: str) -> int:
         self._check(key)
@@ -190,4 +198,4 @@ class ScopedStore:
                 f"job {self.job_id!r} may not list prefix {prefix!r} "
                 f"outside its {self.namespace!r} namespace"
             )
-        return self.base.list_keys(prefix, stream=self.job_id)
+        return self.base.list_keys(prefix, stream=self.stream)

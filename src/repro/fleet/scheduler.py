@@ -81,9 +81,9 @@ from ..failures.models import WeibullFailures
 from ..failures.traces import FailureTrace
 from ..replication import PeerReplicator, restore_from_peer
 from ..storage.bandwidth import TIER_EXPERIMENTAL, TIER_PROD, TIER_RANK
-from ..storage.engine import AdmissionController, drain
+from ..storage.engine import AdmissionController
 from ..storage.object_store import ObjectStore
-from .eventqueue import FleetEventQueue, tie_threshold
+from .eventqueue import FleetEventQueue, pick_link_op, tie_threshold
 from .jobs import (
     FleetJob,
     RestoreSample,
@@ -188,9 +188,12 @@ class FleetScheduler:
         self.storm_plan: StormPlan | None = None
         self.storm_fired_at_s: float | None = None
         self._storm_trigger_intervals = 0
+        #: The jobs the armed storm strikes, resolved once.
+        self._storm_victims: list[FleetJob] = []
         self._progress_high = 0
-        #: Jobs currently being crashed by the storm drain — excluded
-        #: from restore-side preemption (their writes die torn anyway).
+        #: Victims of the recovery in progress not yet crashed —
+        #: excluded from restore-side preemption (their writes die
+        #: torn anyway).
         self._storm_draining: set[str] = set()
         if config.storm_domain is not None:
             domains = assign_domains(
@@ -204,6 +207,10 @@ class FleetScheduler:
                 config.storm_at_fraction,
                 seed=config.seed ^ 0x5709,
             )
+            struck = set(self.storm_plan.affected_job_ids)
+            self._storm_victims = [
+                job for job in self.jobs if job.job_id in struck
+            ]
             # Measure progress against the *actual* fleet (an injected
             # jobs list may differ from config.num_jobs/intervals); the
             # plan's own at_progress is the single trigger source.
@@ -363,15 +370,6 @@ class FleetScheduler:
         """Force a crash at the job's next scheduled event (tests)."""
         self._forced_crashes.add(job_id)
 
-    def events_of_kind_for_job(
-        self, kind: str, job_id: str
-    ) -> list[FleetEvent]:
-        return [
-            e
-            for e in self.events
-            if e.kind == kind and e.job_id == job_id
-        ]
-
     def active_writes(self) -> int:
         """Jobs with a staged write still submitting PUTs.
 
@@ -390,35 +388,54 @@ class FleetScheduler:
     def run(self) -> None:
         """Process events until every job trained its target intervals
         and drained its last write."""
-        heap = self.dispatch == "heap"
         for _ in range(self.max_events):
-            self._maybe_fire_storm()
-            event = (
-                self._next_event_heap() if heap else self._next_event()
-            )
+            event = self.next_event()
             if event is None:
-                if self._storm_armed():
-                    # Backstop: the fleet is about to drain with the
-                    # armed storm still waiting on a straggler's first
-                    # checkpoint — fire it now rather than never.
-                    self._fire_storm()
-                    continue
                 return
-            time_s, kind, job = event
-            if job.job_id in self._forced_crashes:
-                self._forced_crashes.discard(job.job_id)
-                self._crash(job)
-                self._sync_job(job)
-                continue
-            if kind == "write":
-                self._step_write(job)
-            else:
-                self._step_train(job)
-            self._sync_job(job)
+            self.step(event)
         raise FleetError(
             f"fleet did not converge within {self.max_events} events "
             f"(derived bound for {len(self.jobs)} jobs)"
         )
+
+    def next_event(self) -> tuple[float, str, FleetJob] | None:
+        """The fleet's earliest pending ``(time_s, kind, job)``.
+
+        ``kind`` is ``"write"`` — a link operation on the job's stream
+        (its announced PUT part, or the bookkeeping that closes the
+        write) — or ``"train"``, compute on the job's own clock. None
+        once every job is done and drained. An armed storm fires from
+        here, so a loop that merges this fleet's events with its own
+        (the serving plane) still sees it. Hand the event to
+        :meth:`step` before asking again.
+        """
+        self._maybe_fire_storm()
+        while True:
+            # Resolved per call: b04 shadows the engine's method on the
+            # instance to time dispatch apart from the handlers.
+            event = (
+                self._next_event_heap()
+                if self.dispatch == "heap"
+                else self._next_event()
+            )
+            if event is not None or not self._storm_armed():
+                return event
+            # Backstop: the fleet is about to drain with the armed
+            # storm still waiting on a straggler's first checkpoint —
+            # fire it now rather than never.
+            self._fire_storm()
+
+    def step(self, event: tuple[float, str, FleetJob]) -> None:
+        """Process one event :meth:`next_event` returned."""
+        _, kind, job = event
+        if job.job_id in self._forced_crashes:
+            self._forced_crashes.discard(job.job_id)
+            self._recover([job], "failure")
+        elif kind == "write":
+            self._step_write(job)
+        else:
+            self._step_train(job)
+        self._sync_job(job)
 
     def _next_event(self) -> tuple[float, str, FleetJob] | None:
         """The globally earliest pending event.
@@ -431,15 +448,17 @@ class FleetScheduler:
         """
         link_free = self.store.timeline.free_at
         prod_active = self._tier_write_active(TIER_PROD)
-        write_candidates: list[tuple[float, FleetJob]] = []
+        write_ops: list[tuple[float, str, bool, FleetJob]] = []
         train_candidates: list[tuple[float, FleetJob]] = []
         for job in self.jobs:
             if job.pending is not None and job.pending.next_step is not None:
                 ready = job.pending.next_step.ready_s
-                write_candidates.append((max(ready, link_free), job))
+                write_ops.append(
+                    (max(ready, link_free), job.job_id, False, job)
+                )
             elif job.pending is not None:
                 # Generator exhausted but bookkeeping outstanding.
-                write_candidates.append((job.clock.now, job))
+                write_ops.append((job.clock.now, job.job_id, False, job))
             if not job.training_done():
                 train_candidates.append((job.clock.now, job))
             elif (
@@ -452,26 +471,15 @@ class FleetScheduler:
                 # gets one more (train-slot) event to submit it.
                 train_candidates.append((job.clock.now, job))
 
-        best_write = min(write_candidates, key=lambda e: e[0], default=None)
+        best_write = min((op[0] for op in write_ops), default=None)
         best_train = min(train_candidates, key=lambda e: e[0], default=None)
         if best_write is None and best_train is None:
             return None
         if best_write is not None and (
-            best_train is None or best_write[0] <= best_train[0]
+            best_train is None or best_write <= best_train[0]
         ):
-            tied = [
-                job
-                for t, job in write_candidates
-                if t <= tie_threshold(best_write[0])
-            ]
-            if len(tied) > 1:
-                chosen_id = self.store.arbiter.pick(
-                    [job.job_id for job in tied]
-                )
-                job = next(j for j in tied if j.job_id == chosen_id)
-            else:
-                job = tied[0]
-            return (best_write[0], "write", job)
+            _, job = pick_link_op(write_ops, self.store.arbiter)
+            return (best_write, "write", job)
         assert best_train is not None
         # Deterministic tie-break on equal clocks: lowest job id.
         t_min = best_train[0]
@@ -496,20 +504,23 @@ class FleetScheduler:
         arbiter, tied trains to the lowest job id.
         """
         queue = self._queue
-        best_write = queue.best_write(self.store.timeline.free_at)
+        link_free = self.store.timeline.free_at
+        best_write = queue.best_write(link_free)
         best_train = queue.train.best()
         if best_write is None and best_train is None:
             return None
         if best_write is not None and (
             best_train is None or best_write <= best_train
         ):
-            tied = queue.tied_writes(
-                best_write, self.store.timeline.free_at
+            # The index already found the tie set; the shared rule
+            # only has the arbiter left to consult.
+            _, chosen = pick_link_op(
+                [
+                    (best_write, job_id, False, job_id)
+                    for job_id in queue.tied_writes(best_write, link_free)
+                ],
+                self.store.arbiter,
             )
-            if len(tied) > 1:
-                chosen = self.store.arbiter.pick(tied)
-            else:
-                chosen = tied[0]
             return (best_write, "write", self._jobs_by_id[chosen])
         assert best_train is not None
         tied = queue.train.tied(best_train)
@@ -522,51 +533,27 @@ class FleetScheduler:
     def _step_write(self, job: FleetJob) -> None:
         pending = job.pending
         assert pending is not None
-        # Tier preemption on the write path: a prod chunk that would
-        # still queue behind the link longer than the configured wait
-        # clears experimental staged writes out of its way.
-        if (
-            job.tier == TIER_PROD
-            and self.config.preempt_staged_writes
-            and pending.next_step is not None
-            and self._tier_write_active(TIER_EXPERIMENTAL)
-        ):
-            wait = (
-                self.store.timeline.free_at
-                - pending.next_step.ready_s
-            )
-            if wait > self.config.preempt_wait_s:
-                self._preempt_experimental_writes(job)
+        if pending.next_step is not None:
+            # Write-side preemption: a prod part about to queue.
+            self._preempt_for(job, pending.next_step.ready_s)
         try:
             step = pending.advance()
-        except CapacityExceededError as exc:
-            job.quota_rejections += 1
-            job.controller.abort_pending(pending)
-            job.pending = None
-            self._scrub_torn(job, pending.checkpoint_id)
+        except (CapacityExceededError, RetriesExhaustedError) as exc:
+            # Over quota/capacity, or a request kept failing transiently
+            # past the engine's retry budget. The job loses this
+            # checkpoint — abort, scrub the torn chunks, keep training —
+            # exactly how every other simulated storage failure is
+            # absorbed; one failed write must not take down the run.
+            if isinstance(exc, CapacityExceededError):
+                job.quota_rejections += 1
+                kind = "quota"
+            else:
+                job.failed_writes += 1
+                kind = "write_failed"
+            self._scrub_torn(job, self._abort_write(job))
             self._emit(
                 FleetEvent(
-                    "quota",
-                    job.job_id,
-                    job.clock.now,
-                    {"checkpoint_id": pending.checkpoint_id,
-                     "error": str(exc)},
-                )
-            )
-            return
-        except RetriesExhaustedError as exc:
-            # A request kept failing transiently past the engine's
-            # retry budget. The job loses this checkpoint — abort,
-            # scrub the torn chunks, keep training — exactly how every
-            # other simulated storage failure is absorbed; one
-            # exhausted request must not take down the whole fleet run.
-            job.failed_writes += 1
-            job.controller.abort_pending(pending)
-            job.pending = None
-            self._scrub_torn(job, pending.checkpoint_id)
-            self._emit(
-                FleetEvent(
-                    "write_failed",
+                    kind,
                     job.job_id,
                     job.clock.now,
                     {"checkpoint_id": pending.checkpoint_id,
@@ -613,6 +600,18 @@ class FleetScheduler:
             )
         )
 
+    def _abort_write(self, job: FleetJob) -> str:
+        """Abandon the job's staged write; returns the torn id.
+
+        The staged generator closes (an in-flight multipart upload
+        aborts); chunks already stored stay until :meth:`_scrub_torn`.
+        """
+        pending = job.pending
+        assert pending is not None
+        job.controller.abort_pending(pending)
+        job.pending = None
+        return pending.checkpoint_id
+
     def _scrub_torn(self, job: FleetJob, checkpoint_id: str) -> None:
         """Delete a torn checkpoint's orphaned chunks (frees quota).
 
@@ -627,17 +626,26 @@ class FleetScheduler:
     # Tier preemption (abort-and-requeue)
     # ------------------------------------------------------------------
 
-    def _preempt_experimental_writes(self, by_job: FleetJob) -> int:
-        """Abort every experimental staged write in favour of prod traffic.
+    def _preempt_for(self, by_job: FleetJob, ready_s: float) -> None:
+        """Clear experimental staged writes out of a prod transfer's way.
 
-        Each victim's write is abandoned through the controller's
-        ``abort_pending`` API, its already-stored chunks scrubbed (no
-        partial objects survive in the namespace), and the job marked
-        for *requeue*: it re-stages the write — a fresh snapshot under
-        the same interval accounting — once no prod write is in flight.
-        Returns the number of writes preempted.
+        Fires when ``by_job`` is prod and its transfer, ready at
+        ``ready_s``, would still queue behind the link longer than
+        ``preempt_wait_s``. Each victim's write is abandoned through
+        the controller's ``abort_pending`` API, its already-stored
+        chunks scrubbed (no partial objects survive in the namespace),
+        and the job marked for *requeue*: it re-stages the write — a
+        fresh snapshot under the same interval accounting — once no
+        prod write is in flight.
         """
-        preempted = 0
+        if not (
+            by_job.tier == TIER_PROD
+            and self.config.preempt_staged_writes
+            and self._tier_write_active(TIER_EXPERIMENTAL)
+            and self.store.timeline.free_at - ready_s
+            > self.config.preempt_wait_s
+        ):
+            return
         for other in self.jobs:
             if other.tier != TIER_EXPERIMENTAL or other.pending is None:
                 continue
@@ -652,27 +660,20 @@ class FleetScheduler:
                 # write dies (torn) with it — preempting it first would
                 # only distort the preemption/torn accounting.
                 continue
-            pending = other.pending
-            other.controller.abort_pending(pending)
-            other.pending = None
-            self._scrub_torn(other, pending.checkpoint_id)
+            torn_id = self._abort_write(other)
+            self._scrub_torn(other, torn_id)
             other.preempted_writes += 1
             other.requeue_write = True
             self.store.arbiter.record_preemption(other.job_id)
             self._sync_job(other)
-            preempted += 1
             self._emit(
                 FleetEvent(
                     "preempted",
                     other.job_id,
                     other.clock.now,
-                    {
-                        "by": by_job.job_id,
-                        "checkpoint_id": pending.checkpoint_id,
-                    },
+                    {"by": by_job.job_id, "checkpoint_id": torn_id},
                 )
             )
-        return preempted
 
     def _try_restage(self, job: FleetJob) -> bool:
         """Re-stage a preempted write once prod traffic has drained."""
@@ -683,25 +684,31 @@ class FleetScheduler:
         ):
             return False
         job.requeue_write = False
+        if self._stage_write(job, restage=True):
+            self._emit(
+                FleetEvent(
+                    "restaged",
+                    job.job_id,
+                    job.clock.now,
+                    {"checkpoint_id": job.pending.checkpoint_id},
+                )
+            )
+        return True
+
+    def _stage_write(self, job: FleetJob, restage: bool = False) -> bool:
+        """Snapshot and stage the job's checkpoint write, if it may."""
         began = job.controller.begin_checkpoint(
-            restage=True, force_full=self.replicator is not None
+            restage=restage, force_full=self.replicator is not None
         )
         if isinstance(began, CheckpointEvent):
-            # Previous finished write still in flight: the preempted
-            # checkpoint is simply lost (paper-rule skip).
+            # The previous write's manifest has not landed yet
+            # (valid_at_s in the job's future): paper-rule skip — a
+            # preempted checkpoint being re-staged is simply lost.
             self._emit(
                 FleetEvent("skipped", job.job_id, job.clock.now, {})
             )
-            return True
+            return False
         job.pending = began
-        self._emit(
-            FleetEvent(
-                "restaged",
-                job.job_id,
-                job.clock.now,
-                {"checkpoint_id": began.checkpoint_id},
-            )
-        )
         return True
 
     # ------------------------------------------------------------------
@@ -748,39 +755,18 @@ class FleetScheduler:
             self._progress_high = max(self._progress_high, progress)
             if self._progress_high < self._storm_trigger_intervals:
                 return
-        assert self.storm_plan is not None
-        affected_ids = set(self.storm_plan.affected_job_ids)
-        restorable = all(
+        if all(
             job.controller.valid_manifests()
-            for job in self.jobs
-            if job.job_id in affected_ids
-        )
-        if restorable:
+            for job in self._storm_victims
+        ):
             self._fire_storm()
 
     def _fire_storm(self) -> None:
-        """Crash every job in the struck domain; drain the restore storm.
-
-        All affected jobs die at (essentially) the same simulated
-        moment; their restores then contend for the shared link. Every
-        victim's restore is *staged* (one announced GET part at a time,
-        read-side admission pacing experimental starts), and the drain
-        interleaves parts across the recovering jobs in arbiter order —
-        strict tier priority first, fair-queueing tags within a tier —
-        so prod recoveries are never starved behind experimental read
-        traffic and the link switches streams at part granularity
-        instead of serving whole restores head-of-line.
-        """
+        """Crash every job in the struck domain at once."""
         plan = self.storm_plan
         assert plan is not None
-        affected = {
-            job.job_id: job
-            for job in self.jobs
-            if job.job_id in set(plan.affected_job_ids)
-        }
-        fired_at = max(
-            (job.clock.now for job in affected.values()), default=0.0
-        )
+        victims = self._storm_victims
+        fired_at = max((job.clock.now for job in victims), default=0.0)
         self.storm_fired_at_s = fired_at
         self._emit(
             FleetEvent(
@@ -789,108 +775,11 @@ class FleetScheduler:
                 fired_at,
                 {
                     "kind": plan.domain.kind,
-                    "affected": sorted(affected),
+                    "affected": sorted(job.job_id for job in victims),
                 },
             )
         )
-        self._storm_draining = set(affected)
-        # Crash events buffer until the drain completes so they emit in
-        # tier-rank order (prod recoveries first), matching the order
-        # the link actually serves the storm in.
-        finished: list[tuple[int, FleetEvent]] = []
-        try:
-            # Bookkeeping pass for every victim first — the whole
-            # domain dies at the same moment, so torn writes abort
-            # before any recovery read is staged. Arbiter pick order
-            # (prod tiers first) keeps the pass deterministic.
-            crashed: list[tuple[FleetJob, dict]] = []
-            pool = dict(affected)
-            while pool:
-                chosen = self.store.arbiter.pick(sorted(pool))
-                job = pool.pop(chosen)
-                self._storm_draining.discard(job.job_id)
-                crashed.append((job, self._crash_bookkeeping(job, "storm")))
-            # Stage and drain one tier at a time, prod first: strict
-            # priority means an experimental part could never submit
-            # while prod parts are pending anyway, and deferring even
-            # the experimental *manifest discovery* reads keeps prod
-            # recoveries queueing behind prod traffic only. By the time
-            # an experimental restore is admission-checked, the whole
-            # prod drain sits in the backlog signal it is paced on.
-            for rank in sorted(set(TIER_RANK.values())):
-                active: list[tuple[FleetJob, object, dict]] = []
-                for job, ctx in crashed:
-                    if TIER_RANK[job.tier] != rank:
-                        continue
-                    # Peer recoveries bypass the storage link — a live
-                    # replica sidesteps the storm drain entirely.
-                    event = self._try_peer_recovery(job, ctx, "storm")
-                    if event is not None:
-                        finished.append((rank, event))
-                        continue
-                    pending = self._begin_restore_paced(job)
-                    if pending is None:
-                        event = self._finish_recovery(
-                            job, ctx, None, "storm"
-                        )
-                        finished.append((rank, event))
-                    else:
-                        active.append((job, pending, ctx))
-                # Part-granular drain within the tier: the earliest
-                # ready part wins the link; ties go to the arbiter's
-                # SFQ tags, so recovering jobs alternate part by part
-                # instead of reading whole chains head-of-line.
-                while active:
-                    link_free = self.store.timeline.free_at
-                    candidates = [
-                        (max(entry[1].next_step.ready_s, link_free), entry)
-                        for entry in active
-                        if entry[1].next_step is not None
-                    ]
-                    best_t = min(t for t, _ in candidates)
-                    tied = [
-                        entry
-                        for t, entry in candidates
-                        if t <= tie_threshold(best_t)
-                    ]
-                    if len(tied) > 1:
-                        chosen = self.store.arbiter.pick(
-                            [entry[0].job_id for entry in tied]
-                        )
-                        entry = next(
-                            e for e in tied if e[0].job_id == chosen
-                        )
-                    else:
-                        entry = tied[0]
-                    job, pending, ctx = entry
-                    try:
-                        pending.advance()
-                    except CheckpointNotFoundError:
-                        # Every resume-plan candidate failed
-                        # verification mid-read: fall back to a
-                        # from-scratch restart, like a job with
-                        # nothing restorable at all.
-                        active.remove(entry)
-                        event = self._finish_recovery(
-                            job, ctx, None, "storm"
-                        )
-                        finished.append((rank, event))
-                        continue
-                    if pending.done:
-                        active.remove(entry)
-                        event = self._finish_recovery(
-                            job, ctx, pending, "storm"
-                        )
-                        finished.append((rank, event))
-        finally:
-            self._storm_draining = set()
-            # Every victim's clock, staged write and training state
-            # changed across the drain: re-key them all.
-            for job in affected.values():
-                self._sync_job(job)
-        finished.sort(key=lambda pair: pair[0])  # stable: prod first
-        for _, event in finished:
-            self._emit(event)
+        self._recover(victims, "storm")
 
     # ------------------------------------------------------------------
     # Train path
@@ -925,7 +814,7 @@ class FleetScheduler:
             and job.clock.now >= job.next_failure_s
             and job.failures_injected < self.config.max_failures_per_job
         ):
-            self._crash(job)
+            self._recover([job], "failure")
 
     def _trigger_checkpoint(self, job: FleetJob) -> None:
         # Both begin_checkpoint and record_skip advance the interval
@@ -993,21 +882,114 @@ class FleetScheduler:
             # anchor (the anchors re-base on the flushed full) and
             # re-establish rings lost to peer-host deaths.
             self.replicator.rebase_rings(job)
-        began = job.controller.begin_checkpoint(
-            force_full=self.replicator is not None
-        )
-        if isinstance(began, CheckpointEvent):
-            # The previous write's manifest has not landed yet
-            # (valid_at_s in the job's future): paper-rule skip.
-            self._emit(
-                FleetEvent("skipped", job.job_id, job.clock.now, {})
-            )
-            return
-        job.pending = began
+        self._stage_write(job)
 
     # ------------------------------------------------------------------
     # Crash / recovery
     # ------------------------------------------------------------------
+
+    def _recover(self, victims: list[FleetJob], cause: str) -> None:
+        """Crash ``victims`` at the same moment; drain their recoveries.
+
+        The one crash→restore sequence: a storm passes its whole
+        domain, an independent failure its single job (whose drain
+        then runs back to back — no other job's parts race it onto
+        the link mid-recovery). All victims die at (essentially) the
+        same simulated moment; their restores then contend for the
+        shared link. Every restore is *staged* (one announced GET part
+        at a time, read-side admission pacing experimental starts),
+        and the drain interleaves parts across the recovering jobs in
+        arbiter order — strict tier priority first, fair-queueing tags
+        within a tier — so prod recoveries are never starved behind
+        experimental read traffic and the link switches streams at
+        part granularity instead of serving whole restores
+        head-of-line.
+        """
+        self._storm_draining = {job.job_id for job in victims}
+        # Crash events buffer until the drain completes so they emit in
+        # tier-rank order (prod recoveries first), matching the order
+        # the link actually serves the victims in.
+        finished: list[tuple[int, FleetEvent]] = []
+        try:
+            # Bookkeeping pass for every victim first — they all die
+            # at the same moment, so torn writes abort before any
+            # recovery read is staged. Arbiter pick order (prod tiers
+            # first) keeps the pass deterministic.
+            crashed: list[tuple[FleetJob, dict]] = []
+            pool = {job.job_id: job for job in victims}
+            while pool:
+                chosen = self.store.arbiter.pick(sorted(pool))
+                job = pool.pop(chosen)
+                self._storm_draining.discard(job.job_id)
+                crashed.append((job, self._crash_bookkeeping(job, cause)))
+            # Stage and drain one tier at a time, prod first: strict
+            # priority means an experimental part could never submit
+            # while prod parts are pending anyway, and deferring even
+            # the experimental *manifest discovery* reads keeps prod
+            # recoveries queueing behind prod traffic only. By the time
+            # an experimental restore is admission-checked, the whole
+            # prod drain sits in the backlog signal it is paced on.
+            for rank in sorted(set(TIER_RANK.values())):
+                active: list[tuple[FleetJob, object, dict]] = []
+                for job, ctx in crashed:
+                    if TIER_RANK[job.tier] != rank:
+                        continue
+                    # Peer recoveries bypass the storage link — a live
+                    # replica sidesteps the drain entirely.
+                    event = self._try_peer_recovery(job, ctx, cause)
+                    if event is None:
+                        pending = self._begin_restore_paced(job)
+                        if pending is not None:
+                            active.append((job, pending, ctx))
+                            continue
+                        event = self._finish_recovery(job, ctx, None, cause)
+                    finished.append((rank, event))
+                # Part-granular drain within the tier: recovering jobs
+                # alternate part by part instead of reading whole
+                # chains head-of-line.
+                while active:
+                    link_free = self.store.timeline.free_at
+                    _, entry = pick_link_op(
+                        [
+                            (
+                                max(e[1].next_step.ready_s, link_free),
+                                e[0].job_id,
+                                False,
+                                e,
+                            )
+                            for e in active
+                            if e[1].next_step is not None
+                        ],
+                        self.store.arbiter,
+                    )
+                    job, pending, ctx = entry
+                    try:
+                        pending.advance()
+                    except CheckpointNotFoundError:
+                        # Every resume-plan candidate failed
+                        # verification mid-read: fall back to a
+                        # from-scratch restart, like a job with
+                        # nothing restorable at all.
+                        pending = None
+                    if pending is None or pending.done:
+                        active.remove(entry)
+                        finished.append(
+                            (
+                                rank,
+                                self._finish_recovery(
+                                    job, ctx, pending, cause
+                                ),
+                            )
+                        )
+        finally:
+            self._storm_draining = set()
+            # Every victim's clock, staged write and training state
+            # changed across the drain: re-key them all.
+            for job in victims:
+                self._sync_job(job)
+        finished.sort(key=lambda pair: pair[0])  # stable: prod first
+        for _, event in finished:
+            self._emit(event)
 
     def _crash_bookkeeping(self, job: FleetJob, cause: str) -> dict:
         """Everything a crash does *before* any restore read is staged.
@@ -1039,8 +1021,7 @@ class FleetScheduler:
                     checkpoint_prefix(job.job_id, torn_id)
                 )
             )
-            job.controller.abort_pending(job.pending)
-            job.pending = None
+            self._abort_write(job)
             job.torn_writes += 1
         # Counters must see the cleared write before the preemption
         # check below (and before the next storm victim's bookkeeping).
@@ -1068,17 +1049,8 @@ class FleetScheduler:
         # its checkpoint reads are not interleaved with their chunks.
         # A prod job with nothing restorable is about to reinitialise
         # from scratch — no read traffic, so nothing to preempt for.
-        if (
-            job.tier == TIER_PROD
-            and self.config.preempt_staged_writes
-            and self._tier_write_active(TIER_EXPERIMENTAL)
-            and job.controller.valid_manifests()
-            and (
-                self.store.timeline.free_at - job.clock.now
-                > self.config.preempt_wait_s
-            )
-        ):
-            self._preempt_experimental_writes(job)
+        if job.controller.valid_manifests():
+            self._preempt_for(job, job.clock.now)
 
         return {
             "crash_time_s": job.clock.now,
@@ -1142,18 +1114,17 @@ class FleetScheduler:
         """Complete a crash after its restore drained (or scratch).
 
         Books the restore sample (latency measured from the *crash*, so
-        admission pacing shows up as queueing), wasted batches, torn
-        scrubbing and the next failure time. Returns the crash event —
-        the caller controls emission order (the storm drain buffers
-        events to emit prod recoveries first).
+        admission pacing shows up as queueing). Returns the crash event
+        — the caller controls emission order (the drain buffers events
+        to emit prod recoveries first).
         """
-        # finish_restore / reset_for_scratch_restart move the interval
-        # index — the armed storm's progress measure must re-sum.
-        self._progress_dirty = True
+        restored_from: str | None = None
+        fallback_depth = 0
         if pending is not None:
             report = job.controller.finish_restore(pending)
-            restored_from: str | None = report.checkpoint_id
-            job.restore_fallbacks += report.fallback_depth
+            restored_from = report.checkpoint_id
+            fallback_depth = report.fallback_depth
+            job.restore_fallbacks += fallback_depth
             after = job.model.batches_trained
             gets = self.store.log.transfers(
                 "get", stream=job.job_id
@@ -1184,16 +1155,31 @@ class FleetScheduler:
             for stale_id in job.controller.reset_for_scratch_restart():
                 self._scrub_torn(job, stale_id)
             job.scratch_restarts += 1
-            restored_from = None
-            report = None
             after = 0
-        job.wasted_batches += max(0, ctx["batches_before"] - after)
         job.batches_left = job.spec.interval_batches
         if self.replicator is not None:
             # The store (or scratch) rewound the job behind its own
             # replica rings; drop them so the delta log never forks.
             # They re-establish at the job's next baseline flush.
             self.replicator.resync_after_recovery(job)
+        return self._crash_event(
+            job,
+            ctx,
+            resumed_at=after,
+            cause=cause,
+            restored_from=restored_from,
+            fallback_depth=fallback_depth,
+        )
+
+    def _crash_event(
+        self, job: FleetJob, ctx: dict, resumed_at: int, **payload
+    ) -> FleetEvent:
+        """How every recovery rung ends: wasted batches, torn
+        scrubbing, the next failure time, the ``crash`` event."""
+        # The recovery moved the interval index — the armed storm's
+        # progress measure must re-sum.
+        self._progress_dirty = True
+        job.wasted_batches += max(0, ctx["batches_before"] - resumed_at)
         if ctx["torn_id"] is not None:
             # The recovered controller never re-adopts a torn write;
             # scrub its orphaned chunks from the shared store.
@@ -1204,11 +1190,7 @@ class FleetScheduler:
             job.job_id,
             job.clock.now,
             {
-                "cause": cause,
-                "restored_from": restored_from,
-                "fallback_depth": (
-                    report.fallback_depth if report is not None else 0
-                ),
+                **payload,
                 "torn_checkpoint": ctx["torn_id"],
                 "torn_chunks": ctx["torn_chunks"],
                 "valid_before": ctx["valid_before"],
@@ -1236,15 +1218,8 @@ class FleetScheduler:
             # Peers died in the same failure domain: storage fallback.
             job.repl_store_fallbacks += 1
             return None
-        self._progress_dirty = True
         result = restore_from_peer(job, ring, self.replicator)
         job.peer_restores += 1
-        job.wasted_batches += max(
-            0, ctx["batches_before"] - result.step
-        )
-        if ctx["torn_id"] is not None:
-            self._scrub_torn(job, ctx["torn_id"])
-        job.next_failure_s = job.clock.now + self._sample_ttf(job)
         source = (
             "peer_same_rack" if ring.same_rack else "peer_cross_rack"
         )
@@ -1257,41 +1232,13 @@ class FleetScheduler:
                 time_to_first_batch_s=result.latency_s,
             )
         )
-        return FleetEvent(
-            "crash",
-            job.job_id,
-            job.clock.now,
-            {
-                "cause": cause,
-                "restored_from": f"peer:{result.host_id}",
-                "fallback_depth": 0,
-                "torn_checkpoint": ctx["torn_id"],
-                "torn_chunks": ctx["torn_chunks"],
-                "valid_before": ctx["valid_before"],
-                "peer_step": result.step,
-                "peer_source": source,
-            },
+        return self._crash_event(
+            job,
+            ctx,
+            resumed_at=result.step,
+            cause=cause,
+            restored_from=f"peer:{result.host_id}",
+            fallback_depth=0,
+            peer_step=result.step,
+            peer_source=source,
         )
-
-    def _crash(self, job: FleetJob, cause: str = "failure") -> None:
-        """An independent crash: staged restore, drained immediately.
-
-        Timing-identical to the old synchronous restore — no other
-        job's parts race this one onto the link mid-recovery — but the
-        reads flow through the same staged, admission-paced path the
-        storm drain interleaves.
-        """
-        ctx = self._crash_bookkeeping(job, cause)
-        event = self._try_peer_recovery(job, ctx, cause)
-        if event is not None:
-            self._emit(event)
-            return
-        pending = self._begin_restore_paced(job)
-        if pending is not None:
-            try:
-                drain(pending)
-            except CheckpointNotFoundError:
-                # Every resume-plan candidate failed verification
-                # mid-read: recover from scratch instead.
-                pending = None
-        self._emit(self._finish_recovery(job, ctx, pending, cause))

@@ -114,16 +114,6 @@ class DLRM:
             loss=loss, touched_rows=touched, batch_index=batch.batch_index
         )
 
-    def lookup_rows(self, batch: Batch) -> dict[int, np.ndarray]:
-        """Forward-proxy tracking: unique rows each table would look up.
-
-        Side-effect free — used by the tracker without running a step.
-        """
-        return {
-            table_id: np.unique(indices)
-            for table_id, indices in enumerate(batch.sparse)
-        }
-
     def _clear_caches(self) -> None:
         for table in self.embeddings.tables:
             table._last_indices = None

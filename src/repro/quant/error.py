@@ -45,15 +45,6 @@ def mean_l2_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
     return float(np.mean(row_l2_errors(original, reconstructed)))
 
 
-def mean_squared_error(
-    original: np.ndarray, reconstructed: np.ndarray
-) -> float:
-    """Element-wise MSE — secondary diagnostic, not the paper's metric."""
-    _check_pair(original, reconstructed)
-    diff = original.astype(np.float64) - reconstructed.astype(np.float64)
-    return float(np.mean(diff * diff))
-
-
 def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Worst-case element error; bounds the de-quantization step size."""
     _check_pair(original, reconstructed)

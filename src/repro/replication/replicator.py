@@ -88,7 +88,6 @@ class PeerReplicator:
         # Counter residue of destroyed rings, so fleet totals survive
         # ring churn.
         self._retired_evictions = 0
-        self._retired_commits = 0
         self._retired_aborts = 0
 
     # -- placement -----------------------------------------------------
@@ -268,7 +267,6 @@ class PeerReplicator:
 
     def _retire(self, ring: MemoryRing) -> None:
         self._retired_evictions += ring.evictions
-        self._retired_commits += ring.commits
         self._retired_aborts += ring.aborts
 
     # -- fleet-report aggregates ---------------------------------------
@@ -281,12 +279,6 @@ class PeerReplicator:
     def total_ring_evictions(self) -> int:
         return self._retired_evictions + sum(
             ring.evictions for ring in self._live_rings()
-        )
-
-    @property
-    def total_ring_commits(self) -> int:
-        return self._retired_commits + sum(
-            ring.commits for ring in self._live_rings()
         )
 
     @property

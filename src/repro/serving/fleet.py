@@ -8,10 +8,14 @@ GETs contend for the same link under the
 :class:`~repro.storage.bandwidth.BandwidthArbiter` (serving streams in
 the strict-priority ``serving`` tier, the training job in ``prod``).
 
-The driver mirrors the fleet scheduler's conservative-lockstep loop:
-every staged operation (a checkpoint PUT part, a flip warm-read, a
-lookup miss GET) announces itself before submitting, and the globally
-earliest announcement runs next; ties on the link go to the arbiter.
+The training job *is* a fleet job: a one-job
+:class:`~repro.fleet.scheduler.FleetScheduler` owns its train steps,
+checkpoint triggers and staged writes, and this driver merges that
+scheduler's next event with its own (publish chain reads, flip
+warm-reads, lookup miss GETs, request dispatch). Every staged operation
+announces itself before submitting and the globally earliest
+announcement runs next; who gets the link on a tie is the fleet's own
+rule (:func:`~repro.fleet.eventqueue.pick_link_op`).
 That interleaving is exactly what lets the run demonstrate the two
 properties the report asserts: lookups straddle version flips (and
 finish untorn on the version they started on), and cache capacity —
@@ -29,13 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ExperimentConfig
-from ..core.controller import CheckpointEvent
+from ..config import ExperimentConfig, FleetConfig
 from ..distributed.clock import SimClock
 from ..errors import ServingError
 from ..experiments.common import Experiment, build_experiment
-from ..fleet.eventqueue import tie_threshold
+from ..fleet.eventqueue import pick_link_op
+from ..fleet.jobs import FleetJobSpec, enrol_experiment
 from ..fleet.namespace import ScopedStore
+from ..fleet.scheduler import FleetEvent, FleetScheduler
 from ..storage.backends import Backend
 from ..storage.bandwidth import (
     BandwidthArbiter,
@@ -121,29 +126,6 @@ class ServingReport:
         return self.cache_hits / total if total else 0.0
 
 
-class _PublisherStore(ScopedStore):
-    """The publisher's store window: training namespace, own stream.
-
-    Keeps the training job's key namespace (the publisher reads that
-    job's checkpoints) but attributes transfers to the serving-tier
-    ``publish`` stream, so publish chain reads are accounted — and
-    prioritised — separately from the job's own traffic.
-    """
-
-    def __init__(
-        self,
-        store: ObjectStore,
-        train_job_id: str,
-        stream: str,
-        clock: SimClock,
-    ) -> None:
-        super().__init__(store, train_job_id, clock)
-        # ScopedStore tags transfers with ``job_id``; the namespace was
-        # already derived from the training job id above, so swapping
-        # the attribute swaps only the attribution.
-        self.job_id = stream
-
-
 class _GoldenPublisher(ServingPublisher):
     """A serving publisher that snapshots the replica per version.
 
@@ -200,7 +182,6 @@ class ServingFleet:
         self.serving = serving
         self.store_clock = SimClock()
         arbiter = BandwidthArbiter()
-        arbiter.register(self.TRAIN_JOB, tier=TIER_PROD)
         arbiter.register(PUBLISH_STREAM, tier=TIER_SERVING)
         self.store = ObjectStore(
             exp_config.storage,
@@ -223,10 +204,38 @@ class ServingFleet:
             store=scoped,
             clock=self.train_clock,
         )
+        # The trainer runs as the single job of a fleet scheduler on
+        # the shared store; this driver only merges its events in.
+        fleet_config = FleetConfig(
+            num_jobs=1,
+            intervals_per_job=serving.train_intervals,
+            inject_failures=False,
+            storage=exp_config.storage,
+            failures=exp_config.failures,
+        )
+        self.training = FleetScheduler(
+            fleet_config,
+            self.store,
+            jobs=[
+                enrol_experiment(
+                    self._trainer_spec(exp_config),
+                    fleet_config,
+                    self.exp,
+                    self.store,
+                )
+            ],
+            on_event=self._on_training_event,
+        )
         self.pub_clock = SimClock()
+        # The publisher reads the training job's namespace, but its
+        # chain reads are accounted — and prioritised — on the
+        # serving-tier ``publish`` stream, not as the job's own traffic.
         self.publisher = _GoldenPublisher(
-            _PublisherStore(
-                self.store, self.TRAIN_JOB, PUBLISH_STREAM, self.pub_clock
+            ScopedStore(
+                self.store,
+                self.TRAIN_JOB,
+                self.pub_clock,
+                stream=PUBLISH_STREAM,
             ),
             self.pub_clock,
             self.exp.model.clone_config_model(),
@@ -257,8 +266,6 @@ class ServingFleet:
         self.straddled_requests = 0
         self._query_base: float | None = None
         self._request_counter = 0
-        self._train_pending = None
-        self._batches_left = exp_config.checkpoint.interval_batches
         self._publish: StagedHandle | None = None
         self._publish_again = False
 
@@ -293,46 +300,30 @@ class ServingFleet:
             slot.queue.append((float(offsets[index]), rows))
 
     # ------------------------------------------------------------------
-    # Training side (a single-job mirror of the fleet scheduler)
+    # Training side (a one-job fleet; see ``self.training``)
     # ------------------------------------------------------------------
 
-    def _training_done(self) -> bool:
-        return (
-            self.exp.controller.interval_index
-            >= self.serving.train_intervals
+    def _trainer_spec(self, config: ExperimentConfig) -> FleetJobSpec:
+        """The training experiment described as a prod-tier fleet job."""
+        checkpoint = config.checkpoint
+        return FleetJobSpec(
+            job_id=self.TRAIN_JOB,
+            num_tables=config.model.num_tables,
+            rows_per_table=max(config.model.rows_per_table),
+            interval_batches=checkpoint.interval_batches,
+            policy=checkpoint.policy,
+            quantizer=checkpoint.quantizer,
+            bit_width=self.exp.controller.current_bit_width(),
+            weight=1.0,
+            start_offset_s=0.0,
+            seed=config.model.seed,
+            failure_seed=config.failures.seed,
+            tier=TIER_PROD,
         )
 
-    def _step_train(self) -> None:
-        if self._batches_left == 0 and not self._training_done():
-            self._trigger_checkpoint()
-            return
-        if self._training_done():
-            return
-        self.exp.controller.coordinator.grant_interval(1)
-        self.exp.trainer.train_one_batch()
-        self._batches_left -= 1
-
-    def _trigger_checkpoint(self) -> None:
-        self._batches_left = (
-            self.exp.config.checkpoint.interval_batches
-        )
-        if self._train_pending is not None:
-            self.exp.controller.record_skip("skipped_overlap")
-            return
-        began = self.exp.controller.begin_checkpoint()
-        if isinstance(began, CheckpointEvent):
-            return  # paper-rule skip: previous manifest not valid yet
-        self._train_pending = began
-
-    def _step_write(self) -> None:
-        pending = self._train_pending
-        assert pending is not None
-        step = pending.advance()
-        if step is not None:
-            return
-        event = self.exp.controller.finish_checkpoint(pending)
-        assert event.manifest is not None
-        self._on_written(event.manifest.valid_at_s)
+    def _on_training_event(self, event: FleetEvent) -> None:
+        if event.kind == "written":
+            self._on_written(event.payload["valid_at_s"])
 
     def _on_written(self, valid_at_s: float) -> None:
         """A checkpoint landed: start (or queue) a staged publish.
@@ -347,7 +338,6 @@ class ServingFleet:
         publish reads actually completed. A checkpoint landing while a
         publish is already in flight queues one re-poll.
         """
-        self._train_pending = None
         self.pub_clock.advance(
             max(
                 0.0,
@@ -454,54 +444,42 @@ class ServingFleet:
     # ------------------------------------------------------------------
 
     def _next_event(self):
-        """The globally earliest pending event, fleet-scheduler style.
+        """The globally earliest pending ``(time_s, kind, payload)``.
 
-        Link operations (write parts, flip/lookup read parts) compete
-        at ``max(ready, link free)``; ties go to the arbiter (serving
-        tier outranks prod, SFQ within the tier). Non-link events
+        Link operations (the trainer's write parts, publish/flip/lookup
+        read parts) compete at ``max(ready, link free)`` under the
+        fleet's link rule — serving tier outranks prod, SFQ within the
+        tier, flip warm-reads are background prefetch. Non-link events
         (training compute, request dispatch) run at their own clocks
         and lose ties to link operations, so a ready transfer claims
         its slot first.
         """
         link_free = self.store.timeline.free_at
-        link_ops: list[tuple[float, str, object, str]] = []
+        link_ops: list[tuple[float, str, bool, tuple]] = []
         other: list[tuple[float, str, object]] = []
-        if self._train_pending is not None:
-            step = self._train_pending.next_step
-            when = (
-                max(step.ready_s, link_free)
-                if step is not None
-                else self.train_clock.now
-            )
-            link_ops.append((when, "write", None, self.TRAIN_JOB))
-        if (
-            self._publish is not None
-            and self._publish.next_step is not None
-        ):
+        training = self.training.next_event()
+        if training is not None and training[1] == "write":
             link_ops.append(
-                (
-                    max(self._publish.next_step.ready_s, link_free),
-                    "publish",
-                    (None, self._publish),
-                    PUBLISH_STREAM,
-                )
+                (training[0], self.TRAIN_JOB, False, ("training", training))
             )
-        if not self._training_done():
-            other.append((self.train_clock.now, "train", None))
+        elif training is not None:
+            other.append((training[0], "training", training))
+        # Within a server's stream, its flip is listed before its lookup.
+        reads = [("publish", PUBLISH_STREAM, None, self._publish)]
         for slot in self.slots:
-            for kind, drive in (
-                ("flip", slot.flip),
-                ("lookup", slot.lookup),
-            ):
-                if drive is not None and drive.next_step is not None:
-                    link_ops.append(
-                        (
-                            max(drive.next_step.ready_s, link_free),
-                            kind,
-                            (slot, drive),
-                            slot.server.stream,
-                        )
+            reads.append(("flip", slot.server.stream, slot, slot.flip))
+            reads.append(("lookup", slot.server.stream, slot, slot.lookup))
+        for kind, stream, slot, drive in reads:
+            if drive is not None and drive.next_step is not None:
+                link_ops.append(
+                    (
+                        max(drive.next_step.ready_s, link_free),
+                        stream,
+                        kind == "flip",
+                        (kind, (slot, drive)),
                     )
+                )
+        for slot in self.slots:
             if (
                 self._query_base is not None
                 and slot.lookup is None
@@ -513,37 +491,15 @@ class ServingFleet:
                 other.append(
                     (max(arrival, slot.free_s), "dispatch", slot)
                 )
-        if not link_ops and not other:
-            return None
-        best_link = min(link_ops, key=lambda e: e[0], default=None)
+        best_link = min((op[0] for op in link_ops), default=None)
         best_other = min(other, key=lambda e: e[0], default=None)
         if best_link is not None and (
-            best_other is None or best_link[0] <= best_other[0]
+            best_other is None or best_link <= best_other[0]
         ):
-            tied = [
-                entry
-                for entry in link_ops
-                if entry[0] <= tie_threshold(best_link[0])
-            ]
-            if len(tied) > 1:
-                # Flip warm-reads are *background* prefetch: when the
-                # link is contended (a tie means everyone is queued at
-                # link-free), a pending lookup or checkpoint part beats
-                # them — prefetch must never add to the lookup tail.
-                # With the link idle there is no tie and a ready warm
-                # part runs immediately.
-                foreground = [e for e in tied if e[1] != "flip"]
-                if foreground:
-                    tied = foreground
-            if len(tied) > 1:
-                chosen_stream = self.store.arbiter.pick(
-                    sorted({entry[3] for entry in tied})
-                )
-                # Within one stream, flips precede lookups (stable).
-                tied = [e for e in tied if e[3] == chosen_stream]
-            entry = tied[0]
-            return entry[0], entry[1], entry[2]
-        assert best_other is not None
+            _, (kind, payload) = pick_link_op(
+                link_ops, self.store.arbiter
+            )
+            return best_link, kind, payload
         return best_other
 
     def run(self) -> ServingReport:
@@ -553,10 +509,8 @@ class ServingFleet:
             if event is None:
                 break
             _, kind, payload = event
-            if kind == "write":
-                self._step_write()
-            elif kind == "train":
-                self._step_train()
+            if kind == "training":
+                self.training.step(payload)
             elif kind == "dispatch":
                 self._dispatch(payload, event[0])
             else:

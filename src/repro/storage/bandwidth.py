@@ -240,10 +240,6 @@ class StreamState:
     quota_rejections: int = 0
     preemptions: int = 0  # staged writes of this stream aborted by prod
 
-    @property
-    def served_bytes(self) -> int:
-        return self.served_put_bytes + self.served_get_bytes
-
 
 class BandwidthArbiter:
     """Tier-aware fair-share scheduler and quota ledger for a shared link.

@@ -25,7 +25,7 @@ timeline occupancy and receipts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,18 +169,6 @@ class OpCostSuite:
             return getattr(self, op.lower())
         except AttributeError:
             raise StorageError(f"unknown op class {op!r}") from None
-
-    def with_bandwidths(
-        self, write_bandwidth: float, read_bandwidth: float
-    ) -> "OpCostSuite":
-        """Copy with PUT/GET per-byte times set from link bandwidths."""
-        _require(write_bandwidth > 0, "write bandwidth must be > 0")
-        _require(read_bandwidth > 0, "read bandwidth must be > 0")
-        return replace(
-            self,
-            put=replace(self.put, seconds_per_byte=1.0 / write_bandwidth),
-            get=replace(self.get, seconds_per_byte=1.0 / read_bandwidth),
-        )
 
     @classmethod
     def from_storage_config(cls, config) -> "OpCostSuite":

@@ -15,6 +15,8 @@ Two layers of proof that the indexed event heap is a pure perf change:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.config import BackendConfig, FleetConfig, StorageConfig
@@ -24,9 +26,16 @@ from repro.fleet.eventqueue import (
     TIME_EPS,
     FleetEventQueue,
     LaneHeap,
+    pick_link_op,
     tie_threshold,
 )
 from repro.fleet.scheduler import MIN_EVENT_BUDGET
+from repro.storage.bandwidth import (
+    TIER_EXPERIMENTAL,
+    TIER_PROD,
+    TIER_SERVING,
+    BandwidthArbiter,
+)
 
 
 class TestTieThreshold:
@@ -44,6 +53,124 @@ class TestTieThreshold:
         )
         # The threshold is representable: it differs from `big`.
         assert tie_threshold(big) > big
+
+
+class _RecordingArbiter(BandwidthArbiter):
+    def __init__(self) -> None:
+        super().__init__()
+        self.asked: list[list[str]] = []
+
+    def pick(self, candidates):
+        self.asked.append(list(candidates))
+        return super().pick(candidates)
+
+
+def _spec_pick(ops, arbiter):
+    """The link rule, spelled out step by step."""
+    best = min(time_s for time_s, _, _, _ in ops)
+    tied = [op for op in ops if op[0] <= tie_threshold(best)]
+    foreground = [op for op in tied if not op[2]]
+    if foreground:
+        tied = foreground
+    streams = sorted({stream for _, stream, _, _ in tied})
+    chosen = streams[0]
+    if len(streams) > 1:
+        chosen = BandwidthArbiter.pick(arbiter, streams)
+    return best, next(op[3] for op in tied if op[1] == chosen)
+
+
+def _random_link_ops(rng: random.Random):
+    """A contended link: mixed tiers, used SFQ tags, near-ties."""
+    arbiter = _RecordingArbiter()
+    streams = [f"s{i}" for i in range(rng.randint(1, 6))]
+    for stream in streams:
+        arbiter.register(
+            stream,
+            weight=rng.choice((1.0, 2.0)),
+            tier=rng.choice((TIER_SERVING, TIER_PROD, TIER_EXPERIMENTAL)),
+        )
+        for _ in range(rng.randint(0, 3)):
+            arbiter.on_transfer(stream, rng.randint(1, 4096), "put")
+    base = rng.choice((0.0, 0.75, 1.0e6))
+    ops = []
+    for item in range(rng.randint(1, 10)):
+        time_s = base + rng.choice(
+            (
+                0.0,
+                0.0,
+                0.4 * TIME_EPS * max(1.0, base),  # ties
+                3.0 * TIME_EPS * max(1.0, base),  # does not
+                rng.random(),
+            )
+        )
+        ops.append(
+            (time_s, rng.choice(streams), rng.random() < 0.3, item)
+        )
+    return ops, arbiter
+
+
+def _shuffled_keeping_stream_order(ops, rng: random.Random):
+    """Reorder across streams; each stream keeps its listing order."""
+    slots = [op[1] for op in ops]
+    rng.shuffle(slots)
+    queues = {
+        stream: [op for op in ops if op[1] == stream]
+        for stream in set(slots)
+    }
+    return [queues[stream].pop(0) for stream in slots]
+
+
+SPEC_SEEDS = range(300)
+
+
+class TestPickLinkOp:
+    def test_matches_the_spelled_out_rule(self):
+        for seed in SPEC_SEEDS:
+            rng = random.Random(seed)
+            ops, arbiter = _random_link_ops(rng)
+            expected = _spec_pick(ops, arbiter)
+            assert pick_link_op(ops, arbiter) == expected, seed
+            # Only a real tie between streams consults the arbiter.
+            assert all(len(set(a)) >= 2 for a in arbiter.asked), seed
+            # Listing order matters within a stream only.
+            for _ in range(3):
+                reordered = _shuffled_keeping_stream_order(ops, rng)
+                assert pick_link_op(reordered, arbiter) == expected, seed
+
+    def test_matrix_reaches_every_step(self):
+        """Guard the generator: ties, background yields and arbiter
+        calls all occur in the seeds above."""
+        arbiter_calls = background_yields = single = 0
+        for seed in SPEC_SEEDS:
+            ops, arbiter = _random_link_ops(random.Random(seed))
+            best, item = pick_link_op(ops, arbiter)
+            arbiter_calls += bool(arbiter.asked)
+            tied = [op for op in ops if op[0] <= tie_threshold(best)]
+            single += len(tied) == 1
+            background_yields += any(op[2] for op in tied) and not ops[
+                item
+            ][2]
+        assert arbiter_calls > 20 and background_yields > 20 and single > 20
+
+    def test_background_runs_when_nothing_foreground_ties(self):
+        arbiter = _RecordingArbiter()
+        arbiter.register("a", tier=TIER_SERVING)
+        arbiter.register("b", tier=TIER_SERVING)
+        ops = [(1.0, "a", True, "flip"), (2.0, "b", False, "lookup")]
+        assert pick_link_op(ops, arbiter) == (1.0, "flip")
+        assert arbiter.asked == []
+
+    def test_first_listed_op_of_the_chosen_stream_goes(self):
+        arbiter = _RecordingArbiter()
+        arbiter.register("a", tier=TIER_PROD)
+        arbiter.register("b", tier=TIER_SERVING)
+        ops = [
+            (1.0, "a", False, "write"),
+            (1.0, "b", False, "first"),
+            (1.0, "b", False, "second"),
+        ]
+        assert pick_link_op(ops, arbiter) == (1.0, "first")
+        assert arbiter.asked == [["a", "b"]]
 
 
 class TestLaneHeap:

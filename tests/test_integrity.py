@@ -81,6 +81,37 @@ class TestWriteTimeDigests:
                     exp.store.backend.read(manifest.dense_key)
                 )
 
+    def test_writer_and_restorer_hash_through_sha256_hex(
+        self, tiny_experiment, monkeypatch
+    ):
+        """One ``sha256_hex`` call per chunk + dense object in each
+        direction: the digest format has one definition, and it is the
+        seam the benchmark's integrity layer times."""
+        calls = {"writer": 0, "restore": 0}
+
+        def counting(side):
+            def digest(data):
+                calls[side] += 1
+                return sha256_hex(data)
+
+            return digest
+
+        monkeypatch.setattr(
+            "repro.core.writer.sha256_hex", counting("writer")
+        )
+        monkeypatch.setattr(
+            "repro.core.restore.sha256_hex", counting("restore")
+        )
+        exp = tiny_experiment
+        exp.controller.run_intervals(1)
+        (manifest,) = exp.controller.manifests.values()
+        exp.clock.advance_to(manifest.valid_at_s + 1.0, "settle")
+        objects = sum(len(s.chunks) for s in manifest.shards) + 1
+        assert manifest.dense_key is not None and objects > 2
+        assert calls == {"writer": objects, "restore": 0}
+        exp.controller.restore_latest()
+        assert calls == {"writer": objects, "restore": objects}
+
     def test_digest_survives_manifest_roundtrip(self, stored):
         _, restorer = stored
         manifest = next(iter(restorer.list_manifests("job0").values()))

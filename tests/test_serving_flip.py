@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.config import BackendConfig
 from repro.errors import ServingError
 from repro.experiments import build_experiment, small_config
 from repro.model.dlrm import DLRM
@@ -212,8 +215,6 @@ class TestCoSimulation:
     )
 
     def _exp_config(self):
-        import dataclasses
-
         config = small_config(**self.CONFIG)
         return dataclasses.replace(
             config,
@@ -250,3 +251,25 @@ class TestCoSimulation:
         first = run_serving(self._exp_config(), self._serving())
         second = run_serving(self._exp_config(), self._serving())
         assert first == second
+
+    def test_exhausted_training_write_does_not_kill_the_run(self):
+        """A training PUT that runs out of retries loses that one
+        checkpoint — aborted, scrubbed, training continues, exactly as
+        on the fleet path — instead of escaping ``run()``."""
+        config = self._exp_config()
+        config = dataclasses.replace(
+            config,
+            storage=dataclasses.replace(
+                config.storage,
+                backend=BackendConfig(
+                    kind="s3like", put_failure_prob=0.02, failure_seed=5
+                ),
+                max_retries=0,
+            ),
+        )
+        serving = self._serving(num_queries=60)
+        report = run_serving(config, serving)
+        assert 1 <= report.publishes < serving.train_intervals
+        assert report.version_flips >= 1
+        assert report.torn_lookups == 0
+        assert report.requests == 60
