@@ -23,9 +23,10 @@ simulated storage timeline it is inspecting.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..errors import ObjectNotFoundError, SerializationError
+from ..reporting import series
 from ..serialize.format import decode_frames
 from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_GET, OP_HEAD
@@ -60,24 +61,47 @@ class IntegrityReport:
     """Outcome of scanning one job's stored checkpoints."""
 
     job_id: str
-    checkpoints_scanned: int = 0
-    objects_scanned: int = 0
-    #: Bytes of objects that passed every check.
-    bytes_verified: int = 0
-    issues: list[ObjectIssue] = field(default_factory=list)
-    #: Checkpoints with at least one bad object, found this scan.
-    corrupt_checkpoint_ids: list[str] = field(default_factory=list)
-    #: Checkpoints this scan newly quarantined.
-    quarantined_ids: list[str] = field(default_factory=list)
-    #: Checkpoints a previous scan had already quarantined.
-    already_quarantined_ids: list[str] = field(default_factory=list)
-    #: Checkpoint ids with stored objects but no manifest — a mid-write
-    #: crash; the manifest-last invariant already hides them from
-    #: restores, so they are reported but not quarantined.
-    torn_checkpoint_ids: list[str] = field(default_factory=list)
-    #: Manifest keys that failed to parse, with the reason. Discovery
-    #: skip-and-records these, so they need no quarantine marker.
-    unreadable_manifests: dict[str, str] = field(default_factory=dict)
+    checkpoints_scanned: int = series(
+        "Checkpoints with a readable manifest scanned.", default=0
+    )
+    objects_scanned: int = series(
+        "Stored objects (manifests, chunks, dense) scanned.", default=0
+    )
+    bytes_verified: int = series(
+        "Bytes of objects that passed every integrity check.", default=0
+    )
+    issues: list[ObjectIssue] = series(
+        "Objects that failed an integrity check this scan.",
+        name="corrupt_objects",
+        default_factory=list,
+    )
+    corrupt_checkpoint_ids: list[str] = series(
+        "Checkpoints with at least one corrupt object.",
+        name="corrupt_checkpoints",
+        default_factory=list,
+    )
+    quarantined_ids: list[str] = series(
+        "Checkpoints newly quarantined by this scan.",
+        name="quarantined_checkpoints",
+        default_factory=list,
+    )
+    already_quarantined_ids: list[str] = series(
+        "Checkpoints a previous scan had already quarantined.",
+        name="already_quarantined_checkpoints",
+        default_factory=list,
+    )
+    #: A mid-write crash; the manifest-last invariant already hides
+    #: them from restores, so they are reported but not quarantined.
+    torn_checkpoint_ids: list[str] = series(
+        "Checkpoints with stored objects but no manifest.",
+        name="torn_checkpoints",
+        default_factory=list,
+    )
+    #: Key -> reason. Discovery skip-and-records these, so they need
+    #: no quarantine marker.
+    unreadable_manifests: dict[str, str] = series(
+        "Manifest objects that failed to parse.", default_factory=dict
+    )
 
     @property
     def clean(self) -> bool:

@@ -19,15 +19,23 @@ them by running whole fleets against one shared store:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ..config import FleetConfig
+from ..core.controller import ControllerStats
 from ..distributed.clock import SimClock
 from ..errors import FleetError
 from ..metrics.accounting import peak_capacity
+from ..reporting import (
+    additive,
+    additive_fields,
+    derived_series,
+    series,
+    totals,
+)
 from ..storage.bandwidth import (
     TIER_EXPERIMENTAL,
     TIER_PROD,
@@ -37,6 +45,7 @@ from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_CLASSES
 from .arbitration import busy_span, interleave_score, part_split_score
 from .jobs import (
+    FleetJob,
     FleetJobSpec,
     RestoreSample,
     build_fleet_job,
@@ -57,34 +66,34 @@ class FleetJobResult:
     num_tables: int
     rows_per_table: int
     intervals: int
-    checkpoints_written: int
-    checkpoints_skipped: int
-    admission_deferred: int
+    checkpoints_written: int = additive()
+    checkpoints_skipped: int = additive()
+    admission_deferred: int = additive()
     #: Restores paced by the read-side admission controller (start
     #: deferred until the projected backlog drained to the threshold).
-    restore_deferred: int
+    restore_deferred: int = additive()
     #: Checkpoints forced full by storm-aware retention's chain bound.
-    baseline_refreshes: int
-    restores: int
-    failures: int
-    storm_crashes: int
-    torn_writes: int
-    scratch_restarts: int
-    quota_rejections: int
+    baseline_refreshes: int = additive()
+    restores: int = additive()
+    failures: int = additive()
+    storm_crashes: int = additive()
+    torn_writes: int = additive()
+    scratch_restarts: int = additive()
+    quota_rejections: int = additive()
     #: Writes lost to retry exhaustion (permanent request failure).
-    failed_writes: int
-    preempted_writes: int
-    wasted_batches: int
+    failed_writes: int = additive()
+    preempted_writes: int = additive()
+    wasted_batches: int = additive()
     #: Resume-plan candidates that failed digest/CRC verification
     #: before the job's restores landed (restore-through-corruption
     #: fallbacks; see :meth:`CheckpointRestorer.plan_resume`).
-    restore_fallbacks: int
-    batches_trained: int
+    restore_fallbacks: int = additive()
+    batches_trained: int = additive()
     #: Copied from :attr:`FleetJob.useful_batches` (single source of
     #: the goodput definition).
-    useful_batches: int
-    bytes_logical: int
-    bytes_physical: int
+    useful_batches: int = additive()
+    bytes_logical: int = additive()
+    bytes_physical: int = additive()
     model_fp32_bytes: int
     duration_s: float
     restore_samples: tuple[RestoreSample, ...] = ()
@@ -94,13 +103,26 @@ class FleetJobResult:
     #: mirrored (and their bytes), sends torn by a crash mid-transfer,
     #: rings this job hosted that died with it, and rings rebuilt by
     #: anchor resend after a baseline flush.
-    peer_restores: int = 0
-    repl_store_fallbacks: int = 0
-    repl_deltas_sent: int = 0
-    repl_bytes_sent: int = 0
-    repl_partial_discards: int = 0
-    repl_rings_lost: int = 0
-    repl_rings_rebuilt: int = 0
+    peer_restores: int = additive(default=0)
+    repl_store_fallbacks: int = additive(default=0)
+    repl_deltas_sent: int = additive(default=0)
+    repl_bytes_sent: int = additive(default=0)
+    repl_partial_discards: int = additive(default=0)
+    repl_rings_lost: int = additive(default=0)
+    repl_rings_rebuilt: int = additive(default=0)
+
+
+#: The per-job counters that add across jobs, resolved once at import.
+_JOB_COUNTERS = additive_fields(FleetJobResult)
+
+
+def job_totals(jobs: Iterable[FleetJobResult]) -> dict[str, int]:
+    """Every additive per-job counter summed over ``jobs``.
+
+    The one roll-up behind the fleet report, the tier table and the
+    planner's grid points.
+    """
+    return totals(jobs, _JOB_COUNTERS)
 
 
 @dataclass(frozen=True)
@@ -116,13 +138,18 @@ class FleetRunReport:
     peak_physical_bytes: int
     fairness_index: float
     interleave_switches: int
-    failures: int
-    restores: int
-    torn_writes: int
-    #: Restore/publish read traffic over the shared link (GET-class
-    #: transfers, op-tagged in the transfer log) — restore storms show
-    #: up here rather than hiding inside the write series.
-    total_get_bytes: int
+    failures: int = series(
+        "Independent failures injected across the fleet."
+    )
+    restores: int = series("Restores completed across the fleet.")
+    torn_writes: int = series("Checkpoint writes torn by crashes.")
+    #: Restore/publish traffic, op-tagged in the transfer log — restore
+    #: storms show up here rather than hiding inside the write series.
+    total_get_bytes: int = series(
+        "GET-class bytes read (and digest/CRC-verified) over the "
+        "shared link.",
+        name="verified_read_bytes",
+    )
     aggregate_read_bandwidth: float
     #: Fig 15 at fleet scale: (window_start, window_end, bytes/sec)
     #: for PUT-class traffic. Windows span the link's full busy period
@@ -142,15 +169,21 @@ class FleetRunReport:
     restore_deferrals: int = 0
     #: Checkpoints forced full by storm-aware retention, fleet-wide.
     baseline_refreshes: int = 0
-    #: Restore-through-corruption fallbacks, fleet-wide: resume-plan
-    #: candidates that failed verification before a restore landed.
-    restore_fallbacks: int = 0
-    #: From-scratch restarts (nothing restorable, or every candidate
-    #: failed verification), fleet-wide.
-    scratch_restarts: int = 0
-    #: PUT-class writes whose payload the armed bit-rot injector
-    #: silently corrupted (0 when ``FleetConfig.bitrot_prob`` is 0).
-    bitrot_injected: int = 0
+    restore_fallbacks: int = series(
+        "Resume-plan candidates that failed verification before a "
+        "restore landed (restore-through-corruption).",
+        default=0,
+    )
+    #: Includes recoveries whose every candidate failed verification.
+    scratch_restarts: int = series(
+        "Recoveries with no restorable checkpoint at all.", default=0
+    )
+    #: 0 when ``FleetConfig.bitrot_prob`` is 0.
+    bitrot_injected: int = series(
+        "PUT payloads silently corrupted by the bit-rot injector.",
+        name="bitrot_injected_writes",
+        default=0,
+    )
     #: Transient-failure retries per op class, from the op log's
     #: receipts: ``((op, total_retries), ...)`` over every class that
     #: saw requests.
@@ -160,20 +193,33 @@ class FleetRunReport:
     #: interleaving the transfer engine provides; 0 on backends
     #: without multipart.
     part_interleave_splits: int = 0
-    #: Near/far cache tier (0/"" when no cache tier is configured):
-    #: capacity, policy, GET hit/miss counters, evictions, asynchronous
-    #: dirty flushes and the end-of-run dirty backlog — the columns the
-    #: ``--cache-tier`` fleet reports and the b02 bench surface.
-    cache_capacity_bytes: int = 0
+    # -- near/far cache tier (0/"" when none is configured), filled
+    # from :class:`~repro.storage.cache.CacheTierStats` by name.
+    cache_capacity_bytes: int = series(
+        "Near-tier cache capacity (0 = no cache tier).", default=0
+    )
     cache_policy: str = ""
-    cache_hits: int = 0
-    cache_misses: int = 0
+    cache_hits: int = series(
+        "GET requests served from the near cache tier.", default=0
+    )
+    cache_misses: int = series(
+        "GET requests that spilled to the far tier.", default=0
+    )
     cache_hit_rate: float = 0.0
-    cache_evictions: int = 0
-    cache_dirty_flushes: int = 0
+    cache_evictions: int = series(
+        "Objects evicted from the near tier under capacity pressure.",
+        default=0,
+    )
+    cache_dirty_flushes: int = series(
+        "Dirty objects flushed asynchronously to the far tier "
+        "(write-back policy).",
+        default=0,
+    )
     cache_forced_flushes: int = 0
     cache_flush_failures: int = 0
-    cache_dirty_backlog: int = 0
+    cache_dirty_backlog: int = series(
+        "Dirty objects still unflushed at end of run.", default=0
+    )
     cache_dirty_bytes: int = 0
     #: Measured (real, not simulated) quantization worker-pool seconds:
     #: busy time, caller-blocked time, and their difference — the wall
@@ -183,22 +229,47 @@ class FleetRunReport:
     pool_busy_s: float = field(default=0.0, compare=False)
     pool_wait_s: float = field(default=0.0, compare=False)
     pool_overlap_s: float = field(default=0.0, compare=False)
-    #: Peer-replication tier (all 0 when ``FleetConfig.replicate_k``
-    #: is 0): replica count, fleet-wide recovery-ladder outcomes
-    #: (peer restores vs store fallbacks), mirror traffic, torn sends
-    #: discarded at crash boundaries, ring lifecycle counters, and the
-    #: delta-log evictions the bounded rings folded into their anchors.
-    replicate_k: int = 0
-    repl_peer_restores: int = 0
-    repl_store_fallbacks: int = 0
-    repl_deltas_sent: int = 0
-    repl_bytes_sent: int = 0
-    repl_partial_discards: int = 0
-    repl_rings_lost: int = 0
-    repl_rings_rebuilt: int = 0
-    repl_ring_evictions: int = 0
+    # -- peer-replication tier (all 0 when ``replicate_k`` is 0)
+    replicate_k: int = series(
+        "Peer replicas per job (0 = replication off).",
+        name="repl_k",
+        default=0,
+    )
+    repl_peer_restores: int = series(
+        "Recoveries served from a peer memory ring instead of the "
+        "object store.",
+        default=0,
+    )
+    repl_store_fallbacks: int = series(
+        "Recoveries that fell through to the object store because no "
+        "replica survived the failure domain.",
+        default=0,
+    )
+    repl_deltas_sent: int = series(
+        "Per-step deltas mirrored into peer rings.", default=0
+    )
+    repl_bytes_sent: int = series(
+        "Bytes mirrored over the replication stream class.", default=0
+    )
+    repl_partial_discards: int = series(
+        "Replica sends torn by a crash mid-transfer and discarded "
+        "(never readable as a restore source).",
+        default=0,
+    )
+    repl_rings_lost: int = series(
+        "Peer rings destroyed because their host job died.", default=0
+    )
+    repl_rings_rebuilt: int = series(
+        "Rings rebuilt by anchor resend after a baseline flush.",
+        default=0,
+    )
+    repl_ring_evictions: int = series(
+        "Oldest deltas folded into ring anchors under capacity "
+        "pressure.",
+        default=0,
+    )
 
-    @property
+    @derived_series("Jobs sharing the store in this run.", name="jobs")
     def num_jobs(self) -> int:
         return len(self.jobs)
 
@@ -265,54 +336,60 @@ def build_fleet(
     return scheduler, store
 
 
+def _attributes(cls: type) -> set[str]:
+    """Dataclass fields and properties of ``cls``."""
+    return {f.name for f in fields(cls)} | {
+        name
+        for name, value in vars(cls).items()
+        if isinstance(value, property)
+    }
+
+
+# Resolved by name once at import, not per job (a 1k-job run summarises
+# 1000 jobs inside the benchmark's wall time).
+_REPORT_FIELDS = tuple(f.name for f in fields(FleetRunReport))
+_SOURCE_ATTRIBUTES = tuple(
+    _attributes(cls) for cls in (FleetJobSpec, ControllerStats, FleetJob)
+)
+#: ``(field, index into (spec, controller stats, job))`` for every
+#: :class:`FleetJobResult` field a source has under the same name.
+_RESULT_SOURCES = tuple(
+    (f.name, index)
+    for f in fields(FleetJobResult)
+    for index, attributes in enumerate(_SOURCE_ATTRIBUTES)
+    if f.name in attributes
+)
+#: Fleet-wide totals named like the per-job counter they sum.
+_FLEET_TOTALS = tuple(n for n in _JOB_COUNTERS if n in _REPORT_FIELDS)
+#: ``cache_<x>`` mirrors ``CacheTierStats.<x>``.
+_CACHE_FIELDS = tuple(n for n in _REPORT_FIELDS if n.startswith("cache_"))
+
+
+def _job_result(job: FleetJob) -> FleetJobResult:
+    stats = job.controller.stats
+    sources = (job.spec, stats, job)
+    values = {
+        name: getattr(sources[index], name)
+        for name, index in _RESULT_SOURCES
+    }
+    # The few whose source is named (or typed) differently.
+    values.update(
+        intervals=job.intervals_done,
+        bytes_logical=stats.bytes_written_logical,
+        bytes_physical=stats.bytes_written_physical,
+        model_fp32_bytes=job.model_fp32_bytes(),
+        duration_s=job.clock.now,
+        restore_samples=tuple(job.restore_samples),
+    )
+    return FleetJobResult(**values)
+
+
 def summarize_fleet(
     scheduler: FleetScheduler, store: ObjectStore, windows: int = 12
 ) -> FleetRunReport:
     """Collect a finished fleet run's aggregate report."""
-    job_results = []
-    for job in scheduler.jobs:
-        stats = job.controller.stats
-        job_results.append(
-            FleetJobResult(
-                job_id=job.job_id,
-                tier=job.tier,
-                policy=job.spec.policy,
-                quantizer=job.spec.quantizer,
-                bit_width=job.spec.bit_width,
-                num_tables=job.spec.num_tables,
-                rows_per_table=job.spec.rows_per_table,
-                intervals=job.controller.interval_index,
-                checkpoints_written=stats.checkpoints_written,
-                checkpoints_skipped=stats.checkpoints_skipped,
-                admission_deferred=job.admission_deferred,
-                restore_deferred=job.restore_deferred,
-                baseline_refreshes=stats.baseline_refreshes,
-                restores=stats.restores,
-                failures=job.failures_injected,
-                storm_crashes=job.storm_crashes,
-                torn_writes=job.torn_writes,
-                scratch_restarts=job.scratch_restarts,
-                quota_rejections=job.quota_rejections,
-                failed_writes=job.failed_writes,
-                preempted_writes=job.preempted_writes,
-                wasted_batches=job.wasted_batches,
-                restore_fallbacks=job.restore_fallbacks,
-                batches_trained=job.total_batches_trained,
-                useful_batches=job.useful_batches,
-                bytes_logical=stats.bytes_written_logical,
-                bytes_physical=stats.bytes_written_physical,
-                model_fp32_bytes=job.model_fp32_bytes(),
-                duration_s=job.clock.now,
-                restore_samples=tuple(job.restore_samples),
-                peer_restores=job.peer_restores,
-                repl_store_fallbacks=job.repl_store_fallbacks,
-                repl_deltas_sent=job.repl_deltas_sent,
-                repl_bytes_sent=job.repl_bytes_sent,
-                repl_partial_discards=job.repl_partial_discards,
-                repl_rings_lost=job.repl_rings_lost,
-                repl_rings_rebuilt=job.repl_rings_rebuilt,
-            )
-        )
+    job_results = tuple(_job_result(job) for job in scheduler.jobs)
+    total = job_totals(job_results)
     puts = store.log.transfers("put")
     _, last_transfer_end = busy_span(store.log.transfers())
     duration = max(
@@ -346,84 +423,31 @@ def summarize_fleet(
     cache = find_cache_tier(store.backend)
     cache_fields = {}
     if cache is not None:
-        cache_fields = dict(
-            cache_capacity_bytes=cache.capacity_bytes,
-            cache_policy=cache.policy,
-            cache_hits=cache.hits,
-            cache_misses=cache.misses,
-            cache_hit_rate=cache.hit_rate,
-            cache_evictions=cache.evictions,
-            cache_dirty_flushes=cache.dirty_flushes,
-            cache_forced_flushes=cache.forced_flushes,
-            cache_flush_failures=cache.flush_failures,
-            cache_dirty_backlog=cache.dirty_backlog,
-            cache_dirty_bytes=cache.dirty_bytes,
-        )
-    repl_fields = {}
-    replicator = getattr(scheduler, "replicator", None)
-    if replicator is not None:
-        repl_fields = dict(
-            replicate_k=scheduler.config.replicate_k,
-            repl_peer_restores=sum(
-                r.peer_restores for r in job_results
-            ),
-            repl_store_fallbacks=sum(
-                r.repl_store_fallbacks for r in job_results
-            ),
-            repl_deltas_sent=sum(
-                r.repl_deltas_sent for r in job_results
-            ),
-            repl_bytes_sent=sum(
-                r.repl_bytes_sent for r in job_results
-            ),
-            repl_partial_discards=sum(
-                r.repl_partial_discards for r in job_results
-            ),
-            repl_rings_lost=sum(
-                r.repl_rings_lost for r in job_results
-            ),
-            repl_rings_rebuilt=sum(
-                r.repl_rings_rebuilt for r in job_results
-            ),
-            repl_ring_evictions=replicator.total_ring_evictions,
-        )
+        cache_stats = cache.stats()
+        cache_fields = {
+            name: getattr(cache_stats, name.removeprefix("cache_"))
+            for name in _CACHE_FIELDS
+        }
+    replicator = scheduler.replicator
     return FleetRunReport(
         **cache_fields,
-        **repl_fields,
-        jobs=tuple(job_results),
+        **{name: total[name] for name in _FLEET_TOTALS},
+        jobs=job_results,
         duration_s=duration,
-        total_put_bytes_logical=sum(
-            r.bytes_logical for r in job_results
-        ),
+        total_put_bytes_logical=total["bytes_logical"],
         total_put_bytes_physical=total_physical,
         aggregate_write_bandwidth=total_physical / duration,
         peak_logical_bytes=peak_capacity(store.capacity_series()),
         peak_physical_bytes=store.stats().peak_physical_bytes,
         fairness_index=arbiter.fairness_index("put"),
         interleave_switches=interleave_score(puts),
-        failures=sum(r.failures for r in job_results),
-        restores=sum(r.restores for r in job_results),
-        torn_writes=sum(r.torn_writes for r in job_results),
         total_get_bytes=total_read,
         aggregate_read_bandwidth=total_read / duration,
         bandwidth_series=_bandwidth_series(store, windows, "put"),
         read_bandwidth_series=_bandwidth_series(store, windows, "get"),
         storm=storm,
-        admission_deferrals=sum(
-            r.admission_deferred for r in job_results
-        ),
-        restore_deferrals=sum(
-            r.restore_deferred for r in job_results
-        ),
-        baseline_refreshes=sum(
-            r.baseline_refreshes for r in job_results
-        ),
-        restore_fallbacks=sum(
-            r.restore_fallbacks for r in job_results
-        ),
-        scratch_restarts=sum(
-            r.scratch_restarts for r in job_results
-        ),
+        admission_deferrals=total["admission_deferred"],
+        restore_deferrals=total["restore_deferred"],
         bitrot_injected=len(
             getattr(store.backend, "bitrot_injected", ())
         ),
@@ -432,6 +456,12 @@ def summarize_fleet(
         pool_busy_s=engine.pool_busy_s,
         pool_wait_s=engine.pool_wait_s,
         pool_overlap_s=engine.pool_overlap_s,
+        # The per-job repl_* counters stay 0 with replication off.
+        replicate_k=scheduler.config.replicate_k,
+        repl_peer_restores=total["peer_restores"],
+        repl_ring_evictions=(
+            replicator.total_ring_evictions if replicator else 0
+        ),
     )
 
 
@@ -501,9 +531,6 @@ def format_fleet_report(report: FleetRunReport) -> str:
         f"bit-rot injected writes: {report.bitrot_injected}"
         f"  restore fallbacks: {report.restore_fallbacks}"
         f"  scratch restarts: {report.scratch_restarts}",
-        f"quantize pool (measured): {report.pool_busy_s:.3f} s busy, "
-        f"{report.pool_wait_s:.3f} s blocked, "
-        f"{report.pool_overlap_s:.3f} s overlapped",
     ]
     if report.replicate_k > 0:
         lines += [
@@ -585,6 +612,12 @@ class TierSummary:
     useful_batches_per_s: float
 
 
+#: Tier columns named like the per-job counter they sum.
+_TIER_TOTALS = tuple(
+    f.name for f in fields(TierSummary) if f.name in _JOB_COUNTERS
+)
+
+
 def _latency_stats(samples: list[RestoreSample]) -> tuple[float, ...]:
     if not samples:
         return (0.0, 0.0, 0.0, 1.0)
@@ -619,22 +652,15 @@ def summarize_tiers(report: FleetRunReport) -> tuple[TierSummary, ...]:
         storm_samples = [s for s in all_samples if s.cause == "storm"]
         samples = storm_samples if storm_fired else all_samples
         p50, p95, latest, degradation = _latency_stats(samples)
-        trained = sum(j.batches_trained for j in jobs)
-        useful = sum(j.useful_batches for j in jobs)
+        total = job_totals(jobs)
+        trained, useful = total["batches_trained"], total["useful_batches"]
         span = max(j.duration_s for j in jobs)
         summaries.append(
             TierSummary(
+                **{name: total[name] for name in _TIER_TOTALS},
                 tier=tier,
                 num_jobs=len(jobs),
-                restores=sum(j.restores for j in jobs),
                 storm_restores=len(storm_samples),
-                preempted_writes=sum(j.preempted_writes for j in jobs),
-                admission_deferred=sum(
-                    j.admission_deferred for j in jobs
-                ),
-                restore_deferred=sum(
-                    j.restore_deferred for j in jobs
-                ),
                 restore_latency_p50_s=p50,
                 restore_latency_p95_s=p95,
                 restore_latency_max_s=latest,

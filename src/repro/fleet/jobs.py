@@ -289,7 +289,7 @@ class FleetJob:
     batches_left: int = 0  # remaining in the current interval (0 = boundary)
     pending: PendingCheckpoint | None = None
     next_failure_s: float | None = None
-    failures_injected: int = 0
+    failures: int = 0
     torn_writes: int = 0
     admission_deferred: int = 0
     #: Restores the read-side admission controller paced (deferred
@@ -301,7 +301,7 @@ class FleetJob:
     #: retries exhausted): aborted, scrubbed, training continued.
     failed_writes: int = 0
     wasted_batches: int = 0
-    total_batches_trained: int = 0
+    batches_trained: int = 0
     scratch_restarts: int = 0
     #: Resume-plan candidates that failed digest/CRC verification
     #: before a restore landed (sum of per-restore fallback depths):
@@ -349,7 +349,7 @@ class FleetJob:
     @property
     def useful_batches(self) -> int:
         """Batches trained that were never re-trained after a crash."""
-        return max(0, self.total_batches_trained - self.wasted_batches)
+        return max(0, self.batches_trained - self.wasted_batches)
 
     @property
     def intervals_done(self) -> int:

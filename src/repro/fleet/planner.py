@@ -12,14 +12,13 @@ an operator actually controls —
 
 — re-running the *same seeded fleet* at every grid point, so the only
 thing that varies between rows is the knob under study. Each point
-reports what provisioning decisions hinge on: fleet peak storage
-(logical and physical), peak write/read link bandwidth, and — when a
+reports what provisioning decisions hinge on: fleet peak physical
+storage, peak write/read link bandwidth, and — when a
 correlated storm is armed — the fleet's time-to-recover, plus the
 quota rejections and admission deferrals the setting caused.
 
-Runs use the event-heap dispatcher by default (a full sweep is dozens
-of fleet runs; see :mod:`repro.fleet.eventqueue`), but accept
-``dispatch="lockstep"`` since the two engines are bit-identical.
+Runs use the event-heap dispatcher (a full sweep is dozens of fleet
+runs; see :mod:`repro.fleet.eventqueue`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from typing import Callable, Iterable, Sequence
 
 from ..config import FleetConfig
 from ..errors import ReproError
-from .experiment import FleetRunReport, run_fleet
+from ..reporting import series
+from .experiment import FleetRunReport, job_totals, run_fleet
 
 #: Admission modes :func:`run_plan` accepts in its sweep axis.
 PLAN_ADMISSION_MODES = ("none", "static", "dynamic")
@@ -47,24 +47,28 @@ class PlanPoint:
     #: Admission-control mode ("none", "static" or "dynamic").
     admission: str
 
-    #: Fleet-wide peak of live physical bytes on the shared store —
-    #: the capacity the store must actually provision.
-    peak_physical_bytes: int
-    #: The same peak before replication/quantization accounting.
-    peak_logical_bytes: int
-    #: Max windowed PUT-class bandwidth over the run (bytes/sec).
-    peak_put_bandwidth: float
-    #: Max windowed GET-class bandwidth over the run (bytes/sec).
-    peak_get_bandwidth: float
+    #: The capacity the shared store must actually provision.
+    peak_physical_bytes: int = series(
+        "Fleet peak live physical bytes at this grid point."
+    )
+    peak_put_bandwidth: float = series(
+        "Peak windowed PUT bandwidth (bytes/sec)."
+    )
+    peak_get_bandwidth: float = series(
+        "Peak windowed GET bandwidth (bytes/sec)."
+    )
     #: Worst trigger-to-finish storm-restore latency across the fleet
-    #: (0.0 when no storm was armed or none of its restores landed).
-    storm_recover_s: float
-    #: PUTs the per-job quota rejected, summed over the fleet.
-    quota_rejections: int
-    #: Checkpoint triggers the admission controller deferred.
-    admission_deferrals: int
-    restores: int
-    scratch_restarts: int
+    #: (also 0.0 when none of an armed storm's restores landed).
+    storm_recover_s: float = series(
+        "Fleet storm time-to-recover (0 = no storm).",
+        name="storm_recover_seconds",
+    )
+    quota_rejections: int = series(
+        "Quota-rejected PUTs at this grid point."
+    )
+    admission_deferrals: int = series(
+        "Admission-deferred checkpoint triggers."
+    )
     #: Simulated end-to-end fleet duration.
     duration_s: float
 
@@ -73,20 +77,20 @@ class PlanPoint:
 class ProvisioningCurve:
     """A full sweep: the fixed fleet shape plus one row per point."""
 
-    num_jobs: int
+    num_jobs: int = series("Jobs in each swept fleet.", name="jobs")
     intervals_per_job: int
     seed: int
     storm_domain: str | None
-    dispatch: str
-    points: tuple[PlanPoint, ...]
+    points: tuple[PlanPoint, ...] = series(
+        "Grid points in this provisioning sweep."
+    )
 
     def format(self) -> str:
         """Fig-16-style table, one row per grid point."""
         header = (
             f"== Provisioning curve: {self.num_jobs} jobs x "
             f"{self.intervals_per_job} intervals (seed {self.seed}, "
-            f"storm {self.storm_domain or 'none'}, "
-            f"dispatch {self.dispatch}) =="
+            f"storm {self.storm_domain or 'none'}) =="
         )
         cols = (
             f"{'quota':>10}  {'keep':>4}  {'admission':>9}  "
@@ -153,28 +157,21 @@ def storm_time_to_recover(report: FleetRunReport) -> float:
     )
 
 
-def plan_point(
-    config: FleetConfig, dispatch: str = "heap"
-) -> PlanPoint:
+def plan_point(config: FleetConfig) -> PlanPoint:
     """Run one grid point's fleet and distil the provisioning row."""
-    _, report = run_fleet(config, dispatch=dispatch)
+    _, report = run_fleet(config)
     return PlanPoint(
         quota_bytes=config.per_job_quota_bytes,
         keep_last=config.keep_last,
         admission=config.admission_mode,
         peak_physical_bytes=report.peak_physical_bytes,
-        peak_logical_bytes=report.peak_logical_bytes,
         peak_put_bandwidth=peak_bandwidth(report.bandwidth_series),
         peak_get_bandwidth=peak_bandwidth(
             report.read_bandwidth_series
         ),
         storm_recover_s=storm_time_to_recover(report),
-        quota_rejections=sum(
-            job.quota_rejections for job in report.jobs
-        ),
+        quota_rejections=job_totals(report.jobs)["quota_rejections"],
         admission_deferrals=report.admission_deferrals,
-        restores=report.restores,
-        scratch_restarts=report.scratch_restarts,
         duration_s=report.duration_s,
     )
 
@@ -184,7 +181,6 @@ def run_plan(
     quotas: Sequence[int | None] = (None,),
     keep_lasts: Sequence[int] = (2,),
     admissions: Sequence[str] = ("none",),
-    dispatch: str = "heap",
     progress: Callable[[PlanPoint], None] | None = None,
 ) -> ProvisioningCurve:
     """Sweep quota x retention x admission over one seeded fleet.
@@ -230,7 +226,7 @@ def run_plan(
                         else None
                     ),
                 )
-                point = plan_point(config, dispatch=dispatch)
+                point = plan_point(config)
                 points.append(point)
                 if progress is not None:
                     progress(point)
@@ -239,6 +235,5 @@ def run_plan(
         intervals_per_job=base.intervals_per_job,
         seed=base.seed,
         storm_domain=base.storm_domain,
-        dispatch=dispatch,
         points=tuple(points),
     )

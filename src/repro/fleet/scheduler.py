@@ -800,7 +800,7 @@ class FleetScheduler:
             return
         job.controller.coordinator.grant_interval(1)
         result = job.trainer.train_one_batch()
-        job.total_batches_trained += 1
+        job.batches_trained += 1
         job.batches_left -= 1
         if self.replicator is not None:
             # Per-iteration checkpoint: mirror this step's delta to the
@@ -812,7 +812,7 @@ class FleetScheduler:
             self.config.inject_failures
             and job.next_failure_s is not None
             and job.clock.now >= job.next_failure_s
-            and job.failures_injected < self.config.max_failures_per_job
+            and job.failures < self.config.max_failures_per_job
         ):
             self._recover([job], "failure")
 
@@ -1004,7 +1004,7 @@ class FleetScheduler:
             # injection budget (max_failures_per_job).
             job.storm_crashes += 1
         else:
-            job.failures_injected += 1
+            job.failures += 1
         if self.replicator is not None:
             # Replica rings living in this host's memory die with it.
             # The storm drain runs bookkeeping for *every* victim

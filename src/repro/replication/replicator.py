@@ -167,7 +167,7 @@ class PeerReplicator:
         crash_pending = (
             self.config.inject_failures
             and job.next_failure_s is not None
-            and job.failures_injected < self.config.max_failures_per_job
+            and job.failures < self.config.max_failures_per_job
         )
         stream = replication_stream_id(job.job_id)
         for host_id in sorted(rings):

@@ -41,6 +41,7 @@ from ..fleet.eventqueue import pick_link_op
 from ..fleet.jobs import FleetJobSpec, enrol_experiment
 from ..fleet.namespace import ScopedStore
 from ..fleet.scheduler import FleetEvent, FleetScheduler
+from ..reporting import derived_series, series
 from ..storage.backends import Backend
 from ..storage.bandwidth import (
     BandwidthArbiter,
@@ -88,28 +89,59 @@ class ServingConfig:
 class ServingReport:
     """Outcome of one serving-plane co-simulation."""
 
-    num_servers: int
-    cache_rows: int
-    requests: int
-    rows_looked_up: int
-    cache_hits: int
-    cache_misses: int
-    lookup_p50_s: float
-    lookup_p99_s: float
+    num_servers: int = series(
+        "Inference servers in the serving fleet.", name="servers"
+    )
+    cache_rows: int = series(
+        "Per-server row-cache capacity (pins + LRU ring)."
+    )
+    requests: int = series(
+        "Lookup requests served.", name="lookups", type="counter"
+    )
+    rows_looked_up: int = series(
+        "Embedding rows served across all requests.", type="counter"
+    )
+    cache_hits: int = series(
+        "Row lookups answered from the row cache.", type="counter"
+    )
+    cache_misses: int = series(
+        "Row lookups that read a checkpoint chunk.", type="counter"
+    )
+    lookup_p50_s: float = series(
+        "Median lookup latency (arrival to completion)."
+    )
+    lookup_p99_s: float = series("99th-percentile lookup latency.")
     lookup_mean_s: float
-    version_flips: int
-    flip_stall_total_s: float
+    version_flips: int = series(
+        "Atomic version flips across the fleet.", type="counter"
+    )
+    flip_stall_total_s: float = series(
+        "Time spent warming caches before flips could land.",
+        name="flip_stall_seconds_total",
+        type="counter",
+    )
     flip_stall_max_s: float
-    version_lag_mean_s: float
-    version_lag_max_s: float
-    #: Requests whose served values mismatched the golden snapshot of
-    #: the version they claim — must be zero (flip atomicity).
-    torn_lookups: int
-    #: Requests that completed on a version older than the fleet-wide
-    #: latest at their completion moment — they straddled a flip.
-    straddled_requests: int
-    version_fallbacks: int
-    publishes: int
+    version_lag_mean_s: float = series(
+        "Mean age of the served version at lookup completion."
+    )
+    version_lag_max_s: float = series(
+        "Worst served-version age observed."
+    )
+    #: Detected against the golden snapshot of the version they claim.
+    torn_lookups: int = series(
+        "Requests whose values mixed versions (must be 0).",
+        type="counter",
+    )
+    #: "Pre-flip": older than the fleet-wide latest at completion.
+    straddled_requests: int = series(
+        "Requests that finished on a pre-flip version.", type="counter"
+    )
+    version_fallbacks: int = series(
+        "Corrupt-chunk fallbacks to an older version.", type="counter"
+    )
+    publishes: int = series(
+        "Checkpoints published to the serving fleet.", type="counter"
+    )
     publish_mean_staleness_s: float
     serving_read_bytes: int
     publish_read_bytes: int
@@ -120,7 +152,9 @@ class ServingReport:
     pinned_rows: int
     duration_s: float
 
-    @property
+    @derived_series(
+        "Row-cache hit fraction over the run.", name="cache_hit_rate"
+    )
     def hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0

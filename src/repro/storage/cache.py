@@ -51,7 +51,7 @@ outright: dirty-but-unflushed objects disappear, and restore planning
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from ..errors import ObjectNotFoundError, StorageError
@@ -133,6 +133,9 @@ class CacheTierStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(CacheTierStats))
 
 
 class CacheTierBackend(Backend):
@@ -311,23 +314,9 @@ class CacheTierBackend(Backend):
         return list(self._dirty)
 
     def stats(self) -> CacheTierStats:
+        """Every :class:`CacheTierStats` field is an attribute here."""
         return CacheTierStats(
-            capacity_bytes=self.capacity_bytes,
-            policy=self.policy,
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            dirty_flushes=self.dirty_flushes,
-            forced_flushes=self.forced_flushes,
-            flush_failures=self.flush_failures,
-            bypass_writes=self.bypass_writes,
-            flushed_bytes=self.flushed_bytes,
-            near_objects=self.near_objects,
-            near_bytes=self.near_bytes,
-            dirty_backlog=self.dirty_backlog,
-            dirty_bytes=self.dirty_bytes,
-            peak_dirty_bytes=self.peak_dirty_bytes,
-            near_wipes=self.near_wipes,
+            **{name: getattr(self, name) for name in _STATS_FIELDS}
         )
 
     # -- near-tier bookkeeping -----------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from ..config import (
     BACKEND_KINDS,
@@ -46,10 +47,26 @@ from ..errors import ReproError
 from ..experiments.common import small_config
 from ..model.dlrm import DLRM
 from ..storage.object_store import ObjectStore
+from . import metrics
 from .inspect import format_summaries, scrub_job, summarize_job
-from .metrics import fleet_metrics, scan_metrics, write_textfile
 
 JOB_CONFIG_KEY = "{job}/job_config.json"
+
+
+def _emit(
+    body: str,
+    artifact: Path | None = None,
+    metrics_out: str | None = None,
+    samples: list[metrics.Metric] = (),
+) -> None:
+    """The shared command tail: print, write the artifact, export."""
+    print(body)
+    if artifact is not None:
+        artifact.parent.mkdir(parents=True, exist_ok=True)
+        artifact.write_text(body)
+        print(f"wrote {artifact}")
+    if metrics_out is not None:
+        print(f"wrote {metrics.write_textfile(metrics_out, samples)}")
 
 
 def _open_store(store_dir: str, clock: SimClock) -> ObjectStore:
@@ -166,10 +183,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     report = scan_job(
         store, args.job, quarantine=not args.no_quarantine
     )
-    print(format_integrity_report(report))
-    if args.metrics_out is not None:
-        path = write_textfile(args.metrics_out, scan_metrics(report))
-        print(f"wrote {path}")
+    _emit(
+        format_integrity_report(report),
+        metrics_out=args.metrics_out,
+        samples=metrics.scan_metrics(report),
+    )
     return 0 if report.clean else 1
 
 
@@ -626,8 +644,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     degradation, preemption counts and goodput per priority tier,
     written to ``fleet_cli_storm.txt`` next to the aggregate artifact.
     """
-    from pathlib import Path
-
     from ..fleet import (
         fleet_reduction_experiment,
         format_fleet_report,
@@ -739,18 +755,19 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             "",
         ]
     )
-    print(body)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "fleet_cli_aggregate.txt"
-    out_path.write_text(body)
-    print(f"wrote {out_path}")
-    if args.metrics_out is not None:
-        metrics_path = write_textfile(
-            args.metrics_out, fleet_metrics(report)
-        )
-        print(f"wrote {metrics_path}")
-
+    _emit(
+        body,
+        out_dir / "fleet_cli_aggregate.txt",
+        args.metrics_out,
+        metrics.fleet_metrics(report),
+    )
+    # Wall-clock, so stdout only: the artifact reproduces byte for byte.
+    print(
+        f"quantize pool (measured): {report.pool_busy_s:.3f} s busy, "
+        f"{report.pool_wait_s:.3f} s blocked, "
+        f"{report.pool_overlap_s:.3f} s overlapped"
+    )
     if args.priority_mix > 0.0 or args.storm is not None:
         storm_body = "\n".join(
             [
@@ -761,10 +778,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 "",
             ]
         )
-        print(storm_body)
-        storm_path = out_dir / "fleet_cli_storm.txt"
-        storm_path.write_text(storm_body)
-        print(f"wrote {storm_path}")
+        _emit(storm_body, out_dir / "fleet_cli_storm.txt")
     return 0
 
 
@@ -799,10 +813,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     time-to-recover that setting would need — the numbers an operator
     provisions the checkpoint store from.
     """
-    from pathlib import Path
-
     from ..fleet import run_plan
-    from .metrics import plan_metrics
 
     quotas = _parse_sweep(args.quotas, "--quotas")
     keep_lasts = [
@@ -840,18 +851,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
         keep_lasts=keep_lasts,
         admissions=admissions,
     )
-    body = curve.format() + "\n"
-    print(body)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "plan_provisioning_curve.txt"
-    out_path.write_text(body)
-    print(f"wrote {out_path}")
-    if args.metrics_out is not None:
-        metrics_path = write_textfile(
-            args.metrics_out, plan_metrics(curve)
-        )
-        print(f"wrote {metrics_path}")
+    _emit(
+        curve.format() + "\n",
+        Path(args.out) / "plan_provisioning_curve.txt",
+        args.metrics_out,
+        metrics.plan_metrics(curve),
+    )
     return 0
 
 
@@ -866,10 +871,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``serving_cli_report.txt``.
     """
     import dataclasses
-    from pathlib import Path
 
     from ..serving import ServingConfig, format_serving_report, run_serving
-    from .metrics import serving_metrics
 
     config = small_config(
         policy="consecutive",
@@ -904,17 +907,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             format_serving_report(report),
         ]
     )
-    print(body)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "serving_cli_report.txt"
-    out_path.write_text(body)
-    print(f"wrote {out_path}")
-    if args.metrics_out is not None:
-        metrics_path = write_textfile(
-            args.metrics_out, serving_metrics(report)
-        )
-        print(f"wrote {metrics_path}")
+    _emit(
+        body,
+        Path(args.out) / "serving_cli_report.txt",
+        args.metrics_out,
+        metrics.serving_metrics(report),
+    )
     return 1 if report.torn_lookups else 0
 
 

@@ -6,10 +6,15 @@ checker (:func:`repro.tools.docscheck.check_cli_doc`) fails CI — and
 ``tests/test_docs.py`` — whenever a flag exists in the parser but is
 missing from the committed document.
 
+``--metrics`` emits the Prometheus series reference
+(``docs/metrics.md``) the same way, from the
+:func:`repro.reporting.series` declarations on the report dataclasses.
+
 Usage::
 
     python -m repro.tools.clidoc --out docs/cli.md   # (re)generate
     python -m repro.tools.clidoc                     # print to stdout
+    python -m repro.tools.clidoc --metrics --out docs/metrics.md
 """
 
 from __future__ import annotations
@@ -133,6 +138,62 @@ def render_cli_doc(parser: argparse.ArgumentParser | None = None) -> str:
     return "\n".join(sections).rstrip() + "\n"
 
 
+METRICS_HEADER = """\
+# Prometheus series reference
+
+<!-- Generated by `python -m repro.tools.clidoc --metrics --out
+     docs/metrics.md`. Regenerate after changing any `series(...)`
+     declaration — repro.tools.docscheck (and tests/test_docs.py) fail
+     when a declared series is missing here. -->
+
+`--metrics-out PATH` writes a Prometheus textfile: `repro scan` the
+`repro_scan_*` series, `repro fleet` `repro_fleet_*`, `repro plan`
+`repro_plan_*` and `repro serve` `repro_serving_*`. A series is declared
+once, on the report dataclass field it exports
+(`repro.reporting.series`): *source* names that field, and the HELP
+text is the field's documentation.
+
+| series | type | labels | help | source |
+| --- | --- | --- | --- | --- |
+"""
+
+
+def series_rows() -> list[tuple[str, str, str, str, str]]:
+    """(series, type, labels, help, source field) of every series."""
+    from ..core.integrity import IntegrityReport
+    from ..fleet import FleetRunReport, PlanPoint, ProvisioningCurve
+    from ..reporting import declared_series
+    from ..serving import ServingReport
+    from .metrics import PREFIX
+
+    surfaces = (
+        ("scan", IntegrityReport, "job"),
+        ("fleet", FleetRunReport, "—"),
+        ("plan", ProvisioningCurve, "—"),
+        ("plan", PlanPoint, "quota, keep_last, admission"),
+        ("serving", ServingReport, "—"),
+    )
+    return [
+        (
+            f"{PREFIX}_{prefix}_{spec.name or attr}",
+            spec.type,
+            labels,
+            spec.help,
+            f"{cls.__name__}.{attr}",
+        )
+        for prefix, cls, labels in surfaces
+        for attr, spec in declared_series(cls)
+    ]
+
+
+def render_metrics_doc() -> str:
+    """The full markdown reference of the exported series."""
+    return METRICS_HEADER + "".join(
+        f"| `{name}` | {kind} | {labels} | {help_text} | `{source}` |\n"
+        for name, kind, labels, help_text, source in series_rows()
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-clidoc",
@@ -143,8 +204,14 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="write the reference here (default: stdout)",
     )
+    parser.add_argument(
+        "--metrics",
+        action="store_true",
+        help="emit the Prometheus series reference (docs/metrics.md) "
+        "instead of the CLI reference",
+    )
     args = parser.parse_args(argv)
-    body = render_cli_doc()
+    body = render_metrics_doc() if args.metrics else render_cli_doc()
     if args.out is None:
         sys.stdout.write(body)
     else:

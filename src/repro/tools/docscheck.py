@@ -12,14 +12,16 @@ It also guards ``docs/cli.md`` against drift
 subcommand (from :func:`repro.tools.cli.build_parser`) must appear in
 the generated reference — adding a flag without re-running
 ``python -m repro.tools.clidoc --out docs/cli.md`` fails CI and
-``tests/test_docs.py``.
+``tests/test_docs.py``. ``docs/metrics.md`` is guarded the same way
+(:func:`check_metrics_doc`) against the Prometheus series the report
+dataclasses declare.
 
 Usage::
 
     python -m repro.tools.docscheck [--root REPO_ROOT]
 
-Exit status 0 when every link resolves and the CLI reference is
-complete, 1 otherwise (problems are listed on stderr).
+Exit status 0 when every link resolves and both generated references
+are complete, 1 otherwise (problems are listed on stderr).
 """
 
 from __future__ import annotations
@@ -86,49 +88,85 @@ def check_tree(root: Path) -> dict[str, list[str]]:
     return report
 
 
-#: Location of the generated CLI reference relative to the repo root.
+#: Locations of the generated references relative to the repo root.
 CLI_DOC = Path("docs") / "cli.md"
+METRICS_DOC = Path("docs") / "metrics.md"
+
+
+def _generated_doc_drift(
+    root: Path,
+    doc: Path,
+    entries: list[tuple[str, str]],
+    rendered: str,
+    regenerate: str,
+) -> list[str]:
+    """Drift between a generated reference and its committed file.
+
+    Two guards, reported in order:
+
+    * **missing entries** — every ``(label, token)`` whose token does
+      not appear in the document as a whole word (so a documented
+      ``--admission-backlog-factor`` does not hide a missing
+      ``--admission``) is reported by its label. These name exactly
+      what a code change added.
+    * **staleness** — the document is fully generated, so anything
+      short of byte-equality with ``rendered`` (something removed or
+      renamed, a changed default or help string) is drift too,
+      reported as one ``stale`` entry.
+
+    A missing file is reported as a single entry. Either way the fix
+    is the same: run ``regenerate``.
+    """
+    doc_path = root / doc
+    if not doc_path.exists():
+        return [f"missing {doc} (run `{regenerate}`)"]
+    text = doc_path.read_text(encoding="utf-8")
+    problems = [
+        label
+        for label, token in entries
+        if not re.search(re.escape(token) + r"(?![\w-])", text)
+    ]
+    if text != rendered:
+        problems.append(
+            f"{doc} is stale — regenerate with `{regenerate}`"
+        )
+    return problems
 
 
 def check_cli_doc(root: Path) -> list[str]:
     """Drift between the CLI parsers and the committed ``docs/cli.md``.
 
-    Two guards, reported in order:
-
-    * **missing flags** — each entry reads ``<subcommand>: <flag>``;
-      flags are matched as whole words, so a documented
-      ``--admission-backlog-factor`` does not hide a missing
-      ``--admission``. These entries name exactly what a parser change
-      added.
-    * **staleness** — the document is fully generated, so anything
-      short of byte-equality with the current
-      :func:`repro.tools.clidoc.render_cli_doc` output (a removed or
-      renamed flag, a changed default or help string) is drift too,
-      reported as one ``stale`` entry.
-
-    A missing reference file is reported as a single entry. Either way
-    the fix is the same: regenerate with
-    ``python -m repro.tools.clidoc --out docs/cli.md``.
+    Missing flags read ``<subcommand>: <flag>``; see
+    :func:`_generated_doc_drift` for the two guards.
     """
     from .cli import build_parser
     from .clidoc import all_flags, render_cli_doc
 
-    doc_path = root / CLI_DOC
-    if not doc_path.exists():
-        return [f"missing {CLI_DOC} (run `python -m repro.tools.clidoc`)"]
-    text = doc_path.read_text(encoding="utf-8")
     parser = build_parser()
-    problems = []
-    for command, flags in sorted(all_flags(parser).items()):
-        for flag in sorted(flags):
-            if not re.search(re.escape(flag) + r"(?![\w-])", text):
-                problems.append(f"{command}: {flag}")
-    if text != render_cli_doc(parser):
-        problems.append(
-            f"{CLI_DOC} is stale — regenerate with "
-            "`python -m repro.tools.clidoc --out docs/cli.md`"
-        )
-    return problems
+    return _generated_doc_drift(
+        root,
+        CLI_DOC,
+        [
+            (f"{command}: {flag}", flag)
+            for command, flags in sorted(all_flags(parser).items())
+            for flag in sorted(flags)
+        ],
+        render_cli_doc(parser),
+        "python -m repro.tools.clidoc --out docs/cli.md",
+    )
+
+
+def check_metrics_doc(root: Path) -> list[str]:
+    """Drift between the declared series and ``docs/metrics.md``."""
+    from .clidoc import render_metrics_doc, series_rows
+
+    return _generated_doc_drift(
+        root,
+        METRICS_DOC,
+        [(row[0], row[0]) for row in series_rows()],
+        render_metrics_doc(),
+        "python -m repro.tools.clidoc --metrics --out docs/metrics.md",
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,7 +192,10 @@ def main(argv: list[str] | None = None) -> int:
     undocumented = check_cli_doc(root)
     for entry in undocumented:
         print(f"UNDOCUMENTED CLI FLAG {entry}", file=sys.stderr)
-    if report or undocumented:
+    undeclared = check_metrics_doc(root)
+    for entry in undeclared:
+        print(f"UNDOCUMENTED SERIES {entry}", file=sys.stderr)
+    if report or undocumented or undeclared:
         return 1
     total = sum(
         len(iter_links(d.read_text(encoding="utf-8")))
@@ -162,7 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"checked {len(documents)} documents, {total} links: all "
-        "resolve; CLI reference covers every parser flag"
+        "resolve; CLI reference covers every parser flag, metrics "
+        "reference every declared series"
     )
     return 0
 

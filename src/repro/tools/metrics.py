@@ -1,35 +1,27 @@
-"""Prometheus-textfile metrics for scans and fleet runs.
+"""Prometheus-textfile metrics for scans, fleet runs, plans, serving.
 
 A minimal renderer for the `Prometheus text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ —
 just gauges/counters with optional labels, which is all the node
 exporter's *textfile collector* ingests. No client library dependency:
 the format is a few lines of string assembly, and keeping it in-repo
-means ``repro scan --metrics-out`` and ``repro fleet --metrics-out``
-work in any environment the simulator runs in.
+means every ``--metrics-out`` works in any environment the simulator
+runs in.
 
-Two builders mirror the operator surfaces that emit metrics:
-
-* :func:`scan_metrics` — one ``repro scan`` pass
-  (:class:`~repro.core.integrity.IntegrityReport`): objects/bytes
-  scanned, corrupt/quarantined/torn counts by job;
-* :func:`fleet_metrics` — one fleet run
-  (:class:`~repro.fleet.experiment.FleetRunReport`): bit-rot
-  injections, restore fallbacks, scratch restarts, restores/failures;
-* :func:`serving_metrics` — one serving-plane co-simulation
-  (:class:`~repro.serving.fleet.ServingReport`): lookup latency
-  percentiles, row-cache hit rate, version flips/lag/stalls, torn
-  lookups;
-* :func:`plan_metrics` — one capacity-planner sweep
-  (:class:`~repro.fleet.planner.ProvisioningCurve`): peak storage,
-  peak link bandwidth and storm time-to-recover per grid point,
-  labelled by the (quota, retention, admission) knobs.
+No series is listed here. A report dataclass declares its exported
+fields where it declares the fields (:func:`repro.reporting.series`),
+and :func:`report_metrics` turns any such report into samples; the
+four ``*_metrics`` functions below only name each operator surface's
+prefix and labels. ``docs/metrics.md`` is generated from the same
+declarations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+
+from ..reporting import declared_series
 
 #: Metric name prefix for everything this repo exports.
 PREFIX = "repro"
@@ -94,388 +86,62 @@ def write_textfile(path: str | Path, metrics: list[Metric]) -> Path:
     return target
 
 
-# ----------------------------------------------------------------------
-# Builders
-# ----------------------------------------------------------------------
+def report_metrics(
+    report, prefix: str, labels: tuple[tuple[str, str], ...] = ()
+) -> list[Metric]:
+    """One sample per series the report's dataclass declares.
 
-
-def scan_metrics(report) -> list[Metric]:
-    """Metrics for one integrity scan (``repro scan``).
-
-    ``report`` is a :class:`~repro.core.integrity.IntegrityReport`;
-    every series carries a ``job`` label so scans over several jobs
-    concatenate into one textfile.
+    Series are named ``repro_<prefix>_<name>``; every sample carries
+    ``labels``. Sized values export their ``len()``.
     """
-    job = (("job", report.job_id),)
-    return [
-        Metric(
-            f"{PREFIX}_scan_checkpoints_scanned",
-            report.checkpoints_scanned,
-            help="Checkpoints with a readable manifest scanned.",
-            labels=job,
-        ),
-        Metric(
-            f"{PREFIX}_scan_objects_scanned",
-            report.objects_scanned,
-            help="Stored objects (manifests, chunks, dense) scanned.",
-            labels=job,
-        ),
-        Metric(
-            f"{PREFIX}_scan_bytes_verified",
-            report.bytes_verified,
-            help="Bytes of objects that passed every integrity check.",
-            labels=job,
-        ),
-        Metric(
-            f"{PREFIX}_scan_corrupt_objects",
-            len(report.issues),
-            help="Objects that failed an integrity check this scan.",
-            labels=job,
-        ),
-        Metric(
-            f"{PREFIX}_scan_corrupt_checkpoints",
-            len(report.corrupt_checkpoint_ids),
-            help="Checkpoints with at least one corrupt object.",
-            labels=job,
-        ),
-        Metric(
-            f"{PREFIX}_scan_quarantined_checkpoints",
-            len(report.quarantined_ids),
-            help="Checkpoints newly quarantined by this scan.",
-            labels=job,
-        ),
-        Metric(
-            f"{PREFIX}_scan_already_quarantined_checkpoints",
-            len(report.already_quarantined_ids),
-            help="Checkpoints a previous scan had already quarantined.",
-            labels=job,
-        ),
-        Metric(
-            f"{PREFIX}_scan_torn_checkpoints",
-            len(report.torn_checkpoint_ids),
-            help="Checkpoints with stored objects but no manifest.",
-            labels=job,
-        ),
-        Metric(
-            f"{PREFIX}_scan_unreadable_manifests",
-            len(report.unreadable_manifests),
-            help="Manifest objects that failed to parse.",
-            labels=job,
-        ),
-    ]
-
-
-def fleet_metrics(report) -> list[Metric]:
-    """Metrics for one fleet run (``repro fleet``).
-
-    ``report`` is a :class:`~repro.fleet.experiment.FleetRunReport`.
-    """
-    return [
-        Metric(
-            f"{PREFIX}_fleet_jobs",
-            report.num_jobs,
-            help="Jobs sharing the store in this run.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_failures",
-            report.failures,
-            help="Independent failures injected across the fleet.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_restores",
-            report.restores,
-            help="Restores completed across the fleet.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_torn_writes",
-            report.torn_writes,
-            help="Checkpoint writes torn by crashes.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_bitrot_injected_writes",
-            report.bitrot_injected,
-            help="PUT payloads silently corrupted by the bit-rot "
-            "injector.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_restore_fallbacks",
-            report.restore_fallbacks,
-            help="Resume-plan candidates that failed verification "
-            "before a restore landed (restore-through-corruption).",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_scratch_restarts",
-            report.scratch_restarts,
-            help="Recoveries with no restorable checkpoint at all.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_verified_read_bytes",
-            report.total_get_bytes,
-            help="GET-class bytes read (and digest/CRC-verified) over "
-            "the shared link.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_cache_capacity_bytes",
-            report.cache_capacity_bytes,
-            help="Near-tier cache capacity (0 = no cache tier).",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_cache_hits",
-            report.cache_hits,
-            help="GET requests served from the near cache tier.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_cache_misses",
-            report.cache_misses,
-            help="GET requests that spilled to the far tier.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_cache_evictions",
-            report.cache_evictions,
-            help="Objects evicted from the near tier under capacity "
-            "pressure.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_cache_dirty_flushes",
-            report.cache_dirty_flushes,
-            help="Dirty objects flushed asynchronously to the far tier "
-            "(write-back policy).",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_cache_dirty_backlog",
-            report.cache_dirty_backlog,
-            help="Dirty objects still unflushed at end of run.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_repl_k",
-            report.replicate_k,
-            help="Peer replicas per job (0 = replication off).",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_repl_peer_restores",
-            report.repl_peer_restores,
-            help="Recoveries served from a peer memory ring instead "
-            "of the object store.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_repl_store_fallbacks",
-            report.repl_store_fallbacks,
-            help="Recoveries that fell through to the object store "
-            "because no replica survived the failure domain.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_repl_deltas_sent",
-            report.repl_deltas_sent,
-            help="Per-step deltas mirrored into peer rings.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_repl_bytes_sent",
-            report.repl_bytes_sent,
-            help="Bytes mirrored over the replication stream class.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_repl_partial_discards",
-            report.repl_partial_discards,
-            help="Replica sends torn by a crash mid-transfer and "
-            "discarded (never readable as a restore source).",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_repl_rings_lost",
-            report.repl_rings_lost,
-            help="Peer rings destroyed because their host job died.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_repl_rings_rebuilt",
-            report.repl_rings_rebuilt,
-            help="Rings rebuilt by anchor resend after a baseline "
-            "flush.",
-        ),
-        Metric(
-            f"{PREFIX}_fleet_repl_ring_evictions",
-            report.repl_ring_evictions,
-            help="Oldest deltas folded into ring anchors under "
-            "capacity pressure.",
-        ),
-    ]
-
-
-def plan_metrics(curve) -> list[Metric]:
-    """Metrics for one capacity-planner sweep (``repro plan``).
-
-    ``curve`` is a :class:`~repro.fleet.planner.ProvisioningCurve`.
-    Every series carries the grid point's knobs as labels, so one
-    textfile holds the whole curve and dashboards can plot peak
-    storage against retention depth directly.
-    """
-    metrics = [
-        Metric(
-            f"{PREFIX}_plan_points",
-            len(curve.points),
-            help="Grid points in this provisioning sweep.",
-        ),
-        Metric(
-            f"{PREFIX}_plan_jobs",
-            curve.num_jobs,
-            help="Jobs in each swept fleet.",
-        ),
-    ]
-    for point in curve.points:
-        labels = (
-            (
-                "quota",
-                "none"
-                if point.quota_bytes is None
-                else str(point.quota_bytes),
-            ),
-            ("keep_last", str(point.keep_last)),
-            ("admission", point.admission),
-        )
-        metrics.extend(
-            [
-                Metric(
-                    f"{PREFIX}_plan_peak_physical_bytes",
-                    point.peak_physical_bytes,
-                    help="Fleet peak live physical bytes at this "
-                    "grid point.",
-                    labels=labels,
-                ),
-                Metric(
-                    f"{PREFIX}_plan_peak_put_bandwidth",
-                    point.peak_put_bandwidth,
-                    help="Peak windowed PUT bandwidth (bytes/sec).",
-                    labels=labels,
-                ),
-                Metric(
-                    f"{PREFIX}_plan_peak_get_bandwidth",
-                    point.peak_get_bandwidth,
-                    help="Peak windowed GET bandwidth (bytes/sec).",
-                    labels=labels,
-                ),
-                Metric(
-                    f"{PREFIX}_plan_storm_recover_seconds",
-                    point.storm_recover_s,
-                    help="Fleet storm time-to-recover (0 = no storm).",
-                    labels=labels,
-                ),
-                Metric(
-                    f"{PREFIX}_plan_quota_rejections",
-                    point.quota_rejections,
-                    help="Quota-rejected PUTs at this grid point.",
-                    labels=labels,
-                ),
-                Metric(
-                    f"{PREFIX}_plan_admission_deferrals",
-                    point.admission_deferrals,
-                    help="Admission-deferred checkpoint triggers.",
-                    labels=labels,
-                ),
-            ]
+    metrics = []
+    for attr, spec in declared_series(type(report)):
+        value = getattr(report, attr)
+        metrics.append(
+            Metric(
+                f"{PREFIX}_{prefix}_{spec.name or attr}",
+                value if isinstance(value, (int, float)) else len(value),
+                help=spec.help,
+                type=spec.type,
+                labels=labels,
+            )
         )
     return metrics
 
 
-def serving_metrics(report) -> list[Metric]:
-    """Metrics for one serving-plane co-simulation (``repro serve``).
+def scan_metrics(report) -> list[Metric]:
+    """``repro scan``: an :class:`~repro.core.integrity.IntegrityReport`.
 
-    ``report`` is a :class:`~repro.serving.fleet.ServingReport`. The
-    series an online-training deployment would alert on: lookup tail
-    latency, row-cache efficiency, version freshness, and the
-    must-be-zero torn-lookup counter.
+    Every series carries a ``job`` label so scans over several jobs
+    concatenate into one textfile.
     """
-    return [
-        Metric(
-            f"{PREFIX}_serving_servers",
-            report.num_servers,
-            help="Inference servers in the serving fleet.",
-        ),
-        Metric(
-            f"{PREFIX}_serving_cache_rows",
-            report.cache_rows,
-            help="Per-server row-cache capacity (pins + LRU ring).",
-        ),
-        Metric(
-            f"{PREFIX}_serving_lookups",
-            report.requests,
-            help="Lookup requests served.",
-            type="counter",
-        ),
-        Metric(
-            f"{PREFIX}_serving_rows_looked_up",
-            report.rows_looked_up,
-            help="Embedding rows served across all requests.",
-            type="counter",
-        ),
-        Metric(
-            f"{PREFIX}_serving_lookup_p50_s",
-            report.lookup_p50_s,
-            help="Median lookup latency (arrival to completion).",
-        ),
-        Metric(
-            f"{PREFIX}_serving_lookup_p99_s",
-            report.lookup_p99_s,
-            help="99th-percentile lookup latency.",
-        ),
-        Metric(
-            f"{PREFIX}_serving_cache_hits",
-            report.cache_hits,
-            help="Row lookups answered from the row cache.",
-            type="counter",
-        ),
-        Metric(
-            f"{PREFIX}_serving_cache_misses",
-            report.cache_misses,
-            help="Row lookups that read a checkpoint chunk.",
-            type="counter",
-        ),
-        Metric(
-            f"{PREFIX}_serving_cache_hit_rate",
-            report.hit_rate,
-            help="Row-cache hit fraction over the run.",
-        ),
-        Metric(
-            f"{PREFIX}_serving_version_flips",
-            report.version_flips,
-            help="Atomic version flips across the fleet.",
-            type="counter",
-        ),
-        Metric(
-            f"{PREFIX}_serving_flip_stall_seconds_total",
-            report.flip_stall_total_s,
-            help="Time spent warming caches before flips could land.",
-            type="counter",
-        ),
-        Metric(
-            f"{PREFIX}_serving_version_lag_mean_s",
-            report.version_lag_mean_s,
-            help="Mean age of the served version at lookup completion.",
-        ),
-        Metric(
-            f"{PREFIX}_serving_version_lag_max_s",
-            report.version_lag_max_s,
-            help="Worst served-version age observed.",
-        ),
-        Metric(
-            f"{PREFIX}_serving_torn_lookups",
-            report.torn_lookups,
-            help="Requests whose values mixed versions (must be 0).",
-            type="counter",
-        ),
-        Metric(
-            f"{PREFIX}_serving_straddled_requests",
-            report.straddled_requests,
-            help="Requests that finished on a pre-flip version.",
-            type="counter",
-        ),
-        Metric(
-            f"{PREFIX}_serving_version_fallbacks",
-            report.version_fallbacks,
-            help="Corrupt-chunk fallbacks to an older version.",
-            type="counter",
-        ),
-        Metric(
-            f"{PREFIX}_serving_publishes",
-            report.publishes,
-            help="Checkpoints published to the serving fleet.",
-            type="counter",
-        ),
-    ]
+    return report_metrics(report, "scan", (("job", report.job_id),))
+
+
+def fleet_metrics(report) -> list[Metric]:
+    """``repro fleet``: a :class:`~repro.fleet.experiment.FleetRunReport`."""
+    return report_metrics(report, "fleet")
+
+
+def plan_metrics(curve) -> list[Metric]:
+    """``repro plan``: a :class:`~repro.fleet.planner.ProvisioningCurve`.
+
+    Each point's series carry its knobs as labels, so one textfile
+    holds the whole curve and dashboards can plot peak storage against
+    retention depth directly.
+    """
+    metrics = report_metrics(curve, "plan")
+    for point in curve.points:
+        quota = "none" if point.quota_bytes is None else str(point.quota_bytes)
+        labels = (
+            ("quota", quota),
+            ("keep_last", str(point.keep_last)),
+            ("admission", point.admission),
+        )
+        metrics += report_metrics(point, "plan", labels)
+    return metrics
+
+
+def serving_metrics(report) -> list[Metric]:
+    """``repro serve``: a :class:`~repro.serving.fleet.ServingReport`."""
+    return report_metrics(report, "serving")

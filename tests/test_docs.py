@@ -10,11 +10,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.tools.clidoc import all_flags, render_cli_doc
+from repro.tools.clidoc import (
+    all_flags,
+    render_cli_doc,
+    render_metrics_doc,
+    series_rows,
+)
 from repro.tools.cli import build_parser
 from repro.tools.docscheck import (
     check_cli_doc,
     check_file,
+    check_metrics_doc,
     check_tree,
     default_documents,
     iter_links,
@@ -150,3 +156,51 @@ class TestCliReference:
         assert main(["--root", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "UNDOCUMENTED CLI FLAG" in err
+
+
+class TestMetricsReference:
+    """docs/metrics.md is generated from the ``series(...)``
+    declarations and cannot drift."""
+
+    def test_repo_metrics_doc_covers_every_declared_series(self):
+        assert check_metrics_doc(REPO_ROOT) == []
+
+    def test_every_surface_declares_series(self):
+        names = [row[0] for row in series_rows()]
+        assert len(names) == len(set(names)) == 57
+        assert {name.split("_")[1] for name in names} == {
+            "scan",
+            "fleet",
+            "plan",
+            "serving",
+        }
+
+    def test_missing_series_is_detected(self, tmp_path):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "metrics.md").write_text(
+            render_metrics_doc().replace(
+                "`repro_fleet_restores`", "`repro_fleet_rst`"
+            ),
+            encoding="utf-8",
+        )
+        report = check_metrics_doc(tmp_path)
+        assert report[0] == "repro_fleet_restores"
+        assert "stale" in report[-1]
+
+    def test_cli_entry_point_fails_on_missing_series(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "README.md").write_text("no links here")
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "cli.md").write_text(render_cli_doc(), encoding="utf-8")
+        (docs / "metrics.md").write_text(
+            render_metrics_doc().replace(
+                "`repro_scan_torn_checkpoints`", "`gone`"
+            ),
+            encoding="utf-8",
+        )
+        assert main(["--root", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "UNDOCUMENTED SERIES repro_scan_torn_checkpoints" in err

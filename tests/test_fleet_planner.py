@@ -141,6 +141,5 @@ class TestCurveShape:
         curve = run_plan(base_config(seed=23))
         assert isinstance(curve, ProvisioningCurve)
         assert curve.seed == 23
-        assert curve.dispatch == "heap"
         with pytest.raises(Exception):
             curve.points = ()

@@ -13,8 +13,6 @@ deterministically.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.config import FleetConfig
@@ -42,7 +40,6 @@ from repro.storage.backends import (
 )
 from repro.tools.metrics import (
     Metric,
-    fleet_metrics,
     render_textfile,
     scan_metrics,
     write_textfile,
@@ -482,41 +479,3 @@ class TestMetricsTextfile:
         assert 'repro_scan_corrupt_objects{job="job0"} 1' in text
         assert 'repro_scan_quarantined_checkpoints{job="job0"} 1' in text
         assert 'repro_scan_checkpoints_scanned{job="job0"} 3' in text
-
-    def test_fleet_metrics_series(self):
-        report = SimpleNamespace(
-            num_jobs=4,
-            failures=2,
-            restores=3,
-            torn_writes=1,
-            bitrot_injected=5,
-            restore_fallbacks=2,
-            scratch_restarts=1,
-            total_get_bytes=4096,
-            cache_capacity_bytes=65536,
-            cache_hits=7,
-            cache_misses=3,
-            cache_evictions=4,
-            cache_dirty_flushes=6,
-            cache_dirty_backlog=2,
-            replicate_k=2,
-            repl_peer_restores=3,
-            repl_store_fallbacks=1,
-            repl_deltas_sent=40,
-            repl_bytes_sent=8192,
-            repl_partial_discards=1,
-            repl_rings_lost=2,
-            repl_rings_rebuilt=2,
-            repl_ring_evictions=5,
-        )
-        text = render_textfile(fleet_metrics(report))
-        assert "repro_fleet_bitrot_injected_writes 5" in text
-        assert "repro_fleet_restore_fallbacks 2" in text
-        assert "repro_fleet_scratch_restarts 1" in text
-        assert "repro_fleet_verified_read_bytes 4096" in text
-        assert "repro_fleet_cache_capacity_bytes 65536" in text
-        assert "repro_fleet_cache_hits 7" in text
-        assert "repro_fleet_cache_dirty_backlog 2" in text
-        assert "repro_fleet_repl_k 2" in text
-        assert "repro_fleet_repl_peer_restores 3" in text
-        assert "repro_fleet_repl_ring_evictions 5" in text
