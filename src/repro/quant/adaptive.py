@@ -15,9 +15,11 @@ original range explored), and the final answer is the (xmin, xmax) pair
 from the iteration with the lowest error, which may be the untightened
 original range.
 
-The implementation vectorises the search across all rows: every iteration
-performs two full-matrix quantize+measure passes, so run time grows
-linearly with ``num_bins * ratio`` exactly as the paper's Figs 12/13 show.
+The implementation vectorises the search across rows, one bounded block
+of them at a time (:class:`~repro.quant.uniform.RowTile`): every
+iteration quantizes and measures both candidates in one fused pass over
+the block, so run time grows linearly with ``num_bins * ratio`` exactly
+as the paper's Figs 12/13 show.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from ..errors import QuantizationError
 from .base import QuantizedTensor, Quantizer
 from .packing import pack_rows, unpack_rows
 from .uniform import (
-    quantization_l2_per_row,
+    RowTile,
     uniform_dequantize_rows,
     uniform_quantize_rows,
 )
@@ -69,41 +71,53 @@ def greedy_range_search(
         raise QuantizationError(f"ratio must be in (0, 1], got {ratio}")
 
     x = np.ascontiguousarray(tensor, dtype=np.float32)
-    row_min = np.min(x, axis=1).astype(np.float32)
-    row_max = np.max(x, axis=1).astype(np.float32)
+    row_min = np.min(x, axis=1)
+    row_max = np.max(x, axis=1)
     step = (row_max - row_min) / np.float32(num_bins)
 
     best_min = row_min.copy()
     best_max = row_max.copy()
-    best_err = quantization_l2_per_row(x, row_min, row_max, bits)
+    best_err = np.empty(x.shape[0], dtype=np.float64)
 
-    cur_min = row_min.copy()
-    cur_max = row_max.copy()
     iterations = int(num_bins * ratio)
     # Walking more than num_bins - 1 steps would collapse the range.
     iterations = min(iterations, num_bins - 1)
 
-    for _ in range(iterations):
-        cand_min = cur_min + step
-        cand_max = cur_max - step
-        err_lift_min = quantization_l2_per_row(x, cand_min, cur_max, bits)
-        err_drop_max = quantization_l2_per_row(x, cur_min, cand_max, bits)
+    tile = RowTile(x, bits, candidates=2)
+    lo_pair = np.empty((2, 1, tile.block), dtype=np.float32)
+    hi_pair = np.empty((2, 1, tile.block), dtype=np.float32)
+    for rows in tile.blocks():
+        n = rows.stop - rows.start
+        lo, hi = lo_pair[..., :n], hi_pair[..., :n]
+        # Candidate 0 lifts the min, candidate 1 drops the max; the
+        # current range is the two bounds they leave alone.
+        lift_min, cur_min = lo[0, 0], lo[1, 0]
+        cur_max, drop_max = hi[0, 0], hi[1, 0]
+        cur_min[:] = row_min[rows]
+        cur_max[:] = row_max[rows]
+        blk_step = step[rows]
+        blk_min, blk_max = best_min[rows], best_max[rows]
+        blk_err = best_err[rows]
+        blk_err[:] = tile.errors(lo[1:], hi[:1])[0]
 
-        take_min = err_lift_min <= err_drop_max
-        cur_min = np.where(take_min, cand_min, cur_min)
-        cur_max = np.where(take_min, cur_max, cand_max)
-        cur_err = np.where(take_min, err_lift_min, err_drop_max)
+        for _ in range(iterations):
+            np.add(cur_min, blk_step, out=lift_min)
+            np.subtract(cur_max, blk_step, out=drop_max)
+            err_lift, err_drop = tile.errors(lo, hi)
 
-        improved = cur_err < best_err
-        best_min = np.where(improved, cur_min, best_min)
-        best_max = np.where(improved, cur_max, best_max)
-        best_err = np.where(improved, cur_err, best_err)
+            take_min = err_lift <= err_drop
+            np.putmask(cur_min, take_min, lift_min)
+            np.putmask(cur_max, ~take_min, drop_max)
+            cur_err = err_drop  # the tile's scratch, ours until it runs again
+            np.putmask(cur_err, take_min, err_lift)
+
+            improved = cur_err < blk_err
+            np.putmask(blk_min, improved, cur_min)
+            np.putmask(blk_max, improved, cur_max)
+            np.putmask(blk_err, improved, cur_err)
 
     return GreedySearchResult(
-        xmin=best_min.astype(np.float32),
-        xmax=best_max.astype(np.float32),
-        errors=best_err,
-        iterations=iterations,
+        xmin=best_min, xmax=best_max, errors=best_err, iterations=iterations
     )
 
 

@@ -3,8 +3,9 @@
 N-bit quantization (N in 1..8) produces integer codes in [0, 2^N - 1].
 Storing each code in a full byte would forfeit most of the bandwidth
 savings the paper is after, so codes are packed densely: 2-bit codes use
-a quarter byte each, 3-bit codes 3/8 of a byte, and so on. Packing is
-fully vectorised via numpy's bit routines.
+a quarter byte each, 3-bit codes 3/8 of a byte, and so on. The widths
+that divide a byte (1, 2, 4) pack with one shift-and-OR per slot; 3, 5,
+6 and 7 bits straddle bytes and go through numpy's bit routines.
 """
 
 from __future__ import annotations
@@ -43,15 +44,35 @@ def pack_bits(codes: np.ndarray, bits: int) -> np.ndarray:
     flat = np.ascontiguousarray(codes).reshape(-1)
     if flat.size == 0:
         return np.zeros(0, dtype=np.uint8)
-    if flat.min() < 0 or flat.max() >= (1 << bits):
+    # One scan for the codes every quantizer emits: an unsigned dtype
+    # cannot go negative, so only its max needs looking at.
+    top = flat.max()
+    signed = flat.dtype.kind not in "ub"
+    if top >= (1 << bits) or (signed and flat.min() < 0):
         raise PackingError(
             f"codes out of range for {bits}-bit packing: "
-            f"[{flat.min()}, {flat.max()}]"
+            f"[{flat.min()}, {top}]"
         )
     if bits == 8:  # fast path: codes already are full bytes
-        return flat.astype(np.uint8).copy()
-    as_bytes = flat.astype(np.uint8).reshape(-1, 1)
-    bit_rows = np.unpackbits(as_bytes, axis=1)  # (n, 8), MSB first
+        return flat.astype(np.uint8)
+    as_bytes = flat.astype(np.uint8, copy=False)
+    if 8 % bits == 0:
+        # Byte-dividing widths: code i of each byte is a strided lane,
+        # shifted into its slot and OR-ed in. A short final lane leaves
+        # the pad bits of the last byte zero.
+        per_byte = 8 // bits
+        packed = np.zeros(packed_size(flat.size, bits), dtype=np.uint8)
+        shifted = np.empty_like(packed)
+        for slot in range(per_byte):
+            lane = as_bytes[slot::per_byte]
+            shift = 8 - bits * (slot + 1)
+            if shift:
+                lane = np.left_shift(lane, shift, out=shifted[: lane.size])
+            np.bitwise_or(
+                packed[: lane.size], lane, out=packed[: lane.size]
+            )
+        return packed
+    bit_rows = np.unpackbits(as_bytes.reshape(-1, 1), axis=1)  # MSB first
     wanted = bit_rows[:, 8 - bits :]  # low `bits` bits of each code
     return np.packbits(wanted.reshape(-1))
 
@@ -76,6 +97,17 @@ def unpack_bits(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
         return np.zeros(0, dtype=np.uint8)
     if bits == 8:  # fast path mirrors pack_bits
         return packed[:count].copy()
+    if 8 % bits == 0:
+        # Mirror of the pack_bits lanes: shift slot i down, mask it.
+        per_byte = 8 // bits
+        codes = np.empty(count, dtype=np.uint8)
+        for slot in range(per_byte):
+            lane = codes[slot::per_byte]
+            shift = 8 - bits * (slot + 1)
+            np.right_shift(packed[: lane.size], shift, out=lane)
+            if slot:  # slot 0 has nothing above it
+                np.bitwise_and(lane, (1 << bits) - 1, out=lane)
+        return codes
     bit_stream = np.unpackbits(packed[:needed])[: count * bits]
     groups = bit_stream.reshape(count, bits)
     padded = np.zeros((count, 8), dtype=np.uint8)

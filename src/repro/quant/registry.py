@@ -8,6 +8,8 @@ looking the name up here.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import QuantizationError
@@ -76,10 +78,22 @@ def quantizer_for_decoding(
     return make_quantizer(name, bits=bits, num_bins=num_bins, ratio=ratio)
 
 
+@lru_cache(maxsize=None)
+def _decoder(name: str, bits: int) -> Quantizer:
+    """The one decoder per ``(name, bit_width)``.
+
+    Decoding reads nothing but the tensor's own params, so a decoder is
+    stateless and safe to share between restores, servers and threads;
+    the key space is the registry's names times eight widths. Unknown
+    names raise from :func:`make_quantizer` and are not cached.
+    """
+    return quantizer_for_decoding(name, bits)
+
+
 def dequantize_tensor(qt: "QuantizedTensor") -> "np.ndarray":
     """De-quantize a self-describing :class:`QuantizedTensor`.
 
     The tensor records which quantizer produced it, so the restore path
     needs no out-of-band information beyond the payload itself.
     """
-    return quantizer_for_decoding(qt.quantizer, qt.bit_width).dequantize(qt)
+    return _decoder(qt.quantizer, qt.bit_width).dequantize(qt)

@@ -22,6 +22,194 @@ from .base import QuantizedTensor, Quantizer
 from .packing import pack_rows, unpack_rows
 
 
+#: Elements per block of rows. Two things size it, and the cache is the
+#: lesser one. The kernels run as a few dozen numpy calls per block and
+#: numpy drops the interpreter lock inside every one of them; the
+#: engine's four pool workers quantize concurrently, so at 2**14
+#: elements (~10 us a call) they spend more time handing the lock round
+#: than computing — four threads ran *slower* than one — while from
+#: 2**16 up the calls are long enough for two cores to overlap. The
+#: other is memory: the greedy search holds ~36 bytes of scratch per
+#: element (the fp32 block, its fp64 copy, and an fp32 work + fp64 error
+#: array for each of two candidates), so 2**17 bounds a call at ~4.5 MiB
+#: whatever the chunk size. A single thread is within 10% of its best
+#: anywhere from 2**14 to 2**20.
+_TILE_ELEMS = 1 << 17
+
+#: Floor on rows per block. The search's contiguous axis is the row
+#: axis, so for very wide rows ``_TILE_ELEMS // dim`` would shrink every
+#: inner loop to a handful of elements; 64 keeps them vectorisable and
+#: the scratch simply grows with ``dim``.
+_MIN_TILE_ROWS = 64
+
+
+def block_rows(dim: int) -> int:
+    """Rows per block for ``dim``-wide rows: derived, never configured."""
+    return max(_MIN_TILE_ROWS, _TILE_ELEMS // max(dim, 1))
+
+
+def _row_slices(rows: int, block: int):
+    """Slices that walk ``rows`` rows ``block`` at a time."""
+    for start in range(0, rows, block):
+        yield slice(start, min(start + block, rows))
+
+
+def _grid_scale(
+    lo: np.ndarray, hi: np.ndarray, levels: int, out: np.ndarray
+) -> None:
+    """``out = (hi - lo) / levels``, the fp32 grid step of each range.
+
+    Ranges that are not positive (constant rows) get a stand-in span of
+    1 instead of a divide-by-zero; their codes become 0.
+    """
+    np.subtract(hi, lo, out=out)
+    np.putmask(out, ~(out > 0), 1)
+    np.divide(out, levels, out=out)
+
+
+def _grid_codes(
+    x: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    levels: int,
+    scale: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``out = rint((clip(x, lo, hi) - lo) / scale)`` held to [0, levels].
+
+    Every step runs in place in ``out`` (the dtype ``x`` and fp32 bounds
+    promote to); ``lo``/``hi``/``scale`` broadcast against ``x``, along
+    whichever axis the caller laid the rows on. ``scale`` is filled in
+    on the way. The codes come out as integral floats.
+    """
+    _grid_scale(lo, hi, levels, scale)
+    np.maximum(x, lo, out=out)
+    np.minimum(out, hi, out=out)
+    np.subtract(out, lo, out=out)
+    np.divide(out, scale, out=out)
+    np.rint(out, out=out)
+    # fmax, not clip: a range too small or too large for fp32 grids 0/0
+    # or inf/inf to NaN, which the uint8 code format stores as 0.
+    np.fmax(out, 0, out=out)
+    np.minimum(out, levels, out=out)
+
+
+def _sum_rows(sq: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> None:
+    """``out = sq.sum(axis=-2)`` in the order ``np.sum(axis=1)`` adds.
+
+    ``sq`` is ``(..., dim, n)`` — one row per *column* — and is
+    destroyed. numpy reduces a contiguous fp64 axis pairwise: fewer
+    than 8 terms sequentially; up to 128 through eight interleaved
+    accumulators combined as ``((0+1)+(2+3))+((4+5)+(6+7))`` plus a
+    sequential tail; longer runs split in two at a multiple of 8. The
+    row-major code this replaces summed with ``np.sum(axis=1)``, and the
+    greedy search compares these sums with ``<=``, so reproducing that
+    order is what keeps every chosen range — and every stored byte —
+    identical.
+    """
+    dim = sq.shape[-2]
+    if dim > 128:
+        half = dim // 2
+        half -= half % 8
+        _sum_rows(sq[..., :half, :], pairs, out)
+        # The right half's total lands in its own first row, which that
+        # half has finished reading by the time it writes the result.
+        right = sq[..., half, :]
+        _sum_rows(sq[..., half:, :], pairs, right)
+        np.add(out, right, out=out)
+        return
+    if dim < 8:
+        np.copyto(out, sq[..., 0, :])
+        tail = 1
+    else:
+        tail = dim - dim % 8
+        lanes = sq[..., :8, :]
+        for i in range(8, tail, 8):
+            np.add(lanes, sq[..., i : i + 8, :], out=lanes)
+        np.add(lanes[..., 0::2, :], lanes[..., 1::2, :], out=pairs)
+        halves = lanes[..., :2, :]
+        np.add(pairs[..., 0::2, :], pairs[..., 1::2, :], out=halves)
+        np.add(halves[..., 0, :], halves[..., 1, :], out=out)
+    for i in range(tail, dim):
+        np.add(out, sq[..., i, :], out=out)
+
+
+class RowTile:
+    """Per-call scratch that measures candidate ranges on blocks of rows.
+
+    The matrix is walked :func:`block_rows` rows at a time and each
+    block is held column-major, ``(dim, n)``: per-row ``lo``/``hi``/
+    ``scale`` then broadcast along the long contiguous axis instead of
+    across an 8-to-16-wide one, every step runs in place, the block's
+    fp64 copy is made once rather than per candidate, and several
+    candidate ranges per row are measured in one pass by stacking them
+    on a leading axis — bounds are ``(candidates, 1, n)`` arrays.
+
+    All state lives on the instance, which a kernel creates per call:
+    quantizer objects are shared by the engine's pool workers and must
+    stay stateless.
+    """
+
+    def __init__(self, x: np.ndarray, bits: int, candidates: int = 1):
+        rows, dim = x.shape
+        dtype = np.result_type(x.dtype, np.float32)
+        self._source = x
+        self._levels = (1 << bits) - 1
+        self.block = block = min(block_rows(dim), max(rows, 1))
+        tile = (candidates, dim, block)
+        self._x = np.empty((dim, block), dtype)
+        self._x64 = (
+            self._x
+            if dtype == np.float64
+            else np.empty((dim, block), np.float64)
+        )
+        self._codes = np.empty(tile, dtype)
+        self._recon = (
+            self._codes if dtype == np.float32 else np.empty(tile, np.float32)
+        )
+        self._scale = np.empty((candidates, 1, block), np.float32)
+        self._diff = np.empty(tile, np.float64)
+        self._pairs = np.empty((candidates, 4, block), np.float64)
+        self._err = np.empty((candidates, block), np.float64)
+
+    def blocks(self):
+        """Load the matrix one block at a time; yields each row slice."""
+        for rows in _row_slices(self._source.shape[0], self.block):
+            n = rows.stop - rows.start
+            np.copyto(self._x[:, :n], self._source[rows].T)
+            if self._x64 is not self._x:
+                np.copyto(
+                    self._x64[:, :n], self._x[:, :n], casting="same_kind"
+                )
+            yield rows
+
+    def errors(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per-row l2 error of each candidate range, ``(candidates, n)``.
+
+        Bounds are ``(candidates, 1, n)`` for the ``n`` rows last loaded.
+        The result is a view of scratch: the caller's to read or write
+        until the next call.
+        """
+        k, _, n = lo.shape
+        codes = self._codes[:k, :, :n]
+        scale = self._scale[:k, :, :n]
+        _grid_codes(self._x[:, :n], lo, hi, self._levels, scale, codes)
+        # The codes are integral, NaN-free and at most 255, so the uint8
+        # round trip the stored format makes is the identity: skip it.
+        recon = self._recon[:k, :, :n]
+        if self._recon is not self._codes:
+            np.copyto(recon, codes, casting="same_kind")
+        np.multiply(recon, scale, out=recon)
+        np.add(recon, lo, out=recon)
+        diff = self._diff[:k, :, :n]
+        np.subtract(self._x64[:, :n], recon, out=diff)
+        np.multiply(diff, diff, out=diff)
+        err = self._err[:k, :n]
+        _sum_rows(diff, self._pairs[:k, :, :n], err)
+        np.sqrt(err, out=err)
+        return err
+
+
 def uniform_quantize_rows(
     tensor: np.ndarray,
     xmin: np.ndarray,
@@ -36,17 +224,24 @@ def uniform_quantize_rows(
 
     Returns a (rows, dim) uint8 code matrix.
     """
-    levels = (1 << bits) - 1
-    xmin_col = xmin.reshape(-1, 1).astype(np.float32)
-    xmax_col = xmax.reshape(-1, 1).astype(np.float32)
-    span = xmax_col - xmin_col
-    # Avoid divide-by-zero on constant rows; their codes become 0.
-    safe_span = np.where(span > 0, span, 1.0)
-    scale = safe_span / levels
-    clipped = np.clip(tensor, xmin_col, xmax_col)
-    codes = np.rint((clipped - xmin_col) / scale)
-    codes = np.clip(codes, 0, levels)
-    return codes.astype(np.uint8)
+    tensor = np.asarray(tensor)
+    rows, dim = tensor.shape
+    lo = np.asarray(xmin, dtype=np.float32).reshape(rows, 1)
+    hi = np.asarray(xmax, dtype=np.float32).reshape(rows, 1)
+    out = np.empty((rows, dim), dtype=np.uint8)
+    # One pass, so not worth the search's transposes: blocks stay
+    # row-major and only the temporaries are bounded.
+    block = min(block_rows(dim), max(rows, 1))
+    codes = np.empty((block, dim), np.result_type(tensor.dtype, np.float32))
+    scale = np.empty((block, 1), dtype=np.float32)
+    for part in _row_slices(rows, block):
+        n = part.stop - part.start
+        _grid_codes(
+            tensor[part], lo[part], hi[part], (1 << bits) - 1,
+            scale[:n], codes[:n],
+        )
+        np.copyto(out[part], codes[:n], casting="unsafe")
+    return out
 
 
 def uniform_dequantize_rows(
@@ -56,14 +251,14 @@ def uniform_dequantize_rows(
     bits: int,
 ) -> np.ndarray:
     """Invert :func:`uniform_quantize_rows` (up to grid resolution)."""
-    levels = (1 << bits) - 1
-    xmin_col = xmin.reshape(-1, 1).astype(np.float32)
-    xmax_col = xmax.reshape(-1, 1).astype(np.float32)
-    span = xmax_col - xmin_col
-    safe_span = np.where(span > 0, span, 1.0)
-    scale = safe_span / levels
-    out = codes.astype(np.float32) * scale + xmin_col
-    return out.astype(np.float32)
+    lo = xmin.reshape(-1, 1).astype(np.float32)
+    hi = xmax.reshape(-1, 1).astype(np.float32)
+    scale = np.empty_like(lo)
+    _grid_scale(lo, hi, (1 << bits) - 1, scale)
+    out = codes.astype(np.float32)
+    np.multiply(out, scale, out=out)
+    np.add(out, lo, out=out)
+    return out
 
 
 def quantization_l2_per_row(
@@ -74,13 +269,19 @@ def quantization_l2_per_row(
 ) -> np.ndarray:
     """Per-row l2 error of a hypothetical quantization (no packing).
 
-    The adaptive greedy search calls this twice per iteration to compare
-    candidate ranges, so it avoids materialising packed codes.
+    One candidate range per row through the same evaluation the adaptive
+    greedy search runs on two. The fp64 sum is taken in numpy's order for
+    a C-contiguous ``tensor``, whatever layout the caller's has.
     """
-    codes = uniform_quantize_rows(tensor, xmin, xmax, bits)
-    recon = uniform_dequantize_rows(codes, xmin, xmax, bits)
-    diff = tensor.astype(np.float64) - recon.astype(np.float64)
-    return np.sqrt(np.sum(diff * diff, axis=1))
+    tensor = np.asarray(tensor)
+    rows = tensor.shape[0]
+    lo = np.asarray(xmin, dtype=np.float32).reshape(1, 1, rows)
+    hi = np.asarray(xmax, dtype=np.float32).reshape(1, 1, rows)
+    out = np.empty(rows, dtype=np.float64)
+    tile = RowTile(tensor, bits)
+    for part in tile.blocks():
+        out[part] = tile.errors(lo[..., part], hi[..., part])[0]
+    return out
 
 
 class SymmetricQuantizer(Quantizer):

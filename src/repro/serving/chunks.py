@@ -15,10 +15,9 @@ silently trusted).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
+from ..core.integrity import sha256_hex
 from ..errors import CheckpointCorruptError, SerializationError
 from ..quant.base import QuantizedTensor
 from ..quant.registry import dequantize_tensor
@@ -38,7 +37,7 @@ def decode_chunk_rows(
     that into a fallback to an older published version.
     """
     if expected_digest is not None:
-        actual = hashlib.sha256(blob).hexdigest()
+        actual = sha256_hex(blob)
         if actual != expected_digest:
             raise CheckpointCorruptError(
                 f"chunk {key} digest mismatch: stored bytes hash "

@@ -156,3 +156,37 @@ class TestRegistry:
             np.testing.assert_array_equal(
                 dequantize_tensor(qt), q.dequantize(qt)
             )
+
+    def test_dequantize_tensor_builds_each_decoder_once(
+        self, trained_tensor, monkeypatch
+    ):
+        """One decoder per (name, bit_width), however many chunks a
+        restore or a serving fleet pushes through."""
+        from repro.quant import registry
+
+        built = []
+        real = registry.make_quantizer
+
+        def counting(name, **kwargs):
+            built.append((name, kwargs["bits"]))
+            return real(name, **kwargs)
+
+        registry._decoder.cache_clear()
+        monkeypatch.setattr(registry, "make_quantizer", counting)
+        for bits in (2, 4):
+            qt = make_quantizer("asymmetric", bits=bits).quantize(
+                trained_tensor
+            )
+            first = dequantize_tensor(qt)
+            for _ in range(3):
+                np.testing.assert_array_equal(dequantize_tensor(qt), first)
+        assert built == [("asymmetric", 2), ("asymmetric", 4)]
+
+    def test_dequantize_tensor_rejects_unknown_quantizer_every_time(
+        self, trained_tensor
+    ):
+        qt = make_quantizer("asymmetric", bits=4).quantize(trained_tensor)
+        qt.quantizer = "fancy"
+        for _ in range(2):  # an error must not be remembered as a decoder
+            with pytest.raises(QuantizationError, match="unknown quantizer"):
+                dequantize_tensor(qt)

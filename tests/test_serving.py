@@ -256,6 +256,34 @@ class TestDecodeChunkRows:
         with pytest.raises(CheckpointCorruptError):
             decode_chunk_rows(ref.key, tampered, ref.digest)
 
+    def test_digest_goes_through_the_integrity_layer(
+        self, serving_exp, monkeypatch
+    ):
+        """Serving hashes with ``core.integrity.sha256_hex`` like the
+        writer and the restorer, so a tracer that wraps that one
+        function sees all hashing."""
+        from repro.serving import chunks
+
+        exp = serving_exp
+        publisher = ServingPublisher(
+            exp.store, exp.clock, DLRM(exp.config.model),
+            exp.controller.job_id,
+        )
+        exp.controller.run_intervals(1)
+        drain(exp)
+        publisher.poll()
+        ref, blob = self._chunk(exp, publisher)
+        hashed = []
+        real = chunks.sha256_hex
+
+        def recording(data):
+            hashed.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(chunks, "sha256_hex", recording)
+        chunks.decode_chunk_rows(ref.key, blob, ref.digest)
+        assert hashed == [len(blob)]
+
     def test_structural_garbage_raises(self):
         from repro.errors import CheckpointCorruptError
         from repro.serving import decode_chunk_rows
