@@ -4,11 +4,13 @@ Working from an in-memory snapshot, the writer:
 
 1. selects rows per shard (all rows for a full checkpoint, the
    tracker-masked rows for an incremental one);
-2. quantizes chunk by chunk on the transfer engine's *worker pool*
-   (real numpy work on background threads, so the measured wall time
-   overlaps the writer's own encode/submit work the same way the
-   calibrated simulated quantization lane overlaps the storage
-   timeline), plus a simulated latency at paper scale;
+2. quantizes chunk by chunk — the head chunk on its own thread (it
+   would block on it at once), the chunks after it ahead of time on
+   the transfer engine's *worker pool* (real numpy work on background
+   threads, so the measured wall time overlaps the writer's own
+   encode/submit work the same way the calibrated simulated
+   quantization lane overlaps the storage timeline) — plus a simulated
+   latency at paper scale;
 3. stores each chunk as soon as it is quantized — the storage transfer
    of chunk *k* overlaps the quantization of chunk *k + 1*, which is
    why the paper calls the effective quantization latency "virtually
@@ -25,7 +27,7 @@ ids, quantized (or raw fp32) weights, and the optimizer accumulator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Generator
 
 import numpy as np
@@ -36,7 +38,7 @@ from ..metrics.latency import LatencyModel
 from ..quant.base import Quantizer
 from ..quant.uniform import AsymmetricQuantizer
 from ..serialize.codec import encode_array, encode_payload
-from ..serialize.format import encode_frames
+from ..serialize.format import encode_frames, encode_named_frame
 from ..storage.engine import drain
 from ..storage.object_store import ObjectStore
 from .integrity import sha256_hex
@@ -73,10 +75,11 @@ class WriteReport:
     measured_quantize_s: float  # real numpy wall time (transparency)
     started_at_s: float
     valid_at_s: float
-    #: Real seconds the writer *blocked* waiting on worker-pool
-    #: quantization tasks (0 when every task finished behind other
-    #: work). ``measured_quantize_s - measured_wait_s`` is the measured
-    #: wall-time overlap the pool bought.
+    #: Real seconds the writer *blocked* on quantization: waiting on
+    #: worker-pool tasks (0 when every task finished behind other
+    #: work) plus the whole of the head chunk, which it quantizes
+    #: itself. ``measured_quantize_s - measured_wait_s`` is the
+    #: measured wall-time overlap the pool bought.
     measured_wait_s: float = 0.0
 
     @property
@@ -271,11 +274,12 @@ class CheckpointWriter:
     ) -> Generator[WriteStep, None, tuple[CheckpointManifest, WriteReport]]:
         """Staged checkpoint write: yields before every PUT request.
 
-        Quantization runs on the transfer engine's worker pool with a
-        :data:`QUANT_LOOKAHEAD`-deep pipeline, so the measured wall
-        time of chunk *k + 1*'s quantization overlaps chunk *k*'s
-        encoding and submission; the simulated quantization lane models
-        the same overlap in simulated time. Each PUT is announced
+        Quantization of the chunks after the head runs on the transfer
+        engine's worker pool with a :data:`QUANT_LOOKAHEAD`-deep
+        pipeline, so the measured wall time of chunk *k + 1*'s
+        quantization overlaps chunk *k*'s encoding and submission; the
+        simulated quantization lane models the same overlap in
+        simulated time. Each PUT is announced
         before it is submitted — against a multipart backend, once per
         *part* — so a fleet scheduler can interleave submissions from
         many jobs on the shared link in ``ready_s`` order. Abandoning
@@ -319,30 +323,42 @@ class CheckpointWriter:
 
         # Lookahead pipeline: quantization tasks for the next few
         # chunks run on the pool while this thread encodes frames and
-        # submits parts for the current one.
+        # submits parts for the current one. A chunk nothing submitted
+        # ahead of time (the head chunk) would be blocked on at once,
+        # so it runs right here instead of hopping threads.
+        engine = self.store.engine
+
+        def task_args(index: int) -> tuple:
+            task_shard, _, rows = plans[index]
+            return (
+                quantizer,
+                task_shard.weight[rows],
+                task_shard.accumulator[rows],
+                quantize_optimizer_state,
+                quantizer.bits,
+            )
+
         tasks: list[object | None] = [None] * len(plans)
         for plan_index, (shard, chunk_index, local_rows) in enumerate(
             plans
         ):
             for ahead in range(
-                plan_index,
+                plan_index + 1,
                 min(plan_index + 1 + QUANT_LOOKAHEAD, len(plans)),
             ):
                 if tasks[ahead] is None:
-                    ahead_shard, _, rows = plans[ahead]
-                    tasks[ahead] = self.store.engine.submit_task(
-                        _encode_chunk_payloads,
-                        quantizer,
-                        ahead_shard.weight[rows],
-                        ahead_shard.accumulator[rows],
-                        quantize_optimizer_state,
-                        quantizer.bits,
+                    tasks[ahead] = engine.submit_task(
+                        _encode_chunk_payloads, *task_args(ahead)
                     )
             task = tasks[plan_index]
             tasks[plan_index] = None
-            assert task is not None
             blocked = time.perf_counter()
-            weights_payload, accum_payload, busy_s = task.result()
+            if task is None:
+                weights_payload, accum_payload, busy_s = engine.run_task(
+                    _encode_chunk_payloads, *task_args(plan_index)
+                )
+            else:
+                weights_payload, accum_payload, busy_s = task.result()
             measured_wait += time.perf_counter() - blocked
             measured_quantize += busy_s
 
@@ -435,7 +451,7 @@ class CheckpointWriter:
         dense_blob = encode_frames(
             {"checkpoint_id": checkpoint_id, "kind": "dense"},
             [
-                (i, encode_frames({"name": name}, [(0, encode_array(arr))]))
+                (i, encode_named_frame(name, encode_array(arr)))
                 for i, (name, arr) in enumerate(
                     sorted(snapshot.dense_state.items())
                 )
@@ -453,28 +469,27 @@ class CheckpointWriter:
         last_end = max(last_end, dense_receipt.completed_s)
         dense_digest = sha256_hex(dense_blob)
 
-        def build_manifest(valid_at: float) -> CheckpointManifest:
-            return CheckpointManifest(
-                checkpoint_id=checkpoint_id,
-                job_id=job_id,
-                kind=kind,
-                base_id=base_id,
-                interval_index=snapshot.interval_index,
-                policy=policy_name,
-                quantizer=quantizer.name,
-                bit_width=quantizer.bits,
-                created_at_s=snapshot.taken_at_s,
-                valid_at_s=valid_at,
-                reader_state=snapshot.reader_state.to_dict(),
-                trainer_progress=snapshot.trainer_progress.to_dict(),
-                shards=tuple(shard_records),
-                dense_key=dense_key(job_id, checkpoint_id),
-                dense_bytes=dense_receipt.logical_bytes,
-                dense_digest=dense_digest,
-            )
-
+        # Built once; everything but the validity time is known now.
+        draft = CheckpointManifest(
+            checkpoint_id=checkpoint_id,
+            job_id=job_id,
+            kind=kind,
+            base_id=base_id,
+            interval_index=snapshot.interval_index,
+            policy=policy_name,
+            quantizer=quantizer.name,
+            bit_width=quantizer.bits,
+            created_at_s=snapshot.taken_at_s,
+            valid_at_s=0.0,
+            reader_state=snapshot.reader_state.to_dict(),
+            trainer_progress=snapshot.trainer_progress.to_dict(),
+            shards=tuple(shard_records),
+            dense_key=dense_key(job_id, checkpoint_id),
+            dense_bytes=dense_receipt.logical_bytes,
+            dense_digest=dense_digest,
+        )
         mkey = manifest_key(job_id, checkpoint_id)
-        draft = build_manifest(0.0).to_json().encode("utf-8")
+        draft_bytes = len(draft.to_json().encode("utf-8"))
         built: list[CheckpointManifest] = []
 
         def manifest_payload() -> bytes:
@@ -484,11 +499,13 @@ class CheckpointWriter:
             # draws, or multipart completion latency are timing
             # noise). The store's per-op-class cost model owns the PUT
             # duration — the writer no longer assumes flat link math.
-            duration = self.store.predict_put_duration(len(draft))
+            duration = self.store.predict_put_duration(draft_bytes)
             predicted_start = max(
                 self.clock.now, self.store.timeline.free_at, last_end
             )
-            built.append(build_manifest(predicted_start + duration))
+            built.append(
+                replace(draft, valid_at_s=predicted_start + duration)
+            )
             return built[0].to_json().encode("utf-8")
 
         yield from self._staged_write(
@@ -497,7 +514,7 @@ class CheckpointWriter:
             manifest_payload,
             last_end,
             last_end,
-            announce_bytes=len(draft),
+            announce_bytes=draft_bytes,
         )
         manifest = built[0]
 

@@ -9,9 +9,22 @@ bilinear dot products.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import TrainingError
+
+
+@lru_cache(maxsize=32)
+def _lower_triangle(features: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row/column indices of the strict lower triangle, one pair per
+    feature count. Read-only: every model of that width indexes with
+    the same two arrays."""
+    rows, cols = np.tril_indices(features, k=-1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 class DotInteraction:
@@ -19,8 +32,6 @@ class DotInteraction:
 
     def __init__(self) -> None:
         self._stacked: np.ndarray | None = None
-        self._tri_rows: np.ndarray | None = None
-        self._tri_cols: np.ndarray | None = None
 
     def output_width(self, num_tables: int, dim: int) -> int:
         """Width of the interaction output: dense dim + C(T+1, 2)."""
@@ -46,12 +57,10 @@ class DotInteraction:
                 )
         stacked = np.stack([dense] + list(embeddings), axis=1)
         features = stacked.shape[1]
-        rows, cols = np.tril_indices(features, k=-1)
+        rows, cols = _lower_triangle(features)
         gram = np.einsum("bif,bjf->bij", stacked, stacked)
         interactions = gram[:, rows, cols]
         self._stacked = stacked
-        self._tri_rows = rows
-        self._tri_cols = cols
         return np.concatenate([dense, interactions], axis=1).astype(
             np.float32
         )
@@ -63,8 +72,8 @@ class DotInteraction:
         if self._stacked is None:
             raise TrainingError("backward called before forward")
         stacked = self._stacked
-        rows, cols = self._tri_rows, self._tri_cols
         batch, features, dim = stacked.shape
+        rows, cols = _lower_triangle(features)
 
         grad_dense_direct = grad_out[:, :dim]
         grad_pairs = grad_out[:, dim:]
@@ -83,6 +92,4 @@ class DotInteraction:
             for t in range(1, features)
         ]
         self._stacked = None
-        self._tri_rows = None
-        self._tri_cols = None
         return grad_dense.astype(np.float32), grad_embeddings

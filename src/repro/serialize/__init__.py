@@ -17,10 +17,9 @@ from .compress import (
 )
 from .format import (
     Chunk,
-    FrameReader,
-    FrameWriter,
     decode_frames,
     encode_frames,
+    encode_named_frame,
 )
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "CompressionReport",
     "Compressor",
     "DeflateCompressor",
-    "FrameReader",
-    "FrameWriter",
     "RleCompressor",
     "decode_array",
     "decode_frames",
@@ -37,6 +34,7 @@ __all__ = [
     "decode_quantized",
     "encode_array",
     "encode_frames",
+    "encode_named_frame",
     "encode_payload",
     "encode_quantized",
     "make_compressor",

@@ -7,19 +7,19 @@ Checkpoint payloads are stored as a sequence of self-describing frames::
         "CHNK" | u32 chunk_id | u64 payload_len | u32 crc32 | payload
     "CEND" | u32 num_chunks | u32 crc_of_chunk_ids
 
-The format is deliberately simple: every chunk can be written as soon as
-it is produced (the paper's pipelined quantize-then-store, section 4.4)
-and every chunk is independently verifiable on restore.
+The format is deliberately simple: every chunk is independently
+verifiable on restore, and a frame is small enough (one checkpoint
+chunk, or the dense state) to be built and checked in one pass over
+bytes — there is one encoder and one decoder, both flat functions.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from functools import lru_cache
 
 from ..errors import SerializationError
 
@@ -28,13 +28,9 @@ CHUNK_MAGIC = b"CHNK"
 END_MAGIC = b"CEND"
 VERSION = 1
 
-_HEADER_FMT = struct.Struct(">HI")  # version, meta_len
-_CHUNK_FMT = struct.Struct(">IQI")  # chunk_id, payload_len, crc32
-_END_FMT = struct.Struct(">II")  # num_chunks, ids_crc
-
-
-def _crc(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
+_HEADER_FMT = struct.Struct(">4sHI")  # magic, version, meta_len
+_CHUNK_FMT = struct.Struct(">4sIQI")  # magic, chunk_id, payload_len, crc32
+_END_FMT = struct.Struct(">4sII")  # magic, num_chunks, ids_crc
 
 
 @dataclass(frozen=True)
@@ -45,147 +41,118 @@ class Chunk:
     payload: bytes
 
 
-class FrameWriter:
-    """Streams frames to a binary file-like object.
-
-    Usage::
-
-        writer = FrameWriter(stream)
-        writer.write_header({"checkpoint_id": "ckpt-3"})
-        writer.write_chunk(0, payload)
-        writer.finish()
-    """
-
-    def __init__(self, stream: BinaryIO) -> None:
-        self._stream = stream
-        self._chunk_ids: list[int] = []
-        self._header_written = False
-        self._finished = False
-        self.bytes_written = 0
-
-    def write_header(self, meta: dict) -> int:
-        """Write the header frame; returns bytes written."""
-        if self._header_written:
-            raise SerializationError("header already written")
-        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-        out = MAGIC + _HEADER_FMT.pack(VERSION, len(blob)) + blob
-        self._stream.write(out)
-        self._header_written = True
-        self.bytes_written += len(out)
-        return len(out)
-
-    def write_chunk(self, chunk_id: int, payload: bytes) -> int:
-        """Write one chunk frame; returns bytes written."""
-        if not self._header_written:
-            raise SerializationError("write_header must precede chunks")
-        if self._finished:
-            raise SerializationError("writer already finished")
-        if chunk_id < 0 or chunk_id > 0xFFFFFFFF:
-            raise SerializationError(f"chunk_id {chunk_id} out of range")
-        out = CHUNK_MAGIC + _CHUNK_FMT.pack(
-            chunk_id, len(payload), _crc(payload)
-        )
-        self._stream.write(out)
-        self._stream.write(payload)
-        self._chunk_ids.append(chunk_id)
-        written = len(out) + len(payload)
-        self.bytes_written += written
-        return written
-
-    def finish(self) -> int:
-        """Write the end frame; returns bytes written."""
-        if not self._header_written:
-            raise SerializationError("cannot finish before header")
-        if self._finished:
-            raise SerializationError("writer already finished")
-        ids_blob = b"".join(struct.pack(">I", i) for i in self._chunk_ids)
-        out = END_MAGIC + _END_FMT.pack(len(self._chunk_ids), _crc(ids_blob))
-        self._stream.write(out)
-        self._finished = True
-        self.bytes_written += len(out)
-        return len(out)
+def _header_frame(meta: dict) -> bytes:
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return _HEADER_FMT.pack(MAGIC, VERSION, len(blob)) + blob
 
 
-class FrameReader:
-    """Reads and verifies frames produced by :class:`FrameWriter`."""
+def _ids_crc(chunk_ids: list[int]) -> int:
+    return zlib.crc32(struct.pack(f">{len(chunk_ids)}I", *chunk_ids))
 
-    def __init__(self, stream: BinaryIO) -> None:
-        self._stream = stream
-        self._meta: dict | None = None
 
-    def _read_exact(self, n: int, what: str) -> bytes:
-        data = self._stream.read(n)
-        if len(data) != n:
-            raise SerializationError(
-                f"truncated stream while reading {what} "
-                f"(wanted {n} bytes, got {len(data)})"
-            )
-        return data
+def _end_frame(chunk_ids: list[int]) -> bytes:
+    return _END_FMT.pack(END_MAGIC, len(chunk_ids), _ids_crc(chunk_ids))
 
-    def read_header(self) -> dict:
-        """Read and return the header metadata dict."""
-        magic = self._read_exact(len(MAGIC), "magic")
-        if magic != MAGIC:
-            raise SerializationError(f"bad magic {magic!r}; not a CNR frame")
-        version, meta_len = _HEADER_FMT.unpack(
-            self._read_exact(_HEADER_FMT.size, "header")
-        )
-        if version != VERSION:
-            raise SerializationError(f"unsupported frame version {version}")
-        blob = self._read_exact(meta_len, "metadata")
-        try:
-            self._meta = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SerializationError(f"corrupt metadata: {exc}") from exc
-        return self._meta
 
-    def iter_chunks(self) -> Iterator[Chunk]:
-        """Yield verified chunks; raises on CRC mismatch or truncation."""
-        if self._meta is None:
-            self.read_header()
-        seen_ids: list[int] = []
-        while True:
-            magic = self._read_exact(4, "chunk magic")
-            if magic == END_MAGIC:
-                num_chunks, ids_crc = _END_FMT.unpack(
-                    self._read_exact(_END_FMT.size, "end frame")
-                )
-                if num_chunks != len(seen_ids):
-                    raise SerializationError(
-                        f"end frame declares {num_chunks} chunks, "
-                        f"stream contained {len(seen_ids)}"
-                    )
-                ids_blob = b"".join(struct.pack(">I", i) for i in seen_ids)
-                if _crc(ids_blob) != ids_crc:
-                    raise SerializationError("chunk id list CRC mismatch")
-                return
-            if magic != CHUNK_MAGIC:
-                raise SerializationError(f"bad chunk magic {magic!r}")
-            chunk_id, payload_len, crc = _CHUNK_FMT.unpack(
-                self._read_exact(_CHUNK_FMT.size, "chunk header")
-            )
-            payload = self._read_exact(payload_len, f"chunk {chunk_id}")
-            if _crc(payload) != crc:
-                raise SerializationError(
-                    f"chunk {chunk_id} CRC mismatch (corrupt payload)"
-                )
-            seen_ids.append(chunk_id)
-            yield Chunk(chunk_id, payload)
+def _chunk_head(chunk_id: int, payload: bytes) -> bytes:
+    return _CHUNK_FMT.pack(
+        CHUNK_MAGIC, chunk_id, len(payload), zlib.crc32(payload)
+    )
 
 
 def encode_frames(meta: dict, chunks: list[tuple[int, bytes]]) -> bytes:
     """One-shot encode: header + chunks + end frame into a bytes blob."""
-    buf = io.BytesIO()
-    writer = FrameWriter(buf)
-    writer.write_header(meta)
+    parts = [_header_frame(meta)]
+    chunk_ids: list[int] = []
     for chunk_id, payload in chunks:
-        writer.write_chunk(chunk_id, payload)
-    writer.finish()
-    return buf.getvalue()
+        if chunk_id < 0 or chunk_id > 0xFFFFFFFF:
+            raise SerializationError(f"chunk_id {chunk_id} out of range")
+        parts += (_chunk_head(chunk_id, payload), payload)
+        chunk_ids.append(chunk_id)
+    parts.append(_end_frame(chunk_ids))
+    return b"".join(parts)
+
+
+@lru_cache(maxsize=1024)
+def _named_frame_ends(name: str) -> tuple[bytes, bytes]:
+    """Header and end frame of a one-chunk ``{"name": name}`` frame."""
+    return _header_frame({"name": name}), _end_frame([0])
+
+
+def encode_named_frame(name: str, payload: bytes) -> bytes:
+    """``encode_frames({"name": name}, [(0, payload)])``, byte for byte.
+
+    The dense state is one such frame per tensor, around the same
+    tensor names in every checkpoint; with the two ends cached a frame
+    costs one CRC, one ``pack`` and one join. Safe to call from pool
+    workers (``lru_cache`` is thread-safe).
+    """
+    header, end = _named_frame_ends(name)
+    return b"".join((header, _chunk_head(0, payload), payload, end))
+
+
+def _truncated(what: str, wanted: int, got: int) -> SerializationError:
+    return SerializationError(
+        f"truncated stream while reading {what} "
+        f"(wanted {wanted} bytes, got {got})"
+    )
 
 
 def decode_frames(data: bytes) -> tuple[dict, list[Chunk]]:
     """One-shot decode: returns (meta, chunks); raises on any corruption."""
-    reader = FrameReader(io.BytesIO(data))
-    meta = reader.read_header()
-    return meta, list(reader.iter_chunks())
+    data = bytes(data)
+    size = len(data)
+    if size < len(MAGIC):
+        raise _truncated("magic", len(MAGIC), size)
+    if not data.startswith(MAGIC):
+        raise SerializationError(
+            f"bad magic {data[: len(MAGIC)]!r}; not a CNR frame"
+        )
+    pos = _HEADER_FMT.size
+    if size < pos:
+        raise _truncated("header", pos - len(MAGIC), size - len(MAGIC))
+    _, version, meta_len = _HEADER_FMT.unpack_from(data)
+    if version != VERSION:
+        raise SerializationError(f"unsupported frame version {version}")
+    if size - pos < meta_len:
+        raise _truncated("metadata", meta_len, size - pos)
+    try:
+        meta = json.loads(data[pos : pos + meta_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SerializationError(f"corrupt metadata: {exc}") from exc
+    pos += meta_len
+
+    chunks: list[Chunk] = []
+    while True:
+        if size - pos < 4:
+            raise _truncated("chunk magic", 4, size - pos)
+        magic = data[pos : pos + 4]
+        if magic == END_MAGIC:
+            break
+        if magic != CHUNK_MAGIC:
+            raise SerializationError(f"bad chunk magic {magic!r}")
+        body = pos + _CHUNK_FMT.size
+        if size < body:
+            raise _truncated("chunk header", body - pos - 4, size - pos - 4)
+        _, chunk_id, payload_len, crc = _CHUNK_FMT.unpack_from(data, pos)
+        if size - body < payload_len:
+            raise _truncated(f"chunk {chunk_id}", payload_len, size - body)
+        pos = body + payload_len
+        payload = data[body:pos]
+        if zlib.crc32(payload) != crc:
+            raise SerializationError(
+                f"chunk {chunk_id} CRC mismatch (corrupt payload)"
+            )
+        chunks.append(Chunk(chunk_id, payload))
+
+    if size < pos + _END_FMT.size:
+        raise _truncated("end frame", _END_FMT.size - 4, size - pos - 4)
+    _, num_chunks, ids_crc = _END_FMT.unpack_from(data, pos)
+    if num_chunks != len(chunks):
+        raise SerializationError(
+            f"end frame declares {num_chunks} chunks, "
+            f"stream contained {len(chunks)}"
+        )
+    if _ids_crc([c.chunk_id for c in chunks]) != ids_crc:
+        raise SerializationError("chunk id list CRC mismatch")
+    return meta, chunks

@@ -21,10 +21,12 @@ The :class:`TransferEngine` owns, for one
   charged in simulated time and every receipt's
   :attr:`~repro.storage.requests.OpReceipt.retries` counts them;
 * **a quantization worker pool** — real background threads the
-  checkpoint writer runs chunk quantization on, with busy/blocked
-  accounting so the *measured* wall-time overlap (work hidden behind
-  the caller's own progress) is reportable, mirroring what the
-  simulated quantization lane models;
+  checkpoint writer runs chunk quantization on (all but a checkpoint's
+  head chunk, which nothing could overlap: that one runs on the caller
+  and is booked as fully waited), with busy/blocked accounting so the
+  *measured* wall-time overlap (work hidden behind the caller's own
+  progress) is reportable, mirroring what the simulated quantization
+  lane models;
 * **backlog-driven admission control** — :class:`AdmissionController`
   uses the ``preempt_wait_s``-style backlog signal
   (:func:`~repro.storage.bandwidth.projected_queue_delay_s`, fed with
@@ -796,6 +798,22 @@ class TransferEngine:
 
     # -- worker pool ---------------------------------------------------
 
+    def _booked(
+        self, fn: Callable[..., T], args: tuple, waited: bool = False
+    ) -> T:
+        """Run ``fn(*args)`` here and book it: one task, its seconds
+        busy and — for a task its caller ran itself — waited too."""
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            busy = time.perf_counter() - start
+            with self._pool_lock:
+                self.pool_tasks += 1
+                self.pool_busy_s += busy
+                if waited:
+                    self.pool_wait_s += busy
+
     def submit_task(self, fn: Callable[..., T], *args: object) -> PoolTask:
         """Run ``fn(*args)`` on the background worker pool.
 
@@ -804,19 +822,18 @@ class TransferEngine:
         work, like the simulated quantization lane overlaps the
         storage timeline.
         """
+        return PoolTask(self, _shared_pool().submit(self._booked, fn, args))
 
-        def wrapped() -> T:
-            start = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                busy = time.perf_counter() - start
-                with self._pool_lock:
-                    self.pool_busy_s += busy
+    def run_task(self, fn: Callable[..., T], *args: object) -> T:
+        """Run ``fn(*args)`` on the *calling* thread, booked as a task.
 
-        with self._pool_lock:
-            self.pool_tasks += 1
-        return PoolTask(self, _shared_pool().submit(wrapped))
+        For work the caller would block on at once (the writer's head
+        chunk: nothing to overlap it with, so a pool round-trip only
+        adds a thread hop). It counts as a task whose whole duration
+        the caller both worked and waited, so :attr:`pool_overlap_s`
+        never claims overlap that did not happen.
+        """
+        return self._booked(fn, args, waited=True)
 
     @property
     def pool_overlap_s(self) -> float:

@@ -117,6 +117,11 @@ class ObjectStore:
             backend, "rng", None
         )
         self._sizes: dict[str, int] = {}
+        #: ``sum(self._sizes.values())``, kept current at the three
+        #: places the size map changes: capacity is sampled on each PUT
+        #: and DELETE, and re-summing a fleet's objects there is
+        #: quadratic.
+        self._live_logical = 0
         self._capacity_series: list[CapacityPoint] = []
         self._peak_physical = 0
         self._total_written = 0
@@ -137,7 +142,7 @@ class ObjectStore:
 
     @property
     def live_logical_bytes(self) -> int:
-        return sum(self._sizes.values())
+        return self._live_logical
 
     @property
     def live_physical_bytes(self) -> int:
@@ -266,6 +271,7 @@ class ObjectStore:
         Called by the transfer engine when a staged write's last part
         (and its completion request) has been submitted.
         """
+        self._live_logical += logical - self._sizes.get(key, 0)
         self._sizes[key] = logical
         self._total_written += receipt.physical_bytes
         self.ops.record(receipt)
@@ -406,7 +412,7 @@ class ObjectStore:
             stream,
             physical=physical,
         )
-        self._sizes.pop(key, None)
+        self._live_logical -= self._sizes.pop(key, 0)
         if self.arbiter is not None and stream:
             self.arbiter.credit_delete(stream, physical)
         return receipt
@@ -531,5 +537,6 @@ class ObjectStore:
                     )
                 )
                 self._sizes[key] = size
+                self._live_logical += size
                 return size
             raise StorageError(f"no size recorded for {key!r}") from None

@@ -108,6 +108,63 @@ class TestWriter:
         assert report.valid_at_s > exp.clock.now
         assert report.pipeline_duration_s > 0
 
+    @staticmethod
+    def _spy_on_pool(engine, monkeypatch) -> list[str]:
+        calls: list[str] = []
+        for name in ("submit_task", "run_task"):
+            real = getattr(engine, name)
+
+            def spy(fn, *args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(fn, *args)
+
+            monkeypatch.setattr(engine, name, spy)
+        return calls
+
+    def test_one_chunk_checkpoint_takes_no_pool_round_trip(
+        self, ready, monkeypatch
+    ):
+        exp, snapshot, writer, _ = ready
+        shard_id, shard = next(iter(snapshot.shards.items()))
+        snapshot.shards = {shard_id: shard}
+        engine = exp.store.engine
+        calls = self._spy_on_pool(engine, monkeypatch)
+        _, report = writer.write_checkpoint(
+            snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
+            make_quantizer("asymmetric", bits=4), chunk_rows=10**6,
+        )
+        assert report.num_chunks == 1
+        # The head chunk ran on this thread, and the engine's books say
+        # so: one task, all of it waited for, nothing overlapped.
+        assert calls == ["run_task"]
+        assert engine.pool_tasks == 1
+        assert report.measured_quantize_s > 0.0
+        assert engine.pool_busy_s >= report.measured_quantize_s
+        assert engine.pool_wait_s == engine.pool_busy_s
+        assert engine.pool_overlap_s == 0.0
+        assert report.measured_wait_s >= report.measured_quantize_s
+        assert report.measured_overlap_s == 0.0
+
+    def test_chunks_after_the_head_still_go_to_the_pool_first(
+        self, ready, monkeypatch
+    ):
+        exp, snapshot, writer, _ = ready
+        shard_id, shard = next(iter(snapshot.shards.items()))
+        snapshot.shards = {shard_id: shard}
+        engine = exp.store.engine
+        calls = self._spy_on_pool(engine, monkeypatch)
+        _, report = writer.write_checkpoint(
+            snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
+            make_quantizer("asymmetric", bits=4),
+            chunk_rows=-(-shard.weight.shape[0] // 3),
+        )
+        assert report.num_chunks == 3
+        # Both lookahead chunks are in flight before the head chunk
+        # starts on this thread, so they overlap it.
+        assert calls == ["submit_task", "submit_task", "run_task"]
+        assert engine.pool_tasks == 3
+        assert engine.pool_busy_s >= report.measured_quantize_s
+
     def test_bad_chunk_rows_rejected(self, ready):
         _, snapshot, writer, _ = ready
         with pytest.raises(CheckpointError):

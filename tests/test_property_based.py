@@ -229,3 +229,69 @@ def test_tracker_mask_equals_set_union(marks):
         tracker.modified_table_rows(), sorted(reference)
     )
     assert tracker.modified_count == len(reference)
+
+
+# ----------------------------------------------------------------------
+# Object-store capacity accounting
+# ----------------------------------------------------------------------
+
+_KEYS = st.sampled_from(["a/0", "a/1", "a/2", "b/0", "b/1", "c"])
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _KEYS, st.integers(0, 5000)),
+        st.tuples(st.just("delete"), _KEYS, st.just(0)),
+        st.tuples(
+            st.just("delete_prefix"), st.sampled_from("abc"), st.just(0)
+        ),
+        # An object a previous process left on a durable backend.
+        st.tuples(st.just("inherit"), _KEYS, st.integers(0, 5000)),
+    ),
+    max_size=40,
+)
+
+
+@given(ops=_STORE_OPS, multipart=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_live_bytes_running_total_equals_the_size_map(ops, multipart):
+    """put / overwrite / delete / delete_prefix / inherited-object reads
+    in any order: the running total the store keeps is the sum it used
+    to recompute, and the capacity samples agree with it."""
+    from repro.config import BackendConfig, StorageConfig
+    from repro.errors import StorageError
+    from repro.storage.object_store import ObjectStore
+    from repro.storage.requests import OP_PUT, StorageRequest
+
+    backend = (
+        BackendConfig(kind="s3like", part_size_bytes=1024)
+        if multipart
+        else BackendConfig()
+    )
+    store = ObjectStore(StorageConfig(backend=backend), SimClock())
+    model: dict[str, int] = {}
+    for op, key, size in ops:
+        if op == "put":
+            store.put(key, bytes(size), overwrite=True)
+            model[key] = size
+        elif op == "delete":
+            if key in model:
+                store.delete(key)
+                del model[key]
+        elif op == "delete_prefix":
+            store.delete_prefix(key)
+            model = {k: v for k, v in model.items() if not k.startswith(key)}
+        elif key not in model:
+            store.backend.put_object(
+                StorageRequest(OP_PUT, key), bytes(size)
+            )
+            assert store.object_size(key) == size
+            model[key] = size
+        assert store._sizes == model
+        assert store.live_logical_bytes == sum(model.values())
+        assert store.stats().live_logical_bytes == sum(model.values())
+        if op == "put":  # every landed PUT samples capacity
+            assert store.capacity_series()[-1].logical_bytes == sum(
+                model.values()
+            )
+    with pytest.raises(StorageError):
+        store.object_size("never/written")
+    assert store.live_logical_bytes == sum(model.values())

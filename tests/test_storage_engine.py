@@ -463,6 +463,26 @@ class TestWorkerPool:
         assert engine.pool_wait_s > 0.0
 
 
+    def test_inline_task_is_booked_as_fully_waited(self):
+        engine = remote_store().engine
+        caller = threading.get_ident()
+        ran_on = engine.run_task(
+            lambda nap: time.sleep(nap) or threading.get_ident(), 0.02
+        )
+        assert ran_on == caller
+        assert engine.pool_tasks == 1
+        assert engine.pool_busy_s >= 0.015
+        assert engine.pool_wait_s == engine.pool_busy_s
+        assert engine.pool_overlap_s == 0.0
+
+    def test_inline_task_failure_is_still_booked(self):
+        engine = remote_store().engine
+        with pytest.raises(ZeroDivisionError):
+            engine.run_task(lambda: 1 // 0)
+        assert engine.pool_tasks == 1
+        assert engine.pool_wait_s == engine.pool_busy_s > 0.0
+
+
 class TestBacklogSignal:
     def test_projected_queue_delay_math(self):
         assert projected_queue_delay_s(5.0, 2.0) == pytest.approx(3.0)
