@@ -8,7 +8,9 @@ which rows enter the next incremental checkpoint.
 The paper tracks in the forward pass "for the sake of simplicity, as
 most of the embedding vectors accessed in the forward pass are also
 modified during the backward pass" — i.e. the proxy is a superset of the
-exact set. Both modes are implemented; the trainer hook picks one.
+exact set. Both modes are named (``track_in_forward_pass``); with this
+repo's sum-pooled embeddings the proxy set *equals* the exact set, so
+the trainer hook marks the one array ``train_step`` returns either way.
 
 Memory accounting reports the true bit-vector footprint (one *bit* per
 row, "typically less than 0.05%" of the model) even though numpy's bool
@@ -36,7 +38,9 @@ class ModifiedRowTracker:
         """Mark rows given in *table-global* indices; returns #newly set.
 
         Rows outside this shard's range are ignored (they belong to a
-        different shard of the same table).
+        different shard of the same table). The count comes from the
+        rows being marked, not from summing the whole bit-vector; a row
+        given twice still counts once.
         """
         if table_rows.size == 0:
             return 0
@@ -46,9 +50,12 @@ class ModifiedRowTracker:
         ] - self.shard.row_start
         if local.size == 0:
             return 0
-        before = int(self._mask.sum())
-        self._mask[local] = True
-        return int(self._mask.sum()) - before
+        fresh = local[~self._mask[local]]
+        self._mask[fresh] = True
+        if fresh.size > 1 and not (fresh[1:] > fresh[:-1]).all():
+            # Not strictly increasing: the input may repeat a row.
+            return int(np.unique(fresh).size)
+        return int(fresh.size)
 
     def mark_all(self) -> None:
         """Mark every row (used when rebuilding state after a restore)."""
@@ -116,16 +123,13 @@ class TrackerSet:
 
         Forward-proxy mode marks every looked-up row (what the paper's
         GPU kernel does during AlltoAll); exact mode marks only rows the
-        optimizer updated.
+        optimizer updated. In this model the two are one set: sum-pooling
+        hands every looked-up row a gradient row, so ``train_step`` has
+        already returned ``np.unique(batch.sparse[t])`` as
+        ``result.touched_rows[t]`` and neither mode derives it again
+        (``test_step_hook_sets_coincide`` guards the shortcut).
         """
-        if self.track_in_forward_pass:
-            rows_by_table = {
-                table_id: np.unique(indices)
-                for table_id, indices in enumerate(batch.sparse)
-            }
-        else:
-            rows_by_table = result.touched_rows
-        for table_id, rows in rows_by_table.items():
+        for table_id, rows in result.touched_rows.items():
             for tracker in self._by_table.get(table_id, []):
                 tracker.mark_table_rows(rows)
 

@@ -13,7 +13,7 @@ atomically when a new version lands.
 against a live checkpointing training job on one shared link.
 """
 
-from .chunks import decode_chunk_rows
+from .chunks import DecodedChunkCache, decode_chunk_rows
 from .fleet import (
     ServingConfig,
     ServingFleet,
@@ -27,6 +27,7 @@ from .server import InferenceServer, LookupRequest, LookupResult
 from .version import PublishedVersion, RowRef, rows_changed_between
 
 __all__ = [
+    "DecodedChunkCache",
     "InferenceServer",
     "LookupRequest",
     "LookupResult",

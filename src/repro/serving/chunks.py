@@ -11,9 +11,19 @@ Accumulator payloads are decoded-and-discarded territory: inference
 only serves weights, and skipping frame 2 entirely keeps the integrity
 story honest (the digest already covers all frames, so nothing is
 silently trusted).
+
+:class:`DecodedChunkCache` is what the serving plane shares between its
+servers: the *decode* of bytes a reader has just verified. A locator
+points many rows, and every server, at the same few chunk objects, so
+without it each miss unframes, unpacks and dequantizes a whole chunk to
+serve one row. The cache is keyed by content digest and consulted only
+after the caller's own bytes hashed to that digest, so it can never
+vouch for bytes nobody checked.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -23,6 +33,24 @@ from ..quant.base import QuantizedTensor
 from ..quant.registry import dequantize_tensor
 from ..serialize.codec import decode_array, decode_payload
 from ..serialize.format import decode_frames
+
+
+#: Decoded bytes a :class:`DecodedChunkCache` keeps: room for three
+#: chunks of the default shape (``chunk_rows`` 65 536 x ``embedding_dim``
+#: 16 fp32 + int64 ids = 4.5 MiB each), thousands of the small chunks
+#: the serving experiments use. A chunk larger than this is decoded per
+#: read, as before.
+DECODED_CACHE_BYTES = 16 * 2**20
+
+
+def verify_chunk_digest(key: str, blob: bytes, expected_digest: str) -> None:
+    """Raise :class:`CheckpointCorruptError` unless ``blob`` hashes to it."""
+    actual = sha256_hex(blob)
+    if actual != expected_digest:
+        raise CheckpointCorruptError(
+            f"chunk {key} digest mismatch: stored bytes hash "
+            f"{actual}, version records {expected_digest}"
+        )
 
 
 def decode_chunk_rows(
@@ -37,12 +65,7 @@ def decode_chunk_rows(
     that into a fallback to an older published version.
     """
     if expected_digest is not None:
-        actual = sha256_hex(blob)
-        if actual != expected_digest:
-            raise CheckpointCorruptError(
-                f"chunk {key} digest mismatch: stored bytes hash "
-                f"{actual}, version records {expected_digest}"
-            )
+        verify_chunk_digest(key, blob, expected_digest)
     try:
         meta, frames = decode_frames(blob)
     except SerializationError as exc:
@@ -79,3 +102,53 @@ def decode_chunk_rows(
             f"{weights.shape} weight payload"
         )
     return rows, weights
+
+
+class DecodedChunkCache:
+    """Content-addressed ``digest -> (row_ids, weights)`` of verified chunks.
+
+    One per serving plane. GETs, hashing, row caches and simulated time
+    stay per server; only the pure decode of identical bytes is shared.
+    Oldest-decoded entries fall out once ``budget_bytes`` of decoded
+    arrays are held.
+    """
+
+    def __init__(self, budget_bytes: int = DECODED_CACHE_BYTES) -> None:
+        self.budget_bytes = budget_bytes
+        self.held_bytes = 0
+        #: Times :func:`decode_chunk_rows` actually ran.
+        self.decodes = 0
+        self._chunks: OrderedDict[
+            str, tuple[np.ndarray, np.ndarray]
+        ] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._chunks)
+
+    def decode(
+        self, key: str, blob: bytes, expected_digest: str | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`decode_chunk_rows`, read-only and decoded once per digest.
+
+        ``blob`` is hashed on every call — the digest checked is that of
+        the bytes just read, never of the key — and only a passing check
+        may be answered from an earlier decode. A ref without a digest
+        has no content address and is decoded every time.
+        """
+        if expected_digest is not None:
+            verify_chunk_digest(key, blob, expected_digest)
+            cached = self._chunks.get(expected_digest)
+            if cached is not None:
+                return cached
+        decoded = decode_chunk_rows(key, blob, None)
+        self.decodes += 1
+        for array in decoded:
+            array.setflags(write=False)
+        size = sum(array.nbytes for array in decoded)
+        if expected_digest is not None and size <= self.budget_bytes:
+            self._chunks[expected_digest] = decoded
+            self.held_bytes += size
+            while self.held_bytes > self.budget_bytes:
+                _, evicted = self._chunks.popitem(last=False)
+                self.held_bytes -= sum(a.nbytes for a in evicted)
+        return decoded

@@ -51,6 +51,7 @@ from ..storage.bandwidth import (
 from ..storage.engine import StagedHandle
 from ..storage.factory import make_backend
 from ..storage.object_store import ObjectStore
+from .chunks import DecodedChunkCache
 from .publisher import ServingPublisher
 from .server import InferenceServer, LookupRequest, LookupResult
 
@@ -277,6 +278,9 @@ class ServingFleet:
             hot_rows_per_table=serving.hot_rows_per_table,
             capture_golden=serving.verify,
         )
+        # Servers read, hash and cache rows on their own; the decode of
+        # bytes one of them verified is shared across the plane.
+        self.decoded_chunks = DecodedChunkCache()
         self.slots: list[_ServerSlot] = []
         for index in range(serving.num_servers):
             stream = f"serve{index}"
@@ -291,6 +295,7 @@ class ServingFleet:
                         stream=stream,
                         lookup_overhead_s=serving.lookup_overhead_s,
                         warm_pins=serving.warm_pins,
+                        decoded_chunks=self.decoded_chunks,
                     )
                 )
             )

@@ -4,10 +4,11 @@ A :class:`RowCache` is pinned to exactly one published version: every
 entry it returns is that version's value for the row, never anything
 older or newer. Two mechanisms fill it:
 
-* **LRU admission** — a lookup miss fetches the row's chunk; every row
-  of the chunk *that the pinned version maps to that same chunk* is
-  admitted (block-granular fill, the cheap side effect of a ranged GET),
-  and the least-recently-used rows fall out under capacity pressure;
+* **LRU admission** — a lookup miss fetches the row's chunk; the rows
+  around the wanted one *that the pinned version maps to that same
+  chunk* are admitted as one block (:meth:`RowCache.admit_many`, the
+  cheap side effect of a ranged GET), and the least-recently-used rows
+  fall out under capacity pressure;
 * **hot-row pinning** — the publisher's tracker-derived hot set is
   pinned outside the LRU ring, so the rows that dominate Zipf-skewed
   traffic can never be evicted by a burst of cold lookups.
@@ -23,6 +24,7 @@ one version's lifetime.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,24 +113,51 @@ class RowCache:
         return None
 
     def admit(self, table_id: int, row: int, value: np.ndarray) -> None:
-        """Insert one row into the LRU ring (no-op if pinned).
+        """Insert one row into the LRU ring (no-op if pinned)."""
+        self.admit_many(table_id, ((int(row), value),))
 
+    def admit_many(
+        self, table_id: int, entries: Iterable[tuple[int, np.ndarray]]
+    ) -> None:
+        """Insert ``(row, value)`` pairs into the LRU ring, in order.
+
+        Each pair is handled exactly as if it were admitted alone: a
+        pinned row is skipped, a ring row is refreshed, a new row is
+        inserted and the coldest entry evicted when that overflows the
+        ring — so a batch larger than the ring leaves its own tail.
         Pinned rows own their capacity; the LRU ring gets whatever is
         left. When pins fill the whole cache, plain admissions bounce.
+        Admitted values become read-only: a hit hands out the cache's
+        own array, and a caller's write must not reach later hits.
         """
-        key = (table_id, int(row))
-        if key in self._pinned:
-            return
-        ring_capacity = self.capacity_rows - len(self._pinned)
+        pinned, lru = self._pinned, self._lru
+        ring_capacity = self.capacity_rows - len(pinned)
         if ring_capacity <= 0:
             return
-        if key not in self._lru:
-            self.stats.inserts += 1
-        self._lru[key] = value
-        self._lru.move_to_end(key)
-        while len(self._lru) > ring_capacity:
-            self._lru.popitem(last=False)
-            self.stats.evictions += 1
+        # ``pin`` and ``from_previous`` never leave the ring over its
+        # share, so only an insert can overflow it, by exactly one.
+        ring_rows = len(lru)
+        inserts = evictions = 0
+        for row, value in entries:
+            key = (table_id, row)
+            if key in pinned:
+                continue
+            # Reading the flag is ~10x cheaper than writing it; block
+            # callers pass views of an already frozen array.
+            if value.flags.writeable:
+                value.flags.writeable = False
+            if key in lru:
+                lru.move_to_end(key)
+            else:
+                inserts += 1
+                if ring_rows == ring_capacity:
+                    lru.popitem(last=False)
+                    evictions += 1
+                else:
+                    ring_rows += 1
+            lru[key] = value
+        self.stats.inserts += inserts
+        self.stats.evictions += evictions
 
     def pin(self, table_id: int, row: int, value: np.ndarray) -> bool:
         """Pin one hot row outside the LRU ring; False when full.
@@ -136,9 +165,10 @@ class RowCache:
         A row already in the ring is promoted (its slot moves from ring
         to pin). Pins never exceed the cache's total capacity — hot
         sets larger than the cache pin a prefix and leave the rest to
-        the LRU.
+        the LRU. Like an admitted value, ``value`` becomes read-only.
         """
         key = (table_id, int(row))
+        value.flags.writeable = False
         if key in self._pinned:
             self._pinned[key] = value
             return True

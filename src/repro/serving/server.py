@@ -23,6 +23,13 @@ chunk during a flip makes the server retry the flip against the next
 older published version; during a lookup it poisons the current state,
 falls back one version with a cold cache, and replays the whole request
 there — a request is atomic even across a fallback.
+
+**What a miss costs.** One GET and one sha256 of the bytes it returned,
+always. The decode of those bytes is shared with every other read of
+the same content through the plane's
+:class:`~repro.serving.chunks.DecodedChunkCache`, and the window of
+rows around the wanted one enters the row cache as one block
+(:meth:`~repro.serving.rowcache.RowCache.admit_many`).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 from ..errors import CheckpointCorruptError, ServingError
 from ..storage.engine import read_steps
 from ..storage.object_store import ObjectStore
-from .chunks import decode_chunk_rows
+from .chunks import DecodedChunkCache
 from .publisher import ServingPublisher
 from .rowcache import RowCache, RowCacheStats
 from .version import PublishedVersion, RowRef, rows_changed_between
@@ -76,6 +83,41 @@ class _VersionState:
     version: PublishedVersion
     cache: RowCache
     poisoned: bool = False
+    #: chunk key -> :meth:`residency` of that chunk, kept from its
+    #: first fetch (a version's locator never changes).
+    resident: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def residency(self, ref: RowRef, rows: np.ndarray) -> np.ndarray:
+        """Which of chunk ``ref``'s ``rows`` the version still maps to it.
+
+        A boolean per chunk row: a full checkpoint's chunk carries stale
+        copies of rows that later increments re-wrote, and those must
+        never be admitted from it.
+        """
+        eligible = self.resident.get(ref.key)
+        if eligible is None:
+            locator = self.version.locator.get(ref.table_id, {})
+            eligible = np.array(
+                [
+                    (at := locator.get(row)) is not None
+                    and at.key == ref.key
+                    for row in rows.tolist()
+                ],
+                dtype=bool,
+            )
+            self.resident[ref.key] = eligible
+        return eligible
+
+
+def _row_index(ref: RowRef, rows: np.ndarray, row: int) -> int:
+    """Where ``row`` sits in the chunk its version maps it to."""
+    found = np.flatnonzero(rows == int(row))
+    if found.size == 0:
+        raise CheckpointCorruptError(
+            f"chunk {ref.key} is missing row {row} of table "
+            f"{ref.table_id} its version maps to it"
+        )
+    return int(found[0])
 
 
 class InferenceServer:
@@ -90,6 +132,7 @@ class InferenceServer:
         stream: str = "",
         lookup_overhead_s: float = 0.0002,
         warm_pins: bool = True,
+        decoded_chunks: DecodedChunkCache | None = None,
     ) -> None:
         self.server_id = server_id
         self.store = store
@@ -98,6 +141,12 @@ class InferenceServer:
         self.stream = stream
         self.lookup_overhead_s = lookup_overhead_s
         self.warm_pins = warm_pins
+        #: The serving plane's shared decodes; a lone server has its own.
+        self.decoded_chunks = (
+            decoded_chunks
+            if decoded_chunks is not None
+            else DecodedChunkCache()
+        )
         self.cache_stats = RowCacheStats()
         self.current: _VersionState | None = None
         self.lookups = 0
@@ -117,22 +166,21 @@ class InferenceServer:
     # ------------------------------------------------------------------
 
     def _fetch_chunk(self, ref: RowRef, earliest: float):
-        """Read + verify + decode one chunk; admit its resident rows.
+        """Read + verify one chunk; decode it unless its bytes already were.
 
-        Only rows the *served version's* locator still maps to this very
-        chunk are admitted: a full checkpoint's chunk carries stale
-        copies of rows that later increments re-wrote, and admitting
-        those would serve old values for them. ``earliest`` is
-        server-local sequencing: a server handles one read at a time,
-        so each read starts no earlier than the previous one finished.
-        Returns ``(rows, weights, completed_s)``.
+        ``earliest`` is server-local sequencing: a server handles one
+        read at a time, so each read starts no earlier than the
+        previous one finished. Returns read-only
+        ``(rows, weights, completed_s)``.
         """
         blob, completed = yield from read_steps(
             self.store.stage_get(
                 ref.key, earliest=earliest, stream=self.stream
             )
         )
-        rows, weights = decode_chunk_rows(ref.key, blob, ref.digest)
+        rows, weights = self.decoded_chunks.decode(
+            ref.key, blob, ref.digest
+        )
         return rows, weights, completed
 
     @staticmethod
@@ -151,19 +199,20 @@ class InferenceServer:
         the cache on each side) is admitted — spatial prefetch without
         the flood. Only rows the served version's locator still maps to
         this very chunk are eligible: a full checkpoint's chunk carries
-        stale copies of rows that later increments re-wrote.
+        stale copies of rows that later increments re-wrote, and
+        admitting those would serve old values for them.
         """
         window = max(1, state.cache.capacity_rows // 8)
         lo = max(0, center_index - window)
         hi = min(rows.shape[0], center_index + window + 1)
-        table_locator = state.version.locator.get(ref.table_id, {})
-        for index in range(lo, hi):
-            row = int(rows[index])
-            resident = table_locator.get(row)
-            if resident is not None and resident.key == ref.key:
-                state.cache.admit(
-                    ref.table_id, row, weights[index].copy()
-                )
+        keep = state.residency(ref, rows)[lo:hi]
+        # Boolean indexing copies: the admitted rows are views of one
+        # private block (frozen once, here), not of the shared decode.
+        block = weights[lo:hi][keep]
+        block.flags.writeable = False
+        state.cache.admit_many(
+            ref.table_id, zip(rows[lo:hi][keep].tolist(), block)
+        )
 
     # ------------------------------------------------------------------
     # Version flips
@@ -186,11 +235,13 @@ class InferenceServer:
         for candidate_index in range(target, current_index, -1):
             candidate = self.publisher.versions[candidate_index]
             try:
-                cache = self._next_cache(candidate)
+                state = _VersionState(
+                    version=candidate, cache=self._next_cache(candidate)
+                )
                 ready = notify_s
                 if self.warm_pins:
-                    ready = yield from self._warm(candidate, cache, notify_s)
-                self.current = _VersionState(version=candidate, cache=cache)
+                    ready = yield from self._warm(state, notify_s)
+                self.current = state
                 self.flips += 1
                 stall = max(0.0, ready - notify_s)
                 self.flip_stall_total_s += stall
@@ -222,10 +273,9 @@ class InferenceServer:
             ),
         )
 
-    def _warm(
-        self, version: PublishedVersion, cache: RowCache, notify_s: float
-    ):
+    def _warm(self, state: _VersionState, notify_s: float):
         """Generator: pin the version's hot rows, reading missing chunks."""
+        version, cache = state.version, state.cache
         ready = notify_s
         missing: dict[str, tuple[RowRef, list[int]]] = {}
         for table_id in sorted(version.hot_rows):
@@ -244,15 +294,8 @@ class InferenceServer:
                 ref, ready
             )
             ready = max(ready, completed)
-            position = {int(r): i for i, r in enumerate(rows.tolist())}
-            state = _VersionState(version=version, cache=cache)
             for row in want:
-                index = position.get(row)
-                if index is None:
-                    raise CheckpointCorruptError(
-                        f"chunk {ref.key} is missing hot row {row} of "
-                        f"table {ref.table_id} its version maps to it"
-                    )
+                index = _row_index(ref, rows, row)
                 cache.pin(ref.table_id, row, weights[index].copy())
                 # A window around each hot row rides along for free.
                 self._admit_resident(state, ref, rows, weights, index)
@@ -343,16 +386,9 @@ class InferenceServer:
                 ref, earliest
             )
             earliest = max(earliest, completed)
-            hit_positions = np.nonzero(rows == int(row))[0]
-            if hit_positions.size == 0:
-                raise CheckpointCorruptError(
-                    f"chunk {ref.key} is missing row {row} of table "
-                    f"{table_id} its version maps to it"
-                )
-            values[(table_id, int(row))] = weights[
-                int(hit_positions[0])
-            ].copy()
-            self._admit_resident(
-                state, ref, rows, weights, int(hit_positions[0])
-            )
+            index = _row_index(ref, rows, row)
+            value = weights[index].copy()
+            value.flags.writeable = False
+            values[(table_id, int(row))] = value
+            self._admit_resident(state, ref, rows, weights, index)
         return values, hits, misses, earliest

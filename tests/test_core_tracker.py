@@ -33,6 +33,30 @@ class TestModifiedRowTracker:
         assert newly == 1
         assert tracker.modified_count == 3
 
+    def test_duplicate_and_unsorted_rows_count_once(self, shard):
+        """The newly-set count is per row, however the input lists it
+        (``tracker.rows_marked`` in the repo benchmark reads it)."""
+        tracker = ModifiedRowTracker(shard)
+        tracker.mark_table_rows(np.array([150]))
+        newly = tracker.mark_table_rows(
+            np.array([180, 110, 110, 150, 180, 180, 99, 200, 120])
+        )
+        assert newly == 3  # 110, 120, 180; 150 was set, 99/200 outside
+        assert tracker.modified_count == 4
+        assert tracker.mark_table_rows(np.array([110, 110])) == 0
+
+    def test_newly_set_count_matches_mask_growth(self, shard):
+        rng = np.random.default_rng(3)
+        tracker = ModifiedRowTracker(shard)
+        for sorted_unique in (True, False):
+            for _ in range(20):
+                rows = rng.integers(80, 220, size=rng.integers(0, 40))
+                if sorted_unique:
+                    rows = np.unique(rows)
+                before = tracker.modified_count
+                newly = tracker.mark_table_rows(rows)
+                assert newly == tracker.modified_count - before
+
     def test_empty_mark(self, shard):
         tracker = ModifiedRowTracker(shard)
         assert tracker.mark_table_rows(np.zeros(0, dtype=np.int64)) == 0
@@ -125,6 +149,29 @@ class TestTrackerSet:
             proxy_mask = proxy.trackers[shard_id].mask_copy()
             exact_mask = tracker.mask_copy()
             assert np.all(proxy_mask | ~exact_mask)  # proxy >= exact
+
+    def test_step_hook_sets_coincide(self, tiny_experiment):
+        """``step_hook`` marks ``result.touched_rows`` in both modes
+        instead of re-deriving the looked-up set: that is only right
+        while every looked-up row receives a gradient row, i.e. while
+        the two are the same sorted unique array."""
+        exp = tiny_experiment
+        exp.reader.begin_interval(3)
+        seen = []
+        exp.trainer.register_step_hook(
+            lambda result, batch: seen.append((result, batch))
+        )
+        for _ in range(3):
+            exp.trainer.train_one_batch()
+        assert len(seen) == 3
+        for result, batch in seen:
+            assert sorted(result.touched_rows) == list(
+                range(len(batch.sparse))
+            )
+            for table_id, indices in enumerate(batch.sparse):
+                np.testing.assert_array_equal(
+                    result.touched_rows[table_id], np.unique(indices)
+                )
 
     def test_bitvector_total(self, plan_and_set):
         _, tracker_set = plan_and_set

@@ -180,6 +180,51 @@ class TestCorruptionFallback:
             result.values[(table_id, row)], golden[0][table_id][row]
         )
 
+    def test_corruption_after_a_good_decode_still_falls_back(
+        self, published_pair
+    ):
+        """A warm decoded-chunk cache must not vouch for a key: once the
+        stored bytes rot, the next read of that chunk fails its hash
+        even though the same key's good bytes were decoded before."""
+        exp, publisher, golden = published_pair
+        server = InferenceServer(
+            "s0", exp.store, publisher, cache_rows=1, warm_pins=False
+        )
+        drive(server.flip_steps(publisher.versions[1], exp.clock.now))
+        table_id, row = _modified_row(publisher)
+        request = LookupRequest(
+            request_id=0, arrival_s=exp.clock.now, rows=((table_id, row),)
+        )
+        clean = drive(server.lookup_steps(request))
+        assert (clean.version_index, clean.misses) == (1, 1)
+        assert server.decoded_chunks.decodes == 1
+        # Push the row out of the one-row cache so it must be re-read.
+        other = next(
+            r
+            for r in publisher.versions[1].modified_rows[table_id].tolist()
+            if r != row
+        )
+        drive(
+            server.lookup_steps(
+                LookupRequest(
+                    request_id=1,
+                    arrival_s=exp.clock.now,
+                    rows=((table_id, other),),
+                )
+            )
+        )
+        assert not server.current.cache.contains(table_id, row)
+        bad_key = publisher.versions[1].row_ref(table_id, row).key
+        corrupt_stored_object(exp.store.backend, bad_key)
+        result = drive(server.lookup_steps(request))
+        assert result.version_index == 0
+        assert result.fallback_depth == 1
+        assert server.version_fallbacks == 1
+        assert server.version_index == 0
+        np.testing.assert_array_equal(
+            result.values[(table_id, row)], golden[0][table_id][row]
+        )
+
     def test_cold_start_flip_falls_back_when_latest_corrupt(
         self, published_pair
     ):
