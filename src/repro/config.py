@@ -180,8 +180,8 @@ class BackendConfig:
     ``kind`` selects the backend class; the remaining fields only apply
     where they make sense (``root`` for ``file``, ``replicas`` for
     ``mirrored``, the per-op-class latencies / multipart / ranged-GET
-    knobs for ``s3like``). In-process kinds keep the legacy
-    config-derived timing (one fixed latency + link bandwidths);
+    knobs for ``s3like``). In-process kinds are timed from the store's
+    config (one fixed latency + link bandwidths);
     ``s3like`` owns per-class request latencies, optional jitter and
     tail inflation, multipart upload and ranged GETs.
     """

@@ -15,9 +15,12 @@ both respect, and which survives process restarts because it lives in
 the stored manifest itself.
 
 Scans are untimed: like the CRC scrubber in
-:mod:`repro.tools.inspect`, they read through the raw backend rather
-than the request-timed store — an operator tool must not perturb the
-simulated storage timeline it is inspecting.
+:mod:`repro.tools.inspect`, every request — the discovery LIST, the
+reads, the quarantine marker's PUT — goes through
+:meth:`~repro.storage.engine.TransferEngine.retry_probe` rather than
+the request-timed store: an operator tool must not perturb the
+simulated storage timeline it is inspecting, and must not die on a
+throttled request either.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ..errors import ObjectNotFoundError, SerializationError
 from ..reporting import series
 from ..serialize.format import decode_frames
 from ..storage.object_store import ObjectStore
-from ..storage.requests import OP_GET, OP_HEAD
+from ..storage.requests import OP_GET, OP_LIST, OP_PUT
 from .manifest import CheckpointManifest, manifest_key
 
 
@@ -108,11 +111,6 @@ class IntegrityReport:
         return not self.issues and not self.torn_checkpoint_ids
 
 
-def _probe(store: ObjectStore, op: str, call):
-    """Run an untimed backend call through the engine's retry loop."""
-    return store.engine.retry_probe(op, call)
-
-
 def verify_checkpoint(
     store: ObjectStore,
     manifest: CheckpointManifest,
@@ -139,7 +137,7 @@ def verify_checkpoint(
         if report is not None:
             report.objects_scanned += 1
         try:
-            blob = _probe(store, OP_GET, lambda k=key: store.backend.read(k))
+            blob = store.engine.retry_probe(OP_GET, key)
         except ObjectNotFoundError:
             issues.append(
                 ObjectIssue(key, manifest.checkpoint_id, REASON_MISSING)
@@ -194,14 +192,16 @@ def quarantine_checkpoint(
 ) -> CheckpointManifest:
     """Persist the quarantine marker into the stored manifest.
 
-    Rewrites the manifest object with ``quarantined: true`` through the
-    raw backend (operator plane, untimed). The marker sticks across
-    restarts: any later discovery re-reads the stored JSON and drops
-    the checkpoint from resume plans and retention keep slots.
+    Rewrites the manifest object with ``quarantined: true`` (operator
+    plane: untimed, retried like the scan's reads). The marker sticks
+    across restarts: any later discovery re-reads the stored JSON and
+    drops the checkpoint from resume plans and retention keep slots.
     """
     quarantined = replace(manifest, quarantined=True)
     key = manifest_key(manifest.job_id, manifest.checkpoint_id)
-    store.backend.write(key, quarantined.to_json().encode("utf-8"))
+    store.engine.retry_probe(
+        OP_PUT, key, quarantined.to_json().encode("utf-8")
+    )
     return quarantined
 
 
@@ -218,9 +218,7 @@ def scan_job(
     ``quarantine=False`` (report-only mode).
     """
     report = IntegrityReport(job_id=job_id)
-    keys = _probe(
-        store, OP_HEAD, lambda: store.backend.list_keys(f"{job_id}/")
-    )
+    keys = store.engine.retry_probe(OP_LIST, f"{job_id}/")
     manifest_keys = sorted(
         k for k in keys if k.endswith("/manifest.json")
     )
@@ -237,7 +235,7 @@ def scan_job(
 
     for mkey in manifest_keys:
         checkpoint_id = mkey.split("/")[-2]
-        blob = _probe(store, OP_GET, lambda k=mkey: store.backend.read(k))
+        blob = store.engine.retry_probe(OP_GET, mkey)
         report.objects_scanned += 1
         try:
             manifest = CheckpointManifest.from_json(blob)

@@ -106,15 +106,12 @@ class RestoreReport:
 class CheckpointRestorer:
     """Reads checkpoints back from the object store into live state."""
 
-    #: Manifest keys the last :meth:`list_manifests` call could not
-    #: parse, with the corruption reason (class-level default so
-    #: listing-only instances built without ``__init__`` see it too).
-    skipped_manifests: dict[str, str] = {}
-
     def __init__(self, store: ObjectStore, clock: SimClock) -> None:
         self.store = store
         self.clock = clock
-        self.skipped_manifests = {}
+        #: Manifest keys the last :meth:`list_manifests` call could not
+        #: parse, with the corruption reason.
+        self.skipped_manifests: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Manifest discovery
@@ -156,26 +153,21 @@ class CheckpointRestorer:
         self.skipped_manifests = skipped
         return manifests
 
-    def _probe_exists(self, key: str) -> bool:
-        """Untimed backend HEAD: does the object exist right now?
-
-        Candidate vetting is controller-side metadata work, not a timed
-        data-plane request — same idiom as the staged writer's
-        overwrite probe and :meth:`ObjectStore.object_size`.
-        """
-        backend = self.store.backend
-        return self.store.engine.retry_probe(
-            OP_HEAD, lambda: backend.exists(key)
-        )
-
     def _objects_present(self, manifest: CheckpointManifest) -> bool:
-        """Whether every chunk/dense object of one link still exists."""
+        """Whether every chunk/dense object of one link still exists.
+
+        Untimed HEAD probes: candidate vetting is controller-side
+        metadata work, not a timed data-plane request — same idiom as
+        the staged writer's overwrite probe and
+        :meth:`ObjectStore.object_size`.
+        """
+        probe = self.store.engine.retry_probe
         for shard in manifest.shards:
             for chunk in shard.chunks:
-                if not self._probe_exists(chunk.key):
+                if not probe(OP_HEAD, chunk.key):
                     return False
         if manifest.dense_key is not None:
-            return self._probe_exists(manifest.dense_key)
+            return probe(OP_HEAD, manifest.dense_key)
         return True
 
     def plan_resume(

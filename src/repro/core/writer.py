@@ -39,7 +39,7 @@ from ..quant.base import Quantizer
 from ..quant.uniform import AsymmetricQuantizer
 from ..serialize.codec import encode_array, encode_payload
 from ..serialize.format import encode_frames, encode_named_frame
-from ..storage.engine import drain
+from ..storage.engine import drain, split_parts
 from ..storage.object_store import ObjectStore
 from .integrity import sha256_hex
 from .manifest import (
@@ -168,13 +168,6 @@ class CheckpointWriter:
             return np.flatnonzero(mask).astype(np.int64)
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
 
-    def _planned_parts(self, nbytes: int) -> int:
-        """Multipart part count the store will split a payload into."""
-        part_size = getattr(self.store.backend, "part_size_bytes", None)
-        if part_size is None or nbytes <= part_size:
-            return 1
-        return -(-nbytes // part_size)
-
     def _staged_write(
         self,
         step_kind: str,
@@ -199,7 +192,9 @@ class CheckpointWriter:
         if announce_bytes is None:
             assert isinstance(payload, (bytes, bytearray))
             announce_bytes = len(payload)
-        num_parts = self._planned_parts(announce_bytes)
+        num_parts = len(
+            split_parts(announce_bytes, self.store.backend.part_size_bytes)
+        )
         yield WriteStep(step_kind, key, ready_s, 1, num_parts)
         if callable(payload):
             payload = payload()

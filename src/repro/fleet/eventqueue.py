@@ -1,12 +1,11 @@
 """Indexed event heap for the fleet scheduler's dispatch loop.
 
-The lockstep dispatcher rescans every job per event to find the
-globally earliest candidate — O(events x jobs), fine at 64 jobs and
-hopeless at 10k. This module gives the scheduler an indexed heap per
-*lane* so dispatch is O(log n) pops plus O(log n) re-keys for only the
-jobs an event actually touched.
+Rescanning every job per event to find the globally earliest candidate
+is O(events x jobs) — fine at 64 jobs and hopeless at 10k. This module
+gives the scheduler an indexed heap per *lane* so dispatch is O(log n)
+pops plus O(log n) re-keys for only the jobs an event actually touched.
 
-Lanes mirror the lockstep candidate classes exactly:
+One lane per class of pending event:
 
 * ``write`` — jobs with a staged write whose next PUT part is
   announced. The heap key is the part's static ``ready_s``; the link
@@ -16,7 +15,7 @@ Lanes mirror the lockstep candidate classes exactly:
   minimum is the floored minimum.
 * ``book`` — jobs whose staged write's generator is exhausted but
   whose bookkeeping event is still owed, keyed at the job clock
-  (the lockstep scan's un-floored ``job.clock.now`` candidate).
+  (un-floored: bookkeeping moves no bytes).
 * ``train`` — jobs with training (or a re-stage slot) due, keyed at
   the job clock.
 
@@ -28,12 +27,11 @@ only changes while the scheduler is processing that job's own event
 re-keys exactly the jobs an event touched and every other cached key
 stays valid.
 
-Tie handling reproduces the lockstep semantics: candidates within
-:data:`TIME_EPS` (applied *relatively* — see :func:`tie_threshold`) of
-the best time form the tie set. For link operations the whole decision
-— tie set, background yield, arbiter — is :func:`pick_link_op`, shared
-by both dispatch engines, the recovery drain and the serving loop;
-tied trains go to the lowest job id.
+Ties: candidates within :data:`TIME_EPS` (applied *relatively* — see
+:func:`tie_threshold`) of the best time form the tie set. For link
+operations the whole decision — tie set, background yield, arbiter —
+is :func:`pick_link_op`, shared by the fleet scheduler, its recovery
+drain and the serving loop; tied trains go to the lowest job id.
 """
 
 from __future__ import annotations
@@ -183,8 +181,7 @@ class FleetEventQueue:
         """Earliest staged-write event time across both write lanes.
 
         The ``write`` lane is floored by the link's ``free_at`` (a part
-        cannot start earlier); the ``book`` lane is not — matching the
-        lockstep scan's two write-candidate forms exactly.
+        cannot start earlier); the ``book`` lane is not.
         """
         floored = self.write.best(floor=link_free)
         book = self.book.best()

@@ -303,7 +303,6 @@ def build_fleet(
     config: FleetConfig,
     specs: list[FleetJobSpec] | None = None,
     on_event: Callable[[FleetEvent], None] | None = None,
-    dispatch: str = "heap",
 ) -> tuple[FleetScheduler, ObjectStore]:
     """Wire a shared store + arbiter and a full fleet of jobs.
 
@@ -330,10 +329,7 @@ def build_fleet(
     if specs is None:
         specs = sample_fleet_specs(config)
     jobs = [build_fleet_job(spec, config, store) for spec in specs]
-    scheduler = FleetScheduler(
-        config, store, jobs=jobs, on_event=on_event, dispatch=dispatch
-    )
-    return scheduler, store
+    return FleetScheduler(config, store, jobs, on_event=on_event), store
 
 
 def _attributes(cls: type) -> set[str]:
@@ -469,10 +465,9 @@ def run_fleet(
     config: FleetConfig,
     specs: list[FleetJobSpec] | None = None,
     on_event: Callable[[FleetEvent], None] | None = None,
-    dispatch: str = "heap",
 ) -> tuple[FleetScheduler, FleetRunReport]:
     """Run one fleet to completion and summarise it."""
-    scheduler, store = build_fleet(config, specs, on_event, dispatch)
+    scheduler, store = build_fleet(config, specs, on_event)
     scheduler.run()
     return scheduler, summarize_fleet(scheduler, store)
 

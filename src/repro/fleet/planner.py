@@ -16,9 +16,6 @@ reports what provisioning decisions hinge on: fleet peak physical
 storage, peak write/read link bandwidth, and — when a
 correlated storm is armed — the fleet's time-to-recover, plus the
 quota rejections and admission deferrals the setting caused.
-
-Runs use the event-heap dispatcher (a full sweep is dozens of fleet
-runs; see :mod:`repro.fleet.eventqueue`).
 """
 
 from __future__ import annotations

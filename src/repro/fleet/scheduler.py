@@ -6,14 +6,10 @@ the scheduler always processes the globally earliest pending event, so
 transfers from different jobs reach the shared link in simulated-time
 order even though each job's Python code runs sequentially.
 
-Dispatch is indexed by default: an event heap
+Dispatch is indexed: an event heap
 (:class:`~repro.fleet.eventqueue.FleetEventQueue`) keyed per lane
 (staged write parts, write bookkeeping, training) pops the earliest
-event in O(log n) and re-keys only the jobs an event touched. The
-original O(jobs)-per-event candidate rescan survives as
-``dispatch="lockstep"`` — the differential baseline the bit-identity
-tests and the b04 scale benchmark compare against; both modes produce
-bit-identical runs.
+event in O(log n) and re-keys only the jobs an event touched.
 
 Checkpoint writes are *staged* (see
 :meth:`repro.core.controller.CheckNRun.begin_checkpoint`): a job's write
@@ -83,25 +79,14 @@ from ..replication import PeerReplicator, restore_from_peer
 from ..storage.bandwidth import TIER_EXPERIMENTAL, TIER_PROD, TIER_RANK
 from ..storage.engine import AdmissionController
 from ..storage.object_store import ObjectStore
-from .eventqueue import FleetEventQueue, pick_link_op, tie_threshold
-from .jobs import (
-    FleetJob,
-    RestoreSample,
-    build_fleet_job,
-    sample_fleet_specs,
-)
+from .eventqueue import FleetEventQueue, pick_link_op
+from .jobs import FleetJob, RestoreSample
 
 #: Floor on the derived convergence bound: tiny fleets keep a generous
 #: event budget so legitimate crash/preemption replay never trips the
 #: non-convergence error. The per-run ceiling itself is derived from
 #: fleet shape — see :meth:`FleetScheduler._derive_max_events`.
 MIN_EVENT_BUDGET = 200_000
-
-#: Dispatch modes: ``"heap"`` pops the globally earliest event from the
-#: indexed :class:`FleetEventQueue` in O(log n); ``"lockstep"`` is the
-#: original O(jobs)-per-event candidate rescan, retained as the
-#: differential baseline (bit-identity tests, the b04 benchmark).
-DISPATCH_MODES = ("heap", "lockstep")
 
 
 @dataclass
@@ -123,23 +108,16 @@ class FleetScheduler:
         self,
         config: FleetConfig,
         store: ObjectStore,
-        jobs: list[FleetJob] | None = None,
+        jobs: list[FleetJob],
         on_event: Callable[[FleetEvent], None] | None = None,
-        dispatch: str = "heap",
     ) -> None:
         if store.arbiter is None:
             raise FleetError(
                 "the shared store needs a BandwidthArbiter attached"
             )
-        if dispatch not in DISPATCH_MODES:
-            raise FleetError(
-                f"unknown dispatch mode {dispatch!r}; "
-                f"valid: {DISPATCH_MODES}"
-            )
         self.config = config
         self.store = store
         self.on_event = on_event
-        self.dispatch = dispatch
         self.admission = AdmissionController(
             store.engine,
             mode=config.admission_mode,
@@ -148,11 +126,6 @@ class FleetScheduler:
             read_mode=config.restore_admission,
             read_backlog_factor=config.restore_backlog_factor,
         )
-        if jobs is None:
-            jobs = [
-                build_fleet_job(spec, config, store)
-                for spec in sample_fleet_specs(config)
-            ]
         if not jobs:
             raise FleetError("fleet needs at least one job")
         self.jobs = jobs
@@ -221,16 +194,14 @@ class FleetScheduler:
                 1, int(self.storm_plan.at_progress * total_target)
             )
         #: Fleet progress changed since the armed storm last measured
-        #: it (heap mode recomputes the O(jobs) progress sum only when
-        #: this is set; interval indices change only at trigger /
-        #: recovery boundaries).
+        #: it (the O(jobs) progress sum is recomputed only when this is
+        #: set; interval indices change only at trigger / recovery
+        #: boundaries).
         self._progress_dirty = True
         self.max_events = self._derive_max_events()
-        # Indexed dispatch state. The per-tier staged-write counters
-        # and the re-stage waiting set are maintained in *both* modes
-        # (they are the O(1) form of the same job-state predicates the
-        # lockstep scan evaluates); the event-queue lanes are only
-        # maintained under heap dispatch.
+        # Indexed dispatch state: the event-queue lanes, and per-tier
+        # staged-write counters plus the re-stage waiting set — the
+        # O(1) form of the job-state predicates the lanes are keyed on.
         self._queue = FleetEventQueue()
         self._jobs_by_id = {job.job_id: job for job in self.jobs}
         if len(self._jobs_by_id) != len(self.jobs):
@@ -316,8 +287,6 @@ class FleetScheduler:
             prod_after = self._staged_by_tier.get(TIER_PROD, 0)
             if (prod_before > 0) != (prod_after > 0):
                 self._on_prod_activity_flip()
-        if self.dispatch != "heap":
-            return
         queue = self._queue
         pending = job.pending
         if pending is not None and pending.next_step is not None:
@@ -332,9 +301,9 @@ class FleetScheduler:
             queue.train.set(job_id, job.clock.now)
             self._restage_waiting.discard(job_id)
         elif job.requeue_write and pending is None:
-            # The lockstep scan's re-stage slot: a training-done job
-            # owing a preempted write competes for a train-lane event
-            # only while no prod write is active.
+            # The re-stage slot: a training-done job owing a preempted
+            # write competes for a train-lane event only while no prod
+            # write is active (it then gets one more event to submit).
             self._restage_waiting.add(job_id)
             if self._tier_write_active(TIER_PROD):
                 queue.train.remove(job_id)
@@ -347,8 +316,6 @@ class FleetScheduler:
     def _on_prod_activity_flip(self) -> None:
         """Prod staged-write activity crossed zero: re-key the jobs
         whose train-lane eligibility is conditioned on it."""
-        if self.dispatch != "heap":
-            return
         for job_id in list(self._restage_waiting):
             self._sync_job(self._jobs_by_id[job_id])
 
@@ -411,13 +378,10 @@ class FleetScheduler:
         """
         self._maybe_fire_storm()
         while True:
-            # Resolved per call: b04 shadows the engine's method on the
-            # instance to time dispatch apart from the handlers.
-            event = (
-                self._next_event_heap()
-                if self.dispatch == "heap"
-                else self._next_event()
-            )
+            # Looked up on the instance per call: b04 shadows it to time
+            # dispatch apart from the handlers, the differential tests
+            # to pick by an exhaustive reference scan.
+            event = self._next_event()
             if event is not None or not self._storm_armed():
                 return event
             # Backstop: the fleet is about to drain with the armed
@@ -438,70 +402,18 @@ class FleetScheduler:
         self._sync_job(job)
 
     def _next_event(self) -> tuple[float, str, FleetJob] | None:
-        """The globally earliest pending event.
+        """The globally earliest pending event, O(log n) per pick.
 
-        A staged chunk cannot start before ``max(ready, link free)``;
-        using that as the event time lets every chunk that would queue
+        A staged part cannot start before ``max(ready, link free)``;
+        using that as the event time lets every part that would queue
         behind the link compete, and the arbiter's fair-queueing tag
-        picks the winner. Writes beat training at equal times so a
-        ready chunk claims its link slot before more training runs.
-        """
-        link_free = self.store.timeline.free_at
-        prod_active = self._tier_write_active(TIER_PROD)
-        write_ops: list[tuple[float, str, bool, FleetJob]] = []
-        train_candidates: list[tuple[float, FleetJob]] = []
-        for job in self.jobs:
-            if job.pending is not None and job.pending.next_step is not None:
-                ready = job.pending.next_step.ready_s
-                write_ops.append(
-                    (max(ready, link_free), job.job_id, False, job)
-                )
-            elif job.pending is not None:
-                # Generator exhausted but bookkeeping outstanding.
-                write_ops.append((job.clock.now, job.job_id, False, job))
-            if not job.training_done():
-                train_candidates.append((job.clock.now, job))
-            elif (
-                job.requeue_write
-                and job.pending is None
-                and not prod_active
-            ):
-                # A training-done job whose final write was preempted
-                # still owes its re-stage; once prod traffic drains it
-                # gets one more (train-slot) event to submit it.
-                train_candidates.append((job.clock.now, job))
-
-        best_write = min((op[0] for op in write_ops), default=None)
-        best_train = min(train_candidates, key=lambda e: e[0], default=None)
-        if best_write is None and best_train is None:
-            return None
-        if best_write is not None and (
-            best_train is None or best_write <= best_train[0]
-        ):
-            _, job = pick_link_op(write_ops, self.store.arbiter)
-            return (best_write, "write", job)
-        assert best_train is not None
-        # Deterministic tie-break on equal clocks: lowest job id.
-        t_min = best_train[0]
-        job = min(
-            (
-                j
-                for t, j in train_candidates
-                if t <= tie_threshold(t_min)
-            ),
-            key=lambda j: j.job_id,
-        )
-        return (t_min, "train", job)
-
-    def _next_event_heap(self) -> tuple[float, str, FleetJob] | None:
-        """Heap dispatch: identical semantics, O(log n) per event.
-
-        Lane keys are maintained by :meth:`_sync_job`; the write lane's
-        link floor is applied at pop time (see
-        :mod:`repro.fleet.eventqueue` for why that preserves the
-        floored minimum). Ordering matches :meth:`_next_event` exactly:
-        writes beat training at equal times, tied writes go to the
-        arbiter, tied trains to the lowest job id.
+        picks the winner. Lane keys are maintained by
+        :meth:`_sync_job`; the write lane's link floor is applied at
+        pop time (see :mod:`repro.fleet.eventqueue` for why that
+        preserves the floored minimum). Writes beat training at equal
+        times so a ready part claims its link slot before more training
+        runs; tied writes go to the arbiter, tied trains to the lowest
+        job id.
         """
         queue = self._queue
         link_free = self.store.timeline.free_at
@@ -737,15 +649,12 @@ class FleetScheduler:
         if not self._storm_armed():
             return
         if self._progress_high < self._storm_trigger_intervals:
-            if (
-                self.dispatch == "heap"
-                and not self._progress_dirty
-            ):
+            if not self._progress_dirty:
                 # Interval indices only move at trigger/recovery
                 # boundaries, which set the dirty flag in the same
                 # loop iteration — so skipping the O(jobs) sum while
                 # clean detects the threshold crossing at exactly the
-                # iteration the lockstep rescan would.
+                # iteration a per-event re-sum would.
                 return
             self._progress_dirty = False
             progress = sum(

@@ -10,17 +10,19 @@ each request costs and serialises the data-plane time on the shared
 link; backends themselves move bytes instantly.
 
 The in-process backends (:class:`InMemoryBackend`, :class:`FileBackend`,
-:class:`MirroredBackend`, :class:`CrashingBackend`) ship with
-``costs=None``, meaning "defer to the store's config-derived legacy
-model" — their behaviour through the new API is bit-identical to the
-old flat interface. The S3-style
+:class:`MirroredBackend`) ship with ``costs=None``: the store prices
+them from its config — one fixed latency plus the write and read link
+bandwidths, metadata requests free. The S3-style
 :class:`~repro.storage.remote.RemoteObjectBackend` instead carries its
 own per-class latencies, multipart upload and ranged-GET windows.
 
-A thin compatibility shim (``write``/``read``/``delete``/``exists``/
-``list_keys`` on the base class) keeps the legacy flat call sites —
-tests, tooling, examples — working unchanged on top of the request
-methods.
+Everything the store asks of a backend beyond the five request methods
+— ``costs``, the multipart / ranged-GET capabilities, the latency
+``rng``, per-request :meth:`Backend.cost_model` pricing and
+:meth:`Backend.attach_engine` — is declared on :class:`Backend` with
+the default a plain backend wants, so wrappers
+(:class:`CrashingBackend`, the cache tier) forward members instead of
+probing for them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,17 +41,21 @@ from .requests import (
     OP_HEAD,
     OP_LIST,
     OP_PUT,
+    OpCostModel,
     OpCostSuite,
     StorageRequest,
     clip_range,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .engine import TransferEngine
 
 
 class Backend(ABC):
     """Request-oriented key -> bytes storage interface."""
 
     #: Per-op-class cost models. ``None`` defers to the store's
-    #: config-derived legacy suite (fixed latency + link bandwidths).
+    #: config-derived suite (fixed latency + link bandwidths).
     costs: OpCostSuite | None = None
     #: Multipart upload part size; ``None`` disables multipart (the
     #: store uploads every object single-shot).
@@ -60,6 +67,22 @@ class Backend(ABC):
     #: Split GETs larger than this into ranged sub-GETs; ``None``
     #: fetches whole objects.
     range_get_bytes: int | None = None
+    #: RNG the cost models' jitter/tail draws come from; ``None`` for
+    #: backends whose latencies are deterministic.
+    rng: np.random.Generator | None = None
+
+    def cost_model(
+        self, op: str, key: str, nbytes: int = 0
+    ) -> OpCostModel | None:
+        """The price of one specific request, for backends that price
+        per *request* (a cache tier's hit or miss) rather than per op
+        class; ``None`` defers to the store-level suite."""
+        return None
+
+    def attach_engine(self, engine: "TransferEngine") -> None:
+        """Called once by the owning store: backends that issue
+        requests of their own (the cache tier's dirty flushes) keep
+        the engine for its retry/backoff loop."""
 
     # -- request-oriented data plane -----------------------------------
 
@@ -101,27 +124,6 @@ class Backend(ABC):
                 StorageRequest(OP_DELETE, key, stream=request.stream)
             )
         return keys
-
-    # -- legacy flat shim ----------------------------------------------
-    #
-    # The original Backend ABC exposed write/read/delete/exists/
-    # list_keys. Every legacy call site (tests, tooling, examples)
-    # still works: each shim builds the equivalent classed request.
-
-    def write(self, key: str, data: bytes) -> None:
-        self.put_object(StorageRequest(OP_PUT, key, len(data)), data)
-
-    def read(self, key: str) -> bytes:
-        return self.get_object(StorageRequest(OP_GET, key))
-
-    def delete(self, key: str) -> None:
-        self.delete_object(StorageRequest(OP_DELETE, key))
-
-    def exists(self, key: str) -> bool:
-        return self.head_object(StorageRequest(OP_HEAD, key))
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return self.list_objects(StorageRequest(OP_LIST, prefix))
 
 
 class InMemoryBackend(Backend):
@@ -220,13 +222,13 @@ def corrupt_stored_object(
     ``xor``. The object's length is unchanged, so only digest/CRC
     verification can catch the damage.
     """
-    data = bytearray(backend.read(key))
+    data = bytearray(backend.get_object(StorageRequest(OP_GET, key)))
     if not data:
         raise StorageError(f"cannot bit-rot empty object {key!r}")
     if xor & 0xFF == 0:
         raise StorageError("xor mask must flip at least one bit")
     data[offset % len(data)] ^= xor & 0xFF
-    backend.write(key, bytes(data))
+    backend.put_object(StorageRequest(OP_PUT, key, len(data)), bytes(data))
 
 
 class CrashingBackend(Backend):
@@ -281,21 +283,18 @@ class CrashingBackend(Backend):
         return self.inner.range_get_bytes
 
     @property
-    def rng(self):
-        return getattr(self.inner, "rng", None)
+    def rng(self) -> np.random.Generator | None:  # type: ignore[override]
+        return self.inner.rng
 
-    def cost_model(self, op: str, key: str, nbytes: int = 0):
+    def cost_model(
+        self, op: str, key: str, nbytes: int = 0
+    ) -> OpCostModel | None:
         """Per-request pricing delegates to the inner backend (the
         cache tier's hit/miss refinement survives being wrapped)."""
-        resolver = getattr(self.inner, "cost_model", None)
-        if resolver is None:
-            return None
-        return resolver(op, key, nbytes)
+        return self.inner.cost_model(op, key, nbytes)
 
-    def attach_engine(self, engine) -> None:
-        attach = getattr(self.inner, "attach_engine", None)
-        if attach is not None:
-            attach(engine)
+    def attach_engine(self, engine: "TransferEngine") -> None:
+        self.inner.attach_engine(engine)
 
     def arm(self, writes_until_crash: int) -> None:
         """Crash on the ``writes_until_crash``-th PUT from now (1-based)."""

@@ -242,8 +242,8 @@ class CacheTierBackend(Backend):
         return self.far.range_get_bytes
 
     @property
-    def rng(self):
-        return getattr(self.far, "rng", None)
+    def rng(self):  # type: ignore[override]
+        return self.far.rng
 
     def cost_model(self, op: str, key: str, nbytes: int = 0) -> OpCostModel:
         """Per-request pricing: where will this request's bytes live?

@@ -51,7 +51,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from ..errors import (
     CapacityExceededError,
@@ -64,6 +64,7 @@ from .bandwidth import TIER_PROD, Transfer, projected_queue_delay_s
 from .requests import (
     OP_GET,
     OP_HEAD,
+    OP_LIST,
     OP_PUT,
     OpCostModel,
     OpReceipt,
@@ -135,6 +136,20 @@ class PoolTask:
 # ----------------------------------------------------------------------
 
 
+def split_parts(
+    size: int, window: int | None
+) -> tuple[tuple[int, int], ...]:
+    """The multipart / ranged-GET split rule: ``size`` logical bytes
+    as ``[start, stop)`` parts of at most ``window`` bytes — one part
+    when there is no window or the bytes fit it."""
+    if window is None or size <= window:
+        return ((0, size),)
+    return tuple(
+        (start, min(start + window, size))
+        for start in range(0, size, window)
+    )
+
+
 class _StagedTransfer:
     """One transfer announced as parts, submitted one part at a time.
 
@@ -189,16 +204,9 @@ class _StagedTransfer:
 
     def _announce(self, size: int, window: int | None) -> None:
         """Plan ``size`` logical bytes as parts of at most ``window``
-        bytes (one part when there is no window or the bytes fit it)
-        and join the engine's backlog."""
+        bytes (:func:`split_parts`) and join the engine's backlog."""
         self.size = size
-        if window is None or size <= window:
-            self.parts: tuple[tuple[int, int], ...] = ((0, size),)
-        else:
-            self.parts = tuple(
-                (start, min(start + window, size))
-                for start in range(0, size, window)
-            )
+        self.parts = split_parts(size, window)
         self.engine._staged.append(self)
 
     # -- introspection -------------------------------------------------
@@ -420,10 +428,7 @@ class StagedPut(_StagedTransfer):
     ) -> None:
         super().__init__(engine, key, earliest, stream)
         store = self.store
-        exists = engine.retry_probe(
-            OP_HEAD, lambda: store.backend.exists(key)
-        )
-        if exists and not overwrite:
+        if engine.retry_probe(OP_HEAD, key) and not overwrite:
             raise ObjectExistsError(f"object {key!r} already exists")
         self.data = data
         self.reserved_bytes = self._physical(len(data))
@@ -791,9 +796,32 @@ class TransferEngine:
                 )
             return result, retries, penalty, latency
 
-    def retry_probe(self, op: str, call: Callable[[], T]) -> T:
-        """The retry loop for untimed probes, e.g. the overwrite check
-        inside ``put`` — same budget, no simulated cost."""
+    def retry_probe(
+        self, op: str, key: str, data: bytes | None = None
+    ) -> Any:
+        """One untimed backend request of class ``op`` on ``key``.
+
+        For metadata work that must not perturb the simulated link —
+        the overwrite check inside ``put``, resume-plan vetting, the
+        operator-plane scan / scrub / quarantine: the same retry budget
+        as a timed request and the retries booked under ``op``, but no
+        simulated cost and no draw from the latency RNG. Returns what
+        the backend returned: the bytes (GET), presence (HEAD), the
+        keys under ``key`` as a prefix (LIST), ``None`` for a PUT of
+        ``data``.
+        """
+        backend = self.store.backend
+        request = StorageRequest(op, key, len(data) if op == OP_PUT else 0)
+        if op == OP_HEAD:
+            call = partial(backend.head_object, request)
+        elif op == OP_GET:
+            call = partial(backend.get_object, request)
+        elif op == OP_LIST:
+            call = partial(backend.list_objects, request)
+        elif op == OP_PUT:
+            call = partial(backend.put_object, request, data)
+        else:
+            raise StorageError(f"no untimed probe of class {op!r}")
         return self.attempt_request(op, call, cost=_FREE)[0]
 
     # -- worker pool ---------------------------------------------------

@@ -25,8 +25,8 @@ def make_backend(
 
     ``storage_config`` supplies the link bandwidths the ``s3like``
     kind streams bytes at (its request latencies come from the backend
-    config); in-process kinds ignore it and keep the store's legacy
-    config-derived timing.
+    config); in-process kinds ignore it and are timed from the
+    store's config.
 
     When ``cache_bytes > 0``, the configured backend becomes the *far*
     tier of a :class:`~repro.storage.cache.CacheTierBackend`; with

@@ -102,8 +102,8 @@ class ObjectStore:
             backend = make_backend(config.backend, config)
         self.backend = backend
         #: Effective per-op-class cost table: the backend's own suite
-        #: when it carries one, else the legacy config-derived model
-        #: (fixed latency + link bandwidths, metadata ops free).
+        #: when it carries one, else the config-derived model (fixed
+        #: latency + link bandwidths, metadata ops free).
         self.costs: OpCostSuite = (
             backend.costs
             if backend.costs is not None
@@ -113,9 +113,7 @@ class ObjectStore:
         self.log = TransferLog()
         self.ops = OpLog()
         self.arbiter = arbiter
-        self._rng: np.random.Generator | None = getattr(
-            backend, "rng", None
-        )
+        self._rng: np.random.Generator | None = backend.rng
         self._sizes: dict[str, int] = {}
         #: ``sum(self._sizes.values())``, kept current at the three
         #: places the size map changes: capacity is sampled on each PUT
@@ -131,9 +129,7 @@ class ObjectStore:
         self.engine = TransferEngine(self)
         # Backends that run asynchronous work of their own (the cache
         # tier's dirty flushes) borrow the engine's retry/backoff loop.
-        attach = getattr(backend, "attach_engine", None)
-        if attach is not None:
-            attach(self.engine)
+        backend.attach_engine(self.engine)
         self._record_capacity(clock.now)
 
     # ------------------------------------------------------------------
@@ -177,18 +173,16 @@ class ObjectStore:
 
         Backends that price per *request* rather than per op class — a
         cache tier whose GET cost depends on whether ``key`` is
-        near-resident — expose a ``cost_model(op, key, nbytes)`` hook;
-        everything else falls through to the store-level suite (the
-        very same :class:`~repro.storage.requests.OpCostModel` objects,
-        so timing without such a backend is bit-identical to pricing
-        via ``self.costs``).
+        near-resident — answer from
+        :meth:`~repro.storage.backends.Backend.cost_model`; everything
+        else answers ``None`` and falls through to the store-level
+        suite (the very same
+        :class:`~repro.storage.requests.OpCostModel` objects, so timing
+        without such a backend is bit-identical to pricing via
+        ``self.costs``).
         """
-        resolver = getattr(self.backend, "cost_model", None)
-        if resolver is not None:
-            model = resolver(op, key, nbytes)
-            if model is not None:
-                return model
-        return self.costs.for_op(op)
+        model = self.backend.cost_model(op, key, nbytes)
+        return model if model is not None else self.costs.for_op(op)
 
     def predict_put_duration(self, logical_bytes: int) -> float:
         """Expected single-shot PUT wall time for a payload size.
@@ -528,14 +522,8 @@ class ObjectStore:
         try:
             return self._sizes[key]
         except KeyError:
-            if self.engine.retry_probe(
-                OP_HEAD, lambda: self.backend.exists(key)
-            ):
-                size = len(
-                    self.engine.retry_probe(
-                        OP_GET, lambda: self.backend.read(key)
-                    )
-                )
+            if self.engine.retry_probe(OP_HEAD, key):
+                size = len(self.engine.retry_probe(OP_GET, key))
                 self._sizes[key] = size
                 self._live_logical += size
                 return size

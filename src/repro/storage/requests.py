@@ -172,12 +172,11 @@ class OpCostSuite:
 
     @classmethod
     def from_storage_config(cls, config) -> "OpCostSuite":
-        """The legacy flat model: one fixed latency, two bandwidths.
+        """The flat model: one fixed latency, two bandwidths.
 
         PUT/GET carry the configured per-op latency and the link's
-        per-byte time; LIST/DELETE/HEAD are free — exactly the timing
-        the store hard-coded before backends owned their costs, so
-        in-process backends behave identically through the new API.
+        per-byte time; LIST/DELETE/HEAD are free. What the store prices
+        an in-process backend (``costs=None``) with.
         """
         return cls(
             put=OpCostModel(

@@ -34,19 +34,13 @@ from ..config import (
     experiment_config_from_dict,
     experiment_config_to_dict,
 )
-from ..core.controller import CheckNRun
 from ..core.integrity import format_integrity_report, scan_job
 from ..core.restore import CheckpointRestorer
-from ..data.reader import ReaderMaster
-from ..data.synthetic import SyntheticClickDataset
 from ..distributed.clock import SimClock
-from ..distributed.sharding import plan_auto
-from ..distributed.topology import SimCluster
-from ..distributed.trainer import SimTrainer
 from ..errors import ReproError
-from ..experiments.common import small_config
-from ..model.dlrm import DLRM
+from ..experiments.common import build_experiment, small_config
 from ..storage.object_store import ObjectStore
+from ..storage.requests import OP_GET
 from . import metrics
 from .inspect import format_summaries, scrub_job, summarize_job
 
@@ -84,18 +78,11 @@ def _build_from_stored_config(store: ObjectStore, job: str, clock):
             "with `repro run`?"
         )
     config = experiment_config_from_dict(
-        json.loads(store.backend.read(key))
+        json.loads(store.engine.retry_probe(OP_GET, key))
     )
-    dataset = SyntheticClickDataset(config.model, config.data)
-    model = DLRM(config.model)
-    reader = ReaderMaster(dataset, config.reader)
-    cluster = SimCluster(config.cluster)
-    plan = plan_auto(config.model, cluster)
-    trainer = SimTrainer(model, reader, cluster, plan, clock)
-    controller = CheckNRun(
-        trainer, reader, store, config.checkpoint, clock, job_id=job
-    )
-    return config, controller
+    return build_experiment(
+        config, job_id=job, store=store, clock=clock
+    ).controller
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -114,15 +101,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         json.dumps(experiment_config_to_dict(config)).encode("utf-8"),
         overwrite=True,
     )
-    dataset = SyntheticClickDataset(config.model, config.data)
-    model = DLRM(config.model)
-    reader = ReaderMaster(dataset, config.reader)
-    cluster = SimCluster(config.cluster)
-    plan = plan_auto(config.model, cluster)
-    trainer = SimTrainer(model, reader, cluster, plan, clock)
-    controller = CheckNRun(
-        trainer, reader, store, config.checkpoint, clock, job_id=args.job
+    exp = build_experiment(
+        config, job_id=args.job, store=store, clock=clock
     )
+    controller = exp.controller
 
     # Resume if the job already has checkpoints on disk. The fresh
     # process's clock starts at zero, before the stored checkpoints'
@@ -136,7 +118,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         report = controller.restore_latest()
         print(
             f"resumed {report.checkpoint_id} at batch "
-            f"{model.batches_trained}"
+            f"{exp.model.batches_trained}"
         )
     for report in controller.run_intervals(args.intervals):
         print(
@@ -194,9 +176,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_restore(args: argparse.Namespace) -> int:
     clock = SimClock()
     store = _open_store(args.store_dir, clock)
-    config, controller = _build_from_stored_config(
-        store, args.job, clock
-    )
+    controller = _build_from_stored_config(store, args.job, clock)
     restorer = CheckpointRestorer(store, clock)
     existing = restorer.list_manifests(args.job)
     if existing:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.manifest import CheckpointManifest, checkpoint_prefix
+from ..core.manifest import CheckpointManifest
 from ..core.restore import CheckpointRestorer
-from ..errors import SerializationError
+from ..errors import ObjectNotFoundError, SerializationError
 from ..serialize.format import decode_frames
 from ..storage.object_store import ObjectStore
+from ..storage.requests import OP_GET
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,7 @@ def summarize_job(
     store: ObjectStore, job_id: str
 ) -> list[CheckpointSummary]:
     """Manifest summaries for one job, oldest first."""
-    restorer = CheckpointRestorer.__new__(CheckpointRestorer)
-    restorer.store = store
-    restorer.clock = None  # type: ignore[assignment] - listing only
-    manifests = CheckpointRestorer.list_manifests(restorer, job_id)
+    manifests = CheckpointRestorer(store, store.clock).list_manifests(job_id)
     return [
         CheckpointSummary(
             checkpoint_id=m.checkpoint_id,
@@ -80,7 +78,11 @@ def summarize_job(
 def scrub_checkpoint(
     store: ObjectStore, manifest: CheckpointManifest
 ) -> ScrubReport:
-    """CRC-verify every chunk and the dense blob of one checkpoint."""
+    """CRC-verify every chunk and the dense blob of one checkpoint.
+
+    A missing object is as corrupt as an undecodable one: it is
+    recorded and the scrub goes on to the next key.
+    """
     report = ScrubReport()
     keys = [
         chunk.key
@@ -90,27 +92,21 @@ def scrub_checkpoint(
     if manifest.dense_key:
         keys.append(manifest.dense_key)
     for key in keys:
-        blob = store.backend.read(key)
         report.objects_checked += 1
-        report.bytes_checked += len(blob)
         try:
+            blob = store.engine.retry_probe(OP_GET, key)
+            report.bytes_checked += len(blob)
             decode_frames(blob)
-        except SerializationError:
+        except (ObjectNotFoundError, SerializationError):
             report.corrupt_keys.append(key)
     return report
 
 
 def scrub_job(store: ObjectStore, job_id: str) -> ScrubReport:
     """Scrub every checkpoint of a job; aggregates one report."""
-    prefix_seen: set[str] = set()
     total = ScrubReport()
-    restorer = CheckpointRestorer.__new__(CheckpointRestorer)
-    restorer.store = store
-    restorer.clock = None  # type: ignore[assignment]
-    for manifest in CheckpointRestorer.list_manifests(
-        restorer, job_id
-    ).values():
-        prefix_seen.add(checkpoint_prefix(job_id, manifest.checkpoint_id))
+    restorer = CheckpointRestorer(store, store.clock)
+    for manifest in restorer.list_manifests(job_id).values():
         partial = scrub_checkpoint(store, manifest)
         total.objects_checked += partial.objects_checked
         total.bytes_checked += partial.bytes_checked

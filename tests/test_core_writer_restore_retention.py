@@ -18,6 +18,8 @@ from repro.errors import (
 )
 from repro.quant import make_quantizer
 
+import backend_ops as ops
+
 
 @pytest.fixture
 def ready(tiny_experiment):
@@ -278,9 +280,9 @@ class TestRestore:
             make_quantizer("none"), chunk_rows=100,
         )
         chunk_key = manifest.shards[0].chunks[0].key
-        blob = bytearray(exp.store.backend.read(chunk_key))
+        blob = bytearray(ops.read(exp.store.backend, chunk_key))
         blob[len(blob) // 2] ^= 0xFF
-        exp.store.backend.write(chunk_key, bytes(blob))
+        ops.write(exp.store.backend, chunk_key, bytes(blob))
         with pytest.raises(CheckpointCorruptError):
             restorer.restore(exp.model, manifest, {"ckpt-0": manifest})
 

@@ -5,12 +5,13 @@ Two layers of proof that the indexed event heap is a pure perf change:
 * unit invariants on :class:`LaneHeap` / :class:`FleetEventQueue` —
   lazy invalidation, re-keying, the pop-time link floor, relative tie
   thresholds, and tie-set enumeration leaving the heap intact;
-* a differential matrix: the same seeded fleets run under
-  ``dispatch="heap"`` and ``dispatch="lockstep"`` must produce
-  *bit-identical* runs — equal :class:`FleetRunReport`s and equal
-  event logs (kind, job, time and payload of every event) — across
-  seeds, priority mixes, a correlated storm, quotas + dynamic
-  admission, and the tiered cache backend.
+* a differential matrix: the same seeded fleets run on the heap and
+  with every pick made by the lockstep scan kept in
+  ``tests/reference_lockstep.py`` must produce *bit-identical* runs —
+  equal :class:`FleetRunReport`s and equal event logs (kind, job, time
+  and payload of every event) — across seeds, priority mixes, a
+  correlated storm, quotas + dynamic admission, and the tiered cache
+  backend.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import random
 import pytest
 
 from repro.config import BackendConfig, FleetConfig, StorageConfig
-from repro.errors import FleetError
 from repro.fleet import build_fleet, run_fleet
 from repro.fleet.eventqueue import (
     TIME_EPS,
@@ -36,6 +36,8 @@ from repro.storage.bandwidth import (
     TIER_SERVING,
     BandwidthArbiter,
 )
+
+from reference_lockstep import run_fleet_lockstep
 
 
 class TestTieThreshold:
@@ -320,8 +322,9 @@ def _cache_storage() -> StorageConfig:
     )
 
 
-#: (id, FleetConfig) — every named regime the dispatch engines must
-#: agree on, across three seeds, storms, quotas and the cache tier.
+#: (id, FleetConfig) — every named regime the heap and the reference
+#: scan must agree on, across three seeds, storms, quotas and the cache
+#: tier.
 IDENTITY_MATRIX = [
     (
         "base-seed11",
@@ -388,10 +391,8 @@ class TestDispatchBitIdentity:
         ids=[name for name, _ in IDENTITY_MATRIX],
     )
     def test_heap_matches_lockstep(self, config):
-        heap_sched, heap_report = run_fleet(config, dispatch="heap")
-        lock_sched, lock_report = run_fleet(
-            config, dispatch="lockstep"
-        )
+        heap_sched, heap_report = run_fleet(config)
+        lock_sched, lock_report = run_fleet_lockstep(config)
         # Full-report equality: every counter, every per-job result,
         # every bandwidth window, the storm tuple. (Wall-clock pool
         # timings are compare=False by design.)
@@ -411,27 +412,22 @@ class TestDispatchBitIdentity:
     def test_storm_config_actually_fired(self):
         """Guard the matrix's storm row against silent no-ops."""
         config = dict(IDENTITY_MATRIX)["storm-seed47"]
-        _, report = run_fleet(config, dispatch="heap")
+        _, report = run_fleet(config)
         assert report.storm is not None
         assert len(report.storm[3]) >= 2  # affected jobs
 
     def test_quota_config_actually_rejected(self):
         config = dict(IDENTITY_MATRIX)["quota-admission-seed11"]
-        _, report = run_fleet(config, dispatch="heap")
+        _, report = run_fleet(config)
         assert sum(j.quota_rejections for j in report.jobs) > 0
 
     def test_cache_config_actually_cached(self):
         config = dict(IDENTITY_MATRIX)["cache-tier-seed23"]
-        _, report = run_fleet(config, dispatch="heap")
+        _, report = run_fleet(config)
         assert report.cache_capacity_bytes > 0
 
 
 class TestDispatchPlumbing:
-    def test_unknown_dispatch_mode_rejected(self):
-        config = FleetConfig(num_jobs=2, intervals_per_job=1)
-        with pytest.raises(FleetError):
-            build_fleet(config, dispatch="quantum")
-
     def test_event_budget_is_derived_and_sufficient(self):
         """The convergence bound scales with the fleet but never
         drops below the legacy floor, and real runs fit inside it."""

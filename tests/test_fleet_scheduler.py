@@ -28,6 +28,8 @@ from repro.fleet import (
 from repro.storage.bandwidth import BandwidthArbiter
 from repro.storage.object_store import ObjectStore
 
+import backend_ops as ops
+
 
 def contended_fleet_config(**overrides) -> FleetConfig:
     """8 heterogeneous jobs on a deliberately slow shared link."""
@@ -183,7 +185,7 @@ class TestNamespaceIsolation:
         for key in scheduler.store.list_keys():
             if key.endswith("/manifest.json"):
                 manifest = CheckpointManifest.from_json(
-                    scheduler.store.backend.read(key)
+                    ops.read(scheduler.store.backend, key)
                 )
                 assert key.startswith(f"{manifest.job_id}/")
 

@@ -35,6 +35,8 @@ from repro.fleet import (
     run_fleet,
 )
 
+import backend_ops as ops
+
 
 def s3like_storage(
     write_bw=0.4 * MiB,
@@ -229,7 +231,7 @@ class TestPreemptionRacesMultipart:
         # The race resolved cleanly: upload aborted, nothing visible.
         assert exp.store.backend.pending_uploads() == []
         assert exp.store.backend.multipart_aborted >= 1
-        assert not exp.store.backend.exists(in_flight_key)
+        assert not ops.exists(exp.store.backend, in_flight_key)
         # Torn chunks (completed before the abort) are scrubbable.
         exp.store.delete_prefix(
             checkpoint_prefix("job0", checkpoint_id)

@@ -6,7 +6,9 @@ before the lockstep scan, the heap tail, the storm drain and the serving
 loop started sharing one "who gets the link next" function, and before
 independent crashes and storms shared one recovery drain. Heap ≡
 lockstep cannot see drift in code both sides call, so every case here is
-pinned to recorded values instead of to its sibling.
+pinned to recorded values instead of to its sibling. The lockstep column
+is the scan kept in ``tests/reference_lockstep.py`` since PR 20 took the
+``dispatch=`` option out of ``src/``.
 
 Regenerate — only for a deliberate simulated-time change — with::
 
@@ -30,6 +32,8 @@ from repro.config import (
 from repro.experiments import small_config
 from repro.fleet import run_fleet
 from repro.serving import ServingConfig, ServingFleet
+
+from reference_lockstep import run_fleet_lockstep
 
 GOLDEN = Path(__file__).with_name("golden_event_loops.json")
 
@@ -112,7 +116,7 @@ STORM_CASES = [
     name for name, config in FLEET_CASES.items() if config.storm_domain
 ]
 
-DISPATCHES = ("heap", "lockstep")
+DISPATCHES = {"heap": run_fleet, "lockstep": run_fleet_lockstep}
 
 
 def _serving_experiment(storage: StorageConfig | None = None):
@@ -161,7 +165,7 @@ def _plain(value):
 
 
 def fleet_case(config: FleetConfig, dispatch: str) -> dict:
-    scheduler, report = run_fleet(config, dispatch=dispatch)
+    scheduler, report = DISPATCHES[dispatch](config)
     fields = {
         f.name: getattr(report, f.name)
         for f in dataclasses.fields(report)
@@ -198,7 +202,7 @@ def serving_case(exp_config, serving: ServingConfig) -> dict:
 def record() -> dict:
     fleet = {}
     for name, config in FLEET_CASES.items():
-        fleet[name] = fleet_case(config, DISPATCHES[0])
+        fleet[name] = fleet_case(config, "heap")
         # One recording serves both engines: they agreed when recorded.
         assert all(fleet_case(config, d) == fleet[name] for d in DISPATCHES)
     return {

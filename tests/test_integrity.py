@@ -13,9 +13,11 @@ deterministically.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.config import FleetConfig
+from repro.config import BackendConfig, FleetConfig, StorageConfig
 from repro.core.integrity import (
     REASON_DIGEST_MISMATCH,
     REASON_MANIFEST_CORRUPT,
@@ -45,6 +47,8 @@ from repro.tools.metrics import (
     write_textfile,
 )
 
+import backend_ops as ops
+
 
 @pytest.fixture
 def stored(tiny_experiment):
@@ -71,11 +75,11 @@ class TestWriteTimeDigests:
         for manifest in manifests.values():
             for shard in manifest.shards:
                 for chunk in shard.chunks:
-                    stored_bytes = exp.store.backend.read(chunk.key)
+                    stored_bytes = ops.read(exp.store.backend, chunk.key)
                     assert chunk.digest == sha256_hex(stored_bytes)
             if manifest.dense_key is not None:
                 assert manifest.dense_digest == sha256_hex(
-                    exp.store.backend.read(manifest.dense_key)
+                    ops.read(exp.store.backend, manifest.dense_key)
                 )
 
     def test_writer_and_restorer_hash_through_sha256_hex(
@@ -171,8 +175,8 @@ class TestScanMatrix:
     def test_truncated_chunk_flagged(self, stored):
         exp, restorer = stored
         key = _newest_chunk_key(restorer.plan_resume("job0")[0])
-        blob = exp.store.backend.read(key)
-        exp.store.backend.write(key, blob[:-3])
+        blob = ops.read(exp.store.backend, key)
+        ops.write(exp.store.backend, key, blob[:-3])
         report = scan_job(exp.store, "job0")
         assert [i.key for i in report.issues] == [key]
         assert report.issues[0].reason == REASON_TRUNCATED
@@ -180,7 +184,7 @@ class TestScanMatrix:
     def test_missing_chunk_flagged(self, stored):
         exp, restorer = stored
         key = _newest_chunk_key(restorer.plan_resume("job0")[0])
-        exp.store.backend.delete(key)
+        ops.delete(exp.store.backend, key)
         report = scan_job(exp.store, "job0")
         assert [i.key for i in report.issues] == [key]
         assert report.issues[0].reason == REASON_MISSING
@@ -188,8 +192,8 @@ class TestScanMatrix:
     def test_torn_checkpoint_detected(self, stored):
         exp, restorer = stored
         victim = restorer.plan_resume("job0")[0]
-        exp.store.backend.delete(
-            manifest_key("job0", victim.checkpoint_id)
+        ops.delete(
+            exp.store.backend, manifest_key("job0", victim.checkpoint_id)
         )
         report = scan_job(exp.store, "job0")
         assert report.torn_checkpoint_ids == [victim.checkpoint_id]
@@ -207,6 +211,61 @@ class TestScanMatrix:
         assert report.quarantined_ids == []
         fresh = restorer.list_manifests("job0")
         assert not fresh[victim.checkpoint_id].quarantined
+
+
+class TestScanUnderThrottling:
+    """A scan is retried like any other storage client: a throttled
+    request must neither kill it nor be booked under another class."""
+
+    @pytest.fixture
+    def stored_s3like(self, tiny_experiment):
+        """Three checkpoints on an s3like store whose failure RNG is
+        untouched (nothing is armed yet): seed 2 will draw 0.26, 0.30,
+        0.81 — fail, fail, succeed at p = 0.5."""
+        exp = build_experiment(
+            dataclasses.replace(
+                tiny_experiment.config,
+                storage=StorageConfig(
+                    backend=BackendConfig(kind="s3like", failure_seed=2)
+                ),
+            )
+        )
+        exp.controller.run_intervals(3)
+        newest = max(m.valid_at_s for m in exp.controller.manifests.values())
+        exp.clock.advance_to(newest + 1.0, "settle")
+        assert not exp.store.engine.retries_by_op
+        return exp
+
+    def test_throttled_quarantine_marker_is_retried(self, stored_s3like):
+        """ckptkit's validate -> quarantine loop: a scanner that dies on
+        a throttled marker write leaves the corrupt checkpoint
+        restorable."""
+        exp = stored_s3like
+        restorer = CheckpointRestorer(exp.store, exp.clock)
+        victim = restorer.plan_resume("job0")[0]
+        corrupt_stored_object(
+            exp.store.backend, _newest_chunk_key(victim), offset=7
+        )
+        exp.store.backend.failure_probs["PUT"] = 0.5
+        report = scan_job(exp.store, "job0")
+        assert report.quarantined_ids == [victim.checkpoint_id]
+        assert exp.store.engine.retries_by_op == {"PUT": 2}
+        assert exp.store.backend.failures_injected == {"PUT": 2}
+        exp.store.backend.failure_probs.clear()
+        assert restorer.list_manifests("job0")[
+            victim.checkpoint_id
+        ].quarantined
+        assert victim.checkpoint_id not in [
+            m.checkpoint_id for m in restorer.plan_resume("job0")
+        ]
+
+    def test_discovery_list_is_booked_as_a_list(self, stored_s3like):
+        exp = stored_s3like
+        exp.store.backend.failure_probs["LIST"] = 0.5
+        report = scan_job(exp.store, "job0")
+        assert report.clean and report.checkpoints_scanned == 3
+        assert exp.store.backend.failures_injected == {"LIST": 2}
+        assert exp.store.engine.retries_by_op == {"LIST": 2}
 
 
 class TestQuarantinePersistence:
@@ -260,7 +319,7 @@ class TestResumePlanner:
         exp, restorer = stored
         before = restorer.plan_resume("job0")
         victim = before[0]
-        exp.store.backend.delete(_newest_chunk_key(victim))
+        ops.delete(exp.store.backend, _newest_chunk_key(victim))
         after = restorer.plan_resume("job0")
         assert victim.checkpoint_id not in [
             m.checkpoint_id for m in after
@@ -383,9 +442,9 @@ class TestBitRotInjection:
         for _ in range(2):
             backend = CrashingBackend(InMemoryBackend())
             backend.arm_bitrot(1.0, seed=5)
-            backend.write("k", payload)
+            ops.write(backend, "k", payload)
             assert backend.bitrot_injected == ["k"]
-            stored_bytes.append(backend.read("k"))
+            stored_bytes.append(ops.read(backend, "k"))
         assert stored_bytes[0] == stored_bytes[1]
         diff = [
             i
@@ -400,22 +459,22 @@ class TestBitRotInjection:
         backend = CrashingBackend(InMemoryBackend())
         backend.arm_bitrot(1.0)
         backend.disarm_bitrot()
-        backend.write("k", b"abc")
-        assert backend.read("k") == b"abc"
+        ops.write(backend, "k", b"abc")
+        assert ops.read(backend, "k") == b"abc"
         assert backend.bitrot_injected == []
 
     def test_zero_length_objects_never_rot(self):
         backend = CrashingBackend(InMemoryBackend())
         backend.arm_bitrot(1.0)
-        backend.write("k", b"")
-        assert backend.read("k") == b""
+        ops.write(backend, "k", b"")
+        assert ops.read(backend, "k") == b""
         assert backend.bitrot_injected == []
 
     def test_targeted_corruption_flips_one_byte(self):
         backend = CrashingBackend(InMemoryBackend())
-        backend.write("k", b"abcdef")
+        ops.write(backend, "k", b"abcdef")
         backend.corrupt_object("k", offset=2)
-        rotted = backend.read("k")
+        rotted = ops.read(backend, "k")
         assert rotted != b"abcdef"
         assert rotted[:2] == b"ab" and rotted[3:] == b"def"
         assert backend.bitrot_injected == ["k"]

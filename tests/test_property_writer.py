@@ -21,6 +21,8 @@ from repro.data.state import ReaderState, TrainerProgress
 from repro.distributed.clock import SimClock
 from repro.storage.object_store import ObjectStore
 
+import backend_ops as ops
+
 
 def make_snapshot(
     rng: np.random.Generator,
@@ -106,7 +108,7 @@ def test_full_write_restore_roundtrip_bitexact(data):
     accum = np.zeros(rows, dtype=np.float32)
     for shard_record in manifest.shards:
         for chunk in shard_record.chunks:
-            meta, frames = decode_frames(store.backend.read(chunk.key))
+            meta, frames = decode_frames(ops.read(store.backend, chunk.key))
             chunk_rows_arr = decode_array(frames[0].payload)
             if chunk_rows_arr.size == 0:
                 base = int(meta["row_base"])

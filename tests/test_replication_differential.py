@@ -14,9 +14,9 @@ recovery* a store restore would perform, just nearer:
 * **peer == store at the same step** — the ring anchor (rebased at the
   owner's last baseline flush) restores byte-identical to draining the
   store's own restore of that same checkpoint.
-* **dispatch bit-identity** — the heap and lockstep engines produce
-  equal reports and equal event logs with replication on, including
-  under a storm (the tentpole must not fork the engines).
+* **dispatch bit-identity** — the heap and the lockstep scan kept in
+  ``tests/reference_lockstep.py`` produce equal reports and equal event
+  logs with replication on, including under a storm.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import pytest
 
 from repro.config import FailureConfig, FleetConfig, MiB
 from repro.fleet import run_fleet
+
+from reference_lockstep import run_fleet_lockstep
 
 
 def repl_config(
@@ -163,8 +165,9 @@ class TestPeerMatchesStoreRestore:
                     )
 
 
-#: Replicated regimes both dispatch engines must agree on, including
-#: crash-heavy and storm rows (the recovery ladder runs identically).
+#: Replicated regimes the heap and the reference scan must agree on,
+#: including crash-heavy and storm rows (the recovery ladder runs
+#: identically).
 REPL_IDENTITY_MATRIX = [
     (
         "repl-quiet-seed11",
@@ -216,8 +219,8 @@ class TestReplicatedDispatchBitIdentity:
         ids=[name for name, _ in REPL_IDENTITY_MATRIX],
     )
     def test_heap_matches_lockstep(self, config):
-        heap_sched, heap_report = run_fleet(config, dispatch="heap")
-        lock_sched, lock_report = run_fleet(config, dispatch="lockstep")
+        heap_sched, heap_report = run_fleet(config)
+        lock_sched, lock_report = run_fleet_lockstep(config)
         assert heap_report == lock_report
         heap_log = [
             (e.kind, e.job_id, e.time_s, e.payload)

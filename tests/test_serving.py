@@ -17,6 +17,8 @@ from repro.experiments import build_experiment, small_config
 from repro.model.dlrm import DLRM
 from repro.serving import RowCache, RowCacheStats, ServingPublisher
 
+import backend_ops as ops
+
 
 def drain(exp) -> None:
     exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
@@ -215,7 +217,7 @@ class TestDecodeChunkRows:
     def _chunk(self, exp, publisher):
         version = publisher.latest_version
         ref = next(iter(version.locator[0].values()))
-        return ref, exp.store.backend.read(ref.key)
+        return ref, ops.read(exp.store.backend, ref.key)
 
     def test_round_trip_matches_replica(self, serving_exp):
         from repro.serving import decode_chunk_rows

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import backend_ops as ops
 import reference_rowcache as ref
 from repro.errors import CheckpointCorruptError
 from repro.serving import (
@@ -137,7 +138,7 @@ def _chunk_blobs(exp, publisher, count: int):
             refs.setdefault(row_ref.key, row_ref)
     assert len(refs) >= count
     return [
-        (refs[key], exp.store.backend.read(key))
+        (refs[key], ops.read(exp.store.backend, key))
         for key in sorted(refs)[:count]
     ]
 

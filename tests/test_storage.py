@@ -20,6 +20,8 @@ from repro.storage.backends import (
 from repro.storage.bandwidth import Transfer, TransferLog, transfer_time_s
 from repro.storage.object_store import ObjectStore
 
+import backend_ops as ops
+
 
 @pytest.fixture(params=["memory", "file", "mirrored"])
 def backend(request, tmp_path):
@@ -32,63 +34,63 @@ def backend(request, tmp_path):
 
 class TestBackends:
     def test_write_read(self, backend):
-        backend.write("a/b/key1", b"data")
-        assert backend.read("a/b/key1") == b"data"
-        assert backend.exists("a/b/key1")
+        ops.write(backend, "a/b/key1", b"data")
+        assert ops.read(backend, "a/b/key1") == b"data"
+        assert ops.exists(backend, "a/b/key1")
 
     def test_overwrite(self, backend):
-        backend.write("k", b"v1")
-        backend.write("k", b"v2")
-        assert backend.read("k") == b"v2"
+        ops.write(backend, "k", b"v1")
+        ops.write(backend, "k", b"v2")
+        assert ops.read(backend, "k") == b"v2"
 
     def test_missing_key(self, backend):
         with pytest.raises(ObjectNotFoundError):
-            backend.read("missing")
+            ops.read(backend, "missing")
         with pytest.raises(ObjectNotFoundError):
-            backend.delete("missing")
+            ops.delete(backend, "missing")
 
     def test_delete(self, backend):
-        backend.write("k", b"v")
-        backend.delete("k")
-        assert not backend.exists("k")
+        ops.write(backend, "k", b"v")
+        ops.delete(backend, "k")
+        assert not ops.exists(backend, "k")
 
     def test_list_prefix(self, backend):
-        backend.write("job0/ckpt0/a", b"1")
-        backend.write("job0/ckpt1/b", b"2")
-        backend.write("job1/ckpt0/c", b"3")
-        assert backend.list_keys("job0/") == [
+        ops.write(backend, "job0/ckpt0/a", b"1")
+        ops.write(backend, "job0/ckpt1/b", b"2")
+        ops.write(backend, "job1/ckpt0/c", b"3")
+        assert ops.list_keys(backend, "job0/") == [
             "job0/ckpt0/a",
             "job0/ckpt1/b",
         ]
-        assert len(backend.list_keys()) == 3
+        assert len(ops.list_keys(backend)) == 3
 
 
 class TestFileBackend:
     def test_rejects_traversal_keys(self, tmp_path):
         backend = FileBackend(tmp_path)
         with pytest.raises(StorageError, match="invalid"):
-            backend.write("../escape", b"x")
+            ops.write(backend, "../escape", b"x")
         with pytest.raises(StorageError, match="invalid"):
-            backend.write("/absolute", b"x")
+            ops.write(backend, "/absolute", b"x")
 
     def test_survives_reopen(self, tmp_path):
-        FileBackend(tmp_path / "s").write("k", b"persisted")
-        assert FileBackend(tmp_path / "s").read("k") == b"persisted"
+        ops.write(FileBackend(tmp_path / "s"), "k", b"persisted")
+        assert ops.read(FileBackend(tmp_path / "s"), "k") == b"persisted"
 
 
 class TestMirroredBackend:
     def test_survives_replica_loss(self):
         mirror = MirroredBackend([InMemoryBackend() for _ in range(3)])
-        mirror.write("k", b"v")
+        ops.write(mirror, "k", b"v")
         mirror.fail_replica(0)
         mirror.fail_replica(1)
-        assert mirror.read("k") == b"v"
+        assert ops.read(mirror, "k") == b"v"
 
     def test_all_replicas_failed(self):
         mirror = MirroredBackend([InMemoryBackend()])
         mirror.fail_replica(0)
         with pytest.raises(StorageError, match="all replicas"):
-            mirror.read("k")
+            ops.read(mirror, "k")
 
     def test_requires_replicas(self):
         with pytest.raises(StorageError):

@@ -30,6 +30,8 @@ from repro.experiments import build_experiment, small_config
 from repro.storage.backends import CrashingBackend, InMemoryBackend
 from repro.storage.cache import POLICY_WRITE_BACK, CacheTierBackend
 
+import backend_ops as ops
+
 
 def _tiered(capacity: int = 1 << 20):
     """A write-back cache over a crash-injectable far tier.
@@ -62,7 +64,7 @@ class TestMidFlushCrashMatrix:
         for i in range(4):
             key = f"job0/obj-{i}"
             old[key] = bytes([i]) * 100
-            inner.write(key, old[key])
+            ops.write(inner, key, old[key])
         new = {}
         for i in range(10):
             key = f"job0/obj-{i}"
@@ -70,7 +72,7 @@ class TestMidFlushCrashMatrix:
             new[key] = rng.integers(
                 0, 256, size=size, dtype=np.uint8
             ).tobytes()
-            cache.write(key, new[key])
+            ops.write(cache, key, new[key])
         assert cache.dirty_backlog == 10
 
         far.arm(crash_at)
@@ -81,29 +83,29 @@ class TestMidFlushCrashMatrix:
         # The invariant: every far object is byte-identical to either
         # its pre-flush version or its new near copy — no far key holds
         # anything else, and no partial/truncated object appeared.
-        for key in inner.list_keys(""):
-            data = inner.read(key)
+        for key in ops.list_keys(inner, ""):
+            data = ops.read(inner, key)
             assert data == new[key] or data == old.get(key), key
         # Flush order is write order: everything before the crash point
         # landed whole, everything at/after it is still dirty with the
         # far tier untouched.
         for index, key in enumerate(new):
             if index < crash_at - 1:
-                assert inner.read(key) == new[key]
+                assert ops.read(inner, key) == new[key]
                 assert key not in cache.dirty_keys()
             else:
                 assert key in cache.dirty_keys()
                 if key in old:
-                    assert inner.read(key) == old[key]
+                    assert ops.read(inner, key) == old[key]
                 else:
-                    assert not inner.exists(key)
+                    assert not ops.exists(inner, key)
 
         # Recovery: the far tier is back; a re-flush converges.
         flushed = cache.flush()
         assert flushed == 10 - (crash_at - 1)
         assert cache.dirty_backlog == 0
         for key, data in new.items():
-            assert inner.read(key) == data
+            assert ops.read(inner, key) == data
         assert cache.flush_failures == 1  # the one crash, no more
 
     def test_repeated_crashes_make_progress(self):
@@ -112,7 +114,7 @@ class TestMidFlushCrashMatrix:
         point, and already-flushed objects are not re-sent."""
         inner, far, cache = _tiered(capacity=100_000)
         for i in range(6):
-            cache.write(f"k{i}", bytes([i]) * 64)
+            ops.write(cache, f"k{i}", bytes([i]) * 64)
         attempts = 0
         while cache.dirty_backlog:
             far.arm(2)  # every attempt dies on its second far PUT
@@ -124,7 +126,7 @@ class TestMidFlushCrashMatrix:
             assert attempts <= 6  # one object of progress per attempt
         far.disarm()
         for i in range(6):
-            assert inner.read(f"k{i}") == bytes([i]) * 64
+            assert ops.read(inner, f"k{i}") == bytes([i]) * 64
         assert cache.dirty_flushes == 6
         assert cache.flush_failures == attempts - 1
 
@@ -163,7 +165,7 @@ class TestCheckpointFlushCrash:
         # Everything the run wrote is dirty in the near tier; the far
         # tier has seen nothing.
         assert cache.dirty_backlog > 0
-        assert inner.list_keys("") == []
+        assert ops.list_keys(inner, "") == []
 
         # Crash at several points of the flush train. After each crash
         # the *composed* store still presents every object (near copies
@@ -174,8 +176,8 @@ class TestCheckpointFlushCrash:
             far.arm(crash_at)
             with pytest.raises(StorageError):
                 cache.flush()
-            for key in inner.list_keys(""):
-                assert inner.read(key) == cache.read(key), key
+            for key in ops.list_keys(inner, ""):
+                assert ops.read(inner, key) == ops.read(cache, key), key
             report = scan_job(exp.store, "job0")
             assert report.clean
             assert report.torn_checkpoint_ids == []
@@ -188,9 +190,9 @@ class TestCheckpointFlushCrash:
         assert report.clean
         assert report.quarantined_ids == []
         # The far tier alone now holds every object, byte-identical.
-        assert inner.list_keys("") == exp.store.backend.list_keys("")
-        for key in inner.list_keys(""):
-            assert inner.read(key) == cache.read(key), key
+        assert ops.list_keys(inner, "") == ops.list_keys(exp.store.backend, "")
+        for key in ops.list_keys(inner, ""):
+            assert ops.read(inner, key) == ops.read(cache, key), key
 
     def test_transient_far_failure_inside_flush_is_retried(
         self, tiered_experiment
@@ -293,5 +295,5 @@ class TestNearTierLoss:
         assert restorer.plan_resume("job0")
         misses_before = cache.misses
         for key in exp.store.list_keys(""):
-            assert cache.read(key)
+            assert ops.read(cache, key)
         assert cache.misses > misses_before

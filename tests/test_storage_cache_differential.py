@@ -36,6 +36,8 @@ from repro.storage.cache import (
 from repro.storage.object_store import ObjectStore
 from repro.storage.requests import OP_GET, StorageRequest
 
+import backend_ops as ops
+
 #: Small key pool so the stream revisits keys (hits, overwrites,
 #: delete-then-recreate) instead of write-once-read-never traffic.
 KEY_POOL = [f"job0/ckpt-{i:03d}/chunk-{i % 4}" for i in range(12)]
@@ -61,16 +63,16 @@ def _payload(rng: np.random.Generator) -> bytes:
 
 
 def _assert_same_listings(cache, bare):
-    assert cache.list_keys("") == bare.list_keys("")
+    assert ops.list_keys(cache, "") == ops.list_keys(bare, "")
     # A narrower prefix exercises the near/far union filter.
-    assert cache.list_keys("job0/ckpt-00") == bare.list_keys(
-        "job0/ckpt-00"
+    assert ops.list_keys(cache, "job0/ckpt-00") == ops.list_keys(
+        bare, "job0/ckpt-00"
     )
 
 
 def _assert_same_contents(cache, bare):
-    for key in bare.list_keys(""):
-        assert cache.read(key) == bare.read(key), key
+    for key in ops.list_keys(bare, ""):
+        assert ops.read(cache, key) == ops.read(bare, key), key
 
 
 @pytest.mark.parametrize("policy", CACHE_POLICIES)
@@ -87,25 +89,25 @@ def test_differential_op_stream(policy, seed):
         key = KEY_POOL[int(rng.integers(len(KEY_POOL)))]
         if op == "put":
             data = _payload(rng)
-            cache.write(key, data)
-            bare.write(key, data)
+            ops.write(cache, key, data)
+            ops.write(bare, key, data)
         elif op == "get":
-            got = _observe(lambda: cache.read(key))
-            want = _observe(lambda: bare.read(key))
+            got = _observe(lambda: ops.read(cache, key))
+            want = _observe(lambda: ops.read(bare, key))
             assert got == want, key
         elif op == "delete":
-            got = _observe(lambda: cache.delete(key))
-            want = _observe(lambda: bare.delete(key))
+            got = _observe(lambda: ops.delete(cache, key))
+            want = _observe(lambda: ops.delete(bare, key))
             assert got[0] == want[0], key
         elif op == "head":
-            assert cache.exists(key) == bare.exists(key), key
+            assert ops.exists(cache, key) == ops.exists(bare, key), key
         _assert_same_listings(cache, bare)
         if step % 50 == 49:
             _assert_same_contents(cache, bare)
         if policy == POLICY_WRITE_THROUGH:
             # Write-through keeps the far tier authoritative at every
             # instant, not just after a flush.
-            assert far.list_keys("") == bare.list_keys("")
+            assert ops.list_keys(far, "") == ops.list_keys(bare, "")
 
     # The stream must actually have churned the cache, or transparency
     # was never under pressure.
@@ -117,9 +119,9 @@ def test_differential_op_stream(policy, seed):
         assert cache.dirty_backlog == 0
         assert cache.dirty_bytes == 0
     # After draining, the far tier alone reproduces the bare backend.
-    assert far.list_keys("") == bare.list_keys("")
-    for key in bare.list_keys(""):
-        assert far.read(key) == bare.read(key), key
+    assert ops.list_keys(far, "") == ops.list_keys(bare, "")
+    for key in ops.list_keys(bare, ""):
+        assert ops.read(far, key) == ops.read(bare, key), key
     _assert_same_contents(cache, bare)
 
 
@@ -169,7 +171,7 @@ def test_differential_through_timed_stores(policy):
         tier.flush()
     for key in bare_store.list_keys(""):
         assert cached_store.get(key) == bare_store.get(key), key
-        assert far.read(key) == bare_store.get(key), key
+        assert ops.read(far, key) == bare_store.get(key), key
 
 
 class TestCacheSemantics:
@@ -183,13 +185,13 @@ class TestCacheSemantics:
 
     def test_eviction_prefers_clean_lru(self):
         far, cache = self._cache(capacity=1_000, flush_watermark=1.0)
-        cache.write("dirty-old", b"d" * 300)
-        far.write("clean-a", b"a" * 300)
-        far.write("clean-b", b"b" * 300)
-        cache.read("clean-a")  # admitted clean, LRU-oldest clean
-        cache.read("clean-b")
+        ops.write(cache, "dirty-old", b"d" * 300)
+        ops.write(far, "clean-a", b"a" * 300)
+        ops.write(far, "clean-b", b"b" * 300)
+        ops.read(cache, "clean-a")  # admitted clean, LRU-oldest clean
+        ops.read(cache, "clean-b")
         assert cache.near_bytes == 900
-        cache.write("new", b"n" * 300)  # forces one eviction
+        ops.write(cache, "new", b"n" * 300)  # forces one eviction
         assert cache.evictions == 1
         # The dirty object survived; the least-recent clean one went.
         assert "dirty-old" in cache.cached_keys()
@@ -210,59 +212,59 @@ class TestCacheSemantics:
         cache = CacheTierBackend(
             far, capacity_bytes=1_000, flush_watermark=1.0
         )
-        cache.write("k0", b"0" * 600)
+        ops.write(cache, "k0", b"0" * 600)
         far.arm(1)  # the auto-flush triggered by the next write crashes
-        cache.write("k1", b"1" * 600)
+        ops.write(cache, "k1", b"1" * 600)
         assert cache.flush_failures == 1  # swallowed, write still acked
         # Eviction pressure inside the same write saw only dirty
         # objects: the oldest was force-flushed to the (recovered) far
         # tier, then evicted.
         assert cache.forced_flushes == 1
         assert cache.evictions == 1
-        assert inner.read("k0") == b"0" * 600
+        assert ops.read(inner, "k0") == b"0" * 600
         assert "k0" not in cache.cached_keys()
         assert cache.dirty_keys() == ["k1"]
 
     def test_watermark_triggers_background_flush(self):
         far, cache = self._cache(capacity=1_000, flush_watermark=0.5)
-        cache.write("k0", b"0" * 300)
+        ops.write(cache, "k0", b"0" * 300)
         assert cache.dirty_flushes == 0  # 300 <= 500: below watermark
-        cache.write("k1", b"1" * 300)  # 600 > 500: flusher drains
+        ops.write(cache, "k1", b"1" * 300)  # 600 > 500: flusher drains
         assert cache.dirty_flushes >= 1
-        assert far.exists("k0")
+        assert ops.exists(far, "k0")
         assert cache.dirty_bytes <= 500
 
     def test_oversized_object_bypasses_near_tier(self):
         far, cache = self._cache(capacity=1_000)
         big = b"x" * 2_000
-        cache.write("big", big)
+        ops.write(cache, "big", big)
         assert cache.bypass_writes == 1
         assert "big" not in cache.cached_keys()
-        assert far.read("big") == big
+        assert ops.read(far, "big") == big
         # Reads of the bypassed object also refuse admission.
-        assert cache.read("big") == big
+        assert ops.read(cache, "big") == big
         assert "big" not in cache.cached_keys()
 
     def test_ranged_get_never_admits(self):
         far, cache = self._cache()
-        far.write("obj", bytes(range(200)))
+        ops.write(far, "obj", bytes(range(200)))
         request = StorageRequest(OP_GET, "obj", byte_range=(10, 20))
         assert cache.get_object(request) == bytes(range(10, 20))
         assert cache.misses == 1
         assert "obj" not in cache.cached_keys()
         # A whole-object read admits; a ranged hit then clips near data.
-        assert cache.read("obj") == bytes(range(200))
+        assert ops.read(cache, "obj") == bytes(range(200))
         assert cache.get_object(request) == bytes(range(10, 20))
         assert cache.hits == 1
 
     def test_delete_of_dirty_only_object_succeeds(self):
         far, cache = self._cache(flush_watermark=1.0)
-        cache.write("dirty", b"d")
-        assert not far.exists("dirty")
-        cache.delete("dirty")  # far raises not-found; near copy absorbs
-        assert not cache.exists("dirty")
+        ops.write(cache, "dirty", b"d")
+        assert not ops.exists(far, "dirty")
+        ops.delete(cache, "dirty")  # far raises not-found; near copy absorbs
+        assert not ops.exists(cache, "dirty")
         with pytest.raises(ObjectNotFoundError):
-            cache.delete("never-existed")
+            ops.delete(cache, "never-existed")
 
     def test_constructor_validation(self):
         far = InMemoryBackend()
@@ -275,8 +277,8 @@ class TestCacheSemantics:
 
     def test_stats_snapshot_round_trip(self):
         _, cache = self._cache(flush_watermark=1.0)
-        cache.write("k", b"abc")
-        cache.read("k")
+        ops.write(cache, "k", b"abc")
+        ops.read(cache, "k")
         stats = cache.stats()
         assert stats.policy == POLICY_WRITE_BACK
         assert stats.hits == 1 and stats.misses == 0

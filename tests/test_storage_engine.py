@@ -24,9 +24,11 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.config import BackendConfig, StorageConfig
+from repro.core.writer import CheckpointWriter
 from repro.distributed.clock import SimClock
 from repro.errors import (
     ObjectExistsError,
@@ -48,6 +50,9 @@ from repro.storage import (
     s3like_costs,
 )
 from repro.storage.bandwidth import TIER_EXPERIMENTAL, TIER_PROD
+from repro.storage.engine import drain
+
+import backend_ops as ops
 
 
 def remote_store(
@@ -160,7 +165,7 @@ class TestStagedPut:
         staged.abort()
         assert staged.aborted
         # No visible object, no orphaned parts, quota credited back.
-        assert not store.backend.exists("job/k")
+        assert not ops.exists(store.backend, "job/k")
         assert store.backend.pending_uploads() == []
         assert store.backend.multipart_aborted == 1
         assert arbiter.stream("job").charged_bytes == 0
@@ -376,7 +381,7 @@ class TestRetryLoop:
             store.put("k", bytes(4000))
         # The multipart upload was aborted: nothing visible, no parts.
         assert store.backend.pending_uploads() == []
-        assert not store.backend.exists("k")
+        assert not ops.exists(store.backend, "k")
         # 1 first attempt + 3 retries of part 1 (the probe HEAD is not
         # failure-injected here).
         assert store.backend.failures_injected[OP_PUT] == 4
@@ -431,6 +436,74 @@ class TestRetryLoop:
         store.delete("k")
         assert store.ops.total_retries() == 0
         assert store.ops.retry_amplification() == 1.0
+
+    @pytest.mark.parametrize("op", [OP_HEAD, OP_GET, OP_LIST, OP_PUT])
+    def test_untimed_probe_retries_under_its_own_op_class(self, op):
+        """``retry_probe`` builds the request from the op class, so the
+        class that fails is the class the retries are booked under —
+        and the probe costs no link time, no receipt, no jitter draw."""
+        store = remote_store(jitter_s=0.01, part_size=None, failure_seed=2)
+        store.put("p/k", b"data")
+        backend = store.backend
+        # Armed only now, so the failure RNG is still at its seed:
+        # 2 draws 0.26, 0.30, 0.81 — fail, fail, succeed at p = 0.5.
+        backend.failure_probs[op] = 0.5
+        before = (
+            store.timeline.free_at,
+            len(store.ops.receipts()),
+            backend.rng.bit_generator.state,
+        )
+        got = store.engine.retry_probe(
+            op, "p/" if op == OP_LIST else "p/k", b"new"
+        )
+        assert got == {
+            OP_HEAD: True, OP_GET: b"data", OP_LIST: ["p/k"], OP_PUT: None
+        }[op]
+        assert store.engine.retries_by_op == {op: 2}
+        assert backend.failures_injected == {op: 2}
+        assert before == (
+            store.timeline.free_at,
+            len(store.ops.receipts()),
+            backend.rng.bit_generator.state,
+        )
+        if op == OP_PUT:
+            assert ops.read(backend, "p/k") == b"new"
+
+    def test_untimed_probe_rejects_unprobed_op_class(self):
+        with pytest.raises(StorageError, match="probe"):
+            remote_store().engine.retry_probe(OP_DELETE, "k")
+
+
+class TestPartSplitRule:
+    """The multipart / ranged split rule exists once
+    (``engine.split_parts``): the part count the writer announces
+    before it stages a PUT is the count the staged transfer plans."""
+
+    PART = 1000
+
+    @pytest.mark.parametrize(
+        "size, parts",
+        [(0, 1), (PART - 1, 1), (PART, 1), (PART + 1, 2), (3 * PART + 5, 4)],
+    )
+    def test_writer_announces_what_the_transfer_stages(
+        self, size, parts, monkeypatch
+    ):
+        store = remote_store(part_size=self.PART, range_get=self.PART)
+        staged = []
+        stage_put = store.stage_put
+
+        def recording(*args, **kwargs):
+            staged.append(stage_put(*args, **kwargs))
+            return staged[-1]
+
+        monkeypatch.setattr(store, "stage_put", recording)
+        steps = CheckpointWriter(store, store.clock)._staged_write(
+            "chunk", "k", bytes(size), 0.0, None
+        )
+        announced = next(steps)
+        drain(steps)
+        assert announced.num_parts == staged[0].num_parts == parts
+        assert store.stage_get("k").num_parts == parts
 
 
 class TestWorkerPool:

@@ -1,8 +1,9 @@
 """The request-oriented storage API: op classes, costs, receipts.
 
 Covers the redesigned backend interface end to end: classed requests
-and typed receipts, per-op-class cost models, the legacy-shim
-compatibility surface, FileBackend atomic-rename crash semantics,
+and typed receipts, per-op-class cost models, the declared ``Backend``
+contract every backend and wrapper stack answers, FileBackend
+atomic-rename crash semantics,
 MirroredBackend replica loss through the request methods, and the
 S3-style RemoteObjectBackend's multipart upload (including partial
 aborts leaving no visible object) and ranged-GET fan-out.
@@ -28,7 +29,9 @@ from repro.storage import (
     OP_HEAD,
     OP_LIST,
     OP_PUT,
+    Backend,
     BandwidthArbiter,
+    CacheTierBackend,
     CrashingBackend,
     FileBackend,
     InMemoryBackend,
@@ -39,9 +42,12 @@ from repro.storage import (
     RemoteObjectBackend,
     StorageRequest,
     clip_range,
+    find_cache_tier,
     make_backend,
     s3like_costs,
 )
+
+import backend_ops as ops
 
 
 @pytest.fixture(params=["memory", "file", "mirrored", "crashing", "remote"])
@@ -106,15 +112,96 @@ class TestRequestInterface:
             "other/x"
         ]
 
-    def test_legacy_shim_matches_request_api(self, backend):
-        """The flat write/read/delete/exists/list_keys surface still
-        works — the compatibility path legacy call sites rely on."""
-        backend.write("k", b"v1")
-        assert backend.read("k") == b"v1"
-        assert backend.exists("k")
-        assert backend.list_keys() == ["k"]
-        backend.delete("k")
-        assert not backend.exists("k")
+    def test_request_methods_are_the_whole_data_surface(self):
+        flat = {"write", "read", "delete", "exists", "list_keys"}
+        assert not flat & set(dir(Backend))
+
+
+@pytest.fixture(
+    params=[
+        "memory",
+        "file",
+        "mirrored",
+        "remote",
+        "crashing(remote)",
+        "cache(remote)",
+        "crashing(cache(remote))",
+    ]
+)
+def stack(request, tmp_path):
+    """``(backend, the RemoteObjectBackend at the bottom of it or None)``."""
+    if request.param == "memory":
+        return InMemoryBackend(), None
+    if request.param == "file":
+        return FileBackend(tmp_path / "store"), None
+    if request.param == "mirrored":
+        return MirroredBackend([InMemoryBackend(), InMemoryBackend()]), None
+    far = backend = RemoteObjectBackend(s3like_costs(1000.0, 2000.0))
+    if "cache(" in request.param:
+        backend = CacheTierBackend(backend, capacity_bytes=1024)
+    if request.param.startswith("crashing("):
+        backend = CrashingBackend(backend)
+    return backend, far
+
+
+class TestBackendContract:
+    """What the store asks of a backend is declared on ``Backend``:
+    plain attribute reads answer on every backend, and a wrapper
+    answers what the backend it wraps would."""
+
+    def test_every_declared_member_answers(self, stack):
+        backend, _ = stack
+        costs, part, ranged = (
+            backend.costs,
+            backend.part_size_bytes,
+            backend.range_get_bytes,
+        )
+        assert costs is None or isinstance(costs, OpCostSuite)
+        assert part is None or part > 0
+        assert ranged is None or ranged > 0
+        assert backend.fanout >= 1
+        assert backend.rng is None or isinstance(
+            backend.rng, np.random.Generator
+        )
+        for op in (OP_PUT, OP_GET, OP_HEAD, OP_DELETE, OP_LIST):
+            model = backend.cost_model(op, "k", 4)
+            assert model is None or isinstance(model, OpCostModel)
+        store = ObjectStore(StorageConfig(), SimClock(), backend=backend)
+        assert backend.attach_engine(store.engine) is None
+
+    def test_wrapping_preserves_the_inner_rng_object(self, stack):
+        backend, far = stack
+        if far is None:
+            assert backend.rng is None
+        else:
+            assert backend.rng is far.rng
+        store = ObjectStore(StorageConfig(), SimClock(), backend=backend)
+        assert store._rng is backend.rng
+
+    def test_wrapping_preserves_hit_and_miss_pricing(self, stack):
+        backend, far = stack
+        store = ObjectStore(StorageConfig(), SimClock(), backend=backend)
+        cache = find_cache_tier(backend)
+        if cache is None:
+            # Op-class pricing: the backend defers, the store's suite
+            # answers with the very same model objects.
+            assert backend.cost_model(OP_GET, "k", 4) is None
+            assert store.cost_for(OP_GET, "k", 4) is store.costs.get
+            return
+        ops.write(far, "k", b"data")  # far-resident only: a miss
+        assert backend.cost_model(OP_GET, "k") is cache.far_costs.get
+        assert store.cost_for(OP_HEAD, "k") is cache.far_costs.head
+        assert ops.read(backend, "k") == b"data"  # admitted: now a hit
+        assert backend.cost_model(OP_GET, "k") is cache.near_costs.get
+        assert store.cost_for(OP_GET, "k") is cache.near_costs.get
+        assert store.cost_for(OP_HEAD, "k") is cache.near_costs.head
+
+    def test_wrapping_delivers_the_engine(self, stack):
+        backend, _ = stack
+        store = ObjectStore(StorageConfig(), SimClock(), backend=backend)
+        cache = find_cache_tier(backend)
+        if cache is not None:
+            assert cache._engine is store.engine
 
 
 class TestRequestValidation:
@@ -345,7 +432,7 @@ class TestMultipartUpload:
             store.put("k", bytes(4000))
         assert remote.multipart_aborted == 1
         assert remote.pending_uploads() == []
-        assert not crashing.exists("k")
+        assert not ops.exists(crashing, "k")
         # Disarmed after the crash: the retried write goes through.
         receipt = store.put("k", bytes(4000))
         assert receipt.parts == 4
@@ -478,7 +565,7 @@ class TestStoreReceiptsAndOpLog:
         assert arbiter.stream("j").charged_bytes == 1200
         with pytest.raises(RetriesExhaustedError):
             store.delete_prefix("j/c0/", stream="j")
-        assert store.backend.list_keys("j/") == ["j/c0/1", "j/c0/2"]
+        assert ops.list_keys(store.backend, "j/") == ["j/c0/1", "j/c0/2"]
         assert store.live_logical_bytes == 500
         assert store.stats().num_objects == 2
         assert arbiter.stream("j").charged_bytes == 1000

@@ -24,6 +24,8 @@ from repro.tools.inspect import (
     summarize_job,
 )
 
+import backend_ops as ops
+
 
 def drain(exp) -> None:
     exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
@@ -115,12 +117,28 @@ class TestInspection:
         exp = populated_exp
         manifests = list(exp.controller.manifests.values())
         victim = manifests[0].shards[0].chunks[0].key
-        blob = bytearray(exp.store.backend.read(victim))
+        blob = bytearray(ops.read(exp.store.backend, victim))
         blob[len(blob) // 2] ^= 0xFF
-        exp.store.backend.write(victim, bytes(blob))
+        ops.write(exp.store.backend, victim, bytes(blob))
         report = scrub_checkpoint(exp.store, manifests[0])
         assert not report.clean
         assert victim in report.corrupt_keys
+
+    def test_scrub_records_a_missing_object_and_keeps_going(
+        self, populated_exp
+    ):
+        exp = populated_exp
+        manifests = list(exp.controller.manifests.values())
+        clean = scrub_job(exp.store, "job0")
+        missing = manifests[0].shards[0].chunks[0].key
+        rotted = manifests[-1].dense_key
+        ops.delete(exp.store.backend, missing)
+        blob = bytearray(ops.read(exp.store.backend, rotted))
+        blob[len(blob) // 2] ^= 0xFF
+        ops.write(exp.store.backend, rotted, bytes(blob))
+        report = scrub_job(exp.store, "job0")
+        assert report.corrupt_keys == [missing, rotted]
+        assert report.objects_checked == clean.objects_checked
 
 
 class TestCli:
@@ -182,6 +200,29 @@ class TestCli:
         blob[len(blob) // 2] ^= 0xFF
         chunks[0].write_bytes(bytes(blob))
         assert cli_main(["scrub", "--store-dir", store_dir]) == 1
+
+    def test_scrub_reports_a_missing_object_like_scan(
+        self, tmp_path, capsys
+    ):
+        """A deleted object is exit 1 and a ``CORRUPT:`` line from
+        ``scrub``, as it is from ``scan`` — not an ``error:`` abort."""
+        store_dir = tmp_path / "store"
+        assert cli_main([
+            "run", "--store-dir", str(store_dir), "--intervals", "1",
+            "--interval-batches", "4", "--tables", "2",
+            "--rows", "256",
+        ]) == 0
+        (store_dir / "job0" / "ckpt-000000" / "dense.bin").unlink()
+        capsys.readouterr()
+        assert cli_main(["scrub", "--store-dir", str(store_dir)]) == 1
+        assert (
+            "CORRUPT: job0/ckpt-000000/dense.bin"
+            in capsys.readouterr().out
+        )
+        code = cli_main(
+            ["scan", "--store-dir", str(store_dir), "--no-quarantine"]
+        )
+        assert code == 1
 
 
 class TestCompactParams:
