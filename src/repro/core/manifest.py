@@ -167,6 +167,14 @@ class CheckpointManifest:
             sort_keys=True,
         )
 
+    @staticmethod
+    def json_with_valid_at(text: str, valid_at_s: float) -> str:
+        """``to_json`` text of the same manifest with ``valid_at_s``
+        replaced — without encoding it again. The key sorts last, so
+        its value is the text's tail."""
+        head, _ = text.rsplit('"valid_at_s": ', 1)
+        return f'{head}"valid_at_s": {json.dumps(valid_at_s)}}}'
+
     @classmethod
     def from_json(cls, blob: str | bytes) -> "CheckpointManifest":
         try:

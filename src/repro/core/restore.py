@@ -37,6 +37,7 @@ from ..errors import (
     ObjectNotFoundError,
     RestoreChainBrokenError,
     SerializationError,
+    TrainingError,
 )
 from ..model.dlrm import DLRM
 from ..quant.base import QuantizedTensor
@@ -286,7 +287,13 @@ class CheckpointRestorer:
                 f"chunk {chunk.key} declares {chunk.row_count} "
                 f"rows, payload holds {rows.shape[0]}"
             )
-        model.load_table_rows(table_id, rows, weights, accum)
+        # A digest only proves the bytes are the ones written: frames
+        # that disagree with the row frame are refused (before any row
+        # is written) as corruption, so the restore falls back.
+        try:
+            model.load_table_rows(table_id, rows, weights, accum)
+        except TrainingError as exc:
+            raise CheckpointCorruptError(f"chunk {chunk.key}: {exc}") from exc
         return rows
 
     @staticmethod

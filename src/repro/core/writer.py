@@ -325,6 +325,10 @@ class CheckpointWriter:
 
         def task_args(index: int) -> tuple:
             task_shard, _, rows = plans[index]
+            if kind == KIND_FULL:
+                # A full chunk is a contiguous row range: hand the task
+                # views of the snapshot, not fancy-indexed copies.
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
             return (
                 quantizer,
                 task_shard.weight[rows],
@@ -484,7 +488,8 @@ class CheckpointWriter:
             dense_digest=dense_digest,
         )
         mkey = manifest_key(job_id, checkpoint_id)
-        draft_bytes = len(draft.to_json().encode("utf-8"))
+        draft_json = draft.to_json()
+        draft_bytes = len(draft_json.encode("utf-8"))
         built: list[CheckpointManifest] = []
 
         def manifest_payload() -> bytes:
@@ -498,10 +503,11 @@ class CheckpointWriter:
             predicted_start = max(
                 self.clock.now, self.store.timeline.free_at, last_end
             )
-            built.append(
-                replace(draft, valid_at_s=predicted_start + duration)
-            )
-            return built[0].to_json().encode("utf-8")
+            valid_at_s = predicted_start + duration
+            built.append(replace(draft, valid_at_s=valid_at_s))
+            return CheckpointManifest.json_with_valid_at(
+                draft_json, valid_at_s
+            ).encode("utf-8")
 
         yield from self._staged_write(
             "manifest",

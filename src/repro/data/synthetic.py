@@ -47,13 +47,13 @@ class ZipfianSampler:
         self._cdf = np.cumsum(pmf)
         self._cdf[-1] = 1.0  # guard against float round-off
         rng = np.random.default_rng(seed)
-        self._rank_to_row = rng.permutation(rows)
+        self._rank_to_row = rng.permutation(rows).astype(np.int64, copy=False)
 
     def sample(self, shape: tuple[int, ...], rng: np.random.Generator):
-        """Draw row ids of the given shape."""
+        """Draw row ids (int64) of the given shape."""
         uniforms = rng.random(size=shape)
         ranks = np.searchsorted(self._cdf, uniforms, side="right")
-        return self._rank_to_row[ranks].astype(np.int64)
+        return self._rank_to_row[ranks]
 
     def hot_fraction(self, top_fraction: float) -> float:
         """Probability mass captured by the hottest ``top_fraction`` rows."""
@@ -122,12 +122,16 @@ class SyntheticClickDataset:
 
         score = dense @ self._dense_weights + self._bias
         for table_id, indices in enumerate(sparse):
-            score = score + self._row_quality[table_id][indices].mean(axis=1)
+            # np.mean's arithmetic, minus its Python-level dispatch.
+            score += (
+                np.add.reduce(self._row_quality[table_id][indices], axis=1)
+                / cfg.hotness
+            )
         prob = 1.0 / (1.0 + np.exp(-score))
-        labels = (rng.random(size) < prob).astype(np.float32)
+        clicks = rng.random(size) < prob
         if self.data_config.label_noise > 0:
-            flips = rng.random(size) < self.data_config.label_noise
-            labels = np.where(flips, 1.0 - labels, labels).astype(np.float32)
+            clicks ^= rng.random(size) < self.data_config.label_noise
+        labels = clicks.astype(np.float32)
 
         return Batch(
             dense=dense, sparse=sparse, labels=labels,

@@ -49,17 +49,24 @@ class DLRM:
     ) -> None:
         self.config = config
         rng = np.random.default_rng(config.seed)
-        self.bottom_mlp = MLP(
-            (config.num_dense_features,) + config.bottom_mlp, rng
-        )
-        self.embeddings = EmbeddingCollection(
-            config.rows_per_table, config.embedding_dim, rng
-        )
         self.interaction = DotInteraction()
         interaction_width = self.interaction.output_width(
             config.num_tables, config.embedding_dim
         )
-        self.top_mlp = MLP((interaction_width,) + config.top_mlp, rng)
+        bottom = (config.num_dense_features,) + config.bottom_mlp
+        top = (interaction_width,) + config.top_mlp
+        # Both MLPs' parameters (and gradients) are views of one flat
+        # buffer, bottom first, so the dense update and zeroing are a
+        # few whole-buffer operations instead of a few per array.
+        split = MLP.size(bottom)
+        size = split + MLP.size(top)
+        params, grads = np.zeros(size, np.float32), np.zeros(size, np.float32)
+        self._dense_params, self._dense_grads = params, grads
+        self.bottom_mlp = MLP(bottom, rng, params[:split], grads[:split])
+        self.embeddings = EmbeddingCollection(
+            config.rows_per_table, config.embedding_dim, rng
+        )
+        self.top_mlp = MLP(top, rng, params[split:], grads[split:])
         self.dense_optimizer = DenseAdagrad(learning_rate)
         self.sparse_optimizers = [
             SparseRowWiseAdagrad(table, learning_rate)
@@ -93,14 +100,13 @@ class DLRM:
 
         grad_combined = self.top_mlp.backward(grad_logits)
         grad_dense, grad_embs = self.interaction.backward(grad_combined)
-        self.bottom_mlp.backward(grad_dense)
+        self.bottom_mlp.backward(grad_dense, input_grad=False)
         sparse_grads = self.embeddings.backward(grad_embs)
 
-        dense_params = self.dense_parameters()
-        dense_grads = self.dense_gradients()
-        self.dense_optimizer.step(dense_params, dense_grads)
-        self.bottom_mlp.zero_grad()
-        self.top_mlp.zero_grad()
+        self.dense_optimizer.step(
+            self._dense_params, self._dense_grads, self.dense_parameters
+        )
+        self._dense_grads.fill(0.0)
 
         touched: dict[int, np.ndarray] = {}
         for table_id, (optimizer, grad) in enumerate(
@@ -126,11 +132,6 @@ class DLRM:
         params = self.bottom_mlp.parameters("bottom")
         params.update(self.top_mlp.parameters("top"))
         return params
-
-    def dense_gradients(self) -> dict[str, np.ndarray]:
-        grads = self.bottom_mlp.gradients("bottom")
-        grads.update(self.top_mlp.gradients("top"))
-        return grads
 
     def dense_state(self) -> dict[str, np.ndarray]:
         """Everything replicated across devices: MLPs + dense optimizer."""
@@ -174,6 +175,11 @@ class DLRM:
                 f"restore shape mismatch for table {table_id}: "
                 f"{weights.shape} vs ({rows.shape[0]}, {table.dim})"
             )
+        if accumulator is not None and accumulator.shape != rows.shape:
+            raise TrainingError(
+                f"restore accumulator mismatch for table {table_id}: "
+                f"{accumulator.shape} vs {rows.shape}"
+            )
         table.weight[rows] = weights
         if accumulator is not None:
             self.sparse_optimizers[table_id].accumulator[rows] = accumulator
@@ -189,7 +195,7 @@ class DLRM:
     @property
     def total_nbytes(self) -> int:
         """Embeddings + accumulators + dense parameters, in fp32 bytes."""
-        dense = sum(a.nbytes for a in self.dense_parameters().values())
+        dense = self._dense_params.nbytes
         accum = sum(
             opt.accumulator.nbytes for opt in self.sparse_optimizers
         )
@@ -207,8 +213,7 @@ class DLRM:
         snapshots stay valid.
         """
         fresh = self.clone_config_model()
-        for name, arr in fresh.dense_parameters().items():
-            np.copyto(self.dense_parameters()[name], arr)
+        np.copyto(self._dense_params, fresh._dense_params)
         self.dense_optimizer.load_state_dict(
             fresh.dense_optimizer.state_dict()
         )

@@ -76,7 +76,7 @@ class EmbeddingTable:
                 f"[{indices.min()}, {indices.max()}] for {self.rows} rows"
             )
         self._last_indices = indices
-        return self.weight[indices].sum(axis=1)
+        return np.add.reduce(self.weight[indices], axis=1)
 
     def backward(self, grad_out: np.ndarray) -> SparseGrad:
         """Aggregate per-row gradients for the last forward's indices.
@@ -88,14 +88,22 @@ class EmbeddingTable:
         if self._last_indices is None:
             raise TrainingError("backward called before forward")
         indices = self._last_indices
-        batch, hotness = indices.shape
-        flat_rows = indices.reshape(-1)
-        flat_grads = np.repeat(grad_out, hotness, axis=0)
-        unique_rows, inverse = np.unique(flat_rows, return_inverse=True)
+        unique_rows, inverse = np.unique(
+            indices.reshape(-1), return_inverse=True
+        )
         values = np.zeros(
             (unique_rows.shape[0], self.dim), dtype=np.float32
         )
-        np.add.at(values, inverse, flat_grads)
+        # One scatter through the flat view: lookup k's gradient element
+        # d lands on values[inverse[k], d]. np.add.at adds duplicates one
+        # at a time in index order, exactly as the (rows, dim) form does;
+        # a sorted segment sum (np.add.reduceat) would add pairwise and
+        # change the bits.
+        np.add.at(
+            values.reshape(-1),
+            (inverse[:, None] * self.dim + np.arange(self.dim)).reshape(-1),
+            np.repeat(grad_out, indices.shape[1], axis=0).reshape(-1),
+        )
         self._last_indices = None
         return SparseGrad(rows=unique_rows, values=values)
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def xavier_uniform(
-    fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot-uniform weight matrix of shape (fan_in, fan_out)."""
+def xavier_uniform(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill a (fan_in, fan_out) fp32 weight matrix with Glorot-uniform
+    draws, in place (the draw is rounded straight into ``out``)."""
+    fan_in, fan_out = out.shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(
-        np.float32
-    )
+    out[...] = rng.uniform(-limit, limit, size=out.shape)
+    return out
 
 
 def embedding_uniform(
@@ -27,8 +26,3 @@ def embedding_uniform(
     """DLRM-style embedding init: U(-1/sqrt(rows), 1/sqrt(rows))."""
     limit = 1.0 / np.sqrt(rows)
     return rng.uniform(-limit, limit, size=(rows, dim)).astype(np.float32)
-
-
-def zeros(*shape: int) -> np.ndarray:
-    """fp32 zeros — bias initialisation."""
-    return np.zeros(shape, dtype=np.float32)

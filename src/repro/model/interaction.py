@@ -55,14 +55,17 @@ class DotInteraction:
                     f"embedding {i} shape {emb.shape} != dense shape "
                     f"{dense.shape}"
                 )
-        stacked = np.stack([dense] + list(embeddings), axis=1)
-        features = stacked.shape[1]
+        features = len(embeddings) + 1
+        # np.stack's bytes, without its Python-level argument handling.
+        stacked = np.concatenate([dense, *embeddings], axis=1).reshape(
+            dense.shape[0], features, dense.shape[1]
+        )
         rows, cols = _lower_triangle(features)
         gram = np.einsum("bif,bjf->bij", stacked, stacked)
         interactions = gram[:, rows, cols]
         self._stacked = stacked
         return np.concatenate([dense, interactions], axis=1).astype(
-            np.float32
+            np.float32, copy=False
         )
 
     def backward(
@@ -88,8 +91,8 @@ class DotInteraction:
 
         grad_dense = grad_stacked[:, 0, :] + grad_dense_direct
         grad_embeddings = [
-            grad_stacked[:, t, :].astype(np.float32)
+            grad_stacked[:, t, :].astype(np.float32, copy=False)
             for t in range(1, features)
         ]
         self._stacked = None
-        return grad_dense.astype(np.float32), grad_embeddings
+        return grad_dense.astype(np.float32, copy=False), grad_embeddings

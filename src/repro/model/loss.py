@@ -15,14 +15,17 @@ import numpy as np
 from ..errors import TrainingError
 
 
+def _logistic(logits: np.ndarray) -> np.ndarray:
+    """Stable logistic in the logits' own precision: ``1 / (1 + e)``
+    for ``z >= 0`` and ``e / (1 + e)`` below, with ``e = exp(-|z|)`` —
+    one ``exp`` serving both branches."""
+    e = np.exp(-np.abs(logits))
+    return np.where(logits >= 0, 1, e) / (1 + e)
+
+
 def sigmoid(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(logits, dtype=np.float64)
-    pos = logits >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-    ex = np.exp(logits[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function (returned as float64)."""
+    return _logistic(logits).astype(np.float64)
 
 
 def bce_with_logits(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -35,7 +38,7 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     y = labels.astype(np.float64)
     # max(z, 0) - z*y + log(1 + exp(-|z|)) is the stable BCE form.
     loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(np.mean(loss))
+    return float(np.add.reduce(loss, axis=None) / loss.size)  # np.mean
 
 
 def bce_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -45,7 +48,7 @@ def bce_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
             f"logits/labels shape mismatch: {logits.shape} vs {labels.shape}"
         )
     batch = logits.shape[0]
-    return ((sigmoid(logits) - labels.astype(np.float64)) / batch).astype(
+    return ((_logistic(logits) - labels.astype(np.float64)) / batch).astype(
         np.float32
     )
 

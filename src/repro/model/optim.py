@@ -10,6 +10,8 @@ metrics").
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..errors import TrainingError
@@ -42,7 +44,11 @@ class DenseSGD:
 
 
 class DenseAdagrad:
-    """Adagrad for dense parameters (per-element accumulators)."""
+    """Adagrad for dense parameters (per-element accumulators).
+
+    Accumulators are created by the first step, so :meth:`state_dict`
+    is empty until then (and after loading an empty state).
+    """
 
     name = "adagrad"
 
@@ -52,23 +58,50 @@ class DenseAdagrad:
         self.learning_rate = learning_rate
         self.eps = eps
         self._accum: dict[str, np.ndarray] = {}
+        #: The buffer ``_accum``'s arrays are views of, once stepped.
+        self._flat: np.ndarray | None = None
 
     def step(
-        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
+        self,
+        param: np.ndarray,
+        grad: np.ndarray,
+        named: Callable[[], dict[str, np.ndarray]],
     ) -> None:
-        for name, param in params.items():
-            grad = grads[name]
-            if name not in self._accum:
-                self._accum[name] = np.zeros_like(param)
-            accum = self._accum[name]
-            accum += grad * grad
-            param -= self.learning_rate * grad / (np.sqrt(accum) + self.eps)
+        """One update of parameters laid out in one 1-D buffer.
+
+        ``named()`` returns the consecutive pieces of ``param``, in
+        order, by the names :meth:`state_dict` reports; it is called
+        only to lay out the accumulators on the first step. They are
+        views of one buffer with the same layout, so the update is a
+        handful of whole-buffer ufuncs — elementwise, so the bits are
+        those of updating each array on its own.
+        """
+        if self._flat is None:
+            flat = np.zeros_like(param)
+            views, offset = {}, 0
+            for name, piece in named().items():
+                end = offset + piece.size
+                views[name] = flat[offset:end].reshape(piece.shape)
+                offset = end
+            for name, arr in self._accum.items():  # a loaded state
+                if name not in views or views[name].shape != arr.shape:
+                    raise TrainingError(
+                        f"dense optimizer state {name!r} does not match "
+                        "the parameters"
+                    )
+                views[name][...] = arr
+            # Loaded names keep their order; the rest follow the layout.
+            self._accum = {**{n: views[n] for n in self._accum}, **views}
+            self._flat = flat
+        self._flat += grad * grad
+        param -= self.learning_rate * grad / (np.sqrt(self._flat) + self.eps)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self._accum.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         self._accum = {name: arr.copy() for name, arr in state.items()}
+        self._flat = None
 
 
 class SparseRowWiseAdagrad:
@@ -96,16 +129,20 @@ class SparseRowWiseAdagrad:
 
     def step(self, grad: SparseGrad) -> np.ndarray:
         """Apply a sparse update; returns the rows actually modified."""
-        if grad.rows.size == 0:
-            return grad.rows
-        mean_sq = np.mean(
-            grad.values.astype(np.float64) ** 2, axis=1
+        rows, values = grad.rows, grad.values
+        if rows.size == 0:
+            return rows
+        # np.add.reduce / n is np.mean's own arithmetic, minus its
+        # Python-level dispatch.
+        mean_sq = (
+            np.add.reduce(np.square(values, dtype=np.float64), axis=1)
+            / values.shape[1]
         ).astype(np.float32)
-        self.accumulator[grad.rows] += mean_sq
-        denom = np.sqrt(self.accumulator[grad.rows]) + self.eps
-        update = self.learning_rate * grad.values / denom[:, None]
-        self.table.weight[grad.rows] -= update
-        return grad.rows
+        accum = self.accumulator[rows] + mean_sq  # rows are unique
+        self.accumulator[rows] = accum
+        denom = np.sqrt(accum) + self.eps
+        self.table.weight[rows] -= self.learning_rate * values / denom[:, None]
+        return rows
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {"accumulator": self.accumulator.copy()}

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.manifest import (
     KIND_FULL,
@@ -91,6 +95,28 @@ class TestManifest:
     def test_missing_field_rejected(self):
         with pytest.raises(CheckpointCorruptError, match="field"):
             CheckpointManifest.from_json("{}")
+
+    @given(
+        valid_at_s=st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]),
+        job_id=st.text(max_size=12),
+        progress=st.dictionaries(st.text(max_size=12), st.integers()),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_json_with_valid_at_matches_to_json(
+        self, valid_at_s, job_id, progress
+    ):
+        """The writer encodes its manifest once and patches the
+        validity time in; the text must be what ``to_json`` writes."""
+        draft = dataclasses.replace(
+            make_manifest("ckpt-1", KIND_INCREMENTAL, "ckpt-0", 3),
+            job_id=job_id,
+            valid_at_s=0.0,
+            trainer_progress={"valid_at_s": 1.5, **progress},
+        )
+        final = dataclasses.replace(draft, valid_at_s=valid_at_s)
+        assert CheckpointManifest.json_with_valid_at(
+            draft.to_json(), valid_at_s
+        ) == final.to_json()
 
     def test_key_helpers(self):
         assert manifest_key("j", "c") == "j/c/manifest.json"

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.manifest import KIND_FULL, KIND_INCREMENTAL
+from repro.core.manifest import (
+    KIND_FULL,
+    KIND_INCREMENTAL,
+    CheckpointManifest,
+)
 from repro.core.policies import make_policy
 from repro.core.restore import CheckpointRestorer
 from repro.core.retention import RetentionManager
@@ -166,6 +170,64 @@ class TestWriter:
         assert calls == ["submit_task", "submit_task", "run_task"]
         assert engine.pool_tasks == 3
         assert engine.pool_busy_s >= report.measured_quantize_s
+
+    @pytest.mark.parametrize("kind", [KIND_FULL, KIND_INCREMENTAL])
+    def test_quantize_tasks_read_full_chunks_in_place(
+        self, ready, monkeypatch, kind
+    ):
+        """A full checkpoint's chunks are contiguous row ranges, so the
+        quantize tasks get views of the snapshot; an incremental one's
+        masked rows are gathered. Either way the snapshot is untouched."""
+        exp, snapshot, writer, _ = ready
+        engine = exp.store.engine
+        handed: list[tuple[np.ndarray, np.ndarray]] = []
+        for name in ("submit_task", "run_task"):
+            real = getattr(engine, name)
+
+            def spy(fn, *args, _real=real):
+                handed.append((args[1], args[2]))
+                return _real(fn, *args)
+
+            monkeypatch.setattr(engine, name, spy)
+        before = {
+            i: (s.weight.copy(), s.accumulator.copy())
+            for i, s in snapshot.shards.items()
+        }
+        writer.write_checkpoint(
+            snapshot, kind, "ckpt-0", "job0",
+            None if kind == KIND_FULL else "base", "one_shot",
+            make_quantizer("asymmetric", bits=4), chunk_rows=100,
+        )
+        assert len(handed) > len(snapshot.shards)
+        shares = {
+            np.shares_memory(arr, base)
+            for pair in handed
+            for arr in pair
+            for s in snapshot.shards.values()
+            for base in (s.weight, s.accumulator)
+        }
+        assert (True in shares) == (kind == KIND_FULL)
+        for i, s in snapshot.shards.items():
+            assert s.weight.tobytes() == before[i][0].tobytes()
+            assert s.accumulator.tobytes() == before[i][1].tobytes()
+
+    def test_manifest_json_built_once(self, ready, monkeypatch):
+        exp, snapshot, writer, _ = ready
+        calls = []
+        real = CheckpointManifest.to_json
+
+        def counting(self):
+            calls.append(self.checkpoint_id)
+            return real(self)
+
+        monkeypatch.setattr(CheckpointManifest, "to_json", counting)
+        manifest, _ = writer.write_checkpoint(
+            snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
+            make_quantizer("none"), chunk_rows=100,
+        )
+        assert calls == ["ckpt-0"]
+        stored = ops.read(exp.store.backend, "job0/ckpt-0/manifest.json")
+        assert stored == real(manifest).encode("utf-8")
 
     def test_bad_chunk_rows_rejected(self, ready):
         _, snapshot, writer, _ = ready

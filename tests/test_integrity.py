@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.config import BackendConfig, FleetConfig, StorageConfig
@@ -35,6 +36,8 @@ from repro.errors import (
     CheckpointNotFoundError,
 )
 from repro.experiments import build_experiment, small_config
+from repro.serialize.codec import encode_array
+from repro.serialize.format import decode_frames, encode_frames
 from repro.storage.backends import (
     CrashingBackend,
     InMemoryBackend,
@@ -386,6 +389,68 @@ class TestRestoreThroughCorruption:
             plan[0].checkpoint_id,
             middle.checkpoint_id,
         }
+
+    @pytest.mark.parametrize(
+        "frame,values",
+        [
+            # One accumulator value used to broadcast into every row.
+            (2, lambda rows, dim: np.full(1, 7.0, np.float32)),
+            (2, lambda rows, dim: np.full(rows + 1, 7.0, np.float32)),
+            (1, lambda rows, dim: np.full((rows + 1, dim), 7.0, np.float32)),
+            (1, lambda rows, dim: np.full((rows, dim + 1), 7.0, np.float32)),
+        ],
+        ids=["accum-one", "accum-extra", "weights-extra-row", "weights-wide"],
+    )
+    def test_digest_valid_chunk_with_mismatched_frames_falls_back(
+        self, stored, frame, values
+    ):
+        """A chunk whose weight or accumulator frame does not match its
+        row frame is corrupt even when its digest is valid: the restore
+        must refuse it before touching the model and fall back one
+        candidate deeper, not broadcast it or abort recovery."""
+        exp, restorer = stored
+        plan = restorer.plan_resume("job0")
+        victim = plan[0]
+        chunk = victim.shards[0].chunks[0]
+        meta, frames = decode_frames(ops.read(exp.store.backend, chunk.key))
+        payloads = [f.payload for f in frames]
+        payloads[frame] = encode_array(
+            values(chunk.row_count, exp.config.model.embedding_dim)
+        )
+        blob = encode_frames(meta, list(enumerate(payloads)))
+        ops.write(exp.store.backend, chunk.key, blob)
+        forged_chunk = dataclasses.replace(chunk, digest=sha256_hex(blob))
+        shard = victim.shards[0]
+        forged = dataclasses.replace(
+            victim,
+            shards=(
+                dataclasses.replace(
+                    shard, chunks=(forged_chunk,) + shard.chunks[1:]
+                ),
+            )
+            + victim.shards[1:],
+        )
+        ops.write(
+            exp.store.backend,
+            manifest_key("job0", victim.checkpoint_id),
+            forged.to_json().encode("utf-8"),
+        )
+
+        model = exp.model
+        before = [
+            (model.table_weight(t).copy(), model.table_accumulator(t).copy())
+            for t in range(model.num_tables)
+        ]
+        with pytest.raises(CheckpointCorruptError, match=chunk.key):
+            restorer._decode_chunk(model, shard.table_id, forged_chunk, blob)
+        for t, (weight, accum) in enumerate(before):
+            assert model.table_weight(t).tobytes() == weight.tobytes()
+            assert model.table_accumulator(t).tobytes() == accum.tobytes()
+
+        report = exp.controller.restore_latest()
+        assert report.checkpoint_id == plan[1].checkpoint_id
+        assert report.fallback_depth == 1
+        assert report.failed_chain_ids == (victim.checkpoint_id,)
 
     def test_every_candidate_corrupt_raises(self, stored):
         exp, restorer = stored

@@ -25,22 +25,45 @@ class TestDenseOptimizers:
 
     def test_adagrad_scales_by_history(self):
         opt = DenseAdagrad(learning_rate=1.0, eps=0.0)
-        p = {"w": np.array([0.0], dtype=np.float32)}
-        g = {"w": np.array([2.0], dtype=np.float32)}
-        opt.step(p, g)  # accum=4, update = 2/2 = 1
-        np.testing.assert_allclose(p["w"], [-1.0])
-        opt.step(p, g)  # accum=8, update = 2/sqrt(8)
-        np.testing.assert_allclose(p["w"], [-1.0 - 2 / np.sqrt(8)])
+        p = np.array([0.0], dtype=np.float32)
+        g = np.array([2.0], dtype=np.float32)
+        opt.step(p, g, lambda: {"w": p})  # accum=4, update = 2/2 = 1
+        np.testing.assert_allclose(p, [-1.0])
+        opt.step(p, g, lambda: {"w": p})  # accum=8, update = 2/sqrt(8)
+        np.testing.assert_allclose(p, [-1.0 - 2 / np.sqrt(8)])
 
     def test_adagrad_state_roundtrip(self):
         opt = DenseAdagrad()
-        p = {"w": np.ones(3, dtype=np.float32)}
-        g = {"w": np.ones(3, dtype=np.float32)}
-        opt.step(p, g)
+        assert opt.state_dict() == {}
+        p, g = np.ones(9, dtype=np.float32), np.ones(9, dtype=np.float32)
+
+        def named(buf):
+            return lambda: {"w": buf[:6].reshape(2, 3), "b": buf[6:]}
+
+        opt.step(p, g, named(p))
         state = opt.state_dict()
+        assert {k: v.shape for k, v in state.items()} == {
+            "w": (2, 3),
+            "b": (3,),
+        }
         fresh = DenseAdagrad()
         fresh.load_state_dict(state)
         np.testing.assert_allclose(fresh.state_dict()["w"], state["w"])
+        # A loaded state moves into the flat buffer on the next step.
+        q = p.copy()
+        opt.step(p, g, named(p))
+        fresh.step(q, g, named(q))
+        np.testing.assert_array_equal(q, p)
+
+    @pytest.mark.parametrize(
+        "state", [{"w": np.zeros(2, np.float32)}, {"v": np.zeros(3)}]
+    )
+    def test_flat_step_rejects_a_mismatched_loaded_state(self, state):
+        opt = DenseAdagrad()
+        opt.load_state_dict(state)
+        buf = np.ones(3, dtype=np.float32)
+        with pytest.raises(TrainingError, match="does not match"):
+            opt.step(buf, buf.copy(), lambda: {"w": buf})
 
     def test_sgd_rejects_state(self):
         with pytest.raises(TrainingError):
@@ -187,6 +210,19 @@ class TestDLRM:
             tiny_model.load_table_rows(
                 0, np.array([0]), np.zeros((2, 8), dtype=np.float32)
             )
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_load_table_rows_accumulator_mismatch(self, tiny_model, count):
+        """One value must not broadcast into every row's accumulator."""
+        before = tiny_model.table_accumulator(0).copy()
+        with pytest.raises(TrainingError, match="accumulator mismatch"):
+            tiny_model.load_table_rows(
+                0,
+                np.array([1, 3]),
+                np.zeros((2, 8), dtype=np.float32),
+                np.full(count, 7.0, dtype=np.float32),
+            )
+        np.testing.assert_array_equal(tiny_model.table_accumulator(0), before)
 
     def test_reinitialize_restores_initial_state(
         self, tiny_model_config, tiny_dataset
