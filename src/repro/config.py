@@ -3,12 +3,20 @@
 Configs are immutable value objects. Each validates itself on construction
 and raises :class:`repro.errors.ConfigError` on inconsistent values, so a
 bad experiment setup fails before any simulation time is spent.
+
+A scalar field is declared once, with :func:`setting`: its default, its
+range or choices, and — where a command exposes it — its flag and help.
+:func:`check_fields` enforces the ranges; ``__post_init__`` keeps only
+the rules that relate several fields or the elements of a tuple.
+``repro.tools.cli`` builds its flags, the args → config mapping and the
+fleet header from the same declarations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+import functools
+import operator
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -17,9 +25,108 @@ MiB = 1024 * 1024
 GiB = 1024 * MiB
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, *args: object) -> None:
+    """Raise ``ConfigError(message % args)`` unless ``condition``."""
     if not condition:
-        raise ConfigError(message)
+        raise ConfigError(message % args if args else message)
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One config field's flag, help, type and allowed values.
+
+    :func:`setting` records what the declaration says;
+    :func:`declared_settings` fills in ``default``, ``flag``,
+    ``metavar``, ``type`` and ``optional`` from the field itself.
+    """
+
+    help: str | None = None
+    flag: str | None = None
+    metavar: str | None = None
+    type: type | None = None
+    choices: tuple | None = None
+    #: ``(symbol, bound)`` pairs, e.g. ``((">=", 0), ("<=", 1))``.
+    bounds: tuple = ()
+    default: object = None
+    #: The field also takes None (its annotation ends in ``| None``).
+    optional: bool = False
+
+
+def setting(
+    default, help=None, *, flag=None, metavar=None, choices=None,
+    ge=None, gt=None, le=None, lt=None,
+):
+    """A config field that is one setting.
+
+    Returns a plain :func:`dataclasses.field` carrying a :class:`Setting`
+    as metadata, so field names, order, defaults and ``repr()`` are
+    untouched. ``flag`` defaults to ``--`` plus the dashed field name,
+    ``metavar`` to the flag's name in capitals; the value type is the
+    field's annotation.
+    """
+    bounds = tuple(
+        (symbol, bound)
+        for symbol, bound in ((">=", ge), (">", gt), ("<=", le), ("<", lt))
+        if bound is not None
+    )
+    spec = Setting(help, flag, metavar, choices=choices, bounds=bounds)
+    return field(default=default, metadata={"setting": spec})
+
+
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+#: ``symbol → test(bound, value)``: the reflected operators take the
+#: bound first, like ``in`` takes the choices first.
+_TESTS = {
+    ">=": operator.le,
+    ">": operator.lt,
+    "<=": operator.ge,
+    "<": operator.gt,
+    "in": operator.contains,
+}
+
+
+@functools.cache
+def declared_settings(cls: type) -> dict[str, Setting]:
+    """The :func:`setting` fields of a config class, resolved, by name."""
+    declared = {}
+    for f in fields(cls):
+        spec = f.metadata.get("setting")
+        if spec is None:
+            continue
+        base = f.type.removesuffix(" | None")
+        flag = spec.flag or "--" + f.name.replace("_", "-")
+        declared[f.name] = replace(
+            spec,
+            default=f.default,
+            flag=flag,
+            metavar=spec.metavar or flag[2:].upper().replace("-", "_"),
+            type=_TYPES[base],
+            optional=base != f.type,
+        )
+    return declared
+
+
+@functools.cache
+def _checks(cls: type) -> tuple:
+    """``(name, optional, test, symbol, bound)`` of every field check."""
+    return tuple(
+        (name, spec.optional, _TESTS[symbol], symbol, bound)
+        for name, spec in declared_settings(cls).items()
+        for symbol, bound in (
+            (("in", spec.choices),) if spec.choices else ()
+        ) + spec.bounds
+    )
+
+
+def check_fields(config) -> None:
+    """Raise :class:`ConfigError` unless every setting is in range."""
+    for name, optional, test, symbol, bound in _checks(type(config)):
+        value = getattr(config, name)
+        if (optional and value is None) or test(bound, value):
+            continue
+        if symbol == "in":
+            raise ConfigError(f"unknown {name} {value!r}; valid: {bound}")
+        raise ConfigError(f"{name} must be {symbol} {bound}")
 
 
 @dataclass(frozen=True)
@@ -31,21 +138,22 @@ class ModelConfig:
     the paper's curves.
     """
 
-    num_tables: int = 8
+    num_tables: int = setting(8, ge=1)
     rows_per_table: tuple[int, ...] = ()
-    embedding_dim: int = 16
-    num_dense_features: int = 13
+    embedding_dim: int = setting(16, ge=1)
+    num_dense_features: int = setting(13, ge=1)
     bottom_mlp: tuple[int, ...] = (32, 16)
     top_mlp: tuple[int, ...] = (32, 16, 1)
-    hotness: int = 4
-    seed: int = 0x5EED
+    #: Multi-hot lookups per sample and table.
+    hotness: int = setting(4, ge=1)
+    seed: int = setting(0x5EED)
 
     def __post_init__(self) -> None:
         if not self.rows_per_table:
             object.__setattr__(
                 self, "rows_per_table", tuple([4096] * self.num_tables)
             )
-        _require(self.num_tables >= 1, "num_tables must be >= 1")
+        check_fields(self)
         _require(
             len(self.rows_per_table) == self.num_tables,
             "rows_per_table must have one entry per table",
@@ -54,13 +162,12 @@ class ModelConfig:
             all(r >= 1 for r in self.rows_per_table),
             "every table needs at least one row",
         )
-        _require(self.embedding_dim >= 1, "embedding_dim must be >= 1")
-        _require(self.num_dense_features >= 1, "need at least 1 dense feature")
-        _require(self.hotness >= 1, "hotness (multi-hot lookups) must be >= 1")
         _require(
             self.bottom_mlp[-1] == self.embedding_dim,
             "bottom MLP must project dense features to embedding_dim "
-            f"({self.bottom_mlp[-1]} != {self.embedding_dim})",
+            "(%s != %s)",
+            self.bottom_mlp[-1],
+            self.embedding_dim,
         )
         _require(self.top_mlp[-1] == 1, "top MLP must end in a single logit")
 
@@ -89,37 +196,30 @@ class DataConfig:
     1.0 reproduce the paper's sub-linear modified-fraction growth (Fig 5).
     """
 
-    batch_size: int = 256
-    zipf_alpha: float = 1.05
-    dense_noise: float = 0.1
-    label_noise: float = 0.05
+    batch_size: int = setting(256, ge=1)
+    zipf_alpha: float = setting(1.05, gt=0)
+    dense_noise: float = setting(0.1)
+    label_noise: float = setting(0.05, ge=0, lt=0.5)
     #: Scale of the planted dense-feature signal in the label logit.
-    dense_signal_scale: float = 1.0
+    dense_signal_scale: float = setting(1.0, ge=0)
     #: Scale of the planted per-row (sparse) signal in the label logit.
     #: Production CTR labels are sparse-dominated; raise this relative
     #: to ``dense_signal_scale`` to reproduce that regime (Fig 14).
-    sparse_signal_scale: float = 0.5
-    seed: int = 0xDA7A
+    sparse_signal_scale: float = setting(0.5, ge=0)
+    seed: int = setting(0xDA7A)
 
-    def __post_init__(self) -> None:
-        _require(self.batch_size >= 1, "batch_size must be >= 1")
-        _require(self.zipf_alpha > 0.0, "zipf_alpha must be positive")
-        _require(0.0 <= self.label_noise < 0.5, "label_noise in [0, 0.5)")
-        _require(self.dense_signal_scale >= 0.0, "dense scale >= 0")
-        _require(self.sparse_signal_scale >= 0.0, "sparse scale >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ReaderConfig:
     """Simulated reader-tier settings (separate cluster in the paper)."""
 
-    num_workers: int = 4
-    prefetch_depth: int = 8
-    coordinated: bool = True
+    num_workers: int = setting(4, ge=1)
+    prefetch_depth: int = setting(8, ge=1)
+    coordinated: bool = setting(True)
 
-    def __post_init__(self) -> None:
-        _require(self.num_workers >= 1, "need at least one reader worker")
-        _require(self.prefetch_depth >= 1, "prefetch_depth must be >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -131,33 +231,24 @@ class ClusterConfig:
     described in DESIGN.md section 7.
     """
 
-    num_nodes: int = 16
-    devices_per_node: int = 8
-    hbm_bytes_per_device: int = 32 * GiB
-    host_dram_bytes: int = 1536 * GiB
-    gpu_to_host_bandwidth: float = 20.0 * GiB  # bytes/sec per node
-    snapshot_fixed_overhead_s: float = 0.25
-    fabric_bandwidth: float = 100.0 * GiB  # bytes/sec per link
-    fabric_latency_s: float = 5e-6
+    num_nodes: int = setting(16, ge=1)
+    devices_per_node: int = setting(8, ge=1)
+    hbm_bytes_per_device: int = setting(32 * GiB, gt=0)
+    host_dram_bytes: int = setting(1536 * GiB)
+    gpu_to_host_bandwidth: float = setting(20.0 * GiB, gt=0)  # B/s per node
+    snapshot_fixed_overhead_s: float = setting(0.25)
+    fabric_bandwidth: float = setting(100.0 * GiB, gt=0)  # B/s per link
+    fabric_latency_s: float = setting(5e-6)
     #: Intra-node (NVSwitch/NVLink-class) link parameters, used when
     #: ``hierarchical_comm`` is enabled (paper section 6: "NVSwitch and
     #: NVLinks" inside nodes, scale-out fabric across them).
-    intra_node_bandwidth: float = 300.0 * GiB
-    intra_node_latency_s: float = 1e-6
-    hierarchical_comm: bool = False
-    step_compute_time_s: float = 0.12  # synchronous iteration compute time
+    intra_node_bandwidth: float = setting(300.0 * GiB, gt=0)
+    intra_node_latency_s: float = setting(1e-6)
+    hierarchical_comm: bool = setting(False)
+    #: Synchronous iteration compute time.
+    step_compute_time_s: float = setting(0.12, gt=0)
 
-    def __post_init__(self) -> None:
-        _require(self.num_nodes >= 1, "num_nodes must be >= 1")
-        _require(self.devices_per_node >= 1, "devices_per_node must be >= 1")
-        _require(self.hbm_bytes_per_device > 0, "device memory must be > 0")
-        _require(self.gpu_to_host_bandwidth > 0, "copy bandwidth must be > 0")
-        _require(self.fabric_bandwidth > 0, "fabric bandwidth must be > 0")
-        _require(
-            self.intra_node_bandwidth > 0,
-            "intra-node bandwidth must be > 0",
-        )
-        _require(self.step_compute_time_s > 0, "step time must be positive")
+    __post_init__ = check_fields
 
     @property
     def world_size(self) -> int:
@@ -186,35 +277,65 @@ class BackendConfig:
     tail inflation, multipart upload and ranged GETs.
     """
 
-    kind: str = "memory"
+    kind: str = setting(
+        "memory",
+        "shared-store byte backend; 's3like' models per-op-class "
+        "request latencies, multipart upload and ranged GETs",
+        flag="--backend",
+        choices=BACKEND_KINDS,
+    )
     #: Directory for the ``file`` backend (required for that kind).
-    root: str | None = None
+    root: str | None = setting(None)
     #: Synchronous replicas for the ``mirrored`` kind.
-    replicas: int = 2
+    replicas: int = setting(2, ge=1)
     # -- s3like per-op-class request latencies (seconds) ---------------
-    put_latency_s: float = 0.030
-    get_latency_s: float = 0.020
-    list_latency_s: float = 0.040
-    delete_latency_s: float = 0.015
-    head_latency_s: float = 0.010
+    put_latency_s: float = setting(
+        0.030, "s3like per-request PUT latency",
+        flag="--put-latency", metavar="SECONDS", ge=0,
+    )
+    get_latency_s: float = setting(
+        0.020, "s3like per-request GET latency",
+        flag="--get-latency", metavar="SECONDS", ge=0,
+    )
+    list_latency_s: float = setting(0.040, ge=0)
+    delete_latency_s: float = setting(0.015, ge=0)
+    head_latency_s: float = setting(0.010, ge=0)
     #: LIST pays this much per key returned on top of its base latency.
-    list_per_key_s: float = 0.0002
+    list_per_key_s: float = setting(0.0002, ge=0)
     #: Uniform extra request latency in [0, jitter_s); 0 = deterministic.
-    jitter_s: float = 0.0
+    jitter_s: float = setting(0.0, ge=0)
     #: Probability a request is a tail straggler, and the base-latency
     #: multiplier it then pays.
-    tail_prob: float = 0.0
-    tail_factor: float = 4.0
+    tail_prob: float = setting(0.0, ge=0, le=1)
+    tail_factor: float = setting(4.0, ge=1)
     # -- multipart / ranged GET ----------------------------------------
     #: Objects larger than this upload as multipart parts of this size
     #: (None = single-shot PUTs only).
-    part_size_bytes: int | None = None
+    part_size_bytes: int | None = setting(
+        None,
+        "multipart part size for --backend s3like (objects above "
+        "this upload as parallel parts; default: single-shot PUTs)",
+        flag="--part-size",
+        metavar="BYTES",
+        ge=1,
+    )
     #: Parallel request lanes for multipart parts / ranged sub-GETs.
-    multipart_fanout: int = 4
+    multipart_fanout: int = setting(
+        4,
+        "parallel upload lanes for multipart parts / ranged GETs",
+        flag="--part-fanout",
+        ge=1,
+    )
     #: GETs larger than this split into ranged sub-GETs (None = whole).
-    range_get_bytes: int | None = None
+    range_get_bytes: int | None = setting(
+        None,
+        "split s3like GETs above this size into ranged sub-GETs",
+        flag="--range-get",
+        metavar="BYTES",
+        ge=1,
+    )
     #: Seed for the backend's jitter/tail RNG.
-    seed: int = 0x53AC
+    seed: int = setting(0x53AC)
     # -- transient-failure injection (s3like) --------------------------
     #: Per-request probability that a request of the given op class
     #: fails transiently (throttle/5xx) before touching any data. The
@@ -222,75 +343,31 @@ class BackendConfig:
     #: come from a dedicated RNG so runs stay deterministic under
     #: ``failure_seed``. Part uploads and multipart completions count
     #: as PUT-class requests.
-    put_failure_prob: float = 0.0
-    get_failure_prob: float = 0.0
-    list_failure_prob: float = 0.0
-    delete_failure_prob: float = 0.0
-    head_failure_prob: float = 0.0
+    put_failure_prob: float = setting(0.0, ge=0, le=1)
+    get_failure_prob: float = setting(0.0, ge=0, le=1)
+    list_failure_prob: float = setting(0.0, ge=0, le=1)
+    delete_failure_prob: float = setting(0.0, ge=0, le=1)
+    head_failure_prob: float = setting(0.0, ge=0, le=1)
     #: Seed for the failure-injection RNG (separate from the jitter
     #: ``seed``, so the injected failure *sequence* is reproducible on
     #: its own; note that each retried attempt still consumes a jitter
     #: draw, as a re-issued request would).
-    failure_seed: int = 0xFA17
+    failure_seed: int = setting(0xFA17)
     # -- near/far cache tier -------------------------------------------
     #: Capacity of the NVMe-class near tier layered over this backend
     #: (see repro.storage.cache.CacheTierBackend). 0 disables the tier
     #: entirely — the factory returns the bare backend and timing stays
     #: bit-identical to a cache-free run.
-    cache_bytes: int = 0
-    #: Cache write policy: ``write_back`` acks at near-tier cost and
-    #: flushes dirty objects asynchronously; ``write_through`` writes
-    #: the far tier synchronously and only accelerates reads.
-    cache_policy: str = "write_back"
+    cache_bytes: int = setting(0, ge=0)
+    cache_policy: str = setting(
+        "write_back",
+        "cache write policy: write_back acks at near-tier cost and "
+        "flushes dirty objects asynchronously; write_through writes the "
+        "far tier synchronously",
+        choices=CACHE_POLICIES,
+    )
 
-    def __post_init__(self) -> None:
-        _require(
-            self.kind in BACKEND_KINDS,
-            f"unknown backend kind {self.kind!r}; valid: {BACKEND_KINDS}",
-        )
-        _require(self.replicas >= 1, "replicas must be >= 1")
-        for name in (
-            "put_latency_s",
-            "get_latency_s",
-            "list_latency_s",
-            "delete_latency_s",
-            "head_latency_s",
-            "list_per_key_s",
-            "jitter_s",
-        ):
-            _require(
-                getattr(self, name) >= 0, f"{name} must be >= 0"
-            )
-        _require(0.0 <= self.tail_prob <= 1.0, "tail_prob in [0, 1]")
-        _require(self.tail_factor >= 1.0, "tail_factor must be >= 1")
-        if self.part_size_bytes is not None:
-            _require(
-                self.part_size_bytes >= 1,
-                "part_size_bytes must be positive",
-            )
-        _require(self.multipart_fanout >= 1, "multipart_fanout >= 1")
-        if self.range_get_bytes is not None:
-            _require(
-                self.range_get_bytes >= 1,
-                "range_get_bytes must be positive",
-            )
-        for name in (
-            "put_failure_prob",
-            "get_failure_prob",
-            "list_failure_prob",
-            "delete_failure_prob",
-            "head_failure_prob",
-        ):
-            _require(
-                0.0 <= getattr(self, name) <= 1.0,
-                f"{name} must be in [0, 1]",
-            )
-        _require(self.cache_bytes >= 0, "cache_bytes must be >= 0")
-        _require(
-            self.cache_policy in CACHE_POLICIES,
-            f"unknown cache policy {self.cache_policy!r}; "
-            f"valid: {CACHE_POLICIES}",
-        )
+    __post_init__ = check_fields
 
     @property
     def failure_probs(self) -> dict[str, float]:
@@ -309,31 +386,25 @@ class BackendConfig:
 class StorageConfig:
     """Remote object-store simulation settings."""
 
-    write_bandwidth: float = 1.0 * GiB  # bytes/sec, aggregate
-    read_bandwidth: float = 2.0 * GiB
-    replication_factor: int = 3
-    capacity_bytes: int | None = None
-    latency_s: float = 0.010  # per-operation fixed latency
+    write_bandwidth: float = setting(1.0 * GiB, gt=0)  # bytes/s, aggregate
+    read_bandwidth: float = setting(2.0 * GiB, gt=0)
+    replication_factor: int = setting(3, ge=1)
+    capacity_bytes: int | None = setting(None, gt=0)
+    latency_s: float = setting(0.010)  # per-operation fixed latency
     #: Transfer-engine retry budget for transient request failures: a
     #: request is re-issued up to this many times before the failure
     #: becomes permanent (:class:`~repro.errors.RetriesExhaustedError`).
-    max_retries: int = 5
+    max_retries: int = setting(5, ge=0)
     #: Base backoff before the first retry; doubles per attempt
     #: (exponential backoff in simulated seconds).
-    retry_backoff_s: float = 0.02
+    retry_backoff_s: float = setting(0.02, ge=0)
     #: Byte backend selection + request-cost knobs. In-process kinds
     #: inherit the flat latency/bandwidth timing above; the ``s3like``
     #: kind carries its own per-op-class cost models.
     backend: BackendConfig = field(default_factory=BackendConfig)
 
     def __post_init__(self) -> None:
-        _require(self.write_bandwidth > 0, "write bandwidth must be > 0")
-        _require(self.read_bandwidth > 0, "read bandwidth must be > 0")
-        _require(self.replication_factor >= 1, "replication factor >= 1")
-        _require(self.max_retries >= 0, "max_retries must be >= 0")
-        _require(self.retry_backoff_s >= 0, "retry_backoff_s must be >= 0")
-        if self.capacity_bytes is not None:
-            _require(self.capacity_bytes > 0, "capacity must be positive")
+        check_fields(self)
         if isinstance(self.backend, dict):
             # Deserialised configs arrive with a nested plain dict.
             object.__setattr__(
@@ -363,69 +434,46 @@ QUANTIZER_NAMES = (
 class CheckpointConfig:
     """Check-N-Run behaviour: interval, policy, quantization, retention."""
 
-    interval_batches: int = 100
-    interval_seconds: float | None = 1800.0  # paper default: 30 minutes
-    policy: str = "intermittent"
-    quantizer: str = "adaptive"
-    bit_width: int | None = None  # None => dynamic selection (section 6.2.1)
-    num_bins: int = 25
-    ratio: float = 1.0
-    chunk_rows: int = 65536
-    keep_last: int = 2
+    interval_batches: int = setting(100, ge=1)
+    #: Paper default: 30 minutes.
+    interval_seconds: float | None = setting(1800.0)
+    policy: str = setting("intermittent", choices=POLICY_NAMES)
+    quantizer: str = setting("adaptive", choices=QUANTIZER_NAMES)
+    #: None => dynamic selection (section 6.2.1); otherwise sub-byte
+    #: packed codes.
+    bit_width: int | None = setting(None, ge=1, le=8)
+    num_bins: int = setting(25, ge=1)
+    ratio: float = setting(1.0, gt=0, le=1)
+    chunk_rows: int = setting(65536, ge=1)
+    keep_last: int = setting(2, ge=1)
     #: Storm-aware retention: bound on the newest checkpoint's restore
     #: chain length. When the chain reaches the bound, the controller
     #: refreshes the baseline (takes a full) instead of extending it —
     #: a restore storm then never re-reads more than this many
     #: checkpoints per job. None = unbounded (chain-depth retention).
-    max_chain_length: int | None = None
-    expected_restores: int = 1
-    quantize_optimizer_state: bool = True
-    track_in_forward_pass: bool = True
+    max_chain_length: int | None = setting(None, ge=1)
+    expected_restores: int = setting(1, ge=0)
+    quantize_optimizer_state: bool = setting(True)
+    track_in_forward_pass: bool = setting(True)
     #: Store per-row quantization bounds as fp16 (the paper's
     #: future-work metadata optimisation; saves 25-33% of checkpoint
     #: bytes at negligible error — see ablation a06).
-    compact_metadata: bool = False
+    compact_metadata: bool = setting(False)
 
-    def __post_init__(self) -> None:
-        _require(self.interval_batches >= 1, "interval_batches must be >= 1")
-        _require(
-            self.policy in POLICY_NAMES,
-            f"unknown policy {self.policy!r}; valid: {POLICY_NAMES}",
-        )
-        _require(
-            self.quantizer in QUANTIZER_NAMES,
-            f"unknown quantizer {self.quantizer!r}; valid: {QUANTIZER_NAMES}",
-        )
-        if self.bit_width is not None:
-            _require(
-                1 <= self.bit_width <= 8,
-                "bit_width must be in [1, 8] (sub-byte packed codes)",
-            )
-        _require(self.num_bins >= 1, "num_bins must be >= 1")
-        _require(0.0 < self.ratio <= 1.0, "ratio must be in (0, 1]")
-        _require(self.chunk_rows >= 1, "chunk_rows must be >= 1")
-        _require(self.keep_last >= 1, "must retain at least one checkpoint")
-        if self.max_chain_length is not None:
-            _require(
-                self.max_chain_length >= 1,
-                "max_chain_length must be >= 1",
-            )
-        _require(self.expected_restores >= 0, "expected_restores must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class FailureConfig:
     """Failure-model settings for the fleet simulation (Fig 3)."""
 
-    mean_time_to_failure_s: float = 6.0 * 3600.0
-    weibull_shape: float = 0.65
-    min_failure_s: float = 300.0  # jobs failing under 5 min are filtered
-    seed: int = 0xFA11
+    mean_time_to_failure_s: float = setting(6.0 * 3600.0, gt=0)
+    weibull_shape: float = setting(0.65, gt=0)
+    #: Jobs failing under 5 minutes are filtered out.
+    min_failure_s: float = setting(300.0, ge=0)
+    seed: int = setting(0xFA11)
 
-    def __post_init__(self) -> None:
-        _require(self.mean_time_to_failure_s > 0, "MTTF must be positive")
-        _require(self.weibull_shape > 0, "weibull shape must be positive")
-        _require(self.min_failure_s >= 0, "min_failure_s must be >= 0")
+    __post_init__ = check_fields
 
 
 #: Valid correlated-failure domain kinds (see repro.failures.domains).
@@ -450,13 +498,13 @@ class FleetConfig:
     affected job to restore through the shared link simultaneously.
     """
 
-    num_jobs: int = 8
-    intervals_per_job: int = 4
-    seed: int = 0xF1EE7
-    batch_size: int = 64
+    num_jobs: int = setting(8, flag="--jobs", ge=1)
+    intervals_per_job: int = setting(4, flag="--intervals", ge=1)
+    seed: int = setting(0xF1EE7)
+    batch_size: int = setting(64, ge=1)
     #: Paper embedding vectors are ~64 wide; 16 keeps runs fast while
     #: stopping per-row quantization metadata from dominating savings.
-    embedding_dim: int = 16
+    embedding_dim: int = setting(16, ge=1)
 
     # Heterogeneity distributions (uniform choice unless weighted).
     #: Tables must dwarf per-interval row touches or every interval
@@ -464,7 +512,7 @@ class FleetConfig:
     rows_per_table_choices: tuple[int, ...] = (2048, 4096, 8192)
     num_tables_choices: tuple[int, ...] = (2, 3, 4)
     interval_batches_choices: tuple[int, ...] = (8, 12, 16)
-    zipf_alpha: float = 1.1
+    zipf_alpha: float = setting(1.1)
     policy_choices: tuple[str, ...] = (
         "intermittent",
         "one_shot",
@@ -486,21 +534,38 @@ class FleetConfig:
 
     #: Stagger job starts over this window so checkpoint triggers do
     #: not all align on the shared link.
-    stagger_s: float = 30.0
-    keep_last: int = 2
+    stagger_s: float = setting(30.0, ge=0)
+    keep_last: int = setting(2, ge=1)
     #: The cap on simultaneous checkpoint writes that
     #: ``admission_mode="static"`` enforces (required by that mode,
     #: rejected with any other).
-    max_concurrent_writes: int | None = None
+    max_concurrent_writes: int | None = setting(
+        None,
+        "cap on simultaneous checkpoint writes under --admission static",
+        ge=1,
+    )
     #: Admission-control mode for checkpoint triggers on the shared
     #: store: ``"none"`` (admit everything), ``"static"`` (fixed
     #: concurrent-write cap), or ``"dynamic"`` (backlog-driven: defer
     #: an experimental job's trigger when the link's projected queue
     #: delay exceeds ``admission_backlog_factor`` x the job's
     #: checkpoint interval; prod jobs are always admitted).
-    admission_mode: str = "none"
-    #: Dynamic admission threshold, in checkpoint intervals of backlog.
-    admission_backlog_factor: float = 1.0
+    admission_mode: str = setting(
+        "none",
+        "admission-control mode for checkpoint triggers: 'static' "
+        "caps concurrent writes (needs --max-concurrent-writes), "
+        "'dynamic' defers experimental triggers when the link's "
+        "projected queue delay exceeds one checkpoint interval "
+        "(prod always admitted)",
+        flag="--admission",
+        choices=("none", "static", "dynamic"),
+    )
+    admission_backlog_factor: float = setting(
+        1.0,
+        "dynamic admission threshold, in checkpoint intervals of "
+        "projected backlog",
+        gt=0,
+    )
     #: Read-side admission mode for restores on the shared store:
     #: ``"none"`` (every restore starts immediately) or ``"dynamic"``
     #: (an experimental job's restore is *paced* — its start deferred
@@ -508,33 +573,75 @@ class FleetConfig:
     #: queued read parts, falls to ``restore_backlog_factor`` x the
     #: job's checkpoint interval; prod restores always start at once,
     #: preserving the storm's prod-first drain).
-    restore_admission: str = "none"
-    #: Read-side pacing threshold, in checkpoint intervals of backlog.
-    restore_backlog_factor: float = 1.0
-    #: Per-job live physical-byte quota on the shared store.
-    per_job_quota_bytes: int | None = None
+    restore_admission: str = setting(
+        "none",
+        "read-side admission for restores: 'dynamic' paces an "
+        "experimental job's restore until the link's projected backlog "
+        "(write parts + queued restore reads) drains to the threshold; "
+        "prod restores always start at once",
+        choices=("none", "dynamic"),
+    )
+    restore_backlog_factor: float = setting(
+        1.0,
+        "read-side pacing threshold, in checkpoint intervals of "
+        "projected backlog",
+        gt=0,
+    )
+    per_job_quota_bytes: int | None = setting(
+        None,
+        "per-job live physical-byte quota on the shared store",
+        flag="--quota-bytes",
+        gt=0,
+    )
 
-    inject_failures: bool = True
-    max_failures_per_job: int = 1
+    inject_failures: bool = setting(
+        True,
+        "disable failure injection in the heterogeneous run",
+        flag="--no-failures",
+    )
+    max_failures_per_job: int = setting(1, ge=0)
 
     #: Fraction of jobs sampled into the ``prod`` priority tier
     #: (0.0 = the whole fleet is experimental; tiering disabled).
-    priority_mix: float = 0.0
+    priority_mix: float = setting(
+        0.0,
+        "fraction of jobs in the prod priority tier (0 disables "
+        "tiering; prod streams get strict link priority)",
+        ge=0,
+        le=1,
+    )
     #: Whether prod-tier traffic may preempt (abort-and-requeue) an
     #: experimental job's staged checkpoint write.
-    preempt_staged_writes: bool = True
+    preempt_staged_writes: bool = setting(
+        True,
+        "disable prod preemption of experimental staged writes",
+        flag="--no-preempt",
+    )
     #: Minimum link backlog (seconds a prod transfer would have to
     #: queue) before preemption fires; 0 preempts on any contention.
-    preempt_wait_s: float = 0.1
+    preempt_wait_s: float = setting(
+        0.1,
+        "link backlog (seconds) a prod transfer tolerates before "
+        "preempting experimental staged writes",
+        flag="--preempt-wait",
+        ge=0,
+    )
     #: Correlated failure domain to strike mid-run: ``"rack"`` (one
     #: rack of ``rack_size`` jobs), ``"power"`` (the whole fleet), or
     #: None (independent failures only).
-    storm_domain: str | None = None
-    #: Jobs per rack when assigning rack failure domains.
-    rack_size: int = 4
+    storm_domain: str | None = setting(
+        None,
+        "arm one correlated failure: a rack (--rack-size jobs) or "
+        "the whole power domain dies at once mid-run",
+        flag="--storm",
+        choices=STORM_DOMAINS,
+    )
+    rack_size: int = setting(
+        4, "jobs per rack when assigning rack failure domains", ge=1
+    )
     #: Fleet progress fraction (completed intervals / target) at which
     #: the armed storm fires.
-    storm_at_fraction: float = 0.5
+    storm_at_fraction: float = setting(0.5, gt=0, lt=1)
     #: Retention flavour for the fleet's jobs: ``"chain_depth"`` (keep
     #: the newest ``keep_last`` checkpoints and whatever their chains
     #: reference — chains grow as long as the policy lets them) or
@@ -543,41 +650,85 @@ class FleetConfig:
     #: correlated storm re-reads short chains). Storm-aware retention
     #: requires an armed ``storm_domain`` — it trades write traffic for
     #: storm read traffic, which only pays off in a storm-prone fleet.
-    retention_mode: str = "chain_depth"
-    #: Restore-chain length bound under storm-aware retention.
-    storm_chain_limit: int = 2
+    retention_mode: str = setting(
+        "chain_depth",
+        "retention flavour: 'storm_aware' bounds every job's "
+        "restore chain at --storm-chain-limit by forcing baseline "
+        "refreshes, so a correlated storm re-reads short chains "
+        "(requires --storm)",
+        flag="--retention",
+        choices=("chain_depth", "storm_aware"),
+    )
+    storm_chain_limit: int = setting(
+        2, "restore-chain length bound under --retention storm_aware", ge=1
+    )
     #: Derive each job's storm-chain limit adaptively from its expected
     #: storm read cost vs baseline-refresh write cost (CPR-style)
     #: instead of the fixed ``storm_chain_limit`` bound. Only
     #: meaningful under ``retention_mode="storm_aware"``.
-    storm_chain_adaptive: bool = False
+    storm_chain_adaptive: bool = setting(
+        False,
+        "derive each job's storm chain limit from its expected "
+        "storm read cost vs baseline-refresh write cost instead of "
+        "the fixed --storm-chain-limit (requires --retention "
+        "storm_aware)",
+        flag="--adaptive-chain",
+    )
     #: Chunk-read order fleet restores use: ``"manifest"`` (stored
     #: layout) or ``"hot_first"`` (dense state + hot chunks first, so
     #: ``time_to_first_batch_s`` lands before the cold tail).
-    restore_order: str = "manifest"
+    restore_order: str = setting(
+        "manifest",
+        "row order for restore reads: 'hot_first' streams the "
+        "hottest embedding rows first so training resumes before the "
+        "full restore lands (improves time-to-first-batch in storm "
+        "drains)",
+        choices=("manifest", "hot_first"),
+    )
 
     # -- peer-memory replication tier ----------------------------------
     #: Number of peer jobs each job mirrors its per-step delta to
     #: (0 disables replication; the run is bit-identical to a
     #: replication-free fleet). With replication on, the object store
     #: only receives retention-boundary baseline flushes.
-    replicate_k: int = 0
+    replicate_k: int = setting(
+        0,
+        "mirror each job's per-step delta into K peer jobs' "
+        "bounded memory rings (a replication stream class below prod "
+        "writes); the store only receives retention-boundary baseline "
+        "flushes and recovery prefers the nearest live replica "
+        "(same rack > cross rack > object store)",
+        metavar="K",
+        ge=0,
+    )
     #: Capacity of each hosted replica ring (bytes). A delta that no
     #: longer fits evicts the oldest entries by folding them into the
     #: ring's materialized anchor.
-    peer_ring_bytes: int = 2 * MiB
+    peer_ring_bytes: int = setting(
+        2 * MiB,
+        "per-replica delta-log capacity; older deltas fold into "
+        "the ring's anchor when the log would overflow",
+        metavar="BYTES",
+        gt=0,
+    )
     #: Every this-many intervals the owner flushes a full baseline to
     #: the object store and re-bases its replica rings.
-    baseline_flush_intervals: int = 2
+    baseline_flush_intervals: int = setting(
+        2,
+        "with --replicate-k, flush a full baseline to the store "
+        "every Nth checkpoint interval (others are replicated only)",
+        metavar="N",
+        ge=1,
+    )
     #: Peer-to-peer link bandwidth (bytes/sec) for delta mirroring and
     #: replica reads — host memory over the training fabric, far
     #: faster than the storage link.
-    peer_bandwidth: float = 8.0 * GiB
+    peer_bandwidth: float = setting(8.0 * GiB, gt=0)
     #: Fixed per-transfer latency of the peer link.
-    peer_latency_s: float = 0.0005
+    peer_latency_s: float = setting(0.0005, ge=0)
     #: Cross-rack penalty: a transfer to/from a peer in another rack
     #: divides bandwidth and multiplies latency by this factor.
-    peer_cross_rack_factor: float = 2.0
+    peer_cross_rack_factor: float = setting(2.0, ge=1)
 
     #: Silent bit-rot probability per PUT-class write (chunk, dense,
     #: manifest, multipart part): the shared backend is wrapped in a
@@ -585,18 +736,23 @@ class FleetConfig:
     #: seeded byte of the payload. The write *succeeds* — only digest
     #: verification at restore/scan time catches the damage, so storms
     #: over a rotted fleet exercise the resume planner's fallback path.
-    bitrot_prob: float = 0.0
-    #: Seed for the deterministic bit-rot byte flips.
-    bitrot_seed: int = 0xB17F
+    bitrot_prob: float = setting(
+        0.0,
+        "silent-corruption injection: each stored PUT payload is "
+        "bit-flipped with this probability (deterministic under "
+        "--bitrot-seed); restores detect the damage via digests and "
+        "fall back to older checkpoints",
+        metavar="P",
+        ge=0,
+        le=1,
+    )
+    bitrot_seed: int = setting(0xB17F, "seed for the bit-rot injector's RNG")
 
     storage: StorageConfig = field(default_factory=StorageConfig)
     failures: FailureConfig = field(default_factory=FailureConfig)
 
     def __post_init__(self) -> None:
-        _require(self.num_jobs >= 1, "num_jobs must be >= 1")
-        _require(self.intervals_per_job >= 1, "intervals_per_job >= 1")
-        _require(self.batch_size >= 1, "batch_size must be >= 1")
-        _require(self.embedding_dim >= 1, "embedding_dim must be >= 1")
+        check_fields(self)
         for name, choices in (
             ("rows_per_table_choices", self.rows_per_table_choices),
             ("num_tables_choices", self.num_tables_choices),
@@ -606,14 +762,16 @@ class FleetConfig:
             ("bit_width_choices", self.bit_width_choices),
             ("weight_choices", self.weight_choices),
         ):
-            _require(len(choices) >= 1, f"{name} must be non-empty")
+            _require(len(choices) >= 1, "%s must be non-empty", name)
         _require(
             all(p in POLICY_NAMES for p in self.policy_choices),
-            f"policy_choices must be drawn from {POLICY_NAMES}",
+            "policy_choices must be drawn from %s",
+            POLICY_NAMES,
         )
         _require(
             all(q in QUANTIZER_NAMES for q in self.quantizer_choices),
-            f"quantizer_choices must be drawn from {QUANTIZER_NAMES}",
+            "quantizer_choices must be drawn from %s",
+            QUANTIZER_NAMES,
         )
         _require(
             len(self.policy_weights) == len(self.policy_choices),
@@ -635,17 +793,9 @@ class FleetConfig:
             all(w > 0 for w in self.weight_choices),
             "stream weights must be positive",
         )
-        _require(self.stagger_s >= 0, "stagger_s must be >= 0")
-        _require(self.keep_last >= 1, "keep_last must be >= 1")
-        _require(
-            self.admission_mode in ("none", "static", "dynamic"),
-            f"unknown admission_mode {self.admission_mode!r}; valid: "
-            "'none', 'static', 'dynamic'",
-        )
         if self.admission_mode == "static":
             _require(
-                self.max_concurrent_writes is not None
-                and self.max_concurrent_writes >= 1,
+                self.max_concurrent_writes is not None,
                 "static admission mode needs max_concurrent_writes >= 1",
             )
         else:
@@ -654,58 +804,12 @@ class FleetConfig:
                 "max_concurrent_writes is the static admission mode's "
                 "cap; set admission_mode='static' to use it",
             )
-        _require(
-            self.admission_backlog_factor > 0,
-            "admission_backlog_factor must be > 0",
-        )
-        _require(
-            self.restore_admission in ("none", "dynamic"),
-            f"unknown restore_admission {self.restore_admission!r}; "
-            "valid: 'none', 'dynamic'",
-        )
-        _require(
-            self.restore_backlog_factor > 0,
-            "restore_backlog_factor must be > 0",
-        )
-        if self.per_job_quota_bytes is not None:
-            _require(
-                self.per_job_quota_bytes > 0,
-                "per_job_quota_bytes must be positive",
-            )
-        _require(
-            self.max_failures_per_job >= 0,
-            "max_failures_per_job must be >= 0",
-        )
-        _require(
-            0.0 <= self.priority_mix <= 1.0,
-            "priority_mix must be in [0, 1]",
-        )
-        _require(self.preempt_wait_s >= 0, "preempt_wait_s must be >= 0")
-        if self.storm_domain is not None:
-            _require(
-                self.storm_domain in STORM_DOMAINS,
-                f"unknown storm domain {self.storm_domain!r}; "
-                f"valid: {STORM_DOMAINS}",
-            )
-        _require(self.rack_size >= 1, "rack_size must be >= 1")
-        _require(
-            0.0 < self.storm_at_fraction < 1.0,
-            "storm_at_fraction must be in (0, 1)",
-        )
-        _require(
-            self.retention_mode in ("chain_depth", "storm_aware"),
-            f"unknown retention_mode {self.retention_mode!r}; valid: "
-            "'chain_depth', 'storm_aware'",
-        )
         if self.retention_mode == "storm_aware":
             _require(
                 self.storm_domain is not None,
                 "storm_aware retention needs an armed storm_domain "
                 "(it trades write traffic for storm read traffic)",
             )
-        _require(
-            self.storm_chain_limit >= 1, "storm_chain_limit must be >= 1"
-        )
         if self.storm_chain_adaptive:
             _require(
                 self.retention_mode == "storm_aware",
@@ -713,29 +817,9 @@ class FleetConfig:
                 "'storm_aware' (it tunes the baseline-refresh bound)",
             )
         _require(
-            self.restore_order in ("manifest", "hot_first"),
-            f"unknown restore_order {self.restore_order!r}; valid: "
-            "'manifest', 'hot_first'",
-        )
-        _require(
-            0 <= self.replicate_k < self.num_jobs,
-            "replicate_k must be >= 0 and leave at least one "
-            "non-replica job (replicate_k < num_jobs)",
-        )
-        _require(self.peer_ring_bytes > 0, "peer_ring_bytes must be > 0")
-        _require(
-            self.baseline_flush_intervals >= 1,
-            "baseline_flush_intervals must be >= 1",
-        )
-        _require(self.peer_bandwidth > 0, "peer_bandwidth must be > 0")
-        _require(self.peer_latency_s >= 0, "peer_latency_s must be >= 0")
-        _require(
-            self.peer_cross_rack_factor >= 1.0,
-            "peer_cross_rack_factor must be >= 1",
-        )
-        _require(
-            0.0 <= self.bitrot_prob <= 1.0,
-            "bitrot_prob must be in [0, 1]",
+            self.replicate_k < self.num_jobs,
+            "replicate_k must leave at least one non-replica job "
+            "(replicate_k < num_jobs)",
         )
 
 
@@ -791,15 +875,13 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict:
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     """Inverse of :func:`experiment_config_to_dict`."""
-    import dataclasses
-
     sections = {}
     for section, cls in _SECTION_TYPES.items():
         if section not in data:
             sections[section] = cls()
             continue
         kwargs = dict(data[section])
-        for fld in dataclasses.fields(cls):
+        for fld in fields(cls):
             if fld.name in kwargs and isinstance(kwargs[fld.name], list):
                 kwargs[fld.name] = tuple(kwargs[fld.name])
         try:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ExperimentConfig, FleetConfig
+from ..config import ExperimentConfig, FleetConfig, check_fields, setting
 from ..distributed.clock import SimClock
 from ..errors import ServingError
 from ..experiments.common import Experiment, build_experiment
@@ -66,24 +66,41 @@ PUBLISH_STREAM = "publish"
 class ServingConfig:
     """Knobs of the serving-plane co-simulation."""
 
-    num_servers: int = 2
+    num_servers: int = setting(2, "inference servers", flag="--servers", ge=1)
     #: Per-server row-cache capacity (pinned hot rows + LRU ring).
-    cache_rows: int = 256
-    #: Arrival rate of lookup requests, fleet-wide.
-    qps: float = 200.0
-    num_queries: int = 400
-    #: Hot rows the publisher announces (and servers pin) per table.
-    hot_rows_per_table: int = 64
+    cache_rows: int = setting(
+        256, "per-server row-cache capacity (pinned hot rows + LRU)"
+    )
+    qps: float = setting(200.0, "fleet-wide lookup arrival rate", gt=0)
+    num_queries: int = setting(400, "lookup requests", flag="--queries", ge=0)
+    hot_rows_per_table: int = setting(
+        64,
+        "hot rows the publisher announces (and servers pin) per table",
+        flag="--pin-rows",
+    )
     #: Fixed per-request service overhead on top of storage reads.
-    lookup_overhead_s: float = 0.0002
-    #: Prefetch-and-pin the announced hot rows at each flip.
-    warm_pins: bool = True
+    lookup_overhead_s: float = setting(0.0002)
+    warm_pins: bool = setting(
+        True,
+        "disable hot-row prefetch at version flips",
+        flag="--no-warm-pins",
+    )
     #: Check every served value against the golden per-version replica
     #: snapshot (the torn-lookup detector).
-    verify: bool = True
-    seed: int = 7
-    #: Checkpoint intervals the training job runs underneath.
-    train_intervals: int = 6
+    verify: bool = setting(
+        True,
+        "skip the golden-snapshot torn-lookup verifier",
+        flag="--no-verify",
+    )
+    seed: int = setting(7)
+    train_intervals: int = setting(
+        6,
+        "checkpoint intervals the training job runs underneath",
+        flag="--intervals",
+        ge=1,
+    )
+
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -210,10 +227,6 @@ class ServingFleet:
         serving: ServingConfig,
         backend: Backend | None = None,
     ) -> None:
-        if serving.num_servers < 1:
-            raise ServingError("serving fleet needs at least one server")
-        if serving.train_intervals < 1:
-            raise ServingError("co-simulation needs >= 1 train interval")
         self.serving = serving
         self.store_clock = SimClock()
         arbiter = BandwidthArbiter()

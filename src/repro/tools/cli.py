@@ -25,12 +25,10 @@ import sys
 from pathlib import Path
 
 from ..config import (
-    BACKEND_KINDS,
-    STORM_DOMAINS,
     BackendConfig,
-    CheckpointConfig,
     FleetConfig,
     StorageConfig,
+    declared_settings,
     experiment_config_from_dict,
     experiment_config_to_dict,
 )
@@ -39,6 +37,7 @@ from ..core.restore import CheckpointRestorer
 from ..distributed.clock import SimClock
 from ..errors import ReproError
 from ..experiments.common import build_experiment, small_config
+from ..serving import ServingConfig
 from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_GET
 from . import metrics
@@ -196,6 +195,94 @@ def cmd_restore(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The flags that are exactly one config field's value, per command, in
+#: ``docs/cli.md`` row order. ``build_parser`` slices them only to keep
+#: the hand-written flags in their rows.
+FLEET_SETTINGS = (
+    "num_jobs", "intervals_per_job", "seed", "max_concurrent_writes",
+    "admission_mode", "admission_backlog_factor", "restore_admission",
+    "restore_backlog_factor", "retention_mode", "storm_chain_limit",
+    "storm_chain_adaptive", "restore_order", "replicate_k",
+    "peer_ring_bytes", "baseline_flush_intervals", "per_job_quota_bytes",
+    "inject_failures", "priority_mix", "storm_domain", "rack_size",
+    "preempt_wait_s", "preempt_staged_writes", "bitrot_prob", "bitrot_seed",
+)
+FLEET_BACKEND_SETTINGS = (
+    "kind", "part_size_bytes", "multipart_fanout", "put_latency_s",
+    "get_latency_s", "range_get_bytes", "cache_policy",
+)
+PLAN_SETTINGS = (
+    "num_jobs", "intervals_per_job", "seed", "max_concurrent_writes",
+    "storm_domain", "rack_size", "priority_mix", "inject_failures",
+)
+SERVE_SETTINGS = (
+    "num_servers", "cache_rows", "qps", "num_queries", "train_intervals",
+    "hot_rows_per_table", "warm_pins", "verify", "seed",
+)
+#: StorageConfig fields whose flags default to unset, not to the field.
+_BANDWIDTHS = ("write_bandwidth", "read_bandwidth")
+#: Where a command's default differs from the field's.
+FLEET_DEFAULTS = dict(intervals_per_job=6)
+SERVE_DEFAULTS = dict(
+    num_servers=3, qps=16.0, num_queries=300, hot_rows_per_table=48
+)
+
+
+def add_settings(parser, cls, names, **cli_defaults) -> None:
+    """Add one flag per named :func:`~repro.config.setting` of ``cls``.
+
+    The dest is the field name, a bool becomes a ``store_true`` /
+    ``store_false`` switch, and ``cli_defaults`` overrides a field's
+    default for this command.
+    """
+    declared = declared_settings(cls)
+    for name in names:
+        spec = declared[name]
+        default = cli_defaults.get(name, spec.default)
+        kwargs = {"dest": name, "default": default, "help": spec.help}
+        if spec.type is bool:
+            kwargs["action"] = "store_false" if default else "store_true"
+        else:
+            kwargs.update(type=spec.type, choices=spec.choices)
+            # argparse shows a choice flag's choices in its place.
+            kwargs["metavar"] = None if spec.choices else spec.metavar
+        parser.add_argument(spec.flag, **kwargs)
+
+
+def settings(args: argparse.Namespace, names) -> dict:
+    """The named settings' parsed values, keyed by field name."""
+    return {name: getattr(args, name) for name in names}
+
+
+def setting_argv(config, names, **cli_defaults) -> list[str]:
+    """The flags that set each named setting of ``config`` that is off
+    its default (the field's, or the command's ``cli_defaults``)."""
+    declared = declared_settings(type(config))
+    argv = []
+    for name in names:
+        spec = declared[name]
+        value = getattr(config, name)
+        if value != cli_defaults.get(name, spec.default):
+            argv.append(spec.flag)
+            if spec.type is not bool:
+                argv.append(str(value))
+    return argv
+
+
+def _store_command(
+    sub, name: str, func, help: str, job_help: str | None = None,
+    store_help: str = "directory of the file-backed object store",
+) -> argparse.ArgumentParser:
+    """A subcommand working on one job of a file-backed store."""
+    cmd = sub.add_parser(name, help=help)
+    cmd.add_argument("--store-dir", required=True, help=store_help)
+    cmd.add_argument(
+        "--job", default="job0", help=job_help or f"job id to {name}"
+    )
+    cmd.set_defaults(func=func)
+    return cmd
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -203,12 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="train a job with checkpoints")
-    run.add_argument(
-        "--store-dir", required=True,
-        help="directory for the file-backed object store",
+    run = _store_command(
+        sub, "run", cmd_run, "train a job with checkpoints",
+        job_help="job id (namespace)",
+        store_help="directory for the file-backed object store",
     )
-    run.add_argument("--job", default="job0", help="job id (namespace)")
     run.add_argument(
         "--policy", default="intermittent",
         help="checkpoint policy: full, one_shot, consecutive, "
@@ -236,37 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--rows", type=int, default=4096, help="rows per embedding table"
     )
-    run.set_defaults(func=cmd_run)
 
-    inspect_cmd = sub.add_parser(
-        "inspect", help="list a job's checkpoints"
+    _store_command(sub, "inspect", cmd_inspect, "list a job's checkpoints")
+    _store_command(sub, "scrub", cmd_scrub, "verify stored chunk CRCs")
+    scan = _store_command(
+        sub, "scan", cmd_scan,
+        "verify digests end-to-end; quarantine corrupt checkpoints",
     )
-    inspect_cmd.add_argument(
-        "--store-dir", required=True,
-        help="directory of the file-backed object store",
-    )
-    inspect_cmd.add_argument(
-        "--job", default="job0", help="job id to inspect"
-    )
-    inspect_cmd.set_defaults(func=cmd_inspect)
-
-    scrub = sub.add_parser("scrub", help="verify stored chunk CRCs")
-    scrub.add_argument(
-        "--store-dir", required=True,
-        help="directory of the file-backed object store",
-    )
-    scrub.add_argument("--job", default="job0", help="job id to scrub")
-    scrub.set_defaults(func=cmd_scrub)
-
-    scan = sub.add_parser(
-        "scan",
-        help="verify digests end-to-end; quarantine corrupt checkpoints",
-    )
-    scan.add_argument(
-        "--store-dir", required=True,
-        help="directory of the file-backed object store",
-    )
-    scan.add_argument("--job", default="job0", help="job id to scan")
     scan.add_argument(
         "--no-quarantine", action="store_true",
         help="report corruption but leave manifests unmodified",
@@ -275,19 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", default=None, metavar="PATH",
         help="write scan counters as a Prometheus textfile (.prom)",
     )
-    scan.set_defaults(func=cmd_scan)
-
-    restore = sub.add_parser(
-        "restore", help="restore a job's newest checkpoint"
+    _store_command(
+        sub, "restore", cmd_restore, "restore a job's newest checkpoint"
     )
-    restore.add_argument(
-        "--store-dir", required=True,
-        help="directory of the file-backed object store",
-    )
-    restore.add_argument(
-        "--job", default="job0", help="job id to restore"
-    )
-    restore.set_defaults(func=cmd_restore)
 
     figures = sub.add_parser(
         "figures", help="print the quick paper-figure reproductions"
@@ -298,145 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run N jobs against one shared store; emit fleet aggregates",
     )
-    fleet.add_argument("--jobs", type=int, default=8)
-    fleet.add_argument("--intervals", type=int, default=6)
-    fleet.add_argument("--seed", type=int, default=0xF1EE7)
-    fleet.add_argument(
-        "--max-concurrent-writes", type=int, default=None,
-        help="cap on simultaneous checkpoint writes under "
-        "--admission static",
-    )
-    fleet.add_argument(
-        "--admission", choices=["none", "static", "dynamic"],
-        default="none",
-        help="admission-control mode for checkpoint triggers: 'static' "
-        "caps concurrent writes (needs --max-concurrent-writes), "
-        "'dynamic' defers experimental triggers when the link's "
-        "projected queue delay exceeds one checkpoint interval "
-        "(prod always admitted)",
-    )
-    fleet.add_argument(
-        "--admission-backlog-factor", type=float, default=1.0,
-        help="dynamic admission threshold, in checkpoint intervals of "
-        "projected backlog",
-    )
-    fleet.add_argument(
-        "--restore-admission", choices=["none", "dynamic"],
-        default="none",
-        help="read-side admission for restores: 'dynamic' paces an "
-        "experimental job's restore until the link's projected backlog "
-        "(write parts + queued restore reads) drains to the threshold; "
-        "prod restores always start at once",
-    )
-    fleet.add_argument(
-        "--restore-backlog-factor", type=float, default=1.0,
-        help="read-side pacing threshold, in checkpoint intervals of "
-        "projected backlog",
-    )
-    fleet.add_argument(
-        "--retention", choices=["chain_depth", "storm_aware"],
-        default="chain_depth",
-        help="retention flavour: 'storm_aware' bounds every job's "
-        "restore chain at --storm-chain-limit by forcing baseline "
-        "refreshes, so a correlated storm re-reads short chains "
-        "(requires --storm)",
-    )
-    fleet.add_argument(
-        "--storm-chain-limit", type=int, default=2,
-        help="restore-chain length bound under --retention storm_aware",
-    )
-    fleet.add_argument(
-        "--adaptive-chain", action="store_true",
-        help="derive each job's storm chain limit from its expected "
-        "storm read cost vs baseline-refresh write cost instead of "
-        "the fixed --storm-chain-limit (requires --retention "
-        "storm_aware)",
-    )
-    fleet.add_argument(
-        "--restore-order", choices=["manifest", "hot_first"],
-        default="manifest",
-        help="row order for restore reads: 'hot_first' streams the "
-        "hottest embedding rows first so training resumes before the "
-        "full restore lands (improves time-to-first-batch in storm "
-        "drains)",
-    )
-    fleet.add_argument(
-        "--replicate-k", type=int, default=0, metavar="K",
-        help="mirror each job's per-step delta into K peer jobs' "
-        "bounded memory rings (a replication stream class below prod "
-        "writes); the store only receives retention-boundary baseline "
-        "flushes and recovery prefers the nearest live replica "
-        "(same rack > cross rack > object store)",
-    )
-    fleet.add_argument(
-        "--peer-ring-bytes", type=int, default=2 * 1024 * 1024,
-        metavar="BYTES",
-        help="per-replica delta-log capacity; older deltas fold into "
-        "the ring's anchor when the log would overflow",
-    )
-    fleet.add_argument(
-        "--baseline-flush-intervals", type=int, default=2,
-        metavar="N",
-        help="with --replicate-k, flush a full baseline to the store "
-        "every Nth checkpoint interval (others are replicated only)",
-    )
-    fleet.add_argument(
-        "--quota-bytes", type=int, default=None,
-        help="per-job live physical-byte quota on the shared store",
-    )
-    fleet.add_argument(
-        "--no-failures", action="store_true",
-        help="disable failure injection in the heterogeneous run",
-    )
-    fleet.add_argument(
-        "--priority-mix", type=float, default=0.0,
-        help="fraction of jobs in the prod priority tier (0 disables "
-        "tiering; prod streams get strict link priority)",
-    )
-    fleet.add_argument(
-        "--storm", choices=list(STORM_DOMAINS), default=None,
-        help="arm one correlated failure: a rack (--rack-size jobs) or "
-        "the whole power domain dies at once mid-run",
-    )
-    fleet.add_argument(
-        "--rack-size", type=int, default=4,
-        help="jobs per rack when assigning rack failure domains",
-    )
-    fleet.add_argument(
-        "--preempt-wait", type=float, default=0.1,
-        help="link backlog (seconds) a prod transfer tolerates before "
-        "preempting experimental staged writes",
-    )
-    fleet.add_argument(
-        "--no-preempt", action="store_true",
-        help="disable prod preemption of experimental staged writes",
-    )
-    fleet.add_argument(
-        "--backend", choices=list(BACKEND_KINDS), default="memory",
-        help="shared-store byte backend; 's3like' models per-op-class "
-        "request latencies, multipart upload and ranged GETs",
-    )
-    fleet.add_argument(
-        "--part-size", type=int, default=None, metavar="BYTES",
-        help="multipart part size for --backend s3like (objects above "
-        "this upload as parallel parts; default: single-shot PUTs)",
-    )
-    fleet.add_argument(
-        "--part-fanout", type=int, default=4,
-        help="parallel upload lanes for multipart parts / ranged GETs",
-    )
-    fleet.add_argument(
-        "--put-latency", type=float, default=0.030, metavar="SECONDS",
-        help="s3like per-request PUT latency",
-    )
-    fleet.add_argument(
-        "--get-latency", type=float, default=0.020, metavar="SECONDS",
-        help="s3like per-request GET latency",
-    )
-    fleet.add_argument(
-        "--range-get", type=int, default=None, metavar="BYTES",
-        help="split s3like GETs above this size into ranged sub-GETs",
-    )
+    add_settings(fleet, FleetConfig, FLEET_SETTINGS[:-2], **FLEET_DEFAULTS)
+    add_settings(fleet, BackendConfig, FLEET_BACKEND_SETTINGS[:-1])
     fleet.add_argument(
         "--failure-prob", type=float, default=0.0, metavar="P",
         help="s3like transient-failure injection: each PUT/GET request "
@@ -461,24 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-bytes", type=int, default=1024 * 1024, metavar="BYTES",
         help="near-tier capacity when --cache-tier is set",
     )
-    fleet.add_argument(
-        "--cache-policy", choices=["write_back", "write_through"],
-        default="write_back",
-        help="cache write policy: write_back acks at near-tier cost and "
-        "flushes dirty objects asynchronously; write_through writes the "
-        "far tier synchronously",
-    )
-    fleet.add_argument(
-        "--bitrot-prob", type=float, default=0.0, metavar="P",
-        help="silent-corruption injection: each stored PUT payload is "
-        "bit-flipped with this probability (deterministic under "
-        "--bitrot-seed); restores detect the damage via digests and "
-        "fall back to older checkpoints",
-    )
-    fleet.add_argument(
-        "--bitrot-seed", type=int, default=0xB17F,
-        help="seed for the bit-rot injector's RNG",
-    )
+    add_settings(fleet, BackendConfig, FLEET_BACKEND_SETTINGS[-1:])
+    add_settings(fleet, FleetConfig, FLEET_SETTINGS[-2:])
     fleet.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="write fleet counters as a Prometheus textfile (.prom)",
@@ -494,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="capacity planner: sweep quota x retention x admission "
         "over one seeded fleet; emit the Fig-16 provisioning curve",
     )
-    plan.add_argument("--jobs", type=int, default=8)
-    plan.add_argument("--intervals", type=int, default=4)
-    plan.add_argument("--seed", type=int, default=0xF1EE7)
+    add_settings(plan, FleetConfig, PLAN_SETTINGS[:3])
     plan.add_argument(
         "--quotas", default="none",
         help="comma-separated per-job quota sweep in bytes; 'none' "
@@ -512,28 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated admission-mode sweep: none, static "
         "(needs --max-concurrent-writes), dynamic",
     )
-    plan.add_argument(
-        "--max-concurrent-writes", type=int, default=None,
-        help="concurrent-write cap used by the 'static' admission "
-        "mode when it appears in --admissions",
-    )
-    plan.add_argument(
-        "--storm", choices=list(STORM_DOMAINS), default=None,
-        help="arm a correlated failure so every point also reports "
-        "the fleet's storm time-to-recover",
-    )
-    plan.add_argument(
-        "--rack-size", type=int, default=4,
-        help="jobs per rack when assigning storm failure domains",
-    )
-    plan.add_argument(
-        "--priority-mix", type=float, default=0.0,
-        help="fraction of jobs in the prod priority tier",
-    )
-    plan.add_argument(
-        "--no-failures", action="store_true",
-        help="disable independent failure injection",
-    )
+    add_settings(plan, FleetConfig, PLAN_SETTINGS[3:])
     plan.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="write the curve as a Prometheus textfile (.prom)",
@@ -549,24 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="co-simulate the serving plane: checkpoints publish to "
         "inference servers answering row lookups",
     )
-    serve.add_argument(
-        "--servers", type=int, default=3, help="inference servers"
-    )
-    serve.add_argument(
-        "--cache-rows", type=int, default=256,
-        help="per-server row-cache capacity (pinned hot rows + LRU)",
-    )
-    serve.add_argument(
-        "--qps", type=float, default=16.0,
-        help="fleet-wide lookup arrival rate",
-    )
-    serve.add_argument(
-        "--queries", type=int, default=300, help="lookup requests"
-    )
-    serve.add_argument(
-        "--intervals", type=int, default=6,
-        help="checkpoint intervals the training job runs underneath",
-    )
+    add_settings(serve, ServingConfig, SERVE_SETTINGS[:5], **SERVE_DEFAULTS)
     serve.add_argument(
         "--interval-batches", type=int, default=25,
         help="training batches per checkpoint interval",
@@ -583,20 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="embedding rows per checkpoint chunk (the ranged-GET unit "
         "serving misses read)",
     )
-    serve.add_argument(
-        "--pin-rows", type=int, default=48,
-        help="hot rows the publisher announces (and servers pin) per "
-        "table",
-    )
-    serve.add_argument(
-        "--no-warm-pins", action="store_true",
-        help="disable hot-row prefetch at version flips",
-    )
-    serve.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the golden-snapshot torn-lookup verifier",
-    )
-    serve.add_argument("--seed", type=int, default=7)
+    add_settings(serve, ServingConfig, SERVE_SETTINGS[5:], **SERVE_DEFAULTS)
     serve.add_argument(
         "--out", default="benchmarks/results",
         help="directory for serving_cli_report.txt",
@@ -616,6 +462,48 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def fleet_config(args: argparse.Namespace) -> FleetConfig:
+    """The FleetConfig that ``repro fleet``'s parsed flags describe."""
+    backend = BackendConfig(
+        **settings(args, FLEET_BACKEND_SETTINGS),
+        put_failure_prob=args.failure_prob,
+        get_failure_prob=args.failure_prob,
+        cache_bytes=args.cache_bytes if args.cache_tier else 0,
+    )
+    # Unset link bandwidths keep the StorageConfig defaults.
+    bandwidths = {
+        name: value
+        for name, value in settings(args, _BANDWIDTHS).items()
+        if value is not None
+    }
+    return FleetConfig(
+        **settings(args, FLEET_SETTINGS),
+        storage=StorageConfig(backend=backend, **bandwidths),
+    )
+
+
+def fleet_header(config: FleetConfig) -> str:
+    """Line 1 of the fleet artifact: the run's shape, seed and every
+    flag that moves it off the defaults, so the artifact is
+    reproducible from its own first line."""
+    backend = config.storage.backend
+    flags = (
+        setting_argv(config, FLEET_SETTINGS[3:])
+        + setting_argv(config.storage, _BANDWIDTHS)
+        + setting_argv(backend, FLEET_BACKEND_SETTINGS)
+    )
+    if backend.put_failure_prob > 0.0 and backend.kind == "s3like":
+        flags += ["--failure-prob", str(backend.put_failure_prob)]
+    if backend.cache_bytes:
+        flags += ["--cache-tier", "--cache-bytes", str(backend.cache_bytes)]
+    variant = f", {' '.join(flags)}" if flags else ""
+    return (
+        f"== Fleet run: {config.num_jobs} jobs x "
+        f"{config.intervals_per_job} intervals "
+        f"(seed {config.seed}{variant}) =="
+    )
+
+
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run a heterogeneous fleet + the Fig 17 fleet-aggregate comparison.
 
@@ -631,104 +519,18 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         run_fleet,
     )
 
-    if args.failure_prob > 0.0 and args.backend != "s3like":
+    if args.failure_prob > 0.0 and args.kind != "s3like":
         print(
             "warning: --failure-prob only injects on --backend s3like; "
             "ignoring it",
             file=sys.stderr,
         )
-    storage_kwargs: dict = {}
-    if args.write_bandwidth is not None:
-        storage_kwargs["write_bandwidth"] = args.write_bandwidth
-    if args.read_bandwidth is not None:
-        storage_kwargs["read_bandwidth"] = args.read_bandwidth
-    storage = StorageConfig(
-        backend=BackendConfig(
-            kind=args.backend,
-            part_size_bytes=args.part_size,
-            multipart_fanout=args.part_fanout,
-            put_latency_s=args.put_latency,
-            get_latency_s=args.get_latency,
-            range_get_bytes=args.range_get,
-            put_failure_prob=args.failure_prob,
-            get_failure_prob=args.failure_prob,
-            cache_bytes=args.cache_bytes if args.cache_tier else 0,
-            cache_policy=args.cache_policy,
-        ),
-        **storage_kwargs,
-    )
-    config = FleetConfig(
-        num_jobs=args.jobs,
-        intervals_per_job=args.intervals,
-        seed=args.seed,
-        max_concurrent_writes=args.max_concurrent_writes,
-        admission_mode=args.admission,
-        admission_backlog_factor=args.admission_backlog_factor,
-        restore_admission=args.restore_admission,
-        restore_backlog_factor=args.restore_backlog_factor,
-        retention_mode=args.retention,
-        storm_chain_limit=args.storm_chain_limit,
-        storm_chain_adaptive=args.adaptive_chain,
-        restore_order=args.restore_order,
-        replicate_k=args.replicate_k,
-        peer_ring_bytes=args.peer_ring_bytes,
-        baseline_flush_intervals=args.baseline_flush_intervals,
-        per_job_quota_bytes=args.quota_bytes,
-        inject_failures=not args.no_failures,
-        priority_mix=args.priority_mix,
-        storm_domain=args.storm,
-        rack_size=args.rack_size,
-        preempt_wait_s=args.preempt_wait,
-        preempt_staged_writes=not args.no_preempt,
-        bitrot_prob=args.bitrot_prob,
-        bitrot_seed=args.bitrot_seed,
-        storage=storage,
-    )
+    config = fleet_config(args)
     _, report = run_fleet(config)
     reduction = fleet_reduction_experiment(config)
-    # The aggregate header names every knob that shaped the run, so
-    # the artifact stays reproducible from its own first line.
-    variant = ""
-    if args.priority_mix > 0.0:
-        variant += f", priority mix {args.priority_mix:.2f}"
-    if args.storm is not None:
-        variant += f", storm {args.storm}"
-    if args.backend != "memory":
-        variant += f", backend {args.backend}"
-        if args.part_size is not None:
-            variant += f" (part {args.part_size} B x{args.part_fanout})"
-    if config.admission_mode != "none":
-        variant += f", admission {config.admission_mode}"
-    if args.restore_admission != "none":
-        variant += f", restore admission {args.restore_admission}"
-    if args.retention != "chain_depth":
-        if args.adaptive_chain:
-            variant += f", retention {args.retention} (adaptive chain)"
-        else:
-            variant += (
-                f", retention {args.retention}"
-                f" (chain <= {args.storm_chain_limit})"
-            )
-    if args.restore_order != "manifest":
-        variant += f", restore order {args.restore_order}"
-    if args.replicate_k > 0:
-        variant += (
-            f", replicate k={args.replicate_k} "
-            f"(ring {args.peer_ring_bytes} B, baseline every "
-            f"{args.baseline_flush_intervals})"
-        )
-    if args.failure_prob > 0.0 and args.backend == "s3like":
-        variant += f", failure prob {args.failure_prob:g}"
-    if args.cache_tier:
-        variant += (
-            f", cache {args.cache_policy} ({args.cache_bytes} B)"
-        )
-    if args.bitrot_prob > 0.0:
-        variant += f", bit rot {args.bitrot_prob:g}"
     body = "\n".join(
         [
-            f"== Fleet run: {args.jobs} jobs x {args.intervals} "
-            f"intervals (seed {args.seed}{variant}) ==",
+            fleet_header(config),
             format_fleet_report(report),
             "",
             reduction.format(),
@@ -748,12 +550,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         f"{report.pool_wait_s:.3f} s blocked, "
         f"{report.pool_overlap_s:.3f} s overlapped"
     )
-    if args.priority_mix > 0.0 or args.storm is not None:
+    if config.priority_mix > 0.0 or config.storm_domain is not None:
         storm_body = "\n".join(
             [
-                f"== Fleet storm run: {args.jobs} jobs, priority mix "
-                f"{args.priority_mix:.2f}, storm "
-                f"{args.storm or 'none'} (seed {args.seed}) ==",
+                f"== Fleet storm run: {config.num_jobs} jobs, priority mix "
+                f"{config.priority_mix:.2f}, storm "
+                f"{config.storm_domain or 'none'} (seed {config.seed}) ==",
                 format_storm_report(report),
                 "",
             ]
@@ -806,24 +608,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if token.strip()
     ]
     base = FleetConfig(
-        num_jobs=args.jobs,
-        intervals_per_job=args.intervals,
-        seed=args.seed,
+        **settings(args, PLAN_SETTINGS),
         # The base only carries the cap for the sweep's static points.
-        max_concurrent_writes=args.max_concurrent_writes,
         admission_mode=(
             "none" if args.max_concurrent_writes is None else "static"
         ),
-        inject_failures=not args.no_failures,
-        priority_mix=args.priority_mix,
-        storm_domain=args.storm,
-        rack_size=args.rack_size,
     )
     points = len(quotas) * len(keep_lasts) * len(admissions)
     print(
         f"sweeping {points} points ({len(quotas)} quotas x "
         f"{len(keep_lasts)} retention depths x {len(admissions)} "
-        f"admission modes), {args.jobs} jobs each..."
+        f"admission modes), {base.num_jobs} jobs each..."
     )
     curve = run_plan(
         base,
@@ -852,7 +647,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import dataclasses
 
-    from ..serving import ServingConfig, format_serving_report, run_serving
+    from ..serving import format_serving_report, run_serving
 
     config = small_config(
         policy="consecutive",
@@ -867,23 +662,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             config.checkpoint, chunk_rows=args.chunk_rows
         ),
     )
-    serving = ServingConfig(
-        num_servers=args.servers,
-        cache_rows=args.cache_rows,
-        qps=args.qps,
-        num_queries=args.queries,
-        hot_rows_per_table=args.pin_rows,
-        warm_pins=not args.no_warm_pins,
-        verify=not args.no_verify,
-        seed=args.seed,
-        train_intervals=args.intervals,
-    )
+    serving = ServingConfig(**settings(args, SERVE_SETTINGS))
     report = run_serving(config, serving)
     body = "\n".join(
         [
-            f"== Serving run: {args.servers} servers x "
-            f"{args.cache_rows} cache rows, {args.qps:g} qps over "
-            f"{args.queries} queries (seed {args.seed}) ==",
+            f"== Serving run: {serving.num_servers} servers x "
+            f"{serving.cache_rows} cache rows, {serving.qps:g} qps over "
+            f"{serving.num_queries} queries (seed {serving.seed}) ==",
             format_serving_report(report),
         ]
     )

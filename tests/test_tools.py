@@ -224,6 +224,37 @@ class TestCli:
         )
         assert code == 1
 
+    def test_fleet_header_names_every_setting_off_its_default(
+        self, tmp_path
+    ):
+        """Two runs that differ must differ on line 1 of the artifact:
+        the header is the command that reproduces the run."""
+
+        def header(*flags: str) -> str:
+            out = tmp_path / str(len(flags))
+            argv = ["fleet", "--jobs", "4", "--intervals", "2"]
+            assert cli_main([*argv, *flags, "--out", str(out)]) == 0
+            text = (out / "fleet_cli_aggregate.txt").read_text()
+            return text.splitlines()[0]
+
+        flags = (
+            "--no-failures", "--quota-bytes", "9999999",
+            "--preempt-wait", "0", "--rack-size", "2",
+        )
+        default, tuned = header(), header(*flags)
+        assert default == "== Fleet run: 4 jobs x 2 intervals (seed 990951) =="
+        assert tuned != default
+        for flag in ("--no-failures", "--quota-bytes 9999999",
+                     "--preempt-wait 0.0", "--rack-size 2"):
+            assert flag in tuned
+
+    @pytest.mark.parametrize(
+        "argv", [["--qps", "0"], ["--queries", "-1"], ["--servers", "0"]]
+    )
+    def test_serve_rejects_out_of_range_input(self, argv, capsys):
+        assert cli_main(["serve", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCompactParams:
     def test_fp16_metadata_halves_param_bytes(self, trained_tensor):
