@@ -38,7 +38,7 @@ from .predictor import (
     make_predictor,
 )
 from .publisher import OnlinePublisher, PublishEvent, PublisherStats
-from .restore import CheckpointRestorer, ReadStep, RestoreReport
+from .restore import CheckpointRestorer, RestoreReport
 from .retention import RetentionManager, RetentionReport
 from .snapshot import ModelSnapshot, ShardSnapshot, SnapshotManager
 from .tracker import ModifiedRowTracker, TrackerSet
@@ -74,7 +74,6 @@ __all__ = [
     "PublisherStats",
     "PolicyState",
     "ReaderCoordinator",
-    "ReadStep",
     "RestoreReport",
     "RetentionManager",
     "RetentionReport",

@@ -62,7 +62,7 @@ class PendingCheckpoint(StagedHandle):
     Produced by :meth:`CheckNRun.begin_checkpoint`: the
     :class:`~repro.storage.engine.StagedHandle` over
     ``write_checkpoint_steps``, whose ``next_step`` is the upcoming
-    :class:`~repro.core.writer.WriteStep` and whose ``result`` is the
+    :class:`~repro.storage.engine.TransferStep` and whose ``result`` is the
     landed ``(manifest, report)``. The fleet scheduler interleaves
     ``advance`` calls from many jobs so their chunk transfers share the
     storage link fairly; the single-job :meth:`CheckNRun.checkpoint`
@@ -82,7 +82,7 @@ class PendingRestore(StagedHandle):
     Produced by :meth:`CheckNRun.begin_restore`: the
     :class:`~repro.storage.engine.StagedHandle` over
     ``restore_with_fallback_steps``, whose ``next_step`` is the
-    upcoming :class:`~repro.storage.engine.ReadStep` and whose
+    upcoming :class:`~repro.storage.engine.TransferStep` and whose
     ``result`` is the :class:`RestoreReport`. The fleet scheduler
     interleaves ``advance`` calls from every job recovering in the same
     restore storm, so the shared link drains the storm part by part in

@@ -94,7 +94,7 @@ class OnlinePublisher:
         """Generator: apply every newly publishable checkpoint.
 
         The staged form of :meth:`poll` — yields a
-        :class:`~repro.storage.engine.ReadStep` before every GET part of
+        :class:`~repro.storage.engine.TransferStep` before every GET part of
         the applies, so a driver co-simulating other link traffic can
         interleave publish reads at part granularity instead of letting
         one poll hold the link for a whole chain. Returns the list of

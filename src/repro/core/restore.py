@@ -8,7 +8,7 @@ overwrite earlier rows.
 
 Reads are *staged*, like the write side: the restore walks its chain
 as a generator (:meth:`CheckpointRestorer.restore_steps`) that
-announces a :class:`~repro.storage.engine.ReadStep` before every GET
+announces a :class:`~repro.storage.engine.TransferStep` before every GET
 part — against a backend with ranged GETs, one step per ranged *part* —
 and submits it when resumed. The single-caller
 :meth:`CheckpointRestorer.restore` drains the generator immediately
@@ -44,7 +44,7 @@ from ..quant.base import QuantizedTensor
 from ..quant.registry import dequantize_tensor
 from ..serialize.codec import decode_array, decode_payload
 from ..serialize.format import decode_frames
-from ..storage.engine import ReadStep, drain, read_steps
+from ..storage.engine import drain, read_steps
 from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_HEAD
 from .integrity import sha256_hex
@@ -443,7 +443,7 @@ class CheckpointRestorer:
     ):
         """Generator: restore ``target`` through staged, announced reads.
 
-        Yields a :class:`ReadStep` before every GET part of the chain
+        Yields a :class:`TransferStep` before every GET part of the chain
         (oldest link first, chunk by chunk, dense state last); resuming
         the generator submits the announced part. Returns the
         :class:`RestoreReport` via ``StopIteration.value``, with
@@ -626,7 +626,7 @@ class CheckpointRestorer:
         """Generator: apply one manifest through staged, announced reads.
 
         The staged mirror of :meth:`apply_single` — yields a
-        :class:`ReadStep` before every GET part so a driver can
+        :class:`TransferStep` before every GET part so a driver can
         interleave the apply with concurrent link traffic. Returns
         ``(bytes_read, completed_s)``.
         """

@@ -39,7 +39,7 @@ from ..quant.base import Quantizer
 from ..quant.uniform import AsymmetricQuantizer
 from ..serialize.codec import encode_array, encode_payload
 from ..serialize.format import encode_frames, encode_named_frame
-from ..storage.engine import drain, split_parts
+from ..storage.engine import TransferStep, drain, split_parts
 from ..storage.object_store import ObjectStore
 from .integrity import sha256_hex
 from .manifest import (
@@ -93,29 +93,6 @@ class WriteReport:
         encode/submit progress — the measured counterpart of the
         simulated pipelining."""
         return max(0.0, self.measured_quantize_s - self.measured_wait_s)
-
-
-@dataclass(frozen=True)
-class WriteStep:
-    """One pending store submission of a staged checkpoint write.
-
-    The staged writer (see :meth:`CheckpointWriter.write_checkpoint_steps`)
-    yields a ``WriteStep`` *before* each object PUT request. Against a
-    multipart backend one chunk yields one step per *part*
-    (``part_index`` of ``num_parts``); elsewhere a step is a whole
-    object. ``ready_s`` is the earliest simulated time the transfer
-    could start (a chunk's quantization-finish time on the CPU lane);
-    the fleet scheduler uses it to interleave submissions from
-    concurrent jobs in event order, which is what makes cross-job link
-    sharing fair at part granularity. Resuming the generator performs
-    the submission.
-    """
-
-    kind: str  # "chunk", "dense", or "manifest"
-    key: str
-    ready_s: float
-    part_index: int = 1
-    num_parts: int = 1
 
 
 def _encode_chunk_payloads(
@@ -176,7 +153,7 @@ class CheckpointWriter:
         ready_s: float,
         earliest: float | None,
         announce_bytes: int | None = None,
-    ) -> Generator[WriteStep, None, object]:
+    ) -> Generator[TransferStep, None, object]:
         """Stage one object PUT, yielding before every part request.
 
         The first yield announces the write; quota and capacity are
@@ -195,19 +172,19 @@ class CheckpointWriter:
         num_parts = len(
             split_parts(announce_bytes, self.store.backend.part_size_bytes)
         )
-        yield WriteStep(step_kind, key, ready_s, 1, num_parts)
+        yield TransferStep(key, ready_s, 1, num_parts, step_kind)
         if callable(payload):
             payload = payload()
         staged = self.store.stage_put(key, payload, earliest=earliest)
         try:
             receipt = staged.submit_next()
             while receipt is None:
-                yield WriteStep(
-                    step_kind,
+                yield TransferStep(
                     key,
                     staged.next_ready_s,
                     staged.next_part_number,
                     staged.num_parts,
+                    step_kind,
                 )
                 receipt = staged.submit_next()
             return receipt
@@ -266,7 +243,7 @@ class CheckpointWriter:
         quantize_optimizer_state: bool = True,
         adaptive_num_bins: int = 25,
         adaptive_ratio: float = 1.0,
-    ) -> Generator[WriteStep, None, tuple[CheckpointManifest, WriteReport]]:
+    ) -> Generator[TransferStep, None, tuple[CheckpointManifest, WriteReport]]:
         """Staged checkpoint write: yields before every PUT request.
 
         Quantization of the chunks after the head runs on the transfer

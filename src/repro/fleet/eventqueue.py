@@ -8,9 +8,11 @@ pops plus O(log n) re-keys for only the jobs an event actually touched.
 One lane per class of pending event:
 
 * ``write`` — jobs with a staged write whose next PUT part is
-  announced. The heap key is the part's static ``ready_s``; the link
-  floor (``timeline.free_at``) is applied *at pop time*. That is sound
-  because ``min_i max(ready_i, L) == max(min_i ready_i, L)`` — taking
+  announced, and guest reads (a serving plane's publish, flip and
+  lookup GETs) with their next part announced. The heap key is the
+  part's static ``ready_s``; the link floor (``timeline.free_at``) is
+  applied *at pop time*. That is sound because
+  ``min_i max(ready_i, L) == max(min_i ready_i, L)`` — taking
   the max with a common floor is monotone, so the raw-``ready_s``
   minimum is the floored minimum.
 * ``book`` — jobs whose staged write's generator is exhausted but
@@ -18,6 +20,8 @@ One lane per class of pending event:
   (un-floored: bookkeeping moves no bytes).
 * ``train`` — jobs with training (or a re-stage slot) due, keyed at
   the job clock.
+* ``timer`` — guest compute events (a serving plane's request
+  dispatch), keyed at their due time.
 
 Entries are *lazily invalidated*: re-keying a job pushes a new entry
 and leaves the stale one in the heap; pops discard entries whose key no
@@ -30,8 +34,9 @@ stays valid.
 Ties: candidates within :data:`TIME_EPS` (applied *relatively* — see
 :func:`tie_threshold`) of the best time form the tie set. For link
 operations the whole decision — tie set, background yield, arbiter —
-is :func:`pick_link_op`, shared by the fleet scheduler, its recovery
-drain and the serving loop; tied trains go to the lowest job id.
+is :func:`pick_link_op`, shared by the fleet scheduler's pick and its
+recovery drain; tied trains go to the lowest job id, tied timers to
+the lowest key at exactly the earliest time.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ def pick_link_op(ops, arbiter):
     item)``: the time the operation could start (callers floor a part's
     ``ready_s`` at the link's ``free_at``), the stream it is booked to,
     whether it is background prefetch, and the caller's handle for it.
-    The rule, stated once for every event loop:
+    The rule, stated once for every pick of the link:
 
     1. the earliest time wins;
     2. everything within :func:`tie_threshold` of it ties;
@@ -134,6 +139,11 @@ class LaneHeap:
             return floor
         return time_s
 
+    def first(self) -> str | None:
+        """The earliest valid entry's key (lowest key on equal times)."""
+        self._prune()
+        return self._heap[0][1] if self._heap else None
+
     def tied(
         self, threshold: float, floor: float | None = None
     ) -> list[str]:
@@ -164,14 +174,15 @@ class LaneHeap:
 
 
 class FleetEventQueue:
-    """The scheduler's three dispatch lanes as indexed heaps."""
+    """The scheduler's four dispatch lanes as indexed heaps."""
 
-    __slots__ = ("write", "book", "train")
+    __slots__ = ("write", "book", "train", "timer")
 
     def __init__(self) -> None:
         self.write = LaneHeap()
         self.book = LaneHeap()
         self.train = LaneHeap()
+        self.timer = LaneHeap()
 
     def clear_write_lanes(self, job_id: str) -> None:
         self.write.remove(job_id)

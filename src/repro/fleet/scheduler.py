@@ -8,8 +8,14 @@ order even though each job's Python code runs sequentially.
 
 Dispatch is indexed: an event heap
 (:class:`~repro.fleet.eventqueue.FleetEventQueue`) keyed per lane
-(staged write parts, write bookkeeping, training) pops the earliest
-event in O(log n) and re-keys only the jobs an event touched.
+(staged write parts, write bookkeeping, training, timers) pops the
+earliest event in O(log n) and re-keys only the jobs an event touched.
+
+It is the only event loop: a co-simulation that shares the link (the
+serving plane) runs its own work on it as *guests* —
+:meth:`FleetScheduler.add_read` for a staged read that competes for
+the link part by part, :meth:`FleetScheduler.add_timer` for a compute
+event at a set time.
 
 Checkpoint writes are *staged* (see
 :meth:`repro.core.controller.CheckNRun.begin_checkpoint`): a job's write
@@ -77,7 +83,7 @@ from ..failures.models import WeibullFailures
 from ..failures.traces import FailureTrace
 from ..replication import PeerReplicator, restore_from_peer
 from ..storage.bandwidth import TIER_EXPERIMENTAL, TIER_PROD, TIER_RANK
-from ..storage.engine import AdmissionController
+from ..storage.engine import AdmissionController, StagedHandle
 from ..storage.object_store import ObjectStore
 from .eventqueue import FleetEventQueue, pick_link_op
 from .jobs import FleetJob, RestoreSample
@@ -221,6 +227,13 @@ class FleetScheduler:
         #: their train-lane slot exists only while no prod write is
         #: active, so prod-activity flips re-key exactly this set.
         self._restage_waiting: set[str] = set()
+        #: ``(stream, background)`` of every ``write``-lane key: each
+        #: job is foreground on its own stream; guest reads bring theirs.
+        self._links = {job.job_id: (job.job_id, False) for job in jobs}
+        #: Guest reads ``key -> (handle, on_done)`` (:meth:`add_read`)
+        #: and timers ``key -> fire`` (:meth:`add_timer`).
+        self._reads: dict[str, tuple[StagedHandle, Callable]] = {}
+        self._timers: dict[object, Callable[[float], None]] = {}
         for job in self.jobs:
             self._sync_job(job)
 
@@ -354,7 +367,7 @@ class FleetScheduler:
 
     def run(self) -> None:
         """Process events until every job trained its target intervals
-        and drained its last write."""
+        and drained its last write, and every guest finished."""
         for _ in range(self.max_events):
             event = self.next_event()
             if event is None:
@@ -365,16 +378,53 @@ class FleetScheduler:
             f"(derived bound for {len(self.jobs)} jobs)"
         )
 
-    def next_event(self) -> tuple[float, str, FleetJob] | None:
-        """The fleet's earliest pending ``(time_s, kind, job)``.
+    def add_read(
+        self,
+        key: str,
+        handle: StagedHandle,
+        stream: str,
+        on_done: Callable[[StagedHandle], None],
+        background: bool = False,
+    ) -> None:
+        """Drive a guest's staged read on the shared link.
+
+        The read rides the ``write`` lane under ``key`` (which must not
+        be a job id): each event submits its announced part, which
+        competes with every checkpoint part at ``max(ready, link
+        free)`` under :func:`~repro.fleet.eventqueue.pick_link_op`,
+        booked to ``stream``. A ``background`` read (a flip's warm
+        read) yields to any foreground transfer it ties with.
+        ``on_done(handle)`` runs once the handle is done — at once if
+        it already is.
+        """
+        if handle.done:
+            on_done(handle)
+            return
+        self._links[key] = (stream, background)
+        self._reads[key] = (handle, on_done)
+        self._queue.write.set(key, handle.next_step.ready_s)
+
+    def add_timer(
+        self, key, time_s: float, fire: Callable[[float], None]
+    ) -> None:
+        """Run ``fire(time_s)`` as a guest compute event at ``time_s``.
+
+        A timer loses to a link operation at an equal time and to
+        training at exactly the same time; timers at exactly the same
+        time fire lowest ``key`` first.
+        """
+        self._timers[key] = fire
+        self._queue.timer.set(key, time_s)
+
+    def next_event(self) -> tuple[float, str, object] | None:
+        """The fleet's earliest pending ``(time_s, kind, actor)``.
 
         ``kind`` is ``"write"`` — a link operation on the job's stream
         (its announced PUT part, or the bookkeeping that closes the
-        write) — or ``"train"``, compute on the job's own clock. None
-        once every job is done and drained. An armed storm fires from
-        here, so a loop that merges this fleet's events with its own
-        (the serving plane) still sees it. Hand the event to
-        :meth:`step` before asking again.
+        write) — ``"train"``, compute on the job's own clock, or a
+        guest's ``"read"`` part or ``"timer"``. None once every job is
+        done and drained and no guest is left. An armed storm fires
+        from here. Hand the event to :meth:`step` before asking again.
         """
         self._maybe_fire_storm()
         while True:
@@ -389,9 +439,22 @@ class FleetScheduler:
             # fire it now rather than never.
             self._fire_storm()
 
-    def step(self, event: tuple[float, str, FleetJob]) -> None:
+    def step(self, event: tuple[float, str, object]) -> None:
         """Process one event :meth:`next_event` returned."""
-        _, kind, job = event
+        time_s, kind, job = event  # a guest event carries its key
+        if kind == "read":
+            handle, on_done = self._reads[job]
+            if handle.advance() is not None:
+                self._queue.write.set(job, handle.next_step.ready_s)
+            else:
+                self._queue.write.remove(job)
+                del self._reads[job], self._links[job]
+                on_done(handle)
+            return
+        if kind == "timer":
+            self._queue.timer.remove(job)
+            self._timers.pop(job)(time_s)
+            return
         if job.job_id in self._forced_crashes:
             self._forced_crashes.discard(job.job_id)
             self._recover([job], "failure")
@@ -401,7 +464,7 @@ class FleetScheduler:
             self._step_train(job)
         self._sync_job(job)
 
-    def _next_event(self) -> tuple[float, str, FleetJob] | None:
+    def _next_event(self) -> tuple[float, str, object] | None:
         """The globally earliest pending event, O(log n) per pick.
 
         A staged part cannot start before ``max(ready, link free)``;
@@ -413,28 +476,37 @@ class FleetScheduler:
         preserves the floored minimum). Writes beat training at equal
         times so a ready part claims its link slot before more training
         runs; tied writes go to the arbiter, tied trains to the lowest
-        job id.
+        job id. A guest read is a link operation like any write; a
+        guest timer runs after training at exactly the same time.
         """
         queue = self._queue
         link_free = self.store.timeline.free_at
         best_write = queue.best_write(link_free)
         best_train = queue.train.best()
-        if best_write is None and best_train is None:
-            return None
+        best_timer = queue.timer.best() if queue.timer else None
+        timer_first = best_timer is not None and (
+            best_train is None or best_timer < best_train
+        )
+        compute = best_timer if timer_first else best_train
         if best_write is not None and (
-            best_train is None or best_write <= best_train
+            compute is None or best_write <= compute
         ):
             # The index already found the tie set; the shared rule
-            # only has the arbiter left to consult.
+            # only has the background yield and the arbiter left.
             _, chosen = pick_link_op(
                 [
-                    (best_write, job_id, False, job_id)
-                    for job_id in queue.tied_writes(best_write, link_free)
+                    (best_write, *self._links[key], key)
+                    for key in queue.tied_writes(best_write, link_free)
                 ],
                 self.store.arbiter,
             )
+            if chosen in self._reads:
+                return (best_write, "read", chosen)
             return (best_write, "write", self._jobs_by_id[chosen])
-        assert best_train is not None
+        if timer_first:
+            return (best_timer, "timer", queue.timer.first())
+        if best_train is None:
+            return None
         tied = queue.train.tied(best_train)
         return (best_train, "train", self._jobs_by_id[min(tied)])
 

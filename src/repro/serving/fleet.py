@@ -10,10 +10,14 @@ the strict-priority ``serving`` tier, the training job in ``prod``).
 
 The training job *is* a fleet job: a one-job
 :class:`~repro.fleet.scheduler.FleetScheduler` owns its train steps,
-checkpoint triggers and staged writes, and this driver merges that
-scheduler's next event with its own (publish chain reads, flip
-warm-reads, lookup miss GETs, request dispatch). Every staged operation
-announces itself before submitting and the globally earliest
+checkpoint triggers and staged writes, and its loop is the only one.
+The serving side runs on it as guests: publish chain reads, flip
+warm-reads and lookup miss GETs are staged reads
+(:meth:`~repro.fleet.scheduler.FleetScheduler.add_read`) that compete
+for the link part by part with the checkpoint's PUT parts, and request
+dispatch is a timer
+(:meth:`~repro.fleet.scheduler.FleetScheduler.add_timer`). Every staged
+operation announces itself before submitting and the globally earliest
 announcement runs next; who gets the link on a tie is the fleet's own
 rule (:func:`~repro.fleet.eventqueue.pick_link_op`).
 That interleaving is exactly what lets the run demonstrate the two
@@ -29,15 +33,15 @@ makes the recently-modified set the hot set, applied end to end.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..config import ExperimentConfig, FleetConfig, check_fields, setting
 from ..distributed.clock import SimClock
-from ..errors import ServingError
 from ..experiments.common import Experiment, build_experiment
-from ..fleet.eventqueue import pick_link_op
 from ..fleet.jobs import FleetJobSpec, enrol_experiment
 from ..fleet.namespace import ScopedStore
 from ..fleet.scheduler import FleetEvent, FleetScheduler
@@ -48,15 +52,11 @@ from ..storage.bandwidth import (
     TIER_PROD,
     TIER_SERVING,
 )
-from ..storage.engine import StagedHandle
-from ..storage.factory import make_backend
+from ..storage.engine import StagedHandle, split_parts
 from ..storage.object_store import ObjectStore
 from .chunks import DecodedChunkCache
 from .publisher import ServingPublisher
 from .server import InferenceServer, LookupRequest, LookupResult
-
-#: Hard ceiling on driver iterations — a stuck loop raises, never spins.
-MAX_EVENTS = 2_000_000
 
 #: Stream id of the publisher's chain reads on the shared link.
 PUBLISH_STREAM = "publish"
@@ -207,13 +207,13 @@ class _ServerSlot:
     """Driver-side runtime state of one inference server."""
 
     server: InferenceServer
-    queue: list[tuple[float, tuple[tuple[int, int], ...]]] = field(
-        default_factory=list
+    #: Slot index: the dispatch timer's key (ties go lowest first).
+    index: int
+    #: Requests not yet dispatched: ``(arrival offset, rows)``.
+    queue: deque[tuple[float, tuple[tuple[int, int], ...]]] = field(
+        default_factory=deque
     )
-    next_query: int = 0
-    free_s: float = 0.0
     flip: StagedHandle | None = None
-    lookup: StagedHandle | None = None
 
 
 class ServingFleet:
@@ -232,16 +232,7 @@ class ServingFleet:
         arbiter = BandwidthArbiter()
         arbiter.register(PUBLISH_STREAM, tier=TIER_SERVING)
         self.store = ObjectStore(
-            exp_config.storage,
-            self.store_clock,
-            backend=(
-                backend
-                if backend is not None
-                else make_backend(
-                    exp_config.storage.backend, exp_config.storage
-                )
-            ),
-            arbiter=arbiter,
+            exp_config.storage, self.store_clock, backend, arbiter=arbiter
         )
         self.train_clock = SimClock()
         scoped = ScopedStore(self.store, self.TRAIN_JOB, self.train_clock)
@@ -253,7 +244,7 @@ class ServingFleet:
             clock=self.train_clock,
         )
         # The trainer runs as the single job of a fleet scheduler on
-        # the shared store; this driver only merges its events in.
+        # the shared store; the serving side runs on its loop as guests.
         fleet_config = FleetConfig(
             num_jobs=1,
             intervals_per_job=serving.train_intervals,
@@ -309,9 +300,11 @@ class ServingFleet:
                         lookup_overhead_s=serving.lookup_overhead_s,
                         warm_pins=serving.warm_pins,
                         decoded_chunks=self.decoded_chunks,
-                    )
+                    ),
+                    index=index,
                 )
             )
+        self.training.max_events += self._event_budget(exp_config)
         self._assign_queries()
         self.results: list[LookupResult] = []
         self.torn_lookups = 0
@@ -351,6 +344,26 @@ class ServingFleet:
             slot = self.slots[index % len(self.slots)]
             slot.queue.append((float(offsets[index]), rows))
 
+    def _event_budget(self, config: ExperimentConfig) -> int:
+        """The serving guests' share of the run's convergence bound.
+
+        A query is one dispatch plus, per table, at most one chunk
+        read; each of the ``train_intervals`` versions is read by the
+        publisher and warm-read by every server, at most a whole
+        checkpoint (its chunks, dense state and manifest) each. Every
+        chunk read is at most ``parts`` ranged GETs of its fp32
+        weights and optimizer state. Doubled for the requests a
+        corrupt chunk replays.
+        """
+        model, serving = config.model, self.serving
+        rows = config.checkpoint.chunk_rows
+        window = config.storage.backend.range_get_bytes
+        parts = len(split_parts(8 * model.embedding_dim * rows, window))
+        chunks = model.total_embedding_rows // rows + model.num_tables + 2
+        versions = serving.train_intervals * (1 + serving.num_servers)
+        reads = serving.num_queries * model.num_tables + versions * chunks
+        return 2 * (serving.num_queries + reads * parts)
+
     # ------------------------------------------------------------------
     # Training side (a one-job fleet; see ``self.training``)
     # ------------------------------------------------------------------
@@ -374,10 +387,6 @@ class ServingFleet:
         )
 
     def _on_training_event(self, event: FleetEvent) -> None:
-        if event.kind == "written":
-            self._on_written(event.payload["valid_at_s"])
-
-    def _on_written(self, valid_at_s: float) -> None:
         """A checkpoint landed: start (or queue) a staged publish.
 
         The poll runs at the moment the manifest became *valid* (its
@@ -390,13 +399,11 @@ class ServingFleet:
         publish reads actually completed. A checkpoint landing while a
         publish is already in flight queues one re-poll.
         """
+        if event.kind != "written":
+            return
+        poll_s = max(self.train_clock.now, event.payload["valid_at_s"])
         self.pub_clock.advance(
-            max(
-                0.0,
-                max(self.train_clock.now, valid_at_s)
-                - self.pub_clock.now,
-            ),
-            "publish-poll",
+            max(0.0, poll_s - self.pub_clock.now), "publish-poll"
         )
         if self._publish is not None:
             self._publish_again = True
@@ -404,11 +411,13 @@ class ServingFleet:
         self._start_publish()
 
     def _start_publish(self) -> None:
-        drive = StagedHandle(self.publisher.poll_steps())
-        if drive.done:
-            self._finish_publish(drive)
-        else:
-            self._publish = drive
+        self._publish = StagedHandle(self.publisher.poll_steps())
+        self.training.add_read(
+            PUBLISH_STREAM,
+            self._publish,
+            PUBLISH_STREAM,
+            self._finish_publish,
+        )
 
     def _finish_publish(self, drive: StagedHandle) -> None:
         self._publish = None
@@ -434,11 +443,14 @@ class ServingFleet:
             return
         if slot.server.version_index >= latest.version_index:
             return
-        drive = StagedHandle(slot.server.flip_steps(latest, notify_s))
-        if drive.done:
-            self._finish_flip(slot, drive)
-        else:
-            slot.flip = drive
+        slot.flip = StagedHandle(slot.server.flip_steps(latest, notify_s))
+        self.training.add_read(
+            f"{slot.server.stream}/flip",
+            slot.flip,
+            slot.server.stream,
+            partial(self._finish_flip, slot),
+            background=True,
+        )
 
     def _finish_flip(
         self, slot: _ServerSlot, drive: StagedHandle
@@ -450,33 +462,40 @@ class ServingFleet:
         ):
             # The whole fleet serves now; anchor the query arrivals.
             self._query_base = done_s
+            for each in self.slots:
+                self._arm_dispatch(each)
         # A newer version may have published while this flip warmed.
         self._maybe_flip(slot, done_s)
 
+    def _arm_dispatch(self, slot: _ServerSlot, free_s: float = 0.0) -> None:
+        """Time the slot's next request: its arrival, once it is free."""
+        if slot.queue:
+            arrival = self._query_base + slot.queue[0][0]
+            self.training.add_timer(
+                slot.index,
+                max(arrival, free_s),
+                partial(self._dispatch, slot),
+            )
+
     def _dispatch(self, slot: _ServerSlot, at_s: float) -> None:
-        arrival_offset, rows = slot.queue[slot.next_query]
-        slot.next_query += 1
-        assert self._query_base is not None
+        arrival_offset, rows = slot.queue.popleft()
         request = LookupRequest(
             request_id=self._request_counter,
             arrival_s=self._query_base + arrival_offset,
             rows=rows,
         )
         self._request_counter += 1
-        drive = StagedHandle(
-            slot.server.lookup_steps(request, start_s=at_s)
+        self.training.add_read(
+            f"{slot.server.stream}/lookup",
+            StagedHandle(slot.server.lookup_steps(request, start_s=at_s)),
+            slot.server.stream,
+            partial(self._finish_lookup, slot),
         )
-        if drive.done:
-            self._finish_lookup(slot, drive)
-        else:
-            slot.lookup = drive
 
     def _finish_lookup(
         self, slot: _ServerSlot, drive: StagedHandle
     ) -> None:
-        slot.lookup = None
         result: LookupResult = drive.result
-        slot.free_s = result.completed_s
         self.results.append(result)
         latest = self.publisher.latest_version
         if (
@@ -490,96 +509,11 @@ class ServingFleet:
                 if not np.array_equal(value, golden[table_id][row]):
                     self.torn_lookups += 1
                     break
-
-    # ------------------------------------------------------------------
-    # Event loop
-    # ------------------------------------------------------------------
-
-    def _next_event(self):
-        """The globally earliest pending ``(time_s, kind, payload)``.
-
-        Link operations (the trainer's write parts, publish/flip/lookup
-        read parts) compete at ``max(ready, link free)`` under the
-        fleet's link rule — serving tier outranks prod, SFQ within the
-        tier, flip warm-reads are background prefetch. Non-link events
-        (training compute, request dispatch) run at their own clocks
-        and lose ties to link operations, so a ready transfer claims
-        its slot first.
-        """
-        link_free = self.store.timeline.free_at
-        link_ops: list[tuple[float, str, bool, tuple]] = []
-        other: list[tuple[float, str, object]] = []
-        training = self.training.next_event()
-        if training is not None and training[1] == "write":
-            link_ops.append(
-                (training[0], self.TRAIN_JOB, False, ("training", training))
-            )
-        elif training is not None:
-            other.append((training[0], "training", training))
-        # Within a server's stream, its flip is listed before its lookup.
-        reads = [("publish", PUBLISH_STREAM, None, self._publish)]
-        for slot in self.slots:
-            reads.append(("flip", slot.server.stream, slot, slot.flip))
-            reads.append(("lookup", slot.server.stream, slot, slot.lookup))
-        for kind, stream, slot, drive in reads:
-            if drive is not None and drive.next_step is not None:
-                link_ops.append(
-                    (
-                        max(drive.next_step.ready_s, link_free),
-                        stream,
-                        kind == "flip",
-                        (kind, (slot, drive)),
-                    )
-                )
-        for slot in self.slots:
-            if (
-                self._query_base is not None
-                and slot.lookup is None
-                and slot.next_query < len(slot.queue)
-            ):
-                arrival = (
-                    self._query_base + slot.queue[slot.next_query][0]
-                )
-                other.append(
-                    (max(arrival, slot.free_s), "dispatch", slot)
-                )
-        best_link = min((op[0] for op in link_ops), default=None)
-        best_other = min(other, key=lambda e: e[0], default=None)
-        if best_link is not None and (
-            best_other is None or best_link <= best_other[0]
-        ):
-            _, (kind, payload) = pick_link_op(
-                link_ops, self.store.arbiter
-            )
-            return best_link, kind, payload
-        return best_other
+        self._arm_dispatch(slot, result.completed_s)
 
     def run(self) -> ServingReport:
         started = self.train_clock.now
-        for _ in range(MAX_EVENTS):
-            event = self._next_event()
-            if event is None:
-                break
-            _, kind, payload = event
-            if kind == "training":
-                self.training.step(payload)
-            elif kind == "dispatch":
-                self._dispatch(payload, event[0])
-            else:
-                slot, drive = payload
-                drive.advance()
-                if drive.done:
-                    if kind == "publish":
-                        self._finish_publish(drive)
-                    elif kind == "flip":
-                        self._finish_flip(slot, drive)
-                    else:
-                        self._finish_lookup(slot, drive)
-        else:
-            raise ServingError(
-                f"serving co-simulation did not converge within "
-                f"{MAX_EVENTS} events"
-            )
+        self.training.run()
         return self._report(started)
 
     # ------------------------------------------------------------------

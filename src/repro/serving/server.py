@@ -6,7 +6,7 @@ from the version's checkpoint chunks through the shared object store
 (its GETs ride the same bandwidth arbiter as training-side checkpoint
 writes). Both the version flip and the lookup are *staged generators*
 in the style of the core writer/restorer: they yield a
-:class:`~repro.storage.engine.ReadStep` before every GET part and resume
+:class:`~repro.storage.engine.TransferStep` before every GET part and resume
 to submit it, so the serving fleet driver can interleave many servers'
 reads with training traffic on one simulated clock.
 

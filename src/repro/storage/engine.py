@@ -615,37 +615,16 @@ def drain(staged: Iterator) -> object:
             return stop.value
 
 
-@dataclass(frozen=True)
-class ReadStep:
-    """One pending GET submission of a staged read.
-
-    Staged readers (:func:`read_steps`, and through it
-    ``CheckpointRestorer.restore_steps`` and the inference server's
-    lookup and flip) yield a ``ReadStep`` *before* each GET request.
-    Against a backend with ranged GETs one object yields one step per
-    ranged *part* (``part_index`` of ``num_parts``); elsewhere a step
-    is a whole object. ``ready_s`` is the earliest simulated time the
-    read could start; event loops use it to interleave the read parts
-    of every reader sharing the link. Resuming the generator performs
-    the submission — the read-side counterpart of
-    :class:`~repro.core.writer.WriteStep`.
-    """
-
-    key: str
-    ready_s: float
-    part_index: int = 1
-    num_parts: int = 1
-
-
 def read_steps(staged: StagedGet):
     """Generator: announce each part of ``staged``, then submit it.
 
-    Yields a :class:`ReadStep` *before* every part request — resuming
-    performs the submission — and returns ``(bytes, completed_s)``
-    where ``completed_s`` is the read's receipt completion time.
+    Yields a :class:`TransferStep` *before* every part request —
+    resuming performs the submission — and returns
+    ``(bytes, completed_s)`` where ``completed_s`` is the read's
+    receipt completion time.
     """
     while not staged.done:
-        yield ReadStep(
+        yield TransferStep(
             key=staged.key,
             ready_s=staged.next_ready_s,
             part_index=staged.next_part_number,
@@ -653,6 +632,31 @@ def read_steps(staged: StagedGet):
         )
         staged.submit_next()
     return staged.data(), staged.receipt.completed_s
+
+
+@dataclass(frozen=True)
+class TransferStep:
+    """One pending request of a staged transfer, announced before it.
+
+    Staged writers (``CheckpointWriter.write_checkpoint_steps``) and
+    readers (:func:`read_steps`, and through it
+    ``CheckpointRestorer.restore_steps``, the publisher's poll and the
+    inference server's lookup and flip) yield a ``TransferStep``
+    *before* each PUT or GET request; resuming the generator performs
+    it. Against a multipart / ranged-GET backend one object yields one
+    step per *part* (``part_index`` of ``num_parts``); elsewhere a step
+    is a whole object. ``ready_s`` is the earliest simulated time the
+    request could start (for a chunk PUT, its quantization-finish time
+    on the CPU lane); event loops use it to interleave the parts of
+    every transfer sharing the link. ``kind`` is ``"chunk"``,
+    ``"dense"`` or ``"manifest"`` for a write, ``"read"`` for a read.
+    """
+
+    key: str
+    ready_s: float
+    part_index: int = 1
+    num_parts: int = 1
+    kind: str = "read"
 
 
 @dataclass

@@ -145,7 +145,7 @@ class TestPartGranularInterleaving:
 class TestWriterEmitsPartSteps:
     def test_staged_write_announces_individual_parts(self):
         """A single job's staged write on a multipart backend yields
-        one WriteStep per part, with coherent part numbering."""
+        one TransferStep per part, with coherent part numbering."""
         from repro.experiments import build_experiment, small_config
         from repro.storage import make_backend
 

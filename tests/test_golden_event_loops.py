@@ -156,6 +156,26 @@ SERVING_CASES = {
         _serving(),
     ),
     "cache-rows-16": (_serving_experiment(), _serving(cache_rows=16)),
+    # Twelve slots: dispatch ties go by slot index, and "serve10" sorts
+    # before "serve2" as a string.
+    "servers-12-qps-64": (
+        _serving_experiment(),
+        _serving(num_servers=12, qps=64.0),
+    ),
+    "one-server-no-warm-pins": (
+        _serving_experiment(),
+        _serving(num_servers=1, warm_pins=False),
+    ),
+    "s3like-ranged-servers-4-qps-400": (
+        _serving_experiment(
+            _s3like(part_size_bytes=16 * KiB, range_get_bytes=4 * KiB)
+        ),
+        _serving(num_servers=4, qps=400.0),
+    ),
+    "no-queries-unverified": (
+        _serving_experiment(),
+        _serving(num_queries=0, verify=False),
+    ),
 }
 
 

@@ -10,12 +10,12 @@ from repro.core.restore import (
     ORDER_HOT_FIRST,
     ORDER_MANIFEST,
     CheckpointRestorer,
-    ReadStep,
 )
 from repro.errors import CheckpointError, ServingError
 from repro.experiments import build_experiment, small_config
 from repro.model.dlrm import DLRM
 from repro.serving import RowCache, RowCacheStats, ServingPublisher
+from repro.storage.engine import TransferStep
 
 import backend_ops as ops
 
@@ -304,7 +304,7 @@ class TestHotFirstRestore:
         return restorer, manifests, target
 
     def _steps_and_report(self, restorer, model, target, manifests, **kw):
-        steps: list[ReadStep] = []
+        steps: list[TransferStep] = []
         gen = restorer.restore_steps(model, target, manifests, **kw)
         try:
             while True:
