@@ -7,8 +7,6 @@ from .bitwidth import (
     select_bit_width,
 )
 from .controller import (
-    OVERLAP_CANCEL_PREVIOUS,
-    OVERLAP_SKIP_NEW,
     CheckNRun,
     CheckpointEvent,
     ControllerStats,
@@ -48,8 +46,6 @@ __all__ = [
     "FALLBACK_BIT_WIDTH",
     "KIND_FULL",
     "KIND_INCREMENTAL",
-    "OVERLAP_CANCEL_PREVIOUS",
-    "OVERLAP_SKIP_NEW",
     "BitWidthController",
     "CheckNRun",
     "CheckpointEvent",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from ..config import CheckpointConfig
 from ..data.reader import ReaderMaster
+from ..data.state import ReaderState
 from ..distributed.clock import SimClock
 from ..distributed.trainer import IntervalReport, SimTrainer
 from ..errors import CheckpointError, CheckpointNotFoundError
@@ -31,7 +32,7 @@ from ..storage.engine import StagedHandle, drain
 from ..storage.object_store import ObjectStore
 from .bitwidth import BitWidthController
 from .coordination import ReaderCoordinator
-from .manifest import KIND_FULL, CheckpointManifest
+from .manifest import KIND_FULL, CheckpointManifest, checkpoint_prefix
 from .policies import PolicyState, make_policy
 from .restore import CheckpointRestorer, RestoreReport
 from .retention import RetentionManager
@@ -39,18 +40,13 @@ from .snapshot import ModelSnapshot, SnapshotManager
 from .tracker import TrackerSet
 from .writer import CheckpointWriter, WriteReport
 
-#: What to do when a checkpoint triggers while the previous one is
-#: still being written (the paper forbids overlap, section 4.3).
-OVERLAP_SKIP_NEW = "skip_new"
-OVERLAP_CANCEL_PREVIOUS = "cancel_previous"
-
 
 @dataclass
 class CheckpointEvent:
     """One controller-level checkpoint outcome (for experiment logs)."""
 
     interval_index: int
-    action: str  # "written", "skipped_overlap", "cancelled_previous"
+    action: str  # "written", or the action passed to record_skip
     manifest: CheckpointManifest | None = None
     report: WriteReport | None = None
 
@@ -117,7 +113,6 @@ class ControllerStats:
 
     checkpoints_written: int = 0
     checkpoints_skipped: int = 0
-    checkpoints_cancelled: int = 0
     restores: int = 0
     bytes_written_logical: int = 0
     bytes_written_physical: int = 0
@@ -140,20 +135,14 @@ class CheckNRun:
         config: CheckpointConfig,
         clock: SimClock,
         job_id: str = "job0",
-        overlap_action: str = OVERLAP_SKIP_NEW,
         latency_model: LatencyModel | None = None,
     ) -> None:
-        if overlap_action not in (OVERLAP_SKIP_NEW, OVERLAP_CANCEL_PREVIOUS):
-            raise CheckpointError(
-                f"unknown overlap action {overlap_action!r}"
-            )
         self.trainer = trainer
         self.reader = reader
         self.store = store
         self.config = config
         self.clock = clock
         self.job_id = job_id
-        self.overlap_action = overlap_action
 
         self.policy = make_policy(config.policy)
         self.tracker_set = TrackerSet(
@@ -264,42 +253,33 @@ class CheckNRun:
     # Checkpoint trigger
     # ------------------------------------------------------------------
 
-    def _handle_overlap(self) -> str | None:
-        """Enforce the no-overlap rule; returns an event action or None."""
+    def _write_in_flight(self) -> bool:
+        """Whether the newest write's last byte has yet to land.
+
+        The paper forbids overlapping checkpoint writes (section 4.3):
+        a trigger that finds one in flight is skipped. A landed write
+        is forgotten here.
+        """
         if self._pending is None:
-            return None
-        manifest, _ = self._pending
-        if manifest.valid_at_s <= self.clock.now:
-            self._pending = None  # previous write completed in time
-            return None
-        if self.overlap_action == OVERLAP_SKIP_NEW:
-            return "skipped_overlap"
-        # cancel_previous: the unfinished checkpoint never became valid;
-        # delete its objects and free the storage link.
-        self.discard_unlanded_write()
-        self.store.timeline.release()
-        self.stats.checkpoints_cancelled += 1
-        return "cancelled_previous"
+            return False
+        if self._pending[0].valid_at_s <= self.clock.now:
+            self._pending = None
+            return False
+        return True
 
     def discard_unlanded_write(self) -> str | None:
         """Drop the newest write if its last byte has not landed yet.
 
-        Used when the write can no longer complete: cancellation, or a
-        crash — a process death kills the background write pipeline,
-        so a checkpoint whose manifest transfer was still in flight at
-        the crash never becomes valid (section 4.4). Deletes the
-        checkpoint's objects, rolls back the baseline/increment
+        Used on a crash: a process death kills the background write
+        pipeline, so a checkpoint whose manifest transfer was still in
+        flight at the crash never becomes valid (section 4.4). Deletes
+        the checkpoint's objects, rolls back the baseline/increment
         bookkeeping, and returns the discarded id (None if the newest
         write had already landed).
         """
-        if self._pending is None:
+        if not self._write_in_flight():
             return None
         manifest, _ = self._pending
-        if manifest.valid_at_s <= self.clock.now:
-            self._pending = None
-            return None
-        from .manifest import checkpoint_prefix
-
         self.store.delete_prefix(
             checkpoint_prefix(self.job_id, manifest.checkpoint_id)
         )
@@ -319,15 +299,20 @@ class CheckNRun:
         return manifest.checkpoint_id
 
     def reset_for_scratch_restart(self) -> list[str]:
-        """Forget all checkpoint state after a from-scratch recovery.
+        """Restart the job from scratch: no checkpoint is restorable.
 
-        A job restarting with no restorable checkpoint must not keep
-        baselines, increment-size history, or manifest records from its
-        previous life — a later incremental decision would otherwise
-        base on pre-restart weights and restore silently wrong state.
-        Returns the forgotten checkpoint ids so the caller can scrub
-        their stored objects.
+        Reinitialises the model, rewinds the reader to the start of the
+        dataset, and forgets all checkpoint state. A job restarting from
+        scratch must not keep baselines, increment-size history, or
+        manifest records from its previous life — a later incremental
+        decision would otherwise base on pre-restart weights and restore
+        silently wrong state — so the forgotten checkpoints' stored
+        objects are deleted too. Returns the forgotten checkpoint ids.
         """
+        self.trainer.model.reinitialize()
+        self.reader.restore(
+            ReaderState(next_batch_index=0, in_flight=0, batches_delivered=0)
+        )
         forgotten = list(self.manifests)
         self.manifests.clear()
         self._current_base_id = None
@@ -336,6 +321,10 @@ class CheckNRun:
         self._pending = None
         self.interval_index = 0
         self.tracker_set.reset_all()
+        for checkpoint_id in forgotten:
+            self.store.delete_prefix(
+                checkpoint_prefix(self.job_id, checkpoint_id)
+            )
         return forgotten
 
     def checkpoint(self) -> CheckpointEvent:
@@ -392,8 +381,7 @@ class CheckNRun:
             if restage
             else self.interval_index
         )
-        overlap = self._handle_overlap()
-        if overlap == "skipped_overlap":
+        if self._write_in_flight():
             return self.record_skip(
                 "skipped_overlap", interval=interval, advance=not restage
             )

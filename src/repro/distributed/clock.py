@@ -134,15 +134,6 @@ class Timeline:
         self._log.append(span)
         return span
 
-    def release(self) -> None:
-        """Free the lane immediately (cancelling queued occupancy).
-
-        Used when an in-flight checkpoint write is cancelled: the link
-        time already spent is sunk, but no further occupancy blocks the
-        next checkpoint.
-        """
-        self._free_at = min(self._free_at, self._clock.now)
-
     def log(self) -> list[TimeSpan]:
         """All spans processed by this lane, in submission order."""
         return list(self._log)

@@ -133,7 +133,6 @@ def paper_scale_config(
 def build_experiment(
     config: ExperimentConfig,
     job_id: str = "job0",
-    overlap_action: str = "skip_new",
     backend: Backend | None = None,
     store: ObjectStore | None = None,
     clock: SimClock | None = None,
@@ -165,7 +164,6 @@ def build_experiment(
         config.checkpoint,
         clock,
         job_id=job_id,
-        overlap_action=overlap_action,
     )
     return Experiment(
         config=config,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.controller import CheckNRun
-from ..data.state import ReaderState
 from ..errors import CheckpointNotFoundError, SimulationError
 from .models import FailureModel
 
@@ -70,22 +69,21 @@ class FailureInjector:
         self.max_failures = max_failures
 
     def _crash_and_recover(self) -> FailureEvent:
-        """Simulate a crash: live state is lost; recover or restart."""
+        """Simulate a crash: live state is lost; recover or restart.
+
+        The crash kills the background write pipeline, so a write still
+        in flight never becomes valid (section 4.4): it is discarded
+        before recovery picks a checkpoint.
+        """
         controller = self.controller
         before = controller.trainer.model.batches_trained
+        controller.discard_unlanded_write()
         try:
             report = controller.restore_latest()
             restored_from = report.checkpoint_id
             after = controller.trainer.model.batches_trained
         except CheckpointNotFoundError:
-            controller.trainer.model.reinitialize()
-            controller.reader.restore(
-                ReaderState(
-                    next_batch_index=0, in_flight=0, batches_delivered=0
-                )
-            )
-            controller.tracker_set.reset_all()
-            controller.interval_index = 0
+            controller.reset_for_scratch_restart()
             restored_from = None
             after = 0
         return FailureEvent(

@@ -380,7 +380,6 @@ def build_fleet_job(
     exp = build_experiment(
         spec_experiment_config(spec, fleet),
         job_id=spec.job_id,
-        overlap_action="skip_new",
         # duck-typed ObjectStore scoped to the namespace
         store=ScopedStore(shared_store, spec.job_id, clock),
         clock=clock,

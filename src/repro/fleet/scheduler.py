@@ -71,7 +71,6 @@ import numpy as np
 from ..config import FleetConfig
 from ..core.controller import CheckpointEvent
 from ..core.manifest import checkpoint_prefix
-from ..data.state import ReaderState
 from ..errors import (
     CapacityExceededError,
     CheckpointNotFoundError,
@@ -836,7 +835,6 @@ class FleetScheduler:
             )
             return
         decision = self.admission.decide(
-            stream=job.job_id,
             tier=job.tier,
             now=job.clock.now,
             interval_s=interval_s,
@@ -1058,7 +1056,6 @@ class FleetScheduler:
         if not job.controller.valid_manifests():
             return None
         decision = self.admission.decide_get(
-            stream=job.job_id,
             tier=job.tier,
             now=job.clock.now,
             interval_s=job.measured_interval_s,
@@ -1127,14 +1124,7 @@ class FleetScheduler:
                 )
             )
         else:
-            job.model.reinitialize()
-            job.reader.restore(
-                ReaderState(
-                    next_batch_index=0, in_flight=0, batches_delivered=0
-                )
-            )
-            for stale_id in job.controller.reset_for_scratch_restart():
-                self._scrub_torn(job, stale_id)
+            job.controller.reset_for_scratch_restart()
             job.scratch_restarts += 1
             after = 0
         job.batches_left = job.spec.interval_batches

@@ -239,7 +239,6 @@ class ServingFleet:
         self.exp: Experiment = build_experiment(
             exp_config,
             job_id=self.TRAIN_JOB,
-            overlap_action="skip_new",
             store=scoped,
             clock=self.train_clock,
         )

@@ -885,7 +885,7 @@ class AdmissionDecision:
     """Outcome of one checkpoint-trigger admission check."""
 
     admitted: bool
-    reason: str  # "admitted", "static_cap", or "backlog"
+    reason: str  # "admitted", "static_cap", "backlog", "read_backlog"
     projected_delay_s: float
     threshold_s: float | None = None
 
@@ -952,41 +952,10 @@ class AdmissionController:
         self.max_concurrent = max_concurrent
         self.backlog_factor = backlog_factor
         self.read_backlog_factor = read_backlog_factor
-        self.admitted = 0
-        self.deferrals_by_stream: dict[str, int] = {}
-        self.deferrals_by_tier: dict[str, int] = {}
-        self.read_admitted = 0
-        self.read_deferrals_by_stream: dict[str, int] = {}
-        self.read_deferrals_by_tier: dict[str, int] = {}
-
-    @property
-    def total_deferrals(self) -> int:
-        return sum(self.deferrals_by_stream.values())
-
-    @property
-    def total_read_deferrals(self) -> int:
-        return sum(self.read_deferrals_by_stream.values())
-
-    def _defer(
-        self,
-        stream: str,
-        tier: str,
-        reason: str,
-        projected: float,
-        threshold: float | None,
-    ) -> AdmissionDecision:
-        self.deferrals_by_stream[stream] = (
-            self.deferrals_by_stream.get(stream, 0) + 1
-        )
-        self.deferrals_by_tier[tier] = (
-            self.deferrals_by_tier.get(tier, 0) + 1
-        )
-        return AdmissionDecision(False, reason, projected, threshold)
 
     def decide(
         self,
         *,
-        stream: str,
         tier: str,
         now: float,
         interval_s: float | None = None,
@@ -996,29 +965,26 @@ class AdmissionController:
 
         ``interval_s`` is the job's measured checkpoint interval (None
         on its first trigger, which is always admitted in dynamic
-        mode); ``active_writes`` feeds the static cap.
+        mode); ``active_writes`` feeds the static cap. The caller
+        counts deferrals (``FleetJob.admission_deferred``).
         """
         projected = self.engine.projected_queue_delay_s(now)
         if self.mode == "static":
             assert self.max_concurrent is not None
             if active_writes >= self.max_concurrent:
-                return self._defer(
-                    stream, tier, "static_cap", projected, None
-                )
+                return AdmissionDecision(False, "static_cap", projected)
         elif self.mode == "dynamic":
             if tier != TIER_PROD and interval_s is not None:
                 threshold = self.backlog_factor * interval_s
                 if projected > threshold:
-                    return self._defer(
-                        stream, tier, "backlog", projected, threshold
+                    return AdmissionDecision(
+                        False, "backlog", projected, threshold
                     )
-        self.admitted += 1
         return AdmissionDecision(True, "admitted", projected)
 
     def decide_get(
         self,
         *,
-        stream: str,
         tier: str,
         now: float,
         interval_s: float | None = None,
@@ -1039,14 +1005,7 @@ class AdmissionController:
         ):
             threshold = self.read_backlog_factor * interval_s
             if projected > threshold:
-                self.read_deferrals_by_stream[stream] = (
-                    self.read_deferrals_by_stream.get(stream, 0) + 1
-                )
-                self.read_deferrals_by_tier[tier] = (
-                    self.read_deferrals_by_tier.get(tier, 0) + 1
-                )
                 return AdmissionDecision(
                     False, "read_backlog", projected, threshold
                 )
-        self.read_admitted += 1
         return AdmissionDecision(True, "admitted", projected)

@@ -1,26 +1,21 @@
-"""Operational tooling: CLI, checkpoint inspection, scrubbing, docs.
+"""Operational tooling: CLI, checkpoint inspection, docs.
 
 The ``repro`` CLI (:mod:`.cli`) runs jobs and fleets and inspects
-stores; :mod:`.docscheck` is the markdown link checker CI runs over
+stores (``repro scan --no-quarantine`` is the read-only integrity
+check); :mod:`.docscheck` is the markdown link checker CI runs over
 ``README.md`` and ``docs/*.md``.
 """
 
 from .inspect import (
     CheckpointSummary,
-    ScrubReport,
     format_summaries,
     list_jobs,
-    scrub_checkpoint,
-    scrub_job,
     summarize_job,
 )
 
 __all__ = [
     "CheckpointSummary",
-    "ScrubReport",
     "format_summaries",
     "list_jobs",
-    "scrub_checkpoint",
-    "scrub_job",
     "summarize_job",
 ]

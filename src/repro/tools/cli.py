@@ -1,11 +1,11 @@
-"""Command-line interface: run jobs, fleets; inspect and scrub checkpoints.
+"""Command-line interface: run jobs, fleets; inspect and scan checkpoints.
 
 Usage (after ``pip install -e .``)::
 
     python -m repro.tools run --store-dir /tmp/ckpts --intervals 4
     python -m repro.tools inspect --store-dir /tmp/ckpts --job job0
-    python -m repro.tools scrub --store-dir /tmp/ckpts --job job0
     python -m repro.tools scan --store-dir /tmp/ckpts --job job0
+    python -m repro.tools scan --store-dir /tmp/ckpts --no-quarantine
     python -m repro.tools restore --store-dir /tmp/ckpts --job job0
     python -m repro.tools fleet --jobs 8 --intervals 4
     python -m repro.tools plan --jobs 8 --quotas none,262144
@@ -15,6 +15,8 @@ Usage (after ``pip install -e .``)::
 directory-backed object store, so a later ``restore`` in a *different
 process* rebuilds the model and resumes — the same crash-restart flow
 the in-memory examples demonstrate, but across real process boundaries.
+``scan --no-quarantine`` is the read-only integrity check: it reports
+corrupt, missing, truncated and torn objects and modifies nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ..serving import ServingConfig
 from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_GET
 from . import metrics
-from .inspect import format_summaries, scrub_job, summarize_job
+from .inspect import format_summaries, summarize_job
 
 JOB_CONFIG_KEY = "{job}/job_config.json"
 
@@ -137,28 +139,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scrub(args: argparse.Namespace) -> int:
-    store = _open_store(args.store_dir, SimClock())
-    report = scrub_job(store, args.job)
-    print(
-        f"checked {report.objects_checked} objects, "
-        f"{report.bytes_checked / 1024:.0f} KiB"
-    )
-    if report.clean:
-        print("all chunks verified clean")
-        return 0
-    for key in report.corrupt_keys:
-        print(f"CORRUPT: {key}")
-    return 1
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
     """End-to-end integrity scan: digests, truncation, torn writes.
 
-    Unlike ``scrub`` (chunk CRCs only), ``scan`` verifies every stored
-    object against the manifest's sha256 digests and expected sizes,
-    detects torn checkpoints (objects without a manifest), and
-    quarantines corrupt checkpoints so restore planning skips them.
+    Verifies every stored object against the manifest's sha256 digests
+    and expected sizes (CRC framing for pre-digest manifests), detects
+    torn checkpoints (objects without a manifest), and quarantines
+    corrupt checkpoints so restore planning skips them — unless
+    ``--no-quarantine``, which leaves the store untouched.
     """
     store = _open_store(args.store_dir, SimClock())
     report = scan_job(
@@ -324,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     _store_command(sub, "inspect", cmd_inspect, "list a job's checkpoints")
-    _store_command(sub, "scrub", cmd_scrub, "verify stored chunk CRCs")
     scan = _store_command(
         sub, "scan", cmd_scan,
         "verify digests end-to-end; quarantine corrupt checkpoints",

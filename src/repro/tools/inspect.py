@@ -1,21 +1,17 @@
-"""Checkpoint inspection and scrubbing over an object store.
+"""Checkpoint inspection over an object store.
 
 Operational tooling a production checkpointing deployment needs:
-listing a job's checkpoints with their lineage, verifying every stored
-chunk's CRC framing (a *scrub*, catching bit rot before a restore
-does), and summarising storage usage per checkpoint.
+listing a job's checkpoints with their lineage and summarising storage
+usage per checkpoint. Verifying the stored bytes is
+:func:`repro.core.integrity.scan_job` (``repro scan``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..core.manifest import CheckpointManifest
 from ..core.restore import CheckpointRestorer
-from ..errors import ObjectNotFoundError, SerializationError
-from ..serialize.format import decode_frames
 from ..storage.object_store import ObjectStore
-from ..storage.requests import OP_GET
 
 
 @dataclass(frozen=True)
@@ -31,19 +27,6 @@ class CheckpointSummary:
     logical_bytes: int
     rows_stored: int
     valid_at_s: float
-
-
-@dataclass
-class ScrubReport:
-    """Outcome of verifying a job's stored chunks."""
-
-    objects_checked: int = 0
-    bytes_checked: int = 0
-    corrupt_keys: list[str] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.corrupt_keys
 
 
 def list_jobs(store: ObjectStore) -> list[str]:
@@ -73,45 +56,6 @@ def summarize_job(
             manifests.values(), key=lambda m: m.interval_index
         )
     ]
-
-
-def scrub_checkpoint(
-    store: ObjectStore, manifest: CheckpointManifest
-) -> ScrubReport:
-    """CRC-verify every chunk and the dense blob of one checkpoint.
-
-    A missing object is as corrupt as an undecodable one: it is
-    recorded and the scrub goes on to the next key.
-    """
-    report = ScrubReport()
-    keys = [
-        chunk.key
-        for shard in manifest.shards
-        for chunk in shard.chunks
-    ]
-    if manifest.dense_key:
-        keys.append(manifest.dense_key)
-    for key in keys:
-        report.objects_checked += 1
-        try:
-            blob = store.engine.retry_probe(OP_GET, key)
-            report.bytes_checked += len(blob)
-            decode_frames(blob)
-        except (ObjectNotFoundError, SerializationError):
-            report.corrupt_keys.append(key)
-    return report
-
-
-def scrub_job(store: ObjectStore, job_id: str) -> ScrubReport:
-    """Scrub every checkpoint of a job; aggregates one report."""
-    total = ScrubReport()
-    restorer = CheckpointRestorer(store, store.clock)
-    for manifest in restorer.list_manifests(job_id).values():
-        partial = scrub_checkpoint(store, manifest)
-        total.objects_checked += partial.objects_checked
-        total.bytes_checked += partial.bytes_checked
-        total.corrupt_keys.extend(partial.corrupt_keys)
-    return total
 
 
 def format_summaries(summaries: list[CheckpointSummary]) -> str:

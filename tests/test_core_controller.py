@@ -6,11 +6,6 @@ import numpy as np
 import pytest
 
 from repro.config import CheckpointConfig, StorageConfig
-from repro.core.controller import (
-    OVERLAP_CANCEL_PREVIOUS,
-    OVERLAP_SKIP_NEW,
-    CheckNRun,
-)
 from repro.core.manifest import KIND_FULL, KIND_INCREMENTAL
 from repro.errors import CheckpointError, CheckpointNotFoundError
 from repro.experiments import build_experiment, small_config
@@ -114,38 +109,9 @@ class TestOverlapHandling:
         config = small_config(interval_batches=3).with_overrides(
             storage=self._slow_store_config()
         )
-        exp = build_experiment(config, overlap_action=OVERLAP_SKIP_NEW)
+        exp = build_experiment(config)
         exp.controller.run_intervals(3)
         assert exp.controller.stats.checkpoints_skipped >= 1
-
-    def test_cancel_previous_on_overlap(self):
-        config = small_config(interval_batches=3).with_overrides(
-            storage=self._slow_store_config()
-        )
-        exp = build_experiment(
-            config, overlap_action=OVERLAP_CANCEL_PREVIOUS
-        )
-        exp.controller.run_intervals(3)
-        assert exp.controller.stats.checkpoints_cancelled >= 1
-        # Cancelled checkpoints leave no objects behind.
-        for event in exp.controller.stats.events:
-            if event.action == "written" and event.manifest:
-                continue
-        remaining_ids = set(exp.controller.manifests)
-        for key in exp.store.list_keys("job0/"):
-            ckpt_id = key.split("/")[1]
-            assert ckpt_id in remaining_ids
-
-    def test_unknown_overlap_action_rejected(self, tiny_experiment):
-        with pytest.raises(CheckpointError, match="overlap"):
-            CheckNRun(
-                tiny_experiment.trainer,
-                tiny_experiment.reader,
-                tiny_experiment.store,
-                CheckpointConfig(),
-                tiny_experiment.clock,
-                overlap_action="wait",
-            )
 
 
 class TestRestoreFlow:

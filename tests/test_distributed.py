@@ -68,14 +68,6 @@ class TestTimeline:
         span = lane.submit(1.0, earliest=50.0)
         assert span.start == 50.0
 
-    def test_release_frees_lane(self):
-        clock = SimClock()
-        lane = Timeline(clock, "x")
-        lane.submit(100.0)
-        lane.release()
-        span = lane.submit(1.0)
-        assert span.start == 0.0  # clock.now, not 100
-
     def test_utilization(self):
         clock = SimClock()
         lane = Timeline(clock, "x")

@@ -137,7 +137,6 @@ class TestReadAdmission:
         store.stage_get("job0/a")  # backlog present
         control = self.controller(store, read_mode="none")
         decision = control.decide_get(
-            stream="job0",
             tier=TIER_EXPERIMENTAL,
             now=store.clock.now,
             interval_s=1e-9,
@@ -150,7 +149,6 @@ class TestReadAdmission:
         store.stage_get("job0/a")
         control = self.controller(store, read_mode="dynamic")
         decision = control.decide_get(
-            stream="job0",
             tier=TIER_EXPERIMENTAL,
             now=store.clock.now,
             interval_s=1e-9,
@@ -159,8 +157,6 @@ class TestReadAdmission:
         assert decision.reason == "read_backlog"
         assert decision.threshold_s is not None
         assert decision.projected_delay_s > decision.threshold_s
-        assert control.total_read_deferrals == 1
-        assert control.read_deferrals_by_tier == {TIER_EXPERIMENTAL: 1}
 
     def test_prod_restores_always_admit(self):
         store = ranged_store()
@@ -168,13 +164,12 @@ class TestReadAdmission:
         store.stage_get("job0/a")
         control = self.controller(store, read_mode="dynamic")
         decision = control.decide_get(
-            stream="job0",
             tier=TIER_PROD,
             now=store.clock.now,
             interval_s=1e-9,
         )
         assert decision.admitted
-        assert control.total_read_deferrals == 0
+        assert (decision.reason, decision.threshold_s) == ("admitted", None)
 
     def test_unmeasured_interval_admits(self):
         """A job crashing before its second trigger has no interval to
@@ -184,7 +179,6 @@ class TestReadAdmission:
         store.stage_get("job0/a")
         control = self.controller(store, read_mode="dynamic")
         decision = control.decide_get(
-            stream="job0",
             tier=TIER_EXPERIMENTAL,
             now=store.clock.now,
             interval_s=None,

@@ -338,6 +338,35 @@ def test_scratch_restart_forgets_previous_checkpoint_state():
     assert event.manifest.base_id is None
 
 
+def test_scratch_restart_starts_the_job_over():
+    """A from-scratch recovery reinitialises the model, rewinds the
+    reader to the first batch and deletes the forgotten checkpoints'
+    stored objects."""
+    exp = build_experiment(
+        small_config(
+            quantizer="none",
+            interval_batches=5,
+            num_tables=2,
+            rows_per_table=256,
+            batch_size=32,
+        )
+    )
+    fresh = exp.model.clone_config_model()
+    exp.controller.run_intervals(2)
+    exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
+    assert exp.model.batches_trained == 10
+    assert exp.store.list_keys("job0/")
+    exp.controller.reset_for_scratch_restart()
+    assert exp.model.batches_trained == 0
+    for t in range(exp.model.num_tables):
+        np.testing.assert_array_equal(
+            exp.model.table_weight(t), fresh.table_weight(t)
+        )
+    state = exp.reader.collect_state()
+    assert (state.next_batch_index, state.batches_delivered) == (0, 0)
+    assert exp.store.list_keys("job0/") == []
+
+
 def test_two_snapshots_are_independent():
     exp = build_experiment(
         small_config(

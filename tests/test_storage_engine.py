@@ -602,34 +602,37 @@ class TestAdmissionController:
     def test_none_mode_admits_everything(self):
         _, ctrl = self.make("none")
         decision = ctrl.decide(
-            stream="j",
             tier=TIER_EXPERIMENTAL,
             now=0.0,
             interval_s=0.001,
             active_writes=99,
         )
         assert decision.admitted
-        assert ctrl.total_deferrals == 0
+        assert decision.reason == "admitted"
+        assert decision.threshold_s is None
 
     def test_static_mode_is_the_legacy_cap(self):
         _, ctrl = self.make("static", max_concurrent=2)
-        ok = ctrl.decide(
-            stream="a", tier=TIER_PROD, now=0.0, active_writes=1
-        )
+        ok = ctrl.decide(tier=TIER_PROD, now=0.0, active_writes=1)
         assert ok.admitted
-        deferred = ctrl.decide(
-            stream="a", tier=TIER_PROD, now=0.0, active_writes=2
-        )
+        deferred = ctrl.decide(tier=TIER_PROD, now=0.0, active_writes=2)
         assert not deferred.admitted
         assert deferred.reason == "static_cap"
-        # The static cap is tier-blind, exactly like the old fixed cap.
-        assert ctrl.deferrals_by_tier == {TIER_PROD: 1}
+        assert deferred.threshold_s is None
+        # The static cap is tier-blind, exactly like the old fixed cap:
+        # the prod trigger above and an experimental one defer alike.
+        experimental = ctrl.decide(
+            tier=TIER_EXPERIMENTAL, now=0.0, active_writes=2
+        )
+        assert (experimental.admitted, experimental.reason) == (
+            False,
+            "static_cap",
+        )
 
     def test_dynamic_mode_defers_experimental_on_backlog(self):
         store, ctrl = self.make("dynamic")
         store.stage_put("k", bytes(5000))  # 5 s of queued backlog
         deferred = ctrl.decide(
-            stream="exp",
             tier=TIER_EXPERIMENTAL,
             now=0.0,
             interval_s=2.0,
@@ -639,31 +642,24 @@ class TestAdmissionController:
         assert deferred.projected_delay_s == pytest.approx(5.0)
         assert deferred.threshold_s == pytest.approx(2.0)
         # Prod is always admitted, backlog regardless.
-        prod = ctrl.decide(
-            stream="prod", tier=TIER_PROD, now=0.0, interval_s=2.0
-        )
+        prod = ctrl.decide(tier=TIER_PROD, now=0.0, interval_s=2.0)
         assert prod.admitted
         # A first trigger (no measured interval yet) is admitted.
-        first = ctrl.decide(
-            stream="new", tier=TIER_EXPERIMENTAL, now=0.0
-        )
+        first = ctrl.decide(tier=TIER_EXPERIMENTAL, now=0.0)
         assert first.admitted
         # Below threshold: admitted.
         ok = ctrl.decide(
-            stream="exp",
             tier=TIER_EXPERIMENTAL,
             now=0.0,
             interval_s=6.0,
         )
         assert ok.admitted
-        assert ctrl.deferrals_by_stream == {"exp": 1}
-        assert ctrl.deferrals_by_tier == {TIER_EXPERIMENTAL: 1}
+        assert (ok.reason, ok.threshold_s) == ("admitted", None)
 
     def test_backlog_factor_scales_the_threshold(self):
         store, ctrl = self.make("dynamic", backlog_factor=3.0)
         store.stage_put("k", bytes(5000))
         ok = ctrl.decide(
-            stream="exp",
             tier=TIER_EXPERIMENTAL,
             now=0.0,
             interval_s=2.0,  # threshold 6 s > 5 s backlog

@@ -1,8 +1,10 @@
-"""Unit tests for the tools package: inspection, scrub, CLI, config IO."""
+"""Unit tests for the tools package: inspection, scan, CLI, config IO."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,16 +15,16 @@ from repro.config import (
     experiment_config_from_dict,
     experiment_config_to_dict,
 )
+from repro.core.integrity import (
+    REASON_DIGEST_MISMATCH,
+    REASON_MISSING,
+    scan_job,
+    verify_checkpoint,
+)
 from repro.errors import ConfigError
 from repro.experiments import build_experiment, small_config
 from repro.tools.cli import main as cli_main
-from repro.tools.inspect import (
-    format_summaries,
-    list_jobs,
-    scrub_checkpoint,
-    scrub_job,
-    summarize_job,
-)
+from repro.tools.inspect import format_summaries, list_jobs, summarize_job
 
 import backend_ops as ops
 
@@ -107,42 +109,51 @@ class TestInspection:
         assert "full" in text
         assert format_summaries([]) == "(no checkpoints)"
 
-    def test_scrub_clean_store(self, populated_exp):
-        report = scrub_job(populated_exp.store, "job0")
+    def test_scan_clean_store(self, populated_exp):
+        report = scan_job(populated_exp.store, "job0", quarantine=False)
         assert report.clean
-        assert report.objects_checked > 0
-        assert report.bytes_checked > 0
+        assert report.checkpoints_scanned == 2
+        assert report.objects_scanned > 0
+        assert report.bytes_verified > 0
 
-    def test_scrub_detects_corruption(self, populated_exp):
+    def test_scan_detects_corruption(self, populated_exp):
         exp = populated_exp
         manifests = list(exp.controller.manifests.values())
         victim = manifests[0].shards[0].chunks[0].key
         blob = bytearray(ops.read(exp.store.backend, victim))
         blob[len(blob) // 2] ^= 0xFF
         ops.write(exp.store.backend, victim, bytes(blob))
-        report = scrub_checkpoint(exp.store, manifests[0])
+        issues = verify_checkpoint(exp.store, manifests[0])
+        assert [(i.key, i.reason) for i in issues] == [
+            (victim, REASON_DIGEST_MISMATCH)
+        ]
+        report = scan_job(exp.store, "job0", quarantine=False)
         assert not report.clean
-        assert victim in report.corrupt_keys
+        assert report.corrupt_checkpoint_ids == [manifests[0].checkpoint_id]
 
-    def test_scrub_records_a_missing_object_and_keeps_going(
+    def test_scan_records_a_missing_object_and_keeps_going(
         self, populated_exp
     ):
         exp = populated_exp
         manifests = list(exp.controller.manifests.values())
-        clean = scrub_job(exp.store, "job0")
+        clean = scan_job(exp.store, "job0", quarantine=False)
+        assert clean.clean
         missing = manifests[0].shards[0].chunks[0].key
         rotted = manifests[-1].dense_key
         ops.delete(exp.store.backend, missing)
         blob = bytearray(ops.read(exp.store.backend, rotted))
         blob[len(blob) // 2] ^= 0xFF
         ops.write(exp.store.backend, rotted, bytes(blob))
-        report = scrub_job(exp.store, "job0")
-        assert report.corrupt_keys == [missing, rotted]
-        assert report.objects_checked == clean.objects_checked
+        report = scan_job(exp.store, "job0", quarantine=False)
+        assert [(i.key, i.reason) for i in report.issues] == [
+            (missing, REASON_MISSING),
+            (rotted, REASON_DIGEST_MISMATCH),
+        ]
+        assert report.objects_scanned == clean.objects_scanned
 
 
 class TestCli:
-    def test_run_inspect_scrub_restore_cycle(self, tmp_path):
+    def test_run_inspect_scan_restore_cycle(self, tmp_path):
         store_dir = str(tmp_path / "store")
         args = [
             "run", "--store-dir", store_dir, "--intervals", "2",
@@ -151,7 +162,9 @@ class TestCli:
         ]
         assert cli_main(args) == 0
         assert cli_main(["inspect", "--store-dir", store_dir]) == 0
-        assert cli_main(["scrub", "--store-dir", store_dir]) == 0
+        assert cli_main(
+            ["scan", "--store-dir", store_dir, "--no-quarantine"]
+        ) == 0
         assert cli_main(["restore", "--store-dir", store_dir]) == 0
 
     def test_resumed_run_continues_numbering(self, tmp_path):
@@ -182,30 +195,47 @@ class TestCli:
         )
         assert code == 2
 
-    def test_scrub_exit_code_on_corruption(self, tmp_path):
-        store_dir = str(tmp_path / "store")
+    def test_scan_no_quarantine_is_read_only(self, tmp_path, capsys):
+        """``scan --no-quarantine`` flags a flipped chunk with exit 1
+        and leaves every ``manifest.json`` byte-identical; the default
+        ``scan`` rewrites the corrupt checkpoint's manifest."""
+        store_dir = tmp_path / "store"
         assert cli_main([
-            "run", "--store-dir", store_dir, "--intervals", "1",
+            "run", "--store-dir", str(store_dir), "--intervals", "2",
             "--interval-batches", "4", "--tables", "2",
             "--rows", "256",
         ]) == 0
-        # Corrupt one chunk file on disk.
-        import pathlib
 
-        chunks = [
-            p
-            for p in pathlib.Path(store_dir).rglob("chunk*.bin")
-        ]
-        blob = bytearray(chunks[0].read_bytes())
+        def manifest_digests() -> dict[Path, str]:
+            return {
+                path: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(store_dir.rglob("manifest.json"))
+            }
+
+        chunk = sorted(store_dir.rglob("chunk*.bin"))[0]
+        blob = bytearray(chunk.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
-        chunks[0].write_bytes(bytes(blob))
-        assert cli_main(["scrub", "--store-dir", store_dir]) == 1
+        chunk.write_bytes(bytes(blob))
+        before = manifest_digests()
+        assert len(before) == 2
+        capsys.readouterr()
+        scan = ["scan", "--store-dir", str(store_dir)]
+        assert cli_main([*scan, "--no-quarantine"]) == 1
+        key = chunk.relative_to(store_dir).as_posix()
+        assert f"CORRUPT {key}: {REASON_DIGEST_MISMATCH}" in (
+            capsys.readouterr().out
+        )
+        assert manifest_digests() == before
+        # The check above can see a rewrite: quarantining changes one.
+        assert cli_main(scan) == 1
+        after = manifest_digests()
+        assert [p for p in before if after[p] != before[p]] == [
+            chunk.parent.parent / "manifest.json"
+        ]
 
-    def test_scrub_reports_a_missing_object_like_scan(
-        self, tmp_path, capsys
-    ):
-        """A deleted object is exit 1 and a ``CORRUPT:`` line from
-        ``scrub``, as it is from ``scan`` — not an ``error:`` abort."""
+    def test_scan_reports_a_missing_object(self, tmp_path, capsys):
+        """A deleted object is exit 1 and a ``CORRUPT`` line — not an
+        ``error:`` abort."""
         store_dir = tmp_path / "store"
         assert cli_main([
             "run", "--store-dir", str(store_dir), "--intervals", "1",
@@ -214,15 +244,21 @@ class TestCli:
         ]) == 0
         (store_dir / "job0" / "ckpt-000000" / "dense.bin").unlink()
         capsys.readouterr()
-        assert cli_main(["scrub", "--store-dir", str(store_dir)]) == 1
-        assert (
-            "CORRUPT: job0/ckpt-000000/dense.bin"
-            in capsys.readouterr().out
-        )
         code = cli_main(
             ["scan", "--store-dir", str(store_dir), "--no-quarantine"]
         )
         assert code == 1
+        assert (
+            f"CORRUPT job0/ckpt-000000/dense.bin: {REASON_MISSING}"
+            in capsys.readouterr().out
+        )
+
+    def test_scrub_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["scrub", "--store-dir", "unused"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "scrub" in err
 
     def test_fleet_header_names_every_setting_off_its_default(
         self, tmp_path
