@@ -5,7 +5,7 @@ of training data may lead to wasting time re-training those 1000
 batches. Taking a checkpoint after 5000 batches leads to 5x more wasted
 work in the worst case."
 
-The fleet scheduler quantifies the average-case version: with failures
+The job-queue simulation quantifies the average-case version: with failures
 uniform within an interval, expected loss per failure is interval/2, so
 wasted hours scale ~linearly with the interval. The bench sweeps a 5x
 interval ratio and checks the wasted-work ratio lands near 5x.
@@ -13,7 +13,7 @@ interval ratio and checks the wasted-work ratio lands near 5x.
 
 from __future__ import annotations
 
-from repro.failures import ExponentialFailures, FleetScheduler, make_job_batch
+from repro.failures import ExponentialFailures, JobQueueSim, make_job_batch
 
 TITLE = "Ablation a08 - wasted work vs checkpoint interval (intro claim)"
 
@@ -23,7 +23,7 @@ INTERVALS_H = (0.2, 0.5, 1.0)  # 5x between first and last
 def _run():
     results = {}
     for interval in INTERVALS_H:
-        scheduler = FleetScheduler(
+        scheduler = JobQueueSim(
             num_clusters=8,
             failure_model=ExponentialFailures(6 * 3600.0),
             checkpoint_interval_hours=interval,

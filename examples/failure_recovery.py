@@ -3,28 +3,29 @@
 
 Two views of the same trade-off the paper motivates (section 3.1):
 
-* **micro** — a real training job driven by a failure injector; every
-  crash loses the live state, restores from the newest valid
+* **micro** — a real training job, the single job of a fleet scheduler
+  given a failure model; every crash loses the live state (a write
+  still in flight dies with it), restores from the newest valid
   checkpoint, and re-trains the lost batches. Reported: goodput and
   wasted work per checkpoint interval length.
-* **macro** — a Bistro-like fleet scheduler running a month of jobs on
-  failure-prone clusters (the Fig 3 regime), showing how checkpoint
-  frequency bounds fleet-wide wasted hours.
+* **macro** — a Bistro-like job-queue simulation running a month of
+  jobs on failure-prone clusters (the Fig 3 regime), showing how
+  checkpoint frequency bounds fleet-wide wasted hours.
 
 Run:  python examples/failure_recovery.py
 """
 
 from __future__ import annotations
 
-from repro.config import BackendConfig
-from repro.experiments import build_experiment, small_config
+from repro.config import BackendConfig, FailureConfig
+from repro.experiments import small_config
 from repro.failures import (
     ExponentialFailures,
-    FailureInjector,
-    FleetScheduler,
+    JobQueueSim,
     make_job_batch,
     paper_failure_model,
 )
+from repro.fleet import one_job_fleet
 from repro.storage import make_backend
 
 
@@ -45,16 +46,19 @@ def micro_injection() -> None:
         backend = make_backend(
             BackendConfig(kind="mirrored", replicas=2), config.storage
         )
-        exp = build_experiment(config, backend=backend)
-        injector = FailureInjector(
-            exp.controller,
-            ExponentialFailures(4.0),  # MTTF of 4 simulated seconds
-            seed=17,
+        scheduler, _ = one_job_fleet(
+            config.with_overrides(failures=FailureConfig(seed=17)),
+            48 // interval_batches,
+            backend=backend,
+            failure_model=ExponentialFailures(4.0),  # MTTF of 4 simulated s
+            max_failures=1000,
         )
-        report = injector.run(target_intervals=48 // interval_batches)
+        scheduler.run()
+        job = scheduler.jobs[0]
+        goodput = job.useful_batches / job.batches_trained
         print(
-            f"{interval_batches:>10d} {report.failures:>9d} "
-            f"{report.wasted_batches:>7d} {report.goodput:>8.1%}"
+            f"{interval_batches:>10d} {job.failures:>9d} "
+            f"{job.wasted_batches:>7d} {goodput:>8.1%}"
         )
     print(
         "shorter intervals bound the re-training loss per failure\n"
@@ -70,7 +74,7 @@ def macro_fleet() -> None:
         f"{'wasted_h':>9s} {'waste%':>7s} {'makespan_h':>11s}"
     )
     for interval_hours in (0.5, 2.0, 8.0):
-        scheduler = FleetScheduler(
+        scheduler = JobQueueSim(
             num_clusters=21,  # the paper's fleet
             failure_model=model,
             checkpoint_interval_hours=interval_hours,

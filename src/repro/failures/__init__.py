@@ -1,10 +1,11 @@
-"""Failure models, traces, injection, correlated domains, job queue.
+"""Failure models, traces, correlated domains, job queue.
 
 Independent per-job failures come from the Fig 3 models in
-:mod:`.models`/:mod:`.traces` and are injected by :mod:`.injector`;
-correlated rack/power failures (the restore-storm trigger) are planned
-by :mod:`.domains`; :mod:`.scheduler` simulates fleet *occupancy* at
-whole-job granularity.
+:mod:`.models`/:mod:`.traces`; the fleet scheduler
+(:class:`repro.fleet.FleetScheduler`, ``failure_model=``) injects them
+into live jobs, one of them or many. Correlated rack/power failures
+(the restore-storm trigger) are planned by :mod:`.domains`;
+:mod:`.scheduler` simulates fleet *occupancy* at whole-job granularity.
 """
 
 from .domains import (
@@ -15,7 +16,6 @@ from .domains import (
     assign_domains,
     plan_storm,
 )
-from .injector import FailureEvent, FailureInjector, FailureRunReport
 from .models import (
     HOUR_S,
     ExponentialFailures,
@@ -26,7 +26,7 @@ from .models import (
     WeibullFailures,
     paper_failure_model,
 )
-from .scheduler import FleetReport, FleetScheduler, Job, make_job_batch
+from .scheduler import Job, JobQueueReport, JobQueueSim, make_job_batch
 from .traces import CdfPoint, FailureTrace
 
 __all__ = [
@@ -36,14 +36,11 @@ __all__ = [
     "CdfPoint",
     "ExponentialFailures",
     "FailureDomain",
-    "FailureEvent",
-    "FailureInjector",
     "FailureModel",
-    "FailureRunReport",
     "FailureTrace",
-    "FleetReport",
-    "FleetScheduler",
     "Job",
+    "JobQueueReport",
+    "JobQueueSim",
     "LogNormalFailures",
     "MixtureFailures",
     "ScheduledFailures",

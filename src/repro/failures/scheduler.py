@@ -1,4 +1,4 @@
-"""A Bistro/PBS-like fleet scheduler simulation (paper section 2.2).
+"""A Bistro/PBS-like job-queue simulation (paper section 2.2).
 
 "Training jobs are submitted to this infrastructure through an
 internally developed job scheduling interface. Schedulers like Bistro
@@ -47,8 +47,8 @@ class Job:
 
 
 @dataclass(frozen=True)
-class FleetReport:
-    """Aggregate outcome of a fleet simulation."""
+class JobQueueReport:
+    """Aggregate outcome of a job-queue simulation."""
 
     jobs_completed: int
     total_failures: int
@@ -63,7 +63,7 @@ class FleetReport:
         return self.total_wasted_hours / total if total else 0.0
 
 
-class FleetScheduler:
+class JobQueueSim:
     """Runs a job queue over ``num_clusters`` failure-prone clusters.
 
     ``checkpoint_interval_hours`` bounds the work lost per failure: a
@@ -88,7 +88,7 @@ class FleetScheduler:
         self.checkpoint_interval_hours = checkpoint_interval_hours
         self.rng = np.random.default_rng(seed)
 
-    def run(self, jobs: list[Job]) -> FleetReport:
+    def run(self, jobs: list[Job]) -> JobQueueReport:
         """Simulate until every job completes."""
         if not jobs:
             raise SimulationError("need at least one job")
@@ -138,7 +138,7 @@ class FleetScheduler:
             makespan = max(makespan, end)
 
         useful = sum(j.required_hours for j in completed)
-        return FleetReport(
+        return JobQueueReport(
             jobs_completed=len(completed),
             total_failures=total_failures,
             total_wasted_hours=total_wasted,

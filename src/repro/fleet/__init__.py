@@ -28,6 +28,7 @@ from .experiment import (
     fleet_reduction_experiment,
     format_fleet_report,
     format_storm_report,
+    one_job_fleet,
     run_fleet,
     summarize_fleet,
     summarize_tiers,
@@ -73,6 +74,7 @@ __all__ = [
     "format_fleet_report",
     "format_storm_report",
     "interleave_score",
+    "one_job_fleet",
     "part_split_score",
     "plan_point",
     "run_fleet",

@@ -24,10 +24,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..config import FleetConfig
+from ..config import ExperimentConfig, FleetConfig
 from ..core.controller import ControllerStats
 from ..distributed.clock import SimClock
 from ..errors import FleetError
+from ..experiments.common import Experiment, build_experiment
+from ..failures.models import FailureModel
 from ..metrics.accounting import peak_capacity
 from ..reporting import (
     additive,
@@ -41,6 +43,7 @@ from ..storage.bandwidth import (
     TIER_PROD,
     BandwidthArbiter,
 )
+from ..storage.backends import Backend
 from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_CLASSES
 from .arbitration import busy_span, interleave_score, part_split_score
@@ -49,8 +52,10 @@ from .jobs import (
     FleetJobSpec,
     RestoreSample,
     build_fleet_job,
+    enrol_experiment,
     sample_fleet_specs,
 )
+from .namespace import ScopedStore
 from .scheduler import FleetEvent, FleetScheduler
 
 
@@ -330,6 +335,61 @@ def build_fleet(
         specs = sample_fleet_specs(config)
     jobs = [build_fleet_job(spec, config, store) for spec in specs]
     return FleetScheduler(config, store, jobs, on_event=on_event), store
+
+
+def one_job_fleet(
+    exp_config: ExperimentConfig,
+    intervals: int,
+    job_id: str = "job0",
+    backend: Backend | None = None,
+    failure_model: FailureModel | None = None,
+    max_failures: int = 1,
+    on_event: Callable[[FleetEvent], None] | None = None,
+) -> tuple[FleetScheduler, Experiment]:
+    """One experiment as the single prod-tier job of a fleet.
+
+    The job trains ``intervals`` checkpoint intervals on its own clock
+    against a fresh store of its own, through its :class:`ScopedStore`
+    view — the wiring serving and single-job crash tests share. It
+    crashes only under a ``failure_model``: every time-to-failure is
+    drawn from it with ``exp_config.failures.seed``, at most
+    ``max_failures`` of them. Returns the scheduler (``run()`` it) and
+    the wired experiment.
+    """
+    store = ObjectStore(
+        exp_config.storage, SimClock(), backend, arbiter=BandwidthArbiter()
+    )
+    scoped = ScopedStore(store, job_id, SimClock())
+    exp = build_experiment(
+        exp_config, job_id=job_id, store=scoped, clock=scoped.clock
+    )
+    config = FleetConfig(
+        num_jobs=1,
+        intervals_per_job=intervals,
+        inject_failures=failure_model is not None,
+        max_failures_per_job=max_failures,
+        storage=exp_config.storage,
+    )
+    checkpoint = exp_config.checkpoint
+    spec = FleetJobSpec(
+        job_id=job_id,
+        num_tables=exp_config.model.num_tables,
+        rows_per_table=max(exp_config.model.rows_per_table),
+        interval_batches=checkpoint.interval_batches,
+        policy=checkpoint.policy,
+        quantizer=checkpoint.quantizer,
+        bit_width=exp.controller.current_bit_width(),
+        weight=1.0,
+        start_offset_s=0.0,
+        seed=exp_config.model.seed,
+        failure_seed=exp_config.failures.seed,
+        tier=TIER_PROD,
+    )
+    job = enrol_experiment(spec, config, exp, store)
+    scheduler = FleetScheduler(
+        config, store, [job], on_event=on_event, failure_model=failure_model
+    )
+    return scheduler, exp
 
 
 def _attributes(cls: type) -> set[str]:

@@ -45,8 +45,11 @@ staged writes: each one is aborted through the controller's
 (``begin_checkpoint(restage=True)``) once no prod write is in flight.
 
 Failures are injected per job from the same Weibull model behind the
-Fig 3 CDF. A crash mid-write abandons the staged generator, leaving a
-*torn* checkpoint (chunks, no manifest) that the restore path must skip;
+Fig 3 CDF, or from the ``failure_model`` the scheduler is given (a
+one-job fleet under such a model is how a single job is crash-tested:
+:func:`repro.fleet.experiment.one_job_fleet`). A crash mid-write
+abandons the staged generator, leaving a *torn* checkpoint (chunks, no
+manifest) that the restore path must skip;
 recovery restores the job's newest valid checkpoint through the shared
 link, contending with every other job's in-flight traffic. On top of
 the independent failures, ``FleetConfig.storm_domain`` arms one
@@ -56,9 +59,9 @@ the independent failures, ``FleetConfig.storm_domain`` arms one
 and the resulting restore storm is drained in arbiter order — prod
 restores first, experimental queueing behind them.
 
-(The coarse job-queue model in :mod:`repro.failures.scheduler` simulates
-fleet *occupancy* at whole-job granularity; this scheduler simulates
-fleet *storage traffic* at chunk granularity.)
+(The coarse job-queue model, :class:`repro.failures.JobQueueSim`,
+simulates fleet *occupancy* at whole-job granularity; this scheduler
+simulates fleet *storage traffic* at chunk granularity.)
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from ..errors import (
     RetriesExhaustedError,
 )
 from ..failures.domains import StormPlan, assign_domains, plan_storm
-from ..failures.models import WeibullFailures
+from ..failures.models import FailureModel, WeibullFailures
 from ..failures.traces import FailureTrace
 from ..replication import PeerReplicator, restore_from_peer
 from ..storage.bandwidth import TIER_EXPERIMENTAL, TIER_PROD, TIER_RANK
@@ -115,6 +118,7 @@ class FleetScheduler:
         store: ObjectStore,
         jobs: list[FleetJob],
         on_event: Callable[[FleetEvent], None] | None = None,
+        failure_model: FailureModel | None = None,
     ) -> None:
         if store.arbiter is None:
             raise FleetError(
@@ -136,17 +140,23 @@ class FleetScheduler:
         self.jobs = jobs
         self.events: list[FleetEvent] = []
         self._forced_crashes: set[str] = set()
-        scale = config.failures.mean_time_to_failure_s / (
-            WeibullFailures(config.failures.weibull_shape, 1.0).mean_s()
-        )
-        self._failure_model = WeibullFailures(
-            config.failures.weibull_shape, scale
+        shape = config.failures.weibull_shape
+        self._failure_model = failure_model or WeibullFailures(
+            shape,
+            config.failures.mean_time_to_failure_s
+            / WeibullFailures(shape, 1.0).mean_s(),
         )
         self._failure_rngs = {
             job.job_id: np.random.default_rng(job.spec.failure_seed)
             for job in self.jobs
         }
-        if config.inject_failures:
+        if config.inject_failures and failure_model is not None:
+            # A given model draws every time-to-failure, the first one
+            # included, from the job's own stream: a stateful model
+            # (``ScheduledFailures``) hands out its schedule in order.
+            for job in self.jobs:
+                job.next_failure_s = job.clock.now + self._sample_ttf(job)
+        elif config.inject_failures:
             # Initial per-job failure times come from a generated
             # FailureTrace — the same per-job TTF observations behind
             # the Fig 3 CDF (short setup failures filtered). After a

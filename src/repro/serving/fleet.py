@@ -39,21 +39,15 @@ from functools import partial
 
 import numpy as np
 
-from ..config import ExperimentConfig, FleetConfig, check_fields, setting
+from ..config import ExperimentConfig, check_fields, setting
 from ..distributed.clock import SimClock
-from ..experiments.common import Experiment, build_experiment
-from ..fleet.jobs import FleetJobSpec, enrol_experiment
+from ..fleet.experiment import one_job_fleet
 from ..fleet.namespace import ScopedStore
-from ..fleet.scheduler import FleetEvent, FleetScheduler
+from ..fleet.scheduler import FleetEvent
 from ..reporting import derived_series, series
 from ..storage.backends import Backend
-from ..storage.bandwidth import (
-    BandwidthArbiter,
-    TIER_PROD,
-    TIER_SERVING,
-)
+from ..storage.bandwidth import TIER_SERVING
 from ..storage.engine import StagedHandle, split_parts
-from ..storage.object_store import ObjectStore
 from .chunks import DecodedChunkCache
 from .publisher import ServingPublisher
 from .server import InferenceServer, LookupRequest, LookupResult
@@ -228,42 +222,18 @@ class ServingFleet:
         backend: Backend | None = None,
     ) -> None:
         self.serving = serving
-        self.store_clock = SimClock()
-        arbiter = BandwidthArbiter()
-        arbiter.register(PUBLISH_STREAM, tier=TIER_SERVING)
-        self.store = ObjectStore(
-            exp_config.storage, self.store_clock, backend, arbiter=arbiter
-        )
-        self.train_clock = SimClock()
-        scoped = ScopedStore(self.store, self.TRAIN_JOB, self.train_clock)
-        self.exp: Experiment = build_experiment(
-            exp_config,
-            job_id=self.TRAIN_JOB,
-            store=scoped,
-            clock=self.train_clock,
-        )
         # The trainer runs as the single job of a fleet scheduler on
         # the shared store; the serving side runs on its loop as guests.
-        fleet_config = FleetConfig(
-            num_jobs=1,
-            intervals_per_job=serving.train_intervals,
-            inject_failures=False,
-            storage=exp_config.storage,
-            failures=exp_config.failures,
-        )
-        self.training = FleetScheduler(
-            fleet_config,
-            self.store,
-            jobs=[
-                enrol_experiment(
-                    self._trainer_spec(exp_config),
-                    fleet_config,
-                    self.exp,
-                    self.store,
-                )
-            ],
+        self.training, self.exp = one_job_fleet(
+            exp_config,
+            serving.train_intervals,
+            job_id=self.TRAIN_JOB,
+            backend=backend,
             on_event=self._on_training_event,
         )
+        self.store = self.training.store
+        arbiter = self.store.arbiter
+        arbiter.register(PUBLISH_STREAM, tier=TIER_SERVING)
         self.pub_clock = SimClock()
         # The publisher reads the training job's namespace, but its
         # chain reads are accounted — and prioritised — on the
@@ -367,24 +337,6 @@ class ServingFleet:
     # Training side (a one-job fleet; see ``self.training``)
     # ------------------------------------------------------------------
 
-    def _trainer_spec(self, config: ExperimentConfig) -> FleetJobSpec:
-        """The training experiment described as a prod-tier fleet job."""
-        checkpoint = config.checkpoint
-        return FleetJobSpec(
-            job_id=self.TRAIN_JOB,
-            num_tables=config.model.num_tables,
-            rows_per_table=max(config.model.rows_per_table),
-            interval_batches=checkpoint.interval_batches,
-            policy=checkpoint.policy,
-            quantizer=checkpoint.quantizer,
-            bit_width=self.exp.controller.current_bit_width(),
-            weight=1.0,
-            start_offset_s=0.0,
-            seed=config.model.seed,
-            failure_seed=config.failures.seed,
-            tier=TIER_PROD,
-        )
-
     def _on_training_event(self, event: FleetEvent) -> None:
         """A checkpoint landed: start (or queue) a staged publish.
 
@@ -400,7 +352,7 @@ class ServingFleet:
         """
         if event.kind != "written":
             return
-        poll_s = max(self.train_clock.now, event.payload["valid_at_s"])
+        poll_s = max(self.exp.clock.now, event.payload["valid_at_s"])
         self.pub_clock.advance(
             max(0.0, poll_s - self.pub_clock.now), "publish-poll"
         )
@@ -511,7 +463,7 @@ class ServingFleet:
         self._arm_dispatch(slot, result.completed_s)
 
     def run(self) -> ServingReport:
-        started = self.train_clock.now
+        started = self.exp.clock.now
         self.training.run()
         return self._report(started)
 
@@ -539,7 +491,7 @@ class ServingFleet:
         )
         servers = [slot.server for slot in self.slots]
         end = max(
-            [self.train_clock.now]
+            [self.exp.clock.now]
             + [r.completed_s for r in self.results]
         )
         return ServingReport(

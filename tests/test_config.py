@@ -196,32 +196,6 @@ class TestScheduledFailures:
         with pytest.raises(SimulationError):
             ScheduledFailures([-1.0])
 
-    def test_deterministic_injection(self):
-        """A scheduled model makes failure injection reproducible."""
-        from repro.experiments import build_experiment, small_config
-        from repro.failures import FailureInjector, ScheduledFailures
-
-        def run():
-            exp = build_experiment(
-                small_config(
-                    interval_batches=4,
-                    num_tables=2,
-                    rows_per_table=256,
-                    batch_size=32,
-                )
-            )
-            injector = FailureInjector(
-                exp.controller, ScheduledFailures([1.0, 1.2]), seed=1
-            )
-            return injector.run(target_intervals=6)
-
-        a, b = run(), run()
-        assert a.failures == b.failures == 2
-        assert a.wasted_batches == b.wasted_batches
-        assert [e.at_time_s for e in a.events] == [
-            e.at_time_s for e in b.events
-        ]
-
 
 class TestCompactMetadataEndToEnd:
     def test_controller_uses_compact_metadata(self):

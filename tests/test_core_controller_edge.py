@@ -10,7 +10,6 @@ from repro.core.bitwidth import FALLBACK_BIT_WIDTH
 from repro.core.manifest import KIND_FULL
 from repro.errors import ReproError
 from repro.experiments import build_experiment, small_config
-from repro.failures import FailureInjector, ScheduledFailures
 
 
 def drain(exp) -> None:
@@ -124,70 +123,6 @@ class TestCrashDuringWrite:
         # backend but its validity time is in the future.
         report = exp.controller.restore_latest()
         assert report.checkpoint_id == "ckpt-000000"
-
-    def test_injected_crash_mid_write_recovers(self):
-        exp = build_experiment(
-            small_config(
-                interval_batches=4,
-                num_tables=2,
-                rows_per_table=512,
-                batch_size=32,
-            )
-        )
-        # Fail precisely once, shortly after the first checkpoint
-        # triggers (while its write may still be in flight).
-        injector = FailureInjector(
-            exp.controller, ScheduledFailures([0.9]), seed=3
-        )
-        result = injector.run(target_intervals=4)
-        assert result.completed_intervals == 4
-        assert exp.model.batches_trained == 16
-
-    def test_injected_crash_discards_the_write_in_flight(self):
-        """The crash kills the background write pipeline (section
-        4.4): a checkpoint whose last byte had not landed must never
-        become valid, be restored, or serve as a later increment's
-        base."""
-
-        class RecordingInjector(FailureInjector):
-            in_flight: list[str] = []
-
-            def _crash_and_recover(self):
-                now = self.controller.clock.now
-                self.in_flight = [
-                    m.checkpoint_id
-                    for m in self.controller.manifests.values()
-                    if m.valid_at_s > now
-                ]
-                return super()._crash_and_recover()
-
-        config = small_config(
-            interval_batches=4,
-            num_tables=2,
-            rows_per_table=512,
-            batch_size=32,
-        )
-        exp = build_experiment(
-            config.with_overrides(
-                storage=StorageConfig(write_bandwidth=2e4)
-            )
-        )
-        # The first checkpoint's write takes ~3.5 s from t ~ 0.7 s;
-        # the crash at t ~ 1 s lands while it is in flight.
-        injector = RecordingInjector(
-            exp.controller, ScheduledFailures([1.0]), seed=0
-        )
-        result = injector.run(target_intervals=3)
-        assert result.failures == 1
-        assert injector.in_flight == ["ckpt-000000"]
-        assert result.events[0].restored_from is None
-        assert "ckpt-000000" not in exp.controller.manifests
-        assert not exp.store.list_keys("job0/ckpt-000000/")
-        assert exp.controller._current_base_id != "ckpt-000000"
-        assert all(
-            m.base_id != "ckpt-000000"
-            for m in exp.controller.manifests.values()
-        )
 
 
 class TestStoreCapacityPressure:

@@ -1,4 +1,4 @@
-"""Unit tests for failure models, traces, injection, fleet scheduling."""
+"""Unit tests for failure models, traces and the job-queue simulation."""
 
 from __future__ import annotations
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.experiments import build_experiment, small_config
 from repro.failures import (
     HOUR_S,
     ExponentialFailures,
-    FailureInjector,
     FailureTrace,
-    FleetScheduler,
     Job,
+    JobQueueSim,
     LogNormalFailures,
     MixtureFailures,
     WeibullFailures,
@@ -129,61 +127,9 @@ class TestFailureTrace:
             FailureTrace.from_json("{}")
 
 
-class TestFailureInjector:
-    def test_injected_failures_trigger_restores(self):
-        exp = build_experiment(
-            small_config(
-                interval_batches=5,
-                num_tables=2,
-                rows_per_table=512,
-                batch_size=32,
-            )
-        )
-        # Run lasts ~5 simulated seconds; MTTF 1.5 s guarantees crashes.
-        model = ExponentialFailures(1.5)
-        injector = FailureInjector(exp.controller, model, seed=5)
-        report = injector.run(target_intervals=6)
-        assert report.completed_intervals == 6
-        assert report.failures > 0
-        assert report.total_batches_trained >= report.effective_batches
-        assert 0 < report.goodput <= 1.0
-
-    def test_no_failures_is_clean_run(self):
-        exp = build_experiment(
-            small_config(
-                interval_batches=3,
-                num_tables=2,
-                rows_per_table=256,
-                batch_size=32,
-            )
-        )
-        model = ExponentialFailures(1e12)  # effectively never
-        injector = FailureInjector(exp.controller, model, seed=6)
-        report = injector.run(target_intervals=3)
-        assert report.failures == 0
-        assert report.goodput == 1.0
-        assert report.wasted_batches == 0
-
-    def test_crash_before_first_checkpoint_restarts_scratch(self):
-        exp = build_experiment(
-            small_config(
-                interval_batches=50,
-                num_tables=2,
-                rows_per_table=256,
-                batch_size=32,
-            )
-        )
-        model = ExponentialFailures(2.0)  # fails mid-first-interval
-        injector = FailureInjector(
-            exp.controller, model, seed=7, max_failures=1
-        )
-        report = injector.run(target_intervals=1)
-        assert report.events[0].restored_from is None  # from scratch
-
-
-class TestFleetScheduler:
+class TestJobQueueSim:
     def test_all_jobs_complete(self):
-        scheduler = FleetScheduler(
+        scheduler = JobQueueSim(
             num_clusters=4,
             failure_model=ExponentialFailures(20 * HOUR_S * 3600 / 3600),
             checkpoint_interval_hours=0.5,
@@ -196,7 +142,7 @@ class TestFleetScheduler:
 
     def test_waste_bounded_by_checkpoint_interval(self):
         model = ExponentialFailures(5 * 3600.0)
-        scheduler = FleetScheduler(
+        scheduler = JobQueueSim(
             num_clusters=2,
             failure_model=model,
             checkpoint_interval_hours=0.5,
@@ -215,7 +161,7 @@ class TestFleetScheduler:
         model = ExponentialFailures(3 * 3600.0)
         results = {}
         for interval in (0.25, 2.0):
-            scheduler = FleetScheduler(
+            scheduler = JobQueueSim(
                 num_clusters=2,
                 failure_model=model,
                 checkpoint_interval_hours=interval,
@@ -227,14 +173,14 @@ class TestFleetScheduler:
 
     def test_failure_runtimes_recorded(self):
         model = ExponentialFailures(3600.0)
-        scheduler = FleetScheduler(2, model, 0.5, seed=14)
+        scheduler = JobQueueSim(2, model, 0.5, seed=14)
         jobs = make_job_batch(10, mean_required_hours=5.0, seed=15)
         report = scheduler.run(jobs)
         assert len(report.failure_runtimes_h) == report.total_failures
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            FleetScheduler(0, ExponentialFailures(1.0), 0.5)
+            JobQueueSim(0, ExponentialFailures(1.0), 0.5)
         with pytest.raises(SimulationError):
             Job(priority=0, job_id="x", required_hours=0.0)
         with pytest.raises(SimulationError):

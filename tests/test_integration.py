@@ -8,7 +8,6 @@ import pytest
 from repro.config import ReaderConfig
 from repro.core.manifest import KIND_FULL, KIND_INCREMENTAL
 from repro.experiments import build_experiment, small_config
-from repro.failures import ExponentialFailures, FailureInjector
 from repro.metrics.accuracy import evaluate
 
 
@@ -151,48 +150,6 @@ class TestPolicyBehaviour:
             if e.manifest and e.manifest.kind == KIND_INCREMENTAL
         ]
         assert sizes == sorted(sizes)  # monotone non-decreasing
-
-
-class TestFailureRecoveryLoop:
-    def test_training_completes_under_repeated_failures(self):
-        exp = build_experiment(
-            small_config(
-                interval_batches=5,
-                num_tables=2,
-                rows_per_table=512,
-                batch_size=32,
-                quantizer="asymmetric",
-                bit_width=8,
-            )
-        )
-        injector = FailureInjector(
-            exp.controller, ExponentialFailures(2.0), seed=21
-        )
-        report = injector.run(target_intervals=8)
-        assert report.completed_intervals == 8
-        assert report.failures >= 1
-        # Effective progress equals the full target.
-        assert exp.model.batches_trained == 8 * 5
-
-    def test_more_frequent_checkpoints_waste_less(self):
-        wasted = {}
-        for interval in (2, 10):
-            exp = build_experiment(
-                small_config(
-                    interval_batches=interval,
-                    num_tables=2,
-                    rows_per_table=512,
-                    batch_size=32,
-                )
-            )
-            injector = FailureInjector(
-                exp.controller, ExponentialFailures(3.0), seed=7
-            )
-            report = injector.run(target_intervals=20 // interval * 2)
-            wasted[interval] = report.wasted_batches / max(
-                1, report.failures
-            )
-        assert wasted[2] <= wasted[10]
 
 
 class TestReaderGapScenario:
