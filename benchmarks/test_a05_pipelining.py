@@ -14,6 +14,7 @@ from repro.core.snapshot import SnapshotManager
 from repro.core.writer import CheckpointWriter
 from repro.experiments import build_experiment, small_config
 from repro.quant import make_quantizer
+from repro.storage.engine import drain
 
 TITLE = "Ablation a05 - pipelined vs serial checkpoint write latency"
 
@@ -35,10 +36,10 @@ def _run():
     )
     writer = CheckpointWriter(exp.store, exp.clock)
     quantizer = make_quantizer("adaptive", bits=4, num_bins=25)
-    manifest, pipelined = writer.write_checkpoint(
+    manifest, pipelined = drain(writer.write_checkpoint_steps(
         snapshot, KIND_FULL, "pipe", "job0", None, "full",
         quantizer, chunk_rows=2048,
-    )
+    ))
     snapshot.release(exp.trainer)
 
     # Serial lower bound: all quantization strictly before all writes.

@@ -21,6 +21,7 @@ from repro.core.publisher import OnlinePublisher
 from repro.experiments import build_experiment, small_config
 from repro.metrics.accuracy import evaluate
 from repro.model.dlrm import DLRM
+from repro.storage.engine import drain
 
 
 def main() -> None:
@@ -55,7 +56,7 @@ def main() -> None:
         # Wait until the write lands, then poll the publisher: every
         # newly valid checkpoint is applied to the replica.
         exp.clock.advance_to(manifest.valid_at_s + 1.0, "serve")
-        for event in publisher.poll():
+        for event in drain(publisher.poll_steps()):
             live = evaluate(inference_model, held_out)
             stale = evaluate(frozen_model, held_out)
             print(

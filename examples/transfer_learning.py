@@ -74,7 +74,7 @@ def main() -> None:
     # Seeded model: restore_for_transfer loads weights but no reader
     # state and zeroes the progress counters — a fresh job.
     restorer = CheckpointRestorer(source.store, source.clock)
-    target = restorer.latest_valid(source.controller.job_id)
+    target = restorer.plan_resume(source.controller.job_id)[0]
     seeded = DLRM(source.config.model)
     report = restorer.restore_for_transfer(
         seeded, target, source.controller.manifests,

@@ -62,7 +62,8 @@ class PendingCheckpoint(StagedHandle):
     landed ``(manifest, report)``. The fleet scheduler interleaves
     ``advance`` calls from many jobs so their chunk transfers share the
     storage link fairly; the single-job :meth:`CheckNRun.checkpoint`
-    drains it immediately.
+    drains it immediately. Below the controller there is no drained
+    form: the writer's one entry point is ``write_checkpoint_steps``.
     """
 
     checkpoint_id: str
@@ -83,7 +84,9 @@ class PendingRestore(StagedHandle):
     interleaves ``advance`` calls from every job recovering in the same
     restore storm, so the shared link drains the storm part by part in
     arbiter order; the single-job :meth:`CheckNRun.restore_latest`
-    drains it immediately.
+    drains it immediately. Below the controller there is no drained
+    form: the restorer's entry points are ``plan_resume`` and the
+    ``*_steps`` generators.
     """
 
     checkpoint_id: str
@@ -328,7 +331,13 @@ class CheckNRun:
         return forgotten
 
     def checkpoint(self) -> CheckpointEvent:
-        """Trigger one checkpoint at the current interval boundary."""
+        """Trigger one checkpoint at the current interval boundary.
+
+        Drains :meth:`begin_checkpoint`'s staged write at once. Kept as
+        the single-job driver's step: :meth:`run_intervals` and
+        :meth:`run_for` checkpoint through it; the fleet stages the same
+        write part by part instead.
+        """
         started = self.begin_checkpoint()
         if isinstance(started, CheckpointEvent):
             return started
@@ -667,7 +676,11 @@ class CheckNRun:
 
         Stages the restore and drains it immediately (reads
         back-to-back) — the single-job path, timing-identical to
-        staging the same restore without interleaved traffic.
+        staging the same restore without interleaved traffic. Kept as
+        the one-call resume of a whole job (trackers, interval counter
+        and reader included) that the CLI's ``run``/``restore``, the
+        quickstart and the repo benchmark's ``single_write_restore``
+        workload call by name.
         """
         pending = self.begin_restore(at_time_s)
         drain(pending)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from ..distributed.clock import SimClock
 from ..errors import CheckpointError
 from ..model.dlrm import DLRM
-from ..storage.engine import drain
 from ..storage.object_store import ObjectStore
 from .manifest import CheckpointManifest
 from .restore import CheckpointRestorer
@@ -55,7 +54,12 @@ class PublisherStats:
 
 
 class OnlinePublisher:
-    """Keeps an inference replica fresh from a job's checkpoints."""
+    """Keeps an inference replica fresh from a job's checkpoints.
+
+    :meth:`poll_steps` is the one way to poll: the serving plane runs it
+    as guest reads between training's link traffic, and a single caller
+    drains it (``drain(publisher.poll_steps())``).
+    """
 
     def __init__(
         self,
@@ -93,12 +97,13 @@ class OnlinePublisher:
     def poll_steps(self):
         """Generator: apply every newly publishable checkpoint.
 
-        The staged form of :meth:`poll` — yields a
-        :class:`~repro.storage.engine.TransferStep` before every GET part of
-        the applies, so a driver co-simulating other link traffic can
-        interleave publish reads at part granularity instead of letting
-        one poll hold the link for a whole chain. Returns the list of
-        :class:`PublishEvent`\\ s via ``StopIteration.value``.
+        Yields a :class:`~repro.storage.engine.TransferStep` before
+        every GET part of the applies, so a driver co-simulating other
+        link traffic can interleave publish reads at part granularity
+        instead of letting one poll hold the link for a whole chain;
+        :func:`~repro.storage.engine.drain` it to poll back to back.
+        Returns the list of :class:`PublishEvent`\\ s via
+        ``StopIteration.value``.
         """
         events: list[PublishEvent] = []
         manifests = self.restorer.list_manifests(self.job_id)
@@ -137,14 +142,6 @@ class OnlinePublisher:
             self.stats.bytes_read += bytes_read
             self._published(manifest, event)
         return events
-
-    def poll(self) -> list[PublishEvent]:
-        """Apply every newly publishable checkpoint; returns the events.
-
-        Drains :meth:`poll_steps` immediately — timing-identical to
-        uninterrupted whole-chain reads on the shared timeline.
-        """
-        return drain(self.poll_steps())
 
     # -- subclass hooks (the serving plane extends these) --------------
 

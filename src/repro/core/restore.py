@@ -10,12 +10,13 @@ Reads are *staged*, like the write side: the restore walks its chain
 as a generator (:meth:`CheckpointRestorer.restore_steps`) that
 announces a :class:`~repro.storage.engine.TransferStep` before every GET
 part — against a backend with ranged GETs, one step per ranged *part* —
-and submits it when resumed. The single-caller
-:meth:`CheckpointRestorer.restore` drains the generator immediately
-(timing-identical to the old whole-chunk reads); the fleet scheduler
-instead interleaves steps from
-every job recovering in a restore storm, so the shared link drains the
-storm at part granularity in bandwidth-arbiter order.
+and submits it when resumed. The generator is the restorer's only
+entry point: a single caller drains it
+(:func:`~repro.storage.engine.drain`, reads back to back —
+timing-identical to whole-chunk reads), while the fleet scheduler
+interleaves steps from every job recovering in a restore storm, so the
+shared link drains the storm at part granularity in bandwidth-arbiter
+order.
 
 Every chunk is CRC-verified by the frame reader; corruption surfaces as
 :class:`CheckpointCorruptError` rather than silently wrong weights.
@@ -214,20 +215,6 @@ class CheckpointRestorer:
             if all(self._objects_present(link) for link in chain):
                 plan.append(target)
         return plan
-
-    def latest_valid(
-        self, job_id: str, at_time_s: float | None = None
-    ) -> CheckpointManifest | None:
-        """Most recent restorable checkpoint as of ``at_time``.
-
-        Validity is ``valid_at_s <= at_time``: a checkpoint still being
-        written when the job crashed never became valid and is skipped,
-        exactly as a missing manifest would be in the real system.
-        Equivalent to the head of :meth:`plan_resume` — quarantined
-        checkpoints and chains with missing objects are skipped too.
-        """
-        plan = self.plan_resume(job_id, at_time_s)
-        return plan[0] if plan else None
 
     # ------------------------------------------------------------------
     # Restore
@@ -459,6 +446,10 @@ class CheckpointRestorer:
         order still guarantees later increments overwrite earlier rows.
         The report's ``first_batch_ready_s`` then records when the hot
         set had fully landed.
+
+        ``manifests`` must contain every checkpoint the chain needs;
+        ``policy`` defaults to chain resolution via base-id links, which
+        is correct for all shipped policies.
         """
         if order not in RESTORE_ORDERS:
             raise CheckpointError(
@@ -585,49 +576,21 @@ class CheckpointRestorer:
             f"failed verification ({', '.join(failed) or 'empty plan'})"
         )
 
-    def restore(
-        self,
-        model: DLRM,
-        target: CheckpointManifest,
-        manifests: dict[str, CheckpointManifest],
-        reader: ReaderMaster | None = None,
-        policy: CheckpointPolicy | None = None,
-        order: str = ORDER_MANIFEST,
-        hot_rows: dict[int, np.ndarray] | None = None,
-        on_chunk=None,
-    ) -> RestoreReport:
-        """Restore model (and optionally reader) from ``target``.
-
-        ``manifests`` must contain every checkpoint the chain needs;
-        ``policy`` defaults to chain resolution via base-id links, which
-        is correct for all shipped policies. Drains the staged-read
-        generator immediately — timing-identical to uninterrupted
-        whole-chain reads.
-        """
-        return drain(
-            self.restore_steps(
-                model,
-                target,
-                manifests,
-                reader=reader,
-                policy=policy,
-                order=order,
-                hot_rows=hot_rows,
-                on_chunk=on_chunk,
-            )
-        )
-
     def apply_single_steps(
         self,
         model: DLRM,
         manifest: CheckpointManifest,
         on_chunk=None,
     ):
-        """Generator: apply one manifest through staged, announced reads.
+        """Generator: apply one manifest's rows + dense state to a model.
 
-        The staged mirror of :meth:`apply_single` — yields a
-        :class:`TransferStep` before every GET part so a driver can
-        interleave the apply with concurrent link traffic. Returns
+        This is the *online training* path (paper sections 1, 5.1):
+        consecutive incremental checkpoints are "directly applied to an
+        already-trained model in inference to improve its freshness" —
+        no chain walk, the increment lands on whatever the replica
+        already holds. Yields a :class:`TransferStep` before every GET
+        part so a driver can interleave the apply with concurrent link
+        traffic (``drain`` it to apply back to back). Returns
         ``(bytes_read, completed_s)``.
         """
         bytes_read, _, _, _, completed, _ = yield from (
@@ -637,25 +600,6 @@ class CheckpointRestorer:
             model, manifest
         )
         return bytes_read + dense_bytes, max(completed, dense_completed)
-
-    def apply_single(
-        self,
-        model: DLRM,
-        manifest: CheckpointManifest,
-        on_chunk=None,
-    ) -> int:
-        """Apply one manifest's rows + dense state onto a live model.
-
-        This is the *online training* path (paper sections 1, 5.1):
-        consecutive incremental checkpoints are "directly applied to an
-        already-trained model in inference to improve its freshness" —
-        no chain walk, the increment lands on whatever the replica
-        already holds. Returns bytes read.
-        """
-        bytes_read, _ = drain(
-            self.apply_single_steps(model, manifest, on_chunk=on_chunk)
-        )
-        return bytes_read
 
     def restore_for_transfer(
         self,
@@ -670,10 +614,10 @@ class CheckpointRestorer:
         not require the reader state" — the new job trains a different
         dataset toward a different goal. Model weights load through the
         normal chain, but progress counters reset to zero and the
-        reader is untouched.
+        reader is untouched. Drains :meth:`restore_steps` back to back.
         """
-        report = self.restore(
-            model, target, manifests, reader=None, policy=policy
+        report = drain(
+            self.restore_steps(model, target, manifests, policy=policy)
         )
         model.batches_trained = 0
         model.samples_trained = 0

@@ -39,7 +39,7 @@ from ..quant.base import Quantizer
 from ..quant.uniform import AsymmetricQuantizer
 from ..serialize.codec import encode_array, encode_payload
 from ..serialize.format import encode_frames, encode_named_frame
-from ..storage.engine import TransferStep, drain, split_parts
+from ..storage.engine import TransferStep, split_parts
 from ..storage.object_store import ObjectStore
 from .integrity import sha256_hex
 from .manifest import (
@@ -193,42 +193,6 @@ class CheckpointWriter:
             raise
 
     # ------------------------------------------------------------------
-
-    def write_checkpoint(
-        self,
-        snapshot: ModelSnapshot,
-        kind: str,
-        checkpoint_id: str,
-        job_id: str,
-        base_id: str | None,
-        policy_name: str,
-        quantizer: Quantizer,
-        chunk_rows: int,
-        quantize_optimizer_state: bool = True,
-        adaptive_num_bins: int = 25,
-        adaptive_ratio: float = 1.0,
-    ) -> tuple[CheckpointManifest, WriteReport]:
-        """Quantize, chunk, and store one checkpoint; manifest last.
-
-        Drains :meth:`write_checkpoint_steps` to completion — the
-        single-job path, with submission order (and therefore timing)
-        identical to the pre-staged writer.
-        """
-        return drain(
-            self.write_checkpoint_steps(
-                snapshot,
-                kind,
-                checkpoint_id,
-                job_id,
-                base_id,
-                policy_name,
-                quantizer,
-                chunk_rows,
-                quantize_optimizer_state,
-                adaptive_num_bins,
-                adaptive_ratio,
-            )
-        )
 
     def write_checkpoint_steps(
         self,

@@ -298,6 +298,11 @@ class ObjectStore:
         request failures are retried with backoff (the receipt's
         ``retries`` counts them), and a failure mid-upload aborts the
         multipart — no partial object ever becomes visible.
+
+        Kept synchronous on purpose: it is the storage primitive that
+        manifests, markers and tools write through, and the one the
+        repo benchmark's layer hooks time by name. :meth:`stage_put` is
+        its part-by-part form.
         """
         return drain(
             StagedPut(
@@ -356,6 +361,10 @@ class ObjectStore:
         window are issued as ranged sub-GETs fanned out over the
         backend's request lanes, and transient failures are retried
         with backoff.
+
+        Kept synchronous on purpose, like :meth:`put`: the storage
+        primitive the repo benchmark's layer hooks time by name.
+        :meth:`stage_get` is its part-by-part form.
         """
         staged = StagedGet(
             self.engine,

@@ -28,6 +28,7 @@ from pathlib import Path
 
 from ..config import (
     BackendConfig,
+    ExperimentConfig,
     FleetConfig,
     StorageConfig,
     declared_settings,
@@ -35,13 +36,14 @@ from ..config import (
     experiment_config_to_dict,
 )
 from ..core.integrity import format_integrity_report, scan_job
-from ..core.restore import CheckpointRestorer
+from ..core.controller import CheckNRun
+from ..core.restore import RestoreReport
 from ..distributed.clock import SimClock
-from ..errors import ReproError
+from ..errors import CheckpointNotFoundError, ReproError
 from ..experiments.common import build_experiment, small_config
 from ..serving import ServingConfig
 from ..storage.object_store import ObjectStore
-from ..storage.requests import OP_GET
+from ..storage.requests import OP_GET, OP_HEAD
 from . import metrics
 from .inspect import format_summaries, summarize_job
 
@@ -71,22 +73,39 @@ def _open_store(store_dir: str, clock: SimClock) -> ObjectStore:
     return ObjectStore(config, clock)
 
 
-def _build_from_stored_config(store: ObjectStore, job: str, clock):
+def _stored_config(store: ObjectStore, job: str) -> ExperimentConfig | None:
+    """The configuration ``repro run`` stored for ``job``, if any.
+
+    Read untimed: checking a job's settings is not checkpoint traffic.
+    """
     key = JOB_CONFIG_KEY.format(job=job)
-    if not store.exists(key):
-        raise ReproError(
-            f"no stored configuration for job {job!r}; was it created "
-            "with `repro run`?"
-        )
-    config = experiment_config_from_dict(
-        json.loads(store.engine.retry_probe(OP_GET, key))
-    )
-    return build_experiment(
-        config, job_id=job, store=store, clock=clock
-    ).controller
+    if not store.engine.retry_probe(OP_HEAD, key):
+        return None
+    blob = store.engine.retry_probe(OP_GET, key)
+    return experiment_config_from_dict(json.loads(blob))
+
+
+def _resume(controller: CheckNRun) -> RestoreReport | None:
+    """Restore a job from the checkpoints an earlier process stored.
+
+    Returns None when the job has none. The fresh process's clock
+    starts at zero, before the stored checkpoints' validity times, so
+    it is fast-forwarded past the newest one first.
+    """
+    existing = controller.restorer.list_manifests(controller.job_id)
+    if not existing:
+        return None
+    newest_valid = max(m.valid_at_s for m in existing.values())
+    controller.clock.advance_to(newest_valid + 1.0, "prior-history")
+    controller.adopt_manifests(existing)
+    return controller.restore_latest()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # Everything is checked before the first write: a rejected run
+    # leaves the store byte-identical.
+    if args.intervals < 1:
+        raise ReproError("--intervals must be at least 1")
     config = small_config(
         policy=args.policy,
         quantizer=args.quantizer,
@@ -95,31 +114,31 @@ def cmd_run(args: argparse.Namespace) -> int:
         num_tables=args.tables,
         rows_per_table=args.rows,
     )
+    given = experiment_config_to_dict(config)
     clock = SimClock()
     store = _open_store(args.store_dir, clock)
-    store.put(
-        JOB_CONFIG_KEY.format(job=args.job),
-        json.dumps(experiment_config_to_dict(config)).encode("utf-8"),
-        overwrite=True,
-    )
-    exp = build_experiment(
+    stored = _stored_config(store, args.job)
+    kept = given if stored is None else experiment_config_to_dict(stored)
+    differ = [
+        f"{section}.{name}"
+        for section, fields in given.items()
+        for name, value in fields.items()
+        if kept[section][name] != value
+    ]
+    if differ:
+        names = ", ".join(differ)
+        raise ReproError(f"job {args.job!r} was created with other {names}")
+    controller = build_experiment(
         config, job_id=args.job, store=store, clock=clock
-    )
-    controller = exp.controller
-
-    # Resume if the job already has checkpoints on disk. The fresh
-    # process's clock starts at zero, before the stored checkpoints'
-    # validity times: fast-forward past the newest one.
-    restorer = CheckpointRestorer(store, clock)
-    existing = restorer.list_manifests(args.job)
-    if existing:
-        newest_valid = max(m.valid_at_s for m in existing.values())
-        clock.advance_to(newest_valid + 1.0, "prior-history")
-        controller.adopt_manifests(existing)
-        report = controller.restore_latest()
+    ).controller
+    if stored is None:
+        blob = json.dumps(given).encode("utf-8")
+        store.put(JOB_CONFIG_KEY.format(job=args.job), blob)
+    report = _resume(controller)
+    if report is not None:
         print(
             f"resumed {report.checkpoint_id} at batch "
-            f"{exp.model.batches_trained}"
+            f"{controller.trainer.model.batches_trained}"
         )
     for report in controller.run_intervals(args.intervals):
         print(
@@ -163,16 +182,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_restore(args: argparse.Namespace) -> int:
     clock = SimClock()
     store = _open_store(args.store_dir, clock)
-    controller = _build_from_stored_config(store, args.job, clock)
-    restorer = CheckpointRestorer(store, clock)
-    existing = restorer.list_manifests(args.job)
-    if existing:
-        clock.advance_to(
-            max(m.valid_at_s for m in existing.values()) + 1.0,
-            "prior-history",
+    config = _stored_config(store, args.job)
+    if config is None:
+        raise ReproError(
+            f"no stored configuration for job {args.job!r}; was it "
+            "created with `repro run`?"
         )
-    controller.adopt_manifests(existing)
-    report = controller.restore_latest()
+    controller = build_experiment(
+        config, job_id=args.job, store=store, clock=clock
+    ).controller
+    report = _resume(controller)
+    if report is None:
+        raise CheckpointNotFoundError(
+            f"job {args.job!r} has no checkpoint to restore"
+        )
     print(
         f"restored {report.checkpoint_id} "
         f"(chain {' -> '.join(report.chain_ids)}): "

@@ -11,6 +11,7 @@ from repro.metrics.accounting import (
     peak_capacity,
     reduction_summary,
 )
+from repro.storage.engine import drain
 
 
 def run_policy(policy: str, quantizer: str, bits):
@@ -95,7 +96,7 @@ class TestPublisherWithCumulativeIncrements:
             exp.clock.advance_to(
                 exp.store.timeline.free_at + 1.0, "drain"
             )
-            publisher.poll()
+            drain(publisher.poll_steps())
         for t in range(exp.model.num_tables):
             np.testing.assert_array_equal(
                 replica.table_weight(t), exp.model.table_weight(t)

@@ -10,9 +10,11 @@ from repro.core.restore import CheckpointRestorer
 from repro.errors import CheckpointError
 from repro.experiments import build_experiment, small_config
 from repro.model.dlrm import DLRM
+from repro.storage.engine import drain
 
 
-def drain(exp) -> None:
+def settle(exp) -> None:
+    """Advance the clock past every in-flight background write."""
     exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
 
 
@@ -41,8 +43,8 @@ class TestOnlinePublisher:
         )
         for _ in range(3):
             exp.controller.run_intervals(1)
-            drain(exp)
-            publisher.poll()
+            settle(exp)
+            drain(publisher.poll_steps())
         # fp32 consecutive increments reproduce the trainer exactly.
         for t in range(exp.model.num_tables):
             np.testing.assert_array_equal(
@@ -56,13 +58,13 @@ class TestOnlinePublisher:
             exp.store, exp.clock, replica, exp.controller.job_id
         )
         exp.controller.run_intervals(2)
-        drain(exp)
-        first = publisher.poll()
+        settle(exp)
+        first = drain(publisher.poll_steps())
         assert len(first) == 2
-        assert publisher.poll() == []  # nothing new
+        assert drain(publisher.poll_steps()) == []  # nothing new
         exp.controller.run_intervals(1)
-        drain(exp)
-        assert len(publisher.poll()) == 1
+        settle(exp)
+        assert len(drain(publisher.poll_steps())) == 1
 
     def test_pending_respects_validity(self, consecutive_exp):
         exp = consecutive_exp
@@ -73,7 +75,7 @@ class TestOnlinePublisher:
         exp.controller.run_intervals(1)
         # Write still in flight: nothing valid to publish yet.
         assert publisher.pending() == []
-        drain(exp)
+        settle(exp)
         assert len(publisher.pending()) == 1
 
     def test_staleness_tracking(self, consecutive_exp):
@@ -83,8 +85,8 @@ class TestOnlinePublisher:
             exp.store, exp.clock, replica, exp.controller.job_id
         )
         exp.controller.run_intervals(1)
-        drain(exp)
-        events = publisher.poll()
+        settle(exp)
+        events = drain(publisher.poll_steps())
         assert events[0].staleness_s > 0
         assert publisher.stats.mean_staleness_s > 0
 
@@ -97,8 +99,8 @@ class TestOnlinePublisher:
         with pytest.raises(CheckpointError, match="never"):
             publisher.require_fresh(10.0)
         exp.controller.run_intervals(1)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         publisher.require_fresh(max_staleness_s=1e9)
         exp.clock.advance(1e6, "idle")
         with pytest.raises(CheckpointError, match="freshness"):
@@ -111,9 +113,9 @@ class TestTransferRestore:
             small_config(quantizer="none", interval_batches=5)
         )
         exp.controller.run_intervals(2)
-        drain(exp)
+        settle(exp)
         restorer = CheckpointRestorer(exp.store, exp.clock)
-        target = restorer.latest_valid(exp.controller.job_id)
+        target = restorer.plan_resume(exp.controller.job_id)[0]
         seeded = DLRM(exp.config.model)
         report = restorer.restore_for_transfer(
             seeded, target, exp.controller.manifests,
@@ -136,16 +138,18 @@ class TestTransferRestore:
             )
         )
         exp.controller.run_intervals(2)
-        drain(exp)
+        settle(exp)
         manifests = sorted(
             exp.controller.manifests.values(),
             key=lambda m: m.interval_index,
         )
         restorer = CheckpointRestorer(exp.store, exp.clock)
         replica = DLRM(exp.config.model)
-        bytes_read = restorer.apply_single(replica, manifests[0])
+        bytes_read, _ = drain(
+            restorer.apply_single_steps(replica, manifests[0])
+        )
         assert bytes_read > 0
-        restorer.apply_single(replica, manifests[1])
+        drain(restorer.apply_single_steps(replica, manifests[1]))
         np.testing.assert_array_equal(
             replica.table_weight(0), exp.model.table_weight(0)
         )
@@ -157,7 +161,7 @@ class TestAdoptManifests:
             small_config(policy="intermittent", rows_per_table=4096)
         )
         exp.controller.run_intervals(3)
-        drain(exp)
+        settle(exp)
         stored = dict(exp.controller.manifests)
 
         # A "new process": same store, fresh controller.

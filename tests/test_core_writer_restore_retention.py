@@ -21,6 +21,7 @@ from repro.errors import (
     CheckpointNotFoundError,
 )
 from repro.quant import make_quantizer
+from repro.storage.engine import drain
 
 import backend_ops as ops
 
@@ -43,10 +44,10 @@ def ready(tiny_experiment):
 class TestWriter:
     def test_full_checkpoint_stores_every_row(self, ready):
         exp, snapshot, writer, _ = ready
-        manifest, report = writer.write_checkpoint(
+        manifest, report = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         total_rows = sum(s.rows for s in exp.plan.shards)
         assert report.rows_written == total_rows
         assert manifest.kind == KIND_FULL
@@ -58,32 +59,32 @@ class TestWriter:
             int(s.mask.sum()) for s in snapshot.shards.values()
         )
         assert 0 < modified < sum(s.rows for s in exp.plan.shards)
-        manifest, report = writer.write_checkpoint(
+        manifest, report = drain(writer.write_checkpoint_steps(
             snapshot, KIND_INCREMENTAL, "ckpt-1", "job0", "ckpt-0",
             "one_shot", make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         assert report.rows_written == modified
 
     def test_chunking_respects_chunk_rows(self, ready):
         exp, snapshot, writer, _ = ready
-        manifest, report = writer.write_checkpoint(
+        manifest, report = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("none"), chunk_rows=64,
-        )
+        ))
         for shard_record in manifest.shards:
             for chunk in shard_record.chunks:
                 assert chunk.row_count <= 64
 
     def test_quantization_reduces_bytes(self, ready):
         exp, snapshot, writer, _ = ready
-        _, fp32 = writer.write_checkpoint(
+        _, fp32 = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "a", "job0", None, "full",
             make_quantizer("none"), chunk_rows=1000,
-        )
-        _, q4 = writer.write_checkpoint(
+        ))
+        _, q4 = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "b", "job0", None, "full",
             make_quantizer("asymmetric", bits=4), chunk_rows=1000,
-        )
+        ))
         # At embedding dim 8 the per-row (xmin, xmax) metadata caps the
         # gain near 2x (the paper's section 6.3.2 caveat: savings are
         # sub-linear in bit width because of metadata).
@@ -91,10 +92,10 @@ class TestWriter:
 
     def test_manifest_written_last_gates_validity(self, ready):
         exp, snapshot, writer, _ = ready
-        manifest, report = writer.write_checkpoint(
+        manifest, report = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         chunk_ends = [
             t.end_s
             for t in exp.store.log.transfers("put")
@@ -107,10 +108,10 @@ class TestWriter:
         """Validity lands later than the trigger: training would continue
         while the storage link drains (decoupling, section 4.2)."""
         exp, snapshot, writer, _ = ready
-        _, report = writer.write_checkpoint(
+        _, report = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         assert report.valid_at_s > exp.clock.now
         assert report.pipeline_duration_s > 0
 
@@ -135,10 +136,10 @@ class TestWriter:
         snapshot.shards = {shard_id: shard}
         engine = exp.store.engine
         calls = self._spy_on_pool(engine, monkeypatch)
-        _, report = writer.write_checkpoint(
+        _, report = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("asymmetric", bits=4), chunk_rows=10**6,
-        )
+        ))
         assert report.num_chunks == 1
         # The head chunk ran on this thread, and the engine's books say
         # so: one task, all of it waited for, nothing overlapped.
@@ -159,11 +160,11 @@ class TestWriter:
         snapshot.shards = {shard_id: shard}
         engine = exp.store.engine
         calls = self._spy_on_pool(engine, monkeypatch)
-        _, report = writer.write_checkpoint(
+        _, report = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("asymmetric", bits=4),
             chunk_rows=-(-shard.weight.shape[0] // 3),
-        )
+        ))
         assert report.num_chunks == 3
         # Both lookahead chunks are in flight before the head chunk
         # starts on this thread, so they overlap it.
@@ -193,11 +194,11 @@ class TestWriter:
             i: (s.weight.copy(), s.accumulator.copy())
             for i, s in snapshot.shards.items()
         }
-        writer.write_checkpoint(
+        drain(writer.write_checkpoint_steps(
             snapshot, kind, "ckpt-0", "job0",
             None if kind == KIND_FULL else "base", "one_shot",
             make_quantizer("asymmetric", bits=4), chunk_rows=100,
-        )
+        ))
         assert len(handed) > len(snapshot.shards)
         shares = {
             np.shares_memory(arr, base)
@@ -221,10 +222,10 @@ class TestWriter:
             return real(self)
 
         monkeypatch.setattr(CheckpointManifest, "to_json", counting)
-        manifest, _ = writer.write_checkpoint(
+        manifest, _ = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         assert calls == ["ckpt-0"]
         stored = ops.read(exp.store.backend, "job0/ckpt-0/manifest.json")
         assert stored == real(manifest).encode("utf-8")
@@ -232,27 +233,27 @@ class TestWriter:
     def test_bad_chunk_rows_rejected(self, ready):
         _, snapshot, writer, _ = ready
         with pytest.raises(CheckpointError):
-            writer.write_checkpoint(
+            drain(writer.write_checkpoint_steps(
                 snapshot, KIND_FULL, "c", "job0", None, "full",
                 make_quantizer("none"), chunk_rows=0,
-            )
+            ))
 
     def test_unknown_kind_rejected(self, ready):
         _, snapshot, writer, _ = ready
         with pytest.raises(CheckpointError, match="kind"):
-            writer.write_checkpoint(
+            drain(writer.write_checkpoint_steps(
                 snapshot, "differential", "c", "job0", None, "full",
                 make_quantizer("none"), chunk_rows=10,
-            )
+            ))
 
 
 class TestRestore:
     def test_full_roundtrip_fp32_is_exact(self, ready):
         exp, snapshot, writer, restorer = ready
-        manifest, _ = writer.write_checkpoint(
+        manifest, _ = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         expected = {
             t: exp.model.table_weight(t).copy()
             for t in range(exp.model.num_tables)
@@ -262,9 +263,9 @@ class TestRestore:
             for t in range(exp.model.num_tables)
         }
         exp.model.reinitialize()
-        report = restorer.restore(
+        report = drain(restorer.restore_steps(
             exp.model, manifest, {"ckpt-0": manifest}, reader=exp.reader
-        )
+        ))
         for t in range(exp.model.num_tables):
             np.testing.assert_array_equal(
                 exp.model.table_weight(t), expected[t]
@@ -280,13 +281,13 @@ class TestRestore:
 
     def test_quantized_roundtrip_bounded_error(self, ready):
         exp, snapshot, writer, restorer = ready
-        manifest, _ = writer.write_checkpoint(
+        manifest, _ = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "q", "job0", None, "full",
             make_quantizer("asymmetric", bits=8), chunk_rows=100,
-        )
+        ))
         expected = exp.model.table_weight(0).copy()
         exp.model.reinitialize()
-        restorer.restore(exp.model, manifest, {"q": manifest})
+        drain(restorer.restore_steps(exp.model, manifest, {"q": manifest}))
         got = exp.model.table_weight(0)
         row_range = expected.max(axis=1) - expected.min(axis=1)
         np.testing.assert_array_less(
@@ -305,10 +306,10 @@ class TestRestore:
         snap0 = manager.take_snapshot(
             0, exp.controller.tracker_set, exp.reader.collect_state()
         )
-        base, _ = writer.write_checkpoint(
+        base, _ = drain(writer.write_checkpoint_steps(
             snap0, KIND_FULL, "base", "job0", None, "one_shot",
             make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         snap0.release(exp.trainer)
         # one_shot: tracker keeps accumulating after the baseline.
         exp.controller.tracker_set.reset_all()
@@ -318,18 +319,18 @@ class TestRestore:
         snap1 = manager.take_snapshot(
             1, exp.controller.tracker_set, exp.reader.collect_state()
         )
-        inc, _ = writer.write_checkpoint(
+        inc, _ = drain(writer.write_checkpoint_steps(
             snap1, KIND_INCREMENTAL, "inc", "job0", "base", "one_shot",
             make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         snap1.release(exp.trainer)
 
         expected = exp.model.table_weight(0).copy()
         exp.model.reinitialize()
         manifests = {"base": base, "inc": inc}
-        report = restorer.restore(
+        report = drain(restorer.restore_steps(
             exp.model, inc, manifests, reader=exp.reader, policy=policy
-        )
+        ))
         assert report.chain_ids == ["base", "inc"]
         np.testing.assert_array_equal(exp.model.table_weight(0), expected)
         assert exp.model.batches_trained == 8
@@ -337,31 +338,33 @@ class TestRestore:
 
     def test_corrupt_chunk_detected(self, ready):
         exp, snapshot, writer, restorer = ready
-        manifest, _ = writer.write_checkpoint(
+        manifest, _ = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         chunk_key = manifest.shards[0].chunks[0].key
         blob = bytearray(ops.read(exp.store.backend, chunk_key))
         blob[len(blob) // 2] ^= 0xFF
         ops.write(exp.store.backend, chunk_key, bytes(blob))
         with pytest.raises(CheckpointCorruptError):
-            restorer.restore(exp.model, manifest, {"ckpt-0": manifest})
+            drain(
+                restorer.restore_steps(
+                    exp.model, manifest, {"ckpt-0": manifest}
+                )
+            )
 
     def test_latest_valid_respects_time(self, ready):
         exp, snapshot, writer, restorer = ready
-        manifest, report = writer.write_checkpoint(
+        manifest, report = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
             make_quantizer("none"), chunk_rows=100,
-        )
+        ))
         # Before the write completes: nothing valid.
-        assert restorer.latest_valid("job0", at_time_s=exp.clock.now) is None
+        assert restorer.plan_resume("job0", at_time_s=exp.clock.now) == []
         # After: the checkpoint is found.
-        found = restorer.latest_valid(
-            "job0", at_time_s=report.valid_at_s + 1
-        )
-        assert found is not None
-        assert found.checkpoint_id == "ckpt-0"
+        found = restorer.plan_resume("job0", at_time_s=report.valid_at_s + 1)
+        assert found
+        assert found[0].checkpoint_id == "ckpt-0"
 
     def test_missing_manifest(self, ready):
         _, _, _, restorer = ready

@@ -22,6 +22,7 @@ from repro.storage.backends import (
     InMemoryBackend,
     MirroredBackend,
 )
+from repro.storage.engine import drain
 
 #: (label, quantizer, effective bits) — the fleet's precision rungs.
 PRECISIONS = (
@@ -75,21 +76,21 @@ def newest_target(exp):
     horizon = (
         max(m.valid_at_s for m in exp.controller.manifests.values()) + 1.0
     )
-    target = exp.controller.restorer.latest_valid(
+    plan = exp.controller.restorer.plan_resume(
         exp.controller.job_id, at_time_s=horizon
     )
-    assert target is not None
-    return target
+    assert plan
+    return plan[0]
 
 
 def restore_fresh(exp) -> DLRM:
     fresh = DLRM(exp.config.model)
-    exp.controller.restorer.restore(
+    drain(exp.controller.restorer.restore_steps(
         fresh,
         newest_target(exp),
         exp.controller.manifests,
         policy=exp.controller.policy,
-    )
+    ))
     return fresh
 
 
@@ -191,9 +192,10 @@ def test_file_backend_restores_across_processes(tmp_path):
     )
     restorer = CheckpointRestorer(reopened, clock)
     manifests = restorer.list_manifests("job0")
-    target = restorer.latest_valid("job0")
-    assert target is not None
+    plan = restorer.plan_resume("job0")
+    assert plan
+    target = plan[0]
     fresh = DLRM(exp.config.model)
-    restorer.restore(fresh, target, manifests)
+    drain(restorer.restore_steps(fresh, target, manifests))
     for t in range(fresh.num_tables):
         np.testing.assert_array_equal(fresh.table_weight(t), live[t])

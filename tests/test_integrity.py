@@ -316,7 +316,14 @@ class TestResumePlanner:
     def test_plan_head_is_latest_valid(self, stored):
         _, restorer = stored
         plan = restorer.plan_resume("job0")
-        assert restorer.latest_valid("job0") == plan[0]
+        valid = [
+            m
+            for m in restorer.list_manifests("job0").values()
+            if m.valid_at_s <= restorer.clock.now
+        ]
+        assert plan[0] == max(
+            valid, key=lambda m: (m.interval_index, m.valid_at_s)
+        )
 
     def test_plan_skips_candidates_with_missing_objects(self, stored):
         exp, restorer = stored

@@ -19,6 +19,7 @@ from repro.core.snapshot import ModelSnapshot, ShardSnapshot
 from repro.core.writer import CheckpointWriter
 from repro.data.state import ReaderState, TrainerProgress
 from repro.distributed.clock import SimClock
+from repro.storage.engine import drain
 from repro.storage.object_store import ObjectStore
 
 import backend_ops as ops
@@ -69,10 +70,10 @@ def test_incremental_writes_exactly_masked_rows(data):
 
     from repro.quant import make_quantizer
 
-    manifest, report = writer.write_checkpoint(
+    manifest, report = drain(writer.write_checkpoint_steps(
         snapshot, KIND_INCREMENTAL, "c", "j", "base", "one_shot",
         make_quantizer("none"), chunk_rows=chunk_rows,
-    )
+    ))
     assert report.rows_written == int(mask.sum())
     assert manifest.embedding_rows_stored == int(mask.sum())
     # Every chunk respects the chunk size.
@@ -98,11 +99,11 @@ def test_full_write_restore_roundtrip_bitexact(data):
     from repro.serialize.codec import decode_array, decode_payload
     from repro.serialize.format import decode_frames
 
-    manifest, _ = writer.write_checkpoint(
+    manifest, _ = drain(writer.write_checkpoint_steps(
         snapshot, KIND_FULL, "c", "j", None, "full",
         make_quantizer("none"), chunk_rows=chunk_rows,
         quantize_optimizer_state=False,
-    )
+    ))
     # Reassemble the table from stored chunks and compare bit-exactly.
     reassembled = np.zeros((rows, dim), dtype=np.float32)
     accum = np.zeros(rows, dtype=np.float32)
@@ -147,10 +148,10 @@ def test_manifest_bytes_match_store_accounting(chunk_rows, quantizer_name):
 
     from repro.quant import make_quantizer
 
-    manifest, report = writer.write_checkpoint(
+    manifest, report = drain(writer.write_checkpoint_steps(
         snapshot, KIND_INCREMENTAL, "c", "j", "b", "one_shot",
         make_quantizer(quantizer_name, bits=4), chunk_rows=chunk_rows,
-    )
+    ))
     # Manifest chunk byte totals equal the writer's report...
     assert manifest.logical_bytes == report.logical_bytes
     # ...and every referenced object exists with the declared size.
@@ -176,10 +177,10 @@ def test_incremental_size_proportional_to_mask(mask_fraction):
 
     from repro.quant import make_quantizer
 
-    manifest, report = writer.write_checkpoint(
+    manifest, report = drain(writer.write_checkpoint_steps(
         snapshot, KIND_INCREMENTAL, "c", "j", "b", "one_shot",
         make_quantizer("none"), chunk_rows=64,
-    )
+    ))
     assert report.rows_written == count
     if count == 0:
         assert manifest.embedding_rows_stored == 0

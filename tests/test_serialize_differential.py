@@ -34,6 +34,7 @@ from repro.quant.base import QuantizedTensor
 from repro.quant.uniform import AsymmetricQuantizer
 from repro.serialize import codec
 from repro.serialize import format as fmt
+from repro.storage.engine import drain
 from repro.storage.object_store import ObjectStore
 from repro.storage.requests import OP_GET, OP_LIST, StorageRequest
 
@@ -434,10 +435,10 @@ def _write(dense_state, rows=37, chunk_rows=10, quantizer="none"):
     snapshot.dense_state = dense_state
     clock = SimClock()
     store = ObjectStore(StorageConfig(), clock)
-    CheckpointWriter(store, clock).write_checkpoint(
+    drain(CheckpointWriter(store, clock).write_checkpoint_steps(
         snapshot, KIND_FULL, "c", "j", None, "full",
         make_quantizer(quantizer, bits=4), chunk_rows=chunk_rows,
-    )
+    ))
     backend = store.backend
     return {
         key: backend.get_object(StorageRequest(OP_GET, key))

@@ -15,12 +15,13 @@ from repro.errors import CheckpointError, ServingError
 from repro.experiments import build_experiment, small_config
 from repro.model.dlrm import DLRM
 from repro.serving import RowCache, RowCacheStats, ServingPublisher
-from repro.storage.engine import TransferStep
+from repro.storage.engine import TransferStep, drain
 
 import backend_ops as ops
 
 
-def drain(exp) -> None:
+def settle(exp) -> None:
+    """Advance the clock past every in-flight background write."""
     exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
 
 
@@ -132,8 +133,8 @@ class TestServingPublisher:
         publisher = self._publisher(exp)
         for _ in range(3):
             exp.controller.run_intervals(1)
-            drain(exp)
-            publisher.poll()
+            settle(exp)
+            drain(publisher.poll_steps())
         assert len(publisher.versions) == 3
         assert [v.version_index for v in publisher.versions] == [0, 1, 2]
         assert publisher.latest_version is publisher.versions[-1]
@@ -144,8 +145,8 @@ class TestServingPublisher:
         exp = serving_exp
         publisher = self._publisher(exp)
         exp.controller.run_intervals(2)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         version = publisher.latest_version
         assert version is not None
         for t in range(exp.model.num_tables):
@@ -161,14 +162,14 @@ class TestServingPublisher:
         publisher = self._publisher(exp)
         # After only a full checkpoint there is no tracker signal yet.
         exp.controller.run_intervals(1)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         first = publisher.versions[0]
         assert all(ids.size == 0 for ids in first.hot_rows.values())
         # Incremental checkpoints carry exactly the modified rows.
         exp.controller.run_intervals(1)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         second = publisher.versions[1]
         for t, hot in second.hot_rows.items():
             assert hot.size > 0
@@ -180,8 +181,8 @@ class TestServingPublisher:
         exp = serving_exp
         publisher = self._publisher(exp)
         exp.controller.run_intervals(1)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         with pytest.raises(ServingError):
             publisher.latest_version.row_ref(0, 10_000_000)
 
@@ -190,15 +191,15 @@ class TestServingPublisher:
         exp = serving_exp
         publisher = self._publisher(exp)
         exp.controller.run_intervals(1)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         exp.controller.run_intervals(1)
-        drain(exp)
+        settle(exp)
         restorer = CheckpointRestorer(exp.store, exp.clock)
         manifests = restorer.list_manifests(exp.controller.job_id)
         newest = max(manifests.values(), key=lambda m: m.interval_index)
         quarantine_checkpoint(exp.store, newest)
-        events = publisher.poll()
+        events = drain(publisher.poll_steps())
         assert newest.checkpoint_id not in {
             e.checkpoint_id for e in events
         }
@@ -209,8 +210,8 @@ class TestServingPublisher:
         # A descendant increment chains *through* the quarantined link,
         # so it must stay unpublishable until a full re-anchors it.
         exp.controller.run_intervals(1)
-        drain(exp)
-        assert publisher.poll() == []
+        settle(exp)
+        assert drain(publisher.poll_steps()) == []
 
 
 class TestDecodeChunkRows:
@@ -228,8 +229,8 @@ class TestDecodeChunkRows:
             exp.controller.job_id,
         )
         exp.controller.run_intervals(1)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         ref, blob = self._chunk(exp, publisher)
         rows, weights = decode_chunk_rows(ref.key, blob, ref.digest)
         assert rows.dtype == np.int64
@@ -248,8 +249,8 @@ class TestDecodeChunkRows:
             exp.controller.job_id,
         )
         exp.controller.run_intervals(1)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         ref, blob = self._chunk(exp, publisher)
         with pytest.raises(CheckpointCorruptError):
             decode_chunk_rows(ref.key, blob, "00" * 32)
@@ -272,8 +273,8 @@ class TestDecodeChunkRows:
             exp.controller.job_id,
         )
         exp.controller.run_intervals(1)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         ref, blob = self._chunk(exp, publisher)
         hashed = []
         real = chunks.sha256_hex
@@ -297,7 +298,7 @@ class TestDecodeChunkRows:
 class TestHotFirstRestore:
     def _run_and_manifests(self, exp, intervals=2):
         exp.controller.run_intervals(intervals)
-        drain(exp)
+        settle(exp)
         restorer = CheckpointRestorer(exp.store, exp.clock)
         manifests = restorer.list_manifests(exp.controller.job_id)
         target = max(manifests.values(), key=lambda m: m.interval_index)

@@ -19,19 +19,12 @@ from repro.serving import (
     run_serving,
 )
 from repro.storage.backends import corrupt_stored_object
+from repro.storage.engine import drain
 
 
-def drain(exp) -> None:
+def settle(exp) -> None:
+    """Advance the clock past every in-flight background write."""
     exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
-
-
-def drive(gen):
-    """Run a staged generator to completion; return its value."""
-    try:
-        while True:
-            next(gen)
-    except StopIteration as stop:
-        return stop.value
 
 
 @pytest.fixture
@@ -58,8 +51,8 @@ def published_pair():
     golden = []
     for _ in range(2):
         exp.controller.run_intervals(1)
-        drain(exp)
-        publisher.poll()
+        settle(exp)
+        drain(publisher.poll_steps())
         golden.append(
             {
                 t: publisher.replica.table_weight(t).copy()
@@ -93,7 +86,7 @@ class TestFlipAtomicity:
             cache_rows=64,
             warm_pins=False,
         )
-        drive(server.flip_steps(publisher.versions[0], exp.clock.now))
+        drain(server.flip_steps(publisher.versions[0], exp.clock.now))
         assert server.version_index == 0
         table_id, row = _modified_row(publisher)
         request = LookupRequest(
@@ -103,9 +96,9 @@ class TestFlipAtomicity:
         )
         lookup = server.lookup_steps(request)
         next(lookup)  # the miss announced its read; request in flight
-        drive(server.flip_steps(publisher.versions[1], exp.clock.now))
+        drain(server.flip_steps(publisher.versions[1], exp.clock.now))
         assert server.version_index == 1
-        result = drive(lookup)
+        result = drain(lookup)
         # The request captured version 0 and must finish there, with
         # version 0's value — not the newer one the flip installed.
         assert result.version_index == 0
@@ -121,9 +114,9 @@ class TestFlipAtomicity:
         server = InferenceServer(
             "s0", exp.store, publisher, cache_rows=64, warm_pins=False
         )
-        drive(server.flip_steps(publisher.versions[1], exp.clock.now))
+        drain(server.flip_steps(publisher.versions[1], exp.clock.now))
         table_id, row = _modified_row(publisher)
-        result = drive(
+        result = drain(
             server.lookup_steps(
                 LookupRequest(
                     request_id=0,
@@ -159,11 +152,11 @@ class TestCorruptionFallback:
         server = InferenceServer(
             "s0", exp.store, publisher, cache_rows=64, warm_pins=False
         )
-        drive(server.flip_steps(publisher.versions[1], exp.clock.now))
+        drain(server.flip_steps(publisher.versions[1], exp.clock.now))
         table_id, row = _modified_row(publisher)
         bad_key = publisher.versions[1].row_ref(table_id, row).key
         corrupt_stored_object(exp.store.backend, bad_key)
-        result = drive(
+        result = drain(
             server.lookup_steps(
                 LookupRequest(
                     request_id=0,
@@ -190,12 +183,12 @@ class TestCorruptionFallback:
         server = InferenceServer(
             "s0", exp.store, publisher, cache_rows=1, warm_pins=False
         )
-        drive(server.flip_steps(publisher.versions[1], exp.clock.now))
+        drain(server.flip_steps(publisher.versions[1], exp.clock.now))
         table_id, row = _modified_row(publisher)
         request = LookupRequest(
             request_id=0, arrival_s=exp.clock.now, rows=((table_id, row),)
         )
-        clean = drive(server.lookup_steps(request))
+        clean = drain(server.lookup_steps(request))
         assert (clean.version_index, clean.misses) == (1, 1)
         assert server.decoded_chunks.decodes == 1
         # Push the row out of the one-row cache so it must be re-read.
@@ -204,7 +197,7 @@ class TestCorruptionFallback:
             for r in publisher.versions[1].modified_rows[table_id].tolist()
             if r != row
         )
-        drive(
+        drain(
             server.lookup_steps(
                 LookupRequest(
                     request_id=1,
@@ -216,7 +209,7 @@ class TestCorruptionFallback:
         assert not server.current.cache.contains(table_id, row)
         bad_key = publisher.versions[1].row_ref(table_id, row).key
         corrupt_stored_object(exp.store.backend, bad_key)
-        result = drive(server.lookup_steps(request))
+        result = drain(server.lookup_steps(request))
         assert result.version_index == 0
         assert result.fallback_depth == 1
         assert server.version_fallbacks == 1
@@ -245,7 +238,7 @@ class TestCorruptionFallback:
         server = InferenceServer(
             "s0", exp.store, publisher, cache_rows=64, warm_pins=True
         )
-        drive(server.flip_steps(v1, exp.clock.now))
+        drain(server.flip_steps(v1, exp.clock.now))
         assert server.version_index == 0
         assert server.version_fallbacks >= 1
 

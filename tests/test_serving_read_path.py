@@ -25,7 +25,8 @@ from repro.serving import (
     RowCache,
     chunks,
 )
-from test_serving_flip import drive, published_pair  # noqa: F401 (fixture)
+from repro.storage.engine import drain
+from test_serving_flip import published_pair  # noqa: F401 (fixture)
 
 # ----------------------------------------------------------------------
 # (a) admit_many == admit, row by row
@@ -257,7 +258,7 @@ def _unmodified_row(publisher) -> tuple[int, int]:
 
 
 def _lookup(server, exp, *rows, request_id=0):
-    return drive(
+    return drain(
         server.lookup_steps(
             LookupRequest(
                 request_id=request_id, arrival_s=exp.clock.now, rows=rows
@@ -286,7 +287,7 @@ def test_two_servers_one_chunk_two_gets_two_hashes_one_decode(
     table_id, row = _unmodified_row(publisher)
     key = publisher.versions[1].row_ref(table_id, row).key
     for server in servers:
-        drive(server.flip_steps(publisher.versions[1], exp.clock.now))
+        drain(server.flip_steps(publisher.versions[1], exp.clock.now))
         result = _lookup(server, exp, (table_id, row))
         assert (result.hits, result.misses) == (0, 1)
         np.testing.assert_array_equal(
@@ -323,7 +324,7 @@ def test_window_admits_only_rows_the_version_maps_to_the_chunk(
     server = InferenceServer(
         "s0", exp.store, publisher, cache_rows=64, warm_pins=False
     )
-    drive(server.flip_steps(v1, exp.clock.now))
+    drain(server.flip_steps(v1, exp.clock.now))
     table_id, unmodified = _unmodified_row(publisher)
     stale = set(v1.modified_rows[table_id].tolist())
     assert stale, "version 1 modified nothing in this table"
@@ -373,7 +374,7 @@ class TestServedValuesAreFrozen:
         server = InferenceServer(
             "s0", exp.store, publisher, cache_rows=64, warm_pins=warm_pins
         )
-        drive(server.flip_steps(v1, exp.clock.now))
+        drain(server.flip_steps(v1, exp.clock.now))
         cold = _unmodified_row(publisher)
         hot_table = next(t for t in sorted(v1.hot_rows) if v1.hot_rows[t].size)
         wanted = [cold, (hot_table, int(v1.hot_rows[hot_table][0]))]

@@ -28,6 +28,7 @@ from repro.storage.backends import (
     InMemoryBackend,
     MirroredBackend,
 )
+from repro.storage.engine import drain
 
 
 def test_checkpoint_reflects_snapshot_not_live_model():
@@ -61,18 +62,18 @@ def test_checkpoint_reflects_snapshot_not_live_model():
     )  # the live model moved on
 
     writer = CheckpointWriter(exp.store, exp.clock)
-    manifest, _ = writer.write_checkpoint(
+    manifest, _ = drain(writer.write_checkpoint_steps(
         snapshot, KIND_FULL, "atomic", "job0", None, "full",
         make_quantizer("none"), chunk_rows=128,
         quantize_optimizer_state=False,
-    )
+    ))
     snapshot.release(exp.trainer)
 
     # Restore into a fresh model: it must equal the snapshot-time
     # state, not the post-snapshot training state.
     fresh = DLRM(exp.config.model)
     restorer = CheckpointRestorer(exp.store, exp.clock)
-    restorer.restore(fresh, manifest, {"atomic": manifest})
+    drain(restorer.restore_steps(fresh, manifest, {"atomic": manifest}))
     for t in range(exp.model.num_tables):
         np.testing.assert_array_equal(
             fresh.table_weight(t), at_snapshot[t]
@@ -169,12 +170,15 @@ def test_staged_write_killed_before_manifest_is_skipped_on_restore():
     assert not any(k.endswith("manifest.json") for k in torn_keys)
 
     restorer = CheckpointRestorer(exp.store, exp.clock)
-    target = restorer.latest_valid("job0", at_time_s=exp.clock.now + 1e9)
-    assert target is not None
+    plan = restorer.plan_resume("job0", at_time_s=exp.clock.now + 1e9)
+    assert plan
+    target = plan[0]
     assert target.checkpoint_id == "ckpt-000000"
 
     fresh = DLRM(exp.config.model)
-    restorer.restore(fresh, target, {target.checkpoint_id: target})
+    drain(
+        restorer.restore_steps(fresh, target, {target.checkpoint_id: target})
+    )
     for t in range(fresh.num_tables):
         np.testing.assert_array_equal(
             fresh.table_weight(t), state_at_first[t]
@@ -210,11 +214,14 @@ def test_mirrored_backend_crash_between_chunk_and_manifest_put():
     # Survive the loss of one replica on top of the torn write.
     mirrored.fail_replica(1)
     restorer = CheckpointRestorer(exp.store, exp.clock)
-    target = restorer.latest_valid("job0", at_time_s=exp.clock.now + 1e9)
-    assert target is not None
+    plan = restorer.plan_resume("job0", at_time_s=exp.clock.now + 1e9)
+    assert plan
+    target = plan[0]
     assert target.checkpoint_id == "ckpt-000000"
     fresh = DLRM(exp.config.model)
-    restorer.restore(fresh, target, {target.checkpoint_id: target})
+    drain(
+        restorer.restore_steps(fresh, target, {target.checkpoint_id: target})
+    )
     for t in range(fresh.num_tables):
         np.testing.assert_array_equal(
             fresh.table_weight(t), state_at_first[t]

@@ -29,6 +29,7 @@ from repro.errors import StorageError, TransientStorageError
 from repro.experiments import build_experiment, small_config
 from repro.storage.backends import CrashingBackend, InMemoryBackend
 from repro.storage.cache import POLICY_WRITE_BACK, CacheTierBackend
+from repro.storage.engine import drain
 
 import backend_ops as ops
 
@@ -268,13 +269,13 @@ class TestNearTierLoss:
 
         # And the fallback restore actually lands, through the policy's
         # chain, instead of failing on the lost checkpoint.
-        report = restorer.restore(
+        report = drain(restorer.restore_steps(
             exp.model,
             plan[0],
             manifests,
             reader=exp.reader,
             policy=exp.controller.policy,
-        )
+        ))
         assert report.checkpoint_id == flushed_newest.checkpoint_id
         assert report.rows_restored > 0
 

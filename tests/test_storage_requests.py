@@ -46,6 +46,7 @@ from repro.storage import (
     make_backend,
     s3like_costs,
 )
+from repro.storage.engine import drain
 
 import backend_ops as ops
 
@@ -703,17 +704,18 @@ class TestCheckpointStackOnRemoteBackend:
             )
             + 1.0
         )
-        target = exp.controller.restorer.latest_valid(
+        plan = exp.controller.restorer.plan_resume(
             "job0", at_time_s=horizon
         )
-        assert target is not None
+        assert plan
+        target = plan[0]
         fresh = DLRM(exp.config.model)
-        exp.controller.restorer.restore(
+        drain(exp.controller.restorer.restore_steps(
             fresh,
             target,
             exp.controller.manifests,
             policy=exp.controller.policy,
-        )
+        ))
         for t in range(exp.model.num_tables):
             np.testing.assert_array_equal(
                 fresh.table_weight(t), live[t]
@@ -762,10 +764,9 @@ class TestCheckpointStackOnRemoteBackend:
             k.endswith("manifest.json") for k in torn
         )
         restorer = CheckpointRestorer(exp.store, exp.clock)
-        target = restorer.latest_valid(
-            "job0", at_time_s=exp.clock.now + 1e9
-        )
-        assert target is not None
+        plan = restorer.plan_resume("job0", at_time_s=exp.clock.now + 1e9)
+        assert plan
+        target = plan[0]
         assert target.checkpoint_id == "ckpt-000000"
 
 

@@ -195,6 +195,59 @@ class TestCli:
         )
         assert code == 2
 
+    def test_rejected_run_on_a_fresh_store_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        store_dir = tmp_path / "store"
+        code = cli_main([
+            "run", "--store-dir", str(store_dir), "--job", "j",
+            "--intervals", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(path.is_file() for path in store_dir.rglob("*"))
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--intervals", "0", "--tables", "2"], "--intervals"),
+            (["--intervals", "1", "--tables", "2"], "model.num_tables"),
+            (["--intervals", "1", "--policy", "full"], "checkpoint.policy"),
+        ],
+    )
+    def test_rejected_run_leaves_the_job_restorable(
+        self, tmp_path, capsys, flags, named
+    ):
+        """A run whose flags cannot continue a job exits 2 with one
+        ``error:`` line, before touching the store: the job's stored
+        config and checkpoints stay byte-identical and it still
+        restores."""
+        store_dir = tmp_path / "store"
+        run = [
+            "run", "--store-dir", str(store_dir), "--job", "j",
+            "--interval-batches", "4", "--tables", "3", "--rows", "256",
+        ]
+        assert cli_main([*run, "--intervals", "2"]) == 0
+
+        def digests() -> dict[Path, str]:
+            return {
+                path: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(store_dir.rglob("*"))
+                if path.is_file()
+            }
+
+        before = digests()
+        capsys.readouterr()
+        assert cli_main([*run, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert digests() == before
+        restore = ["restore", "--store-dir", str(store_dir), "--job", "j"]
+        assert cli_main(restore) == 0
+        assert capsys.readouterr().out.endswith("model at batch 8\n")
+
     def test_scan_no_quarantine_is_read_only(self, tmp_path, capsys):
         """``scan --no-quarantine`` flags a flipped chunk with exit 1
         and leaves every ``manifest.json`` byte-identical; the default
