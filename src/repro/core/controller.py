@@ -148,9 +148,7 @@ class CheckNRun:
         self.job_id = job_id
 
         self.policy = make_policy(config.policy)
-        self.tracker_set = TrackerSet(
-            trainer.plan, config.track_in_forward_pass
-        )
+        self.tracker_set = TrackerSet(trainer.plan)
         trainer.register_step_hook(self.tracker_set.step_hook)
         self.coordinator = ReaderCoordinator(reader)
         self.snapshot_manager = SnapshotManager(trainer, clock)
@@ -215,15 +213,14 @@ class CheckNRun:
             self.checkpoint()
         return reports
 
-    def run_for(
-        self, duration_s: float, interval_s: float | None = None
-    ) -> int:
+    def run_for(self, duration_s: float, interval_s: float) -> int:
         """Train for a span of simulated time with *time-based* intervals.
 
         This is the paper's actual trigger ("we initiate a new
         checkpoint every 30 minutes by default", section 4.3): a
         checkpoint fires at the first batch boundary after
-        ``interval_s`` of training time. The reader-gap protocol still
+        ``interval_s`` of training time, which the caller always names
+        (the paper's default is ``1800.0``). The reader-gap protocol still
         holds — quota is granted batch by batch, so at the moment the
         checkpoint triggers nothing is in flight.
 
@@ -231,17 +228,12 @@ class CheckNRun:
         """
         if duration_s <= 0:
             raise CheckpointError("duration must be positive")
-        interval = (
-            self.config.interval_seconds
-            if interval_s is None
-            else interval_s
-        )
-        if interval is None or interval <= 0:
+        if interval_s <= 0:
             raise CheckpointError(
                 "time-based checkpointing needs a positive interval"
             )
         deadline = self.clock.now + duration_s
-        next_trigger = self.clock.now + interval
+        next_trigger = self.clock.now + interval_s
         taken = 0
         while self.clock.now < deadline:
             self.coordinator.grant_interval(1)
@@ -249,7 +241,7 @@ class CheckNRun:
             if self.clock.now >= next_trigger:
                 self.checkpoint()
                 taken += 1
-                next_trigger = self.clock.now + interval
+                next_trigger = self.clock.now + interval_s
         return taken
 
     # ------------------------------------------------------------------
@@ -434,14 +426,6 @@ class CheckNRun:
             None if decision == KIND_FULL else self._prospective_base_id()
         )
 
-        quantizer = self._build_quantizer()
-        # The fp32 baseline stays fp32 throughout: quantizing only the
-        # optimizer state under the "none" quantizer would break the
-        # bit-exact-restore property the baseline exists to provide.
-        quantize_state = (
-            self.config.quantize_optimizer_state
-            and quantizer.name != "none"
-        )
         steps = self.writer.write_checkpoint_steps(
             snapshot,
             decision,
@@ -449,9 +433,8 @@ class CheckNRun:
             self.job_id,
             base_id,
             self.policy.name,
-            quantizer,
+            self._build_quantizer(),
             self.config.chunk_rows,
-            quantize_state,
             adaptive_num_bins=self.config.num_bins,
             adaptive_ratio=self.config.ratio,
         )

@@ -1,16 +1,16 @@
 """Modified-embedding-vector tracking (paper section 5.1.1).
 
 Each GPU tracks accesses to its local embedding shards in a bit-vector:
-one bit per embedding row, set when the row is looked up (forward-pass
-proxy) or updated (exact mode). The bit-vector is the mask that decides
-which rows enter the next incremental checkpoint.
+one bit per embedding row, set when the row is looked up in the forward
+pass. The bit-vector is the mask that decides which rows enter the next
+incremental checkpoint.
 
 The paper tracks in the forward pass "for the sake of simplicity, as
 most of the embedding vectors accessed in the forward pass are also
-modified during the backward pass" — i.e. the proxy is a superset of the
-exact set. Both modes are named (``track_in_forward_pass``); with this
-repo's sum-pooled embeddings the proxy set *equals* the exact set, so
-the trainer hook marks the one array ``train_step`` returns either way.
+modified during the backward pass" — i.e. the looked-up set is a
+superset of the updated set. With this repo's sum-pooled embeddings the
+two sets are *equal*, so there is one mode: the trainer hook marks the
+one array ``train_step`` returns.
 
 Memory accounting reports the true bit-vector footprint (one *bit* per
 row, "typically less than 0.05%" of the model) even though numpy's bool
@@ -103,11 +103,8 @@ class ModifiedRowTracker:
 class TrackerSet:
     """All shard trackers of one training job, plus the trainer hook."""
 
-    def __init__(
-        self, plan: ShardingPlan, track_in_forward_pass: bool = True
-    ) -> None:
+    def __init__(self, plan: ShardingPlan) -> None:
         self.plan = plan
-        self.track_in_forward_pass = track_in_forward_pass
         self.trackers: dict[int, ModifiedRowTracker] = {
             shard.shard_id: ModifiedRowTracker(shard)
             for shard in plan.shards
@@ -121,12 +118,12 @@ class TrackerSet:
     def step_hook(self, result: StepResult, batch: Batch) -> None:
         """Trainer hook: mark rows touched by one training step.
 
-        Forward-proxy mode marks every looked-up row (what the paper's
-        GPU kernel does during AlltoAll); exact mode marks only rows the
-        optimizer updated. In this model the two are one set: sum-pooling
-        hands every looked-up row a gradient row, so ``train_step`` has
-        already returned ``np.unique(batch.sparse[t])`` as
-        ``result.touched_rows[t]`` and neither mode derives it again
+        Every looked-up row is marked (what the paper's GPU kernel does
+        during AlltoAll); in this model that is also exactly the set the
+        optimizer updated, since sum-pooling hands every looked-up row a
+        gradient row. ``train_step`` has already returned
+        ``np.unique(batch.sparse[t])`` as ``result.touched_rows[t]``, so
+        the hook does not derive it again
         (``test_step_hook_sets_coincide`` guards the shortcut).
         """
         for table_id, rows in result.touched_rows.items():

@@ -99,19 +99,20 @@ def _encode_chunk_payloads(
     quantizer: Quantizer,
     weights: np.ndarray,
     accumulator: np.ndarray,
-    quantize_state: bool,
     bits: int,
 ) -> tuple[bytes, bytes, float]:
     """Worker-pool task: quantize one chunk's weights + accumulator.
 
     The accumulator is one scalar per row; quantizing it as a single
     long vector keeps the parameter overhead to one (xmin, xmax) pair
-    instead of one pair per row. Returns the two encoded payloads plus
-    the task's real busy seconds.
+    instead of one pair per row. Under the ``none`` quantizer it stays
+    fp32: the fp32 baseline would otherwise lose the bit-exact restore
+    it exists to provide. Returns the two encoded payloads plus the
+    task's real busy seconds.
     """
     start = time.perf_counter()
     weights_payload = encode_payload(quantizer.quantize(weights))
-    if not quantize_state or accumulator.size == 0:
+    if quantizer.name == "none" or accumulator.size == 0:
         accum_payload = encode_array(accumulator.astype(np.float32))
     else:
         accum_payload = encode_payload(
@@ -204,7 +205,6 @@ class CheckpointWriter:
         policy_name: str,
         quantizer: Quantizer,
         chunk_rows: int,
-        quantize_optimizer_state: bool = True,
         adaptive_num_bins: int = 25,
         adaptive_ratio: float = 1.0,
     ) -> Generator[TransferStep, None, tuple[CheckpointManifest, WriteReport]]:
@@ -274,7 +274,6 @@ class CheckpointWriter:
                 quantizer,
                 task_shard.weight[rows],
                 task_shard.accumulator[rows],
-                quantize_optimizer_state,
                 quantizer.bits,
             )
 

@@ -4,11 +4,8 @@ from .clock import SimClock, Stopwatch, Timeline, TimeSpan
 from .comm import (
     CommLog,
     Fabric,
-    HierarchicalFabric,
     allreduce_time,
     alltoall_time,
-    hierarchical_allreduce_time,
-    hierarchical_alltoall_time,
 )
 from .sharding import (
     Shard,
@@ -24,7 +21,6 @@ __all__ = [
     "CommLog",
     "DeviceId",
     "Fabric",
-    "HierarchicalFabric",
     "IntervalReport",
     "Shard",
     "ShardingPlan",
@@ -39,8 +35,6 @@ __all__ = [
     "Timeline",
     "allreduce_time",
     "alltoall_time",
-    "hierarchical_allreduce_time",
-    "hierarchical_alltoall_time",
     "plan_auto",
     "plan_row_wise",
     "plan_table_wise",

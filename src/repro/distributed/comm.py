@@ -62,68 +62,6 @@ def alltoall_time(nbytes_per_rank: int, world: int, fabric: Fabric) -> float:
     return (world - 1) * fabric.latency + moved / fabric.bandwidth
 
 
-@dataclass(frozen=True)
-class HierarchicalFabric:
-    """Two-level fabric: fast intra-node links, slower inter-node.
-
-    The paper's clusters pair NVSwitch/NVLink inside a node with a
-    scale-out fabric across nodes (section 6). Collectives then run
-    hierarchically: reduce/exchange inside each node over the fast
-    links, cross nodes over the slow ones, and broadcast back.
-    """
-
-    intra: Fabric
-    inter: Fabric
-    devices_per_node: int
-
-    def __post_init__(self) -> None:
-        if self.devices_per_node < 1:
-            raise SimulationError("devices_per_node must be >= 1")
-
-
-def hierarchical_allreduce_time(
-    nbytes: int, num_nodes: int, fabric: HierarchicalFabric
-) -> float:
-    """Reduce-scatter intra-node, ring across nodes, broadcast back.
-
-    Intra-node phases move the full buffer over NVLink-class links;
-    the inter-node ring only carries one device's share per node.
-    """
-    if nbytes < 0:
-        raise SimulationError(f"negative buffer size {nbytes}")
-    if num_nodes < 1:
-        raise SimulationError(f"num_nodes must be >= 1, got {num_nodes}")
-    local = allreduce_time(nbytes, fabric.devices_per_node, fabric.intra)
-    cross = allreduce_time(nbytes, num_nodes, fabric.inter)
-    return local + cross
-
-
-def hierarchical_alltoall_time(
-    nbytes_per_rank: int, num_nodes: int, fabric: HierarchicalFabric
-) -> float:
-    """AlltoAll with node-local aggregation before the slow hop.
-
-    Each rank's traffic splits: the fraction destined for same-node
-    peers ((d-1)/world) crosses only the fast fabric; the rest crosses
-    the inter-node links.
-    """
-    if nbytes_per_rank < 0:
-        raise SimulationError(f"negative buffer size {nbytes_per_rank}")
-    if num_nodes < 1:
-        raise SimulationError(f"num_nodes must be >= 1, got {num_nodes}")
-    world = num_nodes * fabric.devices_per_node
-    if world == 1:
-        return 0.0
-    same_node_share = (fabric.devices_per_node - 1) / max(world - 1, 1)
-    local_bytes = int(nbytes_per_rank * same_node_share)
-    cross_bytes = nbytes_per_rank - local_bytes
-    local = alltoall_time(
-        local_bytes, fabric.devices_per_node, fabric.intra
-    )
-    cross = alltoall_time(cross_bytes, num_nodes, fabric.inter)
-    return local + cross
-
-
 @dataclass
 class CommEvent:
     """One recorded collective operation."""

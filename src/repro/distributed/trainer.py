@@ -32,25 +32,17 @@ from ..data.state import TrainerProgress
 from ..errors import TrainingError
 from ..model.dlrm import DLRM, StepResult
 from .clock import SimClock
-from .comm import (
-    CommLog,
-    Fabric,
-    HierarchicalFabric,
-    allreduce_time,
-    alltoall_time,
-    hierarchical_allreduce_time,
-    hierarchical_alltoall_time,
-)
+from .comm import CommLog, Fabric, allreduce_time, alltoall_time
 from .sharding import Shard, ShardingPlan
 from .topology import SimCluster
 
 #: Per-touched-row tracking cost (seconds). Calibrated so that at the
 #: default batch/table shape the *exposed* tracking time is ~1% of an
 #: iteration after hiding inside AlltoAll.
-DEFAULT_TRACKING_COST_PER_ROW_S = 2.0e-7
+TRACKING_COST_PER_ROW_S = 2.0e-7
 
 #: Fraction of the AlltoAll window usable for hiding tracking work.
-DEFAULT_TRACKING_HIDE_EFFICIENCY = 0.9
+TRACKING_HIDE_EFFICIENCY = 0.9
 
 StepHook = Callable[[StepResult, Batch], None]
 
@@ -86,35 +78,17 @@ class SimTrainer:
         cluster: SimCluster,
         plan: ShardingPlan,
         clock: SimClock,
-        tracking_enabled: bool = True,
-        tracking_cost_per_row_s: float = DEFAULT_TRACKING_COST_PER_ROW_S,
-        tracking_hide_efficiency: float = DEFAULT_TRACKING_HIDE_EFFICIENCY,
     ) -> None:
-        if not 0.0 <= tracking_hide_efficiency <= 1.0:
-            raise TrainingError("hide efficiency must be in [0, 1]")
         self.model = model
         self.reader = reader
         self.cluster = cluster
         self.plan = plan
         self.clock = clock
         self.comm_log = CommLog()
-        self.tracking_enabled = tracking_enabled
-        self.tracking_cost_per_row_s = tracking_cost_per_row_s
-        self.tracking_hide_efficiency = tracking_hide_efficiency
         self._step_hooks: list[StepHook] = []
         self._fabric = Fabric(
             cluster.config.fabric_bandwidth, cluster.config.fabric_latency_s
         )
-        self._hier_fabric: HierarchicalFabric | None = None
-        if cluster.config.hierarchical_comm:
-            self._hier_fabric = HierarchicalFabric(
-                intra=Fabric(
-                    cluster.config.intra_node_bandwidth,
-                    cluster.config.intra_node_latency_s,
-                ),
-                inter=self._fabric,
-                devices_per_node=cluster.config.devices_per_node,
-            )
         plan.apply_to(cluster)
         self._dense_bytes = sum(
             a.nbytes for a in model.dense_parameters().values()
@@ -145,27 +119,16 @@ class SimTrainer:
     def step_timing(self, batch: Batch, touched_rows: int) -> StepTiming:
         """Simulated duration of one synchronous iteration."""
         world = self.cluster.world_size
-        num_nodes = self.cluster.config.num_nodes
         compute = self.cluster.config.step_compute_time_s
         a2a_bytes = self._alltoall_bytes_per_rank(batch)
-        if self._hier_fabric is not None:
-            ar = hierarchical_allreduce_time(
-                self._dense_bytes, num_nodes, self._hier_fabric
-            )
-            a2a = 2.0 * hierarchical_alltoall_time(
-                a2a_bytes, num_nodes, self._hier_fabric
-            )
-        else:
-            ar = allreduce_time(self._dense_bytes, world, self._fabric)
-            a2a = 2.0 * alltoall_time(a2a_bytes, world, self._fabric)
+        ar = allreduce_time(self._dense_bytes, world, self._fabric)
+        a2a = 2.0 * alltoall_time(a2a_bytes, world, self._fabric)
         self.comm_log.record("allreduce", self._dense_bytes, world, ar)
         self.comm_log.record("alltoall", 2 * a2a_bytes, world, a2a)
 
-        exposed = 0.0
-        if self.tracking_enabled:
-            tracking = touched_rows * self.tracking_cost_per_row_s
-            hidden_budget = a2a * self.tracking_hide_efficiency
-            exposed = max(0.0, tracking - hidden_budget)
+        tracking = touched_rows * TRACKING_COST_PER_ROW_S
+        hidden_budget = a2a * TRACKING_HIDE_EFFICIENCY
+        exposed = max(0.0, tracking - hidden_budget)
         return StepTiming(compute, ar, a2a, exposed)
 
     # ------------------------------------------------------------------

@@ -379,7 +379,6 @@ def one_job_fleet(
         policy=checkpoint.policy,
         quantizer=checkpoint.quantizer,
         bit_width=exp.controller.current_bit_width(),
-        weight=1.0,
         start_offset_s=0.0,
         seed=exp_config.model.seed,
         failure_seed=exp_config.failures.seed,
@@ -568,7 +567,7 @@ def format_fleet_report(report: FleetRunReport) -> str:
         f"peak live capacity: {report.peak_logical_bytes / 2**20:.2f}"
         f" MiB logical / {report.peak_physical_bytes / 2**20:.2f}"
         " MiB physical",
-        f"link fairness (Jain, weighted): {report.fairness_index:.3f}",
+        f"link fairness (Jain): {report.fairness_index:.3f}",
         f"cross-job interleave switches: {report.interleave_switches}"
         f"  mid-chunk part splits: {report.part_interleave_splits}",
         f"failures: {report.failures}  restores: {report.restores}"

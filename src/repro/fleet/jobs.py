@@ -10,7 +10,7 @@ job's draw from those distributions, including its priority ``tier``;
 clock, dataset, model, trainer and controller — against a *shared*
 object store through a namespaced
 :class:`~repro.fleet.namespace.ScopedStore`, registering the job's
-transfer stream (weight, quota, tier) with the store's bandwidth
+transfer stream (quota, tier) with the store's bandwidth
 arbiter.
 """
 
@@ -52,7 +52,6 @@ class FleetJobSpec:
     policy: str
     quantizer: str
     bit_width: int
-    weight: float
     start_offset_s: float
     seed: int
     failure_seed: int
@@ -110,7 +109,6 @@ def sample_fleet_specs(config: FleetConfig) -> list[FleetJobSpec]:
                 policy=policy,
                 quantizer=config.quantizer_choices[quant_index],
                 bit_width=config.bit_width_choices[quant_index],
-                weight=float(rng.choice(config.weight_choices)),
                 start_offset_s=float(
                     rng.uniform(0.0, config.stagger_s)
                 ),
@@ -397,12 +395,11 @@ def enrol_experiment(
 
     ``exp`` must already write through its :class:`ScopedStore` view of
     the shared store, on its own clock. Registers the job's stream
-    (weight, quota, tier) with the store's arbiter if one is attached.
+    (quota, tier) with the store's arbiter if one is attached.
     """
     if shared_store.arbiter is not None:
         shared_store.arbiter.register(
             spec.job_id,
-            weight=spec.weight,
             quota_bytes=fleet.per_job_quota_bytes,
             tier=spec.tier,
         )

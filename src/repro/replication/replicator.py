@@ -74,7 +74,6 @@ class PeerReplicator:
         for job_id in job_ids:
             arbiter.register(
                 replication_stream_id(job_id),
-                weight=1.0,
                 tier=TIER_REPLICATION,
             )
         #: rings[owner][host] — owner's replica in host's memory.

@@ -5,8 +5,8 @@ recommendation-model checkpoints, which motivates quantization instead.
 Zstandard is not available offline, so we substitute:
 
 * :class:`DeflateCompressor` — zlib/DEFLATE from the standard library, the
-  closest widely deployed general-purpose codec (documented substitution
-  in DESIGN.md).
+  closest widely deployed general-purpose codec (the substitution
+  ``benchmarks/test_t02_generic_compression.py`` measures).
 * :class:`RleCompressor` — a from-scratch run-length codec over repeated
   bytes; useful as a worst-case generic baseline and fully self-contained.
 

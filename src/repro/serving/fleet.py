@@ -63,7 +63,7 @@ class ServingConfig:
     num_servers: int = setting(2, "inference servers", flag="--servers", ge=1)
     #: Per-server row-cache capacity (pinned hot rows + LRU ring).
     cache_rows: int = setting(
-        256, "per-server row-cache capacity (pinned hot rows + LRU)"
+        256, "per-server row-cache capacity (pinned hot rows + LRU)", ge=1
     )
     qps: float = setting(200.0, "fleet-wide lookup arrival rate", gt=0)
     num_queries: int = setting(400, "lookup requests", flag="--queries", ge=0)
@@ -71,9 +71,8 @@ class ServingConfig:
         64,
         "hot rows the publisher announces (and servers pin) per table",
         flag="--pin-rows",
+        ge=0,
     )
-    #: Fixed per-request service overhead on top of storage reads.
-    lookup_overhead_s: float = setting(0.0002)
     warm_pins: bool = setting(
         True,
         "disable hot-row prefetch at version flips",
@@ -266,7 +265,6 @@ class ServingFleet:
                         publisher=self.publisher,
                         cache_rows=serving.cache_rows,
                         stream=stream,
-                        lookup_overhead_s=serving.lookup_overhead_s,
                         warm_pins=serving.warm_pins,
                         decoded_chunks=self.decoded_chunks,
                     ),

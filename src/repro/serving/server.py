@@ -46,6 +46,9 @@ from .publisher import ServingPublisher
 from .rowcache import RowCache, RowCacheStats
 from .version import PublishedVersion, RowRef, rows_changed_between
 
+#: Fixed per-request service overhead (seconds) on top of storage reads.
+LOOKUP_OVERHEAD_S = 0.0002
+
 
 @dataclass(frozen=True)
 class LookupRequest:
@@ -130,7 +133,6 @@ class InferenceServer:
         publisher: ServingPublisher,
         cache_rows: int,
         stream: str = "",
-        lookup_overhead_s: float = 0.0002,
         warm_pins: bool = True,
         decoded_chunks: DecodedChunkCache | None = None,
     ) -> None:
@@ -139,7 +141,6 @@ class InferenceServer:
         self.publisher = publisher
         self.cache_rows = cache_rows
         self.stream = stream
-        self.lookup_overhead_s = lookup_overhead_s
         self.warm_pins = warm_pins
         #: The serving plane's shared decodes; a lone server has its own.
         self.decoded_chunks = (
@@ -348,7 +349,7 @@ class InferenceServer:
                         ),
                     )
                 continue
-            completed = done + self.lookup_overhead_s
+            completed = done + LOOKUP_OVERHEAD_S
             self.lookups += 1
             self.rows_served += len(request.rows)
             return LookupResult(

@@ -21,12 +21,11 @@ gets the link. Arbitration is two-level:
   stream via :meth:`BandwidthArbiter.record_preemption`.
 * **Start-time fair queueing** within a tier — the same discipline
   packet schedulers use: each stream carries a virtual-time tag that
-  advances by ``bytes / weight`` per transfer, and the stream with the
+  advances by the bytes it moves per transfer, and the stream with the
   smallest tag is served next. Over any window much longer than one
-  chunk, equal-weight streams converge to equal byte shares and a
-  weight-2 stream gets twice the share of a weight-1 stream, while the
-  link never moves more than its configured bandwidth (it is a single
-  serial resource).
+  chunk, streams converge to equal byte shares, while the link never
+  moves more than its configured bandwidth (it is a single serial
+  resource).
 
 The arbiter also owns per-stream *capacity quotas*: a job whose live
 physical bytes would exceed its quota has its PUT rejected with
@@ -226,7 +225,6 @@ class StreamState:
     """Accounting for one registered transfer stream (one job)."""
 
     stream_id: str
-    weight: float = 1.0
     #: Priority class: prod beats experimental. Experimental is the
     #: default so an untiered registration can never silently outrank
     #: a fleet's production streams.
@@ -235,7 +233,7 @@ class StreamState:
     charged_bytes: int = 0  # live physical bytes attributed
     served_put_bytes: int = 0
     served_get_bytes: int = 0
-    virtual_finish: float = 0.0  # SFQ finish tag (weighted bytes)
+    virtual_finish: float = 0.0  # SFQ finish tag (bytes)
     transfers: int = 0
     quota_rejections: int = 0
     preemptions: int = 0  # staged writes of this stream aborted by prod
@@ -267,14 +265,11 @@ class BandwidthArbiter:
     def register(
         self,
         stream_id: str,
-        weight: float = 1.0,
         quota_bytes: int | None = None,
         tier: str = TIER_EXPERIMENTAL,
     ) -> StreamState:
         if not stream_id:
             raise StorageError("stream id must be non-empty")
-        if weight <= 0:
-            raise StorageError(f"stream weight must be > 0, got {weight}")
         if quota_bytes is not None and quota_bytes <= 0:
             raise StorageError("stream quota must be positive")
         if tier not in TIER_RANK:
@@ -285,7 +280,6 @@ class BandwidthArbiter:
             raise StorageError(f"stream {stream_id!r} already registered")
         state = StreamState(
             stream_id=stream_id,
-            weight=weight,
             tier=tier,
             quota_bytes=quota_bytes,
         )
@@ -350,7 +344,7 @@ class BandwidthArbiter:
         """Advance a stream's virtual tag after it used the link."""
         state = self.stream(stream_id)
         start_tag = max(state.virtual_finish, self._virtual_time)
-        state.virtual_finish = start_tag + nbytes / state.weight
+        state.virtual_finish = start_tag + nbytes
         self._virtual_time = max(self._virtual_time, start_tag)
         state.transfers += 1
         if kind == "put":
@@ -387,17 +381,18 @@ class BandwidthArbiter:
     # -- fleet-level metrics -------------------------------------------
 
     def fairness_index(self, kind: str = "put") -> float:
-        """Jain's fairness index over weighted per-stream service.
+        """Jain's fairness index over per-stream service.
 
         Computed over *every* registered stream: 1.0 means each
-        received service exactly proportional to its weight; 1/N means
-        one stream took everything while the rest starved. 1.0 when no
-        stream moved any bytes.
+        received the same bytes; 1/N means one stream took everything
+        while the rest starved. 1.0 when no stream moved any bytes.
         """
+        # Float service, not Python ints: over ints Jain's index would
+        # square exactly and change the reported index's last bits.
         served = [
-            s.served_put_bytes / s.weight
+            float(s.served_put_bytes)
             if kind == "put"
-            else s.served_get_bytes / s.weight
+            else float(s.served_get_bytes)
             for s in self._streams.values()
         ]
         total = sum(served)

@@ -113,7 +113,6 @@ class TestCheckpointConfig:
         config = CheckpointConfig()
         assert config.policy == "intermittent"
         assert config.quantizer == "adaptive"
-        assert config.interval_seconds == 1800.0  # 30 minutes
 
     @pytest.mark.parametrize(
         "kwargs",

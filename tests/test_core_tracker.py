@@ -133,23 +133,6 @@ class TestTrackerSet:
         masks = tracker_set.mask_copies()
         assert set(masks) == {s.shard_id for s in plan.shards}
 
-    def test_step_hook_forward_proxy_superset(
-        self, tiny_experiment
-    ):
-        """Forward-proxy tracking marks at least the optimizer-updated
-        rows (the paper's proxy argument, section 5.1.1)."""
-        exp = tiny_experiment
-        exp.reader.begin_interval(3)
-        exact = TrackerSet(exp.plan, track_in_forward_pass=False)
-        proxy = exp.controller.tracker_set  # forward mode by default
-        exp.trainer.register_step_hook(exact.step_hook)
-        for _ in range(3):
-            exp.trainer.train_one_batch()
-        for shard_id, tracker in exact.trackers.items():
-            proxy_mask = proxy.trackers[shard_id].mask_copy()
-            exact_mask = tracker.mask_copy()
-            assert np.all(proxy_mask | ~exact_mask)  # proxy >= exact
-
     def test_step_hook_sets_coincide(self, tiny_experiment):
         """``step_hook`` marks ``result.touched_rows`` in both modes
         instead of re-deriving the looked-up set: that is only right

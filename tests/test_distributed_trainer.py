@@ -119,22 +119,3 @@ class TestTrackingOverheadModel:
         reader.begin_interval(10)
         report = trainer.train_interval(10)
         assert report.tracking_exposed_s <= 0.02 * report.train_time_s
-
-    def test_tracking_disabled_costs_nothing(
-        self, tiny_model_config, tiny_dataset
-    ):
-        clock = SimClock()
-        model = DLRM(tiny_model_config)
-        reader = ReaderMaster(
-            tiny_dataset, ReaderConfig(coordinated=True)
-        )
-        cluster = SimCluster(
-            ClusterConfig(num_nodes=1, devices_per_node=2)
-        )
-        plan = plan_auto(tiny_model_config, cluster)
-        trainer = SimTrainer(
-            model, reader, cluster, plan, clock, tracking_enabled=False
-        )
-        reader.begin_interval(3)
-        report = trainer.train_interval(3)
-        assert report.tracking_exposed_s == 0.0

@@ -88,7 +88,6 @@ def _random_link_ops(rng: random.Random):
     for stream in streams:
         arbiter.register(
             stream,
-            weight=rng.choice((1.0, 2.0)),
             tier=rng.choice((TIER_SERVING, TIER_PROD, TIER_EXPERIMENTAL)),
         )
         for _ in range(rng.randint(0, 3)):

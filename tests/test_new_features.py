@@ -1,18 +1,10 @@
-"""Tests for time-based intervals, hierarchical fabric, TCO model."""
+"""Tests for time-based intervals and the TCO model."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config import GiB
-from repro.distributed.comm import (
-    Fabric,
-    HierarchicalFabric,
-    allreduce_time,
-    alltoall_time,
-    hierarchical_allreduce_time,
-    hierarchical_alltoall_time,
-)
 from repro.errors import CheckpointError, SimulationError
 from repro.experiments import build_experiment, small_config
 from repro.metrics.tco import (
@@ -54,7 +46,7 @@ class TestTimeBasedIntervals:
 
     def test_run_for_validation(self, tiny_experiment):
         with pytest.raises(CheckpointError):
-            tiny_experiment.controller.run_for(0.0)
+            tiny_experiment.controller.run_for(0.0, interval_s=1.0)
         with pytest.raises(CheckpointError):
             tiny_experiment.controller.run_for(1.0, interval_s=0.0)
 
@@ -73,88 +65,6 @@ class TestTimeBasedIntervals:
         exp.model.reinitialize()
         exp.controller.restore_latest()
         assert 0 < exp.model.batches_trained <= batches
-
-
-class TestHierarchicalFabric:
-    @pytest.fixture
-    def fabric(self):
-        return HierarchicalFabric(
-            intra=Fabric(bandwidth=300e9, latency=1e-6),
-            inter=Fabric(bandwidth=25e9, latency=5e-6),
-            devices_per_node=8,
-        )
-
-    def test_allreduce_faster_than_flat_slow_fabric(self, fabric):
-        nbytes = 100 * 1024 * 1024
-        flat_slow = allreduce_time(nbytes, 128, fabric.inter)
-        hierarchical = hierarchical_allreduce_time(nbytes, 16, fabric)
-        assert hierarchical < flat_slow
-
-    def test_allreduce_slower_than_pure_fast_fabric(self, fabric):
-        nbytes = 100 * 1024 * 1024
-        flat_fast = allreduce_time(nbytes, 128, fabric.intra)
-        hierarchical = hierarchical_allreduce_time(nbytes, 16, fabric)
-        assert hierarchical > flat_fast
-
-    def test_single_node_uses_only_intra(self, fabric):
-        nbytes = 1024 * 1024
-        only_local = hierarchical_allreduce_time(nbytes, 1, fabric)
-        assert only_local == pytest.approx(
-            allreduce_time(nbytes, 8, fabric.intra)
-        )
-
-    def test_alltoall_splits_traffic(self, fabric):
-        nbytes = 64 * 1024 * 1024
-        hierarchical = hierarchical_alltoall_time(nbytes, 16, fabric)
-        all_slow = alltoall_time(nbytes, 16, fabric.inter)
-        # Moving the node-local share over NVLink must win.
-        assert hierarchical < all_slow + alltoall_time(
-            nbytes, 8, fabric.intra
-        )
-        assert hierarchical > 0
-
-    def test_validation(self, fabric):
-        with pytest.raises(SimulationError):
-            HierarchicalFabric(fabric.intra, fabric.inter, 0)
-        with pytest.raises(SimulationError):
-            hierarchical_allreduce_time(-1, 4, fabric)
-        with pytest.raises(SimulationError):
-            hierarchical_alltoall_time(1, 0, fabric)
-
-
-class TestHierarchicalTrainer:
-    def test_hierarchical_comm_speeds_up_steps(self):
-        """With a slow inter-node fabric, hierarchical collectives keep
-        node-local traffic on the fast links and shorten the step."""
-        from repro.config import ClusterConfig, GiB
-
-        slow_inter = dict(
-            num_nodes=4,
-            devices_per_node=4,
-            fabric_bandwidth=2.0 * GiB,
-            intra_node_bandwidth=300.0 * GiB,
-        )
-        flat_config = small_config(
-            num_tables=2, rows_per_table=512, batch_size=128
-        ).with_overrides(
-            cluster=ClusterConfig(**slow_inter, hierarchical_comm=False)
-        )
-        hier_config = small_config(
-            num_tables=2, rows_per_table=512, batch_size=128
-        ).with_overrides(
-            cluster=ClusterConfig(**slow_inter, hierarchical_comm=True)
-        )
-        flat = build_experiment(flat_config)
-        hier = build_experiment(hier_config)
-        flat.reader.begin_interval(3)
-        hier.reader.begin_interval(3)
-        flat_report = flat.trainer.train_interval(3)
-        hier_report = hier.trainer.train_interval(3)
-        assert hier_report.train_time_s < flat_report.train_time_s
-        # Identical numerics either way — only timing differs.
-        assert hier_report.mean_loss == pytest.approx(
-            flat_report.mean_loss
-        )
 
 
 class TestTcoModel:

@@ -102,7 +102,6 @@ def test_full_write_restore_roundtrip_bitexact(data):
     manifest, _ = drain(writer.write_checkpoint_steps(
         snapshot, KIND_FULL, "c", "j", None, "full",
         make_quantizer("none"), chunk_rows=chunk_rows,
-        quantize_optimizer_state=False,
     ))
     # Reassemble the table from stored chunks and compare bit-exactly.
     reassembled = np.zeros((rows, dim), dtype=np.float32)

@@ -65,7 +65,6 @@ def test_checkpoint_reflects_snapshot_not_live_model():
     manifest, _ = drain(writer.write_checkpoint_steps(
         snapshot, KIND_FULL, "atomic", "job0", None, "full",
         make_quantizer("none"), chunk_rows=128,
-        quantize_optimizer_state=False,
     ))
     snapshot.release(exp.trainer)
 

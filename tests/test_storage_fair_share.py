@@ -5,9 +5,8 @@ properties must hold no matter the workload:
 
 * the link is a physical resource — windowed aggregate throughput can
   never exceed the configured store bandwidth;
-* start-time fair queueing converges: equal-weight backlogged streams
-  split the link's bytes evenly, and a weight-2 stream gets twice a
-  weight-1 stream's share;
+* start-time fair queueing converges: backlogged streams split the
+  link's bytes evenly;
 * per-stream capacity quotas are enforced for the offending stream
   *only* — a quota-blown PUT raises before spending link time, and
   other streams keep writing.
@@ -122,17 +121,6 @@ class TestFairShareConvergence:
         assert shares["jobB"] == pytest.approx(0.5, abs=0.05)
         assert store.arbiter.fairness_index("put") > 0.99
 
-    def test_weighted_stream_gets_proportional_share(self):
-        store = make_store()
-        store.arbiter.register("heavy", weight=2.0)
-        store.arbiter.register("light", weight=1.0)
-        self._drive(store, ["heavy", "light"], rounds=60)
-        shares = store.log.stream_shares("put")
-        assert shares["heavy"] == pytest.approx(2 / 3, abs=0.05)
-        assert shares["light"] == pytest.approx(1 / 3, abs=0.05)
-        # Weighted Jain: service normalised by weight is fair.
-        assert store.arbiter.fairness_index("put") > 0.99
-
     def test_three_equal_streams_with_uneven_chunk_sizes(self):
         """Fairness is in *bytes*, not chunk counts."""
         store = make_store()
@@ -244,8 +232,6 @@ class TestArbiterRegistry:
         with pytest.raises(StorageError):
             arbiter.register("")
         with pytest.raises(StorageError):
-            arbiter.register("bad-weight", weight=0.0)
-        with pytest.raises(StorageError):
             arbiter.register("bad-quota", quota_bytes=0)
         with pytest.raises(StorageError):
             arbiter.stream("unknown")
@@ -287,11 +273,7 @@ class TestPickOrderParity:
         tiers = (TIER_SERVING, TIER_PROD, TIER_EXPERIMENTAL)
         ids = [f"s{i:02d}" for i in range(12)]
         for i, stream_id in enumerate(ids):
-            arbiter.register(
-                stream_id,
-                tier=tiers[i % 3],
-                weight=float(1 + i % 2),
-            )
+            arbiter.register(stream_id, tier=tiers[i % 3])
 
         def reference_pick(candidates: list[str]) -> str:
             best_rank = min(

@@ -33,6 +33,15 @@ def drain(exp) -> None:
     exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
 
 
+def digests(root: Path) -> dict[Path, str]:
+    """sha256 of every file under ``root``, by path."""
+    return {
+        path: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 @pytest.fixture
 def populated_exp():
     exp = build_experiment(
@@ -229,24 +238,45 @@ class TestCli:
             "--interval-batches", "4", "--tables", "3", "--rows", "256",
         ]
         assert cli_main([*run, "--intervals", "2"]) == 0
-
-        def digests() -> dict[Path, str]:
-            return {
-                path: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(store_dir.rglob("*"))
-                if path.is_file()
-            }
-
-        before = digests()
+        before = digests(store_dir)
         capsys.readouterr()
         assert cli_main([*run, *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
-        assert digests() == before
+        assert digests(store_dir) == before
         restore = ["restore", "--store-dir", str(store_dir), "--job", "j"]
         assert cli_main(restore) == 0
         assert capsys.readouterr().out.endswith("model at batch 8\n")
+
+    def test_stored_config_with_a_retired_field_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """A job stored by a version that still had a since-deleted
+        setting (here ``DataConfig.dense_noise``) neither runs nor
+        restores: both exit 2 with one ``error:`` line naming the field,
+        and the store stays byte-identical. There is no shim that drops
+        unknown fields."""
+        store_dir = tmp_path / "store"
+        run = [
+            "run", "--store-dir", str(store_dir), "--job", "j",
+            "--intervals", "1", "--interval-batches", "4",
+            "--tables", "2", "--rows", "256",
+        ]
+        assert cli_main(run) == 0
+        (stored,) = store_dir.rglob("job_config.json")
+        config = json.loads(stored.read_text())
+        config["data"]["dense_noise"] = 0.1
+        stored.write_text(json.dumps(config))
+        before = digests(store_dir)
+        restore = ["restore", "--store-dir", str(store_dir), "--job", "j"]
+        for argv in (run, restore):
+            capsys.readouterr()
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad data config section: ")
+            assert err.count("\n") == 1 and "'dense_noise'" in err
+        assert digests(store_dir) == before
 
     def test_scan_no_quarantine_is_read_only(self, tmp_path, capsys):
         """``scan --no-quarantine`` flags a flipped chunk with exit 1
@@ -338,11 +368,21 @@ class TestCli:
             assert flag in tuned
 
     @pytest.mark.parametrize(
-        "argv", [["--qps", "0"], ["--queries", "-1"], ["--servers", "0"]]
+        "argv",
+        [
+            ["--qps", "0"], ["--queries", "-1"], ["--servers", "0"],
+            ["--pin-rows", "-1"], ["--cache-rows", "0"],
+        ],
     )
-    def test_serve_rejects_out_of_range_input(self, argv, capsys):
-        assert cli_main(["serve", *argv]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+    def test_serve_rejects_out_of_range_input(self, argv, tmp_path, capsys):
+        """Out-of-range settings fail before any simulation runs. A pin
+        budget of -1 would slice ``order[:-1]`` and pin rows never
+        modified."""
+        out = tmp_path / "out"
+        assert cli_main(["serve", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCompactParams:
