@@ -34,7 +34,7 @@ from .config import (
 )
 from .core import CheckNRun
 from .errors import ReproError
-from .experiments import build_experiment, paper_scale_config, small_config
+from .experiments import build_experiment, small_config
 from .model import DLRM
 from .quant import make_quantizer, mean_l2_error
 
@@ -55,7 +55,6 @@ __all__ = [
     "build_experiment",
     "make_quantizer",
     "mean_l2_error",
-    "paper_scale_config",
     "small_config",
     "__version__",
 ]

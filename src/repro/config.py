@@ -181,12 +181,6 @@ class ModelConfig:
         """fp32 bytes held in embedding tables (excludes optimizer state)."""
         return self.total_embedding_rows * self.embedding_dim * 4
 
-    def scaled(self, factor: float) -> "ModelConfig":
-        """Return a copy with every table's row count scaled by ``factor``."""
-        _require(factor > 0, "scale factor must be positive")
-        rows = tuple(max(1, int(r * factor)) for r in self.rows_per_table)
-        return replace(self, rows_per_table=rows)
-
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -374,12 +368,15 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class StorageConfig:
-    """Remote object-store simulation settings."""
+    """Remote object-store simulation settings.
+
+    The store has no capacity limit of its own; live bytes are bounded
+    per job by ``FleetConfig.per_job_quota_bytes``.
+    """
 
     write_bandwidth: float = setting(1.0 * GiB, gt=0)  # bytes/s, aggregate
     read_bandwidth: float = setting(2.0 * GiB, gt=0)
     replication_factor: int = setting(3, ge=1)
-    capacity_bytes: int | None = setting(None, gt=0)
     latency_s: float = setting(0.010, ge=0)  # per-operation fixed latency
     #: Transfer-engine retry budget for transient request failures: a
     #: request is re-issued up to this many times before the failure

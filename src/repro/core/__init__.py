@@ -3,7 +3,6 @@
 from .bitwidth import (
     FALLBACK_BIT_WIDTH,
     BitWidthController,
-    expected_restores,
     select_bit_width,
 )
 from .controller import (
@@ -33,7 +32,6 @@ from .policies import (
 from .predictor import (
     HistoryPredictor,
     LinearTrendPredictor,
-    make_predictor,
 )
 from .publisher import OnlinePublisher, PublishEvent, PublisherStats
 from .restore import CheckpointRestorer, RestoreReport
@@ -78,8 +76,6 @@ __all__ = [
     "SnapshotManager",
     "TrackerSet",
     "WriteReport",
-    "expected_restores",
     "make_policy",
-    "make_predictor",
     "select_bit_width",
 ]

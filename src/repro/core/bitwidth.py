@@ -44,25 +44,6 @@ def select_bit_width(expected_restores: int) -> int:
     return FALLBACK_BIT_WIDTH
 
 
-def expected_restores(
-    failure_rate_per_hour: float, expected_duration_hours: float
-) -> int:
-    """Expected number of failure-driven restores during a job.
-
-    Failures arrive as a Poisson process with the fleet-measured rate
-    (the paper: "the probability of a node failure in our training
-    cluster (p) is provided as input ... computed from failure logs"),
-    so the expectation is simply rate x duration, rounded up — a
-    conservative estimate keeps accuracy inside the threshold.
-    """
-    if failure_rate_per_hour < 0:
-        raise CheckpointError("failure rate must be >= 0")
-    if expected_duration_hours < 0:
-        raise CheckpointError("duration must be >= 0")
-    expectation = failure_rate_per_hour * expected_duration_hours
-    return int(-(-expectation // 1))  # ceil without importing math
-
-
 class BitWidthController:
     """Holds the chosen width; falls back to 8-bit on excess failures."""
 

@@ -6,7 +6,7 @@ in :class:`~repro.core.manifest.CheckpointManifest`); the restore path
 re-hashes everything it reads. This module is the *operator plane* on
 top of those digests: :func:`scan_job` walks a job's stored
 checkpoints, classifies every bad object (missing, truncated,
-bit-rotted, undecodable), and **quarantines** checkpoints that can no
+bit-rotted), and **quarantines** checkpoints that can no
 longer restore by rewriting their manifest with ``quarantined: true``
 — a marker the resume planner
 (:meth:`~repro.core.restore.CheckpointRestorer.plan_resume`) and
@@ -14,9 +14,8 @@ retention (:meth:`~repro.core.retention.RetentionManager.enforce`)
 both respect, and which survives process restarts because it lives in
 the stored manifest itself.
 
-Scans are untimed: like the CRC scrubber in
-:mod:`repro.tools.inspect`, every request — the discovery LIST, the
-reads, the quarantine marker's PUT — goes through
+Scans are untimed: every request — the discovery LIST, the reads,
+the quarantine marker's PUT — goes through
 :meth:`~repro.storage.engine.TransferEngine.retry_probe` rather than
 the request-timed store: an operator tool must not perturb the
 simulated storage timeline it is inspecting, and must not die on a
@@ -28,9 +27,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
-from ..errors import ObjectNotFoundError, SerializationError
+from ..errors import ObjectNotFoundError
 from ..reporting import series
-from ..serialize.format import decode_frames
 from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_GET, OP_LIST, OP_PUT
 from .manifest import CheckpointManifest, manifest_key
@@ -45,7 +43,6 @@ def sha256_hex(data: bytes) -> str:
 REASON_MISSING = "missing"
 REASON_TRUNCATED = "truncated"
 REASON_DIGEST_MISMATCH = "digest-mismatch"
-REASON_DECODE_FAILED = "decode-failed"
 REASON_MANIFEST_CORRUPT = "manifest-corrupt"
 
 
@@ -118,13 +115,12 @@ def verify_checkpoint(
 ) -> list[ObjectIssue]:
     """Verify every stored object of one checkpoint.
 
-    Per object: existence, recorded-size match (truncation), sha256
-    digest match when the manifest carries one, and — for pre-digest
-    manifests — CRC frame decoding as the fallback check. Updates
-    ``report`` counters when given; returns the issues found.
+    Per object: existence, recorded-size match (truncation) and sha256
+    digest match. Updates ``report`` counters when given; returns the
+    issues found.
     """
     issues: list[ObjectIssue] = []
-    checks: list[tuple[str, int, str | None]] = [
+    checks: list[tuple[str, int, str]] = [
         (chunk.key, chunk.logical_bytes, chunk.digest)
         for shard in manifest.shards
         for chunk in shard.chunks
@@ -154,32 +150,18 @@ def verify_checkpoint(
                 )
             )
             continue
-        if digest is not None:
-            actual = sha256_hex(blob)
-            if actual != digest:
-                issues.append(
-                    ObjectIssue(
-                        key,
-                        manifest.checkpoint_id,
-                        REASON_DIGEST_MISMATCH,
-                        f"stored bytes hash {actual}, manifest records "
-                        f"{digest}",
-                    )
+        actual = sha256_hex(blob)
+        if actual != digest:
+            issues.append(
+                ObjectIssue(
+                    key,
+                    manifest.checkpoint_id,
+                    REASON_DIGEST_MISMATCH,
+                    f"stored bytes hash {actual}, manifest records "
+                    f"{digest}",
                 )
-                continue
-        else:
-            try:
-                decode_frames(blob)
-            except SerializationError as exc:
-                issues.append(
-                    ObjectIssue(
-                        key,
-                        manifest.checkpoint_id,
-                        REASON_DECODE_FAILED,
-                        str(exc),
-                    )
-                )
-                continue
+            )
+            continue
         if report is not None:
             report.bytes_verified += len(blob)
     if report is not None:

@@ -23,21 +23,28 @@ KIND_FULL = "full"
 KIND_INCREMENTAL = "incremental"
 
 
+def _digest(data: dict, name: str) -> str:
+    """A recorded sha256 hex; a missing or null one is a corrupt record."""
+    value = data[name]
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a sha256 hex string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ChunkRecord:
     """One stored chunk object of a shard.
 
     ``digest`` is the sha256 hex of the chunk's stored bytes, computed
-    by the writer before the PUT; the restore path re-hashes what it
-    read and refuses the chunk on mismatch. ``None`` on manifests
-    written before digests existed — those chunks fall back to
-    CRC-framing verification only.
+    by the writer before the PUT; every read path re-hashes what it
+    read and refuses the chunk on mismatch. A record without one is
+    corrupt: it does not parse.
     """
 
     key: str
     row_count: int
     logical_bytes: int
-    digest: str | None = None
+    digest: str
 
     def to_dict(self) -> dict:
         return {
@@ -49,12 +56,11 @@ class ChunkRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChunkRecord":
-        digest = data.get("digest")
         return cls(
             key=str(data["key"]),
             row_count=int(data["row_count"]),
             logical_bytes=int(data["logical_bytes"]),
-            digest=None if digest is None else str(digest),
+            digest=_digest(data, "digest"),
         )
 
 
@@ -117,7 +123,7 @@ class CheckpointManifest:
     shards: tuple[ShardRecord, ...] = ()
     dense_key: str | None = None
     dense_bytes: int = 0
-    #: sha256 hex of the stored dense blob (None pre-digest).
+    #: sha256 hex of the stored dense blob; required when parsed.
     dense_digest: str | None = None
     #: Set by the integrity scanner when any of this checkpoint's
     #: objects failed verification. A quarantined checkpoint is never a
@@ -186,7 +192,6 @@ class CheckpointManifest:
         try:
             # "shards" is required even when empty: a truncated-but-
             # valid-JSON manifest must not parse as an empty checkpoint.
-            dense_digest = data.get("dense_digest")
             return cls(
                 checkpoint_id=str(data["checkpoint_id"]),
                 job_id=str(data["job_id"]),
@@ -205,9 +210,7 @@ class CheckpointManifest:
                 ),
                 dense_key=data.get("dense_key"),
                 dense_bytes=int(data.get("dense_bytes", 0)),
-                dense_digest=(
-                    None if dense_digest is None else str(dense_digest)
-                ),
+                dense_digest=_digest(data, "dense_digest"),
                 quarantined=bool(data.get("quarantined", False)),
             )
         except (KeyError, TypeError, ValueError) as exc:

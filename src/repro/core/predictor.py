@@ -93,14 +93,3 @@ class LinearTrendPredictor(BaselineRefreshPredictor):
         future_incremental = float(np.sum(projected))
         future_full = 1.0 + float(np.sum(y))
         return future_full <= future_incremental
-
-
-def make_predictor(name: str) -> BaselineRefreshPredictor:
-    """Predictor factory ('history' or 'linear_trend')."""
-    if name == "history":
-        return HistoryPredictor()
-    if name == "linear_trend":
-        return LinearTrendPredictor()
-    raise CheckpointError(
-        f"unknown predictor {name!r}; valid: history, linear_trend"
-    )

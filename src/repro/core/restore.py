@@ -49,11 +49,7 @@ from ..storage.engine import drain, read_steps
 from ..storage.object_store import ObjectStore
 from ..storage.requests import OP_HEAD
 from .integrity import sha256_hex
-from .manifest import (
-    KIND_INCREMENTAL,
-    CheckpointManifest,
-    manifest_key,
-)
+from .manifest import KIND_INCREMENTAL, CheckpointManifest
 from .policies import CheckpointPolicy, FullPolicy
 
 
@@ -118,17 +114,6 @@ class CheckpointRestorer:
     # ------------------------------------------------------------------
     # Manifest discovery
     # ------------------------------------------------------------------
-
-    def load_manifest(
-        self, job_id: str, checkpoint_id: str
-    ) -> CheckpointManifest:
-        key = manifest_key(job_id, checkpoint_id)
-        if not self.store.exists(key):
-            raise CheckpointNotFoundError(
-                f"no manifest for checkpoint {checkpoint_id!r} of job "
-                f"{job_id!r}"
-            )
-        return CheckpointManifest.from_json(self.store.get(key))
 
     def list_manifests(self, job_id: str) -> dict[str, CheckpointManifest]:
         """All readable stored manifests of a job, keyed by checkpoint id.
@@ -239,14 +224,13 @@ class CheckpointRestorer:
         chunk,
         blob: bytes,
     ) -> np.ndarray:
-        """Digest/CRC-verify and load one chunk payload; returns row ids."""
-        if chunk.digest is not None:
-            actual = sha256_hex(blob)
-            if actual != chunk.digest:
-                raise CheckpointCorruptError(
-                    f"chunk {chunk.key} digest mismatch: stored bytes "
-                    f"hash {actual}, manifest records {chunk.digest}"
-                )
+        """Digest-verify and load one chunk payload; returns row ids."""
+        actual = sha256_hex(blob)
+        if actual != chunk.digest:
+            raise CheckpointCorruptError(
+                f"chunk {chunk.key} digest mismatch: stored bytes "
+                f"hash {actual}, manifest records {chunk.digest}"
+            )
         try:
             meta, frames = decode_frames(blob)
         except SerializationError as exc:
@@ -394,15 +378,14 @@ class CheckpointRestorer:
         blob, completed = yield from read_steps(
             self.store.stage_get(manifest.dense_key)
         )
-        if manifest.dense_digest is not None:
-            actual = sha256_hex(blob)
-            if actual != manifest.dense_digest:
-                raise CheckpointCorruptError(
-                    f"dense state {manifest.dense_key} of "
-                    f"{manifest.checkpoint_id} digest mismatch: stored "
-                    f"bytes hash {actual}, manifest records "
-                    f"{manifest.dense_digest}"
-                )
+        actual = sha256_hex(blob)
+        if actual != manifest.dense_digest:
+            raise CheckpointCorruptError(
+                f"dense state {manifest.dense_key} of "
+                f"{manifest.checkpoint_id} digest mismatch: stored "
+                f"bytes hash {actual}, manifest records "
+                f"{manifest.dense_digest}"
+            )
         try:
             _, frames = decode_frames(blob)
             state: dict[str, np.ndarray] = {}

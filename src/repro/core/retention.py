@@ -66,10 +66,6 @@ class RetentionManager:
         self.keep_last = keep_last
         self.max_chain_length = max_chain_length
 
-    @property
-    def storm_aware(self) -> bool:
-        return self.max_chain_length is not None
-
     def wants_baseline_refresh(
         self,
         manifests: dict[str, CheckpointManifest],

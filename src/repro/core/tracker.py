@@ -23,7 +23,6 @@ import numpy as np
 
 from ..data.batch import Batch
 from ..distributed.sharding import Shard, ShardingPlan
-from ..errors import SimulationError
 from ..model.dlrm import StepResult
 
 
@@ -57,10 +56,6 @@ class ModifiedRowTracker:
             return int(np.unique(fresh).size)
         return int(fresh.size)
 
-    def mark_all(self) -> None:
-        """Mark every row (used when rebuilding state after a restore)."""
-        self._mask[:] = True
-
     def reset(self) -> None:
         """Clear the bit-vector (after a full/consecutive checkpoint)."""
         self._mask[:] = False
@@ -77,15 +72,6 @@ class ModifiedRowTracker:
         """An immutable-by-convention copy of the mask (for snapshots)."""
         return self._mask.copy()
 
-    def load_mask(self, mask: np.ndarray) -> None:
-        """Overwrite the mask (restore path)."""
-        if mask.shape != self._mask.shape:
-            raise SimulationError(
-                f"mask shape {mask.shape} != shard rows "
-                f"{self._mask.shape}"
-            )
-        np.copyto(self._mask, mask)
-
     @property
     def modified_count(self) -> int:
         return int(self._mask.sum())
@@ -93,11 +79,6 @@ class ModifiedRowTracker:
     @property
     def fraction_modified(self) -> float:
         return self.modified_count / self.shard.rows
-
-    @property
-    def bitvector_bytes(self) -> int:
-        """Simulated footprint: one bit per row, rounded up to bytes."""
-        return (self.shard.rows + 7) // 8
 
 
 class TrackerSet:
@@ -159,8 +140,3 @@ class TrackerSet:
         """Fraction of all embedding rows marked modified (Figs 5/6)."""
         total = self.total_rows
         return self.modified_rows / total if total else 0.0
-
-    @property
-    def bitvector_bytes(self) -> int:
-        """Total simulated tracking memory across shards."""
-        return sum(t.bitvector_bytes for t in self.trackers.values())

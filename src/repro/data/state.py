@@ -57,11 +57,3 @@ class TrainerProgress:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainerProgress":
-        return cls(
-            batches_trained=int(data["batches_trained"]),
-            samples_trained=int(data["samples_trained"]),
-            sim_time_s=float(data["sim_time_s"]),
-        )

@@ -55,13 +55,6 @@ class ZipfianSampler:
         ranks = np.searchsorted(self._cdf, uniforms, side="right")
         return self._rank_to_row[ranks]
 
-    def hot_fraction(self, top_fraction: float) -> float:
-        """Probability mass captured by the hottest ``top_fraction`` rows."""
-        if not 0 < top_fraction <= 1:
-            raise ReaderError("top_fraction must be in (0, 1]")
-        count = max(1, int(self.rows * top_fraction))
-        return float(self._cdf[count - 1])
-
 
 class SyntheticClickDataset:
     """Deterministic, stateless synthetic click-log stream.

@@ -69,12 +69,6 @@ class SimClock:
             self.advance(timestamp - self._now, label)
         return self._now
 
-    def spans(self, label: str | None = None) -> list[TimeSpan]:
-        """All recorded spans, optionally filtered by label."""
-        if label is None:
-            return list(self._spans)
-        return [s for s in self._spans if s.label == label]
-
     def total(self, label: str) -> float:
         """Total simulated seconds attributed to ``label``."""
         return sum(s.duration for s in self._spans if s.label == label)
@@ -133,20 +127,6 @@ class Timeline:
         self._free_at = span.end
         self._log.append(span)
         return span
-
-    def log(self) -> list[TimeSpan]:
-        """All spans processed by this lane, in submission order."""
-        return list(self._log)
-
-    def utilization(self) -> float:
-        """Busy fraction between the first span start and the lane's end."""
-        if not self._log:
-            return 0.0
-        horizon = self._free_at - self._log[0].start
-        if horizon <= 0:
-            return 0.0
-        busy = sum(s.duration for s in self._log)
-        return busy / horizon
 
 
 @dataclass

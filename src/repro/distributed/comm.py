@@ -80,15 +80,3 @@ class CommLog:
 
     def record(self, kind: str, nbytes: int, world: int, duration: float):
         self.events.append(CommEvent(kind, nbytes, world, duration))
-
-    def total_time(self, kind: str | None = None) -> float:
-        return sum(
-            e.duration_s
-            for e in self.events
-            if kind is None or e.kind == kind
-        )
-
-    def total_bytes(self, kind: str | None = None) -> int:
-        return sum(
-            e.nbytes for e in self.events if kind is None or e.kind == kind
-        )

@@ -207,9 +207,3 @@ class SimTrainer:
             samples_trained=self.model.samples_trained,
             sim_time_s=self.clock.now,
         )
-
-    def throughput_qps(self) -> float:
-        """Samples per simulated second so far."""
-        if self.clock.now == 0:
-            return 0.0
-        return self.model.samples_trained / self.clock.now

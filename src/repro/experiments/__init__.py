@@ -4,7 +4,6 @@ from .accuracy import DegradationCurve, accuracy_degradation_experiment
 from .common import (
     Experiment,
     build_experiment,
-    paper_scale_config,
     small_config,
     trained_embedding_matrix,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "modified_fraction_experiment",
     "optimal_bins",
     "overall_reduction_experiment",
-    "paper_scale_config",
     "quant_error_comparison",
     "small_config",
     "snapshot_stall_at_scale",

@@ -94,42 +94,6 @@ def small_config(
     )
 
 
-def paper_scale_config(
-    policy: str = "intermittent",
-    quantizer: str = "adaptive",
-    bit_width: int | None = None,
-    interval_batches: int = 60,
-    rows_per_table: int = 65536,
-    num_tables: int = 8,
-) -> ExperimentConfig:
-    """The benchmark configuration: paper topology, scaled-down tables.
-
-    16 nodes x 8 GPUs like the paper; table sizes shrunk so a full run
-    finishes in minutes while keeping the Zipf-skew regime that drives
-    the modified-fraction curves.
-    """
-    return ExperimentConfig(
-        model=ModelConfig(
-            num_tables=num_tables,
-            rows_per_table=tuple([rows_per_table] * num_tables),
-            embedding_dim=16,
-            bottom_mlp=(32, 16),
-            top_mlp=(32, 16, 1),
-            hotness=4,
-        ),
-        data=DataConfig(batch_size=512, zipf_alpha=1.05),
-        reader=ReaderConfig(coordinated=True),
-        cluster=ClusterConfig(),  # 16 x 8, paper defaults
-        storage=StorageConfig(),
-        checkpoint=CheckpointConfig(
-            interval_batches=interval_batches,
-            policy=policy,
-            quantizer=quantizer,
-            bit_width=bit_width,
-        ),
-    )
-
-
 def build_experiment(
     config: ExperimentConfig,
     job_id: str = "job0",

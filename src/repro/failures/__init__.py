@@ -20,8 +20,6 @@ from .models import (
     HOUR_S,
     ExponentialFailures,
     FailureModel,
-    LogNormalFailures,
-    MixtureFailures,
     ScheduledFailures,
     WeibullFailures,
     paper_failure_model,
@@ -41,8 +39,6 @@ __all__ = [
     "Job",
     "JobQueueReport",
     "JobQueueSim",
-    "LogNormalFailures",
-    "MixtureFailures",
     "ScheduledFailures",
     "StormPlan",
     "WeibullFailures",

@@ -45,10 +45,6 @@ class FailureModel(ABC):
             raise SimulationError(f"negative sample count {count}")
         return np.array([self.sample(rng) for _ in range(count)])
 
-    def failure_rate_per_hour(self) -> float:
-        """1 / MTTF, in failures per hour (bit-width selection input)."""
-        return HOUR_S / self.mean_s()
-
 
 class ExponentialFailures(FailureModel):
     """Memoryless failures — the simplest fleet model."""
@@ -150,12 +146,6 @@ class WeibullFailures(FailureModel):
     def mean_s(self) -> float:
         return self.scale_s * math.gamma(1.0 + 1.0 / self.shape)
 
-    def cdf(self, t_s: float) -> float:
-        """Exact CDF (for comparing the empirical trace against)."""
-        if t_s <= 0:
-            return 0.0
-        return 1.0 - math.exp(-((t_s / self.scale_s) ** self.shape))
-
     def quantile(self, p: float) -> float:
         """Inverse CDF in seconds."""
         if not 0.0 <= p < 1.0:
@@ -171,57 +161,6 @@ class WeibullFailures(FailureModel):
         base = (above_s / self.scale_s) ** self.shape
         return self.scale_s * (base - math.log(1.0 - p)) ** (
             1.0 / self.shape
-        )
-
-
-class LogNormalFailures(FailureModel):
-    """Log-normal failures — an alternative heavy-tail hypothesis."""
-
-    name = "lognormal"
-
-    def __init__(self, mu: float, sigma: float) -> None:
-        if sigma <= 0:
-            raise SimulationError("sigma must be positive")
-        self.mu = mu
-        self.sigma = sigma
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(self.mu, self.sigma))
-
-    def sample_many(self, count, rng):
-        if count < 0:
-            raise SimulationError(f"negative sample count {count}")
-        return rng.lognormal(self.mu, self.sigma, size=count)
-
-    def mean_s(self) -> float:
-        return math.exp(self.mu + self.sigma**2 / 2.0)
-
-
-class MixtureFailures(FailureModel):
-    """Weighted mixture — e.g. fast config errors + slow hardware faults."""
-
-    name = "mixture"
-
-    def __init__(
-        self, components: list[FailureModel], weights: list[float]
-    ) -> None:
-        if not components or len(components) != len(weights):
-            raise SimulationError(
-                "mixture needs matching components and weights"
-            )
-        total = sum(weights)
-        if total <= 0 or any(w < 0 for w in weights):
-            raise SimulationError("weights must be non-negative, sum > 0")
-        self.components = list(components)
-        self.weights = [w / total for w in weights]
-
-    def sample(self, rng: np.random.Generator) -> float:
-        index = rng.choice(len(self.components), p=self.weights)
-        return self.components[index].sample(rng)
-
-    def mean_s(self) -> float:
-        return sum(
-            w * c.mean_s() for w, c in zip(self.weights, self.components)
         )
 
 

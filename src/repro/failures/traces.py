@@ -7,7 +7,6 @@ errors") before plotting the CDF; the same filter is applied here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,18 +82,3 @@ class FailureTrace:
     @property
     def count(self) -> int:
         return int(self.times_s.size)
-
-    # ------------------------------------------------------------------
-    # Persistence (record/replay)
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"times_s": self.times_s.tolist()})
-
-    @classmethod
-    def from_json(cls, blob: str | bytes) -> "FailureTrace":
-        try:
-            data = json.loads(blob)
-            return cls(np.asarray(data["times_s"], dtype=np.float64))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise SimulationError(f"corrupt failure trace: {exc}") from exc

@@ -2,7 +2,9 @@
 
 Every checkpoint object key already begins with its job id (see
 :mod:`repro.core.manifest`), so on a shared store the job id *is* the
-namespace. A :class:`ScopedStore` hands a job the full store API while
+namespace. A :class:`ScopedStore` hands a job the part of the store API
+its checkpoint stack uses (staged PUT/GET, GET, LIST and prefix DELETE)
+while
 
 * rejecting any key outside ``<job_id>/`` with
   :class:`~repro.errors.NamespaceViolationError` — a job can never read,
@@ -14,9 +16,9 @@ namespace. A :class:`ScopedStore` hands a job the full store API while
   their private clocks at different rates, and a transfer must never be
   timed before the moment its job issued it.
 
-The wrapped store is duck-type compatible with
-:class:`~repro.storage.object_store.ObjectStore` everywhere the core
-checkpoint stack touches it (writer, restorer, retention, controller).
+The writer, restorer, retention and controller take it in place of an
+:class:`~repro.storage.object_store.ObjectStore`: those are the only
+calls they make on a job's store.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ from __future__ import annotations
 from ..distributed.clock import SimClock, Timeline
 from ..errors import NamespaceViolationError
 from ..storage.backends import Backend
-from ..storage.object_store import (
-    ObjectStore,
-    OpReceipt,
-    PrefixDeleteReceipt,
-)
+from ..storage.object_store import ObjectStore, PrefixDeleteReceipt
 
 
 class ScopedStore:
@@ -67,10 +65,6 @@ class ScopedStore:
     # -- pass-through surface the core stack relies on -----------------
 
     @property
-    def config(self):
-        return self.base.config
-
-    @property
     def timeline(self) -> Timeline:
         return self.base.timeline
 
@@ -79,37 +73,10 @@ class ScopedStore:
         return self.base.backend
 
     @property
-    def ops(self):
-        return self.base.ops
-
-    @property
-    def costs(self):
-        return self.base.costs
-
-    @property
     def engine(self):
         return self.base.engine
 
     # -- scoped object operations --------------------------------------
-
-    def put(
-        self,
-        key: str,
-        data: bytes,
-        overwrite: bool = False,
-        earliest: float | None = None,
-    ) -> OpReceipt:
-        self._check(key)
-        floor = self.clock.now
-        if earliest is not None:
-            floor = max(floor, earliest)
-        return self.base.put(
-            key,
-            data,
-            overwrite=overwrite,
-            earliest=floor,
-            stream=self.stream,
-        )
 
     def stage_put(
         self,
@@ -120,8 +87,7 @@ class ScopedStore:
     ):
         """Stage a part-granular PUT (see
         :meth:`~repro.storage.object_store.ObjectStore.stage_put`),
-        namespace-checked, stream-tagged and clock-floored like
-        :meth:`put`."""
+        namespace-checked, stream-tagged and clock-floored."""
         self._check(key)
         floor = self.clock.now
         if earliest is not None:
@@ -160,12 +126,6 @@ class ScopedStore:
             byte_range=byte_range,
         )
 
-    def delete(self, key: str) -> OpReceipt:
-        self._check(key)
-        return self.base.delete(
-            key, stream=self.stream, at_s=self.clock.now
-        )
-
     def delete_prefix(self, prefix: str) -> PrefixDeleteReceipt:
         """Batch-remove the job's objects under a prefix (LIST + N
         DELETE under the cost model), stream-tagged and clock-floored
@@ -181,14 +141,6 @@ class ScopedStore:
 
     def predict_put_duration(self, logical_bytes: int) -> float:
         return self.base.predict_put_duration(logical_bytes)
-
-    def exists(self, key: str) -> bool:
-        self._check(key)
-        return self.base.exists(key, stream=self.stream)
-
-    def object_size(self, key: str) -> int:
-        self._check(key)
-        return self.base.object_size(key)
 
     def list_keys(self, prefix: str = "") -> list[str]:
         if not prefix:

@@ -1,49 +1,16 @@
 """Accounting, accuracy, growth and latency metrics."""
 
-from .accounting import (
-    ReductionSummary,
-    average_write_bandwidth,
-    capacity_fractions_at,
-    interval_size_fractions,
-    peak_capacity,
-    reduction_summary,
-)
-from .accuracy import (
-    DEGRADATION_THRESHOLD_PERCENT,
-    EvalResult,
-    degradation_percent,
-    evaluate,
-    within_threshold,
-)
+from .accounting import peak_capacity
+from .accuracy import EvalResult, evaluate
 from .growth import GrowthPoint, growth_factor, model_growth_trace
 from .latency import LatencyModel
-from .tco import (
-    FleetDemand,
-    FleetProfile,
-    TcoComparison,
-    compare_tco,
-    fleet_demand,
-)
 
 __all__ = [
-    "DEGRADATION_THRESHOLD_PERCENT",
     "EvalResult",
-    "FleetDemand",
-    "FleetProfile",
     "GrowthPoint",
     "LatencyModel",
-    "ReductionSummary",
-    "TcoComparison",
-    "compare_tco",
-    "fleet_demand",
-    "average_write_bandwidth",
-    "capacity_fractions_at",
-    "degradation_percent",
     "evaluate",
     "growth_factor",
-    "interval_size_fractions",
     "model_growth_trace",
     "peak_capacity",
-    "reduction_summary",
-    "within_threshold",
 ]

@@ -1,95 +1,11 @@
-"""Bandwidth and capacity accounting over checkpoint runs.
-
-Turns the raw artifacts of a run — write reports, the object store's
-capacity series — into the quantities the paper plots: per-interval
-checkpoint sizes as a fraction of the model (Fig 15), required storage
-capacity over time (Fig 16), and average-bandwidth / peak-capacity
-reduction factors versus the non-incremental fp32 baseline (Fig 17).
-"""
+"""Capacity accounting over checkpoint runs: the peak of the object
+store's live-capacity series, which Fig 17's capacity bars compare."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..core.writer import WriteReport
-from ..errors import SimulationError
 from ..storage.object_store import CapacityPoint
-
-
-@dataclass(frozen=True)
-class ReductionSummary:
-    """Fig 17's two bars for one configuration."""
-
-    avg_bandwidth_reduction: float  # baseline avg BW / variant avg BW
-    peak_capacity_reduction: float  # baseline peak cap / variant peak cap
-
-
-def interval_size_fractions(
-    reports: list[WriteReport], model_bytes: int
-) -> list[float]:
-    """Checkpoint logical size per interval / full model size (Fig 15)."""
-    if model_bytes <= 0:
-        raise SimulationError("model_bytes must be positive")
-    return [r.logical_bytes / model_bytes for r in reports]
-
-
-def average_write_bandwidth(
-    reports: list[WriteReport], total_duration_s: float
-) -> float:
-    """Mean checkpoint write bandwidth over a run (logical bytes/s)."""
-    if total_duration_s <= 0:
-        raise SimulationError("duration must be positive")
-    return sum(r.logical_bytes for r in reports) / total_duration_s
-
-
-def capacity_fractions_at(
-    series: list[CapacityPoint],
-    timestamps: list[float],
-    model_bytes: int,
-) -> list[float]:
-    """Live logical capacity / model size sampled at timestamps (Fig 16).
-
-    Each sample takes the last capacity point at or before the
-    timestamp (capacity is a step function of PUT/DELETE events).
-    """
-    if model_bytes <= 0:
-        raise SimulationError("model_bytes must be positive")
-    if not series:
-        return [0.0 for _ in timestamps]
-    fractions = []
-    for ts in timestamps:
-        latest = 0
-        for point in series:
-            if point.time_s <= ts:
-                latest = point.logical_bytes
-            else:
-                break
-        fractions.append(latest / model_bytes)
-    return fractions
 
 
 def peak_capacity(series: list[CapacityPoint]) -> int:
     """Highest live logical byte count over a run."""
     return max((p.logical_bytes for p in series), default=0)
-
-
-def reduction_summary(
-    baseline_reports: list[WriteReport],
-    baseline_capacity: list[CapacityPoint],
-    variant_reports: list[WriteReport],
-    variant_capacity: list[CapacityPoint],
-    duration_s: float,
-) -> ReductionSummary:
-    """Fig 17: how much bandwidth/capacity the variant saves."""
-    baseline_bw = average_write_bandwidth(baseline_reports, duration_s)
-    variant_bw = average_write_bandwidth(variant_reports, duration_s)
-    baseline_peak = peak_capacity(baseline_capacity)
-    variant_peak = peak_capacity(variant_capacity)
-    if variant_bw <= 0 or variant_peak <= 0:
-        raise SimulationError(
-            "variant wrote no bytes; reduction factors undefined"
-        )
-    return ReductionSummary(
-        avg_bandwidth_reduction=baseline_bw / variant_bw,
-        peak_capacity_reduction=baseline_peak / variant_peak,
-    )

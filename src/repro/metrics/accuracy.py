@@ -1,10 +1,9 @@
-"""Model-quality evaluation and the paper's degradation metric.
+"""Model-quality evaluation on a held-out batch stream.
 
 Fig 14 plots "lifetime accuracy degradation" of runs that resumed from
 quantized checkpoints, against a run that never quantized. We evaluate
 on a held-out batch stream and report normalised entropy (NE) — the
-canonical production CTR metric — with degradation expressed in
-percent, matching the paper's 0.01% business threshold.
+canonical production CTR metric.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from ..data.batch import Batch
 from ..errors import TrainingError
 from ..model.dlrm import DLRM
 from ..model.loss import auc, log_loss, normalized_entropy
-
-#: The paper's accuracy-loss budget, in percent.
-DEGRADATION_THRESHOLD_PERCENT = 0.01
 
 
 @dataclass(frozen=True)
@@ -49,26 +45,3 @@ def evaluate(model: DLRM, batches: list[Batch]) -> EvalResult:
         auc=auc(p, y),
         num_samples=int(y.size),
     )
-
-
-def degradation_percent(baseline: EvalResult, variant: EvalResult) -> float:
-    """Relative NE regression of ``variant`` vs ``baseline``, in percent.
-
-    Positive means the variant is worse. NE is a lower-is-better metric,
-    so degradation = 100 * (NE_v - NE_b) / NE_b.
-    """
-    if baseline.normalized_entropy <= 0:
-        raise TrainingError("baseline NE must be positive")
-    return (
-        100.0
-        * (variant.normalized_entropy - baseline.normalized_entropy)
-        / baseline.normalized_entropy
-    )
-
-
-def within_threshold(
-    degradation_pct: float,
-    threshold_pct: float = DEGRADATION_THRESHOLD_PERCENT,
-) -> bool:
-    """Whether a degradation stays inside the business threshold."""
-    return degradation_pct <= threshold_pct

@@ -12,12 +12,11 @@ from .loss import (
     sigmoid,
 )
 from .mlp import MLP, Linear, ReLU
-from .optim import DenseAdagrad, DenseSGD, SparseRowWiseAdagrad, SparseSGD
+from .optim import DenseAdagrad, SparseRowWiseAdagrad
 
 __all__ = [
     "DLRM",
     "DenseAdagrad",
-    "DenseSGD",
     "DotInteraction",
     "EmbeddingCollection",
     "EmbeddingTable",
@@ -26,7 +25,6 @@ __all__ = [
     "ReLU",
     "SparseGrad",
     "SparseRowWiseAdagrad",
-    "SparseSGD",
     "StepResult",
     "auc",
     "bce_grad",

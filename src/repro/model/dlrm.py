@@ -188,19 +188,6 @@ class DLRM:
     def num_tables(self) -> int:
         return len(self.embeddings)
 
-    @property
-    def embedding_nbytes(self) -> int:
-        return self.embeddings.nbytes
-
-    @property
-    def total_nbytes(self) -> int:
-        """Embeddings + accumulators + dense parameters, in fp32 bytes."""
-        dense = self._dense_params.nbytes
-        accum = sum(
-            opt.accumulator.nbytes for opt in self.sparse_optimizers
-        )
-        return self.embedding_nbytes + accum + dense
-
     def clone_config_model(self) -> "DLRM":
         """A fresh model with identical config (and therefore init)."""
         return DLRM(self.config, self.dense_optimizer.learning_rate)

@@ -107,22 +107,6 @@ class EmbeddingTable:
         self._last_indices = None
         return SparseGrad(rows=unique_rows, values=values)
 
-    def last_touched_rows(self) -> np.ndarray:
-        """Unique rows referenced by the in-flight forward pass.
-
-        This is the *forward-pass proxy* the paper's tracker uses
-        (section 5.1.1): cheap to compute during the AlltoAll phase and a
-        superset of the rows the backward pass will modify.
-        """
-        if self._last_indices is None:
-            raise TrainingError("no forward pass in flight")
-        return np.unique(self._last_indices)
-
-    @property
-    def nbytes(self) -> int:
-        """fp32 weight bytes (excludes optimizer state)."""
-        return int(self.weight.nbytes)
-
 
 class EmbeddingCollection:
     """All of a model's embedding tables, indexed by table id."""
@@ -163,11 +147,3 @@ class EmbeddingCollection:
             table.backward(grad)
             for table, grad in zip(self.tables, grads_per_table)
         ]
-
-    @property
-    def total_rows(self) -> int:
-        return sum(t.rows for t in self.tables)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(t.nbytes for t in self.tables)

@@ -18,31 +18,6 @@ from ..errors import TrainingError
 from .embedding import EmbeddingTable, SparseGrad
 
 
-class DenseSGD:
-    """Plain SGD for dense (MLP) parameters."""
-
-    name = "sgd"
-
-    def __init__(self, learning_rate: float = 0.05) -> None:
-        if learning_rate <= 0:
-            raise TrainingError("learning rate must be positive")
-        self.learning_rate = learning_rate
-
-    def step(
-        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
-    ) -> None:
-        for name, param in params.items():
-            param -= self.learning_rate * grads[name]
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """SGD is stateless; nothing to checkpoint."""
-        return {}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if state:
-            raise TrainingError("DenseSGD has no state to load")
-
-
 class DenseAdagrad:
     """Adagrad for dense parameters (per-element accumulators).
 
@@ -143,42 +118,3 @@ class SparseRowWiseAdagrad:
         denom = np.sqrt(accum) + self.eps
         self.table.weight[rows] -= self.learning_rate * values / denom[:, None]
         return rows
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {"accumulator": self.accumulator.copy()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        accumulator = state["accumulator"]
-        if accumulator.shape != self.accumulator.shape:
-            raise TrainingError(
-                f"accumulator shape mismatch: {accumulator.shape} vs "
-                f"{self.accumulator.shape}"
-            )
-        np.copyto(self.accumulator, accumulator)
-
-
-class SparseSGD:
-    """Stateless sparse SGD — the simpler embedding optimizer option."""
-
-    name = "sparse_sgd"
-
-    def __init__(
-        self, table: EmbeddingTable, learning_rate: float = 0.05
-    ) -> None:
-        if learning_rate <= 0:
-            raise TrainingError("learning rate must be positive")
-        self.table = table
-        self.learning_rate = learning_rate
-
-    def step(self, grad: SparseGrad) -> np.ndarray:
-        if grad.rows.size == 0:
-            return grad.rows
-        self.table.weight[grad.rows] -= self.learning_rate * grad.values
-        return grad.rows
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if state:
-            raise TrainingError("SparseSGD has no state to load")

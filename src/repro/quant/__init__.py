@@ -9,7 +9,8 @@ Public surface:
 * :class:`~repro.quant.kmeans.KMeansQuantizer` (rejected comparator)
 * :func:`~repro.quant.registry.make_quantizer` (config-string factory)
 * :func:`~repro.quant.error.mean_l2_error` (the paper's metric)
-* Sampling profiler: :func:`~repro.quant.profiler.auto_tune`
+* Sampling profiler: :func:`~repro.quant.profiler.select_num_bins`,
+  :func:`~repro.quant.profiler.select_ratio`
 """
 
 from .adaptive import AdaptiveAsymmetricQuantizer, greedy_range_search
@@ -19,10 +20,10 @@ from .base import (
     QuantizedTensor,
     Quantizer,
 )
-from .error import improvement, max_abs_error, mean_l2_error, row_l2_errors
+from .error import mean_l2_error, row_l2_errors
 from .kmeans import KMeansQuantizer
 from .packing import pack_bits, packed_size, unpack_bits
-from .profiler import ProfileResult, auto_tune, select_num_bins, select_ratio
+from .profiler import ProfileResult, select_num_bins, select_ratio
 from .registry import make_quantizer, quantizer_for_decoding
 from .uniform import AsymmetricQuantizer, SymmetricQuantizer
 
@@ -36,11 +37,8 @@ __all__ = [
     "QuantizedTensor",
     "Quantizer",
     "SymmetricQuantizer",
-    "auto_tune",
     "greedy_range_search",
-    "improvement",
     "make_quantizer",
-    "max_abs_error",
     "mean_l2_error",
     "pack_bits",
     "packed_size",

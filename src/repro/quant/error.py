@@ -43,23 +43,3 @@ def row_l2_errors(
 def mean_l2_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """The paper's checkpoint-level metric: mean of per-row l2 errors."""
     return float(np.mean(row_l2_errors(original, reconstructed)))
-
-
-def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Worst-case element error; bounds the de-quantization step size."""
-    _check_pair(original, reconstructed)
-    diff = original.astype(np.float64) - reconstructed.astype(np.float64)
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
-
-
-def improvement(baseline_error: float, candidate_error: float) -> float:
-    """Relative error reduction of candidate over baseline (Figs 10/11).
-
-    Returns e.g. 0.25 when the candidate's mean l2 error is 25% lower
-    than the baseline's. Zero baseline error (already exact) yields 0.
-    """
-    if baseline_error < 0 or candidate_error < 0:
-        raise QuantizationError("errors must be non-negative")
-    if baseline_error == 0.0:
-        return 0.0
-    return (baseline_error - candidate_error) / baseline_error

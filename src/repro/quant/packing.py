@@ -137,15 +137,3 @@ def unpack_rows(
         raise PackingError("rows and cols must be non-negative")
     flat = unpack_bits(packed, bits, rows * cols)
     return flat.reshape(rows, cols)
-
-
-def row_slice_is_aligned(cols: int, bits: int) -> bool:
-    """Whether per-row packed data falls on byte boundaries.
-
-    True when ``cols * bits`` is divisible by 8; then row ``r`` occupies
-    packed bytes ``[r * cols * bits / 8, (r + 1) * cols * bits / 8)``.
-    """
-    _validate_bits(bits)
-    if cols <= 0:
-        raise PackingError("cols must be positive")
-    return (cols * bits) % 8 == 0

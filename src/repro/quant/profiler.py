@@ -40,12 +40,6 @@ class ProfileResult:
     chosen: float
     sample_rows: int
 
-    def improvement_curve(self, naive_error: float) -> tuple[float, ...]:
-        """Relative improvement of each candidate over the naive error."""
-        if naive_error <= 0:
-            return tuple(0.0 for _ in self.errors)
-        return tuple((naive_error - e) / naive_error for e in self.errors)
-
 
 def sample_rows(
     tensor: np.ndarray,
@@ -168,24 +162,3 @@ def select_ratio(
         chosen=chosen,
         sample_rows=sample.shape[0],
     )
-
-
-def auto_tune(
-    tensor: np.ndarray,
-    bits: int,
-    sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
-    seed: int = 0,
-) -> tuple[int, float]:
-    """Full light-weight profiling pass: returns (num_bins, ratio).
-
-    This is the entry point the checkpoint writer uses when the
-    experiment config does not pin the adaptive parameters.
-    """
-    bins_result = select_num_bins(
-        tensor, bits, sample_fraction=sample_fraction, seed=seed
-    )
-    num_bins = int(bins_result.chosen)
-    ratio_result = select_ratio(
-        tensor, bits, num_bins, sample_fraction=sample_fraction, seed=seed
-    )
-    return num_bins, float(ratio_result.chosen)

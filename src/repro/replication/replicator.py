@@ -87,7 +87,6 @@ class PeerReplicator:
         # Counter residue of destroyed rings, so fleet totals survive
         # ring churn.
         self._retired_evictions = 0
-        self._retired_aborts = 0
 
     # -- placement -----------------------------------------------------
 
@@ -266,7 +265,6 @@ class PeerReplicator:
 
     def _retire(self, ring: MemoryRing) -> None:
         self._retired_evictions += ring.evictions
-        self._retired_aborts += ring.aborts
 
     # -- fleet-report aggregates ---------------------------------------
 
@@ -278,10 +276,4 @@ class PeerReplicator:
     def total_ring_evictions(self) -> int:
         return self._retired_evictions + sum(
             ring.evictions for ring in self._live_rings()
-        )
-
-    @property
-    def total_ring_aborts(self) -> int:
-        return self._retired_aborts + sum(
-            ring.aborts for ring in self._live_rings()
         )

@@ -54,7 +54,7 @@ def verify_chunk_digest(key: str, blob: bytes, expected_digest: str) -> None:
 
 
 def decode_chunk_rows(
-    key: str, blob: bytes, expected_digest: str | None
+    key: str, blob: bytes, expected_digest: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Verify and decode one chunk object into ``(row_ids, weights)``.
 
@@ -64,8 +64,12 @@ def decode_chunk_rows(
     mismatch or any structural decode failure — the serving layer turns
     that into a fallback to an older published version.
     """
-    if expected_digest is not None:
-        verify_chunk_digest(key, blob, expected_digest)
+    verify_chunk_digest(key, blob, expected_digest)
+    return _decode_verified(key, blob)
+
+
+def _decode_verified(key: str, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decode_chunk_rows` of bytes the caller already hashed."""
     try:
         meta, frames = decode_frames(blob)
     except SerializationError as exc:
@@ -126,26 +130,24 @@ class DecodedChunkCache:
         return len(self._chunks)
 
     def decode(
-        self, key: str, blob: bytes, expected_digest: str | None
+        self, key: str, blob: bytes, expected_digest: str
     ) -> tuple[np.ndarray, np.ndarray]:
         """:func:`decode_chunk_rows`, read-only and decoded once per digest.
 
-        ``blob`` is hashed on every call — the digest checked is that of
-        the bytes just read, never of the key — and only a passing check
-        may be answered from an earlier decode. A ref without a digest
-        has no content address and is decoded every time.
+        ``blob`` is hashed once on every call — the digest checked is
+        that of the bytes just read, never of the key — and only a
+        passing check may be answered from an earlier decode.
         """
-        if expected_digest is not None:
-            verify_chunk_digest(key, blob, expected_digest)
-            cached = self._chunks.get(expected_digest)
-            if cached is not None:
-                return cached
-        decoded = decode_chunk_rows(key, blob, None)
+        verify_chunk_digest(key, blob, expected_digest)
+        cached = self._chunks.get(expected_digest)
+        if cached is not None:
+            return cached
+        decoded = _decode_verified(key, blob)
         self.decodes += 1
         for array in decoded:
             array.setflags(write=False)
         size = sum(array.nbytes for array in decoded)
-        if expected_digest is not None and size <= self.budget_bytes:
+        if size <= self.budget_bytes:
             self._chunks[expected_digest] = decoded
             self.held_bytes += size
             while self.held_bytes > self.budget_bytes:

@@ -38,7 +38,7 @@ class RowRef:
     """Where one row's newest value lives: a chunk object + its digest."""
 
     key: str
-    digest: str | None
+    digest: str
     table_id: int
 
 

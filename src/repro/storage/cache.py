@@ -300,11 +300,6 @@ class CacheTierBackend(Backend):
     def dirty_bytes(self) -> int:
         return sum(len(self._near[k]) for k in self._dirty)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def cached_keys(self) -> list[str]:
         """Near-resident keys, sorted (for tests/inspection)."""
         return sorted(self._near)

@@ -54,7 +54,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from ..errors import (
-    CapacityExceededError,
     ObjectExistsError,
     RetriesExhaustedError,
     StorageError,
@@ -175,9 +174,6 @@ class _StagedTransfer:
     #: 1-based (S3 style), ``#range2`` 0-based.
     part_word: str
     part_base: int
-    #: Physical bytes a concurrent stager must count against hard
-    #: capacity until this transfer commits or aborts — reads hold none.
-    reserved_bytes = 0
 
     def __init__(
         self,
@@ -402,8 +398,8 @@ class _StagedTransfer:
 class StagedPut(_StagedTransfer):
     """A PUT announced as multipart parts, submitted one at a time.
 
-    Returned by ``ObjectStore.stage_put``. Quota is charged and
-    capacity checked at stage time (before any link time is spent);
+    Returned by ``ObjectStore.stage_put``. Quota is charged at stage
+    time (before any link time is spent);
     against a backend advertising ``part_size_bytes`` a larger payload
     uploads through the multipart protocol, and the last
     :meth:`submit_next` also issues the completion request and commits
@@ -431,27 +427,8 @@ class StagedPut(_StagedTransfer):
         if engine.retry_probe(OP_HEAD, key) and not overwrite:
             raise ObjectExistsError(f"object {key!r} already exists")
         self.data = data
-        self.reserved_bytes = self._physical(len(data))
         previous = self._physical(store._sizes.get(key, 0))
-        if store.config.capacity_bytes is not None:
-            # Committed bytes plus every *other* staged write's
-            # uncommitted bytes: two writes staged in the same
-            # scheduler window must not jointly oversubscribe the hard
-            # capacity limit just because neither has committed yet.
-            projected = (
-                store.live_physical_bytes
-                + sum(s.reserved_bytes for s in engine._staged)
-                - previous
-                + self.reserved_bytes
-            )
-            if projected > store.config.capacity_bytes:
-                raise CapacityExceededError(
-                    f"PUT {key!r} would raise physical usage to "
-                    f"{projected} bytes (including staged writes), "
-                    f"over the {store.config.capacity_bytes}-byte "
-                    "capacity"
-                )
-        self.charged = self.reserved_bytes - previous
+        self.charged = self._physical(len(data)) - previous
         if store.arbiter is not None and stream:
             store.arbiter.admit_put(stream, self.charged)
         self._upload_id: str | None = None

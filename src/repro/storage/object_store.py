@@ -18,7 +18,7 @@ section 4). This store wraps a byte backend with:
   the checkpoint writer and fleet scheduler interleave on;
 * **replication accounting** — physical bytes = logical x factor;
 * **capacity accounting** — live logical/physical bytes over time, the
-  series behind Fig 16, plus an optional hard capacity limit;
+  series behind Fig 16 (per-job quotas live in the bandwidth arbiter);
 * **a transfer log + op log** — the per-transfer series behind Fig 15's
   bandwidth numbers (write *and* read traffic, op-class tagged) and the
   per-receipt record behind the backend-ops benchmark.

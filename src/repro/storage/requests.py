@@ -220,11 +220,6 @@ class OpReceipt:
         return self.completed_s - self.start_s
 
     @property
-    def queue_s(self) -> float:
-        """Time the request waited before any resource served it."""
-        return self.start_s - self.issued_s
-
-    @property
     def throughput(self) -> float:
         """Physical bytes per second over the op's occupancy time."""
         if self.duration_s <= 0:
@@ -254,21 +249,11 @@ class OpLog:
     def count(self, op: str | None = None) -> int:
         return len(self.receipts(op))
 
-    def total_bytes(self, op: str) -> int:
-        return sum(r.physical_bytes for r in self.receipts(op))
-
     def mean_duration_s(self, op: str) -> float:
         receipts = self.receipts(op)
         if not receipts:
             return 0.0
         return sum(r.duration_s for r in receipts) / len(receipts)
-
-    def op_counts(self) -> dict[str, int]:
-        """Receipts per op class (only classes that occurred)."""
-        counts: dict[str, int] = {}
-        for r in self._receipts:
-            counts[r.op] = counts.get(r.op, 0) + 1
-        return counts
 
     def total_retries(self, op: str | None = None) -> int:
         """Transient-failure retries summed over matching receipts."""

@@ -9,13 +9,11 @@ check); :mod:`.docscheck` is the markdown link checker CI runs over
 from .inspect import (
     CheckpointSummary,
     format_summaries,
-    list_jobs,
     summarize_job,
 )
 
 __all__ = [
     "CheckpointSummary",
     "format_summaries",
-    "list_jobs",
     "summarize_job",
 ]

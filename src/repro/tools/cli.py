@@ -162,7 +162,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     """End-to-end integrity scan: digests, truncation, torn writes.
 
     Verifies every stored object against the manifest's sha256 digests
-    and expected sizes (CRC framing for pre-digest manifests), detects
+    and expected sizes (a manifest missing a digest is corrupt), detects
     torn checkpoints (objects without a manifest), and quarantines
     corrupt checkpoints so restore planning skips them — unless
     ``--no-quarantine``, which leaves the store untouched.

@@ -29,12 +29,6 @@ class CheckpointSummary:
     valid_at_s: float
 
 
-def list_jobs(store: ObjectStore) -> list[str]:
-    """Job ids present in the store (first key path segment)."""
-    jobs = {key.split("/", 1)[0] for key in store.list_keys() if "/" in key}
-    return sorted(jobs)
-
-
 def summarize_job(
     store: ObjectStore, job_id: str
 ) -> list[CheckpointSummary]:

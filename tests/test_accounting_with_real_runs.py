@@ -2,15 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments import build_experiment, small_config
-from repro.metrics.accounting import (
-    average_write_bandwidth,
-    interval_size_fractions,
-    peak_capacity,
-    reduction_summary,
-)
+from repro.metrics.accounting import peak_capacity
 from repro.storage.engine import drain
 
 
@@ -34,32 +27,6 @@ def run_policy(policy: str, quantizer: str, bits):
 
 
 class TestAccountingOnRealRuns:
-    def test_interval_fractions_start_at_one(self):
-        exp, reports = run_policy("one_shot", "none", None)
-        model_bytes = reports[0].logical_bytes
-        fractions = interval_size_fractions(reports, model_bytes)
-        assert fractions[0] == pytest.approx(1.0)
-        assert all(f <= 1.0 + 1e-9 for f in fractions)
-
-    def test_average_bandwidth_positive_and_bounded(self):
-        exp, reports = run_policy("intermittent", "adaptive", 4)
-        bandwidth = average_write_bandwidth(reports, exp.clock.now)
-        total = sum(r.logical_bytes for r in reports)
-        assert 0 < bandwidth <= total  # run lasts > 1 second
-
-    def test_reduction_summary_from_paired_runs(self):
-        base_exp, base_reports = run_policy("full", "none", None)
-        cnr_exp, cnr_reports = run_policy("intermittent", "adaptive", 4)
-        summary = reduction_summary(
-            base_reports,
-            base_exp.store.capacity_series(),
-            cnr_reports,
-            cnr_exp.store.capacity_series(),
-            duration_s=max(base_exp.clock.now, cnr_exp.clock.now),
-        )
-        assert summary.avg_bandwidth_reduction > 1.5
-        assert summary.peak_capacity_reduction > 1.0
-
     def test_peak_capacity_from_store(self):
         exp, _ = run_policy("full", "none", None)
         peak = peak_capacity(exp.store.capacity_series())

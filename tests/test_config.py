@@ -45,10 +45,6 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="at least one row"):
             ModelConfig(num_tables=1, rows_per_table=(0,))
 
-    def test_scaled_validates(self):
-        with pytest.raises(ConfigError, match="positive"):
-            ModelConfig().scaled(0.0)
-
 
 class TestDataConfig:
     def test_defaults_valid(self):
@@ -100,7 +96,8 @@ class TestStorageConfig:
             {"write_bandwidth": 0.0},
             {"read_bandwidth": -1.0},
             {"replication_factor": 0},
-            {"capacity_bytes": 0},
+            {"max_retries": -1},
+            {"retry_backoff_s": -0.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):

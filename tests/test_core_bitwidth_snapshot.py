@@ -8,7 +8,6 @@ import pytest
 from repro.core.bitwidth import (
     FALLBACK_BIT_WIDTH,
     BitWidthController,
-    expected_restores,
     select_bit_width,
 )
 from repro.core.snapshot import SnapshotManager
@@ -38,17 +37,6 @@ class TestSelectBitWidth:
     def test_negative_rejected(self):
         with pytest.raises(CheckpointError):
             select_bit_width(-1)
-
-
-class TestExpectedRestores:
-    def test_poisson_expectation_ceiled(self):
-        assert expected_restores(0.1, 30.0) == 3
-        assert expected_restores(0.1, 31.0) == 4  # 3.1 -> ceil
-        assert expected_restores(0.0, 100.0) == 0
-
-    def test_invalid_args(self):
-        with pytest.raises(CheckpointError):
-            expected_restores(-0.1, 1.0)
 
 
 class TestBitWidthController:

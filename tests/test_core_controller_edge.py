@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.config import CheckpointConfig, StorageConfig
+from repro.config import CheckpointConfig
 from repro.core.bitwidth import FALLBACK_BIT_WIDTH
 from repro.core.manifest import KIND_FULL
-from repro.errors import ReproError
 from repro.experiments import build_experiment, small_config
 
 
@@ -123,27 +121,6 @@ class TestCrashDuringWrite:
         # backend but its validity time is in the future.
         report = exp.controller.restore_latest()
         assert report.checkpoint_id == "ckpt-000000"
-
-
-class TestStoreCapacityPressure:
-    def test_capacity_exhaustion_surfaces(self):
-        """A store too small for even one checkpoint fails loudly, not
-        silently."""
-        config = small_config(
-            policy="full",
-            quantizer="none",
-            interval_batches=2,
-            num_tables=2,
-            rows_per_table=2048,
-            batch_size=32,
-        ).with_overrides(
-            storage=StorageConfig(
-                replication_factor=3, capacity_bytes=50_000
-            )
-        )
-        exp = build_experiment(config)
-        with pytest.raises(ReproError):
-            exp.controller.run_intervals(1)
 
 
 class TestRestoreIdempotence:

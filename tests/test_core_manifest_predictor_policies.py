@@ -29,7 +29,6 @@ from repro.core.policies import (
 from repro.core.predictor import (
     HistoryPredictor,
     LinearTrendPredictor,
-    make_predictor,
 )
 from repro.errors import (
     CheckpointCorruptError,
@@ -61,11 +60,12 @@ def make_manifest(
                 table_id=0,
                 row_start=0,
                 row_end=10,
-                chunks=(ChunkRecord("job0/x/chunk0", 10, 400),),
+                chunks=(ChunkRecord("job0/x/chunk0", 10, 400, "ab" * 32),),
             ),
         ),
         dense_key="job0/x/dense.bin",
         dense_bytes=100,
+        dense_digest="cd" * 32,
     )
 
 
@@ -171,12 +171,6 @@ class TestLinearTrendPredictor:
         assert LinearTrendPredictor().should_take_full(
             sizes
         ) == HistoryPredictor().should_take_full(sizes)
-
-    def test_factory(self):
-        assert make_predictor("history").name == "history"
-        assert make_predictor("linear_trend").name == "linear_trend"
-        with pytest.raises(CheckpointError):
-            make_predictor("oracle")
 
 
 class TestPolicies:

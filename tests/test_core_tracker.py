@@ -9,7 +9,6 @@ from repro.core.tracker import ModifiedRowTracker, TrackerSet
 from repro.distributed.sharding import Shard, ShardingPlan, plan_row_wise
 from repro.distributed.topology import DeviceId, SimCluster
 from repro.config import ClusterConfig, ModelConfig
-from repro.errors import SimulationError
 
 
 @pytest.fixture
@@ -68,11 +67,6 @@ class TestModifiedRowTracker:
         assert tracker.modified_count == 0
         assert tracker.fraction_modified == 0.0
 
-    def test_mark_all(self, shard):
-        tracker = ModifiedRowTracker(shard)
-        tracker.mark_all()
-        assert tracker.fraction_modified == 1.0
-
     def test_local_rows_offset(self, shard):
         tracker = ModifiedRowTracker(shard)
         tracker.mark_table_rows(np.array([100, 199]))
@@ -86,15 +80,6 @@ class TestModifiedRowTracker:
         mask = tracker.mask_copy()
         tracker.reset()
         assert mask[0]  # copy unaffected by reset
-
-    def test_load_mask_shape_check(self, shard):
-        tracker = ModifiedRowTracker(shard)
-        with pytest.raises(SimulationError, match="shape"):
-            tracker.load_mask(np.zeros(5, dtype=bool))
-
-    def test_bitvector_memory_footprint(self, shard):
-        tracker = ModifiedRowTracker(shard)
-        assert tracker.bitvector_bytes == 13  # ceil(100 / 8)
 
 
 class TestTrackerSet:
@@ -155,8 +140,3 @@ class TestTrackerSet:
                 np.testing.assert_array_equal(
                     result.touched_rows[table_id], np.unique(indices)
                 )
-
-    def test_bitvector_total(self, plan_and_set):
-        _, tracker_set = plan_and_set
-        # 160 rows total across shards of 50/50/30/30.
-        assert tracker_set.bitvector_bytes == 7 + 7 + 4 + 4

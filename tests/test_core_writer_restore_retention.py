@@ -18,7 +18,6 @@ from repro.core.writer import CheckpointWriter
 from repro.errors import (
     CheckpointCorruptError,
     CheckpointError,
-    CheckpointNotFoundError,
 )
 from repro.quant import make_quantizer
 from repro.storage.engine import drain
@@ -365,11 +364,6 @@ class TestRestore:
         found = restorer.plan_resume("job0", at_time_s=report.valid_at_s + 1)
         assert found
         assert found[0].checkpoint_id == "ckpt-0"
-
-    def test_missing_manifest(self, ready):
-        _, _, _, restorer = ready
-        with pytest.raises(CheckpointNotFoundError):
-            restorer.load_manifest("job0", "ghost")
 
 
 class TestRetention:

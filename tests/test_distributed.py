@@ -68,14 +68,6 @@ class TestTimeline:
         span = lane.submit(1.0, earliest=50.0)
         assert span.start == 50.0
 
-    def test_utilization(self):
-        clock = SimClock()
-        lane = Timeline(clock, "x")
-        lane.submit(5.0)
-        clock.advance(5.0)
-        lane.submit(5.0)  # starts at 5, back to back
-        assert lane.utilization() == pytest.approx(1.0)
-
 
 class TestTopology:
     @pytest.fixture
@@ -282,5 +274,7 @@ class TestComm:
         log = CommLog()
         log.record("allreduce", 100, 4, 0.5)
         log.record("alltoall", 200, 4, 0.25)
-        assert log.total_time() == 0.75
-        assert log.total_bytes("alltoall") == 200
+        assert [(e.kind, e.nbytes, e.duration_s) for e in log.events] == [
+            ("allreduce", 100, 0.5),
+            ("alltoall", 200, 0.25),
+        ]

@@ -60,12 +60,6 @@ class TestTraining:
         trainer.train_interval(3)
         assert calls == [0, 1, 2]
 
-    def test_throughput_positive(self, wired):
-        _, _, reader, trainer = wired
-        reader.begin_interval(2)
-        trainer.train_interval(2)
-        assert trainer.throughput_qps() > 0
-
 
 class TestMemoryAccounting:
     def test_dense_replicas_allocated_everywhere(

@@ -198,20 +198,27 @@ class TestNamespaceIsolation:
         clock_a, clock_b = SimClock(), SimClock()
         view_a = ScopedStore(store, "jobA", clock_a)
         view_b = ScopedStore(store, "jobB", clock_b)
-        view_a.put("jobA/secret", b"mine")
+
+        def put(view, key, data, **kw):
+            staged = view.stage_put(key, data, **kw)
+            while staged.submit_next() is None:
+                pass
+
+        put(view_a, "jobA/secret", b"mine")
         with pytest.raises(NamespaceViolationError):
             view_b.get("jobA/secret")
         with pytest.raises(NamespaceViolationError):
-            view_b.delete("jobA/secret")
+            view_b.stage_get("jobA/secret")
         with pytest.raises(NamespaceViolationError):
-            view_b.exists("jobA/secret")
+            view_b.delete_prefix("jobA/")
         with pytest.raises(NamespaceViolationError):
             view_b.list_keys("jobA/")
         with pytest.raises(NamespaceViolationError):
-            view_b.put("jobA/secret", b"overwrite", overwrite=True)
+            put(view_b, "jobA/secret", b"overwrite", overwrite=True)
         # And its own namespace still works.
-        view_b.put("jobB/ok", b"fine")
+        put(view_b, "jobB/ok", b"fine")
         assert view_b.list_keys() == ["jobB/ok"]
+        assert view_b.get("jobB/ok") == b"fine"
         assert store.exists("jobA/secret")
 
 

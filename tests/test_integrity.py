@@ -14,6 +14,7 @@ deterministically.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -174,6 +175,36 @@ class TestScanMatrix:
         manifests = restorer.list_manifests("job0")
         assert victim.checkpoint_id not in manifests
         assert key in restorer.skipped_manifests
+
+    @pytest.mark.parametrize(
+        "strip",
+        [
+            lambda m: m["shards"][0]["chunks"][0].pop("digest"),
+            lambda m: m["shards"][0]["chunks"][0].update(digest=None),
+            lambda m: m.pop("dense_digest"),
+        ],
+        ids=["chunk-digest-missing", "chunk-digest-null", "dense-digest"],
+    )
+    def test_manifest_without_a_digest_is_corrupt(self, stored, strip):
+        """A record with no digest cannot be verified, so its manifest
+        is corrupt: never planned, never scanned clean."""
+        exp, restorer = stored
+        victim = restorer.plan_resume("job0")[0]
+        key = manifest_key("job0", victim.checkpoint_id)
+        record = json.loads(ops.read(exp.store.backend, key))
+        strip(record)
+        ops.write(exp.store.backend, key, json.dumps(record).encode())
+        planned = restorer.plan_resume("job0")
+        assert victim.checkpoint_id not in {
+            m.checkpoint_id for m in planned
+        }
+        assert key in restorer.skipped_manifests
+        report = scan_job(exp.store, "job0", quarantine=False)
+        assert not report.clean
+        assert key in report.unreadable_manifests
+        assert [i.reason for i in report.issues] == [
+            REASON_MANIFEST_CORRUPT
+        ]
 
     def test_truncated_chunk_flagged(self, stored):
         exp, restorer = stored

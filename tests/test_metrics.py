@@ -2,63 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.config import ModelConfig
 from repro.errors import ConfigError, SimulationError, TrainingError
-from repro.metrics.accounting import (
-    average_write_bandwidth,
-    capacity_fractions_at,
-    interval_size_fractions,
-    peak_capacity,
-    reduction_summary,
-)
-from repro.metrics.accuracy import (
-    degradation_percent,
-    evaluate,
-    within_threshold,
-)
+from repro.metrics.accounting import peak_capacity
+from repro.metrics.accuracy import evaluate
 from repro.metrics.growth import growth_factor, model_growth_trace
 from repro.metrics.latency import LatencyModel
 from repro.storage.object_store import CapacityPoint
 
 
-def write_report(logical: int, start: float = 0.0, end: float = 1.0):
-    from repro.core.writer import WriteReport
-
-    return WriteReport(
-        checkpoint_id="c",
-        kind="full",
-        logical_bytes=logical,
-        physical_bytes=logical * 3,
-        rows_written=1,
-        num_chunks=1,
-        quantize_sim_s=0.0,
-        measured_quantize_s=0.0,
-        started_at_s=start,
-        valid_at_s=end,
-    )
-
-
 class TestAccounting:
-    def test_interval_fractions(self):
-        reports = [write_report(50), write_report(25)]
-        assert interval_size_fractions(reports, 100) == [0.5, 0.25]
-
-    def test_average_bandwidth(self):
-        reports = [write_report(100), write_report(300)]
-        assert average_write_bandwidth(reports, 4.0) == 100.0
-
-    def test_capacity_fractions_step_function(self):
-        series = [
-            CapacityPoint(0.0, 0, 0),
-            CapacityPoint(1.0, 100, 300),
-            CapacityPoint(2.0, 50, 150),
-        ]
-        fractions = capacity_fractions_at(series, [0.5, 1.5, 3.0], 100)
-        assert fractions == [0.0, 1.0, 0.5]
-
     def test_peak_capacity(self):
         series = [
             CapacityPoint(0.0, 10, 30),
@@ -66,23 +20,6 @@ class TestAccounting:
             CapacityPoint(2.0, 40, 120),
         ]
         assert peak_capacity(series) == 90
-
-    def test_reduction_summary(self):
-        baseline = [write_report(1000)] * 4
-        variant = [write_report(100)] * 4
-        base_cap = [CapacityPoint(0.0, 2000, 6000)]
-        var_cap = [CapacityPoint(0.0, 250, 750)]
-        summary = reduction_summary(
-            baseline, base_cap, variant, var_cap, duration_s=10.0
-        )
-        assert summary.avg_bandwidth_reduction == pytest.approx(10.0)
-        assert summary.peak_capacity_reduction == pytest.approx(8.0)
-
-    def test_invalid_args(self):
-        with pytest.raises(SimulationError):
-            interval_size_fractions([], 0)
-        with pytest.raises(SimulationError):
-            average_write_bandwidth([], 0.0)
 
 
 class TestAccuracyMetrics:
@@ -105,16 +42,6 @@ class TestAccuracyMetrics:
             fresh.train_step(tiny_dataset.batch(i))
         after = evaluate(fresh, eval_batches)
         assert after.normalized_entropy < before.normalized_entropy
-
-    def test_degradation_sign(self, tiny_model, tiny_dataset):
-        for i in range(10):
-            tiny_model.train_step(tiny_dataset.batch(i))
-        result = evaluate(tiny_model, tiny_dataset.eval_batches(2))
-        assert degradation_percent(result, result) == 0.0
-
-    def test_within_threshold(self):
-        assert within_threshold(0.005)
-        assert not within_threshold(0.02)
 
     def test_empty_eval_rejected(self, tiny_model):
         with pytest.raises(TrainingError):
@@ -185,17 +112,3 @@ class TestLatencyModel:
             model.asymmetric_s(-1)
         with pytest.raises(ConfigError):
             model.adaptive_s(10, 0, 1.0)
-
-
-class TestModelConfigHelpers:
-    def test_scaled(self):
-        config = ModelConfig(
-            num_tables=2,
-            rows_per_table=(100, 200),
-            embedding_dim=8,
-            bottom_mlp=(16, 8),
-            top_mlp=(8, 1),
-        )
-        scaled = config.scaled(2.0)
-        assert scaled.rows_per_table == (200, 400)
-        assert config.embedding_bytes * 2 == scaled.embedding_bytes

@@ -95,16 +95,6 @@ class TestBackward:
                 )
 
 
-class TestTracking:
-    def test_last_touched_rows(self, table):
-        table.forward(np.array([[3, 1], [1, 7]], dtype=np.int64))
-        np.testing.assert_array_equal(table.last_touched_rows(), [1, 3, 7])
-
-    def test_no_forward_in_flight_rejected(self, table):
-        with pytest.raises(TrainingError, match="no forward"):
-            table.last_touched_rows()
-
-
 class TestCollection:
     def test_forward_backward_all_tables(self, rng):
         coll = EmbeddingCollection((16, 8), dim=4, rng=rng)
@@ -124,8 +114,3 @@ class TestCollection:
         coll = EmbeddingCollection((16, 8), dim=4, rng=rng)
         with pytest.raises(TrainingError, match="tables"):
             coll.forward([np.array([[0]], dtype=np.int64)])
-
-    def test_size_accounting(self, rng):
-        coll = EmbeddingCollection((16, 8), dim=4, rng=rng)
-        assert coll.total_rows == 24
-        assert coll.nbytes == 24 * 4 * 4

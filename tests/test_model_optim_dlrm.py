@@ -8,21 +8,10 @@ import pytest
 from repro.errors import TrainingError
 from repro.model.dlrm import DLRM
 from repro.model.embedding import EmbeddingTable, SparseGrad
-from repro.model.optim import (
-    DenseAdagrad,
-    DenseSGD,
-    SparseRowWiseAdagrad,
-    SparseSGD,
-)
+from repro.model.optim import DenseAdagrad, SparseRowWiseAdagrad
 
 
 class TestDenseOptimizers:
-    def test_sgd_update(self):
-        p = {"w": np.array([1.0, 2.0], dtype=np.float32)}
-        g = {"w": np.array([0.5, -0.5], dtype=np.float32)}
-        DenseSGD(learning_rate=0.1).step(p, g)
-        np.testing.assert_allclose(p["w"], [0.95, 2.05])
-
     def test_adagrad_scales_by_history(self):
         opt = DenseAdagrad(learning_rate=1.0, eps=0.0)
         p = np.array([0.0], dtype=np.float32)
@@ -65,13 +54,7 @@ class TestDenseOptimizers:
         with pytest.raises(TrainingError, match="does not match"):
             opt.step(buf, buf.copy(), lambda: {"w": buf})
 
-    def test_sgd_rejects_state(self):
-        with pytest.raises(TrainingError):
-            DenseSGD().load_state_dict({"x": np.zeros(1)})
-
     def test_bad_learning_rate(self):
-        with pytest.raises(TrainingError):
-            DenseSGD(learning_rate=0.0)
         with pytest.raises(TrainingError):
             DenseAdagrad(learning_rate=-1.0)
 
@@ -114,38 +97,6 @@ class TestSparseOptimizers:
             )
         )
         np.testing.assert_array_equal(table.weight, before)
-
-    def test_state_roundtrip(self, table):
-        opt = SparseRowWiseAdagrad(table)
-        opt.step(
-            SparseGrad(
-                rows=np.array([1]),
-                values=np.ones((1, 4), dtype=np.float32),
-            )
-        )
-        state = opt.state_dict()
-        opt2 = SparseRowWiseAdagrad(table)
-        opt2.load_state_dict(state)
-        np.testing.assert_array_equal(opt2.accumulator, opt.accumulator)
-
-    def test_state_shape_mismatch_rejected(self, table, rng):
-        other = EmbeddingTable(rows=8, dim=4, rng=rng)
-        opt = SparseRowWiseAdagrad(table)
-        with pytest.raises(TrainingError, match="mismatch"):
-            opt.load_state_dict(
-                SparseRowWiseAdagrad(other).state_dict()
-            )
-
-    def test_sparse_sgd(self, table):
-        opt = SparseSGD(table, learning_rate=0.5)
-        before = table.weight[7].copy()
-        opt.step(
-            SparseGrad(
-                rows=np.array([7]),
-                values=np.ones((1, 4), dtype=np.float32),
-            )
-        )
-        np.testing.assert_allclose(table.weight[7], before - 0.5)
 
 
 class TestDLRM:
@@ -237,10 +188,6 @@ class TestDLRM:
         )
         assert model.batches_trained == 0
         assert np.all(model.table_accumulator(0) == 0)
-
-    def test_total_nbytes_counts_all_state(self, tiny_model):
-        emb = tiny_model.embedding_nbytes
-        assert tiny_model.total_nbytes > emb  # + accum + dense
 
     def test_predict_proba_has_no_side_effects(
         self, tiny_model, tiny_dataset

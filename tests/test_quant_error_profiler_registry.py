@@ -8,25 +8,17 @@ import pytest
 from repro.errors import QuantizationError
 from repro.quant import (
     IdentityQuantizer,
-    improvement,
     make_quantizer,
-    max_abs_error,
     mean_l2_error,
     row_l2_errors,
 )
-from repro.quant.profiler import (
-    auto_tune,
-    sample_rows,
-    select_num_bins,
-    select_ratio,
-)
+from repro.quant.profiler import sample_rows, select_num_bins, select_ratio
 from repro.quant.registry import dequantize_tensor
 
 
 class TestErrorMetrics:
     def test_identical_tensors_zero_error(self, trained_tensor):
         assert mean_l2_error(trained_tensor, trained_tensor) == 0.0
-        assert max_abs_error(trained_tensor, trained_tensor) == 0.0
 
     def test_known_value(self):
         a = np.zeros((2, 4), dtype=np.float32)
@@ -34,7 +26,6 @@ class TestErrorMetrics:
         # Each row error = sqrt(4 * 0.25) = 1.0
         np.testing.assert_allclose(row_l2_errors(a, b), [1.0, 1.0])
         assert mean_l2_error(a, b) == pytest.approx(1.0)
-        assert max_abs_error(a, b) == pytest.approx(0.5)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(QuantizationError, match="mismatch"):
@@ -43,12 +34,6 @@ class TestErrorMetrics:
     def test_1d_rejected(self):
         with pytest.raises(QuantizationError, match="2-D"):
             mean_l2_error(np.zeros(3), np.zeros(3))
-
-    def test_improvement(self):
-        assert improvement(1.0, 0.75) == pytest.approx(0.25)
-        assert improvement(0.0, 0.0) == 0.0
-        with pytest.raises(QuantizationError):
-            improvement(-1.0, 0.5)
 
 
 class TestSampling:
@@ -109,18 +94,6 @@ class TestProfiler:
             sample_fraction=1.0,
         )
         assert result.chosen in (0.2, 0.6, 1.0)
-
-    def test_auto_tune_returns_both(self, trained_tensor):
-        bins, ratio = auto_tune(trained_tensor, bits=2, sample_fraction=1.0)
-        assert bins >= 5
-        assert 0.0 < ratio <= 1.0
-
-    def test_improvement_curve(self, trained_tensor):
-        result = select_num_bins(
-            trained_tensor, bits=2, candidates=(5, 25), sample_fraction=1.0
-        )
-        curve = result.improvement_curve(naive_error=max(result.errors))
-        assert all(c >= -1e-9 for c in curve)
 
     def test_empty_candidates_rejected(self, trained_tensor):
         with pytest.raises(QuantizationError, match="candidate"):

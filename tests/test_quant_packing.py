@@ -10,7 +10,6 @@ from repro.quant.packing import (
     pack_bits,
     pack_rows,
     packed_size,
-    row_slice_is_aligned,
     unpack_bits,
     unpack_rows,
 )
@@ -98,20 +97,6 @@ class TestValidation:
 
 
 class TestAlignment:
-    @pytest.mark.parametrize(
-        "cols,bits,aligned",
-        [
-            (16, 4, True),  # 64 bits per row
-            (16, 2, True),
-            (16, 3, True),  # 48 bits
-            (15, 4, False),  # 60 bits
-            (3, 3, False),  # 9 bits
-            (8, 8, True),
-        ],
-    )
-    def test_row_alignment_rule(self, cols, bits, aligned):
-        assert row_slice_is_aligned(cols, bits) is aligned
-
     def test_aligned_rows_sliceable(self, rng):
         """With aligned rows, a row's bytes can be sliced from the pack."""
         cols, bits = 16, 4  # 8 bytes per row

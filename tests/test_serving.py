@@ -288,11 +288,13 @@ class TestDecodeChunkRows:
         assert hashed == [len(blob)]
 
     def test_structural_garbage_raises(self):
+        from repro.core.integrity import sha256_hex
         from repro.errors import CheckpointCorruptError
         from repro.serving import decode_chunk_rows
 
-        with pytest.raises(CheckpointCorruptError):
-            decode_chunk_rows("k", b"not a chunk at all", None)
+        garbage = b"not a chunk at all"
+        with pytest.raises(CheckpointCorruptError, match="verification"):
+            decode_chunk_rows("k", garbage, sha256_hex(garbage))
 
 
 class TestHotFirstRestore:

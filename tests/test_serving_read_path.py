@@ -181,27 +181,16 @@ class TestDecodedChunkCache:
             cache.decode(row_ref.key, blob, row_ref.digest)
         assert hashed == [len(blob)] * 3 and cache.decodes == 1
 
-    def test_ref_without_digest_is_decoded_every_time(
-        self, published_pair
-    ):
-        exp, publisher, _ = published_pair
-        (row_ref, blob), = _chunk_blobs(exp, publisher, 1)
-        cache = DecodedChunkCache()
-        cache.decode(row_ref.key, blob, row_ref.digest)
-        for expected in (2, 3):
-            rows, weights = cache.decode(row_ref.key, blob, None)
-            assert cache.decodes == expected
-            assert not rows.flags.writeable
-            assert not weights.flags.writeable
-        assert len(cache) == 1  # only the digest-addressed entry
-
     def test_byte_budget_evicts_oldest_first(self, published_pair):
         exp, publisher, _ = published_pair
         (a, blob_a), (b, blob_b), (c, blob_c) = _chunk_blobs(
             exp, publisher, 3
         )
         sizes = [
-            sum(x.nbytes for x in chunks.decode_chunk_rows(r.key, blob, None))
+            sum(
+                x.nbytes
+                for x in chunks.decode_chunk_rows(r.key, blob, r.digest)
+            )
             for r, blob in ((a, blob_a), (b, blob_b), (c, blob_c))
         ]
         cache = DecodedChunkCache(budget_bytes=max(sizes) * 2)

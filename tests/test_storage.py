@@ -7,7 +7,6 @@ import pytest
 from repro.config import StorageConfig
 from repro.distributed.clock import SimClock
 from repro.errors import (
-    CapacityExceededError,
     ObjectExistsError,
     ObjectNotFoundError,
     StorageError,
@@ -154,24 +153,6 @@ class TestObjectStore:
             store.put("k", b"v2")
         store.put("k", b"v2", overwrite=True)
         assert store.get("k") == b"v2"
-
-    def test_capacity_enforced(self):
-        clock = SimClock()
-        config = StorageConfig(
-            replication_factor=2, capacity_bytes=100
-        )
-        store = ObjectStore(config, clock)
-        store.put("a", b"x" * 40)  # 80 physical
-        with pytest.raises(CapacityExceededError):
-            store.put("b", b"x" * 20)  # would be 120
-
-    def test_capacity_accounts_overwrite(self):
-        clock = SimClock()
-        store = ObjectStore(
-            StorageConfig(replication_factor=1, capacity_bytes=100), clock
-        )
-        store.put("a", b"x" * 90)
-        store.put("a", b"x" * 95, overwrite=True)  # replaces, fits
 
     def test_delete_frees_capacity(self, store):
         store.put("k", b"x" * 100)

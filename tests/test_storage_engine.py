@@ -177,34 +177,6 @@ class TestStagedPut:
         with pytest.raises(StorageError, match="aborted"):
             staged.submit_next()
 
-    def test_concurrent_staged_writes_respect_hard_capacity(self):
-        """Two writes staged in the same window must not jointly
-        oversubscribe capacity_bytes just because neither committed."""
-        config = StorageConfig(
-            write_bandwidth=1000.0,
-            read_bandwidth=2000.0,
-            replication_factor=1,
-            latency_s=0.0,
-            capacity_bytes=10_000,
-        )
-        backend = RemoteObjectBackend(
-            s3like_costs(1000.0, 2000.0), part_size_bytes=1000
-        )
-        store = ObjectStore(config, SimClock(), backend=backend)
-        from repro.errors import CapacityExceededError
-
-        first = store.stage_put("a", bytes(6000))
-        with pytest.raises(CapacityExceededError):
-            store.stage_put("b", bytes(6000))
-        # Aborting the first frees the in-flight reservation...
-        first.abort()
-        second = store.stage_put("b", bytes(6000))
-        while second.submit_next() is None:
-            pass
-        # ...and committed bytes are still enforced as before.
-        with pytest.raises(CapacityExceededError):
-            store.stage_put("c", bytes(6000))
-
     def test_interleaved_staged_writes_share_the_link_per_part(self):
         """Two staged writes alternating submissions produce transfers
         that alternate on the serial link — part granularity."""

@@ -527,11 +527,10 @@ class TestStoreReceiptsAndOpLog:
         store = remote_store()
         for i in range(4):
             store.put(f"j/c0/{i}", bytes(100))
-        before = store.ops.op_counts()
+        before = {op: store.ops.count(op) for op in (OP_LIST, OP_DELETE)}
         receipt = store.delete_prefix("j/c0/", stream="j")
-        after = store.ops.op_counts()
-        assert after[OP_LIST] - before.get(OP_LIST, 0) == 1
-        assert after[OP_DELETE] - before.get(OP_DELETE, 0) == 4
+        assert store.ops.count(OP_LIST) - before[OP_LIST] == 1
+        assert store.ops.count(OP_DELETE) - before[OP_DELETE] == 4
         assert receipt.num_objects == 4
         assert receipt.freed_logical_bytes == 400
         # Batch duration: one LIST (+ per-key time) + four DELETEs.
@@ -771,9 +770,9 @@ class TestCheckpointStackOnRemoteBackend:
 
 
 def store_ops_nonempty(store) -> bool:
-    counts = store.ops.op_counts()
+    count = store.ops.count
     return (
-        counts.get(OP_GET, 0) > 0
-        and counts.get(OP_PUT, 0) > 0
-        and (counts.get(OP_LIST, 0) + counts.get(OP_HEAD, 0)) > 0
+        count(OP_GET) > 0
+        and count(OP_PUT) > 0
+        and (count(OP_LIST) + count(OP_HEAD)) > 0
     )

@@ -24,7 +24,7 @@ from repro.core.integrity import (
 from repro.errors import ConfigError
 from repro.experiments import build_experiment, small_config
 from repro.tools.cli import main as cli_main
-from repro.tools.inspect import format_summaries, list_jobs, summarize_job
+from repro.tools.inspect import format_summaries, summarize_job
 
 import backend_ops as ops
 
@@ -101,9 +101,6 @@ class TestConfigSerialization:
 
 
 class TestInspection:
-    def test_list_jobs(self, populated_exp):
-        assert list_jobs(populated_exp.store) == ["job0"]
-
     def test_summaries_match_manifests(self, populated_exp):
         summaries = summarize_job(populated_exp.store, "job0")
         assert len(summaries) == 2
