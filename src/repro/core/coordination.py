@@ -19,7 +19,6 @@ class ReaderCoordinator:
 
     def __init__(self, reader: ReaderMaster) -> None:
         self.reader = reader
-        self.intervals_granted = 0
 
     @property
     def coordinated(self) -> bool:
@@ -29,7 +28,6 @@ class ReaderCoordinator:
         """Authorise the reader to serve the next interval's batches."""
         if self.coordinated:
             self.reader.begin_interval(num_batches)
-        self.intervals_granted += 1
 
     def collect_state(self) -> ReaderState:
         """Pause reading and capture the reader state for a checkpoint.

@@ -125,10 +125,9 @@ def verify_checkpoint(
         for shard in manifest.shards
         for chunk in shard.chunks
     ]
-    if manifest.dense_key is not None:
-        checks.append(
-            (manifest.dense_key, manifest.dense_bytes, manifest.dense_digest)
-        )
+    checks.append(
+        (manifest.dense_key, manifest.dense_bytes, manifest.dense_digest)
+    )
     for key, expected_bytes, digest in checks:
         if report is not None:
             report.objects_scanned += 1

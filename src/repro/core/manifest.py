@@ -23,11 +23,12 @@ KIND_FULL = "full"
 KIND_INCREMENTAL = "incremental"
 
 
-def _digest(data: dict, name: str) -> str:
-    """A recorded sha256 hex; a missing or null one is a corrupt record."""
+def _required_str(data: dict, name: str) -> str:
+    """A required string field (a sha256 hex, an object key); a missing
+    or null one is a corrupt record."""
     value = data[name]
     if not isinstance(value, str):
-        raise TypeError(f"{name} must be a sha256 hex string, got {value!r}")
+        raise TypeError(f"{name} must be a string, got {value!r}")
     return value
 
 
@@ -60,7 +61,7 @@ class ChunkRecord:
             key=str(data["key"]),
             row_count=int(data["row_count"]),
             logical_bytes=int(data["logical_bytes"]),
-            digest=_digest(data, "digest"),
+            digest=_required_str(data, "digest"),
         )
 
 
@@ -118,13 +119,14 @@ class CheckpointManifest:
     bit_width: int
     created_at_s: float  # sim time of the snapshot
     valid_at_s: float  # sim time the last byte (manifest) landed
+    #: Object key and sha256 hex of the stored dense blob; every
+    #: checkpoint has one, and a record without either does not parse.
+    dense_key: str
+    dense_digest: str
     reader_state: dict = field(default_factory=dict)
     trainer_progress: dict = field(default_factory=dict)
     shards: tuple[ShardRecord, ...] = ()
-    dense_key: str | None = None
     dense_bytes: int = 0
-    #: sha256 hex of the stored dense blob; required when parsed.
-    dense_digest: str | None = None
     #: Set by the integrity scanner when any of this checkpoint's
     #: objects failed verification. A quarantined checkpoint is never a
     #: restore candidate and does not occupy a retention keep slot.
@@ -208,9 +210,9 @@ class CheckpointManifest:
                 shards=tuple(
                     ShardRecord.from_dict(s) for s in data["shards"]
                 ),
-                dense_key=data.get("dense_key"),
+                dense_key=_required_str(data, "dense_key"),
                 dense_bytes=int(data.get("dense_bytes", 0)),
-                dense_digest=_digest(data, "dense_digest"),
+                dense_digest=_required_str(data, "dense_digest"),
                 quarantined=bool(data.get("quarantined", False)),
             )
         except (KeyError, TypeError, ValueError) as exc:

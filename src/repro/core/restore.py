@@ -153,9 +153,7 @@ class CheckpointRestorer:
             for chunk in shard.chunks:
                 if not probe(OP_HEAD, chunk.key):
                     return False
-        if manifest.dense_key is not None:
-            return probe(OP_HEAD, manifest.dense_key)
-        return True
+        return probe(OP_HEAD, manifest.dense_key)
 
     def plan_resume(
         self,
@@ -371,10 +369,6 @@ class CheckpointRestorer:
 
         Returns (bytes_read, completed_s).
         """
-        if manifest.dense_key is None:
-            raise CheckpointCorruptError(
-                f"checkpoint {manifest.checkpoint_id} has no dense state"
-            )
         blob, completed = yield from read_steps(
             self.store.stage_get(manifest.dense_key)
         )

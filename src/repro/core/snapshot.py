@@ -80,7 +80,6 @@ class SnapshotManager:
         self.trainer = trainer
         self.clock = clock
         self.snapshots_taken = 0
-        self.total_stall_s = 0.0
 
     def stall_time_s(self) -> float:
         """Simulated stall for one snapshot on the current cluster.
@@ -110,7 +109,6 @@ class SnapshotManager:
         trainer = self.trainer
         stall = self.stall_time_s()
         self.clock.advance(stall, "snapshot_stall")
-        self.total_stall_s += stall
 
         masks = tracker_set.mask_copies()
         shard_snapshots: dict[int, ShardSnapshot] = {}
@@ -156,6 +154,4 @@ class SnapshotManager:
 
     def stall_fraction(self) -> float:
         """Fraction of all simulated time spent stalled for snapshots."""
-        if self.clock.now == 0:
-            return 0.0
-        return self.total_stall_s / self.clock.now
+        return self.clock.fraction("snapshot_stall")

@@ -313,9 +313,7 @@ class CheckpointWriter:
                 ratio=adaptive_ratio,
             )
             quantize_sim_total += quant_sim
-            quant_span = self.quant_lane.submit(
-                quant_sim, label=f"quant:{checkpoint_id}:{shard.shard_id}"
-            )
+            quant_span = self.quant_lane.submit(quant_sim)
 
             # Row-id encoding: full checkpoints cover contiguous
             # ranges, so only (row_base, row_count) metadata is

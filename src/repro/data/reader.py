@@ -49,7 +49,6 @@ class ReaderWorker:
         self._dataset = dataset
         self.worker_id = worker_id
         self.num_workers = num_workers
-        self.batches_read = 0
 
     def owns(self, batch_index: int) -> bool:
         return batch_index % self.num_workers == self.worker_id
@@ -60,7 +59,6 @@ class ReaderWorker:
                 f"worker {self.worker_id} asked for foreign batch "
                 f"{batch_index}"
             )
-        self.batches_read += 1
         return self._dataset.batch(batch_index)
 
 

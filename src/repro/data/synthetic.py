@@ -40,7 +40,6 @@ class ZipfianSampler:
         if alpha <= 0:
             raise ReaderError("zipf alpha must be positive")
         self.rows = rows
-        self.alpha = alpha
         ranks = np.arange(1, rows + 1, dtype=np.float64)
         pmf = ranks**-alpha
         pmf /= pmf.sum()

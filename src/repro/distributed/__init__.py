@@ -1,12 +1,7 @@
 """Simulated training cluster: clock, topology, sharding, collectives."""
 
 from .clock import SimClock, Stopwatch, Timeline, TimeSpan
-from .comm import (
-    CommLog,
-    Fabric,
-    allreduce_time,
-    alltoall_time,
-)
+from .comm import Fabric, allreduce_time, alltoall_time
 from .sharding import (
     Shard,
     ShardingPlan,
@@ -18,7 +13,6 @@ from .topology import DeviceId, SimCluster, SimDevice, SimNode
 from .trainer import IntervalReport, SimTrainer, StepTiming
 
 __all__ = [
-    "CommLog",
     "DeviceId",
     "Fabric",
     "IntervalReport",

@@ -19,9 +19,8 @@ from ..errors import SimulationError
 
 @dataclass
 class TimeSpan:
-    """A named, closed interval of simulated time."""
+    """A closed interval of simulated time."""
 
-    label: str
     start: float
     end: float
 
@@ -31,17 +30,17 @@ class TimeSpan:
 
 
 class SimClock:
-    """A monotonically advancing simulated clock with span accounting.
+    """A monotonically advancing simulated clock with per-label totals.
 
     Components share one instance. ``advance`` moves time forward (the
-    trainer's compute, stalls); ``record`` tags the elapsed span with a
-    label so accountants can later attribute simulated time (e.g. what
+    trainer's compute, stalls) and adds the duration to its label's
+    total, so accountants can attribute simulated time (e.g. what
     fraction of training time went to snapshot stalls, paper section 6.1).
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._spans: list[TimeSpan] = []
+        self._totals: dict[str, float] = {}
 
     @property
     def now(self) -> float:
@@ -58,9 +57,8 @@ class SimClock:
             raise SimulationError(
                 f"cannot advance clock by negative duration {duration!r}"
             )
-        start = self._now
         self._now += duration
-        self._spans.append(TimeSpan(label, start, self._now))
+        self._totals[label] = self._totals.get(label, 0.0) + duration
         return self._now
 
     def advance_to(self, timestamp: float, label: str = "wait") -> float:
@@ -71,7 +69,7 @@ class SimClock:
 
     def total(self, label: str) -> float:
         """Total simulated seconds attributed to ``label``."""
-        return sum(s.duration for s in self._spans if s.label == label)
+        return self._totals.get(label, 0.0)
 
     def fraction(self, label: str) -> float:
         """Fraction of all elapsed time attributed to ``label``."""
@@ -94,7 +92,6 @@ class Timeline:
         self._clock = clock
         self.name = name
         self._free_at = clock.now
-        self._log: list[TimeSpan] = []
 
     @property
     def free_at(self) -> float:
@@ -108,7 +105,6 @@ class Timeline:
     def submit(
         self,
         duration: float,
-        label: str = "work",
         earliest: float | None = None,
     ) -> TimeSpan:
         """Occupy the lane for ``duration`` seconds; returns the span.
@@ -123,9 +119,8 @@ class Timeline:
                 f"cannot submit negative-duration work {duration!r}"
             )
         start = max(self._clock.now, self._free_at, earliest or 0.0)
-        span = TimeSpan(label, start, start + duration)
+        span = TimeSpan(start, start + duration)
         self._free_at = span.end
-        self._log.append(span)
         return span
 
 

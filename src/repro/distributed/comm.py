@@ -18,7 +18,7 @@ paper hides the tracking work (section 5.1.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SimulationError
 
@@ -60,23 +60,3 @@ def alltoall_time(nbytes_per_rank: int, world: int, fabric: Fabric) -> float:
         return 0.0
     moved = (world - 1) / world * nbytes_per_rank
     return (world - 1) * fabric.latency + moved / fabric.bandwidth
-
-
-@dataclass
-class CommEvent:
-    """One recorded collective operation."""
-
-    kind: str
-    nbytes: int
-    world: int
-    duration_s: float
-
-
-@dataclass
-class CommLog:
-    """Accumulates collective operations for per-step accounting."""
-
-    events: list[CommEvent] = field(default_factory=list)
-
-    def record(self, kind: str, nbytes: int, world: int, duration: float):
-        self.events.append(CommEvent(kind, nbytes, world, duration))

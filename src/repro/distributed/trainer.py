@@ -21,7 +21,7 @@ fall out of these models at default calibration; the stall bench
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,7 @@ from ..data.state import TrainerProgress
 from ..errors import TrainingError
 from ..model.dlrm import DLRM, StepResult
 from .clock import SimClock
-from .comm import CommLog, Fabric, allreduce_time, alltoall_time
+from .comm import Fabric, allreduce_time, alltoall_time
 from .sharding import Shard, ShardingPlan
 from .topology import SimCluster
 
@@ -84,7 +84,6 @@ class SimTrainer:
         self.cluster = cluster
         self.plan = plan
         self.clock = clock
-        self.comm_log = CommLog()
         self._step_hooks: list[StepHook] = []
         self._fabric = Fabric(
             cluster.config.fabric_bandwidth, cluster.config.fabric_latency_s
@@ -96,7 +95,6 @@ class SimTrainer:
         # The MLPs are replicated on every device (data parallelism).
         for device in cluster.all_devices():
             device.allocate(self._dense_bytes, what="dense replica")
-        self.total_tracking_exposed_s = 0.0
 
     # ------------------------------------------------------------------
     # Hooks (the Check-N-Run tracker attaches here)
@@ -123,8 +121,6 @@ class SimTrainer:
         a2a_bytes = self._alltoall_bytes_per_rank(batch)
         ar = allreduce_time(self._dense_bytes, world, self._fabric)
         a2a = 2.0 * alltoall_time(a2a_bytes, world, self._fabric)
-        self.comm_log.record("allreduce", self._dense_bytes, world, ar)
-        self.comm_log.record("alltoall", 2 * a2a_bytes, world, a2a)
 
         tracking = touched_rows * TRACKING_COST_PER_ROW_S
         hidden_budget = a2a * TRACKING_HIDE_EFFICIENCY
@@ -146,7 +142,6 @@ class SimTrainer:
         self.clock.advance(timing.alltoall_s, "alltoall")
         if timing.tracking_exposed_s > 0:
             self.clock.advance(timing.tracking_exposed_s, "tracking")
-            self.total_tracking_exposed_s += timing.tracking_exposed_s
         for hook in self._step_hooks:
             hook(result, batch)
         return result
@@ -156,7 +151,7 @@ class SimTrainer:
         if num_batches < 1:
             raise TrainingError("interval must contain at least one batch")
         start_time = self.clock.now
-        start_tracking = self.total_tracking_exposed_s
+        start_tracking = self.clock.total("tracking")
         losses = np.empty(num_batches, dtype=np.float64)
         samples = 0
         for i in range(num_batches):
@@ -168,9 +163,7 @@ class SimTrainer:
             samples=samples,
             mean_loss=float(losses.mean()),
             train_time_s=self.clock.now - start_time,
-            tracking_exposed_s=(
-                self.total_tracking_exposed_s - start_tracking
-            ),
+            tracking_exposed_s=self.clock.total("tracking") - start_tracking,
         )
 
     # ------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Runs the *real* controller stack (training, tracking, snapshotting,
 writing to the bandwidth-accounted store) once per policy over the same
 workload, then reads the per-interval checkpoint sizes (Fig 15's
-bandwidth proxy) and the store's live-capacity series (Fig 16) out of
-the run artifacts.
+bandwidth proxy) and the bytes each interval's restore chain needs
+(Fig 16) out of the run's manifests.
 
 Quantization is disabled here ("none") to isolate the incremental-view
 effect, exactly as the paper's section 6.3.1 does.

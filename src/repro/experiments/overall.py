@@ -21,7 +21,6 @@ from ..config import (
     StorageConfig,
 )
 from ..core.bitwidth import select_bit_width
-from ..metrics.accounting import peak_capacity
 from .common import build_experiment
 
 
@@ -85,7 +84,7 @@ def _run(config: ExperimentConfig, job_id: str, intervals: int):
     exp.controller.run_intervals(intervals)
     total_bytes = exp.controller.stats.bytes_written_logical
     duration = exp.clock.now
-    peak = peak_capacity(exp.store.capacity_series())
+    peak = exp.store.stats().peak_logical_bytes
     return total_bytes / duration, peak
 
 

@@ -30,7 +30,6 @@ from ..distributed.clock import SimClock
 from ..errors import FleetError
 from ..experiments.common import Experiment, build_experiment
 from ..failures.models import FailureModel
-from ..metrics.accounting import peak_capacity
 from ..reporting import (
     additive,
     additive_fields,
@@ -454,6 +453,7 @@ def summarize_fleet(
         raise FleetError("fleet run produced no simulated time")
     total_physical = store.log.total_bytes("put")
     total_read = store.log.total_bytes("get")
+    stats = store.stats()
     arbiter = store.arbiter
     assert arbiter is not None
     storm = None
@@ -492,8 +492,8 @@ def summarize_fleet(
         total_put_bytes_logical=total["bytes_logical"],
         total_put_bytes_physical=total_physical,
         aggregate_write_bandwidth=total_physical / duration,
-        peak_logical_bytes=peak_capacity(store.capacity_series()),
-        peak_physical_bytes=store.stats().peak_physical_bytes,
+        peak_logical_bytes=stats.peak_logical_bytes,
+        peak_physical_bytes=stats.peak_physical_bytes,
         fairness_index=arbiter.fairness_index("put"),
         interleave_switches=interleave_score(puts),
         total_get_bytes=total_read,

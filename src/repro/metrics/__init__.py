@@ -1,6 +1,5 @@
-"""Accounting, accuracy, growth and latency metrics."""
+"""Accuracy, growth and latency metrics."""
 
-from .accounting import peak_capacity
 from .accuracy import EvalResult, evaluate
 from .growth import GrowthPoint, growth_factor, model_growth_trace
 from .latency import LatencyModel
@@ -12,5 +11,4 @@ __all__ = [
     "evaluate",
     "growth_factor",
     "model_growth_trace",
-    "peak_capacity",
 ]

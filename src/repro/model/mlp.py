@@ -110,7 +110,6 @@ class MLP:
     ) -> None:
         if len(layer_sizes) < 2:
             raise TrainingError("MLP needs at least input and output sizes")
-        self.layer_sizes = tuple(layer_sizes)
         if params is None:
             params = np.zeros(self.size(layer_sizes), dtype=np.float32)
             grads = np.zeros_like(params)

@@ -150,7 +150,6 @@ class InferenceServer:
         )
         self.cache_stats = RowCacheStats()
         self.current: _VersionState | None = None
-        self.lookups = 0
         self.rows_served = 0
         self.flips = 0
         self.flip_stall_total_s = 0.0
@@ -350,7 +349,6 @@ class InferenceServer:
                     )
                 continue
             completed = done + LOOKUP_OVERHEAD_S
-            self.lookups += 1
             self.rows_served += len(request.rows)
             return LookupResult(
                 request_id=request.request_id,

@@ -49,7 +49,6 @@ from .engine import (
 )
 from .factory import make_backend
 from .object_store import (
-    CapacityPoint,
     ObjectStore,
     PrefixDeleteReceipt,
     StoreStats,
@@ -95,7 +94,6 @@ __all__ = [
     "TIER_SERVING",
     "Backend",
     "BandwidthArbiter",
-    "CapacityPoint",
     "CrashingBackend",
     "FileBackend",
     "InMemoryBackend",

@@ -257,7 +257,6 @@ class CrashingBackend(Backend):
     def __init__(self, inner: Backend) -> None:
         self.inner = inner
         self._writes_until_crash: int | None = None
-        self.writes_seen = 0
         self._bitrot_prob = 0.0
         self._bitrot_rng: np.random.Generator | None = None
         #: Keys (chunk/manifest keys, or ``upload_id#partN`` for
@@ -335,7 +334,6 @@ class CrashingBackend(Backend):
         return bytes(rotted)
 
     def _count_write(self, key: str) -> None:
-        self.writes_seen += 1
         if self._writes_until_crash is not None:
             self._writes_until_crash -= 1
             if self._writes_until_crash <= 0:

@@ -198,11 +198,6 @@ class CacheTierBackend(Backend):
         self.flushed_bytes = 0
         self.peak_dirty_bytes = 0
         self.near_wipes = 0
-        #: Simulated seconds the background flusher spent on far PUTs
-        #: (latency + backoff penalty + streaming time). Flushes are
-        #: asynchronous — they do not occupy the shared link timeline.
-        self.flush_time_s = 0.0
-        self.last_flush_error: StorageError | None = None
 
     # -- capability / cost surface -------------------------------------
 
@@ -341,9 +336,9 @@ class CacheTierBackend(Backend):
         """Write one dirty object to the far tier (one far PUT).
 
         Routed through the attached engine's retry/backoff loop when a
-        store owns this cache; transient far failures are re-issued and
-        their cost accrues to :attr:`flush_time_s` — the background
-        flusher's clock, separate from the shared link timeline. A
+        store owns this cache, so transient far failures are re-issued
+        (and draw from the store's latency RNG); the flush is
+        asynchronous and does not occupy the shared link timeline. A
         *permanent* failure (retries exhausted, a crash injected by a
         :class:`~repro.storage.backends.CrashingBackend` far tier)
         leaves the object dirty: the far tier holds the old bytes or
@@ -352,14 +347,10 @@ class CacheTierBackend(Backend):
         data = self._near[key]
         request = StorageRequest(OP_PUT, key, len(data))
         if self._engine is not None:
-            cost = self.far_costs.put
-            _, _, penalty, latency = self._engine.attempt_request(
+            self._engine.attempt_request(
                 OP_PUT,
                 lambda: self.far.put_object(request, data),
-                cost=cost,
-            )
-            self.flush_time_s += (
-                penalty + latency + cost.transfer_s(len(data))
+                cost=self.far_costs.put,
             )
         else:
             self.far.put_object(request, data)
@@ -380,9 +371,8 @@ class CacheTierBackend(Backend):
                 break
             try:
                 self._flush_one(key)
-            except StorageError as exc:
+            except StorageError:
                 self.flush_failures += 1
-                self.last_flush_error = exc
                 raise
             flushed += 1
         return flushed
@@ -400,9 +390,8 @@ class CacheTierBackend(Backend):
             key = next(iter(self._dirty))
             try:
                 self._flush_one(key)
-            except StorageError as exc:
+            except StorageError:
                 self.flush_failures += 1
-                self.last_flush_error = exc
                 break
 
     def _evict_to_capacity(self, protect: str | None = None) -> None:
@@ -427,9 +416,8 @@ class CacheTierBackend(Backend):
                     break
                 try:
                     self._flush_one(victim)
-                except StorageError as exc:
+                except StorageError:
                     self.flush_failures += 1
-                    self.last_flush_error = exc
                     raise
                 self.forced_flushes += 1
             del self._near[victim]

@@ -323,7 +323,6 @@ class _StagedTransfer:
         physical = self._physical(moved)
         span = store.timeline.submit(
             penalty + latency + cost.transfer_s(physical),
-            label=f"{self.kind}:{self.key}",
             earliest=self.next_ready_s,
         )
         self._record(self.key, physical, span)
@@ -364,7 +363,6 @@ class _StagedTransfer:
         number = index + self.part_base
         span = store.timeline.submit(
             cost.transfer_s(physical),
-            label=f"{self.kind}-{self.part_word}:{self.key}:{number}",
             earliest=self._lane_free[lane] + penalty + latency,
         )
         self._lane_free[lane] = span.end

@@ -17,8 +17,9 @@ section 4). This store wraps a byte backend with:
   :meth:`ObjectStore.stage_put` exposes the part-granular staged path
   the checkpoint writer and fleet scheduler interleave on;
 * **replication accounting** — physical bytes = logical x factor;
-* **capacity accounting** — live logical/physical bytes over time, the
-  series behind Fig 16 (per-job quotas live in the bandwidth arbiter);
+* **capacity accounting** — live logical/physical bytes and their peak,
+  the capacity behind Fig 17 (per-job quotas live in the bandwidth
+  arbiter);
 * **a transfer log + op log** — the per-transfer series behind Fig 15's
   bandwidth numbers (write *and* read traffic, op-class tagged) and the
   per-receipt record behind the backend-ops benchmark.
@@ -49,20 +50,12 @@ from .requests import (
 )
 
 @dataclass(frozen=True)
-class CapacityPoint:
-    """Live capacity at one moment in simulated time."""
-
-    time_s: float
-    logical_bytes: int
-    physical_bytes: int
-
-
-@dataclass(frozen=True)
 class StoreStats:
     """Aggregate store statistics."""
 
     live_logical_bytes: int
     live_physical_bytes: int
+    peak_logical_bytes: int
     peak_physical_bytes: int
     total_bytes_written: int
     num_objects: int
@@ -116,12 +109,11 @@ class ObjectStore:
         self._rng: np.random.Generator | None = backend.rng
         self._sizes: dict[str, int] = {}
         #: ``sum(self._sizes.values())``, kept current at the three
-        #: places the size map changes: capacity is sampled on each PUT
+        #: places the size map changes: the peak is sampled on each PUT
         #: and DELETE, and re-summing a fleet's objects there is
         #: quadratic.
         self._live_logical = 0
-        self._capacity_series: list[CapacityPoint] = []
-        self._peak_physical = 0
+        self._peak_logical = 0
         self._total_written = 0
         #: The transfer engine: part-granular staged PUTs, multipart /
         #: ranged fan-out, retry/backoff, and the quantization worker
@@ -130,7 +122,6 @@ class ObjectStore:
         # Backends that run asynchronous work of their own (the cache
         # tier's dirty flushes) borrow the engine's retry/backoff loop.
         backend.attach_engine(self.engine)
-        self._record_capacity(clock.now)
 
     # ------------------------------------------------------------------
     # Capacity accounting
@@ -144,22 +135,17 @@ class ObjectStore:
     def live_physical_bytes(self) -> int:
         return self.live_logical_bytes * self.config.replication_factor
 
-    def _record_capacity(self, time_s: float) -> None:
-        physical = self.live_physical_bytes
-        self._peak_physical = max(self._peak_physical, physical)
-        self._capacity_series.append(
-            CapacityPoint(time_s, self.live_logical_bytes, physical)
-        )
-
-    def capacity_series(self) -> list[CapacityPoint]:
-        """Live-bytes-over-time samples (one per mutation)."""
-        return list(self._capacity_series)
+    def _sample_peak(self) -> None:
+        self._peak_logical = max(self._peak_logical, self._live_logical)
 
     def stats(self) -> StoreStats:
         return StoreStats(
             live_logical_bytes=self.live_logical_bytes,
             live_physical_bytes=self.live_physical_bytes,
-            peak_physical_bytes=self._peak_physical,
+            peak_logical_bytes=self._peak_logical,
+            peak_physical_bytes=(
+                self._peak_logical * self.config.replication_factor
+            ),
             total_bytes_written=self._total_written,
             num_objects=len(self._sizes),
         )
@@ -260,7 +246,7 @@ class ObjectStore:
     def _commit_put(
         self, key: str, logical: int, receipt: OpReceipt
     ) -> None:
-        """Book a landed PUT: size map, totals, op log, capacity.
+        """Book a landed PUT: size map, totals, op log, peak capacity.
 
         Called by the transfer engine when a staged write's last part
         (and its completion request) has been submitted.
@@ -269,7 +255,7 @@ class ObjectStore:
         self._sizes[key] = logical
         self._total_written += receipt.physical_bytes
         self.ops.record(receipt)
-        self._record_capacity(receipt.completed_s)
+        self._sample_peak()
 
     # ------------------------------------------------------------------
     # Object operations
@@ -404,7 +390,7 @@ class ObjectStore:
         self, key: str, size: int, stream: str, issued: float
     ) -> OpReceipt:
         """One DELETE of a ``size``-byte object, booked as it lands:
-        receipt, size map, quota credit. Sampling capacity is left to
+        receipt, size map, quota credit. Sampling the peak is left to
         the caller (a batch samples once)."""
         physical = size * self.config.replication_factor
         _, receipt = self._control(
@@ -425,15 +411,15 @@ class ObjectStore:
     ) -> OpReceipt:
         """Remove an object and update capacity accounting.
 
-        ``at_s`` timestamps the capacity sample with the deleting job's
-        clock (shared stores lag behind per-job clocks); ``stream``
-        credits the freed physical bytes back to the job's quota.
+        ``at_s`` times the DELETE on the deleting job's clock (shared
+        stores lag behind per-job clocks); ``stream`` credits the freed
+        physical bytes back to the job's quota.
         """
         when = self.clock.now if at_s is None else max(at_s, self.clock.now)
         receipt = self._delete_one(
             key, self._sizes.get(key, 0), stream, when
         )
-        self._record_capacity(when)
+        self._sample_peak()
         return receipt
 
     def delete_prefix(
@@ -446,7 +432,7 @@ class ObjectStore:
         rather than N client-side list+delete round trips. Every DELETE
         is booked as it lands, so a request that exhausts its retries
         mid-batch leaves the accounting of the keys already gone (size
-        map, quota, op log) agreeing with the backend. Capacity is
+        map, quota, op log) agreeing with the backend. The peak is
         re-sampled once, after the batch.
         """
         issued = (
@@ -489,7 +475,7 @@ class ObjectStore:
                 landed += 1
         finally:
             if landed:
-                self._record_capacity(max(completed, issued))
+                self._sample_peak()
         freed_logical = sum(sizes)
         return PrefixDeleteReceipt(
             prefix=prefix,

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from repro.experiments import build_experiment, small_config
-from repro.metrics.accounting import peak_capacity
 from repro.storage.engine import drain
+from repro.storage.requests import OP_DELETE, OP_PUT
 
 
 def run_policy(policy: str, quantizer: str, bits):
@@ -27,11 +27,29 @@ def run_policy(policy: str, quantizer: str, bits):
 
 
 class TestAccountingOnRealRuns:
-    def test_peak_capacity_from_store(self):
+    def test_peak_logical_bytes_is_the_op_log_high_water_mark(self):
+        """Replaying the run's landed PUTs and DELETEs in booking order
+        reaches exactly the peak the store reports; retention deleted
+        on the way, so the peak lies above what is live at the end."""
         exp, _ = run_policy("full", "none", None)
-        peak = peak_capacity(exp.store.capacity_series())
-        assert peak >= exp.store.live_logical_bytes
-        assert peak <= exp.store.stats().total_bytes_written
+        store = exp.store
+        sizes: dict[str, int] = {}
+        live = peak = 0
+        for receipt in store.ops.receipts():
+            if receipt.op == OP_PUT:
+                live += receipt.logical_bytes - sizes.get(receipt.key, 0)
+                sizes[receipt.key] = receipt.logical_bytes
+            elif receipt.op == OP_DELETE:
+                live -= sizes.pop(receipt.key, 0)
+            peak = max(peak, live)
+        stats = store.stats()
+        assert stats.live_logical_bytes == live
+        assert stats.peak_logical_bytes == peak
+        assert stats.live_logical_bytes < peak
+        assert peak <= stats.total_bytes_written
+        assert stats.peak_physical_bytes == (
+            peak * store.config.replication_factor
+        )
 
 
 class TestPublisherWithCumulativeIncrements:

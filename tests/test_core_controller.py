@@ -90,6 +90,26 @@ class TestIntervalLoop:
         exp.controller.run_intervals(2)
         assert 0 < exp.controller.stall_fraction() < 1
 
+    def test_stall_fraction_is_the_snapshot_stalls_over_elapsed_time(
+        self, tiny_experiment
+    ):
+        """Exactly: the clock's stall total adds the same floats in the
+        same order as summing each snapshot's own stall."""
+        exp = tiny_experiment
+        manager = exp.controller.snapshot_manager
+        take = manager.take_snapshot
+        stalls = []
+
+        def recording(*args, **kwargs):
+            snapshot = take(*args, **kwargs)
+            stalls.append(snapshot.stall_time_s)
+            return snapshot
+
+        manager.take_snapshot = recording
+        exp.controller.run_intervals(4)
+        assert len(stalls) == 4
+        assert exp.controller.stall_fraction() == sum(stalls) / exp.clock.now
+
     def test_interval_counter_advances(self, tiny_experiment):
         exp = tiny_experiment
         exp.controller.run_intervals(3)

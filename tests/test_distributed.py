@@ -6,12 +6,7 @@ import pytest
 
 from repro.config import ClusterConfig, ModelConfig
 from repro.distributed.clock import SimClock, Timeline
-from repro.distributed.comm import (
-    CommLog,
-    Fabric,
-    allreduce_time,
-    alltoall_time,
-)
+from repro.distributed.comm import Fabric, allreduce_time, alltoall_time
 from repro.distributed.sharding import (
     Shard,
     ShardingPlan,
@@ -269,12 +264,3 @@ class TestComm:
             allreduce_time(-1, 4, fabric)
         with pytest.raises(SimulationError):
             alltoall_time(-1, 4, fabric)
-
-    def test_comm_log(self):
-        log = CommLog()
-        log.record("allreduce", 100, 4, 0.5)
-        log.record("alltoall", 200, 4, 0.25)
-        assert [(e.kind, e.nbytes, e.duration_s) for e in log.events] == [
-            ("allreduce", 100, 0.5),
-            ("alltoall", 200, 0.25),
-        ]

@@ -81,10 +81,9 @@ class TestWriteTimeDigests:
                 for chunk in shard.chunks:
                     stored_bytes = ops.read(exp.store.backend, chunk.key)
                     assert chunk.digest == sha256_hex(stored_bytes)
-            if manifest.dense_key is not None:
-                assert manifest.dense_digest == sha256_hex(
-                    ops.read(exp.store.backend, manifest.dense_key)
-                )
+            assert manifest.dense_digest == sha256_hex(
+                ops.read(exp.store.backend, manifest.dense_key)
+            )
 
     def test_writer_and_restorer_hash_through_sha256_hex(
         self, tiny_experiment, monkeypatch
@@ -112,7 +111,7 @@ class TestWriteTimeDigests:
         (manifest,) = exp.controller.manifests.values()
         exp.clock.advance_to(manifest.valid_at_s + 1.0, "settle")
         objects = sum(len(s.chunks) for s in manifest.shards) + 1
-        assert manifest.dense_key is not None and objects > 2
+        assert objects > 2
         assert calls == {"writer": objects, "restore": 0}
         exp.controller.restore_latest()
         assert calls == {"writer": objects, "restore": objects}
@@ -154,7 +153,6 @@ class TestScanMatrix:
     def test_dense_bitrot_flagged_exactly(self, stored):
         exp, restorer = stored
         victim = restorer.plan_resume("job0")[0]
-        assert victim.dense_key is not None
         corrupt_stored_object(exp.store.backend, victim.dense_key)
         report = scan_job(exp.store, "job0")
         assert [i.key for i in report.issues] == [victim.dense_key]
@@ -182,12 +180,21 @@ class TestScanMatrix:
             lambda m: m["shards"][0]["chunks"][0].pop("digest"),
             lambda m: m["shards"][0]["chunks"][0].update(digest=None),
             lambda m: m.pop("dense_digest"),
+            lambda m: m.pop("dense_key"),
+            lambda m: m.update(dense_key=None),
         ],
-        ids=["chunk-digest-missing", "chunk-digest-null", "dense-digest"],
+        ids=[
+            "chunk-digest-missing",
+            "chunk-digest-null",
+            "dense-digest",
+            "dense-key-missing",
+            "dense-key-null",
+        ],
     )
     def test_manifest_without_a_digest_is_corrupt(self, stored, strip):
-        """A record with no digest cannot be verified, so its manifest
-        is corrupt: never planned, never scanned clean."""
+        """A record with no digest cannot be verified, and a checkpoint
+        with no dense key cannot be restored, so either manifest is
+        corrupt: never planned, never scanned clean."""
         exp, restorer = stored
         victim = restorer.plan_resume("job0")[0]
         key = manifest_key("job0", victim.checkpoint_id)

@@ -1,25 +1,13 @@
-"""Unit tests for accounting, accuracy, growth, latency metrics."""
+"""Unit tests for accuracy, growth, latency metrics."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError, SimulationError, TrainingError
-from repro.metrics.accounting import peak_capacity
 from repro.metrics.accuracy import evaluate
 from repro.metrics.growth import growth_factor, model_growth_trace
 from repro.metrics.latency import LatencyModel
-from repro.storage.object_store import CapacityPoint
-
-
-class TestAccounting:
-    def test_peak_capacity(self):
-        series = [
-            CapacityPoint(0.0, 10, 30),
-            CapacityPoint(1.0, 90, 270),
-            CapacityPoint(2.0, 40, 120),
-        ]
-        assert peak_capacity(series) == 90
 
 
 class TestAccuracyMetrics:

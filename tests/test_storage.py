@@ -161,13 +161,19 @@ class TestObjectStore:
         assert store.live_logical_bytes == 0
         assert store.stats().peak_physical_bytes == 300
 
-    def test_capacity_series_records_history(self, store):
-        store.put("a", b"x" * 10)
-        store.put("b", b"x" * 20)
-        store.delete("a")
-        series = store.capacity_series()
-        logical = [p.logical_bytes for p in series]
-        assert logical == [0, 10, 30, 20]
+    def test_peak_is_the_max_over_put_put_delete(self, store):
+        peaks = []
+        for mutate in (
+            lambda: store.put("a", b"x" * 10),
+            lambda: store.put("b", b"x" * 20),
+            lambda: store.delete("a"),
+        ):
+            mutate()
+            stats = store.stats()
+            peaks.append(stats.peak_logical_bytes)
+            assert stats.peak_physical_bytes == 3 * stats.peak_logical_bytes
+        assert peaks == [10, 30, 30]
+        assert store.live_logical_bytes == 20
 
     def test_stats(self, store):
         store.put("a", b"x" * 10)

@@ -572,7 +572,9 @@ class TestStoreReceiptsAndOpLog:
         with pytest.raises(StorageError):
             store.object_size("j/c0/0")
         assert [r.key for r in store.ops.receipts(OP_DELETE)] == ["j/c0/0"]
-        assert store.capacity_series()[-1].physical_bytes == 1000
+        stats = store.stats()
+        assert stats.live_physical_bytes == 1000
+        assert stats.peak_physical_bytes == 1200
 
     def test_legacy_backends_keep_config_derived_timing(self):
         """In-process backends defer to the store's config-derived cost
