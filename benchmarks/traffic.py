@@ -33,9 +33,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 HOOK = """import atexit, json, os, sys, threading
 src, lines, seen = os.environ["TRAFFIC_SRC"], "TRAFFIC_LINES" in os.environ, set()
-def local(frame, event, arg):  # every event's line ran
+# Defaults bind the globals: shutdown clears them while traced code still runs.
+def local(frame, event, arg, seen=seen):  # every event's line ran
     return seen.add((frame.f_code.co_filename, frame.f_lineno)) or local
-def hook(frame, event, arg):
+def hook(frame, event, arg, src=src, seen=seen, lines=lines, local=local):
     if frame.f_code.co_filename.startswith(src):
         seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
         return local if lines else None

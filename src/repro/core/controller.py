@@ -25,7 +25,6 @@ from ..data.state import ReaderState
 from ..distributed.clock import SimClock
 from ..distributed.trainer import IntervalReport, SimTrainer
 from ..errors import CheckpointError, CheckpointNotFoundError
-from ..metrics.latency import LatencyModel
 from ..quant.base import Quantizer
 from ..quant.registry import make_quantizer
 from ..storage.engine import StagedHandle, drain
@@ -138,7 +137,6 @@ class CheckNRun:
         config: CheckpointConfig,
         clock: SimClock,
         job_id: str = "job0",
-        latency_model: LatencyModel | None = None,
     ) -> None:
         self.trainer = trainer
         self.reader = reader
@@ -152,7 +150,7 @@ class CheckNRun:
         trainer.register_step_hook(self.tracker_set.step_hook)
         self.coordinator = ReaderCoordinator(reader)
         self.snapshot_manager = SnapshotManager(trainer, clock)
-        self.writer = CheckpointWriter(store, clock, latency_model)
+        self.writer = CheckpointWriter(store, clock)
         self.restorer = CheckpointRestorer(store, clock)
         self.retention = RetentionManager(
             store,
@@ -199,13 +197,11 @@ class CheckNRun:
     # Interval loop
     # ------------------------------------------------------------------
 
-    def run_intervals(
-        self, num_intervals: int, batches_per_interval: int | None = None
-    ) -> list[IntervalReport]:
+    def run_intervals(self, num_intervals: int) -> list[IntervalReport]:
         """Train N checkpoint intervals, checkpointing after each."""
         if num_intervals < 1:
             raise CheckpointError("need at least one interval")
-        batches = batches_per_interval or self.config.interval_batches
+        batches = self.config.interval_batches
         reports = []
         for _ in range(num_intervals):
             self.coordinator.grant_interval(batches)
@@ -576,13 +572,8 @@ class CheckNRun:
         if ordered:
             self.interval_index = ordered[-1].interval_index + 1
 
-    def begin_restore(
-        self,
-        at_time_s: float | None = None,
-        order: str = "manifest",
-        hot_rows=None,
-    ) -> PendingRestore:
-        """Stage a restore of the newest checkpoint valid at ``at_time``.
+    def begin_restore(self, order: str = "manifest") -> PendingRestore:
+        """Stage a restore of the newest checkpoint valid now.
 
         Returns a primed :class:`PendingRestore` whose first GET part
         is announced and awaiting submission. Callers drain it with
@@ -596,9 +587,7 @@ class CheckNRun:
         :class:`CheckpointNotFoundError` when nothing is restorable
         (and draining raises it when every plan candidate fails).
         """
-        plan = self.restorer.plan_resume(
-            self.job_id, at_time_s, policy=self.policy
-        )
+        plan = self.restorer.plan_resume(self.job_id, policy=self.policy)
         if not plan:
             raise CheckpointNotFoundError(
                 f"job {self.job_id!r} has no valid checkpoint to restore"
@@ -610,7 +599,6 @@ class CheckNRun:
             reader=self.reader,
             policy=self.policy,
             order=order,
-            hot_rows=hot_rows,
         )
         # Priming the handle resolves the chain and announces part 1.
         return PendingRestore(
@@ -652,10 +640,8 @@ class CheckNRun:
         self.stats.restores += 1
         return report
 
-    def restore_latest(
-        self, at_time_s: float | None = None
-    ) -> RestoreReport:
-        """Recover from the newest checkpoint valid at ``at_time``.
+    def restore_latest(self) -> RestoreReport:
+        """Recover from the newest checkpoint valid now.
 
         Stages the restore and drains it immediately (reads
         back-to-back) — the single-job path, timing-identical to
@@ -665,7 +651,7 @@ class CheckNRun:
         quickstart and the repo benchmark's ``single_write_restore``
         workload call by name.
         """
-        pending = self.begin_restore(at_time_s)
+        pending = self.begin_restore()
         drain(pending)
         return self.finish_restore(pending)
 
@@ -673,15 +659,12 @@ class CheckNRun:
     # Introspection
     # ------------------------------------------------------------------
 
-    def valid_manifests(
-        self, at_time_s: float | None = None
-    ) -> list[CheckpointManifest]:
-        deadline = self.clock.now if at_time_s is None else at_time_s
+    def valid_manifests(self) -> list[CheckpointManifest]:
         return sorted(
             (
                 m
                 for m in self.manifests.values()
-                if m.valid_at_s <= deadline
+                if m.valid_at_s <= self.clock.now
             ),
             key=lambda m: m.interval_index,
         )

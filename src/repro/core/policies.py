@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ..errors import CheckpointError, RestoreChainBrokenError
 from .manifest import KIND_FULL, KIND_INCREMENTAL, CheckpointManifest
-from .predictor import BaselineRefreshPredictor, HistoryPredictor
+from .predictor import HistoryPredictor
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,8 @@ class IntermittentPolicy(CheckpointPolicy):
 
     name = "intermittent"
 
-    def __init__(
-        self, predictor: BaselineRefreshPredictor | None = None
-    ) -> None:
-        self.predictor = predictor or HistoryPredictor()
+    def __init__(self) -> None:
+        self.predictor = HistoryPredictor()
 
     def decide(self, state: PolicyState) -> str:
         if state.interval_index == 0:
@@ -165,9 +163,7 @@ class IntermittentPolicy(CheckpointPolicy):
         return kind == KIND_FULL
 
 
-def make_policy(
-    name: str, predictor: BaselineRefreshPredictor | None = None
-) -> CheckpointPolicy:
+def make_policy(name: str) -> CheckpointPolicy:
     """Policy factory matching :data:`repro.config.POLICY_NAMES`."""
     if name == "full":
         return FullPolicy()
@@ -176,7 +172,7 @@ def make_policy(
     if name == "consecutive":
         return ConsecutivePolicy()
     if name == "intermittent":
-        return IntermittentPolicy(predictor)
+        return IntermittentPolicy()
     raise CheckpointError(
         f"unknown policy {name!r}; valid: full, one_shot, consecutive, "
         "intermittent"

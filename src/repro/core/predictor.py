@@ -74,15 +74,10 @@ class LinearTrendPredictor(BaselineRefreshPredictor):
 
     name = "linear_trend"
 
-    def __init__(self, min_history: int = 2) -> None:
-        if min_history < 2:
-            raise CheckpointError("linear trend needs >= 2 history points")
-        self.min_history = min_history
-
     def should_take_full(self, incremental_sizes: list[float]) -> bool:
         self._validate(incremental_sizes)
         i = len(incremental_sizes)
-        if i < self.min_history:
+        if i < 2:
             # Not enough points for a slope; fall back to the paper rule.
             return HistoryPredictor().should_take_full(incremental_sizes)
         x = np.arange(1, i + 1, dtype=np.float64)

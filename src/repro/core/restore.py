@@ -55,9 +55,9 @@ from .policies import CheckpointPolicy, FullPolicy
 
 #: Default chunk-read order: exactly the manifest's stored layout.
 ORDER_MANIFEST = "manifest"
-#: CPR-style priority restore: within each chain link, chunks holding
-#: hot rows are read first (and the dense state up front), so training
-#: or serving can resume before the cold tail lands.
+#: CPR-style priority restore: the dense state is read up front and
+#: each increment's chunks (the hot rows) largest first, so training or
+#: serving can resume before the cold tail lands.
 ORDER_HOT_FIRST = "hot_first"
 
 RESTORE_ORDERS = (ORDER_MANIFEST, ORDER_HOT_FIRST)
@@ -85,10 +85,11 @@ class RestoreReport:
     #: Checkpoint ids of the candidates that failed, newest first.
     failed_chain_ids: tuple[str, ...] = ()
     #: When the *hot* working set was fully restored — dense state plus
-    #: every hot chunk of the chain. Under ``order="hot_first"`` this
-    #: lands before the cold tail and marks the moment training (or
-    #: serving) could process its first batch (CPR-style partial
-    #: restore); under the default order it equals ``finished_at_s``.
+    #: every chunk of the chain's increments (the rows modified since
+    #: the baseline). Under ``order="hot_first"`` this lands before the
+    #: cold tail and marks the moment training (or serving) could
+    #: process its first batch (CPR-style partial restore); under the
+    #: default order it equals ``finished_at_s``.
     first_batch_ready_s: float = 0.0
 
     @property
@@ -156,15 +157,12 @@ class CheckpointRestorer:
         return probe(OP_HEAD, manifest.dense_key)
 
     def plan_resume(
-        self,
-        job_id: str,
-        at_time_s: float | None = None,
-        policy: CheckpointPolicy | None = None,
+        self, job_id: str, policy: CheckpointPolicy | None = None
     ) -> list[CheckpointManifest]:
         """Ordered restore candidates, newest first.
 
-        A checkpoint qualifies when its write had completed by the
-        deadline (``valid_at_s <= at_time``), it is not quarantined, its
+        A checkpoint qualifies when its write had completed by now
+        (``valid_at_s <= clock.now``), it is not quarantined, its
         restore chain resolves with no quarantined link, and every
         chunk/dense object of the chain still exists (cheap untimed
         HEAD probes) — a retention-scrubbed or partially-deleted chain
@@ -175,14 +173,13 @@ class CheckpointRestorer:
         :meth:`restore_with_fallback_steps`) rather than trusting the
         head alone.
         """
-        deadline = self.clock.now if at_time_s is None else at_time_s
         manifests = self.list_manifests(job_id)
         chain_policy = policy or FullPolicy()
         candidates = sorted(
             (
                 m
                 for m in manifests.values()
-                if m.valid_at_s <= deadline and not m.quarantined
+                if m.valid_at_s <= self.clock.now and not m.quarantined
             ),
             key=lambda m: (m.interval_index, m.valid_at_s),
             reverse=True,
@@ -267,57 +264,33 @@ class CheckpointRestorer:
 
     @staticmethod
     def _chunk_plan(
-        manifest: CheckpointManifest,
-        order: str,
-        hot_rows: dict[int, np.ndarray] | None,
-    ) -> list[tuple[object, object, bool]]:
-        """Ordered ``(shard_record, chunk, is_hot)`` reads of one link.
+        manifest: CheckpointManifest, order: str
+    ) -> list[tuple[object, object]]:
+        """Ordered ``(shard_record, chunk)`` reads of one link.
 
-        Hotness is decided without touching payloads: a *full* link's
-        chunks cover contiguous row ranges recoverable from cumulative
-        ``row_count`` (the writer chunks each shard's rows in order), so
-        a chunk is hot when its range intersects the tracker-supplied
-        hot set. An *incremental* link's chunks hold exactly the rows
-        the tracker marked modified since the base — the definition of
-        the hot working set — so every incremental chunk is hot. Under
-        ``order="hot_first"`` hot chunks sort first (densest hot-row
-        overlap leading, stable otherwise); the manifest order is kept
-        bit-identical for the default.
+        The hot working set is the increment's rows: an *incremental*
+        link's chunks hold exactly the rows the tracker marked modified
+        since the base, so every one of them is hot, and a *full*
+        link's chunks are all cold. Under ``order="hot_first"`` an
+        increment's chunks sort by row count, largest first (stable
+        otherwise); the manifest order is kept bit-identical for the
+        default and for full links.
         """
-        entries: list[tuple[int, object, object, bool]] = []
-        for shard_record in manifest.shards:
-            cursor = shard_record.row_start
-            for chunk in shard_record.chunks:
-                if manifest.kind == KIND_INCREMENTAL:
-                    overlap = int(chunk.row_count)
-                    is_hot = True
-                else:
-                    table_hot = (hot_rows or {}).get(
-                        shard_record.table_id
-                    )
-                    if table_hot is None or len(table_hot) == 0:
-                        overlap = 0
-                    else:
-                        hot = np.asarray(table_hot)
-                        overlap = int(
-                            np.count_nonzero(
-                                (hot >= cursor)
-                                & (hot < cursor + chunk.row_count)
-                            )
-                        )
-                    is_hot = overlap > 0
-                entries.append((overlap, shard_record, chunk, is_hot))
-                cursor += chunk.row_count
-        if order == ORDER_HOT_FIRST:
-            entries.sort(key=lambda e: -e[0])  # stable: ties keep layout
-        return [(s, c, h) for _, s, c, h in entries]
+        entries = [
+            (shard_record, chunk)
+            for shard_record in manifest.shards
+            for chunk in shard_record.chunks
+        ]
+        if order == ORDER_HOT_FIRST and manifest.kind == KIND_INCREMENTAL:
+            # Stable: ties keep layout.
+            entries.sort(key=lambda e: -int(e[1].row_count))
+        return entries
 
     def _apply_manifest_steps(
         self,
         model: DLRM,
         manifest: CheckpointManifest,
         order: str = ORDER_MANIFEST,
-        hot_rows: dict[int, np.ndarray] | None = None,
         on_chunk=None,
     ):
         """Generator: load one manifest's chunks through staged reads.
@@ -335,9 +308,8 @@ class CheckpointRestorer:
         last_completed = self.clock.now
         hot_completed = self.clock.now
         rows_by_table: dict[int, list[np.ndarray]] = {}
-        for shard_record, chunk, is_hot in self._chunk_plan(
-            manifest, order, hot_rows
-        ):
+        is_hot = manifest.kind == KIND_INCREMENTAL
+        for shard_record, chunk in self._chunk_plan(manifest, order):
             blob, completed = yield from read_steps(
                 self.store.stage_get(chunk.key)
             )
@@ -402,7 +374,6 @@ class CheckpointRestorer:
         reader: ReaderMaster | None = None,
         policy: CheckpointPolicy | None = None,
         order: str = ORDER_MANIFEST,
-        hot_rows: dict[int, np.ndarray] | None = None,
         on_chunk=None,
     ):
         """Generator: restore ``target`` through staged, announced reads.
@@ -416,13 +387,13 @@ class CheckpointRestorer:
         on the shared link between this restore's parts.
 
         ``order="hot_first"`` is the CPR-style priority restore: the
-        dense state reads *first*, and within each chain link the
-        chunks overlapping ``hot_rows`` (table id -> table-global row
-        ids, typically tracker stats) lead the cold tail — safe because
-        chunks within one link are disjoint, and the oldest-first link
-        order still guarantees later increments overwrite earlier rows.
-        The report's ``first_batch_ready_s`` then records when the hot
-        set had fully landed.
+        dense state reads *first*, and within each increment the
+        largest chunks lead — safe because chunks within one link are
+        disjoint, and the oldest-first link order still guarantees later
+        increments overwrite earlier rows. The hot set is the
+        increments' rows (the rows modified since the baseline); the
+        report's ``first_batch_ready_s`` then records when it had fully
+        landed.
 
         ``manifests`` must contain every checkpoint the chain needs;
         ``policy`` defaults to chain resolution via base-id links, which
@@ -456,7 +427,6 @@ class CheckpointRestorer:
                     model,
                     manifest,
                     order=order,
-                    hot_rows=hot_rows,
                     on_chunk=on_chunk,
                 )
             )
@@ -510,7 +480,6 @@ class CheckpointRestorer:
         reader: ReaderMaster | None = None,
         policy: CheckpointPolicy | None = None,
         order: str = ORDER_MANIFEST,
-        hot_rows: dict[int, np.ndarray] | None = None,
     ):
         """Generator: restore *through* corruption down a resume plan.
 
@@ -536,7 +505,6 @@ class CheckpointRestorer:
                     reader=reader,
                     policy=policy,
                     order=order,
-                    hot_rows=hot_rows,
                 )
             except (
                 CheckpointCorruptError,

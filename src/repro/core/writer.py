@@ -126,15 +126,10 @@ def _encode_chunk_payloads(
 class CheckpointWriter:
     """Builds and stores checkpoints from snapshots, in the background."""
 
-    def __init__(
-        self,
-        store: ObjectStore,
-        clock: SimClock,
-        latency_model: LatencyModel | None = None,
-    ) -> None:
+    def __init__(self, store: ObjectStore, clock: SimClock) -> None:
         self.store = store
         self.clock = clock
-        self.latency_model = latency_model or LatencyModel()
+        self.latency_model = LatencyModel()
         self.quant_lane = Timeline(clock, "quantize")
 
     # ------------------------------------------------------------------

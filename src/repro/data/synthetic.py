@@ -24,6 +24,10 @@ from ..config import DataConfig, ModelConfig
 from ..errors import ReaderError
 from .batch import Batch
 
+#: First batch index of the held-out evaluation stream, far past any
+#: training run's batches.
+EVAL_BATCH_OFFSET = 1 << 30
+
 
 class ZipfianSampler:
     """Draws category IDs with Zipf(alpha) popularity over ``rows`` IDs.
@@ -136,9 +140,9 @@ class SyntheticClickDataset:
             raise ReaderError(f"negative batch count {count}")
         return [self.batch(i) for i in range(start, start + count)]
 
-    def eval_batches(self, count: int, offset: int = 1 << 30) -> list[Batch]:
+    def eval_batches(self, count: int) -> list[Batch]:
         """A held-out evaluation stream (disjoint batch-index range)."""
-        return self.batches(offset, count)
+        return self.batches(EVAL_BATCH_OFFSET, count)
 
     @property
     def samples_per_batch(self) -> int:

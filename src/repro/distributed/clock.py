@@ -38,8 +38,8 @@ class SimClock:
     fraction of training time went to snapshot stalls, paper section 6.1).
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._totals: dict[str, float] = {}
 
     @property

@@ -23,6 +23,13 @@ from ..errors import SimulationError
 
 HOUR_S = 3600.0
 
+#: Fig 3's published quantiles of job time-to-failure.
+PAPER_P90_S = 13.5 * HOUR_S
+PAPER_P99_S = 53.9 * HOUR_S
+
+#: Fig 3 drops jobs failing within five minutes before plotting.
+PAPER_FILTER_S = 300.0
+
 
 class FailureModel(ABC):
     """Distribution over time-to-failure (seconds)."""
@@ -79,62 +86,6 @@ class WeibullFailures(FailureModel):
         self.shape = shape
         self.scale_s = scale_s
 
-    @classmethod
-    def from_quantiles(
-        cls,
-        p90_s: float = 13.5 * HOUR_S,
-        p99_s: float = 53.9 * HOUR_S,
-        conditioned_above_s: float = 300.0,
-    ) -> "WeibullFailures":
-        """Fit shape/scale so the *filtered* CDF hits two quantiles.
-
-        The paper's Fig 3 removes jobs failing within five minutes
-        before plotting, so its published P90/P99 are quantiles of the
-        distribution conditioned on ``T >= conditioned_above_s``. For a
-        Weibull, P(T <= t | T >= m) = p gives
-
-            (t / scale)^shape - (m / scale)^shape = -ln(1 - p)
-
-        Two quantiles yield ``t99^k + m^k = 2 t90^k`` (since
-        -ln(0.01) = 2 * -ln(0.1)), solved for the shape ``k`` by
-        bisection; the scale follows in closed form. With
-        ``conditioned_above_s=0`` this reduces to the unconditioned
-        closed-form fit.
-        """
-        if p99_s <= p90_s or p90_s <= 0:
-            raise SimulationError("need 0 < p90 < p99")
-        if conditioned_above_s < 0 or conditioned_above_s >= p90_s:
-            raise SimulationError(
-                "conditioning threshold must be in [0, p90)"
-            )
-        m = conditioned_above_s
-        if m == 0.0:
-            shape = math.log(
-                math.log(100.0) / math.log(10.0)
-            ) / math.log(p99_s / p90_s)
-            scale = p90_s / (math.log(10.0) ** (1.0 / shape))
-            return cls(shape=shape, scale_s=scale)
-
-        def residual(k: float) -> float:
-            return p99_s**k + m**k - 2.0 * p90_s**k
-
-        lo, hi = 1e-3, 5.0
-        if residual(lo) * residual(hi) > 0:
-            raise SimulationError(
-                "quantile pair is not fittable by a conditioned Weibull"
-            )
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
-            if residual(lo) * residual(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        shape = (lo + hi) / 2.0
-        scale = (
-            (p90_s**shape - m**shape) / math.log(10.0)
-        ) ** (1.0 / shape)
-        return cls(shape=shape, scale_s=scale)
-
     def sample(self, rng: np.random.Generator) -> float:
         return float(self.scale_s * rng.weibull(self.shape))
 
@@ -145,12 +96,6 @@ class WeibullFailures(FailureModel):
 
     def mean_s(self) -> float:
         return self.scale_s * math.gamma(1.0 + 1.0 / self.shape)
-
-    def quantile(self, p: float) -> float:
-        """Inverse CDF in seconds."""
-        if not 0.0 <= p < 1.0:
-            raise SimulationError(f"quantile p must be in [0, 1), got {p}")
-        return self.scale_s * (-math.log(1.0 - p)) ** (1.0 / self.shape)
 
     def conditioned_quantile(self, p: float, above_s: float) -> float:
         """Quantile of T | T >= above_s (the filtered Fig 3 CDF)."""
@@ -198,5 +143,34 @@ class ScheduledFailures(FailureModel):
 
 
 def paper_failure_model() -> WeibullFailures:
-    """The Fig 3 model: Weibull fit to the paper's published quantiles."""
-    return WeibullFailures.from_quantiles()
+    """The Fig 3 model: a Weibull whose *filtered* CDF hits the paper's
+    published P90/P99.
+
+    The paper's Fig 3 removes jobs failing within five minutes before
+    plotting, so its published quantiles are quantiles of the
+    distribution conditioned on ``T >= PAPER_FILTER_S``. For a Weibull,
+    P(T <= t | T >= m) = p gives
+
+        (t / scale)^shape - (m / scale)^shape = -ln(1 - p)
+
+    Two quantiles yield ``t99^k + m^k = 2 t90^k`` (since
+    -ln(0.01) = 2 * -ln(0.1)), solved for the shape ``k`` by bisection;
+    the scale follows in closed form.
+    """
+    m = PAPER_FILTER_S
+
+    def residual(k: float) -> float:
+        return PAPER_P99_S**k + m**k - 2.0 * PAPER_P90_S**k
+
+    lo, hi = 1e-3, 5.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if residual(lo) * residual(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    shape = (lo + hi) / 2.0
+    scale = (
+        (PAPER_P90_S**shape - m**shape) / math.log(10.0)
+    ) ** (1.0 / shape)
+    return WeibullFailures(shape=shape, scale_s=scale)

@@ -281,10 +281,15 @@ class FleetRunReport:
         return tuple(j for j in self.jobs if j.tier == tier)
 
 
+#: Windows of the fleet report's bandwidth series.
+BANDWIDTH_WINDOWS = 12
+
+
 def _bandwidth_series(
-    store: ObjectStore, windows: int, kind: str
+    store: ObjectStore, kind: str
 ) -> tuple[tuple[float, float, float], ...]:
-    """Windowed mean bandwidth of one transfer kind ("put"/"get").
+    """Mean bandwidth of one transfer kind ("put"/"get") in each of
+    :data:`BANDWIDTH_WINDOWS` windows.
 
     Windows cover the link's full busy span across *both* kinds so the
     write and read series align and can be printed side by side.
@@ -292,9 +297,9 @@ def _bandwidth_series(
     start, end = busy_span(store.log.transfers())
     if end <= start:
         return ()
-    width = (end - start) / windows
+    width = (end - start) / BANDWIDTH_WINDOWS
     series = []
-    for i in range(windows):
+    for i in range(BANDWIDTH_WINDOWS):
         lo = start + i * width
         hi = lo + width
         series.append(
@@ -304,9 +309,7 @@ def _bandwidth_series(
 
 
 def build_fleet(
-    config: FleetConfig,
-    specs: list[FleetJobSpec] | None = None,
-    on_event: Callable[[FleetEvent], None] | None = None,
+    config: FleetConfig, specs: list[FleetJobSpec] | None = None
 ) -> tuple[FleetScheduler, ObjectStore]:
     """Wire a shared store + arbiter and a full fleet of jobs.
 
@@ -333,7 +336,7 @@ def build_fleet(
     if specs is None:
         specs = sample_fleet_specs(config)
     jobs = [build_fleet_job(spec, config, store) for spec in specs]
-    return FleetScheduler(config, store, jobs, on_event=on_event), store
+    return FleetScheduler(config, store, jobs), store
 
 
 def one_job_fleet(
@@ -439,7 +442,7 @@ def _job_result(job: FleetJob) -> FleetJobResult:
 
 
 def summarize_fleet(
-    scheduler: FleetScheduler, store: ObjectStore, windows: int = 12
+    scheduler: FleetScheduler, store: ObjectStore
 ) -> FleetRunReport:
     """Collect a finished fleet run's aggregate report."""
     job_results = tuple(_job_result(job) for job in scheduler.jobs)
@@ -498,8 +501,8 @@ def summarize_fleet(
         interleave_switches=interleave_score(puts),
         total_get_bytes=total_read,
         aggregate_read_bandwidth=total_read / duration,
-        bandwidth_series=_bandwidth_series(store, windows, "put"),
-        read_bandwidth_series=_bandwidth_series(store, windows, "get"),
+        bandwidth_series=_bandwidth_series(store, "put"),
+        read_bandwidth_series=_bandwidth_series(store, "get"),
         storm=storm,
         admission_deferrals=total["admission_deferred"],
         restore_deferrals=total["restore_deferred"],
@@ -521,12 +524,10 @@ def summarize_fleet(
 
 
 def run_fleet(
-    config: FleetConfig,
-    specs: list[FleetJobSpec] | None = None,
-    on_event: Callable[[FleetEvent], None] | None = None,
+    config: FleetConfig, specs: list[FleetJobSpec] | None = None
 ) -> tuple[FleetScheduler, FleetRunReport]:
     """Run one fleet to completion and summarise it."""
-    scheduler, store = build_fleet(config, specs, on_event)
+    scheduler, store = build_fleet(config, specs)
     scheduler.run()
     return scheduler, summarize_fleet(scheduler, store)
 
@@ -831,11 +832,8 @@ class FleetReductionResult:
         )
 
 
-def fleet_reduction_experiment(
-    config: FleetConfig,
-    bit_width: int = 4,
-) -> FleetReductionResult:
-    """Run the same fleet twice: full+fp32 vs intermittent+adaptive.
+def fleet_reduction_experiment(config: FleetConfig) -> FleetReductionResult:
+    """Run the same fleet twice: full+fp32 vs intermittent+4-bit adaptive.
 
     Failure injection is disabled in both runs so the byte counts
     compare identical training work (the paper's Fig 17 baseline "uses
@@ -852,7 +850,7 @@ def fleet_reduction_experiment(
             s,
             policy="intermittent",
             quantizer="adaptive",
-            bit_width=bit_width,
+            bit_width=4,
         )
         for s in specs
     ]

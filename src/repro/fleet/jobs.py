@@ -150,12 +150,15 @@ def spec_baseline_bytes(spec: FleetJobSpec, fleet: FleetConfig) -> int:
     return rows * fleet.embedding_dim * 4 * 2
 
 
+#: Bounds of the adaptive storm chain limit.
+CHAIN_LIMIT_FLOOR = 1
+CHAIN_LIMIT_CAP = 8
+
+
 def adaptive_chain_limit(
     baseline_bytes: int,
     interval_delta_bytes: int,
     storm_read_weight: float = 1.0,
-    floor: int = 1,
-    cap: int = 8,
 ) -> int:
     """CPR-style per-job chain bound from read cost vs refresh cost.
 
@@ -167,16 +170,16 @@ def adaptive_chain_limit(
 
         L* = sqrt(baseline / (storm_read_weight * delta)),
 
-    clamped to ``[floor, cap]``. Big models with sparse touch sets
+    clamped to ``[CHAIN_LIMIT_FLOOR, CHAIN_LIMIT_CAP]``. Big models with sparse touch sets
     earn long chains; small hot models refresh almost every interval.
     """
     if baseline_bytes <= 0 or interval_delta_bytes <= 0:
-        return floor
+        return CHAIN_LIMIT_FLOOR
     optimum = math.sqrt(
         baseline_bytes
         / (max(storm_read_weight, 1e-12) * interval_delta_bytes)
     )
-    return max(floor, min(cap, int(round(optimum))))
+    return max(CHAIN_LIMIT_FLOOR, min(CHAIN_LIMIT_CAP, int(round(optimum))))
 
 
 def spec_chain_limit(
@@ -256,9 +259,10 @@ class RestoreSample:
     #: possibly through ``plan_resume`` fallback), ``"peer_same_rack"``
     #: or ``"peer_cross_rack"`` (a live replica ring).
     source: str = "store"
-    #: Crash-to-first-trainable-batch latency — equals ``latency_s``
-    #: for manifest-order store restores, shrinks under
-    #: ``restore_order="hot_first"``, and equals the peer-link
+    #: Crash-to-first-trainable-batch latency: until the dense state
+    #: and the chain's increment rows (the hot set) have landed. It
+    #: equals ``latency_s`` for manifest-order store restores, shrinks
+    #: under ``restore_order="hot_first"``, and equals the peer-link
     #: transfer time for replica restores.
     time_to_first_batch_s: float = 0.0
 

@@ -79,11 +79,7 @@ class ScopedStore:
     # -- scoped object operations --------------------------------------
 
     def stage_put(
-        self,
-        key: str,
-        data: bytes,
-        overwrite: bool = False,
-        earliest: float | None = None,
+        self, key: str, data: bytes, earliest: float | None = None
     ):
         """Stage a part-granular PUT (see
         :meth:`~repro.storage.object_store.ObjectStore.stage_put`),
@@ -93,37 +89,23 @@ class ScopedStore:
         if earliest is not None:
             floor = max(floor, earliest)
         return self.base.stage_put(
-            key,
-            data,
-            overwrite=overwrite,
-            earliest=floor,
-            stream=self.stream,
+            key, data, earliest=floor, stream=self.stream
         )
 
-    def get(
-        self, key: str, byte_range: tuple[int, int] | None = None
-    ) -> bytes:
+    def get(self, key: str) -> bytes:
         self._check(key)
         return self.base.get(
-            key,
-            earliest=self.clock.now,
-            stream=self.stream,
-            byte_range=byte_range,
+            key, earliest=self.clock.now, stream=self.stream
         )
 
-    def stage_get(
-        self, key: str, byte_range: tuple[int, int] | None = None
-    ):
+    def stage_get(self, key: str):
         """Stage a part-granular GET (see
         :meth:`~repro.storage.object_store.ObjectStore.stage_get`),
         namespace-checked, stream-tagged and clock-floored like
         :meth:`get`."""
         self._check(key)
         return self.base.stage_get(
-            key,
-            earliest=self.clock.now,
-            stream=self.stream,
-            byte_range=byte_range,
+            key, earliest=self.clock.now, stream=self.stream
         )
 
     def delete_prefix(self, prefix: str) -> PrefixDeleteReceipt:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..config import FleetConfig
 from ..errors import ReproError
@@ -178,16 +178,13 @@ def run_plan(
     quotas: Sequence[int | None] = (None,),
     keep_lasts: Sequence[int] = (2,),
     admissions: Sequence[str] = ("none",),
-    progress: Callable[[PlanPoint], None] | None = None,
 ) -> ProvisioningCurve:
     """Sweep quota x retention x admission over one seeded fleet.
 
     ``base`` fixes everything the sweep does not vary (jobs, seed,
     storm arming, backend...), including the ``max_concurrent_writes``
     cap the ``"static"`` points run with. Points run in deterministic
-    grid order (quota outermost, admission innermost); ``progress`` is
-    invoked with each finished :class:`PlanPoint` so the CLI can stream
-    rows.
+    grid order (quota outermost, admission innermost).
     """
     for admission in admissions:
         if admission not in PLAN_ADMISSION_MODES:
@@ -223,10 +220,7 @@ def run_plan(
                         else None
                     ),
                 )
-                point = plan_point(config)
-                points.append(point)
-                if progress is not None:
-                    progress(point)
+                points.append(plan_point(config))
     return ProvisioningCurve(
         num_jobs=base.num_jobs,
         intervals_per_job=base.intervals_per_job,

@@ -37,11 +37,14 @@ ADAPTIVE_COST_PER_ELEMENT_PER_ITER_S = (
     (600.0 - 126.0) / 50.0 / REFERENCE_ELEMENTS
 )
 
+#: Lloyd iterations of the paper's k-means run (section 6.1).
+KMEANS_ITERATIONS = 15
+
 #: Seconds per element per Lloyd iteration per cluster. Calibrated so a
 #: 4-bit (k=16), 15-iteration run on the reference checkpoint takes
 #: ~48 hours: 48 * 3600 / (15 * 16) / REFERENCE_ELEMENTS.
 KMEANS_COST_PER_ELEMENT_PER_ITER_PER_CLUSTER_S = (
-    48.0 * 3600.0 / (15.0 * 16.0) / REFERENCE_ELEMENTS
+    48.0 * 3600.0 / (KMEANS_ITERATIONS * 16.0) / REFERENCE_ELEMENTS
 )
 
 #: Symmetric quantization needs no min/max scan refinement; it is
@@ -76,14 +79,14 @@ class LatencyModel:
             + iterations * ADAPTIVE_COST_PER_ELEMENT_PER_ITER_S
         )
 
-    def kmeans_s(self, elements: int, bits: int, iterations: int = 15):
+    def kmeans_s(self, elements: int, bits: int):
         self._check(elements)
         if not 1 <= bits <= 8:
             raise ConfigError(f"bits must be in [1, 8], got {bits}")
         clusters = 1 << bits
         return (
             elements
-            * iterations
+            * KMEANS_ITERATIONS
             * clusters
             * KMEANS_COST_PER_ELEMENT_PER_ITER_PER_CLUSTER_S
         )

@@ -17,6 +17,9 @@ import numpy as np
 from ..errors import TrainingError
 from .embedding import EmbeddingTable, SparseGrad
 
+#: Adagrad's denominator floor: ``lr * grad / (sqrt(accum) + EPS)``.
+EPS = 1e-8
+
 
 class DenseAdagrad:
     """Adagrad for dense parameters (per-element accumulators).
@@ -27,11 +30,10 @@ class DenseAdagrad:
 
     name = "adagrad"
 
-    def __init__(self, learning_rate: float = 0.05, eps: float = 1e-8):
+    def __init__(self, learning_rate: float = 0.05):
         if learning_rate <= 0:
             raise TrainingError("learning rate must be positive")
         self.learning_rate = learning_rate
-        self.eps = eps
         self._accum: dict[str, np.ndarray] = {}
         #: The buffer ``_accum``'s arrays are views of, once stepped.
         self._flat: np.ndarray | None = None
@@ -69,7 +71,7 @@ class DenseAdagrad:
             self._accum = {**{n: views[n] for n in self._accum}, **views}
             self._flat = flat
         self._flat += grad * grad
-        param -= self.learning_rate * grad / (np.sqrt(self._flat) + self.eps)
+        param -= self.learning_rate * grad / (np.sqrt(self._flat) + EPS)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self._accum.items()}
@@ -84,22 +86,18 @@ class SparseRowWiseAdagrad:
 
     State is a single fp32 accumulator per row. On each step, touched
     rows add the mean squared gradient of their row; the row update is
-    scaled by ``lr / (sqrt(accum) + eps)``.
+    scaled by ``lr / (sqrt(accum) + EPS)``.
     """
 
     name = "rowwise_adagrad"
 
     def __init__(
-        self,
-        table: EmbeddingTable,
-        learning_rate: float = 0.05,
-        eps: float = 1e-8,
+        self, table: EmbeddingTable, learning_rate: float = 0.05
     ) -> None:
         if learning_rate <= 0:
             raise TrainingError("learning rate must be positive")
         self.table = table
         self.learning_rate = learning_rate
-        self.eps = eps
         self.accumulator = np.zeros(table.rows, dtype=np.float32)
 
     def step(self, grad: SparseGrad) -> np.ndarray:
@@ -115,6 +113,6 @@ class SparseRowWiseAdagrad:
         ).astype(np.float32)
         accum = self.accumulator[rows] + mean_sq  # rows are unique
         self.accumulator[rows] = accum
-        denom = np.sqrt(accum) + self.eps
+        denom = np.sqrt(accum) + EPS
         self.table.weight[rows] -= self.learning_rate * values / denom[:, None]
         return rows

@@ -24,7 +24,7 @@ from .error import mean_l2_error, row_l2_errors
 from .kmeans import KMeansQuantizer
 from .packing import pack_bits, packed_size, unpack_bits
 from .profiler import ProfileResult, select_num_bins, select_ratio
-from .registry import make_quantizer, quantizer_for_decoding
+from .registry import make_quantizer
 from .uniform import AsymmetricQuantizer, SymmetricQuantizer
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "mean_l2_error",
     "pack_bits",
     "packed_size",
-    "quantizer_for_decoding",
     "row_l2_errors",
     "select_num_bins",
     "select_ratio",

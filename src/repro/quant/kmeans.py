@@ -86,12 +86,14 @@ def kmeans_rows(
     return assign.astype(np.uint8), centroids
 
 
-class KMeansQuantizer(Quantizer):
-    """Per-row k-means codebook quantization.
+#: Rows clustered per batch: bounds peak memory, since the (rows, n, k)
+#: distance tensor is materialised one batch of rows at a time.
+ROW_BATCH = 1024
 
-    ``row_batch`` bounds peak memory: the (rows, n, k) distance tensor is
-    materialised one batch of rows at a time.
-    """
+
+class KMeansQuantizer(Quantizer):
+    """Per-row k-means codebook quantization, :data:`ROW_BATCH` rows at a
+    time."""
 
     name = "kmeans"
 
@@ -99,16 +101,12 @@ class KMeansQuantizer(Quantizer):
         self,
         bits: int,
         iterations: int = 15,
-        row_batch: int = 1024,
         seed: int = 0,
     ) -> None:
         super().__init__(bits)
         if iterations < 1:
             raise QuantizationError("iterations must be >= 1")
-        if row_batch < 1:
-            raise QuantizationError("row_batch must be >= 1")
         self.iterations = iterations
-        self.row_batch = row_batch
         self.seed = seed
 
     def quantize(self, tensor: np.ndarray) -> QuantizedTensor:
@@ -118,8 +116,8 @@ class KMeansQuantizer(Quantizer):
         codes = np.zeros((rows, n), dtype=np.uint8)
         codebook = np.zeros((rows, k), dtype=np.float32)
         rng = np.random.default_rng(self.seed)
-        for start in range(0, rows, self.row_batch):
-            stop = min(start + self.row_batch, rows)
+        for start in range(0, rows, ROW_BATCH):
+            stop = min(start + ROW_BATCH, rows)
             batch_codes, batch_book = kmeans_rows(
                 x[start:stop], k, self.iterations, rng
             )

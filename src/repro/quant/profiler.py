@@ -27,7 +27,13 @@ from .uniform import quantization_l2_per_row
 DEFAULT_SAMPLE_FRACTION = 1e-5
 
 #: Improvement below this fraction of the naive error counts as "tapered".
-DEFAULT_TAPER_TOLERANCE = 0.01
+TAPER_TOLERANCE = 0.01
+
+#: Fewest rows a sample holds; smaller tensors are profiled whole.
+MIN_SAMPLE_ROWS = 64
+
+#: The ``ratio`` sweep of section 5.2.2 (Fig 11).
+RATIO_CANDIDATES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
 @dataclass(frozen=True)
@@ -42,12 +48,10 @@ class ProfileResult:
 
 
 def sample_rows(
-    tensor: np.ndarray,
-    fraction: float,
-    rng: np.random.Generator,
-    min_rows: int = 64,
+    tensor: np.ndarray, fraction: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniformly sample a fraction of rows (at least ``min_rows``).
+    """Uniformly sample a fraction of rows (at least
+    :data:`MIN_SAMPLE_ROWS`).
 
     Tiny tensors are returned whole — sampling only pays off at scale.
     """
@@ -56,7 +60,7 @@ def sample_rows(
             f"sample fraction must be in (0, 1], got {fraction}"
         )
     rows = tensor.shape[0]
-    count = max(min_rows, int(round(rows * fraction)))
+    count = max(MIN_SAMPLE_ROWS, int(round(rows * fraction)))
     if count >= rows:
         return tensor
     idx = rng.choice(rows, size=count, replace=False)
@@ -77,16 +81,13 @@ def _naive_error(sample: np.ndarray, bits: int) -> float:
 
 
 def _knee(
-    candidates: list[float],
-    errors: list[float],
-    reference_error: float,
-    tolerance: float,
+    candidates: list[float], errors: list[float], reference_error: float
 ) -> float:
     """First candidate after which the marginal improvement tapers off.
 
     Walks the (increasing-cost) candidate list and returns the first
-    value whose successor improves the error by less than ``tolerance``
-    of the reference error. Falls back to the best candidate if the curve
+    value whose successor improves the error by less than
+    :data:`TAPER_TOLERANCE` of the reference error. Falls back to the best candidate if the curve
     never flattens.
     """
     if len(candidates) == 1:
@@ -94,7 +95,7 @@ def _knee(
     scale = reference_error if reference_error > 0 else 1.0
     for i in range(len(candidates) - 1):
         marginal = (errors[i] - errors[i + 1]) / scale
-        if marginal < tolerance:
+        if marginal < TAPER_TOLERANCE:
             return candidates[i]
     return candidates[int(np.argmin(errors))]
 
@@ -103,12 +104,11 @@ def select_num_bins(
     tensor: np.ndarray,
     bits: int,
     candidates: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
-    ratio: float = 1.0,
     sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
-    tolerance: float = DEFAULT_TAPER_TOLERANCE,
     seed: int = 0,
 ) -> ProfileResult:
-    """Choose ``num_bins`` by sampled profiling with the knee rule."""
+    """Choose ``num_bins`` (at ``ratio`` 1.0) by sampled profiling
+    with the knee rule."""
     if not candidates:
         raise QuantizationError("need at least one num_bins candidate")
     rng = np.random.default_rng(seed)
@@ -117,11 +117,10 @@ def select_num_bins(
     )
     ordered = sorted(set(int(c) for c in candidates))
     errors = [
-        _mean_adaptive_error(sample, bits, bins, ratio) for bins in ordered
+        _mean_adaptive_error(sample, bits, bins, 1.0) for bins in ordered
     ]
     chosen = _knee(
-        [float(b) for b in ordered], errors, _naive_error(sample, bits),
-        tolerance,
+        [float(b) for b in ordered], errors, _naive_error(sample, bits)
     )
     return ProfileResult(
         parameter="num_bins",
@@ -136,28 +135,25 @@ def select_ratio(
     tensor: np.ndarray,
     bits: int,
     num_bins: int,
-    candidates: tuple[float, ...] = (
-        0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
-    ),
     sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
-    tolerance: float = DEFAULT_TAPER_TOLERANCE,
     seed: int = 0,
 ) -> ProfileResult:
-    """Choose ``ratio`` by sampled profiling with the knee rule."""
-    if not candidates:
-        raise QuantizationError("need at least one ratio candidate")
+    """Choose ``ratio`` among :data:`RATIO_CANDIDATES` by sampled
+    profiling with the knee rule."""
     rng = np.random.default_rng(seed)
     sample = sample_rows(
         np.ascontiguousarray(tensor, dtype=np.float32), sample_fraction, rng
     )
-    ordered = sorted(set(float(c) for c in candidates))
     errors = [
-        _mean_adaptive_error(sample, bits, num_bins, r) for r in ordered
+        _mean_adaptive_error(sample, bits, num_bins, r)
+        for r in RATIO_CANDIDATES
     ]
-    chosen = _knee(ordered, errors, _naive_error(sample, bits), tolerance)
+    chosen = _knee(
+        list(RATIO_CANDIDATES), errors, _naive_error(sample, bits)
+    )
     return ProfileResult(
         parameter="ratio",
-        candidates=tuple(ordered),
+        candidates=RATIO_CANDIDATES,
         errors=tuple(errors),
         chosen=chosen,
         sample_rows=sample.shape[0],

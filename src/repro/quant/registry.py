@@ -66,18 +66,6 @@ def make_quantizer(
     )
 
 
-def quantizer_for_decoding(
-    name: str, bits: int, num_bins: int = 25, ratio: float = 1.0
-) -> Quantizer:
-    """Build a quantizer suitable for *de-quantizing* stored tensors.
-
-    De-quantization never re-runs the greedy search or clustering, so
-    search parameters only need to be plausible, not identical to the
-    encoding-time values.
-    """
-    return make_quantizer(name, bits=bits, num_bins=num_bins, ratio=ratio)
-
-
 @lru_cache(maxsize=None)
 def _decoder(name: str, bits: int) -> Quantizer:
     """The one decoder per ``(name, bit_width)``.
@@ -86,8 +74,10 @@ def _decoder(name: str, bits: int) -> Quantizer:
     stateless and safe to share between restores, servers and threads;
     the key space is the registry's names times eight widths. Unknown
     names raise from :func:`make_quantizer` and are not cached.
+    De-quantization never re-runs the greedy search or clustering, so
+    the registry's default search parameters serve every stored tensor.
     """
-    return quantizer_for_decoding(name, bits)
+    return make_quantizer(name, bits=bits)
 
 
 def dequantize_tensor(qt: "QuantizedTensor") -> "np.ndarray":

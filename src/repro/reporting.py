@@ -50,13 +50,14 @@ class _SeriesProperty(property):
 
 
 def derived_series(
-    help: str, name: str | None = None, type: str = "gauge"
+    help: str, name: str | None = None
 ) -> Callable[[Callable[[Any], Any]], property]:
-    """Decorator: a read-only property exported like a :func:`series`."""
+    """Decorator: a read-only property exported like a :func:`series`
+    gauge."""
 
     def wrap(getter: Callable[[Any], Any]) -> property:
         prop = _SeriesProperty(getter, doc=help)
-        prop.series = Series(help, name, type)
+        prop.series = Series(help, name)
         return prop
 
     return wrap

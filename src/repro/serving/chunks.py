@@ -117,8 +117,8 @@ class DecodedChunkCache:
     arrays are held.
     """
 
-    def __init__(self, budget_bytes: int = DECODED_CACHE_BYTES) -> None:
-        self.budget_bytes = budget_bytes
+    def __init__(self) -> None:
+        self.budget_bytes = DECODED_CACHE_BYTES
         self.held_bytes = 0
         #: Times :func:`decode_chunk_rows` actually ran.
         self.decodes = 0

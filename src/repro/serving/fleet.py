@@ -45,7 +45,6 @@ from ..fleet.experiment import one_job_fleet
 from ..fleet.namespace import ScopedStore
 from ..fleet.scheduler import FleetEvent
 from ..reporting import derived_series, series
-from ..storage.backends import Backend
 from ..storage.bandwidth import TIER_SERVING
 from ..storage.engine import StagedHandle, split_parts
 from .chunks import DecodedChunkCache
@@ -215,10 +214,7 @@ class ServingFleet:
     TRAIN_JOB = "train0"
 
     def __init__(
-        self,
-        exp_config: ExperimentConfig,
-        serving: ServingConfig,
-        backend: Backend | None = None,
+        self, exp_config: ExperimentConfig, serving: ServingConfig
     ) -> None:
         self.serving = serving
         # The trainer runs as the single job of a fleet scheduler on
@@ -227,7 +223,6 @@ class ServingFleet:
             exp_config,
             serving.train_intervals,
             job_id=self.TRAIN_JOB,
-            backend=backend,
             on_event=self._on_training_event,
         )
         self.store = self.training.store
@@ -544,12 +539,10 @@ class ServingFleet:
 
 
 def run_serving(
-    exp_config: ExperimentConfig,
-    serving: ServingConfig,
-    backend: Backend | None = None,
+    exp_config: ExperimentConfig, serving: ServingConfig
 ) -> ServingReport:
     """Build and run one serving-plane co-simulation."""
-    return ServingFleet(exp_config, serving, backend=backend).run()
+    return ServingFleet(exp_config, serving).run()
 
 
 def format_serving_report(report: ServingReport) -> str:

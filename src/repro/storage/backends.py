@@ -168,10 +168,7 @@ class FileBackend(Backend):
     only artifact is a ``.tmp`` file that reads and listings ignore.
     """
 
-    def __init__(
-        self, root: str | Path, costs: OpCostSuite | None = None
-    ) -> None:
-        self.costs = costs
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
@@ -213,21 +210,19 @@ class FileBackend(Backend):
 
 
 def corrupt_stored_object(
-    backend: Backend, key: str, offset: int = 0, xor: int = 0x01
+    backend: Backend, key: str, offset: int = 0
 ) -> None:
-    """Flip one byte of a stored object in place (targeted bit rot).
+    """Flip one bit of a stored object in place (targeted bit rot).
 
-    Deterministic injection for integrity tests and benches: the byte
-    at ``offset`` (negative offsets count from the end) is XORed with
-    ``xor``. The object's length is unchanged, so only digest/CRC
+    Deterministic injection for integrity tests and benches: the low
+    bit of the byte at ``offset`` (negative offsets count from the end)
+    flips. The object's length is unchanged, so only digest/CRC
     verification can catch the damage.
     """
     data = bytearray(backend.get_object(StorageRequest(OP_GET, key)))
     if not data:
         raise StorageError(f"cannot bit-rot empty object {key!r}")
-    if xor & 0xFF == 0:
-        raise StorageError("xor mask must flip at least one bit")
-    data[offset % len(data)] ^= xor & 0xFF
+    data[offset % len(data)] ^= 0x01
     backend.put_object(StorageRequest(OP_PUT, key, len(data)), bytes(data))
 
 
@@ -388,14 +383,9 @@ class MirroredBackend(Backend):
     rather than trainer-local disks.
     """
 
-    def __init__(
-        self,
-        replicas: list[Backend],
-        costs: OpCostSuite | None = None,
-    ) -> None:
+    def __init__(self, replicas: list[Backend]) -> None:
         if not replicas:
             raise StorageError("MirroredBackend needs at least one replica")
-        self.costs = costs
         self._replicas = list(replicas)
         self._failed: set[int] = set()
 

@@ -151,7 +151,6 @@ class TransferLog:
         start_s: float,
         end_s: float,
         kind: str = "put",
-        stream: str | None = None,
     ) -> float:
         """Mean bytes/sec of ``kind`` transfers overlapping the window.
 
@@ -166,8 +165,6 @@ class TransferLog:
         moved = 0.0
         for t in self._transfers:
             if t.kind != kind or t.end_s <= start_s or t.start_s >= end_s:
-                continue
-            if stream is not None and t.stream != stream:
                 continue
             overlap = min(t.end_s, end_s) - max(t.start_s, start_s)
             if t.duration_s > 0:

@@ -21,7 +21,7 @@ Two policies:
   asynchronously through the attached
   :class:`~repro.storage.engine.TransferEngine`'s retry/backoff loop
   (a background flusher drains the oldest dirty objects whenever dirty
-  bytes exceed the ``flush_watermark`` fraction of capacity).
+  bytes exceed the :data:`FLUSH_WATERMARK` fraction of capacity).
 
 Capacity pressure evicts **clean LRU first**; when only dirty objects
 remain, the oldest dirty object is force-flushed to the far tier and
@@ -80,12 +80,12 @@ _NVME_LATENCY_S = 0.0001
 _NVME_WRITE_BW = 2.0 * 1024**3
 _NVME_READ_BW = 5.0 * 1024**3
 
+#: Write-back flushing starts once dirty bytes pass this share of the
+#: tier's capacity.
+FLUSH_WATERMARK = 0.5
 
-def nvme_costs(
-    write_bandwidth: float = _NVME_WRITE_BW,
-    read_bandwidth: float = _NVME_READ_BW,
-    latency_s: float = _NVME_LATENCY_S,
-) -> OpCostSuite:
+
+def nvme_costs() -> OpCostSuite:
     """An NVMe-shaped cost table for the near tier.
 
     Order-of-magnitude figures for a local flash device: ~100 us per
@@ -95,16 +95,16 @@ def nvme_costs(
     """
     return OpCostSuite(
         put=OpCostModel(
-            base_latency_s=latency_s,
-            seconds_per_byte=1.0 / write_bandwidth,
+            base_latency_s=_NVME_LATENCY_S,
+            seconds_per_byte=1.0 / _NVME_WRITE_BW,
         ),
         get=OpCostModel(
-            base_latency_s=latency_s,
-            seconds_per_byte=1.0 / read_bandwidth,
+            base_latency_s=_NVME_LATENCY_S,
+            seconds_per_byte=1.0 / _NVME_READ_BW,
         ),
-        list=OpCostModel(base_latency_s=latency_s),
-        delete=OpCostModel(base_latency_s=latency_s),
-        head=OpCostModel(base_latency_s=latency_s),
+        list=OpCostModel(base_latency_s=_NVME_LATENCY_S),
+        delete=OpCostModel(base_latency_s=_NVME_LATENCY_S),
+        head=OpCostModel(base_latency_s=_NVME_LATENCY_S),
     )
 
 
@@ -146,6 +146,7 @@ class CacheTierBackend(Backend):
     far tier's cost table when the far backend itself carries none
     (in-process backends defer to the store's config-derived suite —
     the factory passes that suite here so pricing stays consistent).
+    The near tier is priced by :func:`nvme_costs`.
 
     The wrapper deliberately advertises ``part_size_bytes = None``:
     the near tier absorbs every write whole (an NVMe write needs no
@@ -159,9 +160,7 @@ class CacheTierBackend(Backend):
         far: Backend,
         capacity_bytes: int,
         policy: str = POLICY_WRITE_BACK,
-        near_costs: OpCostSuite | None = None,
         far_costs: OpCostSuite | None = None,
-        flush_watermark: float = 0.5,
     ) -> None:
         if capacity_bytes < 1:
             raise StorageError("cache capacity_bytes must be positive")
@@ -169,13 +168,11 @@ class CacheTierBackend(Backend):
             raise StorageError(
                 f"unknown cache policy {policy!r}; valid: {CACHE_POLICIES}"
             )
-        if not 0.0 < flush_watermark <= 1.0:
-            raise StorageError("flush_watermark must be in (0, 1]")
         self.far = far
         self.capacity_bytes = capacity_bytes
         self.policy = policy
-        self.flush_watermark = flush_watermark
-        self.near_costs = near_costs if near_costs is not None else nvme_costs()
+        self.flush_watermark = FLUSH_WATERMARK
+        self.near_costs = nvme_costs()
         self.far_costs: OpCostSuite = (
             far.costs
             if far.costs is not None

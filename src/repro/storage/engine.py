@@ -416,13 +416,12 @@ class StagedPut(_StagedTransfer):
         key: str,
         data: bytes,
         *,
-        overwrite: bool = False,
         earliest: float | None = None,
         stream: str = "",
     ) -> None:
         super().__init__(engine, key, earliest, stream)
         store = self.store
-        if engine.retry_probe(OP_HEAD, key) and not overwrite:
+        if engine.retry_probe(OP_HEAD, key):
             raise ObjectExistsError(f"object {key!r} already exists")
         self.data = data
         previous = self._physical(store._sizes.get(key, 0))
@@ -514,29 +513,20 @@ class StagedGet(_StagedTransfer):
         *,
         earliest: float | None = None,
         stream: str = "",
-        byte_range: tuple[int, int] | None = None,
     ) -> None:
         super().__init__(engine, key, earliest, stream)
         store = self.store
         known = store._sizes.get(key)
-        window = None
         # The announced byte count feeds the queued-read backlog
-        # signal, so a ranged probe of a huge object announces only its
-        # window — and an object of unknown size announces 0 until its
+        # signal, so an object of unknown size announces 0 until its
         # bytes arrive.
-        if byte_range is not None:
-            start, stop = byte_range
-            expected = max(0, stop - start)
-            if known is not None:
-                expected = min(expected, max(0, known - start))
-        elif known is not None:
-            expected, window = known, store.backend.range_get_bytes
+        if known is not None:
+            self._announce(known, store.backend.range_get_bytes)
         else:
-            expected = 0
-        self._announce(expected, window)
+            self._announce(0, None)
         #: The byte range each part's request asks for.
         self._ranges: tuple[tuple[int, int] | None, ...] = (
-            self.parts if len(self.parts) > 1 else (byte_range,)
+            self.parts if len(self.parts) > 1 else (None,)
         )
         self._pieces: list[bytes] = []
 

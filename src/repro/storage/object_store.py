@@ -261,21 +261,12 @@ class ObjectStore:
     # Object operations
     # ------------------------------------------------------------------
 
-    def put(
-        self,
-        key: str,
-        data: bytes,
-        overwrite: bool = False,
-        earliest: float | None = None,
-        stream: str = "",
-    ) -> OpReceipt:
-        """Store an object; occupies the storage link in sim time.
+    def put(self, key: str, data: bytes) -> OpReceipt:
+        """Store a new object; occupies the storage link in sim time.
 
-        ``earliest`` defers the transfer start (the pipelined checkpoint
-        writer passes the chunk's quantization-finish time here).
-        ``stream`` tags the transfer with its owning job on a shared
-        store; when an arbiter is attached, the stream's capacity quota
-        is checked (and charged) before any link time is spent.
+        Raises :class:`~repro.errors.ObjectExistsError` if ``key`` is
+        already stored. Untagged: a job's own traffic goes through
+        :meth:`stage_put` with its ``stream``.
 
         Delegates to the transfer engine: against a backend that
         advertises ``part_size_bytes``, payloads larger than one part
@@ -290,26 +281,23 @@ class ObjectStore:
         repo benchmark's layer hooks time by name. :meth:`stage_put` is
         its part-by-part form.
         """
-        return drain(
-            StagedPut(
-                self.engine,
-                key,
-                data,
-                overwrite=overwrite,
-                earliest=earliest,
-                stream=stream,
-            )
-        )
+        return drain(StagedPut(self.engine, key, data))
 
     def stage_put(
         self,
         key: str,
         data: bytes,
-        overwrite: bool = False,
         earliest: float | None = None,
         stream: str = "",
     ) -> StagedPut:
-        """Announce a PUT whose parts are submitted one at a time.
+        """Announce a PUT of a new object whose parts are submitted one
+        at a time.
+
+        ``earliest`` defers the transfer start (the pipelined checkpoint
+        writer passes the chunk's quantization-finish time here).
+        ``stream`` tags the transfer with its owning job on a shared
+        store; when an arbiter is attached, the stream's capacity quota
+        is checked (and charged) before any link time is spent.
 
         The part-granular staged path: quota/capacity are checked now,
         then each :meth:`~repro.storage.engine.StagedPut.submit_next`
@@ -319,28 +307,18 @@ class ObjectStore:
         link interleaves *parts*, not whole chunks.
         """
         return StagedPut(
-            self.engine,
-            key,
-            data,
-            overwrite=overwrite,
-            earliest=earliest,
-            stream=stream,
+            self.engine, key, data, earliest=earliest, stream=stream
         )
 
     def get(
-        self,
-        key: str,
-        earliest: float | None = None,
-        stream: str = "",
-        byte_range: tuple[int, int] | None = None,
+        self, key: str, earliest: float | None = None, stream: str = ""
     ) -> bytes:
         """Fetch an object (timed on the shared storage timeline).
 
         ``earliest`` floors the transfer start at the caller's own
         simulated time — on a shared store the reading job's clock may
         be ahead of the store's, and a restore must not be timed before
-        the failure that triggered it. ``byte_range`` narrows the read
-        to ``[start, stop)``.
+        the failure that triggered it.
 
         Delegates to the transfer engine: against a backend that
         advertises ``range_get_bytes``, whole reads larger than that
@@ -352,22 +330,12 @@ class ObjectStore:
         primitive the repo benchmark's layer hooks time by name.
         :meth:`stage_get` is its part-by-part form.
         """
-        staged = StagedGet(
-            self.engine,
-            key,
-            earliest=earliest,
-            stream=stream,
-            byte_range=byte_range,
-        )
+        staged = StagedGet(self.engine, key, earliest=earliest, stream=stream)
         drain(staged)
         return staged.data()
 
     def stage_get(
-        self,
-        key: str,
-        earliest: float | None = None,
-        stream: str = "",
-        byte_range: tuple[int, int] | None = None,
+        self, key: str, earliest: float | None = None, stream: str = ""
     ) -> StagedGet:
         """Announce a GET whose ranged parts are submitted one at a time.
 
@@ -378,13 +346,7 @@ class ObjectStore:
         reads head-of-line. Draining a staged GET uninterrupted is
         timing-identical to :meth:`get`.
         """
-        return StagedGet(
-            self.engine,
-            key,
-            earliest=earliest,
-            stream=stream,
-            byte_range=byte_range,
-        )
+        return StagedGet(self.engine, key, earliest=earliest, stream=stream)
 
     def _delete_one(
         self, key: str, size: int, stream: str, issued: float
@@ -406,18 +368,14 @@ class ObjectStore:
             self.arbiter.credit_delete(stream, physical)
         return receipt
 
-    def delete(
-        self, key: str, stream: str = "", at_s: float | None = None
-    ) -> OpReceipt:
-        """Remove an object and update capacity accounting.
+    def delete(self, key: str) -> OpReceipt:
+        """Remove an object now and update capacity accounting.
 
-        ``at_s`` times the DELETE on the deleting job's clock (shared
-        stores lag behind per-job clocks); ``stream`` credits the freed
-        physical bytes back to the job's quota.
+        Untagged: a job's own deletes go through :meth:`delete_prefix`
+        with its ``stream``, which credits its quota.
         """
-        when = self.clock.now if at_s is None else max(at_s, self.clock.now)
         receipt = self._delete_one(
-            key, self._sizes.get(key, 0), stream, when
+            key, self._sizes.get(key, 0), "", self.clock.now
         )
         self._sample_peak()
         return receipt
@@ -488,14 +446,14 @@ class ObjectStore:
             completed_s=completed,
         )
 
-    def exists(self, key: str, stream: str = "") -> bool:
+    def exists(self, key: str) -> bool:
         """HEAD probe: is the key present?"""
         present, _ = self._control(
             OP_HEAD,
             key,
             self.backend.head_object,
             self.clock.now,
-            stream,
+            "",
             cost=self.cost_for(OP_HEAD, key),
         )
         return present

@@ -147,11 +147,10 @@ class OpCostModel:
         _require(nbytes >= 0, f"negative transfer size {nbytes}")
         return nbytes * self.seconds_per_byte
 
-    def duration_s(
-        self, nbytes: int, rng: np.random.Generator | None = None
-    ) -> float:
-        """Total wall time of one request moving ``nbytes``."""
-        return self.latency_s(rng) + self.transfer_s(nbytes)
+    def duration_s(self, nbytes: int) -> float:
+        """Expected wall time of one request moving ``nbytes``: jitter
+        and tail draws excluded."""
+        return self.base_latency_s + self.transfer_s(nbytes)
 
 
 @dataclass(frozen=True)
@@ -236,15 +235,8 @@ class OpLog:
     def record(self, receipt: OpReceipt) -> None:
         self._receipts.append(receipt)
 
-    def receipts(
-        self, op: str | None = None, stream: str | None = None
-    ) -> list[OpReceipt]:
-        return [
-            r
-            for r in self._receipts
-            if (op is None or r.op == op)
-            and (stream is None or r.stream == stream)
-        ]
+    def receipts(self, op: str | None = None) -> list[OpReceipt]:
+        return [r for r in self._receipts if op is None or r.op == op]
 
     def count(self, op: str | None = None) -> int:
         return len(self.receipts(op))

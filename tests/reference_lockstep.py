@@ -82,7 +82,8 @@ def next_event_lockstep(self) -> tuple[float, str, FleetJob] | None:
 
 def run_fleet_lockstep(config, specs=None, on_event=None):
     """``repro.fleet.run_fleet`` with every pick made by the scan."""
-    scheduler, store = build_fleet(config, specs, on_event)
+    scheduler, store = build_fleet(config, specs)
+    scheduler.on_event = on_event
     scheduler._next_event = MethodType(next_event_lockstep, scheduler)
     scheduler.run()
     return scheduler, summarize_fleet(scheduler, store)

@@ -359,9 +359,10 @@ class TestRestore:
             make_quantizer("none"), chunk_rows=100,
         ))
         # Before the write completes: nothing valid.
-        assert restorer.plan_resume("job0", at_time_s=exp.clock.now) == []
+        assert restorer.plan_resume("job0") == []
         # After: the checkpoint is found.
-        found = restorer.plan_resume("job0", at_time_s=report.valid_at_s + 1)
+        exp.clock.advance_to(report.valid_at_s + 1)
+        found = restorer.plan_resume("job0")
         assert found
         assert found[0].checkpoint_id == "ckpt-0"
 

@@ -24,11 +24,11 @@ class TestFailureModels:
         samples = model.sample_many(20_000, rng)
         assert np.mean(samples) == pytest.approx(3600.0, rel=0.05)
 
-    def test_weibull_from_quantiles_hits_published_points(self):
+    def test_paper_model_hits_published_points(self):
         """The fitted model reproduces the paper's P90/P99 exactly —
         as quantiles of the 5-minute-filtered distribution, which is
         what Fig 3 plots."""
-        model = WeibullFailures.from_quantiles()
+        model = paper_failure_model()
         assert model.conditioned_quantile(0.90, 300.0) == pytest.approx(
             13.5 * HOUR_S, rel=1e-6
         )
@@ -36,17 +36,8 @@ class TestFailureModels:
             53.9 * HOUR_S, rel=1e-6
         )
 
-    def test_weibull_unconditioned_fit(self):
-        model = WeibullFailures.from_quantiles(conditioned_above_s=0.0)
-        assert model.quantile(0.90) == pytest.approx(
-            13.5 * HOUR_S, rel=1e-9
-        )
-        assert model.quantile(0.99) == pytest.approx(
-            53.9 * HOUR_S, rel=1e-9
-        )
-
     def test_weibull_heavy_tail_shape(self):
-        model = WeibullFailures.from_quantiles()
+        model = paper_failure_model()
         assert model.shape < 1.0  # decreasing hazard, heavy tail
 
     def test_invalid_parameters(self):
@@ -54,8 +45,6 @@ class TestFailureModels:
             ExponentialFailures(0.0)
         with pytest.raises(SimulationError):
             WeibullFailures(0.0, 1.0)
-        with pytest.raises(SimulationError):
-            WeibullFailures.from_quantiles(p90_s=10.0, p99_s=5.0)
 
 
 class TestFailureTrace:

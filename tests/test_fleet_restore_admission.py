@@ -100,17 +100,6 @@ class TestStagedGet:
             store.clock.now
         ) == pytest.approx(base)
 
-    def test_explicit_range_announces_only_its_window(self):
-        """A ranged probe of a big object must not inflate the backlog
-        signal with the whole object's bytes."""
-        store = ranged_store()
-        store.put("job0/a", b"x" * 65536)
-        staged = store.stage_get("job0/a", byte_range=(0, 512))
-        assert store.engine.queued_bytes(OP_GET) == 512
-        while not staged.done:
-            staged.submit_next()
-        assert staged.data() == b"x" * 512
-
     def test_aborted_staged_get_rejects_submission(self):
         store = ranged_store()
         store.put("job0/a", b"x" * 2048)

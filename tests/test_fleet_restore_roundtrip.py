@@ -76,9 +76,8 @@ def newest_target(exp):
     horizon = (
         max(m.valid_at_s for m in exp.controller.manifests.values()) + 1.0
     )
-    plan = exp.controller.restorer.plan_resume(
-        exp.controller.job_id, at_time_s=horizon
-    )
+    exp.clock.advance_to(horizon, "drain")
+    plan = exp.controller.restorer.plan_resume(exp.controller.job_id)
     assert plan
     return plan[0]
 

@@ -214,7 +214,7 @@ class TestNamespaceIsolation:
         with pytest.raises(NamespaceViolationError):
             view_b.list_keys("jobA/")
         with pytest.raises(NamespaceViolationError):
-            put(view_b, "jobA/secret", b"overwrite", overwrite=True)
+            put(view_b, "jobA/secret", b"overwrite")
         # And its own namespace still works.
         put(view_b, "jobB/ok", b"fine")
         assert view_b.list_keys() == ["jobB/ok"]

@@ -189,7 +189,8 @@ class TestWriterEmitsPartSteps:
             ]
             assert announced == expected, (kind, key, announced)
         # The object round-trips despite part-wise submission.
-        assert exp.controller.valid_manifests(at_time_s=1e9)
+        exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
+        assert exp.controller.valid_manifests()
 
 
 class TestPreemptionRacesMultipart:
@@ -249,7 +250,8 @@ class TestPreemptionRacesMultipart:
             pass
         exp.controller.finish_checkpoint(again)
         assert exp.store.backend.pending_uploads() == []
-        assert exp.controller.valid_manifests(at_time_s=1e9)
+        exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
+        assert exp.controller.valid_manifests()
 
     def test_fleet_preemption_leaves_no_orphaned_parts(self):
         """Fleet-level: prod preemption aborts experimental staged
@@ -276,7 +278,7 @@ class TestPreemptionRacesMultipart:
 
         from repro.fleet import build_fleet
 
-        scheduler, store = build_fleet(config, on_event=on_event)
+        scheduler, store = build_fleet(config)
 
         def no_preempted_upload_survives(event):
             if event.kind != "preempted":

@@ -32,6 +32,7 @@ from repro.core.integrity import (
 from repro.core.manifest import CheckpointManifest, manifest_key
 from repro.core.restore import CheckpointRestorer
 from repro.core.retention import RetentionManager
+from repro.distributed.clock import SimClock
 from repro.errors import (
     CheckpointCorruptError,
     CheckpointNotFoundError,
@@ -375,8 +376,9 @@ class TestResumePlanner:
         assert after[0].checkpoint_id == before[1].checkpoint_id
 
     def test_not_yet_valid_checkpoints_excluded(self, stored):
-        _, restorer = stored
-        assert restorer.plan_resume("job0", at_time_s=0.0) == []
+        exp, _ = stored
+        fresh_clock = CheckpointRestorer(exp.store, SimClock())
+        assert fresh_clock.plan_resume("job0") == []
 
 
 class TestRestoreThroughCorruption:

@@ -13,7 +13,7 @@ from repro.model.optim import DenseAdagrad, SparseRowWiseAdagrad
 
 class TestDenseOptimizers:
     def test_adagrad_scales_by_history(self):
-        opt = DenseAdagrad(learning_rate=1.0, eps=0.0)
+        opt = DenseAdagrad(learning_rate=1.0)
         p = np.array([0.0], dtype=np.float32)
         g = np.array([2.0], dtype=np.float32)
         opt.step(p, g, lambda: {"w": p})  # accum=4, update = 2/2 = 1

@@ -253,8 +253,8 @@ _STORE_OPS = st.lists(
 @given(ops=_STORE_OPS, multipart=st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_live_bytes_running_total_equals_the_size_map(ops, multipart):
-    """put / overwrite / delete / delete_prefix / inherited-object reads
-    in any order: the running total the store keeps is the sum it used
+    """put / re-put after a delete / delete / delete_prefix /
+    inherited-object reads in any order: the running total the store keeps is the sum it used
     to recompute, and the capacity samples agree with it."""
     from repro.config import BackendConfig, StorageConfig
     from repro.errors import StorageError
@@ -274,7 +274,11 @@ def test_live_bytes_running_total_equals_the_size_map(ops, multipart):
         # the peak; an inherited object's size read does not.
         sampled = op == "put"
         if op == "put":
-            store.put(key, bytes(size), overwrite=True)
+            if key in model:
+                store.delete(key)
+                del model[key]
+                peak = max(peak, sum(model.values()))
+            store.put(key, bytes(size))
             model[key] = size
         elif op == "delete":
             if key in model:

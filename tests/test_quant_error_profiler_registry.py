@@ -12,7 +12,13 @@ from repro.quant import (
     mean_l2_error,
     row_l2_errors,
 )
-from repro.quant.profiler import sample_rows, select_num_bins, select_ratio
+from repro.quant.profiler import (
+    MIN_SAMPLE_ROWS,
+    RATIO_CANDIDATES,
+    sample_rows,
+    select_num_bins,
+    select_ratio,
+)
 from repro.quant.registry import dequantize_tensor
 
 
@@ -38,18 +44,17 @@ class TestErrorMetrics:
 
 class TestSampling:
     def test_small_tensor_returned_whole(self, trained_tensor):
-        out = sample_rows(
-            trained_tensor, 0.001, np.random.default_rng(0), min_rows=1024
-        )
-        # min_rows floor exceeds the tensor: returned whole.
-        assert out.shape[0] == trained_tensor.shape[0]
+        small = trained_tensor[: MIN_SAMPLE_ROWS // 2]
+        out = sample_rows(small, 0.001, np.random.default_rng(0))
+        # The MIN_SAMPLE_ROWS floor exceeds the tensor: returned whole.
+        assert out.shape[0] == small.shape[0]
 
     def test_sample_count_respects_fraction_and_floor(self, rng):
         big = rng.normal(size=(10_000, 4)).astype(np.float32)
-        out = sample_rows(big, 0.005, rng, min_rows=16)
-        assert out.shape[0] == 50
-        out = sample_rows(big, 0.0001, rng, min_rows=16)
-        assert out.shape[0] == 16
+        out = sample_rows(big, 0.01, rng)
+        assert out.shape[0] == 100
+        out = sample_rows(big, 0.0001, rng)
+        assert out.shape[0] == MIN_SAMPLE_ROWS
 
     def test_invalid_fraction(self, trained_tensor):
         with pytest.raises(QuantizationError, match="fraction"):
@@ -89,11 +94,10 @@ class TestProfiler:
     def test_ratio_selection(self, rng):
         x = rng.normal(0, 0.02, size=(512, 16)).astype(np.float32)
         x[:, 0] += 1.0
-        result = select_ratio(
-            x, bits=2, num_bins=25, candidates=(0.2, 0.6, 1.0),
-            sample_fraction=1.0,
-        )
-        assert result.chosen in (0.2, 0.6, 1.0)
+        result = select_ratio(x, bits=2, num_bins=25, sample_fraction=1.0)
+        assert result.candidates == RATIO_CANDIDATES
+        assert result.chosen in RATIO_CANDIDATES
+        assert len(result.errors) == len(RATIO_CANDIDATES)
 
     def test_empty_candidates_rejected(self, trained_tensor):
         with pytest.raises(QuantizationError, match="candidate"):

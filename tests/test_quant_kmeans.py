@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import QuantizationError
 from repro.quant import mean_l2_error
+from repro.quant import kmeans
 from repro.quant.kmeans import KMeansQuantizer, kmeans_rows
 from repro.quant.uniform import AsymmetricQuantizer
 
@@ -63,12 +64,13 @@ class TestKMeansQuantizer:
             8,
         )
 
-    def test_row_batching_equivalent(self, trained_tensor):
+    def test_row_batching_equivalent(self, trained_tensor, monkeypatch):
         """Batch size is an implementation detail, not a result change."""
-        small = KMeansQuantizer(2, iterations=5, row_batch=16, seed=3)
-        large = KMeansQuantizer(2, iterations=5, row_batch=4096, seed=3)
-        a = small.roundtrip(trained_tensor[:64])
-        b = large.roundtrip(trained_tensor[:64])
+        quantizer = KMeansQuantizer(2, iterations=5, seed=3)
+        monkeypatch.setattr(kmeans, "ROW_BATCH", 16)
+        a = quantizer.roundtrip(trained_tensor[:64])
+        monkeypatch.setattr(kmeans, "ROW_BATCH", 4096)
+        b = quantizer.roundtrip(trained_tensor[:64])
         # Same seed stream order differs across batching, so compare
         # quality rather than exact codes.
         err_a = mean_l2_error(trained_tensor[:64], a)
@@ -98,5 +100,3 @@ class TestKMeansQuantizer:
     def test_invalid_constructor(self):
         with pytest.raises(QuantizationError):
             KMeansQuantizer(4, iterations=0)
-        with pytest.raises(QuantizationError):
-            KMeansQuantizer(4, row_batch=0)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import FailureConfig, FleetConfig
-from repro.fleet import run_fleet
+from repro.fleet import build_fleet, run_fleet
 
 
 def storm_config(
@@ -93,7 +93,9 @@ class TestWholeDomainLoss:
         in the same storm."""
         config = storm_config("power", 4)
         events = []
-        scheduler, report = run_fleet(config, on_event=events.append)
+        scheduler, store = build_fleet(config)
+        scheduler.on_event = events.append
+        scheduler.run()
         storm_crashes = [
             e for e in events
             if e.kind == "crash" and e.payload.get("cause") == "storm"

@@ -318,10 +318,6 @@ class TestHotFirstRestore:
     def test_hot_first_restores_identical_state(self, serving_exp):
         exp = serving_exp
         restorer, manifests, target = self._run_and_manifests(exp)
-        hot = {
-            t: np.arange(8, dtype=np.int64)
-            for t in range(exp.model.num_tables)
-        }
         plain = DLRM(exp.config.model)
         self._steps_and_report(
             restorer, plain, target, manifests, order=ORDER_MANIFEST
@@ -333,7 +329,6 @@ class TestHotFirstRestore:
             target,
             manifests,
             order=ORDER_HOT_FIRST,
-            hot_rows=hot,
         )
         for t in range(exp.model.num_tables):
             np.testing.assert_array_equal(
@@ -349,7 +344,6 @@ class TestHotFirstRestore:
             target,
             manifests,
             order=ORDER_HOT_FIRST,
-            hot_rows={0: np.arange(4, dtype=np.int64)},
         )
         assert "dense" in steps[0].key
         assert report.first_batch_ready_s <= report.finished_at_s

@@ -193,7 +193,8 @@ class TestDecodedChunkCache:
             )
             for r, blob in ((a, blob_a), (b, blob_b), (c, blob_c))
         ]
-        cache = DecodedChunkCache(budget_bytes=max(sizes) * 2)
+        cache = DecodedChunkCache()
+        cache.budget_bytes = max(sizes) * 2
         for row_ref, blob in ((a, blob_a), (b, blob_b), (c, blob_c)):
             cache.decode(row_ref.key, blob, row_ref.digest)
         assert cache.decodes == 3 and len(cache) == 2
@@ -213,7 +214,8 @@ class TestDecodedChunkCache:
     ):
         exp, publisher, _ = published_pair
         (row_ref, blob), = _chunk_blobs(exp, publisher, 1)
-        cache = DecodedChunkCache(budget_bytes=1)
+        cache = DecodedChunkCache()
+        cache.budget_bytes = 1
         for expected in (1, 2):
             rows, _ = cache.decode(row_ref.key, blob, row_ref.digest)
             assert rows.size and cache.decodes == expected

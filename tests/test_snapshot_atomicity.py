@@ -169,7 +169,8 @@ def test_staged_write_killed_before_manifest_is_skipped_on_restore():
     assert not any(k.endswith("manifest.json") for k in torn_keys)
 
     restorer = CheckpointRestorer(exp.store, exp.clock)
-    plan = restorer.plan_resume("job0", at_time_s=exp.clock.now + 1e9)
+    exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
+    plan = restorer.plan_resume("job0")
     assert plan
     target = plan[0]
     assert target.checkpoint_id == "ckpt-000000"
@@ -213,7 +214,8 @@ def test_mirrored_backend_crash_between_chunk_and_manifest_put():
     # Survive the loss of one replica on top of the torn write.
     mirrored.fail_replica(1)
     restorer = CheckpointRestorer(exp.store, exp.clock)
-    plan = restorer.plan_resume("job0", at_time_s=exp.clock.now + 1e9)
+    exp.clock.advance_to(exp.store.timeline.free_at + 1.0, "drain")
+    plan = restorer.plan_resume("job0")
     assert plan
     target = plan[0]
     assert target.checkpoint_id == "ckpt-000000"

@@ -9,6 +9,15 @@ inside a string literal (the perf hooks resolve ``"module:Name"``
 strings), anywhere but in the definition's own body; docstrings and
 comments do not count. Each module is its own test case, so a failure
 names the module that holds the uncalled definition.
+
+The same walk also holds every defaulted parameter to a caller: a
+parameter of a ``src/repro`` function or method that some non-test
+call reaches must be passed by at least one such call (by keyword, by
+position, or through a ``*``/``**`` splat), or be listed in
+``ALLOWED_PARAMETERS`` with the reason. Calls are matched by name, a
+constructor through its class, its inheriting subclasses and their
+``super().__init__``. A parameter no caller passes selects one value
+forever: it goes, with the code only its other values reach.
 """
 
 from __future__ import annotations
@@ -119,3 +128,224 @@ def test_every_def_has_a_non_test_caller(module):
 def test_allowlist_holds_only_uncalled_defs(name):
     """An allowed name that gains a caller leaves the list."""
     assert name in {entry.split("::")[1] for entry in uncalled()}
+
+
+# -- every defaulted parameter is passed ------------------------------------
+
+#: Defaulted parameters no non-test call passes, and why they stay. A
+#: key is ``module::Qualname.param``, or a module path (ending in ``/``
+#: for a package) that exempts every parameter it defines.
+ALLOWED_PARAMETERS = {
+    "experiments/": "paper-figure sweep inputs",
+    "tools/figures.py": "paper-figure sweep inputs",
+    "metrics/growth.py": "paper-figure sweep inputs",
+}
+
+
+def _call_name(call: ast.Call, cls: str | None) -> str | None:
+    """The name a call is matched by; ``cls(...)`` and ``super().__init__``
+    resolve to the enclosing class."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return cls if func.id == "cls" and cls else func.id
+    if isinstance(func, ast.Attribute):
+        inner = func.value
+        if (
+            func.attr == "__init__"
+            and isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Name)
+            and inner.func.id == "super"
+        ):
+            return f"super:{cls}"
+        return func.attr
+    return None
+
+
+def _visit_calls(node, module, cls, owner, found) -> None:
+    """Collect ``(call name, call, owner)``; ``owner`` is the qualified
+    name of the package def whose body holds the call, if any."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            _visit_calls(child, module, child.name, None, found)
+            continue
+        if isinstance(child, ast.FunctionDef):
+            top = module is not None and (
+                isinstance(node, ast.Module)
+                or isinstance(node, ast.ClassDef) and owner is None
+            )
+            qualname = f"{cls}.{child.name}" if cls else child.name
+            _visit_calls(
+                child, module, cls,
+                f"{module}::{qualname}" if top else None, found,
+            )
+            continue
+        if isinstance(child, ast.Call):
+            name = _call_name(child, cls)
+            if name is not None:
+                found.append((name, child, owner))
+            if name == "benchmark" and child.args:
+                # pytest-benchmark's ``benchmark(f, *args, **kwargs)``
+                # calls ``f`` with the rest.
+                inner = ast.Call(child.args[0], child.args[1:], child.keywords)
+                inner_name = _call_name(inner, cls)
+                if inner_name is not None:
+                    found.append((inner_name, inner, owner))
+        _visit_calls(child, module, cls, owner, found)
+
+
+@cache
+def _parameter_walk() -> tuple[dict[str, list], list, dict[str, list[str]]]:
+    """(call name -> non-test calls, package defs, class -> base names)."""
+    calls: dict[str, list] = defaultdict(list)
+    defs = []
+    bases: dict[str, list[str]] = {}
+    for base in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / base).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            module = (
+                str(path.relative_to(PACKAGE))
+                if path.is_relative_to(PACKAGE) else None
+            )
+            found: list = []
+            _visit_calls(tree, module, None, None, found)
+            for name, call, owner in found:
+                calls[name].append((call, owner))
+            if module is None:
+                continue
+            for stmt in tree.body:
+                if isinstance(stmt, ast.ClassDef):
+                    bases[stmt.name] = [
+                        b.id for b in stmt.bases if isinstance(b, ast.Name)
+                    ]
+                    defs.extend(
+                        (module, stmt.name, item)
+                        for item in stmt.body
+                        if isinstance(item, ast.FunctionDef)
+                    )
+                elif isinstance(stmt, ast.FunctionDef):
+                    defs.append((module, None, stmt))
+    return calls, defs, bases
+
+
+def _call_names(cls: str | None, func: ast.FunctionDef, bases) -> set[str]:
+    """Every call name that reaches ``func``: a constructor is reached
+    through its class, the subclasses that inherit it and their
+    ``super().__init__``."""
+    if func.name != "__init__" or cls is None:
+        return {func.name}
+    names = {cls}
+    changed = True
+    while changed:
+        changed = False
+        for sub, subbases in bases.items():
+            if sub not in names and set(subbases) & names:
+                names.add(sub)
+                changed = True
+    return names | {f"super:{sub}" for sub in names - {cls}}
+
+
+def _supplied(call: ast.Call, index: int | None, name: str):
+    """What a call passes for a parameter: an expression, ``True`` for a
+    ``*``/``**`` splat, or ``None``."""
+    for kw in call.keywords:
+        if kw.arg is None:
+            return True
+        if kw.arg == name:
+            return kw.value
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if index is not None and len(call.args) > index:
+        return call.args[index]
+    return None
+
+
+def _defaulted(cls: str | None, func: ast.FunctionDef):
+    args = func.args
+    positional = args.posonlyargs + args.args
+    if cls is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in func.decorator_list
+    ):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    return [
+        (index, arg.arg)
+        for index, arg in enumerate(positional)
+        if index >= first
+    ] + [
+        (None, arg.arg)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+@cache
+def unpassed() -> list[str]:
+    """Defaulted parameters of called package defs no non-test call sets.
+
+    A call that hands on its own def's defaulted parameter unchanged
+    (``hot_rows=hot_rows``) passes it only if that parameter is passed.
+    """
+    calls, defs, bases = _parameter_walk()
+    sites = {}
+    for module, cls, func in defs:
+        reach = [
+            site
+            for name in _call_names(cls, func, bases)
+            for site in calls.get(name, ())
+        ]
+        if not reach:
+            continue
+        qualname = f"{cls}.{func.name}" if cls else func.name
+        for index, name in _defaulted(cls, func):
+            sites[f"{module}::{qualname}.{name}"] = (index, name, reach)
+    passed: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for entry, (index, name, reach) in sites.items():
+            if entry in passed:
+                continue
+            for call, owner in reach:
+                value = _supplied(call, index, name)
+                forwarded = (
+                    f"{owner}.{value.id}"
+                    if owner and isinstance(value, ast.Name) else None
+                )
+                if value is not None and (
+                    forwarded not in sites or forwarded in passed
+                ):
+                    passed.add(entry)
+                    changed = True
+                    break
+    return sorted(set(sites) - passed)
+
+
+def _allowed(entry: str) -> bool:
+    module = entry.split("::")[0]
+    return entry in ALLOWED_PARAMETERS or any(
+        key.endswith("/") and module.startswith(key) or key == module
+        for key in ALLOWED_PARAMETERS
+    )
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_every_defaulted_parameter_is_passed(module):
+    flagged = [
+        entry
+        for entry in unpassed()
+        if entry.split("::")[0] == module and not _allowed(entry)
+    ]
+    assert not flagged, (
+        "defaulted parameters no non-test call sets (delete them with the "
+        f"code they select, or allow them with a reason): {flagged}"
+    )
+
+
+@pytest.mark.parametrize("key", sorted(ALLOWED_PARAMETERS))
+def test_parameter_allowlist_holds_only_unpassed_parameters(key):
+    """An allowed parameter that gains a caller leaves the list."""
+    assert any(
+        entry == key or entry.split("::")[0].startswith(key)
+        for entry in unpassed()
+    )

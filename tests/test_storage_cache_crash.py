@@ -37,18 +37,16 @@ import backend_ops as ops
 def _tiered(capacity: int = 1 << 20):
     """A write-back cache over a crash-injectable far tier.
 
-    ``flush_watermark=1.0`` keeps the background flusher quiet until
+    A flush watermark of 1.0 keeps the background flusher quiet until
     dirty bytes exceed the whole capacity, so tests control exactly
     when far writes happen.
     """
     inner = InMemoryBackend()
     far = CrashingBackend(inner)
     cache = CacheTierBackend(
-        far,
-        capacity_bytes=capacity,
-        policy=POLICY_WRITE_BACK,
-        flush_watermark=1.0,
+        far, capacity_bytes=capacity, policy=POLICY_WRITE_BACK
     )
+    cache.flush_watermark = 1.0
     return inner, far, cache
 
 

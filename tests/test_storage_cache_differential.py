@@ -28,6 +28,7 @@ from repro.errors import ObjectNotFoundError, StorageError
 from repro.storage.backends import CrashingBackend, InMemoryBackend
 from repro.storage.cache import (
     CACHE_POLICIES,
+    FLUSH_WATERMARK,
     POLICY_WRITE_BACK,
     POLICY_WRITE_THROUGH,
     CacheTierBackend,
@@ -150,8 +151,11 @@ def test_differential_through_timed_stores(policy):
         key = KEY_POOL[int(rng.integers(len(KEY_POOL)))]
         if op == "put":
             data = _payload(rng)
-            cached_store.put(key, data, overwrite=True)
-            bare_store.put(key, data, overwrite=True)
+            if bare_store.exists(key):
+                cached_store.delete(key)
+                bare_store.delete(key)
+            cached_store.put(key, data)
+            bare_store.put(key, data)
         elif op == "get":
             got = _observe(lambda: cached_store.get(key))
             want = _observe(lambda: bare_store.get(key))
@@ -177,11 +181,16 @@ def test_differential_through_timed_stores(policy):
 class TestCacheSemantics:
     """Targeted invariants the random stream cannot pin down exactly."""
 
-    def _cache(self, policy=POLICY_WRITE_BACK, capacity=1_000, **kw):
+    def _cache(
+        self,
+        policy=POLICY_WRITE_BACK,
+        capacity=1_000,
+        flush_watermark=FLUSH_WATERMARK,
+    ):
         far = InMemoryBackend()
-        return far, CacheTierBackend(
-            far, capacity_bytes=capacity, policy=policy, **kw
-        )
+        cache = CacheTierBackend(far, capacity_bytes=capacity, policy=policy)
+        cache.flush_watermark = flush_watermark
+        return far, cache
 
     def test_eviction_prefers_clean_lru(self):
         far, cache = self._cache(capacity=1_000, flush_watermark=1.0)
@@ -209,9 +218,8 @@ class TestCacheSemantics:
         """
         inner = InMemoryBackend()
         far = CrashingBackend(inner)
-        cache = CacheTierBackend(
-            far, capacity_bytes=1_000, flush_watermark=1.0
-        )
+        cache = CacheTierBackend(far, capacity_bytes=1_000)
+        cache.flush_watermark = 1.0
         ops.write(cache, "k0", b"0" * 600)
         far.arm(1)  # the auto-flush triggered by the next write crashes
         ops.write(cache, "k1", b"1" * 600)
@@ -272,8 +280,6 @@ class TestCacheSemantics:
             CacheTierBackend(far, capacity_bytes=0)
         with pytest.raises(StorageError):
             CacheTierBackend(far, capacity_bytes=10, policy="write_around")
-        with pytest.raises(StorageError):
-            CacheTierBackend(far, capacity_bytes=10, flush_watermark=0.0)
 
     def test_stats_snapshot_round_trip(self):
         _, cache = self._cache(flush_watermark=1.0)

@@ -27,7 +27,14 @@ from repro.storage.bandwidth import (
     TIER_SERVING,
     BandwidthArbiter,
 )
+from repro.storage.engine import drain
 from repro.storage.object_store import ObjectStore
+
+
+def put(store, key, data, **tags):
+    """A stream-tagged PUT drained back to back: the path a job's
+    writes take."""
+    return drain(store.stage_put(key, data, **tags))
 
 
 def make_store(
@@ -59,7 +66,7 @@ class TestAggregateThroughputCap:
             stream = ("jobA", "jobB", "jobC")[int(rng.integers(3))]
             size = int(rng.integers(1, 64 * 1024))
             clock_offset += float(rng.uniform(0.0, 0.05))
-            store.put(
+            put(store, 
                 f"{stream}/obj{i:03d}",
                 bytes(size),
                 earliest=clock_offset,
@@ -84,7 +91,7 @@ class TestAggregateThroughputCap:
         store.arbiter.register("jobB")
         for i in range(20):
             stream = "jobA" if i % 2 == 0 else "jobB"
-            store.put(f"{stream}/k{i}", bytes(10_000), stream=stream)
+            put(store, f"{stream}/k{i}", bytes(10_000), stream=stream)
         transfers = sorted(
             store.log.transfers("put"), key=lambda t: t.start_s
         )
@@ -105,7 +112,7 @@ class TestFairShareConvergence:
         for _ in range(rounds):
             stream = store.arbiter.pick(streams)
             counters[stream] += 1
-            store.put(
+            put(store, 
                 f"{stream}/chunk{counters[stream]:05d}",
                 bytes(chunk),
                 stream=stream,
@@ -131,7 +138,7 @@ class TestFairShareConvergence:
         for _ in range(120):
             stream = store.arbiter.pick(list(sizes))
             counters[stream] += 1
-            store.put(
+            put(store, 
                 f"{stream}/c{counters[stream]:05d}",
                 bytes(sizes[stream]),
                 stream=stream,
@@ -146,7 +153,7 @@ class TestFairShareConvergence:
         store.arbiter.register("busy")
         store.arbiter.register("idler")
         for i in range(30):
-            store.put(f"busy/b{i:03d}", bytes(16 * 1024), stream="busy")
+            put(store, f"busy/b{i:03d}", bytes(16 * 1024), stream="busy")
         # idler wakes: from here on it should get ~half, not a burst
         # of 30 chunks to "catch up".
         first_after_wake = [
@@ -157,7 +164,7 @@ class TestFairShareConvergence:
         for _ in range(20):
             stream = store.arbiter.pick(["busy", "idler"])
             taken[stream] += 1
-            store.put(
+            put(store, 
                 f"{stream}/w{taken[stream]:03d}",
                 bytes(16 * 1024),
                 stream=stream,
@@ -171,35 +178,33 @@ class TestQuotaEnforcement:
         store = make_store(replication=2)
         store.arbiter.register("greedy", quota_bytes=100_000)
         store.arbiter.register("modest", quota_bytes=10 * MiB)
-        store.put("greedy/a", bytes(20_000), stream="greedy")  # 40k phys
+        put(store, "greedy/a", bytes(20_000), stream="greedy")  # 40k phys
         with pytest.raises(CapacityExceededError) as err:
-            store.put("greedy/b", bytes(40_000), stream="greedy")
+            put(store, "greedy/b", bytes(40_000), stream="greedy")
         assert "greedy" in str(err.value)
         # The failed PUT spent no link time and stored nothing.
         assert not store.exists("greedy/b")
         assert store.log.total_bytes("put", "greedy") == 40_000
         # Other streams are unaffected.
-        store.put("modest/a", bytes(40_000), stream="modest")
+        put(store, "modest/a", bytes(40_000), stream="modest")
         assert store.exists("modest/a")
 
-    def test_quota_charge_is_net_of_overwrites_and_deletes(self):
+    def test_quota_charge_is_net_of_deletes(self):
         store = make_store(replication=1)
         store.arbiter.register("job", quota_bytes=100_000)
-        store.put("job/a", bytes(60_000), stream="job")
+        put(store, "job/a", bytes(60_000), stream="job")
         with pytest.raises(CapacityExceededError):
-            store.put("job/b", bytes(60_000), stream="job")
-        store.delete("job/a", stream="job")
+            put(store, "job/b", bytes(60_000), stream="job")
+        store.delete_prefix("job/a", stream="job")
         assert store.arbiter.stream("job").charged_bytes == 0
-        store.put("job/b", bytes(60_000), stream="job")  # fits now
-        # Overwrite replaces, not accumulates.
-        store.put("job/b", bytes(80_000), overwrite=True, stream="job")
-        assert store.arbiter.stream("job").charged_bytes == 80_000
+        put(store, "job/b", bytes(60_000), stream="job")  # fits now
+        assert store.arbiter.stream("job").charged_bytes == 60_000
 
     def test_failed_put_does_not_charge(self):
         store = make_store(replication=1)
         store.arbiter.register("job", quota_bytes=50_000)
         with pytest.raises(CapacityExceededError):
-            store.put("job/huge", bytes(60_000), stream="job")
+            put(store, "job/huge", bytes(60_000), stream="job")
         assert store.arbiter.stream("job").charged_bytes == 0
         assert store.arbiter.stream("job").quota_rejections == 1
 
@@ -216,10 +221,10 @@ class TestQuotaEnforcement:
         store.arbiter.register("job", quota_bytes=50_000)
         crashing.arm(1)
         with pytest.raises(StorageError):
-            store.put("job/x", bytes(30_000), stream="job")
+            put(store, "job/x", bytes(30_000), stream="job")
         assert store.arbiter.stream("job").charged_bytes == 0
         # The full quota is still available afterwards.
-        store.put("job/y", bytes(45_000), stream="job")
+        put(store, "job/y", bytes(45_000), stream="job")
         assert store.arbiter.stream("job").charged_bytes == 45_000
 
 
