@@ -75,7 +75,9 @@ class RestoreReport:
     started_at_s: float
     finished_at_s: float
     #: Table-global rows contained in the *target* checkpoint, keyed by
-    #: table id — used to rebuild the modified-row trackers.
+    #: table id, when it is an increment — used to rebuild the
+    #: modified-row trackers. A full target holds every row and records
+    #: none.
     target_rows_by_table: dict[int, np.ndarray] = field(
         default_factory=dict
     )
@@ -218,8 +220,12 @@ class CheckpointRestorer:
         table_id: int,
         chunk,
         blob: bytes,
-    ) -> np.ndarray:
-        """Digest-verify and load one chunk payload; returns row ids."""
+    ) -> "slice | np.ndarray":
+        """Digest-verify and load one chunk payload.
+
+        Returns its table rows: a slice for a full chunk's contiguous
+        range, the int64 ids otherwise.
+        """
         actual = sha256_hex(blob)
         if actual != chunk.digest:
             raise CheckpointCorruptError(
@@ -238,20 +244,18 @@ class CheckpointRestorer:
                 "expected rows/weights/accumulator"
             )
         rows = decode_array(frames[0].payload).astype(np.int64)
+        count = rows.shape[0]
         if rows.size == 0 and int(meta.get("row_base", -1)) >= 0:
-            # Full-checkpoint chunk: contiguous range, ids
-            # reconstructed from (row_base, row_count).
-            rows = np.arange(
-                int(meta["row_base"]),
-                int(meta["row_base"]) + int(meta["row_count"]),
-                dtype=np.int64,
-            )
+            # Full-checkpoint chunk: the contiguous range
+            # (row_base, row_count), kept as a slice.
+            count = int(meta["row_count"])
+            rows = slice(int(meta["row_base"]), int(meta["row_base"]) + count)
         weights = self._decode_weights(frames[1].payload)
         accum = self._decode_accumulator(frames[2].payload)
-        if rows.shape[0] != chunk.row_count:
+        if count != chunk.row_count:
             raise CheckpointCorruptError(
                 f"chunk {chunk.key} declares {chunk.row_count} "
-                f"rows, payload holds {rows.shape[0]}"
+                f"rows, payload holds {count}"
             )
         # A digest only proves the bytes are the ones written: frames
         # that disagree with the row frame are refused (before any row
@@ -297,10 +301,12 @@ class CheckpointRestorer:
 
         ``on_chunk(manifest, shard_record, chunk, rows)`` fires after
         each chunk decodes — the serving publisher uses it to maintain
-        its row locator. Returns (bytes_read, chunks_read,
-        rows_restored, rows_by_table, last_completed_s,
-        hot_completed_s) where ``hot_completed_s`` is when the last
-        *hot* chunk landed (the manifest start time if none were hot).
+        its row locator; ``rows`` is a slice for a full chunk. Returns
+        (bytes_read, chunks_read, rows_restored, rows_by_table,
+        last_completed_s, hot_completed_s) where ``rows_by_table`` holds
+        an increment's row ids (nothing for a full link) and
+        ``hot_completed_s`` is when the last *hot* chunk landed (the
+        manifest start time if none were hot).
         """
         bytes_read = 0
         chunks_read = 0
@@ -322,11 +328,12 @@ class CheckpointRestorer:
             )
             if on_chunk is not None:
                 on_chunk(manifest, shard_record, chunk, rows)
-            rows_by_table.setdefault(
-                shard_record.table_id, []
-            ).append(rows)
+            if is_hot:
+                rows_by_table.setdefault(
+                    shard_record.table_id, []
+                ).append(rows)
             chunks_read += 1
-            rows_restored += int(rows.shape[0])
+            rows_restored += chunk.row_count
         return (
             bytes_read,
             chunks_read,

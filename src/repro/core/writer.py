@@ -134,11 +134,28 @@ class CheckpointWriter:
 
     # ------------------------------------------------------------------
 
-    def _select_rows(self, kind: str, mask: np.ndarray) -> np.ndarray:
+    def _chunk_rows(
+        self, kind: str, mask: np.ndarray, chunk_rows: int
+    ) -> "list[slice] | list[np.ndarray]":
+        """Shard-local rows of each chunk a ``kind`` checkpoint stores.
+
+        A full checkpoint's chunks are contiguous row ranges, kept as
+        slices: its tasks quantize views of the snapshot and its ids
+        are stored as ``(row_base, row_count)``. An incremental one's
+        are the marked rows' ids.
+        """
         if kind == KIND_FULL:
-            return np.arange(mask.shape[0], dtype=np.int64)
+            count = mask.shape[0]
+            return [
+                slice(start, min(start + chunk_rows, count))
+                for start in range(0, count, chunk_rows)
+            ]
         if kind == KIND_INCREMENTAL:
-            return np.flatnonzero(mask).astype(np.int64)
+            ids = np.flatnonzero(mask).astype(np.int64)
+            return [
+                ids[start : start + chunk_rows]
+                for start in range(0, ids.shape[0], chunk_rows)
+            ]
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
 
     def _staged_write(
@@ -236,21 +253,16 @@ class CheckpointWriter:
         # Chunk plan across *all* shards, so the quantization lookahead
         # pipelines over shard boundaries too (fleet-scale jobs often
         # hold exactly one chunk per shard).
-        plans: list[tuple[object, int, np.ndarray]] = []
+        plans: list[tuple[object, int, "slice | np.ndarray"]] = []
         chunk_records_by_shard: dict[int, list[ChunkRecord]] = {}
         for shard in snapshot.shards.values():
             chunk_records_by_shard[shard.shard_id] = []
-            selected = self._select_rows(kind, shard.mask)
-            for chunk_index, start in enumerate(
-                range(0, selected.shape[0], chunk_rows)
-            ):
-                plans.append(
-                    (
-                        shard,
-                        chunk_index,
-                        selected[start : start + chunk_rows],
-                    )
+            plans.extend(
+                (shard, chunk_index, rows)
+                for chunk_index, rows in enumerate(
+                    self._chunk_rows(kind, shard.mask, chunk_rows)
                 )
+            )
 
         # Lookahead pipeline: quantization tasks for the next few
         # chunks run on the pool while this thread encodes frames and
@@ -261,10 +273,6 @@ class CheckpointWriter:
 
         def task_args(index: int) -> tuple:
             task_shard, _, rows = plans[index]
-            if kind == KIND_FULL:
-                # A full chunk is a contiguous row range: hand the task
-                # views of the snapshot, not fancy-indexed copies.
-                rows = slice(int(rows[0]), int(rows[-1]) + 1)
             return (
                 quantizer,
                 task_shard.weight[rows],
@@ -296,10 +304,11 @@ class CheckpointWriter:
             measured_wait += time.perf_counter() - blocked
             measured_quantize += busy_s
 
-            table_rows = local_rows + shard.row_start
-            num_values = int(local_rows.shape[0]) * int(
-                shard.weight.shape[1]
-            )
+            if isinstance(local_rows, slice):
+                row_count = local_rows.stop - local_rows.start
+            else:
+                row_count = int(local_rows.shape[0])
+            num_values = row_count * int(shard.weight.shape[1])
             quant_sim = self.latency_model.for_quantizer(
                 quantizer.name,
                 num_values,
@@ -319,8 +328,9 @@ class CheckpointWriter:
                 rows_payload = encode_array(
                     np.zeros(0, dtype=np.int32)
                 )
-                row_base = int(table_rows[0]) if table_rows.size else 0
+                row_base = int(shard.row_start) + local_rows.start
             else:
+                table_rows = local_rows + shard.row_start
                 rows_payload = encode_array(
                     table_rows.astype(np.int32)
                     if table_rows.size == 0
@@ -334,7 +344,7 @@ class CheckpointWriter:
                     "shard_id": shard.shard_id,
                     "table_id": shard.table_id,
                     "chunk_index": chunk_index,
-                    "row_count": int(table_rows.shape[0]),
+                    "row_count": row_count,
                     "row_base": row_base,
                 },
                 [
@@ -354,14 +364,14 @@ class CheckpointWriter:
             chunk_records_by_shard[shard.shard_id].append(
                 ChunkRecord(
                     key=key,
-                    row_count=int(table_rows.shape[0]),
+                    row_count=row_count,
                     logical_bytes=receipt.logical_bytes,
                     digest=sha256_hex(blob),
                 )
             )
             logical_total += receipt.logical_bytes
             physical_total += receipt.physical_bytes
-            rows_total += int(table_rows.shape[0])
+            rows_total += row_count
             chunks_total += 1
             last_end = max(last_end, receipt.completed_s)
 

@@ -164,21 +164,26 @@ class DLRM:
     def load_table_rows(
         self,
         table_id: int,
-        rows: np.ndarray,
+        rows: "np.ndarray | slice",
         weights: np.ndarray,
         accumulator: np.ndarray | None = None,
     ) -> None:
-        """Overwrite specific rows of a table (restore path)."""
+        """Overwrite specific rows of a table (restore path): ids, or a
+        slice for a contiguous range."""
         table = self.embeddings[table_id]
-        if weights.shape != (rows.shape[0], table.dim):
+        if isinstance(rows, slice):
+            count = len(range(table.weight.shape[0])[rows])
+        else:
+            count = rows.shape[0]
+        if weights.shape != (count, table.dim):
             raise TrainingError(
                 f"restore shape mismatch for table {table_id}: "
-                f"{weights.shape} vs ({rows.shape[0]}, {table.dim})"
+                f"{weights.shape} vs ({count}, {table.dim})"
             )
-        if accumulator is not None and accumulator.shape != rows.shape:
+        if accumulator is not None and accumulator.shape != (count,):
             raise TrainingError(
                 f"restore accumulator mismatch for table {table_id}: "
-                f"{accumulator.shape} vs {rows.shape}"
+                f"{accumulator.shape} vs ({count},)"
             )
         table.weight[rows] = weights
         if accumulator is not None:

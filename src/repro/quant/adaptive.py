@@ -17,9 +17,9 @@ original range.
 
 The implementation vectorises the search across rows, one bounded block
 of them at a time (:class:`~repro.quant.uniform.RowTile`): every
-iteration quantizes and measures both candidates in one fused pass over
-the block, so run time grows linearly with ``num_bins * ratio`` exactly
-as the paper's Figs 12/13 show.
+iteration quantizes both candidates in one stacked pass over the block
+and measures them one after the other, so run time grows linearly with
+``num_bins * ratio`` exactly as the paper's Figs 12/13 show.
 """
 
 from __future__ import annotations
@@ -48,6 +48,33 @@ class GreedySearchResult:
     iterations: int
 
 
+def _select(
+    out: np.ndarray,
+    if_set: np.ndarray,
+    if_clear: np.ndarray,
+    mask: np.ndarray,
+    tmp: np.ndarray,
+) -> None:
+    """``out = where(mask, if_set, if_clear)``, branchless and bit-exact.
+
+    ``mask`` is all-ones or all-zeros per element, unsigned and as wide
+    as the float arrays, which are viewed as it: ``if_clear ^ ((if_set
+    ^ if_clear) & mask)``. ``out`` may be either input.
+    """
+    udt = mask.dtype
+    a, b = if_set.view(udt), if_clear.view(udt)
+    np.bitwise_xor(a, b, out=tmp)
+    np.bitwise_and(tmp, mask, out=tmp)
+    np.bitwise_xor(b, tmp, out=out.view(udt))
+
+
+def _masks(m64: np.ndarray, m32: np.ndarray) -> None:
+    """Turn ``m64``'s 0/1 flags into all-zeros/all-ones, and copy the
+    low half into ``m32`` for the fp32 selects."""
+    np.negative(m64, out=m64)
+    np.copyto(m32, m64, casting="unsafe")
+
+
 def greedy_range_search(
     tensor: np.ndarray,
     bits: int,
@@ -71,13 +98,10 @@ def greedy_range_search(
         raise QuantizationError(f"ratio must be in (0, 1], got {ratio}")
 
     x = np.ascontiguousarray(tensor, dtype=np.float32)
-    row_min = np.min(x, axis=1)
-    row_max = np.max(x, axis=1)
-    step = (row_max - row_min) / np.float32(num_bins)
-
-    best_min = row_min.copy()
-    best_max = row_max.copy()
-    best_err = np.empty(x.shape[0], dtype=np.float64)
+    rows_total = x.shape[0]
+    best_min = np.empty(rows_total, dtype=np.float32)
+    best_max = np.empty(rows_total, dtype=np.float32)
+    best_err = np.empty(rows_total, dtype=np.float64)
 
     iterations = int(num_bins * ratio)
     # Walking more than num_bins - 1 steps would collapse the range.
@@ -86,6 +110,14 @@ def greedy_range_search(
     tile = RowTile(x, bits, candidates=2)
     lo_pair = np.empty((2, 1, tile.block), dtype=np.float32)
     hi_pair = np.empty((2, 1, tile.block), dtype=np.float32)
+    step = np.empty(tile.block, dtype=np.float32)
+    # Selects run on unsigned views: an all-ones/all-zeros mask picks
+    # between two bit patterns exactly (NaN payloads and -0.0 included)
+    # at plain-ufunc speed, where np.putmask branches per element.
+    mask64 = np.empty(tile.block, dtype=np.uint64)
+    mask32 = np.empty(tile.block, dtype=np.uint32)
+    tmp64 = np.empty(tile.block, dtype=np.uint64)
+    tmp32 = np.empty(tile.block, dtype=np.uint32)
     for rows in tile.blocks():
         n = rows.stop - rows.start
         lo, hi = lo_pair[..., :n], hi_pair[..., :n]
@@ -93,28 +125,40 @@ def greedy_range_search(
         # current range is the two bounds they leave alone.
         lift_min, cur_min = lo[0, 0], lo[1, 0]
         cur_max, drop_max = hi[0, 0], hi[1, 0]
-        cur_min[:] = row_min[rows]
-        cur_max[:] = row_max[rows]
-        blk_step = step[rows]
+        for bound, reduce in ((cur_min, np.min), (cur_max, np.max)):
+            reduce(tile.x, axis=0, out=bound)
+            # Which zero an extreme held by both -0.0 and +0.0 comes out
+            # as depends on numpy's reduction loop, and the stored bound
+            # keeps its sign: such rows take the row-major reduction.
+            zero = np.flatnonzero(bound == 0)
+            if zero.size:
+                bound[zero] = reduce(x[rows.start + zero], axis=1)
+        blk_step = step[:n]
+        np.subtract(cur_max, cur_min, out=blk_step)
+        np.divide(blk_step, np.float32(num_bins), out=blk_step)
         blk_min, blk_max = best_min[rows], best_max[rows]
         blk_err = best_err[rows]
+        blk_min[:] = cur_min
+        blk_max[:] = cur_max
         blk_err[:] = tile.errors(lo[1:], hi[:1])[0]
+        m64, m32 = mask64[:n], mask32[:n]
+        t64, t32 = tmp64[:n], tmp32[:n]
 
         for _ in range(iterations):
             np.add(cur_min, blk_step, out=lift_min)
             np.subtract(cur_max, blk_step, out=drop_max)
             err_lift, err_drop = tile.errors(lo, hi)
 
-            take_min = err_lift <= err_drop
-            np.putmask(cur_min, take_min, lift_min)
-            np.putmask(cur_max, ~take_min, drop_max)
+            _masks(np.less_equal(err_lift, err_drop, out=m64), m32)
+            _select(cur_min, lift_min, cur_min, m32, t32)
+            _select(cur_max, cur_max, drop_max, m32, t32)
             cur_err = err_drop  # the tile's scratch, ours until it runs again
-            np.putmask(cur_err, take_min, err_lift)
+            _select(cur_err, err_lift, err_drop, m64, t64)
 
-            improved = cur_err < blk_err
-            np.putmask(blk_min, improved, cur_min)
-            np.putmask(blk_max, improved, cur_max)
-            np.putmask(blk_err, improved, cur_err)
+            _masks(np.less(cur_err, blk_err, out=m64), m32)
+            _select(blk_min, cur_min, blk_min, m32, t32)
+            _select(blk_max, cur_max, blk_max, m32, t32)
+            _select(blk_err, cur_err, blk_err, m64, t64)
 
     return GreedySearchResult(
         xmin=best_min, xmax=best_max, errors=best_err, iterations=iterations

@@ -29,11 +29,12 @@ from .packing import pack_rows, unpack_rows
 #: elements (~10 us a call) they spend more time handing the lock round
 #: than computing — four threads ran *slower* than one — while from
 #: 2**16 up the calls are long enough for two cores to overlap. The
-#: other is memory: the greedy search holds ~36 bytes of scratch per
-#: element (the fp32 block, its fp64 copy, and an fp32 work + fp64 error
-#: array for each of two candidates), so 2**17 bounds a call at ~4.5 MiB
-#: whatever the chunk size. A single thread is within 10% of its best
-#: anywhere from 2**14 to 2**20.
+#: other is memory: the greedy search holds 20 bytes of scratch per
+#: element (the fp32 block, an fp32 code array for each of its two
+#: candidates and one fp64 error array they take turns in) plus ~100
+#: bytes of per-row vectors, so 2**17 bounds a call at ~4 MiB at dim 8
+#: and ~3.3 MiB at dim 16 whatever the chunk size. A single thread is
+#: within 10% of its best anywhere from 2**14 to 2**20.
 _TILE_ELEMS = 1 << 17
 
 #: Floor on rows per block. The search's contiguous axis is the row
@@ -54,17 +55,33 @@ def _row_slices(rows: int, block: int):
         yield slice(start, min(start + block, rows))
 
 
+#: The smallest normal fp32 grid step. A step below it is subnormal and
+#: rounds with an absolute, not a relative, error: ``(x - lo) / step``
+#: can then land a whole code above ``levels`` (``[0, k * 2**-149,
+#: 0.37 * k * 2**-149]`` codes to ``[0, 4, 1]`` at 2 bits).
+_TINY = np.finfo(np.float32).tiny
+_HUGE = np.finfo(np.float32).max
+
+
 def _grid_scale(
     lo: np.ndarray, hi: np.ndarray, levels: int, out: np.ndarray
-) -> None:
+) -> bool:
     """``out = (hi - lo) / levels``, the fp32 grid step of each range.
 
     Ranges that are not positive (constant rows) get a stand-in span of
-    1 instead of a divide-by-zero; their codes become 0.
+    1 instead of a divide-by-zero; their codes become 0. Returns whether
+    every range is positive with a finite, normal step: only then are
+    codes known to land in ``[0, levels]`` unclamped.
     """
     np.subtract(hi, lo, out=out)
-    np.putmask(out, ~(out > 0), 1)
+    if not out.size:
+        return True
+    # min() propagates NaN, and NaN > 0 is False.
+    positive = out.min() > 0
+    if not positive:
+        np.putmask(out, ~(out > 0), 1)
     np.divide(out, levels, out=out)
+    return positive and out.min() >= _TINY and out.max() <= _HUGE
 
 
 def _grid_codes(
@@ -81,17 +98,26 @@ def _grid_codes(
     promote to); ``lo``/``hi``/``scale`` broadcast against ``x``, along
     whichever axis the caller laid the rows on. ``scale`` is filled in
     on the way. The codes come out as integral floats.
+
+    The two clamping passes run only for a call where some range can
+    push a code out of bounds. When every ``lo < hi`` and every step is
+    finite and normal, ``0 <= clip(x) - lo <= hi - lo`` (rounding is
+    monotone) and the step is within a relative 2**-24 of ``(hi - lo) /
+    levels``, so the quotient stays below ``levels + 0.5`` and rounds
+    into range. The lower clip is ``fmax`` so a NaN element takes ``lo``
+    and codes to 0 either way.
     """
-    _grid_scale(lo, hi, levels, scale)
-    np.maximum(x, lo, out=out)
+    clamp_free = _grid_scale(lo, hi, levels, scale)
+    np.fmax(x, lo, out=out)
     np.minimum(out, hi, out=out)
     np.subtract(out, lo, out=out)
     np.divide(out, scale, out=out)
     np.rint(out, out=out)
-    # fmax, not clip: a range too small or too large for fp32 grids 0/0
-    # or inf/inf to NaN, which the uint8 code format stores as 0.
-    np.fmax(out, 0, out=out)
-    np.minimum(out, levels, out=out)
+    if not clamp_free:
+        # fmax, not clip: a range too small or too large for fp32 grids
+        # 0/0 or inf/inf to NaN, which the uint8 code format stores as 0.
+        np.fmax(out, 0, out=out)
+        np.minimum(out, levels, out=out)
 
 
 def _sum_rows(sq: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> None:
@@ -140,10 +166,12 @@ class RowTile:
     The matrix is walked :func:`block_rows` rows at a time and each
     block is held column-major, ``(dim, n)``: per-row ``lo``/``hi``/
     ``scale`` then broadcast along the long contiguous axis instead of
-    across an 8-to-16-wide one, every step runs in place, the block's
-    fp64 copy is made once rather than per candidate, and several
-    candidate ranges per row are measured in one pass by stacking them
-    on a leading axis — bounds are ``(candidates, 1, n)`` arrays.
+    across an 8-to-16-wide one, and every step runs in place. Several
+    candidate ranges per row are gridded in one pass by stacking them on
+    a leading axis — bounds are ``(candidates, 1, n)`` arrays — then
+    measured one at a time through a single fp64 ``(dim, n)`` error
+    array, which is where each reconstruction widens: no fp64 copy of
+    the block is kept.
 
     All state lives on the instance, which a kernel creates per call:
     quantizer objects are shared by the engine's pool workers and must
@@ -156,31 +184,22 @@ class RowTile:
         self._source = x
         self._levels = (1 << bits) - 1
         self.block = block = min(block_rows(dim), max(rows, 1))
-        tile = (candidates, dim, block)
         self._x = np.empty((dim, block), dtype)
-        self._x64 = (
-            self._x
-            if dtype == np.float64
-            else np.empty((dim, block), np.float64)
-        )
-        self._codes = np.empty(tile, dtype)
-        self._recon = (
-            self._codes if dtype == np.float32 else np.empty(tile, np.float32)
-        )
+        self._codes = np.empty((candidates, dim, block), dtype)
         self._scale = np.empty((candidates, 1, block), np.float32)
-        self._diff = np.empty(tile, np.float64)
-        self._pairs = np.empty((candidates, 4, block), np.float64)
+        self._diff = np.empty((dim, block), np.float64)
+        self._pairs = np.empty((4, block), np.float64)
         self._err = np.empty((candidates, block), np.float64)
+        self.x = self._x[:, :0]
 
     def blocks(self):
-        """Load the matrix one block at a time; yields each row slice."""
+        """Load the matrix one block at a time; yields each row slice.
+
+        :attr:`x` is the loaded block, ``(dim, n)``, until the next one.
+        """
         for rows in _row_slices(self._source.shape[0], self.block):
-            n = rows.stop - rows.start
-            np.copyto(self._x[:, :n], self._source[rows].T)
-            if self._x64 is not self._x:
-                np.copyto(
-                    self._x64[:, :n], self._x[:, :n], casting="same_kind"
-                )
+            self.x = self._x[:, : rows.stop - rows.start]
+            np.copyto(self.x, self._source[rows].T)
             yield rows
 
     def errors(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -191,21 +210,26 @@ class RowTile:
         until the next call.
         """
         k, _, n = lo.shape
+        x = self.x
         codes = self._codes[:k, :, :n]
         scale = self._scale[:k, :, :n]
-        _grid_codes(self._x[:, :n], lo, hi, self._levels, scale, codes)
+        _grid_codes(x, lo, hi, self._levels, scale, codes)
         # The codes are integral, NaN-free and at most 255, so the uint8
         # round trip the stored format makes is the identity: skip it.
-        recon = self._recon[:k, :, :n]
-        if self._recon is not self._codes:
-            np.copyto(recon, codes, casting="same_kind")
-        np.multiply(recon, scale, out=recon)
-        np.add(recon, lo, out=recon)
-        diff = self._diff[:k, :, :n]
-        np.subtract(self._x64[:, :n], recon, out=diff)
-        np.multiply(diff, diff, out=diff)
+        # The reconstruction is fp32 whatever ``x`` is.
+        np.multiply(codes, scale, out=codes, dtype=np.float32)
+        np.add(codes, lo, out=codes, dtype=np.float32)
+        diff = self._diff[:, :n]
         err = self._err[:k, :n]
-        _sum_rows(diff, self._pairs[:k, :, :n], err)
+        for c in range(k):
+            # Widen, then subtract: one ufunc casting both fp32 inputs
+            # ran ~1.4x slower than this copy plus a subtraction that
+            # casts only ``x``. (recon - x)**2 == (x - recon)**2 bit for
+            # bit: rounding to nearest is sign-symmetric.
+            np.copyto(diff, codes[c])
+            np.subtract(diff, x, out=diff)
+            np.multiply(diff, diff, out=diff)
+            _sum_rows(diff, self._pairs[:, :n], err[c])
         np.sqrt(err, out=err)
         return err
 

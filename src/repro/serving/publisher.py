@@ -64,7 +64,10 @@ class ServingPublisher(OnlinePublisher):
         table_id = shard_record.table_id
         ref = RowRef(key=chunk.key, digest=chunk.digest, table_id=table_id)
         table = self._locator.setdefault(table_id, {})
-        row_list = np.asarray(rows).astype(np.int64)
+        if isinstance(rows, slice):  # a full chunk's contiguous range
+            row_list = np.arange(rows.start, rows.stop, dtype=np.int64)
+        else:
+            row_list = rows
         for row in row_list.tolist():
             table[int(row)] = ref
         self._pending_rows.setdefault(table_id, []).append(row_list)

@@ -309,6 +309,117 @@ def test_one_long_row_identical():
 
 
 # ----------------------------------------------------------------------
+# Edges of the clamp-free grid and of the row bounds
+# ----------------------------------------------------------------------
+
+_SUBNORMAL = np.float32(2.0**-149)
+
+
+def subnormal_step_rows() -> np.ndarray:
+    """Rows ``[0, k * 2**-149, 0.37 * k * 2**-149]`` for ``k < 200``,
+    plus spans on either side of ``levels`` smallest normals: each grid
+    step is subnormal or just normal, so a kernel that leaves a merely
+    positive step unclamped codes a whole level too high."""
+    k = np.arange(1, 200, dtype=np.float32)
+    tiny = np.finfo(np.float32).tiny
+    span = np.float32(255 * tiny) * np.linspace(0.25, 4, 40, dtype=np.float32)
+    hi = np.concatenate([k * _SUBNORMAL, span])
+    return np.stack([np.zeros_like(hi), hi, np.float32(0.37) * hi], axis=1)
+
+
+def signed_zero_rows(dim: int) -> np.ndarray:
+    """Rows whose min or max is a zero held by both -0.0 and +0.0, at
+    every arrangement numpy's row and column reductions may resolve
+    differently."""
+    rng = np.random.default_rng(dim)
+    zeros = np.array([-0.0, 0.0], dtype=np.float32)
+    x = zeros[rng.integers(0, 2, size=(96, dim))]
+    # Half the rows get a positive or a negative element, so the zero
+    # is the max in some rows and the min in others.
+    x[:32, 0] = np.float32(0.5)
+    x[32:64, -1] = np.float32(-0.5)
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bits", BITS)
+def test_subnormal_grid_steps_identical(bits, dtype):
+    """Row by row as well as whole: one row whose step underflows to 0
+    keeps the clamps on for its entire block."""
+    x = subnormal_step_rows().astype(dtype)
+    for part in [slice(None)] + [slice(i, i + 1) for i in range(len(x))]:
+        rows = x[part]
+        xmin, xmax = rows.min(axis=1), rows.max(axis=1)
+        assert_identical(
+            uniform_quantize_rows(rows, xmin, xmax, bits),
+            ref.uniform_quantize_rows(rows, xmin, xmax, bits),
+        )
+        assert_identical(
+            quantization_l2_per_row(rows, xmin, xmax, bits),
+            ref.quantization_l2_per_row(rows, xmin, xmax, bits),
+        )
+        assert_same_search(
+            greedy_range_search(rows, bits, 4, 1.0),
+            ref.greedy_range_search(rows, bits, 4, 1.0),
+        )
+    if dtype == np.float32:
+        check_quantizers(x, bits)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ranges_that_are_not_positive_identical(dtype):
+    """Candidates with ``lo == hi`` (either zero sign), ``lo > hi`` and a
+    span that overflows fp32 keep both clamping passes."""
+    rng = np.random.default_rng(11)
+    x = outlier_matrix(rng, 60, 8).astype(dtype)
+    lo = np.float32(rng.normal(size=60))
+    hi = lo.copy()
+    hi[10:20] -= np.float32(0.5)  # crossing
+    lo[20:25], hi[20:25] = np.float32(0.0), np.float32(-0.0)
+    lo[25:30], hi[25:30] = np.float32(-0.0), np.float32(0.0)
+    lo[30:40], hi[30:40] = np.float32(-3e38), np.float32(3e38)
+    hi[40:] += np.float32(1.0)  # well-formed, in the same call
+    for bits in BITS:
+        with small_tiles():
+            codes = uniform_quantize_rows(x, lo, hi, bits)
+            errors = quantization_l2_per_row(x, lo, hi, bits)
+        assert_identical(codes, ref.uniform_quantize_rows(x, lo, hi, bits))
+        assert_identical(
+            errors, ref.quantization_l2_per_row(x, lo, hi, bits)
+        )
+
+
+@pytest.mark.parametrize("dim", (1, 2, 8, 16, 17, 18, 19, 33, 64))
+def test_signed_zero_extremes_identical(dim):
+    x = signed_zero_rows(dim)
+    for bits in (2, 4, 8):
+        assert_same_search(
+            greedy_range_search(x, bits, 25, 1.0),
+            ref.greedy_range_search(x, bits, 25, 1.0),
+        )
+    check_quantizers(x, 4)
+
+
+@pytest.mark.parametrize("dim", (1, 8, 16, 64))
+def test_tile_scratch_is_bounded(dim):
+    """The search's tile holds the fp32 block, an fp32 code array per
+    candidate and one fp64 error array they take turns in: 20 bytes per
+    loaded element, plus per-row vectors (steps, sum lanes, errors). An
+    fp64 copy of the block, or an error array per candidate, exceeds
+    it."""
+    x = np.zeros((3 * block_rows(dim), dim), dtype=np.float32)
+    tile = uniform.RowTile(x, 4, candidates=2)
+    held = [
+        value
+        for value in vars(tile).values()
+        if isinstance(value, np.ndarray) and value.base is None
+        and value is not x
+    ]
+    scratch = sum(array.nbytes for array in held)
+    assert scratch <= (20 * dim + 56) * tile.block
+
+
+# ----------------------------------------------------------------------
 # Packing
 # ----------------------------------------------------------------------
 

@@ -16,8 +16,11 @@ call reaches must be passed by at least one such call (by keyword, by
 position, or through a ``*``/``**`` splat), or be listed in
 ``ALLOWED_PARAMETERS`` with the reason. Calls are matched by name, a
 constructor through its class, its inheriting subclasses and their
-``super().__init__``. A parameter no caller passes selects one value
-forever: it goes, with the code only its other values reach.
+``super().__init__``; a method called on a dict, set or list display,
+a comprehension, or a name or ``self`` attribute bound only to one of
+these is a builtin's and matches nothing. A parameter no caller passes
+selects one value forever: it goes, with the code only its other
+values reach.
 """
 
 from __future__ import annotations
@@ -142,14 +145,102 @@ ALLOWED_PARAMETERS = {
 }
 
 
-def _call_name(call: ast.Call, cls: str | None) -> str | None:
+#: Receivers whose methods are builtins': ``{}.get(key, default)`` and
+#: ``seen.add(x)`` pass nothing to a package def of the same name.
+_CONTAINERS = (
+    ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp,
+)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _container_names(scope: ast.AST) -> tuple[set[str], set[str]]:
+    """(names every binding in ``scope`` sets to a dict, set or list
+    display or comprehension, every name ``scope`` binds). Nested defs
+    are their own scopes."""
+    containers: set[str] = set()
+    from_displays: set[int] = set()
+    bound: set[str] = set()
+    stack = list(ast.iter_child_nodes(scope))
+    nodes = []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+            node.value, _CONTAINERS
+        ):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    containers.add(target.id)
+                    from_displays.add(id(target))
+    others = set()
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, _SCOPES[:3]):
+            name = node.name
+        else:
+            continue
+        bound.add(name)
+        if id(node) not in from_displays:
+            others.add(name)
+    return containers - others, bound
+
+
+def _container_attributes(cls: ast.ClassDef) -> set[str]:
+    """``self.X`` for every attribute the class only ever sets to a
+    dict, set or list display or comprehension."""
+    containers, others = set(), set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            name = _receiver(target)
+            if name is not None and name.startswith("self."):
+                kind = isinstance(node.value, _CONTAINERS)
+                (containers if kind else others).add(name)
+    return containers - others
+
+
+def _receiver(node: ast.AST) -> str | None:
+    """A call receiver's name: ``x`` or ``self.x``; None otherwise."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return f"self.{node.attr}"
+    return None
+
+
+def _call_name(
+    call: ast.Call, cls: str | None, containers: set[str] = frozenset()
+) -> str | None:
     """The name a call is matched by; ``cls(...)`` and ``super().__init__``
-    resolve to the enclosing class."""
+    resolve to the enclosing class, and a method of a builtin container
+    (a display, a comprehension, or a receiver in ``containers``) to
+    none."""
     func = call.func
     if isinstance(func, ast.Name):
         return cls if func.id == "cls" and cls else func.id
     if isinstance(func, ast.Attribute):
         inner = func.value
+        if isinstance(inner, _CONTAINERS) or _receiver(inner) in containers:
+            return None
         if (
             func.attr == "__init__"
             and isinstance(inner, ast.Call)
@@ -161,12 +252,16 @@ def _call_name(call: ast.Call, cls: str | None) -> str | None:
     return None
 
 
-def _visit_calls(node, module, cls, owner, found) -> None:
+def _visit_calls(node, module, cls, owner, found, containers) -> None:
     """Collect ``(call name, call, owner)``; ``owner`` is the qualified
-    name of the package def whose body holds the call, if any."""
+    name of the package def whose body holds the call, if any, and
+    ``containers`` the names visible here bound only to containers."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
-            _visit_calls(child, module, child.name, None, found)
+            _visit_calls(
+                child, module, child.name, None, found,
+                containers | _container_attributes(child),
+            )
             continue
         if isinstance(child, ast.FunctionDef):
             top = module is not None and (
@@ -174,57 +269,69 @@ def _visit_calls(node, module, cls, owner, found) -> None:
                 or isinstance(node, ast.ClassDef) and owner is None
             )
             qualname = f"{cls}.{child.name}" if cls else child.name
+            local, bound = _container_names(child)
             _visit_calls(
                 child, module, cls,
                 f"{module}::{qualname}" if top else None, found,
+                local | (containers - bound),
             )
             continue
         if isinstance(child, ast.Call):
-            name = _call_name(child, cls)
+            name = _call_name(child, cls, containers)
             if name is not None:
                 found.append((name, child, owner))
             if name == "benchmark" and child.args:
                 # pytest-benchmark's ``benchmark(f, *args, **kwargs)``
                 # calls ``f`` with the rest.
                 inner = ast.Call(child.args[0], child.args[1:], child.keywords)
-                inner_name = _call_name(inner, cls)
+                inner_name = _call_name(inner, cls, containers)
                 if inner_name is not None:
                     found.append((inner_name, inner, owner))
-        _visit_calls(child, module, cls, owner, found)
+        _visit_calls(child, module, cls, owner, found, containers)
+
+
+def _parameter_sites(trees) -> tuple[dict[str, list], list, dict[str, list[str]]]:
+    """(call name -> calls, package defs, class -> base names) of
+    ``(module, tree)`` pairs; ``module`` is None outside the package."""
+    calls: dict[str, list] = defaultdict(list)
+    defs = []
+    bases: dict[str, list[str]] = {}
+    for module, tree in trees:
+        found: list = []
+        _visit_calls(
+            tree, module, None, None, found, _container_names(tree)[0]
+        )
+        for name, call, owner in found:
+            calls[name].append((call, owner))
+        if module is None:
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                bases[stmt.name] = [
+                    b.id for b in stmt.bases if isinstance(b, ast.Name)
+                ]
+                defs.extend(
+                    (module, stmt.name, item)
+                    for item in stmt.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+            elif isinstance(stmt, ast.FunctionDef):
+                defs.append((module, None, stmt))
+    return calls, defs, bases
 
 
 @cache
 def _parameter_walk() -> tuple[dict[str, list], list, dict[str, list[str]]]:
-    """(call name -> non-test calls, package defs, class -> base names)."""
-    calls: dict[str, list] = defaultdict(list)
-    defs = []
-    bases: dict[str, list[str]] = {}
-    for base in ("src", "benchmarks", "examples"):
-        for path in sorted((ROOT / base).rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            module = (
-                str(path.relative_to(PACKAGE))
-                if path.is_relative_to(PACKAGE) else None
-            )
-            found: list = []
-            _visit_calls(tree, module, None, None, found)
-            for name, call, owner in found:
-                calls[name].append((call, owner))
-            if module is None:
-                continue
-            for stmt in tree.body:
-                if isinstance(stmt, ast.ClassDef):
-                    bases[stmt.name] = [
-                        b.id for b in stmt.bases if isinstance(b, ast.Name)
-                    ]
-                    defs.extend(
-                        (module, stmt.name, item)
-                        for item in stmt.body
-                        if isinstance(item, ast.FunctionDef)
-                    )
-                elif isinstance(stmt, ast.FunctionDef):
-                    defs.append((module, None, stmt))
-    return calls, defs, bases
+    """:func:`_parameter_sites` of every non-test source file."""
+    return _parameter_sites(
+        (
+            str(path.relative_to(PACKAGE))
+            if path.is_relative_to(PACKAGE) else None,
+            ast.parse(path.read_text()),
+        )
+        for base in ("src", "benchmarks", "examples")
+        for path in sorted((ROOT / base).rglob("*.py"))
+    )
 
 
 def _call_names(cls: str | None, func: ast.FunctionDef, bases) -> set[str]:
@@ -279,14 +386,12 @@ def _defaulted(cls: str | None, func: ast.FunctionDef):
     ]
 
 
-@cache
-def unpassed() -> list[str]:
-    """Defaulted parameters of called package defs no non-test call sets.
+def _unpassed(calls, defs, bases) -> list[str]:
+    """Defaulted parameters of called package defs no call sets.
 
     A call that hands on its own def's defaulted parameter unchanged
     (``hot_rows=hot_rows``) passes it only if that parameter is passed.
     """
-    calls, defs, bases = _parameter_walk()
     sites = {}
     for module, cls, func in defs:
         reach = [
@@ -321,6 +426,12 @@ def unpassed() -> list[str]:
     return sorted(set(sites) - passed)
 
 
+@cache
+def unpassed() -> list[str]:
+    """Defaulted parameters of called package defs no non-test call sets."""
+    return _unpassed(*_parameter_walk())
+
+
 def _allowed(entry: str) -> bool:
     module = entry.split("::")[0]
     return entry in ALLOWED_PARAMETERS or any(
@@ -349,3 +460,53 @@ def test_parameter_allowlist_holds_only_unpassed_parameters(key):
         entry == key or entry.split("::")[0].startswith(key)
         for entry in unpassed()
     )
+
+
+_SEEDED = '''
+class Store:
+    def get(self, key, earliest=None, stream=""):
+        pass
+
+    def pop(self, key, default=None):
+        pass
+
+
+TABLE = {"a": 1}
+
+
+class Holder:
+    def __init__(self):
+        self.seen = {}
+
+    def look(self):
+        self.seen.get("k", 4)
+
+
+def use(store, rows):
+    cache = {}
+    listed: list = [row for row in rows]
+    store.get("k")
+    store.pop("k", None)
+    cache.get("k", 1)
+    {}.get("k", 2)
+    {row: row for row in rows}.get("k", 3)
+    listed.pop(0)
+    TABLE.get("k", stream="")
+'''
+
+
+def test_builtin_container_calls_pass_nothing():
+    """``dict.get(key, default)`` is no call of a package ``get``: a
+    parameter only such calls set is flagged. The seed holds every
+    receiver the walk recognises — displays, comprehensions, and local
+    names, module names and ``self`` attributes bound only to them —
+    next to a real call that passes ``pop``'s default."""
+    walk = _parameter_sites([("seed.py", ast.parse(_SEEDED))])
+    assert _unpassed(*walk) == [
+        "seed.py::Store.get.earliest",
+        "seed.py::Store.get.stream",
+    ]
+    # A name also bound to something else may be the store: it counts.
+    rebound = _SEEDED + "    cache = store\n"
+    walk = _parameter_sites([("seed.py", ast.parse(rebound))])
+    assert _unpassed(*walk) == ["seed.py::Store.get.stream"]
