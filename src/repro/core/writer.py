@@ -4,13 +4,15 @@ Working from an in-memory snapshot, the writer:
 
 1. selects rows per shard (all rows for a full checkpoint, the
    tracker-masked rows for an incremental one);
-2. quantizes chunk by chunk — the head chunk on its own thread (it
-   would block on it at once), the chunks after it ahead of time on
-   the transfer engine's *worker pool* (real numpy work on background
-   threads, so the measured wall time overlaps the writer's own
-   encode/submit work the same way the calibrated simulated
-   quantization lane overlaps the storage timeline) — plus a simulated
-   latency at paper scale;
+2. quantizes a tile of rows at a time — consecutive chunks that fit
+   one quantizer tile share one kernel call, a larger chunk has its
+   own — the head group on its own thread (it would block on it at
+   once), the groups after it ahead of time on the transfer engine's
+   *worker pool* (real numpy work on background threads, so the
+   measured wall time overlaps the writer's own encode/submit work the
+   same way the calibrated simulated quantization lane overlaps the
+   storage timeline) — plus a simulated latency per chunk at paper
+   scale;
 3. stores each chunk as soon as it is quantized — the storage transfer
    of chunk *k* overlaps the quantization of chunk *k + 1*, which is
    why the paper calls the effective quantization latency "virtually
@@ -36,7 +38,7 @@ from ..distributed.clock import SimClock, Timeline
 from ..errors import CheckpointError
 from ..metrics.latency import LatencyModel
 from ..quant.base import Quantizer
-from ..quant.uniform import AsymmetricQuantizer
+from ..quant.uniform import AsymmetricQuantizer, block_rows
 from ..serialize.codec import encode_array, encode_payload
 from ..serialize.format import encode_frames, encode_named_frame
 from ..storage.engine import TransferStep, split_parts
@@ -54,10 +56,11 @@ from .manifest import (
 )
 from .snapshot import ModelSnapshot
 
-#: How many chunks ahead of the current store submission the writer
-#: keeps quantization tasks in flight on the worker pool. 2 keeps the
-#: pool busy across the caller's encode/submit work without holding
-#: more than a few chunk payloads in memory.
+#: How many chunk groups (see :func:`_quantize_groups`) ahead of the
+#: current store submission the writer keeps quantization tasks in
+#: flight on the worker pool. 2 keeps the pool busy across the caller's
+#: encode/submit work without holding more than a few groups' payloads
+#: in memory.
 QUANT_LOOKAHEAD = 2
 
 
@@ -77,7 +80,7 @@ class WriteReport:
     valid_at_s: float
     #: Real seconds the writer *blocked* on quantization: waiting on
     #: worker-pool tasks (0 when every task finished behind other
-    #: work) plus the whole of the head chunk, which it quantizes
+    #: work) plus the whole of the head group, which it quantizes
     #: itself. ``measured_quantize_s - measured_wait_s`` is the
     #: measured wall-time overlap the pool bought.
     measured_wait_s: float = 0.0
@@ -95,32 +98,73 @@ class WriteReport:
         return max(0.0, self.measured_quantize_s - self.measured_wait_s)
 
 
-def _encode_chunk_payloads(
+def _encode_group_payloads(
     quantizer: Quantizer,
-    weights: np.ndarray,
-    accumulator: np.ndarray,
+    weights: list[np.ndarray],
+    accumulators: list[np.ndarray],
     bits: int,
-) -> tuple[bytes, bytes, float]:
-    """Worker-pool task: quantize one chunk's weights + accumulator.
+) -> tuple[list[tuple[bytes, bytes]], float]:
+    """Worker-pool task: quantize a group of chunks' weights and
+    accumulators.
 
-    The accumulator is one scalar per row; quantizing it as a single
-    long vector keeps the parameter overhead to one (xmin, xmax) pair
-    instead of one pair per row. Under the ``none`` quantizer it stays
-    fp32: the fp32 baseline would otherwise lose the bit-exact restore
-    it exists to provide. Returns the two encoded payloads plus the
-    task's real busy seconds.
+    The group's weights go through one :meth:`Quantizer.quantize_many`
+    call, which stores every chunk exactly as quantizing it alone
+    would. Each accumulator is one scalar per row; quantizing it as a
+    single long vector keeps the parameter overhead to one (xmin,
+    xmax) pair per chunk instead of one pair per row. Under the
+    ``none`` quantizer it stays fp32: the fp32 baseline would otherwise
+    lose the bit-exact restore it exists to provide. Returns each
+    chunk's two encoded payloads plus the task's real busy seconds.
     """
     start = time.perf_counter()
-    weights_payload = encode_payload(quantizer.quantize(weights))
-    if quantizer.name == "none" or accumulator.size == 0:
-        accum_payload = encode_array(accumulator.astype(np.float32))
-    else:
-        accum_payload = encode_payload(
-            AsymmetricQuantizer(max(bits, 8)).quantize(
-                accumulator.reshape(1, -1).astype(np.float32)
+    accum_quantizer = AsymmetricQuantizer(max(bits, 8))
+    payloads = []
+    for quantized, accumulator in zip(
+        quantizer.quantize_many(weights), accumulators
+    ):
+        if quantizer.name == "none" or accumulator.size == 0:
+            accum_payload = encode_array(accumulator.astype(np.float32))
+        else:
+            accum_payload = encode_payload(
+                accum_quantizer.quantize(
+                    accumulator.reshape(1, -1).astype(np.float32)
+                )
             )
-        )
-    return weights_payload, accum_payload, time.perf_counter() - start
+        payloads.append((encode_payload(quantized), accum_payload))
+    return payloads, time.perf_counter() - start
+
+
+def _row_count(rows: "slice | np.ndarray") -> int:
+    """Rows in a chunk's shard-local row selection."""
+    if isinstance(rows, slice):
+        return rows.stop - rows.start
+    return int(rows.shape[0])
+
+
+def _quantize_groups(
+    plans: "list[tuple[object, int, slice | np.ndarray]]",
+) -> list[list[int]]:
+    """Consecutive chunk plans whose rows fit one quantizer tile, by
+    plan index: the writer's unit of quantize work.
+
+    The tile is :func:`~repro.quant.uniform.block_rows` of the model's
+    embedding width (every table has the same one), the block the
+    search kernel walks anyway, so a group costs one kernel call where
+    its chunks would cost one each, and copies at most one tile. A
+    chunk larger than a tile is a group of its own and is quantized as
+    the view it is.
+    """
+    groups: list[list[int]] = []
+    room = 0
+    for index, (shard, _, rows) in enumerate(plans):
+        count = _row_count(rows)
+        if groups and count <= room:
+            groups[-1].append(index)
+            room -= count
+        else:
+            groups.append([index])
+            room = block_rows(shard.weight.shape[1]) - count
+    return groups
 
 
 class CheckpointWriter:
@@ -222,12 +266,13 @@ class CheckpointWriter:
     ) -> Generator[TransferStep, None, tuple[CheckpointManifest, WriteReport]]:
         """Staged checkpoint write: yields before every PUT request.
 
-        Quantization of the chunks after the head runs on the transfer
-        engine's worker pool with a :data:`QUANT_LOOKAHEAD`-deep
-        pipeline, so the measured wall time of chunk *k + 1*'s
-        quantization overlaps chunk *k*'s encoding and submission; the
-        simulated quantization lane models the same overlap in
-        simulated time. Each PUT is announced
+        Chunks are quantized in tile-sized groups (one task each), and
+        the groups after the head run on the transfer engine's worker
+        pool with a :data:`QUANT_LOOKAHEAD`-deep pipeline, so the
+        measured wall time of group *k + 1*'s quantization overlaps
+        group *k*'s encoding and submission; the simulated quantization
+        lane models the same overlap in simulated time, chunk by chunk.
+        Each PUT is announced
         before it is submitted — against a multipart backend, once per
         *part* — so a fleet scheduler can interleave submissions from
         many jobs on the shared link in ``ready_s`` order. Abandoning
@@ -265,49 +310,53 @@ class CheckpointWriter:
             )
 
         # Lookahead pipeline: quantization tasks for the next few
-        # chunks run on the pool while this thread encodes frames and
-        # submits parts for the current one. A chunk nothing submitted
-        # ahead of time (the head chunk) would be blocked on at once,
-        # so it runs right here instead of hopping threads.
+        # groups of chunks run on the pool while this thread encodes
+        # frames and submits parts for the current one. A group nothing
+        # submitted ahead of time (the head group) would be blocked on
+        # at once, so it runs right here instead of hopping threads.
         engine = self.store.engine
+        groups = _quantize_groups(plans)
 
-        def task_args(index: int) -> tuple:
-            task_shard, _, rows = plans[index]
-            return (
-                quantizer,
-                task_shard.weight[rows],
-                task_shard.accumulator[rows],
-                quantizer.bits,
-            )
+        def task_args(group: list[int]) -> tuple:
+            weights, accumulators = [], []
+            for index in group:
+                task_shard, _, rows = plans[index]
+                weights.append(task_shard.weight[rows])
+                accumulators.append(task_shard.accumulator[rows])
+            return quantizer, weights, accumulators, quantizer.bits
 
-        tasks: list[object | None] = [None] * len(plans)
-        for plan_index, (shard, chunk_index, local_rows) in enumerate(
-            plans
-        ):
-            for ahead in range(
-                plan_index + 1,
-                min(plan_index + 1 + QUANT_LOOKAHEAD, len(plans)),
-            ):
-                if tasks[ahead] is None:
-                    tasks[ahead] = engine.submit_task(
-                        _encode_chunk_payloads, *task_args(ahead)
+        def encoded_chunks():
+            nonlocal measured_wait, measured_quantize
+            tasks: list[object | None] = [None] * len(groups)
+            for group_index, group in enumerate(groups):
+                for ahead in range(
+                    group_index + 1,
+                    min(group_index + 1 + QUANT_LOOKAHEAD, len(groups)),
+                ):
+                    if tasks[ahead] is None:
+                        tasks[ahead] = engine.submit_task(
+                            _encode_group_payloads,
+                            *task_args(groups[ahead]),
+                        )
+                task = tasks[group_index]
+                tasks[group_index] = None
+                blocked = time.perf_counter()
+                if task is None:
+                    payloads, busy_s = engine.run_task(
+                        _encode_group_payloads, *task_args(group)
                     )
-            task = tasks[plan_index]
-            tasks[plan_index] = None
-            blocked = time.perf_counter()
-            if task is None:
-                weights_payload, accum_payload, busy_s = engine.run_task(
-                    _encode_chunk_payloads, *task_args(plan_index)
-                )
-            else:
-                weights_payload, accum_payload, busy_s = task.result()
-            measured_wait += time.perf_counter() - blocked
-            measured_quantize += busy_s
+                else:
+                    payloads, busy_s = task.result()
+                measured_wait += time.perf_counter() - blocked
+                measured_quantize += busy_s
+                for index, chunk_payloads in zip(group, payloads):
+                    yield plans[index], chunk_payloads
 
-            if isinstance(local_rows, slice):
-                row_count = local_rows.stop - local_rows.start
-            else:
-                row_count = int(local_rows.shape[0])
+        for (shard, chunk_index, local_rows), (
+            weights_payload,
+            accum_payload,
+        ) in encoded_chunks():
+            row_count = _row_count(local_rows)
             num_values = row_count * int(shard.weight.shape[1])
             quant_sim = self.latency_model.for_quantizer(
                 quantizer.name,

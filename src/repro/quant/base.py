@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import QuantizationError
-from .packing import packed_size, unpack_rows
+from .packing import pack_rows, packed_size, unpack_rows
 
 
 @dataclass
@@ -121,6 +122,46 @@ class Quantizer(ABC):
     @abstractmethod
     def dequantize(self, qt: QuantizedTensor) -> np.ndarray:
         """Reconstruct an fp32 (rows, dim) tensor from codes + params."""
+
+    def quantize_many(
+        self, tensors: Sequence[np.ndarray]
+    ) -> list[QuantizedTensor]:
+        """Quantize each tensor exactly as its own :meth:`quantize` call
+        would, through one call on all their rows.
+
+        A call has a fixed cost however few rows it gets (the adaptive
+        search is two dozen iterations of a few dozen numpy calls), so
+        many small tensors are stacked into one and the result is split
+        back: codes unpacked once and re-packed per piece (a piece need
+        not end on a byte), params row-sliced. That is only the same as
+        one call per tensor because a row's codes and params depend on
+        that row alone; a quantizer for which they do not overrides
+        this. One tensor goes straight to :meth:`quantize`, uncopied.
+        """
+        if len(tensors) == 1:
+            return [self.quantize(tensors[0])]
+        if any(tensor.size == 0 for tensor in tensors):
+            raise QuantizationError("cannot quantize an empty tensor")
+        whole = self.quantize(np.concatenate(tensors))
+        codes = whole.unpacked_codes()
+        pieces = []
+        start = 0
+        for tensor in tensors:
+            rows = slice(start, start + tensor.shape[0])
+            pieces.append(
+                QuantizedTensor(
+                    codes=pack_rows(codes[rows], whole.bit_width),
+                    bit_width=whole.bit_width,
+                    shape=(tensor.shape[0], whole.dim),
+                    quantizer=whole.quantizer,
+                    params={
+                        name: value[rows]
+                        for name, value in whole.params.items()
+                    },
+                )
+            )
+            start = rows.stop
+        return pieces
 
     def roundtrip(self, tensor: np.ndarray) -> np.ndarray:
         """Quantize then de-quantize (the restore path's value error)."""

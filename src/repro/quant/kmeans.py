@@ -15,6 +15,8 @@ a01) can be measured rather than asserted.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import QuantizationError
@@ -130,6 +132,14 @@ class KMeansQuantizer(Quantizer):
             quantizer=self.name,
             params={"codebook": codebook},
         )
+
+    def quantize_many(
+        self, tensors: Sequence[np.ndarray]
+    ) -> list[QuantizedTensor]:
+        """One :meth:`quantize` per tensor: every call restarts the
+        seeded initialisation, whose draws run across rows, so a row's
+        codebook depends on where in its tensor it sits."""
+        return [self.quantize(tensor) for tensor in tensors]
 
     def dequantize(self, qt: QuantizedTensor) -> np.ndarray:
         self._check_dequant_input(qt)

@@ -111,13 +111,20 @@ def _grid_codes(
     np.fmax(x, lo, out=out)
     np.minimum(out, hi, out=out)
     np.subtract(out, lo, out=out)
-    np.divide(out, scale, out=out)
+    if clamp_free:
+        np.divide(out, scale, out=out)
+        np.rint(out, out=out)
+        return
+    # A positive span whose step underflows to 0 divides by zero here,
+    # on purpose: the clamps below map x/0 = inf to ``levels`` and 0/0
+    # = NaN to 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(out, scale, out=out)
     np.rint(out, out=out)
-    if not clamp_free:
-        # fmax, not clip: a range too small or too large for fp32 grids
-        # 0/0 or inf/inf to NaN, which the uint8 code format stores as 0.
-        np.fmax(out, 0, out=out)
-        np.minimum(out, levels, out=out)
+    # fmax, not clip: a range too small or too large for fp32 grids
+    # 0/0 or inf/inf to NaN, which the uint8 code format stores as 0.
+    np.fmax(out, 0, out=out)
+    np.minimum(out, levels, out=out)
 
 
 def _sum_rows(sq: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> None:

@@ -22,11 +22,11 @@ The :class:`TransferEngine` owns, for one
   :attr:`~repro.storage.requests.OpReceipt.retries` counts them;
 * **a quantization worker pool** — real background threads the
   checkpoint writer runs chunk quantization on (all but a checkpoint's
-  head chunk, which nothing could overlap: that one runs on the caller
-  and is booked as fully waited), with busy/blocked accounting so the
-  *measured* wall-time overlap (work hidden behind the caller's own
-  progress) is reportable, mirroring what the simulated quantization
-  lane models;
+  head group of chunks, which nothing could overlap: that one runs on
+  the caller and is booked as fully waited), with busy/blocked
+  accounting so the *measured* wall-time overlap (work hidden behind
+  the caller's own progress) is reportable, mirroring what the
+  simulated quantization lane models;
 * **backlog-driven admission control** — :class:`AdmissionController`
   uses the ``preempt_wait_s``-style backlog signal
   (:func:`~repro.storage.bandwidth.projected_queue_delay_s`, fed with
@@ -825,7 +825,7 @@ class TransferEngine:
         """Run ``fn(*args)`` on the *calling* thread, booked as a task.
 
         For work the caller would block on at once (the writer's head
-        chunk: nothing to overlap it with, so a pool round-trip only
+        group: nothing to overlap it with, so a pool round-trip only
         adds a thread hop). It counts as a task whose whole duration
         the caller both worked and waited, so :attr:`pool_overlap_s`
         never claims overlap that did not happen.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,16 +21,37 @@ from repro.errors import (
     CheckpointCorruptError,
     CheckpointError,
 )
+from repro.experiments import build_experiment, small_config
 from repro.quant import make_quantizer
+from repro.quant.uniform import block_rows
 from repro.storage.engine import drain
 
 import backend_ops as ops
 
 
-@pytest.fixture
-def ready(tiny_experiment):
-    """Experiment trained for one interval with a snapshot taken."""
-    exp = tiny_experiment
+#: Rows this wide make the quantizer's tile 128 rows, so a few hundred
+#: rows per table already give chunks larger than a tile, and each of
+#: those is a quantize task of its own.
+WIDE_DIM = 1024
+
+
+def _wide_experiment(**model_fields):
+    config = small_config(
+        num_tables=3,
+        rows_per_table=512,
+        embedding_dim=WIDE_DIM,
+        batch_size=32,
+        interval_batches=5,
+        num_nodes=1,
+        devices_per_node=2,
+    )
+    return build_experiment(
+        replace(config, model=replace(config.model, **model_fields))
+    )
+
+
+def _trained(exp):
+    """``exp`` trained for one interval, with a snapshot taken."""
     exp.reader.begin_interval(5)
     exp.trainer.train_interval(5)
     manager = SnapshotManager(exp.trainer, exp.clock)
@@ -38,6 +61,16 @@ def ready(tiny_experiment):
     writer = CheckpointWriter(exp.store, exp.clock)
     restorer = CheckpointRestorer(exp.store, exp.clock)
     return exp, snapshot, writer, restorer
+
+
+@pytest.fixture
+def ready(tiny_experiment):
+    return _trained(tiny_experiment)
+
+
+@pytest.fixture
+def wide_ready():
+    return _trained(_wide_experiment())
 
 
 class TestWriter:
@@ -152,17 +185,18 @@ class TestWriter:
         assert report.measured_overlap_s == 0.0
 
     def test_chunks_after_the_head_still_go_to_the_pool_first(
-        self, ready, monkeypatch
+        self, wide_ready, monkeypatch
     ):
-        exp, snapshot, writer, _ = ready
+        exp, snapshot, writer, _ = wide_ready
         shard_id, shard = next(iter(snapshot.shards.items()))
         snapshot.shards = {shard_id: shard}
         engine = exp.store.engine
         calls = self._spy_on_pool(engine, monkeypatch)
+        chunk_rows = -(-shard.weight.shape[0] // 3)
+        assert chunk_rows > block_rows(WIDE_DIM)
         _, report = drain(writer.write_checkpoint_steps(
             snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
-            make_quantizer("asymmetric", bits=4),
-            chunk_rows=-(-shard.weight.shape[0] // 3),
+            make_quantizer("asymmetric", bits=4), chunk_rows=chunk_rows,
         ))
         assert report.num_chunks == 3
         # Both lookahead chunks are in flight before the head chunk
@@ -173,19 +207,19 @@ class TestWriter:
 
     @pytest.mark.parametrize("kind", [KIND_FULL, KIND_INCREMENTAL])
     def test_quantize_tasks_read_full_chunks_in_place(
-        self, ready, monkeypatch, kind
+        self, wide_ready, monkeypatch, kind
     ):
         """A full checkpoint's chunks are contiguous row ranges, so the
         quantize tasks get views of the snapshot; an incremental one's
         masked rows are gathered. Either way the snapshot is untouched."""
-        exp, snapshot, writer, _ = ready
+        exp, snapshot, writer, _ = wide_ready
         engine = exp.store.engine
         handed: list[tuple[np.ndarray, np.ndarray]] = []
         for name in ("submit_task", "run_task"):
             real = getattr(engine, name)
 
             def spy(fn, *args, _real=real):
-                handed.append((args[1], args[2]))
+                handed.extend(zip(args[1], args[2]))
                 return _real(fn, *args)
 
             monkeypatch.setattr(engine, name, spy)
@@ -196,7 +230,8 @@ class TestWriter:
         drain(writer.write_checkpoint_steps(
             snapshot, kind, "ckpt-0", "job0",
             None if kind == KIND_FULL else "base", "one_shot",
-            make_quantizer("asymmetric", bits=4), chunk_rows=100,
+            make_quantizer("asymmetric", bits=4),
+            chunk_rows=block_rows(WIDE_DIM) + 22,
         ))
         assert len(handed) > len(snapshot.shards)
         shares = {
@@ -210,6 +245,95 @@ class TestWriter:
         for i, s in snapshot.shards.items():
             assert s.weight.tobytes() == before[i][0].tobytes()
             assert s.accumulator.tobytes() == before[i][1].tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, chunk_rows", [(KIND_FULL, 256), (KIND_INCREMENTAL, 16)]
+    )
+    def test_small_chunks_share_one_quantize_call(
+        self, monkeypatch, kind, chunk_rows
+    ):
+        """A checkpoint whose chunks all fit one tile together is one
+        quantize task and one weights ``quantize`` call, and it stores
+        exactly the bytes one call per chunk would."""
+
+        def write(split_every_chunk: bool):
+            exp, snapshot, writer, _ = _trained(build_experiment(
+                small_config(
+                    num_tables=1,
+                    rows_per_table=4096,
+                    batch_size=32,
+                    interval_batches=5,
+                    num_nodes=1,
+                    devices_per_node=1,
+                )
+            ))
+            quantizer = make_quantizer("adaptive", bits=4)
+            weight_calls: list[int] = []
+            real_quantize = quantizer.quantize
+
+            def quantize(tensor):
+                weight_calls.append(tensor.shape[0])
+                return real_quantize(tensor)
+
+            monkeypatch.setattr(quantizer, "quantize", quantize)
+            with monkeypatch.context() as patch:
+                if split_every_chunk:
+                    # A one-row tile: every chunk is a group of its own.
+                    patch.setattr(
+                        "repro.core.writer.block_rows", lambda dim: 1
+                    )
+                _, report = drain(writer.write_checkpoint_steps(
+                    snapshot, kind, "ckpt-0", "job0",
+                    None if kind == KIND_FULL else "base", "one_shot",
+                    quantizer, chunk_rows=chunk_rows,
+                ))
+            stored = {
+                key: ops.read(exp.store.backend, key)
+                for key in ops.list_keys(exp.store.backend)
+            }
+            return exp.store.engine.pool_tasks, weight_calls, report, stored
+
+        tasks, calls, report, stored = write(split_every_chunk=False)
+        assert report.num_chunks >= 8
+        if kind == KIND_FULL:
+            assert report.num_chunks == 16
+        assert tasks == 1
+        assert calls == [report.rows_written]
+        tasks, calls, per_chunk, expected = write(split_every_chunk=True)
+        assert tasks == len(calls) == report.num_chunks
+        assert stored == expected
+        assert per_chunk.quantize_sim_s == report.quantize_sim_s
+        assert per_chunk.valid_at_s == report.valid_at_s
+
+    def test_an_over_tile_chunk_is_never_concatenated(self, monkeypatch):
+        """Tables of 100 and 20 rows share one call; the 600-row table's
+        chunks, each larger than a tile, are quantized as views of the
+        snapshot, one call each."""
+        exp, snapshot, writer, _ = _trained(
+            _wide_experiment(num_tables=3, rows_per_table=(100, 20, 600))
+        )
+        quantizer = make_quantizer("asymmetric", bits=4)
+        handed: list[np.ndarray] = []
+        real_quantize = quantizer.quantize
+
+        def quantize(tensor):
+            handed.append(tensor)
+            return real_quantize(tensor)
+
+        monkeypatch.setattr(quantizer, "quantize", quantize)
+        chunk_rows = block_rows(WIDE_DIM) + 22
+        _, report = drain(writer.write_checkpoint_steps(
+            snapshot, KIND_FULL, "ckpt-0", "job0", None, "full",
+            quantizer, chunk_rows=chunk_rows,
+        ))
+        assert report.num_chunks == 6
+        # Pool threads quantize in whatever order they get to it.
+        handed.sort(key=len)
+        assert [len(t) for t in handed] == [120] + [chunk_rows] * 4
+        big = max((s.weight for s in snapshot.shards.values()), key=len)
+        assert not np.shares_memory(handed[0], big)
+        for tensor in handed[1:]:
+            assert np.shares_memory(tensor, big)
 
     def test_manifest_json_built_once(self, ready, monkeypatch):
         exp, snapshot, writer, _ = ready

@@ -487,7 +487,9 @@ class TestWriterPoolAtFleetScale:
             interval_batches=4,
             num_tables=3,
             rows_per_table=512,
-            embedding_dim=8,
+            # A 128-row quantizer tile: each 512-row shard is a chunk
+            # larger than a tile, so each is a quantize task.
+            embedding_dim=1024,
             batch_size=16,
             num_nodes=1,
             devices_per_node=1,

@@ -24,13 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.errors import PackingError
-from repro.quant import adaptive, packing, uniform
+from repro.errors import PackingError, QuantizationError
+from repro.quant import adaptive, make_quantizer, packing, uniform
 from repro.quant.adaptive import (
     AdaptiveAsymmetricQuantizer,
     greedy_range_search,
 )
 from repro.quant.packing import pack_bits, unpack_bits
+from repro.serialize.codec import encode_payload
 from repro.quant.uniform import (
     AsymmetricQuantizer,
     SymmetricQuantizer,
@@ -46,9 +47,10 @@ NUM_BINS = (1, 2, 25, 50)
 RATIOS = (0.05, 0.5, 1.0)
 
 pytestmark = pytest.mark.filterwarnings(
-    # Subnormal or crossing ranges divide by a zero scale in both
-    # implementations; what they do with the result is the test.
-    "ignore::RuntimeWarning"
+    # The reference divides subnormal or crossing ranges by a zero
+    # scale; what it does with the result is the test. The shipped
+    # kernels' warnings are not filtered.
+    "ignore::RuntimeWarning:reference_quant"
 )
 
 
@@ -380,7 +382,9 @@ def test_ranges_that_are_not_positive_identical(dtype):
     lo[30:40], hi[30:40] = np.float32(-3e38), np.float32(3e38)
     hi[40:] += np.float32(1.0)  # well-formed, in the same call
     for bits in BITS:
-        with small_tiles():
+        # The +-3e38 span overflows fp32 to an inf step, and measuring
+        # its error multiplies that step by a zero code.
+        with small_tiles(), pytest.warns(RuntimeWarning):
             codes = uniform_quantize_rows(x, lo, hi, bits)
             errors = quantization_l2_per_row(x, lo, hi, bits)
         assert_identical(codes, ref.uniform_quantize_rows(x, lo, hi, bits))
@@ -417,6 +421,98 @@ def test_tile_scratch_is_bounded(dim):
     ]
     scratch = sum(array.nbytes for array in held)
     assert scratch <= (20 * dim + 56) * tile.block
+
+
+# ----------------------------------------------------------------------
+# Grouped calls: quantize_many against one quantize per piece
+# ----------------------------------------------------------------------
+
+GROUPED_DIMS = (1, 3, 5, 8, 16, 17, 33)
+
+
+def every_quantizer(bits: int):
+    """Every registered quantizer; the fp32 and fp16 casts have no bit
+    width to vary, so they come only with ``bits == 8``."""
+    if bits == 8:
+        yield make_quantizer("none")
+        yield make_quantizer("float16")
+    for name in ("symmetric", "asymmetric", "adaptive"):
+        for compact in (False, True):
+            yield make_quantizer(name, bits=bits, compact_params=compact)
+    # The clustering iterations do not matter here; the seeded
+    # initialisation, which draws across rows, does.
+    yield make_quantizer("kmeans", bits=bits, kmeans_iterations=2)
+
+
+def edge_rows(dim: int) -> np.ndarray:
+    """Outlier, constant, symmetric and tie-heavy rows mixed with
+    signed-zero extremes and subnormal spans, in a seeded order."""
+    rng = np.random.default_rng(4100 + dim)
+    subnormal = np.stack(
+        [np.resize(row, dim) for row in subnormal_step_rows()[::12]]
+    )
+    x = np.concatenate(
+        [
+            outlier_matrix(rng, 40, dim),
+            signed_zero_rows(dim)[::6],
+            subnormal,
+        ]
+    )
+    return x[rng.permutation(len(x))]
+
+
+def split(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """``x`` cut into consecutive pieces of ``sizes`` rows, the last
+    taking what is left."""
+    bounds = np.cumsum(sizes)
+    return np.split(x, bounds[bounds < len(x)])
+
+
+def assert_grouped_as_one_call_each(quantizer, pieces) -> None:
+    expected = [encode_payload(quantizer.quantize(p)) for p in pieces]
+    grouped = quantizer.quantize_many(pieces)
+    assert [encode_payload(qt) for qt in grouped] == expected
+
+
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("dim", GROUPED_DIMS)
+def test_quantize_many_stores_what_one_call_per_piece_stores(dim, bits):
+    """One-row pieces, and a piece larger than a tile, so the grouped
+    call's blocks straddle piece boundaries; every piece boundary that
+    is not on a byte makes the split re-pack."""
+    x = edge_rows(dim)
+    with small_tiles():
+        tile = block_rows(dim)
+        pieces = split(x, [1, 1, 3, tile + 5, 1, 2, 7, 1])
+        assert max(len(p) for p in pieces) > tile
+        for quantizer in every_quantizer(bits):
+            assert_grouped_as_one_call_each(quantizer, pieces)
+
+
+def test_quantize_many_at_the_shipped_tile_size():
+    x = outlier_matrix(np.random.default_rng(41), block_rows(8) + 9, 8)
+    pieces = split(x, [1, 3, block_rows(8) + 2])
+    for quantizer in every_quantizer(4):
+        assert_grouped_as_one_call_each(quantizer, pieces)
+
+
+def test_quantize_many_of_one_tensor_is_one_uncopied_call():
+    quantizer = AdaptiveAsymmetricQuantizer(4)
+    x = outlier_matrix(np.random.default_rng(42), 16, 8)
+    with mock.patch.object(
+        quantizer, "quantize", wraps=quantizer.quantize
+    ) as spy:
+        (grouped,) = quantizer.quantize_many([x])
+    spy.assert_called_once()
+    assert spy.call_args.args[0] is x
+    assert_same_quantized(grouped, quantizer.quantize(x))
+
+
+def test_quantize_many_refuses_an_empty_piece():
+    quantizer = AsymmetricQuantizer(4)
+    x = np.ones((3, 8), dtype=np.float32)
+    with pytest.raises(QuantizationError, match="empty"):
+        quantizer.quantize_many([x, x[:0]])
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QuantizationError
-from repro.quant import mean_l2_error
+from repro.quant import make_quantizer, mean_l2_error
 from repro.quant.uniform import (
     AsymmetricQuantizer,
     SymmetricQuantizer,
@@ -61,6 +61,18 @@ class TestUniformPrimitives:
         )
         assert codes.min() >= 0
         assert codes.max() <= 7
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_step_codes_without_warnings(self):
+        """A positive span whose grid step underflows to 0 divides by
+        zero on the clamped path, silently: x/0 codes to the top level
+        and 0/0 to 0."""
+        x = np.array([[0.0, 2.0**-149, 0.0, 0.0]], dtype=np.float32)
+        xmin, xmax = x.min(axis=1), x.max(axis=1)
+        codes = uniform_quantize_rows(x, xmin, xmax, 2)
+        assert codes.tolist() == [[0, 3, 0, 0]]
+        adaptive = make_quantizer("adaptive", bits=2).quantize(x)
+        assert adaptive.unpacked_codes().tolist() == [[0, 3, 0, 0]]
 
 
 class TestSymmetric:
